@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: everything must pass before a change merges.
-#   ./ci.sh            full gate (build, tests, clippy, fmt, commit-path smoke)
-#   ./ci.sh fast       skip the release build and the smoke benches
+#   ./ci.sh            full gate (build, tests, benchmark package tests, clippy, fmt, commit-path smoke)
+#   ./ci.sh fast       skip the release build, the benchmark package and the smoke benches
 #   ./ci.sh smoke      only the commit-path smoke stages (tiny benches + two-process wire)
 #   ./ci.sh bench-gate tiny benches vs the committed baseline (perf-regression gate)
 set -euo pipefail
@@ -179,6 +179,14 @@ fi
 
 step "tests"
 cargo test -q --offline --workspace
+
+if [[ "${1:-}" != "fast" ]]; then
+  # The benchmark is a package of its own (own workspace and lock file)
+  # built against these crates: a crate change that breaks it must fail
+  # here, not in whoever runs BENCHMARK.json next.
+  step "benchmark package tests (audit oracle, generator, --quick run)"
+  cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+fi
 
 step "clippy (-D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings

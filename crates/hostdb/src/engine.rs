@@ -979,6 +979,20 @@ impl HostDb {
         obs::warn!("hostdb::rpc", "{context} failed on {server}: {err}");
     }
 
+    /// Did `server` acknowledge with `Ok`? Anything else is noted under
+    /// `context` ([`Self::note_rpc_error`]) and reported as not acked.
+    fn acked(&self, context: &str, server: &str, reply: &HostResult<DlfmResponse>) -> bool {
+        match reply {
+            Ok(DlfmResponse::Ok) => return true,
+            Ok(DlfmResponse::Err(e)) => self.note_rpc_error(context, server, e),
+            Ok(other) => {
+                self.note_rpc_error(context, server, &format!("unexpected response {other:?}"))
+            }
+            Err(e) => self.note_rpc_error(context, server, e),
+        }
+        false
+    }
+
     // ------------------------------------------------------------------
     // Fleet telemetry: scraping attached DLFMs over the wire
     // ------------------------------------------------------------------
@@ -1591,7 +1605,7 @@ impl HostSession {
         txn.trace_ids.insert(span.ctx().trace_id);
         let epoch = txn.epoch;
         let (xid, start_micros, trace_ids) = (txn.xid, txn.start_micros, txn.trace_ids.clone());
-        let result = self.commit_txn(txn, &mut span);
+        let result = self.commit_txn(txn).inspect_err(|_| span.fail());
         // The shard-map pin ends only after the outcome is settled either
         // way: a migration must not move rows this transaction's phase 2
         // may still be writing.
@@ -1600,63 +1614,82 @@ impl HostSession {
         result
     }
 
-    fn commit_txn(&mut self, txn: HostTxn, span: &mut obs::trace::SpanGuard) -> HostResult<()> {
+    /// Send `req` to every one of `servers`, and only then gather every
+    /// reply: all requests are on their way before the first reply is
+    /// awaited, so N participants cost the slowest one's service time, not
+    /// the sum (one participant is the same code). Every reply is gathered
+    /// before the caller decides anything. With `await_reply` off the
+    /// request is posted instead — the §4 asynchronous-commit ablation —
+    /// and reported as `Ok`: there is no ack to await. A server that could
+    /// not be reached has its cached connection retired, so the next use
+    /// redials instead of reusing a broken multiplexer.
+    fn broadcast<'a>(
+        &mut self,
+        servers: impl IntoIterator<Item = &'a String>,
+        req: DlfmRequest,
+        await_reply: bool,
+    ) -> Vec<(&'a String, HostResult<DlfmResponse>)> {
+        let sent: Vec<_> = servers
+            .into_iter()
+            .map(|server| {
+                let sent = self.conn(server).and_then(|conn| {
+                    if await_reply {
+                        Ok(Some(conn.start(req.clone())?))
+                    } else {
+                        conn.post(req.clone())?;
+                        Ok(None)
+                    }
+                });
+                (server, sent)
+            })
+            .collect();
+        sent.into_iter()
+            .map(|(server, sent)| {
+                let reply = sent.and_then(|pending| match pending {
+                    Some(call) => Ok(call.wait(None)?),
+                    None => Ok(DlfmResponse::Ok),
+                });
+                if reply.is_err() {
+                    self.conns.remove(server);
+                }
+                (server, reply)
+            })
+            .collect()
+    }
+
+    fn commit_txn(&mut self, txn: HostTxn) -> HostResult<()> {
         let xid = txn.xid;
 
-        // Phase 1: prepare every touched DLFM.
+        // Phase 1: every touched DLFM prepares (and forces) concurrently.
         let mut participants = Vec::new();
-        for server in &txn.touched {
-            let vote =
-                self.conn(server).and_then(|conn| Ok(conn.call(DlfmRequest::Prepare { xid })?));
-            match vote {
-                Ok(DlfmResponse::Prepared { read_only: false }) => {
-                    participants.push(server.clone())
-                }
-                Ok(DlfmResponse::Prepared { read_only: true }) => {}
-                Err(e) => {
-                    // Transport failure: the vote is unknown, so abort
-                    // globally like a vote of "no". Skipping the global
-                    // abort here would leave every participant — including
-                    // this one, if the prepare never reached it — with an
-                    // open forward transaction holding locks, parked behind
-                    // a pooled connection. (A prepare that did land is
-                    // covered by presumed abort: no commit record exists.)
-                    self.host.inner.metrics.prepare_failures.fetch_add(1, Ordering::Relaxed);
-                    span.fail();
-                    obs::warn!(
-                        "hostdb::twopc",
-                        "prepare transport failure on {server} for xid {xid}, \
-                         aborting globally: {e}"
-                    );
-                    self.abort_everywhere(&txn);
-                    self.session.rollback();
-                    self.host.inner.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
-                    return Err(e);
+        let mut failure = None;
+        for (server, vote) in self.broadcast(&txn.touched, DlfmRequest::Prepare { xid }, true) {
+            let err = match vote {
+                Ok(DlfmResponse::Prepared { read_only }) => {
+                    if !read_only {
+                        participants.push(server.clone());
+                    }
+                    continue;
                 }
                 Ok(DlfmResponse::Err(e)) => {
-                    // Global abort: tell everyone (even already-prepared
-                    // participants) and roll back locally (paper §3.3).
-                    self.host.inner.metrics.prepare_failures.fetch_add(1, Ordering::Relaxed);
-                    span.fail();
-                    obs::warn!(
-                        "hostdb::twopc",
-                        "prepare failed on {server} for xid {xid}, aborting globally: {e}"
-                    );
-                    self.abort_everywhere(&txn);
-                    self.session.rollback();
-                    self.host.inner.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
-                    return Err(HostError::PrepareFailed {
-                        server: server.clone(),
-                        reason: e.to_string(),
-                    });
+                    HostError::PrepareFailed { server: server.clone(), reason: e.to_string() }
                 }
-                Ok(other) => {
-                    span.fail();
-                    self.abort_everywhere(&txn);
-                    self.session.rollback();
-                    return Err(HostError::Rpc(format!("unexpected prepare response {other:?}")));
-                }
-            }
+                Ok(other) => HostError::Rpc(format!("unexpected prepare response {other:?}")),
+                // Transport failure: the vote is unknown, so it counts as
+                // a "no". Skipping the global abort here would leave every
+                // participant — including this one, if the prepare never
+                // reached it — with an open forward transaction holding
+                // locks, parked behind a pooled connection. (A prepare
+                // that did land is covered by presumed abort: no commit
+                // record exists.)
+                Err(e) => e,
+            };
+            failure.get_or_insert((server, err));
+        }
+        if let Some((server, err)) = failure {
+            self.host.inner.metrics.prepare_failures.fetch_add(1, Ordering::Relaxed);
+            self.global_abort(&txn, &format!("prepare on {server} failed: {err}"));
+            return Err(err);
         }
 
         if participants.is_empty() {
@@ -1676,62 +1709,32 @@ impl HostSession {
             .coord_log
             .append_forced(CoordRecord::Commit { xid, servers: participants.clone() })
         {
-            self.abort_everywhere(&txn);
-            self.session.rollback();
-            self.host.inner.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
+            self.global_abort(&txn, &"commit record lost to a host crash before its force");
             return Err(HostError::Db(minidb::DbError::Offline));
         }
         self.session.commit()?;
 
-        // Phase 2: synchronous by default — the paper found the commit
-        // request *must* be synchronous or distributed deadlocks form (§4).
+        // Phase 2, again on every participant at once: synchronous by
+        // default — the paper found the commit request *must* be
+        // synchronous or distributed deadlocks form (§4).
         //
         // The commit decision is already durable, so NOTHING past this
         // point may surface an error to the application: the transaction
         // IS committed. A transport failure here used to propagate `Err`
         // out of `commit()` — the app saw an abort for a committed
         // transaction and could retry into a double link. Instead, note
-        // the error, retire the broken connection, and leave the commit
-        // record unfinished so the resolver re-drives phase 2.
+        // the error and leave the commit record unfinished so the resolver
+        // re-drives phase 2.
         let synchronous = self.host.synchronous_commit();
         let mut all_acked = true;
-        for server in &participants {
-            let outcome = (|| -> HostResult<Option<DlfmResponse>> {
-                let conn = self.conn(server)?;
-                if synchronous {
-                    Ok(Some(conn.call(DlfmRequest::Commit { xid })?))
-                } else {
-                    conn.post(DlfmRequest::Commit { xid })?;
-                    Ok(None)
-                }
-            })();
-            match outcome {
-                // Posted asynchronously (the §4 ablation): no ack to await.
-                Ok(None) => {}
-                Ok(Some(DlfmResponse::Ok)) => {}
-                Ok(Some(DlfmResponse::Err(e))) => {
-                    // DLFM-side failure: the participant stays prepared
-                    // until the resolver re-drives it; keep that visible.
-                    self.host.note_rpc_error("phase-2 commit", server, &e);
-                    all_acked = false;
-                }
-                Ok(Some(other)) => {
-                    self.host.note_rpc_error(
-                        "phase-2 commit",
-                        server,
-                        &format!("unexpected response {other:?}"),
-                    );
-                    all_acked = false;
-                }
-                Err(e) => {
-                    self.host.inner.metrics.phase2_transport_errors.fetch_add(1, Ordering::Relaxed);
-                    self.host.note_rpc_error("phase-2 commit", server, &e);
-                    // The cached connection is dead; a later checkout
-                    // redials instead of reusing the broken multiplexer.
-                    self.conns.remove(server);
-                    all_acked = false;
-                }
+        for (server, ack) in self.broadcast(&participants, DlfmRequest::Commit { xid }, synchronous)
+        {
+            if ack.is_err() {
+                self.host.inner.metrics.phase2_transport_errors.fetch_add(1, Ordering::Relaxed);
             }
+            // A DLFM-side failure leaves the participant prepared until
+            // the resolver re-drives it.
+            all_acked &= self.host.acked("phase-2 commit", server, &ack);
         }
         if all_acked {
             self.host.inner.coord_log.append(CoordRecord::End { xid });
@@ -1745,32 +1748,27 @@ impl HostSession {
     pub fn rollback(&mut self) {
         if let Some(txn) = self.txn.take() {
             self.abort_everywhere(&txn);
-            self.session.rollback();
-            self.host.inner.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
             self.host.inner.shards.end_txn(txn.epoch);
             self.host.maybe_autopsy(txn.xid, txn.start_micros, &txn.trace_ids, true);
         }
     }
 
+    /// The coordinator's own decision to abort (a failed phase 1, a lost
+    /// commit record): abort everywhere, with the reason on the log.
+    fn global_abort(&mut self, txn: &HostTxn, reason: &dyn std::fmt::Display) {
+        obs::warn!("hostdb::twopc", "aborting xid {} globally: {reason}", txn.xid);
+        self.abort_everywhere(txn);
+    }
+
+    /// Tell every touched DLFM to abort — even already-prepared
+    /// participants — and roll back locally (paper §3.3). Counted once.
     fn abort_everywhere(&mut self, txn: &HostTxn) {
-        for server in &txn.touched {
-            if let Ok(conn) = self.conn(server) {
-                match conn.call(DlfmRequest::Abort { xid: txn.xid }) {
-                    Ok(DlfmResponse::Ok) => {}
-                    Ok(DlfmResponse::Err(e)) => self.host.note_rpc_error("abort", server, &e),
-                    Ok(other) => self.host.note_rpc_error(
-                        "abort",
-                        server,
-                        &format!("unexpected response {other:?}"),
-                    ),
-                    Err(e) => {
-                        self.host.note_rpc_error("abort", server, &e);
-                        // Transport failure: this cached connection is dead.
-                        self.conns.remove(server);
-                    }
-                }
-            }
+        for (server, ack) in self.broadcast(&txn.touched, DlfmRequest::Abort { xid: txn.xid }, true)
+        {
+            self.host.acked("abort", server, &ack);
         }
+        self.session.rollback();
+        self.host.inner.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Create a savepoint covering local data and datalink operations.
@@ -2211,24 +2209,18 @@ impl HostSession {
         server: &str,
         req: DlfmRequest,
     ) -> HostResult<DlfmResponse> {
-        let xid = self.require_xid()?;
-        // First touch: make the sub-transaction explicit.
-        let first_touch = self.txn.as_ref().map(|t| !t.touched.contains(server)).unwrap_or(false);
-        let conn = self.conn(server)?;
-        if first_touch {
-            match conn.call(DlfmRequest::BeginTxn { xid })? {
-                DlfmResponse::Ok => {}
-                DlfmResponse::Err(e) => {
-                    return Err(HostError::Dlfm { error: e, txn_rolled_back: false })
-                }
-                other => return Err(HostError::Rpc(format!("unexpected {other:?}"))),
-            }
-            if let Some(txn) = self.txn.as_mut() {
+        self.require_xid()?;
+        self.conn(server)?;
+        // There is no begin message: the DLFM opens its sub-transaction on
+        // the first request that carries the xid. The participant is
+        // recorded *before* that request is sent, so one that fails in
+        // transit — and may or may not have landed — still gets its Abort.
+        if let Some(txn) = self.txn.as_mut() {
+            if !txn.touched.contains(server) {
                 txn.touched.insert(server.to_string());
             }
         }
-        let conn = self.conn(server)?;
-        match conn.call(req)? {
+        match self.conns[server].call(req)? {
             DlfmResponse::Err(e) => {
                 let severe = matches!(&e, DlfmError::Db { retryable: true, .. });
                 Err(HostError::Dlfm { error: e, txn_rolled_back: severe })

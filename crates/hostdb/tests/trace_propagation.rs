@@ -258,10 +258,40 @@ fn cross_shard_2pc_commit_is_one_trace() {
     // trace — the whole cross-shard 2PC is one coherent trace.
     assert_eq!(under(Layer::Dlfm, "Prepare"), 2, "one Prepare per shard: {spans:#?}");
     assert_eq!(under(Layer::Dlfm, "Commit"), 2, "one Commit per shard: {spans:#?}");
-    assert!(
-        spans.iter().any(|e| e.layer == Layer::Rpc && e.trace_id == trace),
-        "2PC rpc calls must ride the commit trace"
-    );
+    // Each phase is scattered, then gathered: its two rpc calls are
+    // siblings directly under the host commit span (a pending call must
+    // not become the thread's context, or the second would nest in the
+    // first), and the second is sent before the first is answered. The
+    // frame carries the rpc span's id, so every agent span names its call.
+    let rpc_of = |op: &str| -> Vec<&obs::SpanEvent> {
+        let mut calls: Vec<_> = spans
+            .iter()
+            .filter(|e| e.layer == Layer::Dlfm && e.trace_id == trace && e.op == op)
+            .map(|agent| {
+                spans
+                    .iter()
+                    .find(|e| e.layer == Layer::Rpc && e.span_id == agent.parent_span_id)
+                    .unwrap_or_else(|| panic!("{op} agent span has no rpc parent: {spans:#?}"))
+            })
+            .collect();
+        calls.sort_by_key(|e| e.start_micros);
+        calls
+    };
+    for op in ["Prepare", "Commit"] {
+        let calls = rpc_of(op);
+        assert_eq!(calls.len(), 2);
+        for call in &calls {
+            assert_eq!(
+                call.parent_span_id, commit.span_id,
+                "{op} rpc spans are siblings under the host commit span: {spans:#?}"
+            );
+        }
+        let first_end = calls[0].start_micros + calls[0].duration.as_micros() as u64;
+        assert!(
+            calls[1].start_micros < first_end,
+            "the second {op} must start before the first ends: {calls:#?}"
+        );
+    }
     // The DLFM side did real SQL under the same trace (lock/WAL activity
     // shows up as minidb spans parented under the agents).
     assert!(

@@ -1,11 +1,12 @@
 //! Leveled event logging to stderr.
 //!
 //! The level is read once from the `DLFM_LOG` environment variable
-//! (`off`, `error`, `warn`, `info`, `debug`; default `warn`) and can be
-//! overridden programmatically with [`set_level`]. Lines carry a
-//! monotonic timestamp, the level, a target (module path by convention),
-//! and — when the thread has a trace context installed — the trace id, so
-//! log lines correlate with drained spans:
+//! (`off`, `error`, `warn`, `info`, `debug`; default `warn`, or `error`
+//! inside a `cargo test` harness) and can be overridden programmatically
+//! with [`set_level`]. Lines carry a monotonic timestamp, the level, a
+//! target (module path by convention), and — when the thread has a trace
+//! context installed — the trace id, so log lines correlate with drained
+//! spans:
 //!
 //! ```text
 //! [   12.345ms] WARN dlfm::twopc [trace=1f3a9c…] phase-2 commit attempt 3 failed
@@ -50,9 +51,21 @@ fn level_from_env() -> u8 {
         Some("error") => Level::Error as u8,
         Some("info") => Level::Info as u8,
         Some("debug") => Level::Debug as u8,
+        // Unset under a test harness: the fault-injection tests recover
+        // from hundreds of anomalies by design, and a real error must not
+        // drown in their warnings.
+        None if in_test_harness() => Level::Error as u8,
         // warn is the default: recovered anomalies show, chatter doesn't.
         _ => Level::Warn as u8,
     }
+}
+
+/// Is this process a `cargo test` harness? Cargo runs those out of
+/// `target/<profile>/deps/`; binaries and examples run from the profile
+/// directory itself.
+fn in_test_harness() -> bool {
+    std::env::current_exe()
+        .is_ok_and(|exe| exe.parent().and_then(|dir| dir.file_name()).is_some_and(|d| d == "deps"))
 }
 
 fn max_level() -> u8 {
@@ -155,6 +168,14 @@ mod tests {
         assert!(Level::Error < Level::Warn);
         assert!(Level::Warn < Level::Info);
         assert!(Level::Info < Level::Debug);
+    }
+
+    #[test]
+    fn a_test_harness_defaults_to_errors_only() {
+        assert!(in_test_harness(), "this very binary is one");
+        if std::env::var_os("DLFM_LOG").is_none() {
+            assert_eq!(level_from_env(), Level::Error as u8);
+        }
     }
 
     #[test]

@@ -216,6 +216,9 @@ pub struct SpanGuard {
     ctx: TraceCtx,
     parent_span_id: u64,
     prev: Option<TraceCtx>,
+    /// Set by [`SpanGuard::detach`]: the previous context is already back
+    /// in place and drop must leave the thread's context alone.
+    detached: bool,
     layer: Layer,
     op: &'static str,
     start: Instant,
@@ -238,11 +241,22 @@ impl SpanGuard {
     pub fn set_ok(&mut self, ok: bool) {
         self.outcome = if ok { Outcome::Ok } else { Outcome::Err };
     }
+
+    /// Stop being the thread's current context — the previous one is
+    /// restored now — while the span itself stays open until drop. For
+    /// work that outlives the code that started it (a pending RPC): spans
+    /// opened in between become siblings of this one, not children.
+    pub fn detach(&mut self) {
+        if !self.detached {
+            set_current_ctx(self.prev);
+            self.detached = true;
+        }
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        set_current_ctx(self.prev);
+        self.detach();
         global_ring().push(SpanEvent {
             seq: 0, // assigned by the ring
             trace_id: self.ctx.trace_id,
@@ -270,6 +284,7 @@ pub fn span(layer: Layer, op: &'static str) -> SpanGuard {
         ctx,
         parent_span_id: parent,
         prev,
+        detached: false,
         layer,
         op,
         start: Instant::now(),
@@ -288,6 +303,7 @@ pub fn span_root(layer: Layer, op: &'static str) -> SpanGuard {
         ctx,
         parent_span_id: 0,
         prev,
+        detached: false,
         layer,
         op,
         start: Instant::now(),
@@ -360,6 +376,23 @@ mod tests {
         assert_eq!(ours[1].op, "outer");
         assert_eq!(ours[0].trace_id, ours[1].trace_id);
         assert_eq!(ours[0].parent_span_id, ours[1].span_id);
+    }
+
+    #[test]
+    fn detached_spans_are_siblings_and_leave_the_context_alone() {
+        let outer = span_root(Layer::Host, "fanout");
+        let mut a = span(Layer::Rpc, "a");
+        a.detach();
+        assert_eq!(current_ctx(), Some(outer.ctx()), "detach restores the parent at once");
+        let mut b = span(Layer::Rpc, "b");
+        b.detach();
+        assert_eq!(b.parent_span_id, outer.ctx().span_id, "b is a's sibling, not its child");
+        assert_eq!(a.parent_span_id, outer.ctx().span_id);
+        let outer_ctx = outer.ctx();
+        drop(outer);
+        drop(a);
+        drop(b);
+        assert_ne!(current_ctx(), Some(outer_ctx), "a late drop must not reinstall a dead parent");
     }
 
     #[test]

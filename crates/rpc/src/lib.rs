@@ -33,6 +33,11 @@
 //!   full past the admission timeout the sender gets
 //!   [`RpcError::Overloaded`] instead of queueing unboundedly.
 //!
+//! Every round trip is split-phase underneath: [`ClientConn::start`] sends
+//! and returns a [`PendingCall`], [`PendingCall::wait`] collects the
+//! response. [`ClientConn::call`] is the two back to back; a coordinator
+//! starts a request on every participant's connection before it waits on
+//! any, and pays the slowest one's time instead of the sum.
 //! [`ClientConn::post`] is a fire-and-forget send used to model the
 //! **asynchronous commit** design the paper rejects.
 
@@ -369,23 +374,18 @@ impl<Req, Resp> ClientConn<Req, Resp> {
         }
     }
 
-    /// Round trip over the socket transport.
-    fn wire_call(
-        &self,
-        mux: &socket::Mux,
-        vt: &WireVt<Req, Resp>,
-        req: &Req,
-        timeout: Option<Duration>,
-    ) -> Result<Resp, RpcError> {
-        let mut payload = Vec::new();
-        (vt.encode_req)(req, &mut payload);
-        let bytes = mux.call(wire::FrameKind::Call, self.session, payload, timeout)?;
-        (vt.decode_resp)(&bytes).map_err(|e| RpcError::Wire(e.to_string()))
-    }
-
-    /// Synchronous call: blocks until the agent receives the request
-    /// *and* sends the response. In pooled mode the enqueue is bounded by
-    /// the admission timeout and may fail with [`RpcError::Overloaded`].
+    /// Send a request and return without waiting for the response: the
+    /// first half of every round trip. The agent has *received* the request
+    /// when this returns (dedicated mode), it has been admitted to the run
+    /// queue (pooled mode, bounded by the admission timeout — may fail with
+    /// [`RpcError::Overloaded`]), or it is queued on the socket writer
+    /// (wire transport). Starting calls on several connections and only
+    /// then waiting on each overlaps their service times.
+    ///
+    /// The call's rpc span opens here and closes when the [`PendingCall`]
+    /// is waited on or dropped. It is the context the request carries to
+    /// the agent, but it stops being the *thread's* context when `start`
+    /// returns, so overlapping calls are siblings under the caller's span.
     ///
     /// Fault points (`obs::fault`, no-ops unless a test arms them) on the
     /// in-process transport: `rpc.call.disconnect` severs the connection
@@ -399,37 +399,41 @@ impl<Req, Resp> ClientConn<Req, Resp> {
     /// retried-after-lost-ack message looks to the server. The socket
     /// transport has its own packet-level points (`rpc.wire.*`, see
     /// [`socket`]) injected in the frame writer instead.
-    pub fn call(&self, req: Req) -> Result<Resp, RpcError>
+    pub fn start(&self, req: Req) -> Result<PendingCall<Resp>, RpcError>
     where
         Req: Clone,
     {
         let mut span = trace::span(Layer::Rpc, "call");
         self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        let _in_flight = GaugeGuard::enter(&self.stats.in_flight);
+        let in_flight = InFlight::enter(&self.stats);
+        let reply = self.send_request(req).inspect_err(|_| span.fail())?;
+        span.detach();
+        Ok(PendingCall { reply, span, _in_flight: in_flight })
+    }
+
+    fn send_request(&self, req: Req) -> Result<Reply<Resp>, RpcError>
+    where
+        Req: Clone,
+    {
         match &self.inner {
             ConnInner::Wire { mux, vt } => {
                 if self.is_severed() {
-                    span.fail();
                     return Err(RpcError::Disconnected);
                 }
-                let res = self.wire_call(mux, vt, &req, None);
-                if res.is_err() {
-                    span.fail();
-                }
-                res
+                let mut payload = Vec::new();
+                (vt.encode_req)(&req, &mut payload);
+                let parked = mux.start(wire::FrameKind::Call, self.session, payload)?;
+                Ok(Reply::Wire { parked, decode: vt.decode_resp })
             }
             ConnInner::Local { tx, admission } => {
                 if self.is_severed() || obs::fault::fire("rpc.call.disconnect") {
                     self.sever();
-                    span.fail();
                     return Err(RpcError::Disconnected);
                 }
                 if obs::fault::fire("rpc.call.overloaded") {
-                    span.fail();
                     return Err(RpcError::Overloaded);
                 }
                 if obs::fault::fire("rpc.call.drop") {
-                    span.fail();
                     return Err(RpcError::Timeout);
                 }
                 if obs::fault::fire("rpc.call.delay") {
@@ -448,65 +452,33 @@ impl<Req, Resp> ClientConn<Req, Resp> {
                     )
                 });
                 let env = self.envelope(Payload::Request(req), ReplyTo(Some(ReplyDest::Chan(rtx))));
-                if let Err(e) = self.send_env(tx, admission, env) {
-                    span.fail();
-                    return Err(e);
-                }
+                self.send_env(tx, admission, env)?;
                 if let Some(env) = dup_env {
                     let _ = self.send_env(tx, admission, env);
                 }
-                rrx.recv().map_err(|_| {
-                    span.fail();
-                    RpcError::Disconnected
-                })
+                Ok(Reply::Local(rrx))
             }
         }
     }
 
-    /// Synchronous call with a deadline. On the in-process transport the
-    /// *send* still blocks until the agent issues its receive (rendezvous);
-    /// only the response wait is bounded. On the socket transport the whole
-    /// round trip is bounded.
-    pub fn call_timeout(&self, req: Req, timeout: Duration) -> Result<Resp, RpcError> {
-        let mut span = trace::span(Layer::Rpc, "call_timeout");
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        let _in_flight = GaugeGuard::enter(&self.stats.in_flight);
-        if self.is_severed() {
-            span.fail();
-            return Err(RpcError::Disconnected);
-        }
-        match &self.inner {
-            ConnInner::Wire { mux, vt } => {
-                let res = self.wire_call(mux, vt, &req, Some(timeout));
-                if res.is_err() {
-                    span.fail();
-                }
-                res
-            }
-            ConnInner::Local { tx, .. } => {
-                let (rtx, rrx) = bounded(1);
-                let env = self.envelope(Payload::Request(req), ReplyTo(Some(ReplyDest::Chan(rtx))));
-                let sent = {
-                    let _blocked = GaugeGuard::enter(&self.stats.send_blocked);
-                    tx.send_timeout(env, timeout)
-                };
-                if sent.is_err() {
-                    span.fail();
-                    return Err(RpcError::Timeout);
-                }
-                match rrx.recv_timeout(timeout) {
-                    Ok(r) => Ok(r),
-                    Err(RecvTimeoutError::Timeout) => {
-                        span.fail();
-                        Err(RpcError::Timeout)
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        span.fail();
-                        Err(RpcError::Disconnected)
-                    }
-                }
-            }
-        }
+    /// Synchronous call: blocks until the agent receives the request
+    /// *and* sends the response ([`Self::start`], then wait).
+    pub fn call(&self, req: Req) -> Result<Resp, RpcError>
+    where
+        Req: Clone,
+    {
+        self.start(req)?.wait(None)
+    }
+
+    /// Synchronous call with a deadline on the response. The send is
+    /// [`Self::start`]'s: on the in-process transport it still blocks until
+    /// the agent issues its receive (rendezvous) or the admission timeout
+    /// rejects it (pooled); only the response wait is bounded by `timeout`.
+    pub fn call_timeout(&self, req: Req, timeout: Duration) -> Result<Resp, RpcError>
+    where
+        Req: Clone,
+    {
+        self.start(req)?.wait(Some(timeout))
     }
 
     /// Fire-and-forget post: returns as soon as the agent *receives* the
@@ -542,9 +514,10 @@ impl<Req, Resp> ClientConn<Req, Resp> {
         }
         match &self.inner {
             ConnInner::Local { .. } => Ok(()),
-            ConnInner::Wire { mux, .. } => {
-                mux.call(wire::FrameKind::Ping, self.session, Vec::new(), Some(timeout)).map(|_| ())
-            }
+            ConnInner::Wire { mux, .. } => mux
+                .start(wire::FrameKind::Ping, self.session, Vec::new())?
+                .wait(Some(timeout))
+                .map(|_| ()),
         }
     }
 
@@ -580,6 +553,67 @@ impl<Req, Resp> Drop for ClientConn<Req, Resp> {
             ConnInner::Local { .. } => {}
             ConnInner::Wire { mux, .. } => mux.hangup(self.session),
         }
+    }
+}
+
+/// Where a started call's response will arrive.
+enum Reply<Resp> {
+    /// The in-process reply channel.
+    Local(Receiver<Resp>),
+    /// A slot in the socket multiplexer, plus the response deserializer.
+    Wire { parked: socket::Parked, decode: fn(&[u8]) -> Result<Resp, WireError> },
+}
+
+/// Holds the `in_flight` gauge up for as long as a call is unanswered.
+struct InFlight(Arc<RpcStats>);
+
+impl InFlight {
+    fn enter(stats: &Arc<RpcStats>) -> InFlight {
+        stats.in_flight.fetch_add(1, Ordering::Relaxed);
+        InFlight(stats.clone())
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Wait on a one-shot reply channel, forever or for at most `timeout`.
+pub(crate) fn recv_reply<T>(rx: &Receiver<T>, timeout: Option<Duration>) -> Result<T, RpcError> {
+    match timeout {
+        None => rx.recv().map_err(|_| RpcError::Disconnected),
+        Some(t) => rx.recv_timeout(t).map_err(|e| match e {
+            RecvTimeoutError::Timeout => RpcError::Timeout,
+            RecvTimeoutError::Disconnected => RpcError::Disconnected,
+        }),
+    }
+}
+
+/// A call that has been sent ([`ClientConn::start`]) and not yet answered.
+/// Dropping it abandons the response; the agent still serves the request.
+#[must_use = "a started call is only answered through wait()"]
+pub struct PendingCall<Resp> {
+    reply: Reply<Resp>,
+    span: trace::SpanGuard,
+    _in_flight: InFlight,
+}
+
+impl<Resp> PendingCall<Resp> {
+    /// Block until the response arrives — at most `timeout`, when given
+    /// ([`RpcError::Timeout`] past it) — or the peer goes away.
+    pub fn wait(mut self, timeout: Option<Duration>) -> Result<Resp, RpcError> {
+        let res = match self.reply {
+            Reply::Local(rx) => recv_reply(&rx, timeout),
+            Reply::Wire { parked, decode } => parked
+                .wait(timeout)
+                .and_then(|bytes| decode(&bytes).map_err(|e| RpcError::Wire(e.to_string()))),
+        };
+        if res.is_err() {
+            self.span.fail();
+        }
+        res
     }
 }
 

@@ -309,8 +309,8 @@ impl WireStats {
 type PendingMap = Arc<Mutex<HashMap<u64, Sender<Result<Vec<u8>, RpcError>>>>>;
 
 /// Client end of one socket: many sessions share it. Callers enqueue
-/// encoded frames on the writer channel and park on a one-shot reply
-/// channel keyed by correlation id; the reader thread routes each
+/// encoded frames on the writer channel and park ([`Parked`]) on a one-shot
+/// reply channel keyed by correlation id; the reader thread routes each
 /// Reply/Pong back by that id. When the socket dies, every parked caller
 /// is failed with `Disconnected` — nobody hangs.
 pub(crate) struct Mux {
@@ -372,15 +372,14 @@ impl Mux {
         self.writer.send(bytes).map_err(|_| RpcError::Disconnected)
     }
 
-    /// Round trip: send a Call (or Ping) and park until the matching
-    /// Reply (or Pong) arrives, the timeout fires, or the socket dies.
-    pub(crate) fn call(
+    /// Send a Call (or Ping) and return the slot its Reply (or Pong) will
+    /// land in, without waiting for it.
+    pub(crate) fn start(
         &self,
         kind: FrameKind,
         session: u64,
         payload: Vec<u8>,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<u8>, RpcError> {
+    ) -> Result<Parked, RpcError> {
         if self.is_dead() {
             return Err(self.death_error());
         }
@@ -400,17 +399,7 @@ impl Mux {
         {
             return Err(self.death_error());
         }
-        match timeout {
-            None => rrx.recv().map_err(|_| RpcError::Disconnected)?,
-            Some(t) => match rrx.recv_timeout(t) {
-                Ok(r) => r,
-                Err(RecvTimeoutError::Timeout) => {
-                    self.pending.lock().unwrap_or_else(|e| e.into_inner()).remove(&corr);
-                    Err(RpcError::Timeout)
-                }
-                Err(RecvTimeoutError::Disconnected) => Err(RpcError::Disconnected),
-            },
-        }
+        Ok(Parked { pending: self.pending.clone(), corr, reply: rrx })
     }
 
     /// Fire-and-forget: enqueue a Post frame.
@@ -424,6 +413,25 @@ impl Mux {
     /// Tell the server this session's client is gone (best effort).
     pub(crate) fn hangup(&self, session: u64) {
         let _ = self.send_frame(&Frame::new(FrameKind::Hangup, session, 0, Vec::new()));
+    }
+}
+
+/// A request on the socket whose reply has not been collected yet.
+pub(crate) struct Parked {
+    pending: PendingMap,
+    corr: u64,
+    reply: Receiver<Result<Vec<u8>, RpcError>>,
+}
+
+impl Parked {
+    /// Park until the matching Reply (or Pong) arrives, the timeout fires,
+    /// or the socket dies.
+    pub(crate) fn wait(self, timeout: Option<Duration>) -> Result<Vec<u8>, RpcError> {
+        let reply = crate::recv_reply(&self.reply, timeout);
+        if matches!(reply, Err(RpcError::Timeout)) {
+            self.pending.lock().unwrap_or_else(|e| e.into_inner()).remove(&self.corr);
+        }
+        reply?
     }
 }
 
