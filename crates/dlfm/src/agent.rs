@@ -729,9 +729,10 @@ impl Exec<'_> {
             // files are readable through normal permissions.
             return Ok(DlfmResponse::Token(String::new()));
         }
-        let token = format!("dl-{:016x}", rand::random::<u64>());
-        self.shared.dlff.register_token(filename, &token);
-        Ok(DlfmResponse::Token(token))
+        // One token per link, however often it is asked for: minted on the
+        // first request, revoked with the unlink (`twopc::release_file`).
+        let mint = || format!("dl-{:016x}", rand::random::<u64>());
+        Ok(DlfmResponse::Token(self.shared.dlff.token_or_register(filename, mint)))
     }
 
     fn list_indoubt(&mut self) -> DlfmResult<DlfmResponse> {

@@ -451,6 +451,12 @@ fn render_metrics_text(
         ] {
             r.counter(name, help, &[], value);
         }
+        r.gauge(
+            "dlfm_dlff_tokens",
+            "Read tokens registered with the file-system filter (one per linked full-control file that was asked for).",
+            &[],
+            shared.dlff.token_count() as i64,
+        );
         for (op, hist) in shared.metrics.op_hists.iter() {
             r.histogram(
                 "dlfm_op_latency_micros",

@@ -403,6 +403,53 @@ fn dlff_blocks_destructive_ops_on_linked_files_and_tokens_gate_reads() {
 }
 
 #[test]
+fn the_token_registry_grows_with_links_not_with_reads() {
+    let rig = Rig::new(DlfmConfig::for_tests());
+    rig.fs.create("/v/a", "alice", b"a").unwrap();
+    rig.fs.create("/v/b", "alice", b"b").unwrap();
+    let conn = rig.connect(1);
+    rig.group_full_recovery(&conn);
+    assert_eq!(link(&conn, 100, 1000, 1, "/v/a"), DlfmResponse::Ok);
+    assert_eq!(link(&conn, 100, 1001, 1, "/v/b"), DlfmResponse::Ok);
+    prepare_commit(&conn, 100);
+    let dlff = rig.server.dlff();
+    assert_eq!(dlff.token_count(), 0, "nobody asked yet");
+
+    let issue = |conn: &Conn, file: &str| match call(
+        conn,
+        DlfmRequest::IssueToken { filename: file.into() },
+    ) {
+        DlfmResponse::Token(t) => t,
+        other => panic!("expected token, got {other:?}"),
+    };
+    // A thousand requests for one link, over two connections: one token.
+    let other_conn = rig.connect(1);
+    let first = issue(&conn, "/v/a");
+    for i in 0..1_000 {
+        assert_eq!(issue(if i % 2 == 0 { &conn } else { &other_conn }, "/v/a"), first);
+    }
+    assert_eq!(dlff.token_count(), 1);
+    assert_ne!(issue(&conn, "/v/b"), first, "every link has its own token");
+    assert_eq!(dlff.token_count(), 2);
+    assert!(rig.server.metrics_text().contains("dlfm_dlff_tokens 2"));
+
+    // Unlink revokes; a new link of the same file gets a new token.
+    assert_eq!(unlink(&conn, 101, 1010, 1, "/v/a"), DlfmResponse::Ok);
+    prepare_commit(&conn, 101);
+    assert_eq!(dlff.token_count(), 1);
+    assert_eq!(link(&conn, 102, 1020, 1, "/v/a"), DlfmResponse::Ok);
+    prepare_commit(&conn, 102);
+    let second = issue(&conn, "/v/a");
+    assert_ne!(second, first);
+    assert!(dlff.read("/v/a", "bob", Some(&first)).is_err(), "the old link's token is dead");
+    assert_eq!(dlff.read("/v/a", "bob", Some(&second)).unwrap(), b"a");
+    assert_eq!(unlink(&conn, 103, 1030, 1, "/v/a"), DlfmResponse::Ok);
+    assert_eq!(unlink(&conn, 103, 1031, 1, "/v/b"), DlfmResponse::Ok);
+    prepare_commit(&conn, 103);
+    assert_eq!(dlff.token_count(), 0);
+}
+
+#[test]
 fn upcall_reports_link_state() {
     let rig = Rig::new(DlfmConfig::for_tests());
     rig.fs.create("/p", "alice", b"x").unwrap();

@@ -12,7 +12,7 @@
 //!   operation. (Full-control files need no upcall — DLFM ownership already
 //!   marks them.)
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,8 +53,10 @@ pub enum AccessDecision {
 pub struct Dlff {
     fs: Arc<FileSystem>,
     upcall: RwLock<Option<Arc<dyn UpcallHandler>>>,
-    /// Valid read tokens: (path, token).
-    tokens: RwLock<HashSet<(String, String)>>,
+    /// The valid read token of each path that has one: checking,
+    /// registering and revoking each touch one entry, however many files
+    /// hold tokens.
+    tokens: RwLock<HashMap<String, String>>,
     /// Name of the DLFM administrative user; files owned by it are
     /// recognised as fully controlled without an upcall.
     dlfm_admin: String,
@@ -68,7 +70,7 @@ impl Dlff {
         Dlff {
             fs,
             upcall: RwLock::new(None),
-            tokens: RwLock::new(HashSet::new()),
+            tokens: RwLock::new(HashMap::new()),
             dlfm_admin: dlfm_admin.to_string(),
             upcall_count: AtomicU64::new(0),
         }
@@ -89,14 +91,30 @@ impl Dlff {
         self.upcall_count.load(Ordering::Relaxed)
     }
 
-    /// Register a host-issued access token for a fully-controlled file.
+    /// Register a host-issued access token for a fully-controlled file. A
+    /// path has one token: registering another replaces it.
     pub fn register_token(&self, path: &str, token: &str) {
-        self.tokens.write().insert((path.to_string(), token.to_string()));
+        self.tokens.write().insert(path.to_string(), token.to_string());
     }
 
-    /// Invalidate a token (e.g. on unlink).
+    /// The token registered for `path`, registering `mint()` first when
+    /// there is none. Atomic, so concurrent issuers of one link agree on
+    /// one token and the registry holds one entry per link, not per issue.
+    pub fn token_or_register(&self, path: &str, mint: impl FnOnce() -> String) -> String {
+        if let Some(token) = self.tokens.read().get(path) {
+            return token.clone();
+        }
+        self.tokens.write().entry(path.to_string()).or_insert_with(mint).clone()
+    }
+
+    /// Invalidate the token of `path` (e.g. on unlink).
     pub fn revoke_tokens(&self, path: &str) {
-        self.tokens.write().retain(|(p, _)| p != path);
+        self.tokens.write().remove(path);
+    }
+
+    /// Number of registered tokens (gauge: grows with links, not reads).
+    pub fn token_count(&self) -> usize {
+        self.tokens.read().len()
     }
 
     fn state_of(&self, path: &str, meta: Option<&FileMeta>) -> LinkState {
@@ -126,9 +144,7 @@ impl Dlff {
     pub fn read(&self, path: &str, user: &str, token: Option<&str>) -> FsResult<Vec<u8>> {
         let meta = self.fs.stat(path)?;
         if meta.owner == self.dlfm_admin && user != self.dlfm_admin {
-            let ok = token
-                .map(|t| self.tokens.read().contains(&(path.to_string(), t.to_string())))
-                .unwrap_or(false);
+            let ok = token.is_some_and(|t| self.tokens.read().get(path).is_some_and(|x| x == t));
             if !ok {
                 return Err(FsError::PermissionDenied {
                     path: path.to_string(),
@@ -232,6 +248,54 @@ mod tests {
         assert_eq!(dlff.read("/v", "alice", Some("tok123")).unwrap(), b"secret");
         dlff.revoke_tokens("/v");
         assert!(dlff.read("/v", "alice", Some("tok123")).is_err());
+    }
+
+    #[test]
+    fn revoking_one_path_leaves_every_other_token_valid() {
+        let (fs, dlff) = setup(LinkState::NotLinked);
+        let others: Vec<String> = (0..100_000).map(|i| format!("/d{}/f{i}", i % 100)).collect();
+        for path in &others {
+            dlff.register_token(path, "tok");
+        }
+        fs.create("/a", "dlfm_admin", b"a").unwrap();
+        fs.create(&others[7], "dlfm_admin", b"other").unwrap();
+        dlff.register_token("/a", "tok-a");
+        assert_eq!(dlff.token_count(), 100_001);
+        dlff.revoke_tokens("/a");
+        assert_eq!(dlff.token_count(), 100_000, "only /a's token went");
+        assert!(dlff.read("/a", "alice", Some("tok-a")).is_err());
+        assert_eq!(dlff.read(&others[7], "alice", Some("tok")).unwrap(), b"other");
+        // Revoking a path that holds no token changes nothing.
+        dlff.revoke_tokens("/a");
+        assert_eq!(dlff.token_count(), 100_000);
+    }
+
+    #[test]
+    fn a_token_opens_only_the_path_it_was_registered_for() {
+        let (fs, dlff) = setup(LinkState::NotLinked);
+        fs.create("/a", "dlfm_admin", b"a").unwrap();
+        fs.create("/b", "dlfm_admin", b"b").unwrap();
+        dlff.register_token("/a", "tok-a");
+        assert!(dlff.read("/b", "alice", Some("tok-a")).is_err(), "A's token refused for B");
+        assert!(dlff.read("/a", "alice", Some("tok-")).is_err(), "prefix of a token refused");
+        assert!(dlff.read("/a", "alice", Some("tok-a\0")).is_err(), "garbled token refused");
+        assert!(dlff.read("/a", "alice", Some("")).is_err(), "empty token refused");
+        assert_eq!(dlff.read("/a", "alice", Some("tok-a")).unwrap(), b"a");
+    }
+
+    #[test]
+    fn token_or_register_mints_once_per_path() {
+        let (_fs, dlff) = setup(LinkState::NotLinked);
+        let first = dlff.token_or_register("/a", || "t1".into());
+        let again = dlff.token_or_register("/a", || panic!("a token is already registered"));
+        assert_eq!((first.as_str(), again.as_str()), ("t1", "t1"));
+        assert_eq!(dlff.token_count(), 1);
+        // A path has one token: registering another replaces it.
+        dlff.register_token("/a", "t1b");
+        assert_eq!(dlff.token_count(), 1);
+        assert_eq!(dlff.token_or_register("/a", || panic!("still registered")), "t1b");
+        dlff.revoke_tokens("/a");
+        assert_eq!(dlff.token_or_register("/a", || "t2".into()), "t2", "revoked: minted afresh");
     }
 
     #[test]

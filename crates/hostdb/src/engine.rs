@@ -28,6 +28,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::coordlog::{CoordLog, CoordRecord};
 use crate::error::{HostError, HostResult};
+use crate::tokens::{Invalidation, Lookup};
 use crate::url::DatalinkUrl;
 
 /// Connection type to a DLFM.
@@ -189,6 +190,8 @@ pub struct HostMetrics {
     /// Telemetry scrapes of attached DLFMs that failed (server down or
     /// mid-restart); fleet views render such shards as absent/DOWN.
     pub telemetry_scrape_errors: AtomicU64,
+    /// Access-token cache: hits, misses, entries dropped by cause.
+    pub token_cache: Arc<crate::tokens::TokenCacheMetrics>,
 }
 
 struct HostInner {
@@ -208,6 +211,8 @@ struct HostInner {
     conn_pool_size: usize,
     /// Placement of link metadata over the attached DLFMs (ROADMAP 2).
     shards: crate::shard::ShardMap,
+    /// DLFM-issued access tokens remembered per link (`crate::tokens`).
+    tokens: crate::tokens::TokenCache,
     shard_route_timeout: std::time::Duration,
     shard_drain_timeout: std::time::Duration,
     autopsy_dir: Option<std::path::PathBuf>,
@@ -226,6 +231,7 @@ impl HostDb {
     /// Create a host database.
     pub fn new(config: HostConfig) -> HostDb {
         let db = Database::new(config.db.clone());
+        let metrics = HostMetrics::default();
         let host = HostDb {
             inner: Arc::new(HostInner {
                 db,
@@ -242,7 +248,8 @@ impl HostDb {
                     log
                 },
                 sync_commit: AtomicBool::new(config.synchronous_commit),
-                metrics: HostMetrics::default(),
+                tokens: crate::tokens::TokenCache::new(metrics.token_cache.clone()),
+                metrics,
                 backups: Mutex::new(Vec::new()),
                 conn_pool: Mutex::new(HashMap::new()),
                 conn_pool_size: config.conn_pool_size,
@@ -289,6 +296,7 @@ impl HostDb {
     /// Register a DLFM (file server) under a name used in datalink URLs.
     pub fn attach_dlfm(&self, server: &str, connector: Connector<DlfmRequest, DlfmResponse>) {
         self.inner.dlfms.write().insert(server.to_string(), connector);
+        self.inner.tokens.clear();
     }
 
     /// Register a DLFM by connection URL: `tcp://host:port` and
@@ -440,6 +448,7 @@ impl HostDb {
             &[],
             self.conn_pool_idle() as i64,
         );
+        self.inner.tokens.render_metrics(&mut r);
         r.counter(
             "hostdb_shard_routes_total",
             "Datalink operations routed through the shard map.",
@@ -570,6 +579,7 @@ impl HostDb {
             m.conn_pool_misses.load(Ordering::Relaxed),
             m.conn_retired.load(Ordering::Relaxed),
         ));
+        out.push_str(&self.inner.tokens.status_line());
         out.push_str(&format!(
             "transactions: {} committed, {} rolled back, {} via 2PC, {} in-doubt resolved\n",
             m.commits.load(Ordering::Relaxed),
@@ -706,6 +716,10 @@ impl HostDb {
         &self.inner.backups
     }
 
+    pub(crate) fn tokens(&self) -> &crate::tokens::TokenCache {
+        &self.inner.tokens
+    }
+
     // ------------------------------------------------------------------
     // Crash / restart / indoubt resolution
     // ------------------------------------------------------------------
@@ -715,6 +729,7 @@ impl HostDb {
     pub fn crash(&self) {
         self.inner.db.crash();
         self.inner.coord_log.crash();
+        self.inner.tokens.clear();
     }
 
     /// Restart after a crash: recover storage, reload datalink metadata,
@@ -1251,6 +1266,7 @@ impl HostDb {
             return Err(HostError::Usage("set_shards needs at least one shard".into()));
         }
         self.inner.shards.set_shards(&shards.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        self.inner.tokens.clear();
         Ok(())
     }
 
@@ -1315,6 +1331,7 @@ impl HostDb {
             .map_err(|e| HostError::Usage(e.to_string()))?;
         obs::info!("hostdb::shard", "migrating prefix {prefix} to {to} (flip epoch {flip})");
         let result = self.run_migration(prefix, to, flip);
+        self.inner.tokens.clear();
         match &result {
             Ok(moved) => {
                 self.inner.shards.finish_migration(prefix);
@@ -2148,7 +2165,9 @@ impl HostSession {
         let shard = self.route(url)?;
         let rec_id = self.host.next_rec_id();
         let op = DlOp { link: true, url: url.clone(), shard, rec_id, grp_id: info.grp_id };
-        self.dl_request(
+        // Before the send and again after the reply: see `crate::tokens`.
+        self.host.inner.tokens.invalidate(&url.path, Invalidation::Link);
+        let linked = self.dl_request(
             &op.shard,
             DlfmRequest::LinkFile {
                 xid: self.require_xid()?,
@@ -2157,7 +2176,9 @@ impl HostSession {
                 filename: url.path.clone(),
                 in_backout: false,
             },
-        )?;
+        );
+        self.host.inner.tokens.invalidate(&url.path, Invalidation::Link);
+        linked?;
         self.host.inner.metrics.links.fetch_add(1, Ordering::Relaxed);
         if let Some(txn) = self.txn.as_mut() {
             txn.dl_ops.push(op.clone());
@@ -2169,6 +2190,7 @@ impl HostSession {
         let shard = self.route(url)?;
         let rec_id = self.host.next_rec_id();
         let op = DlOp { link: false, url: url.clone(), shard, rec_id, grp_id: info.grp_id };
+        self.host.inner.tokens.invalidate(&url.path, Invalidation::Unlink);
         self.dl_request(
             &op.shard,
             DlfmRequest::UnlinkFile {
@@ -2253,15 +2275,24 @@ impl HostSession {
         Ok(self.session.query_int(sql, params)?)
     }
 
-    /// Ask the DLFM for a read token for a fully-controlled linked file
-    /// (applications then read through the DLFF with it — Figure 3's
-    /// "direct file access" with an access token).
+    /// The read token of a fully-controlled linked file (applications then
+    /// read through the DLFF with it — Figure 3's "direct file access" with
+    /// an access token). The DLFM issues it; the host remembers the answer
+    /// for as long as the link lasts (`crate::tokens`).
     pub fn read_token(&mut self, url: &str) -> HostResult<String> {
         let url = DatalinkUrl::parse(url)?;
         let shard = self.route(&url)?;
+        let epoch = self.host.inner.dlfms.read().get(&shard).map_or(0, Connector::epoch);
+        let generation = match self.host.inner.tokens.lookup(&shard, &url.path, epoch) {
+            Lookup::Hit(token) => return Ok(token),
+            Lookup::Miss { generation } => generation,
+        };
         let conn = self.conn(&shard)?;
         match conn.call(DlfmRequest::IssueToken { filename: url.path.clone() })? {
-            DlfmResponse::Token(t) => Ok(t),
+            DlfmResponse::Token(t) => {
+                self.host.inner.tokens.insert(&shard, &url.path, &t, epoch, generation);
+                Ok(t)
+            }
             DlfmResponse::Err(e) => Err(HostError::Dlfm { error: e, txn_rolled_back: false }),
             other => Err(HostError::Rpc(format!("unexpected {other:?}"))),
         }

@@ -25,6 +25,7 @@ pub mod engine;
 pub mod error;
 pub mod load;
 pub mod shard;
+pub mod tokens;
 pub mod url;
 pub mod utilities;
 
@@ -36,5 +37,6 @@ pub use engine::{
 pub use error::{HostError, HostResult};
 pub use load::{LoadReport, LoadRow};
 pub use shard::{route_key, Routed, ShardError, ShardMap};
+pub use tokens::{Invalidation, TokenCacheMetrics};
 pub use url::DatalinkUrl;
 pub use utilities::{HostBackup, ReconcileOutcome};

@@ -93,13 +93,15 @@ impl HostSession {
         // The recovery id at backup time "is preserved in the backup image
         // which is sent to the DLFM during restore to reconcile its
         // metadata" (§3.4).
-        for server in &servers {
-            let resp = self.utility_call(server, DlfmRequest::RestoreTo { rec_id })?;
-            if let DlfmResponse::Err(e) = resp {
-                return Err(HostError::Dlfm { error: e, txn_rolled_back: false });
+        let restored = servers.iter().try_for_each(|server| {
+            match self.utility_call(server, DlfmRequest::RestoreTo { rec_id })? {
+                DlfmResponse::Err(e) => Err(HostError::Dlfm { error: e, txn_rolled_back: false }),
+                _ => Ok(()),
             }
-        }
-        Ok(())
+        });
+        // The DLFMs relinked and unlinked files behind the sessions' backs.
+        host.tokens().clear();
+        restored
     }
 
     /// Run the Reconcile utility over every attached DLFM (paper §3.4).
@@ -164,6 +166,7 @@ impl HostSession {
                     .collect(),
             });
         }
+        host.tokens().clear();
         Ok(outcomes)
     }
 

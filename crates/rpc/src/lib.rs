@@ -733,6 +733,8 @@ pub(crate) struct RemoteState {
     addr: WireAddr,
     mux: Mutex<Option<Arc<socket::Mux>>>,
     stats: Arc<WireStats>,
+    /// Connections to the peer that have died so far ([`Connector::epoch`]).
+    deaths: Arc<AtomicU64>,
 }
 
 impl RemoteState {
@@ -745,7 +747,7 @@ impl RemoteState {
             }
             self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
         }
-        let m = socket::Mux::dial(&self.addr, self.stats.clone())?;
+        let m = socket::Mux::dial(&self.addr, self.stats.clone(), self.deaths.clone())?;
         *guard = Some(m.clone());
         Ok(m)
     }
@@ -862,6 +864,19 @@ impl<Req, Resp> Connector<Req, Resp> {
         }
     }
 
+    /// Incarnation of the peer as seen from here: the number of socket
+    /// connections to it that have died, bumped by the reader thread when
+    /// it sees the stream end. Whatever a caller learned from the peer
+    /// under an earlier epoch may describe a process that no longer exists.
+    /// Always 0 for in-process connectors, whose peer cannot go away alone.
+    /// (`Relaxed`: a bare count that publishes no other data.)
+    pub fn epoch(&self) -> u64 {
+        match &self.mode {
+            ConnectorMode::Remote { state, .. } => state.deaths.load(Ordering::Relaxed),
+            _ => 0,
+        }
+    }
+
     /// Connections waiting to be accepted (dedicated mode) or requests
     /// waiting in the shared run queue (pooled mode) — both are "work the
     /// server has not picked up yet". Always 0 for a remote connector (the
@@ -941,6 +956,7 @@ where
                 addr,
                 mux: Mutex::new(None),
                 stats: Arc::new(WireStats::default()),
+                deaths: Arc::new(AtomicU64::new(0)),
             }),
             vt: WireVt { encode_req: encode_val::<Req>, decode_resp: decode_val::<Resp> },
         },

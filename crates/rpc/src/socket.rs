@@ -326,7 +326,12 @@ pub(crate) struct Mux {
 
 impl Mux {
     /// Dial `addr` and start the reader/writer threads.
-    pub(crate) fn dial(addr: &WireAddr, stats: Arc<WireStats>) -> Result<Arc<Mux>, RpcError> {
+    /// `deaths` is bumped once when this connection's reader sees it die.
+    pub(crate) fn dial(
+        addr: &WireAddr,
+        stats: Arc<WireStats>,
+        deaths: Arc<AtomicU64>,
+    ) -> Result<Arc<Mux>, RpcError> {
         let sock = WireSocket::connect(addr)?;
         let sock_w = sock.try_clone().map_err(|e| RpcError::Wire(format!("clone socket: {e}")))?;
         let sock_r = sock.try_clone().map_err(|e| RpcError::Wire(format!("clone socket: {e}")))?;
@@ -336,7 +341,14 @@ impl Mux {
         let death: Arc<Mutex<Option<RpcError>>> = Arc::new(Mutex::new(None));
 
         spawn_client_writer(sock_w, wrx, dead.clone(), stats.clone());
-        spawn_client_reader(sock_r, pending.clone(), dead.clone(), death.clone(), stats.clone());
+        spawn_client_reader(
+            sock_r,
+            pending.clone(),
+            dead.clone(),
+            deaths,
+            death.clone(),
+            stats.clone(),
+        );
 
         Ok(Arc::new(Mux { writer: wtx, pending, corr: AtomicU64::new(0), dead, death, sock }))
     }
@@ -498,6 +510,7 @@ fn spawn_client_reader(
     mut sock: WireSocket,
     pending: PendingMap,
     dead: Arc<AtomicBool>,
+    deaths: Arc<AtomicU64>,
     death: Arc<Mutex<Option<RpcError>>>,
     stats: Arc<WireStats>,
 ) {
@@ -537,6 +550,7 @@ fn spawn_client_reader(
             }
         }
         dead.store(true, Ordering::Relaxed);
+        deaths.fetch_add(1, Ordering::Relaxed);
         sock.shutdown();
         let reason = death
             .lock()
@@ -1314,9 +1328,17 @@ mod tests {
         let remote = wire_connector::<i32, i32>(addr.clone());
         let conn = remote.connect().unwrap();
         assert_eq!(conn.call(1).unwrap(), 2);
+        assert_eq!(remote.epoch(), 0);
         // Server bridge goes away: in-flight endpoint dies...
         bridge.shutdown();
         assert!(conn.call(2).is_err());
+        // ...and the reader thread says so, whether or not anyone calls.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while remote.epoch() == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(remote.epoch(), 1, "one connection died: the peer's next incarnation");
+        assert_eq!(connector.epoch(), 0, "an in-process peer cannot go away alone");
         // ...and comes back; a fresh connect() redials transparently.
         let _bridge2 = serve_wire(SocketListener::bind(&addr).unwrap(), &connector);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

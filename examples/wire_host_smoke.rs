@@ -11,14 +11,23 @@
 //! ```
 //!
 //! The workload: create a DATALINK table, link every seeded file (one 2PC
-//! commit each), read link state back through SQL, unlink half by DELETE,
-//! roll one transaction back, and run the indoubt resolver. Asserts the
-//! host ends with the expected row count and zero unresolved indoubts.
+//! commit each), ask for every link's access token twice (the second round
+//! must come from the host's token cache: no RPC), unlink half by DELETE
+//! (their cached tokens must go, and asking again must get the DLFM's
+//! not-linked error), roll one transaction back, and run the indoubt
+//! resolver. Asserts the host ends with the expected row count and zero
+//! unresolved indoubts.
 
 use datalinks::{dlfm, hostdb};
 use dlfm::AccessControl;
 use hostdb::DatalinkSpec;
 use minidb::Value;
+
+/// Sum of a metric's samples (every label set) in the host's metrics text.
+fn metric(host: &hostdb::HostDb, name: &str) -> u64 {
+    let samples = datalinks::obs::registry::parse_samples(&host.metrics_text());
+    samples.iter().filter(|s| s.name == name).map(|s| s.value as u64).sum()
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -49,11 +58,29 @@ fn main() {
             .unwrap_or_else(|e| panic!("link of /seed/file{i} failed: {e}"));
     }
 
-    // Tokens come from the DLFM (IssueToken over the wire).
-    let rows = session.query("SELECT doc FROM docs WHERE id = 0", &[]).expect("select");
-    let linked_url = rows[0][0].as_str().expect("datalink value").to_string();
-    let token = session.read_token(&linked_url).expect("token over the wire");
-    assert!(!token.is_empty(), "token must be non-empty");
+    // Tokens come from the DLFM (IssueToken over the wire) — once per
+    // link. The second round is answered by the host's cache.
+    let rows = session.query("SELECT doc FROM docs ORDER BY id", &[]).expect("select");
+    let urls: Vec<String> =
+        rows.iter().map(|r| r[0].as_str().expect("datalink value").to_string()).collect();
+    assert_eq!(urls.len(), files);
+    // One round: every URL's token, the cache hits and the RPC calls it took.
+    let mut ask_all = || -> (Vec<String>, u64, u64) {
+        let (hits, calls) =
+            (metric(&host, "hostdb_token_cache_hits_total"), metric(&host, "rpc_calls_total"));
+        let tokens: Vec<String> =
+            urls.iter().map(|u| session.read_token(u).expect("token over the wire")).collect();
+        assert!(tokens.iter().all(|t| !t.is_empty()), "tokens must be non-empty");
+        let hits = metric(&host, "hostdb_token_cache_hits_total") - hits;
+        let calls = metric(&host, "rpc_calls_total") - calls;
+        println!("token round: {hits} cache hits, {calls} rpc calls");
+        (tokens, hits, calls)
+    };
+    let (first, _, _) = ask_all();
+    let (second, hits, calls) = ask_all();
+    assert_eq!(second, first, "a cached token is the token the DLFM issued");
+    assert_eq!(hits, files as u64, "second round must be all cache hits");
+    assert_eq!(calls, 0, "a cache hit must not call the DLFM");
 
     // A rolled-back link must leave no trace on either side.
     session.begin().expect("begin");
@@ -64,12 +91,24 @@ fn main() {
         )
         .expect_err("relinking an already-linked file must fail");
     session.rollback();
+    // The attempt dropped file0's cached token (any link request does); the
+    // link it failed against is still there, and so is its token.
+    assert_eq!(session.read_token(&urls[0]).expect("token after failed relink"), first[0]);
 
-    // Unlink half by DELETE (one 2PC each).
+    // Unlink half by DELETE (one 2PC each): each drops its cached token.
+    let dropped = metric(&host, "hostdb_token_cache_invalidations_total");
     for i in 0..files / 2 {
         session
             .exec_params("DELETE FROM docs WHERE id = ?", &[Value::Int(i as i64)])
             .unwrap_or_else(|e| panic!("unlink of /seed/file{i} failed: {e}"));
+    }
+    let dropped = metric(&host, "hostdb_token_cache_invalidations_total") - dropped;
+    assert_eq!(dropped, (files / 2) as u64, "every unlink must drop its cached token");
+    if files >= 2 {
+        match session.read_token(&urls[0]) {
+            Err(hostdb::HostError::Dlfm { error: dlfm::DlfmError::NotLinked(_), .. }) => {}
+            other => panic!("token of an unlinked file: expected NotLinked, got {other:?}"),
+        }
     }
 
     // Nothing should be left in doubt after clean commits.
