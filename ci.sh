@@ -183,7 +183,9 @@ cargo test -q --offline --workspace
 if [[ "${1:-}" != "fast" ]]; then
   # The benchmark is a package of its own (own workspace and lock file)
   # built against these crates: a crate change that breaks it must fail
-  # here, not in whoever runs BENCHMARK.json next.
+  # here, not in whoever runs BENCHMARK.json next. Its probes and crash
+  # check speak the plain one-request-per-call DLFM protocol (BeginTxn,
+  # LinkFile, Prepare ...), which therefore stays valid beside Batch.
   step "benchmark package tests (audit oracle, generator, --quick run)"
   cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 fi

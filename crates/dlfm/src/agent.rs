@@ -14,7 +14,7 @@ use minidb::{Session, Value};
 
 use crate::api::{
     AccessControl, DbErrorKind, DlfmError, DlfmRequest, DlfmResponse, DlfmResult, GroupSpec,
-    LinkRow, LinkStatus,
+    LinkRow, LinkStatus, MAX_BATCH_OPS,
 };
 use crate::chown::encode_mode;
 use crate::meta::{FileEntry, G_DELETE_PENDING, G_NORMAL, LNK_LINKED, XS_INFLIGHT, XS_PREPARED};
@@ -188,12 +188,19 @@ impl Drop for Agent {
 }
 
 /// Dispatch one request against a session's state, tracing it and
-/// recording per-op latency. Both agent models funnel through here.
+/// recording per-op latency. Both agent models funnel through here, and a
+/// batch funnels each of its members through here in turn, so a member is
+/// traced, timed, chunk-committed and force-rolled-back exactly like the
+/// same request sent alone.
 pub fn handle_request(
     shared: &DlfmShared,
     state: &mut SessionState,
     req: DlfmRequest,
 ) -> DlfmResponse {
+    let req = match req {
+        DlfmRequest::Batch(members) => return handle_batch(shared, state, members),
+        req => req,
+    };
     let op = op_name(&req);
     let metrics = shared.metrics.clone();
     let mut span = obs::span(obs::Layer::Dlfm, op);
@@ -219,6 +226,56 @@ pub fn handle_request(
             DlfmResponse::Err(e)
         }
     }
+}
+
+/// Run a batch's members in order, stopping after the first that answers
+/// `Err`: the members behind it were sent on the assumption that it
+/// succeeded (above all a trailing `Prepare`, which must not harden a
+/// statement that failed half way).
+fn handle_batch(
+    shared: &DlfmShared,
+    state: &mut SessionState,
+    members: Vec<DlfmRequest>,
+) -> DlfmResponse {
+    if let Err(why) = check_batch(&members) {
+        return DlfmResponse::Err(DlfmError::Protocol(why));
+    }
+    DlfmMetrics::bump(&shared.metrics.batches);
+    let mut replies = Vec::with_capacity(members.len());
+    for member in members {
+        let reply = handle_request(shared, state, member);
+        let failed = matches!(reply, DlfmResponse::Err(_));
+        replies.push(reply);
+        if failed {
+            break;
+        }
+    }
+    DlfmResponse::Batch(replies)
+}
+
+/// A legal batch is 1..=[`MAX_BATCH_OPS`] `LinkFile`/`UnlinkFile` members
+/// of one transaction, optionally closed by that transaction's `Prepare`.
+/// Checked in full before anything runs (in-process callers do not pass
+/// through the wire decoder).
+fn check_batch(members: &[DlfmRequest]) -> Result<(), String> {
+    if members.is_empty() || members.len() > MAX_BATCH_OPS {
+        return Err(format!("batch of {} members (1..={MAX_BATCH_OPS})", members.len()));
+    }
+    let mut batch_xid = None;
+    for (i, member) in members.iter().enumerate() {
+        let xid = match member {
+            DlfmRequest::LinkFile { xid, .. } | DlfmRequest::UnlinkFile { xid, .. } => *xid,
+            DlfmRequest::Prepare { xid } if i + 1 == members.len() => *xid,
+            other => {
+                return Err(format!("{} is not a legal batch member #{i}", op_name(other)));
+            }
+        };
+        let first = *batch_xid.get_or_insert(xid);
+        if first != xid {
+            return Err(format!("batch mixes transactions {first} and {xid}"));
+        }
+    }
+    Ok(())
 }
 
 /// One request's execution context: the shared DLFM plus the session
@@ -295,6 +352,9 @@ impl Exec<'_> {
             DlfmRequest::Ping => Ok(DlfmResponse::Ok),
             DlfmRequest::FetchTelemetry { kind } => {
                 Ok(DlfmResponse::Telemetry(crate::server::render_telemetry(self.shared, kind)))
+            }
+            DlfmRequest::Batch(_) => {
+                Err(DlfmError::Protocol("a batch is unpacked by handle_request".into()))
             }
         }
     }
@@ -717,9 +777,24 @@ impl Exec<'_> {
     // ------------------------------------------------------------------
 
     fn issue_token(&mut self, filename: &str) -> DlfmResult<DlfmResponse> {
-        let stmts = self.shared.statements();
+        // The probe's row lock is held until the token is registered: an
+        // unlink of this file waits behind it, so its phase 2 revokes the
+        // token instead of committing in a gap before the registration —
+        // which would leave a token for an unlinked path, valid for
+        // whoever links that path next.
         let mut s = Session::new(&self.shared.db);
-        let rows = s.exec_prepared(&stmts.sel_linked, &[Value::str(filename)])?.rows();
+        s.begin()?;
+        let token = self.token_for_link(&mut s, filename);
+        match &token {
+            Ok(_) => s.commit()?,
+            Err(_) => s.rollback(),
+        }
+        token.map(DlfmResponse::Token)
+    }
+
+    fn token_for_link(&self, probe: &mut Session, filename: &str) -> DlfmResult<String> {
+        let stmts = self.shared.statements();
+        let rows = probe.exec_prepared(&stmts.sel_linked_held, &[Value::str(filename)])?.rows();
         let Some(row) = rows.first() else {
             return Err(DlfmError::NotLinked(filename.to_string()));
         };
@@ -727,12 +802,15 @@ impl Exec<'_> {
         if AccessControl::from_code(entry.access_ctl) != AccessControl::Full {
             // Tokens are only meaningful under full access control; other
             // files are readable through normal permissions.
-            return Ok(DlfmResponse::Token(String::new()));
+            return Ok(String::new());
+        }
+        if obs::fault::fire("dlfm.token.stall_before_register") {
+            std::thread::sleep(std::time::Duration::from_millis(100));
         }
         // One token per link, however often it is asked for: minted on the
         // first request, revoked with the unlink (`twopc::release_file`).
         let mint = || format!("dl-{:016x}", rand::random::<u64>());
-        Ok(DlfmResponse::Token(self.shared.dlff.token_or_register(filename, mint)))
+        Ok(self.shared.dlff.token_or_register(filename, mint))
     }
 
     fn list_indoubt(&mut self) -> DlfmResult<DlfmResponse> {
@@ -883,6 +961,7 @@ fn op_name(req: &DlfmRequest) -> &'static str {
         DlfmRequest::ImportLinks { .. } => "ImportLinks",
         DlfmRequest::Ping => "Ping",
         DlfmRequest::FetchTelemetry { .. } => "FetchTelemetry",
+        DlfmRequest::Batch(_) => "Batch",
     }
 }
 

@@ -47,7 +47,7 @@ pub mod wire;
 
 pub use api::{
     AccessControl, DbErrorKind, DlfmError, DlfmRequest, DlfmResponse, DlfmResult, GroupSpec,
-    LinkStatus, TelemetryKind,
+    LinkStatus, TelemetryKind, MAX_BATCH_OPS,
 };
 pub use config::{default_watch_rules, AgentModel, DlfmConfig, Transport};
 pub use metrics::{DlfmMetrics, DlfmMetricsSnapshot};

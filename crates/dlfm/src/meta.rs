@@ -256,8 +256,12 @@ pub struct Statements {
     /// Insert a new linked file entry.
     pub ins_file: Prepared,
     /// Fetch the linked entry for a file name (locking read: the result
-    /// feeds link-state decisions and token issuance).
+    /// feeds link-state decisions).
     pub sel_linked: Prepared,
+    /// The same entry under a row lock that lasts to the end of the
+    /// transaction (a FOR SHARE lock ends with its statement under cursor
+    /// stability): token issuance registers the token before it lets go.
+    pub sel_linked_held: Prepared,
     /// Fetch any entry (linked or not) for a file name.
     pub sel_by_name: Prepared,
     /// Unlink: flip the linked entry to unlinked (delayed update, §4).
@@ -308,6 +312,9 @@ impl Statements {
             )?,
             sel_linked: db.prepare(
                 "SELECT * FROM dfm_file WHERE filename = ? AND check_flag = 0 FOR SHARE",
+            )?,
+            sel_linked_held: db.prepare(
+                "SELECT * FROM dfm_file WHERE filename = ? AND check_flag = 0 FOR UPDATE",
             )?,
             sel_by_name: db.prepare("SELECT * FROM dfm_file WHERE filename = ? FOR SHARE")?,
             upd_unlink: db.prepare(

@@ -45,6 +45,9 @@ pub struct DlfmMetrics {
     pub unlinks: AtomicU64,
     /// Prepare votes returned.
     pub prepares: AtomicU64,
+    /// Batch requests unpacked (their members count in the per-operation
+    /// counters as if sent alone).
+    pub batches: AtomicU64,
     /// Phase-2 commits completed.
     pub commits: AtomicU64,
     /// Phase-2 aborts completed.
@@ -93,6 +96,7 @@ pub struct DlfmMetricsSnapshot {
     pub links: u64,
     pub unlinks: u64,
     pub prepares: u64,
+    pub batches: u64,
     pub commits: u64,
     pub aborts: u64,
     pub phase2_retries: u64,
@@ -127,6 +131,7 @@ impl DlfmMetrics {
             links: self.links.load(Ordering::Relaxed),
             unlinks: self.unlinks.load(Ordering::Relaxed),
             prepares: self.prepares.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             aborts: self.aborts.load(Ordering::Relaxed),
             phase2_retries: self.phase2_retries.load(Ordering::Relaxed),
@@ -155,6 +160,7 @@ impl DlfmMetricsSnapshot {
             links: self.links - earlier.links,
             unlinks: self.unlinks - earlier.unlinks,
             prepares: self.prepares - earlier.prepares,
+            batches: self.batches - earlier.batches,
             commits: self.commits - earlier.commits,
             aborts: self.aborts - earlier.aborts,
             phase2_retries: self.phase2_retries - earlier.phase2_retries,
@@ -232,6 +238,7 @@ mod tests {
             (&m.upcalls, 53),
             (&m.forced_rollbacks, 59),
             (&m.stats_reapplied, 61),
+            (&m.batches, 67),
         ];
         // A non-zero floor so the subtraction is exercised on both sides.
         for (counter, _) in fields {
@@ -261,6 +268,7 @@ mod tests {
             upcalls: 53,
             forced_rollbacks: 59,
             stats_reapplied: 61,
+            batches: 67,
         };
         assert_eq!(d, expected);
         // Deltas compose: (c - a) == (c - b) + (b - a).

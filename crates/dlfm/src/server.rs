@@ -389,6 +389,12 @@ fn render_metrics_text(
             r.counter("dlfm_ops_total", "Completed DLFM operations by kind.", &[("op", op)], value);
         }
         r.counter(
+            "dlfm_batches_total",
+            "Batch requests unpacked (members count in dlfm_ops_total as if sent alone).",
+            &[],
+            s.batches,
+        );
+        r.counter(
             "dlfm_phase2_retries_total",
             "Phase-2 attempts retried after a retryable local-database error (Figure 4).",
             &[],

@@ -12,11 +12,46 @@ use dlrpc::{Reader, Wire, WireError};
 
 use crate::api::{
     AccessControl, DbErrorKind, DlfmError, DlfmRequest, DlfmResponse, GroupSpec, LinkRow,
-    LinkStatus, TelemetryKind,
+    LinkStatus, TelemetryKind, MAX_BATCH_OPS,
 };
+
+/// Tag of `DlfmRequest::Batch`.
+const REQ_BATCH: u8 = 21;
+/// Tag of `DlfmResponse::Batch`.
+const RESP_BATCH: u8 = 10;
 
 fn bad_tag(what: &str, tag: u8) -> WireError {
     WireError::Decode(format!("unknown {what} tag {tag}"))
+}
+
+fn put_batch<T: Wire>(out: &mut Vec<u8>, members: &[T]) {
+    put_u32(out, members.len() as u32);
+    for m in members {
+        m.encode(out);
+    }
+}
+
+/// Decode the members of a batch with `member`, which is handed each
+/// member's tag. The count is checked before anything is allocated, and a
+/// member that is itself a batch is refused (`batch_tag`).
+fn get_batch<T>(
+    r: &mut Reader,
+    batch_tag: u8,
+    member: fn(u8, &mut Reader) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = r.u32()? as usize;
+    if n > MAX_BATCH_OPS {
+        return Err(WireError::Decode(format!("batch of {n} members (limit {MAX_BATCH_OPS})")));
+    }
+    let mut v = Vec::with_capacity(n);
+    for _ in 0..n {
+        let tag = r.u8()?;
+        if tag == batch_tag {
+            return Err(WireError::Decode("nested batch".into()));
+        }
+        v.push(member(tag, r)?);
+    }
+    Ok(v)
 }
 
 fn put_group(out: &mut Vec<u8>, g: &GroupSpec) {
@@ -301,53 +336,64 @@ impl Wire for DlfmRequest {
                 put_u8(out, 20);
                 put_u8(out, kind.code());
             }
+            DlfmRequest::Batch(members) => {
+                put_u8(out, REQ_BATCH);
+                put_batch(out, members);
+            }
         }
     }
 
     fn decode(r: &mut Reader) -> Result<DlfmRequest, WireError> {
-        let tag = r.u8()?;
-        Ok(match tag {
-            0 => DlfmRequest::Connect { dbid: r.i64()? },
-            1 => DlfmRequest::BeginTxn { xid: r.i64()? },
-            2 => DlfmRequest::LinkFile {
-                xid: r.i64()?,
-                rec_id: r.i64()?,
-                grp_id: r.i64()?,
-                filename: r.str()?,
-                in_backout: r.bool()?,
-            },
-            3 => DlfmRequest::UnlinkFile {
-                xid: r.i64()?,
-                rec_id: r.i64()?,
-                grp_id: r.i64()?,
-                filename: r.str()?,
-                in_backout: r.bool()?,
-            },
-            4 => DlfmRequest::Prepare { xid: r.i64()? },
-            5 => DlfmRequest::Commit { xid: r.i64()? },
-            6 => DlfmRequest::Abort { xid: r.i64()? },
-            7 => DlfmRequest::RegisterGroup(get_group(r)?),
-            8 => DlfmRequest::DeleteGroup { xid: r.i64()?, grp_id: r.i64()?, rec_id: r.i64()? },
-            9 => DlfmRequest::IssueToken { filename: r.str()? },
-            10 => DlfmRequest::ListIndoubt,
-            11 => DlfmRequest::BeginBackup { backup_id: r.i64()?, rec_id: r.i64()? },
-            12 => DlfmRequest::EndBackup { backup_id: r.i64()?, success: r.bool()? },
-            13 => DlfmRequest::RestoreTo { rec_id: r.i64()? },
-            14 => DlfmRequest::Reconcile { entries: get_entries(r)? },
-            15 => DlfmRequest::UpcallQuery { filename: r.str()? },
-            16 => DlfmRequest::PendingCopies,
-            17 => DlfmRequest::Ping,
-            18 => DlfmRequest::ExportLinks { prefix: r.str()?, remove: r.bool()? },
-            19 => DlfmRequest::ImportLinks { entries: get_link_rows(r)? },
-            20 => DlfmRequest::FetchTelemetry {
-                kind: {
-                    let c = r.u8()?;
-                    TelemetryKind::from_code(c).ok_or_else(|| bad_tag("TelemetryKind", c))?
-                },
-            },
-            t => return Err(bad_tag("DlfmRequest", t)),
-        })
+        match r.u8()? {
+            REQ_BATCH => Ok(DlfmRequest::Batch(get_batch(r, REQ_BATCH, get_request)?)),
+            tag => get_request(tag, r),
+        }
     }
+}
+
+/// Decode the fields of the (non-batch) request variant `tag`.
+fn get_request(tag: u8, r: &mut Reader) -> Result<DlfmRequest, WireError> {
+    Ok(match tag {
+        0 => DlfmRequest::Connect { dbid: r.i64()? },
+        1 => DlfmRequest::BeginTxn { xid: r.i64()? },
+        2 => DlfmRequest::LinkFile {
+            xid: r.i64()?,
+            rec_id: r.i64()?,
+            grp_id: r.i64()?,
+            filename: r.str()?,
+            in_backout: r.bool()?,
+        },
+        3 => DlfmRequest::UnlinkFile {
+            xid: r.i64()?,
+            rec_id: r.i64()?,
+            grp_id: r.i64()?,
+            filename: r.str()?,
+            in_backout: r.bool()?,
+        },
+        4 => DlfmRequest::Prepare { xid: r.i64()? },
+        5 => DlfmRequest::Commit { xid: r.i64()? },
+        6 => DlfmRequest::Abort { xid: r.i64()? },
+        7 => DlfmRequest::RegisterGroup(get_group(r)?),
+        8 => DlfmRequest::DeleteGroup { xid: r.i64()?, grp_id: r.i64()?, rec_id: r.i64()? },
+        9 => DlfmRequest::IssueToken { filename: r.str()? },
+        10 => DlfmRequest::ListIndoubt,
+        11 => DlfmRequest::BeginBackup { backup_id: r.i64()?, rec_id: r.i64()? },
+        12 => DlfmRequest::EndBackup { backup_id: r.i64()?, success: r.bool()? },
+        13 => DlfmRequest::RestoreTo { rec_id: r.i64()? },
+        14 => DlfmRequest::Reconcile { entries: get_entries(r)? },
+        15 => DlfmRequest::UpcallQuery { filename: r.str()? },
+        16 => DlfmRequest::PendingCopies,
+        17 => DlfmRequest::Ping,
+        18 => DlfmRequest::ExportLinks { prefix: r.str()?, remove: r.bool()? },
+        19 => DlfmRequest::ImportLinks { entries: get_link_rows(r)? },
+        20 => DlfmRequest::FetchTelemetry {
+            kind: {
+                let c = r.u8()?;
+                TelemetryKind::from_code(c).ok_or_else(|| bad_tag("TelemetryKind", c))?
+            },
+        },
+        t => return Err(bad_tag("DlfmRequest", t)),
+    })
 }
 
 impl Wire for DlfmResponse {
@@ -398,33 +444,44 @@ impl Wire for DlfmResponse {
                 put_u8(out, 9);
                 put_str(out, text);
             }
+            DlfmResponse::Batch(replies) => {
+                put_u8(out, RESP_BATCH);
+                put_batch(out, replies);
+            }
         }
     }
 
     fn decode(r: &mut Reader) -> Result<DlfmResponse, WireError> {
-        let tag = r.u8()?;
-        Ok(match tag {
-            0 => DlfmResponse::Ok,
-            1 => DlfmResponse::Prepared { read_only: r.bool()? },
-            2 => DlfmResponse::Err(get_err(r)?),
-            3 => DlfmResponse::Token(r.str()?),
-            4 => DlfmResponse::Indoubt(get_vec_i64(r)?),
-            5 => DlfmResponse::LinkState(match r.u8()? {
-                0 => LinkStatus::NotLinked,
-                1 => LinkStatus::LinkedPartial,
-                2 => LinkStatus::LinkedFull,
-                t => return Err(bad_tag("LinkStatus", t)),
-            }),
-            6 => DlfmResponse::ReconcileReport {
-                broken_host_refs: get_entries(r)?,
-                orphans_unlinked: get_vec_str(r)?,
-            },
-            7 => DlfmResponse::Count(r.i64()?),
-            8 => DlfmResponse::Links(get_link_rows(r)?),
-            9 => DlfmResponse::Telemetry(r.str()?),
-            t => return Err(bad_tag("DlfmResponse", t)),
-        })
+        match r.u8()? {
+            RESP_BATCH => Ok(DlfmResponse::Batch(get_batch(r, RESP_BATCH, get_response)?)),
+            tag => get_response(tag, r),
+        }
     }
+}
+
+/// Decode the fields of the (non-batch) response variant `tag`.
+fn get_response(tag: u8, r: &mut Reader) -> Result<DlfmResponse, WireError> {
+    Ok(match tag {
+        0 => DlfmResponse::Ok,
+        1 => DlfmResponse::Prepared { read_only: r.bool()? },
+        2 => DlfmResponse::Err(get_err(r)?),
+        3 => DlfmResponse::Token(r.str()?),
+        4 => DlfmResponse::Indoubt(get_vec_i64(r)?),
+        5 => DlfmResponse::LinkState(match r.u8()? {
+            0 => LinkStatus::NotLinked,
+            1 => LinkStatus::LinkedPartial,
+            2 => LinkStatus::LinkedFull,
+            t => return Err(bad_tag("LinkStatus", t)),
+        }),
+        6 => DlfmResponse::ReconcileReport {
+            broken_host_refs: get_entries(r)?,
+            orphans_unlinked: get_vec_str(r)?,
+        },
+        7 => DlfmResponse::Count(r.i64()?),
+        8 => DlfmResponse::Links(get_link_rows(r)?),
+        9 => DlfmResponse::Telemetry(r.str()?),
+        t => return Err(bad_tag("DlfmResponse", t)),
+    })
 }
 
 #[cfg(test)]
@@ -502,6 +559,29 @@ mod tests {
         ] {
             roundtrip_req(DlfmRequest::FetchTelemetry { kind });
         }
+        roundtrip_req(DlfmRequest::Batch(vec![]));
+        roundtrip_req(DlfmRequest::Batch(vec![
+            sample_link(),
+            DlfmRequest::UnlinkFile {
+                xid: 1,
+                rec_id: 3,
+                grp_id: 3,
+                filename: "/a/b/d.dat".into(),
+                in_backout: false,
+            },
+            DlfmRequest::Prepare { xid: 1 },
+        ]));
+        roundtrip_req(DlfmRequest::Batch(vec![sample_link(); MAX_BATCH_OPS]));
+    }
+
+    fn sample_link() -> DlfmRequest {
+        DlfmRequest::LinkFile {
+            xid: 1,
+            rec_id: 2,
+            grp_id: 3,
+            filename: "/a/b/c.dat".into(),
+            in_backout: false,
+        }
     }
 
     fn sample_link_row() -> LinkRow {
@@ -557,6 +637,50 @@ mod tests {
         roundtrip_resp(DlfmResponse::Links(vec![sample_link_row(), sample_link_row()]));
         roundtrip_resp(DlfmResponse::Telemetry(String::new()));
         roundtrip_resp(DlfmResponse::Telemetry("# HELP x\nx 1\n".into()));
+        roundtrip_resp(DlfmResponse::Batch(vec![]));
+        roundtrip_resp(DlfmResponse::Batch(vec![
+            DlfmResponse::Ok,
+            DlfmResponse::Ok,
+            DlfmResponse::Prepared { read_only: false },
+        ]));
+        roundtrip_resp(DlfmResponse::Batch(vec![
+            DlfmResponse::Ok,
+            DlfmResponse::Err(DlfmError::AlreadyLinked("/a".into())),
+        ]));
+    }
+
+    #[test]
+    fn malformed_batches_are_refused_before_they_cost_anything() {
+        fn decode_req(buf: &[u8]) -> Result<DlfmRequest, WireError> {
+            DlfmRequest::decode(&mut Reader::new(buf))
+        }
+        fn decode_resp(buf: &[u8]) -> Result<DlfmResponse, WireError> {
+            DlfmResponse::decode(&mut Reader::new(buf))
+        }
+        // Nested: a batch whose member is a batch.
+        let mut nested = Vec::new();
+        DlfmRequest::Batch(vec![DlfmRequest::Batch(vec![sample_link()])]).encode(&mut nested);
+        assert!(matches!(decode_req(&nested), Err(WireError::Decode(m)) if m.contains("nested")));
+        let mut nested = Vec::new();
+        DlfmResponse::Batch(vec![DlfmResponse::Batch(vec![])]).encode(&mut nested);
+        assert!(matches!(decode_resp(&nested), Err(WireError::Decode(m)) if m.contains("nested")));
+        // A count past the limit is refused on sight: these five bytes
+        // claim four billion members and carry none.
+        let mut huge = vec![REQ_BATCH];
+        put_u32(&mut huge, u32::MAX);
+        assert!(matches!(decode_req(&huge), Err(WireError::Decode(m)) if m.contains("limit")));
+        let mut over = Vec::new();
+        DlfmRequest::Batch(vec![sample_link(); MAX_BATCH_OPS + 1]).encode(&mut over);
+        assert!(matches!(decode_req(&over), Err(WireError::Decode(m)) if m.contains("limit")));
+        let mut huge = vec![RESP_BATCH];
+        put_u32(&mut huge, MAX_BATCH_OPS as u32 + 1);
+        assert!(decode_resp(&huge).is_err());
+        // Truncated: fewer members than the count, or half a member.
+        let mut short = Vec::new();
+        DlfmRequest::Batch(vec![sample_link(), DlfmRequest::Prepare { xid: 1 }]).encode(&mut short);
+        for cut in [1, 5, short.len() - 9, short.len() - 1] {
+            assert!(decode_req(&short[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -16,14 +16,16 @@
 //!   currently linked file, carrying the recovery id the Reconcile and
 //!   Restore utilities need.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dlfm::{AccessControl, DlfmError, DlfmRequest, DlfmResponse, GroupSpec, TelemetryKind};
+use dlfm::{
+    AccessControl, DlfmError, DlfmRequest, DlfmResponse, GroupSpec, TelemetryKind, MAX_BATCH_OPS,
+};
 use dlrpc::{ClientConn, Connector};
 use minidb::sql::ast::{Expr, Projection, SelectItem, SelectStmt, Stmt};
-use minidb::{Database, DbConfig, ExecResult, Row, Session, Value};
+use minidb::{Database, DbConfig, ExecResult, Prepared, Row, Session, Value};
 use parking_lot::{Mutex, RwLock};
 
 use crate::coordlog::{CoordLog, CoordRecord};
@@ -157,6 +159,13 @@ pub struct HostMetrics {
     pub links: AtomicU64,
     /// UnlinkFile requests issued.
     pub unlinks: AtomicU64,
+    /// Statement rounds: flushes of a statement's queued link/unlink
+    /// operations, one batch per shard (`links + unlinks` over this is
+    /// operations per round).
+    pub dl_rounds: AtomicU64,
+    /// Transactions whose phase 1 rode on their (autocommit) statement's
+    /// round instead of costing a Prepare call of its own.
+    pub unsolicited_votes: AtomicU64,
     /// Indoubt transactions resolved after failures.
     pub indoubts_resolved: AtomicU64,
     /// RPC failures (transport errors or DLFM-side errors) on the commit,
@@ -194,8 +203,29 @@ pub struct HostMetrics {
     pub token_cache: Arc<crate::tokens::TokenCacheMetrics>,
 }
 
+/// The two `sys_datalinks` statements behind every linked-row write,
+/// parsed and planned once per host rather than once per operation.
+struct DlStatements {
+    ins: Prepared,
+    del: Prepared,
+}
+
+impl DlStatements {
+    fn bind(db: &Database) -> DlStatements {
+        let prepare = |sql| db.prepare(sql).expect("sys_datalinks statements always bind");
+        DlStatements {
+            ins: prepare(
+                "INSERT INTO sys_datalinks (tbl, col, server, filename, rec_id) \
+                 VALUES (?, ?, ?, ?, ?)",
+            ),
+            del: prepare("DELETE FROM sys_datalinks WHERE server = ? AND filename = ?"),
+        }
+    }
+}
+
 struct HostInner {
     db: Database,
+    dl_stmts: RwLock<Arc<DlStatements>>,
     dbid: i64,
     dlfms: RwLock<HashMap<String, Connector<DlfmRequest, DlfmResponse>>>,
     xid_seq: AtomicI64,
@@ -221,6 +251,32 @@ struct HostInner {
     autopsy_max: u64,
 }
 
+fn create_sys_tables(db: &Database) {
+    let mut s = Session::new(db);
+    s.exec(
+        "CREATE TABLE sys_dlcols (tbl VARCHAR NOT NULL, col VARCHAR NOT NULL, \
+         grp_id BIGINT NOT NULL, access_ctl INTEGER NOT NULL, recovery INTEGER NOT NULL)",
+    )
+    .expect("sys table creation");
+    s.exec("CREATE UNIQUE INDEX ix_sys_dlcols ON sys_dlcols (tbl, col)")
+        .expect("sys index creation");
+    s.exec(
+        "CREATE TABLE sys_datalinks (tbl VARCHAR NOT NULL, col VARCHAR NOT NULL, \
+         server VARCHAR NOT NULL, filename VARCHAR NOT NULL, rec_id BIGINT NOT NULL)",
+    )
+    .expect("sys table creation");
+    s.exec("CREATE UNIQUE INDEX ix_sys_dl_file ON sys_datalinks (server, filename)")
+        .expect("sys index creation");
+    s.exec("CREATE INDEX ix_sys_dl_tbl ON sys_datalinks (tbl, col)").expect("sys index creation");
+    // System tables are hot paths of the datalink engine: make sure the
+    // optimizer probes them by index (the DLFM lesson applies here too).
+    db.set_table_stats("sys_dlcols", 1_000_000).expect("stats");
+    db.set_table_stats("sys_datalinks", 1_000_000).expect("stats");
+    db.set_index_stats("ix_sys_dlcols", 1_000_000).expect("stats");
+    db.set_index_stats("ix_sys_dl_file", 1_000_000).expect("stats");
+    db.set_index_stats("ix_sys_dl_tbl", 1_000_000).expect("stats");
+}
+
 /// A shared handle to the host database. Cheap to clone.
 #[derive(Clone)]
 pub struct HostDb {
@@ -231,9 +287,11 @@ impl HostDb {
     /// Create a host database.
     pub fn new(config: HostConfig) -> HostDb {
         let db = Database::new(config.db.clone());
+        create_sys_tables(&db);
         let metrics = HostMetrics::default();
-        let host = HostDb {
+        HostDb {
             inner: Arc::new(HostInner {
+                dl_stmts: RwLock::new(Arc::new(DlStatements::bind(&db))),
                 db,
                 dbid: config.dbid,
                 dlfms: RwLock::new(HashMap::new()),
@@ -261,36 +319,19 @@ impl HostDb {
                 autopsy_aborts: config.autopsy_aborts,
                 autopsy_max: config.autopsy_max,
             }),
-        };
-        host.create_sys_tables();
-        host
+        }
     }
 
-    fn create_sys_tables(&self) {
-        let mut s = Session::new(&self.inner.db);
-        s.exec(
-            "CREATE TABLE sys_dlcols (tbl VARCHAR NOT NULL, col VARCHAR NOT NULL, \
-             grp_id BIGINT NOT NULL, access_ctl INTEGER NOT NULL, recovery INTEGER NOT NULL)",
-        )
-        .expect("sys table creation");
-        s.exec("CREATE UNIQUE INDEX ix_sys_dlcols ON sys_dlcols (tbl, col)")
-            .expect("sys index creation");
-        s.exec(
-            "CREATE TABLE sys_datalinks (tbl VARCHAR NOT NULL, col VARCHAR NOT NULL, \
-             server VARCHAR NOT NULL, filename VARCHAR NOT NULL, rec_id BIGINT NOT NULL)",
-        )
-        .expect("sys table creation");
-        s.exec("CREATE UNIQUE INDEX ix_sys_dl_file ON sys_datalinks (server, filename)")
-            .expect("sys index creation");
-        s.exec("CREATE INDEX ix_sys_dl_tbl ON sys_datalinks (tbl, col)")
-            .expect("sys index creation");
-        // System tables are hot paths of the datalink engine: make sure the
-        // optimizer probes them by index (the DLFM lesson applies here too).
-        self.inner.db.set_table_stats("sys_dlcols", 1_000_000).expect("stats");
-        self.inner.db.set_table_stats("sys_datalinks", 1_000_000).expect("stats");
-        self.inner.db.set_index_stats("ix_sys_dlcols", 1_000_000).expect("stats");
-        self.inner.db.set_index_stats("ix_sys_dl_file", 1_000_000).expect("stats");
-        self.inner.db.set_index_stats("ix_sys_dl_tbl", 1_000_000).expect("stats");
+    /// The bound `sys_datalinks` statements, rebound first if the
+    /// statistics they were planned against have changed.
+    fn dl_statements(&self) -> Arc<DlStatements> {
+        let bound = self.inner.dl_stmts.read().clone();
+        if !self.inner.db.plan_is_stale(&bound.del) {
+            return bound;
+        }
+        let fresh = Arc::new(DlStatements::bind(&self.inner.db));
+        *self.inner.dl_stmts.write() = fresh.clone();
+        fresh
     }
 
     /// Register a DLFM (file server) under a name used in datalink URLs.
@@ -411,6 +452,18 @@ impl HostDb {
             "UnlinkFile requests issued.",
             &[],
             m.unlinks.load(Ordering::Relaxed),
+        );
+        r.counter(
+            "hostdb_dl_rounds_total",
+            "Statement rounds: one batch of link/unlink operations per shard.",
+            &[],
+            m.dl_rounds.load(Ordering::Relaxed),
+        );
+        r.counter(
+            "hostdb_unsolicited_votes_total",
+            "Transactions whose phase 1 rode on their autocommit statement's round.",
+            &[],
+            m.unsolicited_votes.load(Ordering::Relaxed),
         );
         r.counter(
             "hostdb_indoubts_resolved_total",
@@ -587,6 +640,13 @@ impl HostDb {
             m.twopc_commits.load(Ordering::Relaxed),
             m.indoubts_resolved.load(Ordering::Relaxed),
         ));
+        out.push_str(&format!(
+            "datalink ops: {} links + {} unlinks in {} statement rounds, {} votes rode on a round\n",
+            m.links.load(Ordering::Relaxed),
+            m.unlinks.load(Ordering::Relaxed),
+            m.dl_rounds.load(Ordering::Relaxed),
+            m.unsolicited_votes.load(Ordering::Relaxed),
+        ));
         let shards = &self.inner.shards;
         let ring = shards.shards();
         if ring.is_empty() {
@@ -737,6 +797,7 @@ impl HostDb {
     /// "host database restart processing does it").
     pub fn restart(&self) -> HostResult<()> {
         self.inner.db.restart()?;
+        *self.inner.dl_stmts.write() = Arc::new(DlStatements::bind(&self.inner.db));
         self.reload_dl_columns()?;
         // Advance sequences past everything recorded anywhere durable.
         let mut s = Session::new(&self.inner.db);
@@ -1538,13 +1599,64 @@ fn render_span_tree(local: &[obs::SpanEvent], remotes: &[obs::ProcessTrace]) -> 
 /// savepoint rollback can send the matching `in_backout` request (§3.2).
 #[derive(Debug, Clone)]
 pub(crate) struct DlOp {
-    pub link: bool,
+    /// For a link, the (table, column) it is recorded under in
+    /// `sys_datalinks`; `None` for an unlink.
+    pub link: Option<(String, String)>,
     pub url: DatalinkUrl,
     /// The shard the operation was routed to (the URL's server name when
     /// hash routing is disabled); backout must target the same shard.
     pub shard: String,
     pub rec_id: i64,
     pub grp_id: i64,
+}
+
+impl DlOp {
+    /// The DLFM request that performs this operation for `xid` — or, with
+    /// `in_backout`, undoes it (§3.2).
+    fn request(&self, xid: i64, in_backout: bool) -> DlfmRequest {
+        let (rec_id, grp_id, filename) = (self.rec_id, self.grp_id, self.url.path.clone());
+        if self.link.is_some() {
+            DlfmRequest::LinkFile { xid, rec_id, grp_id, filename, in_backout }
+        } else {
+            DlfmRequest::UnlinkFile { xid, rec_id, grp_id, filename, in_backout }
+        }
+    }
+}
+
+/// A DLFM-side error as the statement's error; a severe (retryable-class)
+/// one has already cost the DLFM its sub-transaction.
+fn dlfm_error(error: DlfmError) -> HostError {
+    let txn_rolled_back = matches!(&error, DlfmError::Db { retryable: true, .. });
+    HostError::Dlfm { error, txn_rolled_back }
+}
+
+/// What a shard's reply to a batch of `ops` operations (plus, when
+/// `closing`, the Prepare) says: how many of them it performed, the failure
+/// of the member that stopped it, and the vote. A closing batch lost in
+/// transit is a vote lost in transit — `commit_txn`'s case, not a failed
+/// statement.
+fn read_batch_reply(
+    ops: usize,
+    reply: HostResult<DlfmResponse>,
+    closing: bool,
+) -> (usize, Option<HostError>, Option<HostResult<DlfmResponse>>) {
+    let mut entries = match reply {
+        Ok(DlfmResponse::Batch(entries)) => entries.into_iter(),
+        // A refused batch fails its first member.
+        Ok(other) => vec![other].into_iter(),
+        Err(e) if closing => return (0, None, Some(Err(e))),
+        Err(e) => return (0, Some(e), None),
+    };
+    for done in 0..ops {
+        let err = match entries.next() {
+            Some(DlfmResponse::Ok) => continue,
+            Some(DlfmResponse::Err(e)) => dlfm_error(e),
+            other => HostError::Rpc(format!("unexpected batch entry {other:?}")),
+        };
+        return (done, Some(err), None);
+    }
+    let no_vote = || HostError::Rpc("batch reply has no vote".into());
+    (ops, None, closing.then(|| entries.next().ok_or_else(no_vote)))
 }
 
 pub(crate) struct HostTxn {
@@ -1554,6 +1666,10 @@ pub(crate) struct HostTxn {
     pub epoch: u64,
     pub touched: BTreeSet<String>,
     pub dl_ops: Vec<DlOp>,
+    /// The running statement's operations, not sent yet (`flush`).
+    pub queued: Vec<DlOp>,
+    /// Phase-1 votes that rode on the autocommit statement's round.
+    pub votes: Option<Vec<(String, HostResult<DlfmResponse>)>>,
     /// When the transaction began (observability clock), for the autopsy
     /// latency threshold.
     pub start_micros: u64,
@@ -1602,6 +1718,8 @@ impl HostSession {
             epoch: self.host.inner.shards.begin_txn(),
             touched: BTreeSet::new(),
             dl_ops: Vec::new(),
+            queued: Vec::new(),
+            votes: None,
             start_micros: obs::journal::now_micros(),
             trace_ids: obs::current_ctx().map(|c| c.trace_id).into_iter().collect(),
         });
@@ -1631,29 +1749,28 @@ impl HostSession {
         result
     }
 
-    /// Send `req` to every one of `servers`, and only then gather every
-    /// reply: all requests are on their way before the first reply is
-    /// awaited, so N participants cost the slowest one's service time, not
-    /// the sum (one participant is the same code). Every reply is gathered
-    /// before the caller decides anything. With `await_reply` off the
-    /// request is posted instead — the §4 asynchronous-commit ablation —
-    /// and reported as `Ok`: there is no ack to await. A server that could
-    /// not be reached has its cached connection retired, so the next use
-    /// redials instead of reusing a broken multiplexer.
-    fn broadcast<'a>(
+    /// Send each server its request, and only then gather every reply: all
+    /// requests are on their way before the first reply is awaited, so N
+    /// participants cost the slowest one's service time, not the sum (one
+    /// participant is the same code). Every reply is gathered before the
+    /// caller decides anything. With `await_reply` off the request is
+    /// posted instead — the §4 asynchronous-commit ablation — and reported
+    /// as `Ok`: there is no ack to await. What becomes of a connection
+    /// whose call failed is the caller's business: 2PC messages retire it
+    /// (the next use redials), a statement round keeps it ([`Self::flush`]).
+    fn scatter<'a>(
         &mut self,
-        servers: impl IntoIterator<Item = &'a String>,
-        req: DlfmRequest,
+        sends: impl IntoIterator<Item = (&'a String, DlfmRequest)>,
         await_reply: bool,
     ) -> Vec<(&'a String, HostResult<DlfmResponse>)> {
-        let sent: Vec<_> = servers
+        let sent: Vec<_> = sends
             .into_iter()
-            .map(|server| {
+            .map(|(server, req)| {
                 let sent = self.conn(server).and_then(|conn| {
                     if await_reply {
-                        Ok(Some(conn.start(req.clone())?))
+                        Ok(Some(conn.start(req)?))
                     } else {
-                        conn.post(req.clone())?;
+                        conn.post(req)?;
                         Ok(None)
                     }
                 });
@@ -1666,25 +1783,37 @@ impl HostSession {
                     Some(call) => Ok(call.wait(None)?),
                     None => Ok(DlfmResponse::Ok),
                 });
-                if reply.is_err() {
-                    self.conns.remove(server);
-                }
                 (server, reply)
             })
             .collect()
     }
 
-    fn commit_txn(&mut self, txn: HostTxn) -> HostResult<()> {
+    fn commit_txn(&mut self, mut txn: HostTxn) -> HostResult<()> {
         let xid = txn.xid;
 
         // Phase 1: every touched DLFM prepares (and forces) concurrently.
+        // An autocommit statement already collected the votes: its round
+        // ended with the Prepare on every shard (`flush`). An explicit
+        // transaction asks now — only the application knows which
+        // statement was the last.
+        let votes = match txn.votes.take() {
+            Some(votes) => {
+                self.host.inner.metrics.unsolicited_votes.fetch_add(1, Ordering::Relaxed);
+                votes
+            }
+            None => self
+                .scatter(txn.touched.iter().map(|s| (s, DlfmRequest::Prepare { xid })), true)
+                .into_iter()
+                .map(|(server, vote)| (server.clone(), vote))
+                .collect(),
+        };
         let mut participants = Vec::new();
         let mut failure = None;
-        for (server, vote) in self.broadcast(&txn.touched, DlfmRequest::Prepare { xid }, true) {
+        for (server, vote) in votes {
             let err = match vote {
                 Ok(DlfmResponse::Prepared { read_only }) => {
                     if !read_only {
-                        participants.push(server.clone());
+                        participants.push(server);
                     }
                     continue;
                 }
@@ -1698,8 +1827,11 @@ impl HostSession {
                 // reached it — with an open forward transaction holding
                 // locks, parked behind a pooled connection. (A prepare
                 // that did land is covered by presumed abort: no commit
-                // record exists.)
-                Err(e) => e,
+                // record exists.) The Abort goes over a fresh connection.
+                Err(e) => {
+                    self.conns.remove(&server);
+                    e
+                }
             };
             failure.get_or_insert((server, err));
         }
@@ -1744,10 +1876,11 @@ impl HostSession {
         // re-drives phase 2.
         let synchronous = self.host.synchronous_commit();
         let mut all_acked = true;
-        for (server, ack) in self.broadcast(&participants, DlfmRequest::Commit { xid }, synchronous)
-        {
+        let commit = participants.iter().map(|s| (s, DlfmRequest::Commit { xid }));
+        for (server, ack) in self.scatter(commit, synchronous) {
             if ack.is_err() {
                 self.host.inner.metrics.phase2_transport_errors.fetch_add(1, Ordering::Relaxed);
+                self.conns.remove(server);
             }
             // A DLFM-side failure leaves the participant prepared until
             // the resolver re-drives it.
@@ -1780,8 +1913,11 @@ impl HostSession {
     /// Tell every touched DLFM to abort — even already-prepared
     /// participants — and roll back locally (paper §3.3). Counted once.
     fn abort_everywhere(&mut self, txn: &HostTxn) {
-        for (server, ack) in self.broadcast(&txn.touched, DlfmRequest::Abort { xid: txn.xid }, true)
-        {
+        let abort = txn.touched.iter().map(|s| (s, DlfmRequest::Abort { xid: txn.xid }));
+        for (server, ack) in self.scatter(abort, true) {
+            if ack.is_err() {
+                self.conns.remove(server);
+            }
             self.host.acked("abort", server, &ack);
         }
         self.session.rollback();
@@ -1807,23 +1943,7 @@ impl HostSession {
         // Undo newest-first; an error here forces full rollback (the paper:
         // "it is not possible to rollback a rollback").
         for op in to_undo.iter().rev() {
-            let req = if op.link {
-                DlfmRequest::LinkFile {
-                    xid,
-                    rec_id: op.rec_id,
-                    grp_id: op.grp_id,
-                    filename: op.url.path.clone(),
-                    in_backout: true,
-                }
-            } else {
-                DlfmRequest::UnlinkFile {
-                    xid,
-                    rec_id: op.rec_id,
-                    grp_id: op.grp_id,
-                    filename: op.url.path.clone(),
-                    in_backout: true,
-                }
-            };
+            let req = op.request(xid, true);
             let conn = self.conn(&op.shard)?;
             match conn.call(req)? {
                 DlfmResponse::Ok => {}
@@ -1839,10 +1959,6 @@ impl HostSession {
         }
         self.session.rollback_to(sp.db_sp)?;
         Ok(())
-    }
-
-    fn rollback_to_db_only(&mut self, sp: &minidb::Savepoint) {
-        let _ = self.session.rollback_to(*sp);
     }
 
     // ------------------------------------------------------------------
@@ -1872,7 +1988,7 @@ impl HostSession {
         if let Some(t) = self.txn.as_mut() {
             t.trace_ids.insert(span.ctx().trace_id);
         }
-        let result = self.exec_stmt(&stmt, params);
+        let result = self.exec_stmt(&stmt, params, autocommit);
         match result {
             Ok(r) => {
                 if autocommit {
@@ -1902,33 +2018,53 @@ impl HostSession {
         }
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt, params: &[Value]) -> HostResult<ExecResult> {
-        match stmt {
+    /// Run one statement. One that changes datalink values first queues
+    /// its link/unlink operations (`queue_*`), then runs its local DML,
+    /// then sends the queue to the DLFMs in one round ([`Self::flush`]).
+    /// The DML depends on no DLFM reply (shard and recovery id are
+    /// generated here), so every statement takes its table's locks before
+    /// DLFM locks, and one that fails locally has sent nothing. `vote`: the
+    /// statement opened the transaction itself and commits it when it ends
+    /// (autocommit), so its round carries the Prepare.
+    fn exec_stmt(&mut self, stmt: &Stmt, params: &[Value], vote: bool) -> HostResult<ExecResult> {
+        let queue: fn(&mut Self, &Stmt, &[Value]) -> HostResult<()> = match stmt {
             Stmt::Insert { table, .. } if !self.host.dl_columns_of(table).is_empty() => {
-                self.exec_insert_with_datalinks(stmt, params)
+                Self::queue_insert
             }
-            Stmt::Delete { table, filter } if !self.host.dl_columns_of(table).is_empty() => {
-                self.exec_delete_with_datalinks(table, filter.as_ref(), stmt, params)
+            Stmt::Delete { table, .. } if !self.host.dl_columns_of(table).is_empty() => {
+                Self::queue_delete
             }
-            Stmt::Update { table, sets, filter }
+            Stmt::Update { table, sets, .. }
                 if sets.iter().any(|(c, _)| self.host.dl_column(table, c).is_some()) =>
             {
-                self.exec_update_with_datalinks(table, sets, filter.as_ref(), stmt, params)
+                Self::queue_update
             }
             Stmt::DropTable { name } if !self.host.dl_columns_of(name).is_empty() => {
-                Err(HostError::Usage(format!(
+                return Err(HostError::Usage(format!(
                     "use HostSession::drop_table to drop {name}: it has DATALINK columns"
                 )))
             }
-            _ => Ok(self.session.exec_ast(stmt, params)?),
+            _ => return Ok(self.session.exec_ast(stmt, params)?),
+        };
+        // Statement atomicity: remember where we started.
+        let sp = self.session.savepoint()?;
+        let result = queue(self, stmt, params).and_then(|()| {
+            let r = self.session.exec_ast(stmt, params)?;
+            self.flush(vote)?;
+            Ok(r)
+        });
+        if let Err(e) = &result {
+            if let Some(txn) = self.txn.as_mut() {
+                txn.queued.clear();
+            }
+            if !self.txn_lost(e) {
+                let _ = self.session.rollback_to(sp);
+            }
         }
+        result
     }
 
-    fn exec_insert_with_datalinks(
-        &mut self,
-        stmt: &Stmt,
-        params: &[Value],
-    ) -> HostResult<ExecResult> {
+    fn queue_insert(&mut self, stmt: &Stmt, params: &[Value]) -> HostResult<()> {
         let Stmt::Insert { table, columns, values } = stmt else { unreachable!() };
         let schema = self.host.db().table_schema(table)?;
         // Figure out which value expression feeds each datalink column.
@@ -1936,12 +2072,11 @@ impl HostSession {
             Some(cols) => cols.clone(),
             None => schema.column_names(),
         };
-        let mut links: Vec<(String, DlColumn, DatalinkUrl)> = Vec::new();
         for (cname, vexpr) in col_names.iter().zip(values) {
             if let Some(info) = self.host.dl_column(table, cname) {
                 let v = minidb::eval::eval_standalone(vexpr, params)?;
                 if let Value::Str(url) = v {
-                    links.push((cname.clone(), info, DatalinkUrl::parse(&url)?));
+                    self.queue_op(Some((table, cname)), &DatalinkUrl::parse(&url)?, &info)?;
                 } else if !v.is_null() {
                     return Err(HostError::Usage(format!(
                         "datalink column {cname} must be a URL string or NULL"
@@ -1949,136 +2084,34 @@ impl HostSession {
                 }
             }
         }
-        // Statement atomicity: remember where we started.
-        let sp = self.session.savepoint()?;
-        let mut performed: Vec<DlOp> = Vec::new();
-        let result = (|| -> HostResult<ExecResult> {
-            for (cname, info, url) in &links {
-                let op = self.link(url, info)?;
-                performed.push(op.clone());
-                self.session.exec_params(
-                    "INSERT INTO sys_datalinks (tbl, col, server, filename, rec_id) \
-                     VALUES (?, ?, ?, ?, ?)",
-                    &[
-                        Value::str(table.clone()),
-                        Value::str(cname.clone()),
-                        Value::str(op.shard.clone()),
-                        Value::str(url.path.clone()),
-                        Value::Int(op.rec_id),
-                    ],
-                )?;
-            }
-            Ok(self.session.exec_ast(stmt, params)?)
-        })();
-        match result {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                // Undo the statement: local savepoint + in_backout links.
-                if !self.txn_lost(&e) {
-                    self.backout_ops(&performed);
-                    self.rollback_to_db_only(&sp);
-                }
-                Err(e)
-            }
-        }
+        Ok(())
     }
 
-    fn exec_delete_with_datalinks(
-        &mut self,
-        table: &str,
-        filter: Option<&Expr>,
-        stmt: &Stmt,
-        params: &[Value],
-    ) -> HostResult<ExecResult> {
+    fn queue_delete(&mut self, stmt: &Stmt, params: &[Value]) -> HostResult<()> {
+        let Stmt::Delete { table, filter } = stmt else { unreachable!() };
         let dl_cols = self.host.dl_columns_of(table);
-        let old = self.probe_dl_values(table, &dl_cols, filter, params)?;
-        let sp = self.session.savepoint()?;
-        let mut performed: Vec<DlOp> = Vec::new();
-        let result = (|| -> HostResult<ExecResult> {
-            for (cname, info, url) in &old {
-                let op = self.unlink(url, info)?;
-                performed.push(op.clone());
-                self.session.exec_params(
-                    "DELETE FROM sys_datalinks WHERE server = ? AND filename = ?",
-                    &[Value::str(op.shard.clone()), Value::str(url.path.clone())],
-                )?;
-                let _ = cname;
-            }
-            Ok(self.session.exec_ast(stmt, params)?)
-        })();
-        match result {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                if !self.txn_lost(&e) {
-                    self.backout_ops(&performed);
-                    self.rollback_to_db_only(&sp);
-                }
-                Err(e)
-            }
-        }
+        let old = self.probe_dl_values(table, &dl_cols, filter.as_ref(), params)?;
+        old.iter().try_for_each(|(_, info, url)| self.queue_op(None, url, info))
     }
 
-    fn exec_update_with_datalinks(
-        &mut self,
-        table: &str,
-        sets: &[(String, Expr)],
-        filter: Option<&Expr>,
-        stmt: &Stmt,
-        params: &[Value],
-    ) -> HostResult<ExecResult> {
+    fn queue_update(&mut self, stmt: &Stmt, params: &[Value]) -> HostResult<()> {
+        let Stmt::Update { table, sets, filter } = stmt else { unreachable!() };
         // Only the datalink columns being SET participate.
         let dl_cols: Vec<(String, DlColumn)> = sets
             .iter()
             .filter_map(|(c, _)| self.host.dl_column(table, c).map(|i| (c.clone(), i)))
             .collect();
-        let old = self.probe_dl_values(table, &dl_cols, filter, params)?;
-        let sp = self.session.savepoint()?;
-        let mut performed: Vec<DlOp> = Vec::new();
-        let result = (|| -> HostResult<ExecResult> {
-            // Unlink every old value of the updated datalink columns.
-            for (_, info, url) in &old {
-                let op = self.unlink(url, info)?;
-                performed.push(op.clone());
-                self.session.exec_params(
-                    "DELETE FROM sys_datalinks WHERE server = ? AND filename = ?",
-                    &[Value::str(op.shard.clone()), Value::str(url.path.clone())],
-                )?;
-            }
-            // Link the new values (once per matched row).
-            let matched = old.len().max(1);
-            for (cname, new_expr) in sets {
-                let Some(info) = self.host.dl_column(table, cname) else { continue };
-                let v = minidb::eval::eval_standalone(new_expr, params)?;
-                let Value::Str(url) = v else { continue };
-                let url = DatalinkUrl::parse(&url)?;
-                for _ in 0..matched.min(1) {
-                    let op = self.link(&url, &info)?;
-                    performed.push(op.clone());
-                    self.session.exec_params(
-                        "INSERT INTO sys_datalinks (tbl, col, server, filename, rec_id) \
-                         VALUES (?, ?, ?, ?, ?)",
-                        &[
-                            Value::str(table),
-                            Value::str(cname.clone()),
-                            Value::str(op.shard.clone()),
-                            Value::str(url.path.clone()),
-                            Value::Int(op.rec_id),
-                        ],
-                    )?;
-                }
-            }
-            Ok(self.session.exec_ast(stmt, params)?)
-        })();
-        match result {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                if !self.txn_lost(&e) {
-                    self.backout_ops(&performed);
-                    self.rollback_to_db_only(&sp);
-                }
-                Err(e)
-            }
+        // Unlink every old value of the updated datalink columns ...
+        let old = self.probe_dl_values(table, &dl_cols, filter.as_ref(), params)?;
+        old.iter().try_for_each(|(_, info, url)| self.queue_op(None, url, info))?;
+        // ... and link the new ones (once, however many rows matched).
+        for (cname, new_expr) in sets {
+            let Some(info) = self.host.dl_column(table, cname) else { continue };
+            let v = minidb::eval::eval_standalone(new_expr, params)?;
+            let Value::Str(url) = v else { continue };
+            self.queue_op(Some((table, cname)), &DatalinkUrl::parse(&url)?, &info)?;
         }
+        Ok(())
     }
 
     /// Read current datalink values of the rows a WHERE clause matches.
@@ -2118,42 +2151,13 @@ impl HostSession {
     fn backout_ops(&mut self, performed: &[DlOp]) {
         let Some(xid) = self.txn.as_ref().map(|t| t.xid) else { return };
         for op in performed.iter().rev() {
-            let req = if op.link {
-                DlfmRequest::LinkFile {
-                    xid,
-                    rec_id: op.rec_id,
-                    grp_id: op.grp_id,
-                    filename: op.url.path.clone(),
-                    in_backout: true,
-                }
-            } else {
-                DlfmRequest::UnlinkFile {
-                    xid,
-                    rec_id: op.rec_id,
-                    grp_id: op.grp_id,
-                    filename: op.url.path.clone(),
-                    in_backout: true,
-                }
-            };
             if let Ok(conn) = self.conn(&op.shard) {
-                match conn.call(req) {
-                    Ok(DlfmResponse::Ok) => {}
-                    Ok(DlfmResponse::Err(e)) => self.host.note_rpc_error("backout", &op.shard, &e),
-                    Ok(other) => self.host.note_rpc_error(
-                        "backout",
-                        &op.shard,
-                        &format!("unexpected response {other:?}"),
-                    ),
-                    Err(e) => {
-                        self.host.note_rpc_error("backout", &op.shard, &e);
-                        self.conns.remove(&op.shard);
-                    }
+                let reply = conn.call(op.request(xid, true)).map_err(HostError::from);
+                if reply.is_err() {
+                    self.conns.remove(&op.shard);
                 }
+                self.host.acked("backout", &op.shard, &reply);
             }
-        }
-        if let Some(txn) = self.txn.as_mut() {
-            let keep = txn.dl_ops.len().saturating_sub(performed.len());
-            txn.dl_ops.truncate(keep);
         }
     }
 
@@ -2161,51 +2165,132 @@ impl HostSession {
     // Datalink primitives
     // ------------------------------------------------------------------
 
-    fn link(&mut self, url: &DatalinkUrl, info: &DlColumn) -> HostResult<DlOp> {
+    /// Queue a LinkFile (`link`: the table and column it is recorded under)
+    /// or an UnlinkFile for the running statement; [`Self::flush`] sends it.
+    /// Here is everything about the operation that needs no DLFM: where it
+    /// goes, its recovery id, and that no cached token of the path can be
+    /// trusted from here on (see `crate::tokens`).
+    fn queue_op(
+        &mut self,
+        link: Option<(&str, &str)>,
+        url: &DatalinkUrl,
+        info: &DlColumn,
+    ) -> HostResult<()> {
+        let link = link.map(|(table, column)| (table.to_string(), column.to_string()));
         let shard = self.route(url)?;
+        let cause = if link.is_some() { Invalidation::Link } else { Invalidation::Unlink };
+        self.host.inner.tokens.invalidate(&url.path, cause);
         let rec_id = self.host.next_rec_id();
-        let op = DlOp { link: true, url: url.clone(), shard, rec_id, grp_id: info.grp_id };
-        // Before the send and again after the reply: see `crate::tokens`.
-        self.host.inner.tokens.invalidate(&url.path, Invalidation::Link);
-        let linked = self.dl_request(
-            &op.shard,
-            DlfmRequest::LinkFile {
-                xid: self.require_xid()?,
-                rec_id,
-                grp_id: info.grp_id,
-                filename: url.path.clone(),
-                in_backout: false,
-            },
-        );
-        self.host.inner.tokens.invalidate(&url.path, Invalidation::Link);
-        linked?;
-        self.host.inner.metrics.links.fetch_add(1, Ordering::Relaxed);
-        if let Some(txn) = self.txn.as_mut() {
-            txn.dl_ops.push(op.clone());
-        }
-        Ok(op)
+        let op = DlOp { link, url: url.clone(), shard, rec_id, grp_id: info.grp_id };
+        self.open_txn()?.queued.push(op);
+        Ok(())
     }
 
-    fn unlink(&mut self, url: &DatalinkUrl, info: &DlColumn) -> HostResult<DlOp> {
-        let shard = self.route(url)?;
-        let rec_id = self.host.next_rec_id();
-        let op = DlOp { link: false, url: url.clone(), shard, rec_id, grp_id: info.grp_id };
-        self.host.inner.tokens.invalidate(&url.path, Invalidation::Unlink);
-        self.dl_request(
-            &op.shard,
-            DlfmRequest::UnlinkFile {
-                xid: self.require_xid()?,
-                rec_id,
-                grp_id: info.grp_id,
-                filename: url.path.clone(),
-                in_backout: false,
-            },
-        )?;
-        self.host.inner.metrics.unlinks.fetch_add(1, Ordering::Relaxed);
-        if let Some(txn) = self.txn.as_mut() {
-            txn.dl_ops.push(op.clone());
+    /// The host's own record of an operation a DLFM has performed: the
+    /// link's `sys_datalinks` row, written or dropped. It follows the
+    /// DLFM's answer, so a duplicate link is refused by the DLFM itself.
+    fn record_op(&mut self, op: &DlOp) -> HostResult<()> {
+        let stmts = self.host.dl_statements();
+        let (shard, path) = (Value::str(op.shard.clone()), Value::str(op.url.path.clone()));
+        match &op.link {
+            Some((table, column)) => self.session.exec_prepared(
+                &stmts.ins,
+                &[Value::str(table), Value::str(column), shard, path, Value::Int(op.rec_id)],
+            )?,
+            None => self.session.exec_prepared(&stmts.del, &[shard, path])?,
+        };
+        Ok(())
+    }
+
+    /// Send the running statement's queued operations: one `Batch` per
+    /// shard, started on every shard before any reply is awaited (more than
+    /// a batch's worth takes several such rounds); then record what the
+    /// DLFMs performed. With `vote` each shard's last batch ends with
+    /// `Prepare` — the unsolicited vote — and the votes, one lost in transit
+    /// included, are kept for `commit_txn`.
+    ///
+    /// If a member fails the caller sees its error, and the members that
+    /// succeeded (on any shard) are backed out — except with `vote`, where
+    /// the whole transaction is about to be aborted and a shard that has
+    /// voted no longer has the forward transaction a backout runs in.
+    /// A shard counts as touched *before* its first batch is sent (there is
+    /// no begin message), so one that fails in transit still gets its
+    /// Abort; a failed statement keeps the connection, so that later uses
+    /// fail too instead of continuing on a fresh DLFM session.
+    fn flush(&mut self, vote: bool) -> HostResult<()> {
+        let Some(txn) = self.txn.as_mut() else { return Ok(()) };
+        let ops = std::mem::take(&mut txn.queued);
+        if ops.is_empty() {
+            return Ok(());
         }
-        Ok(op)
+        let xid = txn.xid;
+        let shards: BTreeSet<String> = ops.iter().map(|op| op.shard.clone()).collect();
+        txn.touched.extend(shards.iter().cloned());
+        self.host.inner.metrics.dl_rounds.fetch_add(1, Ordering::Relaxed);
+
+        let mut performed: Vec<DlOp> = Vec::new();
+        let mut votes = Vec::new();
+        let mut failure: Option<HostError> = None;
+        let rounds: Vec<&[DlOp]> = ops.chunks(MAX_BATCH_OPS - 1).collect();
+        for (n, round) in rounds.iter().enumerate() {
+            let closing = vote && n + 1 == rounds.len();
+            let mut per_shard: BTreeMap<&String, Vec<&DlOp>> = BTreeMap::new();
+            if closing {
+                per_shard.extend(shards.iter().map(|shard| (shard, Vec::new())));
+            }
+            for op in *round {
+                per_shard.entry(&op.shard).or_default().push(op);
+            }
+            let sends = per_shard.iter().map(|(shard, ops)| {
+                let mut members: Vec<_> = ops.iter().map(|op| op.request(xid, false)).collect();
+                if closing {
+                    members.push(DlfmRequest::Prepare { xid });
+                }
+                (*shard, DlfmRequest::Batch(members))
+            });
+            for (shard, reply) in self.scatter(sends, true) {
+                let sent = &per_shard[shard];
+                let (done, err, ballot) = read_batch_reply(sent.len(), reply, closing);
+                for &op in &sent[..done] {
+                    let m = &self.host.inner.metrics;
+                    let counter = if op.link.is_some() { &m.links } else { &m.unlinks };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    performed.push(op.clone());
+                }
+                votes.extend(ballot.map(|ballot| (shard.clone(), ballot)));
+                // A lost sub-transaction outranks an ordinary refusal: the
+                // caller must roll everything back.
+                if let Some(err) = err {
+                    if failure.as_ref().is_none_or(|f| !self.txn_lost(f) && self.txn_lost(&err)) {
+                        failure = Some(err);
+                    }
+                }
+            }
+            if failure.is_some() {
+                break;
+            }
+        }
+        // Second half of the token-cache rule: again after the reply.
+        for op in ops.iter().filter(|op| op.link.is_some()) {
+            self.host.inner.tokens.invalidate(&op.url.path, Invalidation::Link);
+        }
+        if failure.is_none() {
+            failure = performed.iter().try_for_each(|op| self.record_op(op)).err();
+        }
+        match failure {
+            None => {
+                let txn = self.txn.as_mut().expect("checked on entry");
+                txn.dl_ops.extend(performed);
+                txn.votes = vote.then_some(votes);
+                Ok(())
+            }
+            Some(e) => {
+                if !vote && !self.txn_lost(&e) {
+                    self.backout_ops(&performed);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// The shard serving `url`: the shard map's placement under the
@@ -2219,34 +2304,19 @@ impl HostSession {
         self.host.route_datalink(url, epoch)
     }
 
-    fn require_xid(&self) -> HostResult<i64> {
+    fn open_txn(&mut self) -> HostResult<&mut HostTxn> {
         self.txn
-            .as_ref()
-            .map(|t| t.xid)
+            .as_mut()
             .ok_or_else(|| HostError::Usage("datalink operation outside a transaction".into()))
     }
 
-    pub(crate) fn dl_request(
-        &mut self,
-        server: &str,
-        req: DlfmRequest,
-    ) -> HostResult<DlfmResponse> {
-        self.require_xid()?;
+    /// One plain transactional request (`drop_table`'s DeleteGroup). As in
+    /// [`Self::flush`], the participant is recorded before the send.
+    fn dl_request(&mut self, server: &str, req: DlfmRequest) -> HostResult<DlfmResponse> {
         self.conn(server)?;
-        // There is no begin message: the DLFM opens its sub-transaction on
-        // the first request that carries the xid. The participant is
-        // recorded *before* that request is sent, so one that fails in
-        // transit — and may or may not have landed — still gets its Abort.
-        if let Some(txn) = self.txn.as_mut() {
-            if !txn.touched.contains(server) {
-                txn.touched.insert(server.to_string());
-            }
-        }
+        self.open_txn()?.touched.insert(server.to_string());
         match self.conns[server].call(req)? {
-            DlfmResponse::Err(e) => {
-                let severe = matches!(&e, DlfmError::Db { retryable: true, .. });
-                Err(HostError::Dlfm { error: e, txn_rolled_back: severe })
-            }
+            DlfmResponse::Err(e) => Err(dlfm_error(e)),
             other => Ok(other),
         }
     }
@@ -2369,7 +2439,7 @@ impl HostSession {
             for (_, info) in &dl_cols {
                 let rec_id = self.host.next_rec_id();
                 for server in self.host.servers() {
-                    let xid = self.require_xid()?;
+                    let xid = self.open_txn()?.xid;
                     let resp = self.dl_request(
                         &server,
                         DlfmRequest::DeleteGroup { xid, grp_id: info.grp_id, rec_id },

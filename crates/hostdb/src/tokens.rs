@@ -18,8 +18,9 @@
 //!
 //! **Invalidation** uses only events the host already sees:
 //!
-//! 1. `HostSession::link` / `unlink` drop the path's entry before the
-//!    request is sent; `link` drops it again when the reply is in, because
+//! 1. `HostSession::queue_op` drops the path's entry when a link or unlink
+//!    is queued, before anything is sent; `flush` drops a linked path's
+//!    entry again when its batch's reply is in, because
 //!    the request can sit in a queue while another session's unlink of the
 //!    same path commits and a reader caches the token that commit revokes.
 //!    (Statement backout and transaction abort need nothing: they only

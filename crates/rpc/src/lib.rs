@@ -105,10 +105,10 @@ pub(crate) enum Payload<Req> {
 pub(crate) enum ReplyDest<Resp> {
     /// An in-process caller parked on a channel.
     Chan(Sender<Resp>),
-    /// A remote caller parked behind the socket whose writer queue this is.
+    /// A remote caller parked behind the socket this writes to.
     Wire {
-        /// The socket's writer queue (encoded frames).
-        writer: Sender<Vec<u8>>,
+        /// The socket's write half; the answering thread writes the frame.
+        writer: Arc<socket::FrameWriter>,
         /// Wire session id (client-facing, not the server-local one).
         session: u64,
         /// Correlation id of the Call being answered.
@@ -134,9 +134,7 @@ impl<Resp> Drop for ReplyTo<Resp> {
                 corr,
                 vec![wire::status::DISCONNECTED],
             );
-            let mut bytes = Vec::new();
-            wire::encode_frame(&frame, &mut bytes);
-            let _ = writer.send(bytes);
+            let _ = writer.send(&frame);
         }
     }
 }
@@ -378,7 +376,7 @@ impl<Req, Resp> ClientConn<Req, Resp> {
     /// first half of every round trip. The agent has *received* the request
     /// when this returns (dedicated mode), it has been admitted to the run
     /// queue (pooled mode, bounded by the admission timeout — may fail with
-    /// [`RpcError::Overloaded`]), or it is queued on the socket writer
+    /// [`RpcError::Overloaded`]), or it has been written to the socket
     /// (wire transport). Starting calls on several connections and only
     /// then waiting on each overlaps their service times.
     ///
@@ -398,7 +396,7 @@ impl<Req, Resp> ClientConn<Req, Resp> {
     /// caller takes the first response, which is exactly how a
     /// retried-after-lost-ack message looks to the server. The socket
     /// transport has its own packet-level points (`rpc.wire.*`, see
-    /// [`socket`]) injected in the frame writer instead.
+    /// [`socket`]) injected where the frame is written instead.
     pub fn start(&self, req: Req) -> Result<PendingCall<Resp>, RpcError>
     where
         Req: Clone,
@@ -483,7 +481,7 @@ impl<Req, Resp> ClientConn<Req, Resp> {
 
     /// Fire-and-forget post: returns as soon as the agent *receives* the
     /// request (dedicated mode), it is admitted to the run queue (pooled
-    /// mode), or it is queued on the socket writer (wire transport),
+    /// mode), or it has been written to the socket (wire transport),
     /// without waiting for processing (the unsafe asynchronous commit mode
     /// of §4).
     pub fn post(&self, req: Req) -> Result<(), RpcError> {
@@ -505,7 +503,7 @@ impl<Req, Resp> ClientConn<Req, Resp> {
     }
 
     /// Liveness probe. On the socket transport this is a wire-level
-    /// Ping/Pong round trip — it proves the socket, both mux threads, and
+    /// Ping/Pong round trip — it proves the socket, both reader threads, and
     /// the server bridge are alive without touching any agent. In-process
     /// connections are alive by construction, so this is a no-op there.
     pub fn ping(&self, timeout: Duration) -> Result<(), RpcError> {
@@ -639,9 +637,7 @@ impl<Resp> ReplySlot<Resp> {
                 let mut payload = vec![wire::status::OK];
                 encode(&resp, &mut payload);
                 let frame = wire::Frame::new(wire::FrameKind::Reply, session, corr, payload);
-                let mut bytes = Vec::new();
-                wire::encode_frame(&frame, &mut bytes);
-                let _ = writer.send(bytes);
+                let _ = writer.send(&frame);
             }
         }
     }
@@ -943,8 +939,8 @@ pub fn fabric<Req, Resp>() -> (Listener<Req, Resp>, Connector<Req, Resp>) {
 /// connection is established lazily on the first [`Connector::connect`]
 /// and redialed transparently after a disconnect (counted in
 /// `rpc_wire_reconnects_total`). All sessions share one socket — the
-/// multiplexer runs one reader and one writer thread total, not per
-/// session.
+/// multiplexer runs one reader thread total, not per session, and callers
+/// write their own frames.
 pub fn wire_connector<Req, Resp>(addr: WireAddr) -> Connector<Req, Resp>
 where
     Req: Wire,

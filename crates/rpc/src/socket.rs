@@ -1,19 +1,32 @@
 //! Socket transport: TCP and Unix-domain backends for the RPC fabric.
 //!
 //! One socket carries many logical connections (sessions). Each side runs
-//! exactly **one reader thread and one writer thread per socket** — 10k
+//! exactly **one reader thread per socket and no writer thread** — 10k
 //! sessions do not need 10k sockets or threads:
 //!
 //! * the **client multiplexer** ([`Mux`]) assigns a correlation id to every
-//!   Call/Ping, parks the caller on a one-shot channel, and lets the reader
-//!   thread route each Reply/Pong frame back by correlation id;
+//!   Call/Ping, writes the frame from the calling thread, parks the caller
+//!   on a one-shot channel, and lets the reader thread route each
+//!   Reply/Pong frame back by correlation id;
 //! * the **server bridge** ([`serve_wire`]) decodes frames off the socket
 //!   and feeds them into the existing in-process fabric — a per-session
 //!   channel + `ServerConn` in dedicated mode, the shared run queue in
 //!   pooled mode — so `serve`/`serve_pool` and every agent above them are
-//!   transport-agnostic.
+//!   transport-agnostic. The agent that served a request writes its Reply
+//!   frame itself.
 //!
-//! Fault points (client-side writer, armed via `obs::fault`):
+//! Whoever has a frame to send writes it ([`FrameWriter`]): the frame is
+//! encoded outside the socket's write lock and goes out as one `write_all`
+//! inside it, so frames never interleave. A write that blocks (the peer's
+//! receive buffer is full) holds only that connection's lock — the same
+//! back-pressure the bounded writer queue used to give. It cannot deadlock
+//! because of one invariant: **the client reader thread blocks on nothing
+//! but the socket** (its hand-off to a parked caller is a one-shot channel
+//! with room for the reply), so the client always drains what the server
+//! writes, the server's writers always finish, and the server reader gets
+//! back to draining what the client writes.
+//!
+//! Fault points (client-side writes, armed via `obs::fault`):
 //! `rpc.wire.stall` delays a frame on the wire; `rpc.wire.corrupt` flips a
 //! payload byte after the checksum is computed (the peer detects it per
 //! frame and fails only that call); `rpc.wire.truncate` writes a partial
@@ -32,7 +45,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::wire::{
     encode_frame, read_frame, status, Frame, FrameKind, Wire, WireError, HEADER_TAIL,
@@ -60,8 +73,6 @@ pub fn set_wire_tracing(on: bool) -> bool {
 pub fn wire_tracing() -> bool {
     WIRE_TRACE.load(Ordering::Relaxed)
 }
-/// Depth of the per-socket writer queue (encoded frames).
-const WRITER_QUEUE: usize = 1024;
 /// Depth of a per-session request channel in dedicated mode. Buffered, not
 /// a rendezvous: the paper's §4 send-blocks-until-receive semantics are a
 /// property of the **in-process** backend only (see DESIGN.md).
@@ -303,18 +314,74 @@ impl WireStats {
 }
 
 // ---------------------------------------------------------------------
+// Frame writes
+// ---------------------------------------------------------------------
+
+/// The write half of one socket, shared by every thread with a frame to
+/// send on it: callers on the client, agents (and the reader, for Pongs
+/// and status replies) on the server.
+pub(crate) struct FrameWriter {
+    sock: Mutex<WireSocket>,
+    stats: Arc<WireStats>,
+    /// Client side only: the `rpc.wire.*` fault points bite here — after
+    /// the checksum is computed, exactly like a misbehaving network.
+    lossy: bool,
+}
+
+impl FrameWriter {
+    fn new(sock: WireSocket, stats: Arc<WireStats>, lossy: bool) -> FrameWriter {
+        FrameWriter { sock: Mutex::new(sock), stats, lossy }
+    }
+
+    /// Write one frame. Any failure (injected or real) shuts the socket
+    /// down, so the peer and this side's reader both see the stream end.
+    pub(crate) fn send(&self, frame: &Frame) -> Result<(), RpcError> {
+        let mut bytes = Vec::with_capacity(4 + HEADER_TAIL + frame.payload.len());
+        encode_frame(frame, &mut bytes);
+        let mut cut = bytes.len();
+        if self.lossy {
+            if obs::fault::fire("rpc.wire.stall") {
+                std::thread::sleep(Duration::from_millis(3));
+            }
+            if obs::fault::fire("rpc.wire.corrupt") && bytes.len() > 4 + HEADER_TAIL {
+                let last = bytes.len() - 1;
+                bytes[last] ^= 0x55;
+            }
+            if obs::fault::fire("rpc.wire.truncate") {
+                cut = (bytes.len() / 2).max(1);
+            } else if obs::fault::fire("rpc.wire.reset") {
+                cut = 0;
+            }
+        }
+        let mut sock = self.sock.lock().unwrap_or_else(|e| e.into_inner());
+        if sock.write_all(&bytes[..cut]).is_err() || cut < bytes.len() {
+            sock.shutdown();
+            return Err(RpcError::Disconnected);
+        }
+        self.stats.bytes_tx.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Answer a Call with a bare status byte (best effort).
+    fn send_status(&self, session: u64, corr: u64, code: u8) {
+        let _ = self.send(&Frame::new(FrameKind::Reply, session, corr, vec![code]));
+    }
+}
+
+// ---------------------------------------------------------------------
 // Client multiplexer
 // ---------------------------------------------------------------------
 
 type PendingMap = Arc<Mutex<HashMap<u64, Sender<Result<Vec<u8>, RpcError>>>>>;
 
-/// Client end of one socket: many sessions share it. Callers enqueue
-/// encoded frames on the writer channel and park ([`Parked`]) on a one-shot
-/// reply channel keyed by correlation id; the reader thread routes each
-/// Reply/Pong back by that id. When the socket dies, every parked caller
-/// is failed with `Disconnected` — nobody hangs.
+/// Client end of one socket: many sessions share it. Callers write their
+/// own frames and park ([`Parked`]) on a one-shot reply channel keyed by
+/// correlation id; the reader thread routes each Reply/Pong back by that
+/// id. When the socket dies, every parked caller is failed with
+/// `Disconnected` — nobody hangs.
 pub(crate) struct Mux {
-    writer: Sender<Vec<u8>>,
+    writer: FrameWriter,
     pending: PendingMap,
     corr: AtomicU64,
     dead: Arc<AtomicBool>,
@@ -325,7 +392,7 @@ pub(crate) struct Mux {
 }
 
 impl Mux {
-    /// Dial `addr` and start the reader/writer threads.
+    /// Dial `addr` and start the reader thread.
     /// `deaths` is bumped once when this connection's reader sees it die.
     pub(crate) fn dial(
         addr: &WireAddr,
@@ -335,12 +402,10 @@ impl Mux {
         let sock = WireSocket::connect(addr)?;
         let sock_w = sock.try_clone().map_err(|e| RpcError::Wire(format!("clone socket: {e}")))?;
         let sock_r = sock.try_clone().map_err(|e| RpcError::Wire(format!("clone socket: {e}")))?;
-        let (wtx, wrx) = bounded::<Vec<u8>>(WRITER_QUEUE);
         let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
         let dead = Arc::new(AtomicBool::new(false));
         let death: Arc<Mutex<Option<RpcError>>> = Arc::new(Mutex::new(None));
 
-        spawn_client_writer(sock_w, wrx, dead.clone(), stats.clone());
         spawn_client_reader(
             sock_r,
             pending.clone(),
@@ -350,7 +415,8 @@ impl Mux {
             stats.clone(),
         );
 
-        Ok(Arc::new(Mux { writer: wtx, pending, corr: AtomicU64::new(0), dead, death, sock }))
+        let writer = FrameWriter::new(sock_w, stats, true);
+        Ok(Arc::new(Mux { writer, pending, corr: AtomicU64::new(0), dead, death, sock }))
     }
 
     pub(crate) fn is_dead(&self) -> bool {
@@ -378,12 +444,6 @@ impl Mux {
         frame
     }
 
-    fn send_frame(&self, frame: &Frame) -> Result<(), RpcError> {
-        let mut bytes = Vec::with_capacity(4 + HEADER_TAIL + frame.payload.len());
-        encode_frame(frame, &mut bytes);
-        self.writer.send(bytes).map_err(|_| RpcError::Disconnected)
-    }
-
     /// Send a Call (or Ping) and return the slot its Reply (or Pong) will
     /// land in, without waiting for it.
     pub(crate) fn start(
@@ -399,7 +459,7 @@ impl Mux {
         let (rtx, rrx) = bounded(1);
         self.pending.lock().unwrap_or_else(|e| e.into_inner()).insert(corr, rtx);
         if let Err(e) =
-            self.send_frame(&Self::stamp_trace(Frame::new(kind, session, corr, payload)))
+            self.writer.send(&Self::stamp_trace(Frame::new(kind, session, corr, payload)))
         {
             self.pending.lock().unwrap_or_else(|e2| e2.into_inner()).remove(&corr);
             return Err(e);
@@ -414,17 +474,17 @@ impl Mux {
         Ok(Parked { pending: self.pending.clone(), corr, reply: rrx })
     }
 
-    /// Fire-and-forget: enqueue a Post frame.
+    /// Fire-and-forget: write a Post frame.
     pub(crate) fn post(&self, session: u64, payload: Vec<u8>) -> Result<(), RpcError> {
         if self.is_dead() {
             return Err(self.death_error());
         }
-        self.send_frame(&Self::stamp_trace(Frame::new(FrameKind::Post, session, 0, payload)))
+        self.writer.send(&Self::stamp_trace(Frame::new(FrameKind::Post, session, 0, payload)))
     }
 
     /// Tell the server this session's client is gone (best effort).
     pub(crate) fn hangup(&self, session: u64) {
-        let _ = self.send_frame(&Frame::new(FrameKind::Hangup, session, 0, Vec::new()));
+        let _ = self.writer.send(&Frame::new(FrameKind::Hangup, session, 0, Vec::new()));
     }
 }
 
@@ -449,58 +509,10 @@ impl Parked {
 
 impl Drop for Mux {
     fn drop(&mut self) {
-        // Unblocks the reader (EOF) and lets the writer's poll loop see a
-        // dead socket; both threads then exit on their own.
+        // Unblocks the reader (EOF), which then exits on its own.
         self.dead.store(true, Ordering::Relaxed);
         self.sock.shutdown();
     }
-}
-
-/// Drain encoded frames onto the socket. This is where the client-side
-/// `rpc.wire.*` faults bite — after the checksum is computed, exactly like
-/// a misbehaving network.
-fn spawn_client_writer(
-    mut sock: WireSocket,
-    wrx: Receiver<Vec<u8>>,
-    dead: Arc<AtomicBool>,
-    stats: Arc<WireStats>,
-) {
-    std::thread::spawn(move || loop {
-        let mut bytes = match wrx.recv_timeout(POLL) {
-            Ok(b) => b,
-            Err(RecvTimeoutError::Timeout) => {
-                if dead.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        if obs::fault::fire("rpc.wire.stall") {
-            std::thread::sleep(Duration::from_millis(3));
-        }
-        if obs::fault::fire("rpc.wire.corrupt") && bytes.len() > 4 + HEADER_TAIL {
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x55;
-        }
-        if obs::fault::fire("rpc.wire.truncate") {
-            let cut = (bytes.len() / 2).max(1);
-            let _ = sock.write_all(&bytes[..cut]);
-            let _ = sock.flush();
-            sock.shutdown();
-            return;
-        }
-        if obs::fault::fire("rpc.wire.reset") {
-            sock.shutdown();
-            return;
-        }
-        if sock.write_all(&bytes).and_then(|_| sock.flush()).is_err() {
-            sock.shutdown();
-            return;
-        }
-        stats.bytes_tx.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-    });
 }
 
 /// Route Reply/Pong frames to parked callers; on any stream death, fail
@@ -671,8 +683,8 @@ impl<Req, Resp> Clone for ServerSink<Req, Resp> {
     }
 }
 
-/// Handle to a running wire bridge: the accept loop plus one reader/writer
-/// thread pair per live socket. Dropping (or [`WireServer::shutdown`])
+/// Handle to a running wire bridge: the accept loop plus one reader
+/// thread per live socket. Dropping (or [`WireServer::shutdown`])
 /// closes every socket, hangs up every wire session, and joins all
 /// threads.
 pub struct WireServer {
@@ -777,19 +789,18 @@ where
                         continue;
                     };
                     sk.lock().unwrap_or_else(|e| e.into_inner()).push(sock);
-                    let (wtx, wrx) = bounded::<Vec<u8>>(WRITER_QUEUE);
-                    let writer = spawn_server_writer(w_sock, wrx, sd.clone(), st.clone());
+                    // No fault injection on this side: the client's writes
+                    // model the lossy network.
+                    let writer = Arc::new(FrameWriter::new(w_sock, st.clone(), false));
                     let reader = spawn_server_reader(
                         r_sock,
-                        wtx,
+                        writer,
                         sink.clone(),
                         sessions.clone(),
                         rpc_stats.clone(),
                         st.clone(),
                     );
-                    let mut t = th.lock().unwrap_or_else(|e| e.into_inner());
-                    t.push(writer);
-                    t.push(reader);
+                    th.lock().unwrap_or_else(|e| e.into_inner()).push(reader);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(POLL);
@@ -810,34 +821,6 @@ where
     }
 }
 
-/// Server writer: drain encoded reply frames onto the socket. No fault
-/// injection here — the client writer models the lossy network.
-fn spawn_server_writer(
-    mut sock: WireSocket,
-    wrx: Receiver<Vec<u8>>,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<WireStats>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || loop {
-        match wrx.recv_timeout(POLL) {
-            Ok(bytes) => {
-                if sock.write_all(&bytes).and_then(|_| sock.flush()).is_err() {
-                    sock.shutdown();
-                    return;
-                }
-                stats.bytes_tx.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    })
-}
-
 /// One live session behind a socket: its server-local fabric id, plus the
 /// per-session request channel in dedicated mode (dropping it closes the
 /// channel, which is how the child agent learns the client is gone).
@@ -846,20 +829,13 @@ struct WireSession<Req, Resp> {
     dedicated_tx: Option<Sender<Envelope<Req, Resp>>>,
 }
 
-fn reply_frame(session: u64, corr: u64, payload: Vec<u8>) -> Vec<u8> {
-    let frame = Frame::new(FrameKind::Reply, session, corr, payload);
-    let mut bytes = Vec::with_capacity(4 + HEADER_TAIL + frame.payload.len());
-    encode_frame(&frame, &mut bytes);
-    bytes
-}
-
 /// Server reader: decode frames, map wire sessions to server-local fabric
 /// sessions, and push envelopes into the fabric. On socket death every
 /// live session is hung up so its server-side state is retired (open
 /// transactions roll back) — a dropped client never leaks an agent.
 fn spawn_server_reader<Req, Resp>(
     mut sock: WireSocket,
-    wtx: Sender<Vec<u8>>,
+    writer: Arc<FrameWriter>,
     sink: ServerSink<Req, Resp>,
     session_ids: Arc<AtomicU64>,
     rpc_stats: Arc<crate::RpcStats>,
@@ -890,9 +866,7 @@ where
             match frame.kind {
                 FrameKind::Ping => {
                     let pong = Frame::new(FrameKind::Pong, frame.session, frame.corr, Vec::new());
-                    let mut bytes = Vec::new();
-                    encode_frame(&pong, &mut bytes);
-                    let _ = wtx.send(bytes);
+                    let _ = writer.send(&pong);
                 }
                 FrameKind::Hangup => {
                     if let Some(sess) = sessions.remove(&frame.session) {
@@ -910,11 +884,7 @@ where
                     if frame.corrupt {
                         stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                         if is_call {
-                            let _ = wtx.send(reply_frame(
-                                frame.session,
-                                frame.corr,
-                                vec![status::DECODE],
-                            ));
+                            writer.send_status(frame.session, frame.corr, status::DECODE);
                         }
                         continue;
                     }
@@ -923,18 +893,14 @@ where
                         Err(_) => {
                             stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                             if is_call {
-                                let _ = wtx.send(reply_frame(
-                                    frame.session,
-                                    frame.corr,
-                                    vec![status::DECODE],
-                                ));
+                                writer.send_status(frame.session, frame.corr, status::DECODE);
                             }
                             continue;
                         }
                     };
                     let reply = if is_call {
                         ReplyTo(Some(ReplyDest::Wire {
-                            writer: wtx.clone(),
+                            writer: writer.clone(),
                             session: frame.session,
                             corr: frame.corr,
                             encode: crate::encode_val::<Resp>,
@@ -953,7 +919,7 @@ where
                         req,
                         reply,
                         ctx,
-                        &wtx,
+                        &writer,
                     );
                 }
                 // Clients never send these; ignore.
@@ -982,7 +948,7 @@ fn deliver<Req, Resp>(
     req: Req,
     reply: ReplyTo<Resp>,
     ctx: Option<obs::trace::TraceCtx>,
-    wtx: &Sender<Vec<u8>>,
+    writer: &FrameWriter,
 ) where
     Req: Send + 'static,
     Resp: Send + 'static,
@@ -997,7 +963,7 @@ fn deliver<Req, Resp>(
                     let (tx, rx) = bounded(SESSION_QUEUE);
                     if accept.send(ServerConn { rx }).is_err() {
                         // The fabric's main daemon is gone.
-                        fail_reply(reply, wire_session, corr, wtx, status::DISCONNECTED);
+                        fail_reply(reply, wire_session, corr, writer, status::DISCONNECTED);
                         return;
                     }
                     Some(tx)
@@ -1015,7 +981,7 @@ fn deliver<Req, Resp>(
             if let Err(e) = tx.send(env) {
                 // Agent already exited; fail the call rather than hang it.
                 let crossbeam::channel::SendError(env) = e;
-                fail_reply(env.reply, wire_session, corr, wtx, status::DISCONNECTED);
+                fail_reply(env.reply, wire_session, corr, writer, status::DISCONNECTED);
                 sessions.remove(&wire_session);
             }
         }
@@ -1026,10 +992,10 @@ fn deliver<Req, Resp>(
                 obs::journal::record(obs::journal::JournalKind::PoolReject, 0, || {
                     "admission reject: run queue full (wire bridge)".to_string()
                 });
-                fail_reply(env.reply, wire_session, corr, wtx, status::OVERLOADED);
+                fail_reply(env.reply, wire_session, corr, writer, status::OVERLOADED);
             }
             Err(crossbeam::channel::SendTimeoutError::Disconnected(env)) => {
-                fail_reply(env.reply, wire_session, corr, wtx, status::DISCONNECTED);
+                fail_reply(env.reply, wire_session, corr, writer, status::DISCONNECTED);
             }
         },
     }
@@ -1048,11 +1014,11 @@ fn fail_reply<Resp>(
     mut reply: ReplyTo<Resp>,
     session: u64,
     corr: u64,
-    wtx: &Sender<Vec<u8>>,
+    writer: &FrameWriter,
     code: u8,
 ) {
     if reply.0.take().is_some() && code != 0 {
-        let _ = wtx.send(reply_frame(session, corr, vec![code]));
+        writer.send_status(session, corr, code);
     }
 }
 
@@ -1092,7 +1058,7 @@ mod tests {
     }
 
     /// `obs::fault` is process-global: a one-shot trigger armed by one
-    /// test can be consumed by another test's writer thread. Every test
+    /// test can be consumed by another test's frame write. Every test
     /// that moves wire traffic takes this lock.
     static SERIAL: Mutex<()> = Mutex::new(());
 

@@ -38,7 +38,7 @@
 //! crate is API-only). Primitives are little-endian, strings are
 //! length-prefixed UTF-8.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Protocol magic ("DL" with the high bits set).
 pub const MAGIC: u16 = 0xD1FA;
@@ -282,12 +282,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
     let payload = rest.split_off(HEADER_TAIL);
     let corrupt = checksum(&payload) != cksum;
     Ok(Some(Frame { kind, session, corr, trace_id, parent_span, payload, corrupt }))
-}
-
-/// Write pre-encoded frame bytes to the stream.
-pub fn write_bytes(w: &mut impl Write, bytes: &[u8]) -> Result<(), WireError> {
-    w.write_all(bytes).map_err(|e| WireError::Io(e.to_string()))?;
-    w.flush().map_err(|e| WireError::Io(e.to_string()))
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,9 @@
 //! ```
 //!
 //! The workload: create a DATALINK table, link every seeded file (one 2PC
-//! commit each), ask for every link's access token twice (the second round
+//! commit each, which must cost exactly two RPC calls: the statement round
+//! carrying the Prepare, and the Commit), ask for every link's access
+//! token twice (the second round
 //! must come from the host's token cache: no RPC), unlink half by DELETE
 //! (their cached tokens must go, and asking again must get the DLFM's
 //! not-linked error), roll one transaction back, and run the indoubt
@@ -48,7 +50,21 @@ fn main() {
         )
         .expect("create table over the wire");
 
+    // What `writes` autocommit linked-row statements must have cost since
+    // `(calls, votes)` was read: the round with the vote on it, and the
+    // Commit — two calls each, no separate Prepare.
+    let costs = |host: &hostdb::HostDb| {
+        (metric(host, "rpc_calls_total"), metric(host, "hostdb_unsolicited_votes_total"))
+    };
+    let check_cost = |what: &str, before: (u64, u64), writes: usize| {
+        let (calls, votes) = costs(&host);
+        println!("{what}: {} rpc calls, {} votes on the round", calls - before.0, votes - before.1);
+        assert_eq!(calls - before.0, 2 * writes as u64, "{what}: two calls per statement");
+        assert_eq!(votes - before.1, writes as u64, "{what}: every vote rides on its round");
+    };
+
     // Link every seeded file, one two-phase commit per row.
+    let before = costs(&host);
     for i in 0..files {
         session
             .exec_params(
@@ -57,6 +73,7 @@ fn main() {
             )
             .unwrap_or_else(|e| panic!("link of /seed/file{i} failed: {e}"));
     }
+    check_cost("insert", before, files);
 
     // Tokens come from the DLFM (IssueToken over the wire) — once per
     // link. The second round is answered by the host's cache.
@@ -97,11 +114,13 @@ fn main() {
 
     // Unlink half by DELETE (one 2PC each): each drops its cached token.
     let dropped = metric(&host, "hostdb_token_cache_invalidations_total");
+    let before = costs(&host);
     for i in 0..files / 2 {
         session
             .exec_params("DELETE FROM docs WHERE id = ?", &[Value::Int(i as i64)])
             .unwrap_or_else(|e| panic!("unlink of /seed/file{i} failed: {e}"));
     }
+    check_cost("delete", before, files / 2);
     let dropped = metric(&host, "hostdb_token_cache_invalidations_total") - dropped;
     assert_eq!(dropped, (files / 2) as u64, "every unlink must drop its cached token");
     if files >= 2 {
