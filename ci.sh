@@ -2,7 +2,7 @@
 # Local CI: everything must pass before a change merges.
 #   ./ci.sh            full gate (build, tests, benchmark package tests, clippy, fmt, commit-path smoke)
 #   ./ci.sh fast       skip the release build, the benchmark package and the smoke benches
-#   ./ci.sh smoke      only the commit-path smoke stages (tiny benches + two-process wire)
+#   ./ci.sh smoke      only the commit-path smoke stages (tiny benches + two-process wire + force audit)
 #   ./ci.sh bench-gate tiny benches vs the committed baseline (perf-regression gate)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -45,6 +45,28 @@ smoke() {
     cargo run -q --offline --release -p bench --bin e14_shard_scaling
   wire_smoke
   shard_smoke
+  force_audit
+}
+
+# A shard's log may see only the two forces per sub-transaction the
+# protocol requires (Prepare, phase-2 Commit): daemons, aborts and chunk
+# commits commit lazily. A traced `--quick` run of the forced two-shard
+# workload counts them — and fails by itself on a broken audit or
+# crash/restart check — so a background force creeping back onto the shard
+# logs fails here, not in a benchmark run. (The 0.02 is slack, not a
+# budget: on a healthy run the two sides are equal.)
+force_audit() {
+  step "force audit: shard log forces per transaction <= 4 x two-phase commits per transaction"
+  cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
+  local out forces twopc
+  out="$(benchmark/target/release/dlfm-bench --quick --workload commit_forced_2shard --trace 1 \
+    | tail -n 1)"
+  metric() { sed -n "s/.*\"$1\": {\"value\": \([0-9.eE+-]*\).*/\1/p" <<<"$out"; }
+  forces="$(metric minidb.dlfm_wal_forces_per_txn)"
+  twopc="$(metric hostdb.twopc_commits_per_txn)"
+  echo "dlfm_wal_forces_per_txn=$forces twopc_commits_per_txn=$twopc"
+  awk -v f="$forces" -v c="$twopc" 'BEGIN { exit !(f != "" && c > 0 && f <= 4 * c + 0.02) }' \
+    || { echo "force audit: a force beyond Prepare + Commit reached a shard log"; exit 1; }
 }
 
 # Two real OS processes over a real kernel socket: `dlfmd` (the standalone

@@ -75,7 +75,7 @@ impl SessionState {
     }
 
     /// Roll back whatever is open (the connection went away
-    /// mid-transaction). Chunk-committed work is already hardened and a
+    /// mid-transaction). Chunk-committed work is already committed and a
     /// plain rollback cannot undo it, so a chunked transaction also needs
     /// its phase-2 abort here; when that fails the `dfm_xact` row stays
     /// behind (counted, warned) and restart's presumed abort resolves it
@@ -421,7 +421,11 @@ impl Exec<'_> {
                 ],
             )?;
         }
-        self.state.session.commit()?;
+        // Lazy: the Prepare's force covers every earlier chunk. A crash
+        // before it leaves a durable prefix of chunks behind the INFLIGHT
+        // row (inserted by the first), which restart's presumed abort
+        // compensates.
+        self.state.session.commit_lazy()?;
         DlfmMetrics::bump(&self.shared.metrics.chunk_commits);
         self.state.session.begin()?;
         if let Some(cur) = self.state.cur.as_mut() {
@@ -637,6 +641,8 @@ impl Exec<'_> {
             }
             // The local COMMIT is what makes the prepare durable ("changes
             // to metadata are hardened during the prepare phase", §4).
+            // Forced: it is the vote — and it hardens every lazy commit
+            // appended before it, this transaction's chunks included.
             self.state.session.commit()?;
             Ok(())
         })();
@@ -786,6 +792,7 @@ impl Exec<'_> {
         s.begin()?;
         let token = self.token_for_link(&mut s, filename);
         match &token {
+            // Read-only probe: ends the row lock, writes no log record.
             Ok(_) => s.commit()?,
             Err(_) => s.rollback(),
         }

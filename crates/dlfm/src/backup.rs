@@ -21,7 +21,7 @@ use minidb::{Session, Value};
 
 use crate::api::{DlfmError, DlfmResult};
 use crate::chown::ChownOp;
-use crate::daemons::{is_full, RetrieveJob};
+use crate::daemons::{is_full, lazy_txn, RetrieveJob};
 use crate::meta::{FileEntry, LNK_LINKED, LNK_UNLINKED};
 use crate::server::{now_micros, DlfmShared};
 use crate::twopc::release_file;
@@ -172,15 +172,16 @@ pub fn reconcile(
     // in the local database to reduce the number of messages").
     let _ = s.exec(&format!("DROP TABLE {tmp}"));
     s.exec(&format!("CREATE TABLE {tmp} (filename VARCHAR NOT NULL, rec_id BIGINT NOT NULL)"))?;
+    // Lazy: the temp table lives for this run only — a Reconcile cut short
+    // by a crash is re-run by the host and starts by dropping the table.
+    let insert = format!("INSERT INTO {tmp} (filename, rec_id) VALUES (?, ?)");
     for chunk in entries.chunks(256) {
-        s.begin()?;
-        for (filename, rec_id) in chunk {
-            s.exec_params(
-                &format!("INSERT INTO {tmp} (filename, rec_id) VALUES (?, ?)"),
-                &[Value::str(filename.clone()), Value::Int(*rec_id)],
-            )?;
-        }
-        s.commit()?;
+        lazy_txn(&mut s, |s| {
+            for (filename, rec_id) in chunk {
+                s.exec_params(&insert, &[Value::str(filename.clone()), Value::Int(*rec_id)])?;
+            }
+            Ok(())
+        })?;
     }
 
     // Host references with no matching linked entry on this DLFM.

@@ -6,6 +6,11 @@
 //! operate in small batches and **commit frequently** so they never hold
 //! enough row locks to trigger lock escalation (§4), and they treat
 //! deadlock/timeout errors as retryable.
+//!
+//! Their local commits are **lazy** ([`lazy_txn`]): daemon work is
+//! asynchronous and idempotent and a restart re-drives it from the tables
+//! it is queued in (§3.4–3.5), so none of it waits on — or puts a force
+//! onto — the log device the foreground Prepare/Commit forces queue on.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,11 +26,32 @@ use crate::metrics::DlfmMetrics;
 use crate::server::{now_micros, DlfmShared};
 use crate::twopc::release_file;
 
-/// Queue entries the Copy daemon archives between two local commits: one
-/// log force per batch instead of one per file, yet few enough row locks
-/// that the delete never escalates (§4). Unbounded, a long pass held its
-/// locks — and the one CPU — long enough to show in foreground p95.
+/// Queue entries the Copy daemon archives between two local commits: few
+/// enough row locks that the delete never escalates (§4). Unbounded, a long
+/// pass held its locks — and the one CPU — long enough to show in
+/// foreground p95.
 pub const COPY_BATCH: usize = 16;
+
+/// Run `work` as one local transaction committed **lazily** (no log
+/// force; see `minidb::Session::commit_lazy`), rolling back if it fails.
+/// Only for work an existing recovery path re-drives when the commit is
+/// lost in a crash — every caller names that path.
+pub(crate) fn lazy_txn<T>(
+    s: &mut Session,
+    work: impl FnOnce(&mut Session) -> DlfmResult<T>,
+) -> DlfmResult<T> {
+    s.begin()?;
+    match work(s) {
+        Ok(out) => {
+            s.commit_lazy()?;
+            Ok(out)
+        }
+        Err(e) => {
+            s.rollback();
+            Err(e)
+        }
+    }
+}
 
 /// The Copy daemon: drains the Archive table, copying linked files to the
 /// archive server asynchronously after commit (§3.4). Queue entries are
@@ -56,7 +82,8 @@ pub fn spawn_copy_daemon(shared: Arc<DlfmShared>) -> JoinHandle<()> {
 /// One Copy pass over the current queue; returns how many files it
 /// archived. The archive store is idempotent per `(file, recovery id)`, so
 /// a crash between a batch's stores and its delete (fault point
-/// `dlfm.copy.crash_before_delete`) costs only a repeated copy.
+/// `dlfm.copy.crash_before_delete`), or one that loses the lazily
+/// committed delete, costs only a repeated copy.
 fn copy_pass(shared: &DlfmShared) -> DlfmResult<usize> {
     let stmts = shared.statements();
     let mut s = Session::new(&shared.db);
@@ -92,18 +119,16 @@ fn copy_pass(shared: &DlfmShared) -> DlfmResult<usize> {
         // Delete the batch's queue entries in one short transaction:
         // commit frequently, never escalate (§4). Deadlocks with child
         // agents inserting into the same table are retried next pass.
-        s.begin()?;
-        let deleted = stored.iter().try_for_each(|key| {
-            s.exec_prepared(&stmts.del_archive, key)?;
-            Ok(())
-        });
-        match deleted {
-            Ok(()) => s.commit()?,
-            Err(e) => {
-                s.rollback();
-                return Err(e);
+        // Lazy: a lost delete puts the entries back on the queue and the
+        // next pass repeats an idempotent copy — of a file that is still
+        // linked and read-only, since an unlink's Prepare would have
+        // forced the log, and this delete with it.
+        lazy_txn(&mut s, |s| {
+            for key in &stored {
+                s.exec_prepared(&stmts.del_archive, key)?;
             }
-        }
+            Ok(())
+        })?;
         DlfmMetrics::add(&shared.metrics.files_archived, stored.len() as u64);
         copied += stored.len();
     }
@@ -181,19 +206,28 @@ fn process_deleted_groups(shared: &DlfmShared, dbid: i64, xid: i64) -> DlfmResul
         unlink_group_files(shared, grp_id, xid, delete_rec_id)?;
         // The group entry is only marked deleted after all its files are
         // unlinked; the Garbage Collector removes it at life-span expiry.
-        s.exec_params(
-            "UPDATE dfm_grp SET state = ?, expiry = ? WHERE grp_id = ?",
-            &[
-                Value::Int(G_DELETED),
-                Value::Int(now_micros() + shared.config.group_life_span_micros),
-                Value::Int(grp_id),
-            ],
-        )?;
+        // Lazy: lost, the group is DELETE_PENDING again under its still
+        // COMMITTED `dfm_xact` row, and restart or the rescan comes back.
+        lazy_txn(&mut s, |s| {
+            s.exec_params(
+                "UPDATE dfm_grp SET state = ?, expiry = ? WHERE grp_id = ?",
+                &[
+                    Value::Int(G_DELETED),
+                    Value::Int(now_micros() + shared.config.group_life_span_micros),
+                    Value::Int(grp_id),
+                ],
+            )?;
+            Ok(())
+        })?;
     }
     // All groups processed: the transaction entry is no longer needed.
+    // Lazy: lost, the row is re-found, no group is pending any more, and
+    // the row is deleted again.
     let stmts = shared.statements();
-    s.exec_prepared(&stmts.del_xact, &[Value::Int(dbid), Value::Int(xid)])?;
-    Ok(())
+    lazy_txn(&mut s, |s| {
+        s.exec_prepared(&stmts.del_xact, &[Value::Int(dbid), Value::Int(xid)])?;
+        Ok(())
+    })
 }
 
 /// Unlink every linked file of a group, `delete_group_batch` files per
@@ -218,8 +252,11 @@ fn unlink_group_files(
         if rows.is_empty() {
             return Ok(());
         }
-        s.begin()?;
-        let result = (|| -> DlfmResult<()> {
+        // Lazy: a lost batch leaves its files LINKED in a DELETE_PENDING
+        // group whose `dfm_xact` row is still COMMITTED, so restart's
+        // requeue (or the rescan) unlinks them again; the releases repeat
+        // idempotently.
+        lazy_txn(&mut s, |s| {
             for row in rows.iter().take(batch) {
                 let e = FileEntry::from_row(row)?;
                 release_file(shared, &e)?;
@@ -246,14 +283,7 @@ fn unlink_group_files(
                 DlfmMetrics::bump(&shared.metrics.group_files_unlinked);
             }
             Ok(())
-        })();
-        match result {
-            Ok(()) => s.commit()?,
-            Err(e) => {
-                s.rollback();
-                return Err(e);
-            }
-        }
+        })?;
     }
 }
 
@@ -276,11 +306,14 @@ pub fn spawn_gc_daemon(shared: Arc<DlfmShared>) -> JoinHandle<()> {
 }
 
 /// One GC pass; public so tests and benches can drive it deterministically.
+///
+/// Every local commit here is lazy: a purge lost in a crash leaves entries
+/// (and backup/group rows) that still match the queries below, so the next
+/// pass purges them again — their archive copies are already gone, which
+/// `archive.delete` reports as `false`.
 pub fn gc_pass(shared: &DlfmShared) -> DlfmResult<(u64, u64)> {
-    let mut entries_removed = 0u64;
-    let mut copies_removed = 0u64;
+    let mut removed = (0u64, 0u64);
     let mut s = Session::new(&shared.db);
-    let stmts = shared.statements();
 
     // (a) Backup retention: keep the last N completed backups; unlinked
     // entries older than the oldest retained backup cannot be needed by any
@@ -297,18 +330,14 @@ pub fn gc_pass(shared: &DlfmShared) -> DlfmResult<(u64, u64)> {
             "SELECT * FROM dfm_file WHERE lnk_state = ? AND unlink_rec_id < ?",
             &[Value::Int(LNK_UNLINKED), Value::Int(cutoff_rec)],
         )?;
-        for row in &old {
-            let e = FileEntry::from_row(row)?;
-            if shared.archive.delete(&e.filename, e.rec_id) {
-                copies_removed += 1;
-            }
-            s.exec_prepared(
-                &stmts.del_entry,
-                &[Value::str(e.filename.clone()), Value::Int(e.check_flag)],
+        purge_entries(shared, &mut s, &old, &mut removed)?;
+        lazy_txn(&mut s, |s| {
+            s.exec_params(
+                "DELETE FROM dfm_backup WHERE backup_id < ?",
+                &[Value::Int(cutoff_backup)],
             )?;
-            entries_removed += 1;
-        }
-        s.exec_params("DELETE FROM dfm_backup WHERE backup_id < ?", &[Value::Int(cutoff_backup)])?;
+            Ok(())
+        })?;
     }
 
     // (b) Deleted groups past their life span: remove their unlinked
@@ -323,23 +352,46 @@ pub fn gc_pass(shared: &DlfmShared) -> DlfmResult<(u64, u64)> {
             "SELECT * FROM dfm_file WHERE grp_id = ? AND lnk_state = ?",
             &[Value::Int(grp_id), Value::Int(LNK_UNLINKED)],
         )?;
-        for erow in &entries {
-            let e = FileEntry::from_row(erow)?;
-            if shared.archive.delete(&e.filename, e.rec_id) {
-                copies_removed += 1;
-            }
-            s.exec_prepared(
-                &stmts.del_entry,
-                &[Value::str(e.filename.clone()), Value::Int(e.check_flag)],
-            )?;
-            entries_removed += 1;
-        }
-        s.exec_params("DELETE FROM dfm_grp WHERE grp_id = ?", &[Value::Int(grp_id)])?;
+        purge_entries(shared, &mut s, &entries, &mut removed)?;
+        lazy_txn(&mut s, |s| {
+            s.exec_params("DELETE FROM dfm_grp WHERE grp_id = ?", &[Value::Int(grp_id)])?;
+            Ok(())
+        })?;
     }
 
+    let (entries_removed, copies_removed) = removed;
     DlfmMetrics::add(&shared.metrics.gc_entries_removed, entries_removed);
     DlfmMetrics::add(&shared.metrics.gc_archive_removed, copies_removed);
-    Ok((entries_removed, copies_removed))
+    Ok(removed)
+}
+
+/// Delete unlinked file entries and their archive copies,
+/// `delete_group_batch` entries per lazy local commit (commit frequently,
+/// never escalate, §4), adding to `removed` = (entries, archive copies).
+fn purge_entries(
+    shared: &DlfmShared,
+    s: &mut Session,
+    rows: &[minidb::Row],
+    removed: &mut (u64, u64),
+) -> DlfmResult<()> {
+    let stmts = shared.statements();
+    for batch in rows.chunks(shared.config.delete_group_batch.max(1)) {
+        lazy_txn(s, |s| {
+            for row in batch {
+                let e = FileEntry::from_row(row)?;
+                if shared.archive.delete(&e.filename, e.rec_id) {
+                    removed.1 += 1;
+                }
+                s.exec_prepared(
+                    &stmts.del_entry,
+                    &[Value::str(e.filename.clone()), Value::Int(e.check_flag)],
+                )?;
+                removed.0 += 1;
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
 }
 
 /// One unit of Retrieve-daemon work: restore a file from the archive.

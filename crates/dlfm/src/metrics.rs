@@ -65,7 +65,8 @@ pub struct DlfmMetrics {
     /// the Delete-Group daemon (daemon gone or injected drop); the work
     /// stays in `dfm_xact` until a rescan picks it up.
     pub groupd_notify_drops: AtomicU64,
-    /// Chunked local commits issued inside long-running transactions.
+    /// Chunked local commits issued inside long-running transactions
+    /// (lazy: the transaction's Prepare is what forces them).
     pub chunk_commits: AtomicU64,
     /// Files archived by the Copy daemon.
     pub files_archived: AtomicU64,

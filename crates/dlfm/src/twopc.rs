@@ -222,6 +222,8 @@ fn commit_attempt(shared: &DlfmShared, dbid: i64, xid: i64) -> DlfmResult<Option
     if obs::fault::fire("dlfm.phase2.crash_after_takeover") {
         shared.db.crash();
     }
+    // Forced: "acked ⇒ durable at this DLFM" is what lets the coordinator
+    // write `End` and forget the transaction.
     s.commit()?;
     Ok(notify)
 }
@@ -254,7 +256,10 @@ fn abort_attempt(shared: &DlfmShared, dbid: i64, xid: i64) -> DlfmResult<Option<
     )?;
 
     s.exec_prepared(&stmts.del_xact, &[Value::Int(dbid), Value::Int(xid)])?;
-    s.commit()?;
+    // Lazy: presumed abort never forces an abort. Lost in a crash, the
+    // `dfm_xact` row is PREPARED or INFLIGHT again, and the host resolver
+    // (`ListIndoubt`) or this DLFM's restart aborts a second time.
+    s.commit_lazy()?;
     Ok(None)
 }
 

@@ -1,6 +1,6 @@
 //! The Copy daemon's batching: queue entries are archived
 //! [`dlfm::daemons::COPY_BATCH`] at a time and each batch is deleted in
-//! one local transaction — one log force per batch, not per file, and
+//! one local transaction — lazily committed, so no log force at all, and
 //! never enough row locks to escalate (§4).
 //!
 //! The server's own daemon does the work here. The tests commit a backlog
@@ -13,7 +13,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use archive::ArchiveServer;
-use dlfm::daemons::COPY_BATCH;
 use dlfm::{DlfmConfig, DlfmServer};
 use filesys::FileSystem;
 use minidb::{Session, Value};
@@ -100,13 +99,8 @@ fn a_backlog_drains_in_bounded_batches_without_escalating() {
     assert_eq!(r.queued(), 0);
     assert_eq!(r.archive.len(), 1000);
     assert_eq!(db.lock_metrics().snapshot().escalations, escalations, "no batch escalated");
-    let batches = 1000usize.div_ceil(COPY_BATCH) as u64;
     let spent = db.wal_forces_total() - forces;
-    assert!(
-        spent <= batches + 3,
-        "{spent} log forces for the backlog's commit plus {batches} batches \
-         (one per file would be 1000)"
-    );
+    assert_eq!(spent, 1, "the backlog's own commit; the daemon's batches force nothing");
 }
 
 #[test]
@@ -151,5 +145,5 @@ fn a_rejected_store_keeps_only_its_own_entry_queued() {
     assert_eq!(r.archive.len(), 10);
     assert_eq!(r.archived(), 10);
     let spent = r.server.db().wal_forces_total() - forces;
-    assert_eq!(spent, 3, "the backlog's commit, the batch of nine, the retried one");
+    assert_eq!(spent, 1, "the backlog's commit; neither the batch of nine nor the retry");
 }

@@ -546,7 +546,7 @@ fn chunked_long_transaction_survives_abort() {
         rig.fs.create(&path, "alice", b"x").unwrap();
         assert_eq!(link(&conn, 140, 1400 + i, 1, &path), DlfmResponse::Ok);
     }
-    // Two chunk commits have hardened 8 links already. (Counting rows here
+    // Two chunk commits have committed 8 links already. (Counting rows here
     // would block on the open transaction's locks, so assert via metrics.)
     assert!(rig.server.metrics().snapshot().chunk_commits >= 2);
 
@@ -620,7 +620,9 @@ fn crash_of_inflight_chunked_transaction_aborts_it_on_restart() {
     assert!(rig.server.metrics().snapshot().chunk_commits >= 2);
     rig.server.crash();
     rig.server.restart().unwrap();
-    // Restart processing found the in-flight entry and aborted the chunks.
+    // Chunk commits are lazy and nothing forced the log behind them, so
+    // the crash took them all; had a prefix survived, restart would have
+    // found its in-flight entry and aborted it (`lazy_commits.rs`).
     assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_file"), 0);
     assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_xact"), 0);
 }

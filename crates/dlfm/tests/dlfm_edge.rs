@@ -208,9 +208,15 @@ fn gc_backup_retention_purges_old_unlinked_entries_and_copies() {
         // Backup cycle: rec watermark after this unlink.
         let b = 1000 + i as i64;
         c.call(DlfmRequest::BeginBackup { backup_id: b, rec_id: uxid * 100 + 50 }).unwrap();
-        c.call(DlfmRequest::EndBackup { backup_id: b, success: true }).unwrap();
+        // The third backup completes below: with only two complete the GC
+        // daemon has nothing outside retention yet, so it cannot race the
+        // count that follows.
+        if b < 1002 {
+            c.call(DlfmRequest::EndBackup { backup_id: b, success: true }).unwrap();
+        }
     }
     assert_eq!(count(&r, "SELECT COUNT(*) FROM dfm_file WHERE lnk_state = 2"), 3);
+    c.call(DlfmRequest::EndBackup { backup_id: 1002, success: true }).unwrap();
 
     // Retention keeps the last 2 backups. The oldest *retained* backup is
     // 1001; /f1 and /f2 were both unlinked before its watermark, so no
@@ -273,8 +279,11 @@ fn pending_copies_counter_drains() {
 #[test]
 fn backup_flush_escalates_priority() {
     let mut config = DlfmConfig::for_tests();
-    // Slow daemon polls so entries accumulate.
-    config.daemon_poll_interval = Duration::from_millis(50);
+    // Slow daemon polls so entries accumulate: the Copy daemon found its
+    // queue empty at start-up and sleeps one interval, which has to outlast
+    // the ten commits below even with the whole suite running beside them
+    // (50 ms did not, about one run in six).
+    config.daemon_poll_interval = Duration::from_millis(250);
     let r = rig_with(config);
     r.archive.set_latency(Duration::from_millis(1));
     let c = connect(&r);

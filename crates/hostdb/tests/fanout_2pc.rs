@@ -40,6 +40,12 @@ struct Rig {
 
 impl Rig {
     fn new() -> Rig {
+        Rig::with_recovery(false)
+    }
+
+    /// `recovery` puts the Copy daemons to work: every committed link is
+    /// queued for an archive copy.
+    fn with_recovery(recovery: bool) -> Rig {
         let fs = Arc::new(FileSystem::new());
         let archive = Arc::new(ArchiveServer::new());
         let sa = DlfmServer::start(DlfmConfig::for_tests(), fs.clone(), archive.clone());
@@ -51,11 +57,7 @@ impl Rig {
         host.session()
             .create_table(
                 "CREATE TABLE t (id BIGINT NOT NULL, doc DATALINK)",
-                &[DatalinkSpec {
-                    column: "doc".into(),
-                    access: AccessControl::Full,
-                    recovery: false,
-                }],
+                &[DatalinkSpec { column: "doc".into(), access: AccessControl::Full, recovery }],
             )
             .unwrap();
         // The ring places whole directories: vary the directory.
@@ -124,6 +126,28 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// What a sub-transaction costs a shard's log: the Prepare's force and the
+/// phase-2 Commit's, and nothing else — the Copy daemon that archives the
+/// linked file afterwards commits lazily. Serial 1 ms forces, so a force
+/// that crept back in could not hide inside somebody else's group commit.
+#[test]
+fn a_cross_shard_commit_costs_each_shard_log_exactly_two_forces() {
+    let _s = serial();
+    let rig = Rig::with_recovery(true);
+    for shard in [&rig.sa, &rig.sb] {
+        shard.db().set_group_commit(false);
+        shard.db().set_log_force_latency(Duration::from_millis(1));
+    }
+    let before = [rig.sa.db().wal_forces_total(), rig.sb.db().wal_forces_total()];
+    rig.open_cross_shard_txn().commit().unwrap();
+    for (shard, before) in [&rig.sa, &rig.sb].into_iter().zip(before) {
+        wait_until("the Copy daemon to drain", || shard.metrics().snapshot().files_archived == 1);
+        assert_eq!(Rig::shard_count(shard, "SELECT COUNT(*) FROM dfm_archive"), 0);
+        assert_eq!(shard.db().wal_forces_total() - before, 2);
+        assert_eq!(shard.db().wal_lazy_commits_total(), 1, "the Copy daemon's queue delete");
     }
 }
 

@@ -277,19 +277,50 @@ impl Database {
 
     /// Commit: force the log, release all locks.
     pub fn commit(&self, txn: &mut Txn) -> DbResult<()> {
+        self.commit_with(txn, true)
+    }
+
+    /// Lazy commit: append the COMMIT record, publish the versions and
+    /// release the locks **without** forcing the log. The record hardens
+    /// with the next force anyone performs; because the log is sequential
+    /// it can be lost only together with everything appended after it —
+    /// never while a later forced commit survives — and a lost lazy commit
+    /// is simply a loser at [`Database::restart`]. For work an existing
+    /// recovery path re-drives (daemon batches, presumed-abort aborts,
+    /// chunk commits a later Prepare covers), not for anything a caller
+    /// was promised.
+    pub fn commit_lazy(&self, txn: &mut Txn) -> DbResult<()> {
+        self.commit_with(txn, false)
+    }
+
+    /// The one commit body; `force` is the only difference between
+    /// [`Database::commit`] and [`Database::commit_lazy`].
+    fn commit_with(&self, txn: &mut Txn, force: bool) -> DbResult<()> {
         let mut span = obs::span(obs::Layer::Minidb, "commit");
         self.check_online().inspect_err(|_| span.fail())?;
         txn.check_active().inspect_err(|_| span.fail())?;
         // A read-only transaction needs no log records.
         if !txn.undo.is_empty() {
-            let commit_rec =
-                self.inner.wal.append(txn.id, LogPayload::Commit).inspect_err(|_| span.fail())?;
-            // Block until the commit record is durable (one group-commit
-            // force may cover many committers). `false` means a simulated
-            // crash destroyed our record — the commit must NOT be reported
-            // as successful. The receipt carries the append-time crash
-            // epoch, so the verdict is exact even across LSN reuse.
-            if !self.inner.wal.force_up_to(commit_rec) {
+            let commit_rec = match self.inner.wal.append(txn.id, LogPayload::Commit) {
+                Ok(rec) => rec,
+                Err(e) => {
+                    // The caller has already given the transaction up
+                    // (`Session` takes it before calling), so nobody else
+                    // will: undo its changes and free its locks here.
+                    span.fail();
+                    self.rollback(txn);
+                    return Err(e);
+                }
+            };
+            // Forced: block until the commit record is durable (one
+            // group-commit force may cover many committers). `false` means
+            // a simulated crash destroyed our record — the commit must NOT
+            // be reported as successful. The receipt carries the
+            // append-time crash epoch, so the verdict is exact even across
+            // LSN reuse. Lazy: whoever forces next hardens the record.
+            if !force {
+                self.inner.wal.note_lazy_commit();
+            } else if !self.inner.wal.force_up_to(commit_rec) {
                 span.fail();
                 txn.state = TxnState::Aborted;
                 self.mvcc_txn_cleanup(txn);
@@ -1789,6 +1820,12 @@ impl Database {
         self.inner.wal.commits_total()
     }
 
+    /// Commit records appended by [`Database::commit_lazy`] (a subset of
+    /// [`Database::wal_commits_total`]).
+    pub fn wal_lazy_commits_total(&self) -> u64 {
+        self.inner.wal.lazy_commits_total()
+    }
+
     /// Locks currently held by a transaction (diagnostics, Figure 4 trace).
     pub fn locks_held(&self, txn: TxnId) -> usize {
         self.inner.lm.held_count(txn)
@@ -1868,6 +1905,12 @@ impl Database {
             "Commit records appended to the WAL.",
             &[],
             self.wal_commits_total(),
+        );
+        r.counter(
+            "minidb_wal_lazy_commits_total",
+            "Commit records appended without waiting for a force (hardened by the next one).",
+            &[],
+            self.wal_lazy_commits_total(),
         );
         r.histogram(
             "minidb_wal_force_batch_commits",

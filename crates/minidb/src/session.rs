@@ -49,9 +49,19 @@ impl Session {
 
     /// Commit the open transaction.
     pub fn commit(&mut self) -> DbResult<()> {
-        let mut txn =
-            self.txn.take().ok_or_else(|| DbError::TxnState("no transaction open".into()))?;
+        let mut txn = self.take_txn()?;
         self.db.commit(&mut txn)
+    }
+
+    /// Commit the open transaction without forcing the log — see
+    /// [`Database::commit_lazy`] for what that does and does not promise.
+    pub fn commit_lazy(&mut self) -> DbResult<()> {
+        let mut txn = self.take_txn()?;
+        self.db.commit_lazy(&mut txn)
+    }
+
+    fn take_txn(&mut self) -> DbResult<Txn> {
+        self.txn.take().ok_or_else(|| DbError::TxnState("no transaction open".into()))
     }
 
     /// Roll back the open transaction (no-op if none).

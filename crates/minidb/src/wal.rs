@@ -20,6 +20,14 @@
 //! leader/follower, condvar-based). An optional `group_commit_wait` window
 //! lets the leader linger before forcing to accumulate a bigger batch.
 //!
+//! Not every commit needs its own force. A *lazy* commit appends its COMMIT
+//! record and returns; the record hardens with the next force anyone
+//! performs. Because the log is sequential and a force covers every record
+//! appended before it, a lazy commit can be lost only together with
+//! everything appended after it — never while a later forced commit
+//! survives. [`Wal::note_lazy_commit`] only counts them; the mechanism is
+//! simply *not* calling [`Wal::force_up_to`].
+//!
 //! A simulated crash discards everything after the watermark and wakes all
 //! waiters, so no committer reports durability it never got. Because a
 //! crash rewinds `next_lsn`, LSNs are *reused* afterwards — an LSN alone
@@ -143,6 +151,8 @@ pub struct Wal {
     group_wait_nanos: AtomicU64,
     forces: AtomicU64,
     commits: AtomicU64,
+    /// Commit records whose committer did not wait for a force.
+    lazy_commits: AtomicU64,
     /// The simulated fsync device: one force in flight at a time.
     device: Mutex<()>,
     group: Mutex<GroupState>,
@@ -163,6 +173,7 @@ impl Wal {
             group_wait_nanos: AtomicU64::new(0),
             forces: AtomicU64::new(0),
             commits: AtomicU64::new(0),
+            lazy_commits: AtomicU64::new(0),
             force_hist: obs::Histogram::new(),
             batch_hist: obs::Histogram::new(),
             device: Mutex::new(()),
@@ -380,6 +391,17 @@ impl Wal {
     /// Total commit records appended.
     pub fn commits_total(&self) -> u64 {
         self.commits.load(Ordering::Relaxed)
+    }
+
+    /// Count one commit record whose committer returned without forcing.
+    pub fn note_lazy_commit(&self) {
+        self.lazy_commits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Commit records appended by lazy commits (a subset of
+    /// [`Wal::commits_total`]).
+    pub fn lazy_commits_total(&self) -> u64 {
+        self.lazy_commits.load(Ordering::Relaxed)
     }
 
     /// Current size of the active (pinned) window, in records.
