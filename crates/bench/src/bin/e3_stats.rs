@@ -97,9 +97,9 @@ fn main() {
     println!("user runs RUNSTATS on the (small) File table ...");
     println!("hand-crafted flag now:      {}", db.stats_hand_crafted("dfm_file").unwrap());
     // A rebind *without* the guard would regress to a table scan:
-    let mut naive = db.prepare("SELECT * FROM dfm_file WHERE filename = ?").unwrap();
+    let naive = db.prepare("SELECT * FROM dfm_file WHERE filename = ?").unwrap();
     println!("naive rebind would pick:    {}", naive.explain(&db));
-    db.rebind(&mut naive).unwrap();
+    db.rebind(&naive).unwrap();
     // The DLFM guard notices, re-applies the statistics, and rebinds:
     stand.server.shared().ensure_plans();
     let stmts = stand.server.shared().statements();

@@ -574,11 +574,8 @@ impl Exec<'_> {
     }
 
     fn load_group(&mut self, grp_id: i64) -> DlfmResult<GroupInfo> {
-        let rows = self.state.session.exec_params(
-            "SELECT grp_id, access_ctl, recovery, state FROM dfm_grp WHERE grp_id = ?",
-            &[Value::Int(grp_id)],
-        )?;
-        let rows = rows.rows();
+        let stmts = self.shared.statements();
+        let rows = self.state.session.exec_prepared(&stmts.sel_grp, &[Value::Int(grp_id)])?.rows();
         let Some(row) = rows.first() else {
             return Err(DlfmError::NoSuchGroup(grp_id));
         };

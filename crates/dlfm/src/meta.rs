@@ -298,6 +298,13 @@ pub struct Statements {
     pub upd_archive_prio: Prepared,
     /// Pending-copy count (backup coordination).
     pub cnt_archive: Prepared,
+    /// Group lookup (every LinkFile).
+    pub sel_grp: Prepared,
+    /// Abort phase 2: groups this transaction marked for deletion go back
+    /// to normal. Bound like the rest: planned against live statistics, a
+    /// RUNSTATS on the small Group table turns it into a table scan that
+    /// X-locks every group row inside phase 2 (§3.2.1).
+    pub upd_grp_restore_by_delete_xid: Prepared,
 }
 
 impl Statements {
@@ -363,6 +370,13 @@ impl Statements {
             upd_archive_prio: db
                 .prepare("UPDATE dfm_archive SET priority = 10 WHERE rec_id <= ?")?,
             cnt_archive: db.prepare("SELECT COUNT(*) FROM dfm_archive")?,
+            sel_grp: db.prepare(
+                "SELECT grp_id, access_ctl, recovery, state FROM dfm_grp WHERE grp_id = ?",
+            )?,
+            upd_grp_restore_by_delete_xid: db.prepare(
+                "UPDATE dfm_grp SET state = 1, delete_xid = NULL, delete_rec_id = NULL \
+                 WHERE delete_xid = ? AND state = 2",
+            )?,
         })
     }
 
@@ -383,7 +397,12 @@ pub fn ensure_plans(
     if !stmts.stale(db) {
         return Ok(None);
     }
-    let overwritten = !db.stats_hand_crafted("dfm_file")?;
+    // Any table: a statement bound under measured statistics of a small
+    // table scans it.
+    let mut overwritten = false;
+    for t in TABLES {
+        overwritten |= !db.stats_hand_crafted(t)?;
+    }
     if overwritten {
         hand_craft_stats(db)?;
         DlfmMetrics::bump(&metrics.stats_reapplied);

@@ -249,11 +249,7 @@ fn abort_attempt(shared: &DlfmShared, dbid: i64, xid: i64) -> DlfmResult<Option<
     s.exec_prepared(&stmts.upd_restore_by_unlink_xid, &[Value::Int(xid)])?;
 
     // Groups this transaction marked for deletion: back to normal.
-    s.exec_params(
-        "UPDATE dfm_grp SET state = 1, delete_xid = NULL, delete_rec_id = NULL \
-         WHERE delete_xid = ? AND state = 2",
-        &[Value::Int(xid)],
-    )?;
+    s.exec_prepared(&stmts.upd_grp_restore_by_delete_xid, &[Value::Int(xid)])?;
 
     s.exec_prepared(&stmts.del_xact, &[Value::Int(dbid), Value::Int(xid)])?;
     // Lazy: presumed abort never forces an abort. Lost in a crash, the

@@ -749,6 +749,58 @@ fn runstats_overwrite_is_detected_and_reverted() {
 }
 
 #[test]
+fn abort_after_runstats_on_the_group_table_locks_only_its_own_groups() {
+    // §3.2.1: phase 2 must not scan. The Abort's "groups back to normal"
+    // UPDATE is bound under the hand-crafted statistics; planned against
+    // live ones after a RUNSTATS on the (tiny) Group table it is a table
+    // scan that X-locks every group row — and waits behind any of them.
+    let rig = Rig::new(DlfmConfig::for_tests());
+    let conn = rig.connect(1);
+    rig.group_full_recovery(&conn);
+    rig.group_partial_norecovery(&conn);
+    let db = rig.server.db().clone();
+    assert_eq!(
+        call(&conn, DlfmRequest::DeleteGroup { xid: 205, grp_id: 1, rec_id: 2050 }),
+        DlfmResponse::Ok
+    );
+    assert_eq!(
+        call(&conn, DlfmRequest::Prepare { xid: 205 }),
+        DlfmResponse::Prepared { read_only: false }
+    );
+
+    // Someone else holds the *other* group's row (locked through the
+    // index, before the statistics change) for longer than a lock timeout:
+    // an abort that touched it would show up as a wait and a retry.
+    let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+    let blocker_db = db.clone();
+    let blocker = std::thread::spawn(move || {
+        let mut s = Session::new(&blocker_db);
+        s.begin().unwrap();
+        s.exec("SELECT * FROM dfm_grp WHERE grp_id = 2 FOR UPDATE").unwrap();
+        locked_tx.send(()).unwrap();
+        std::thread::sleep(Duration::from_millis(800));
+        s.rollback();
+    });
+    locked_rx.recv().unwrap();
+    db.runstats("dfm_grp").unwrap();
+    let waits = || db.lock_metrics().snapshot().waits;
+    let (waits_before, retries_before) = (waits(), rig.server.metrics().snapshot().phase2_retries);
+    assert_eq!(call(&conn, DlfmRequest::Abort { xid: 205 }), DlfmResponse::Ok);
+    assert_eq!(waits(), waits_before, "the abort queued behind a group it does not own");
+    assert_eq!(rig.server.metrics().snapshot().phase2_retries, retries_before);
+    blocker.join().unwrap();
+    assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_grp WHERE state = 1"), 2);
+
+    // The statistics guard repairs the Group table's statistics too, so a
+    // rebind cannot pick the scan either.
+    rig.server.shared().ensure_plans();
+    assert!(db.stats_hand_crafted("dfm_grp").unwrap());
+    let stmts = rig.server.shared().statements();
+    assert!(stmts.upd_grp_restore_by_delete_xid.explain(&db).starts_with("IXSCAN"));
+    assert!(stmts.sel_grp.explain(&db).starts_with("IXSCAN"));
+}
+
+#[test]
 fn read_only_transactions_vote_read_only() {
     let rig = Rig::new(DlfmConfig::for_tests());
     let conn = rig.connect(1);

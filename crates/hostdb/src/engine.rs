@@ -133,6 +133,15 @@ pub struct DlColumn {
     pub recovery: bool,
 }
 
+/// The DATALINK columns of one table, by (lower-case) column name.
+pub type DlColumns = Arc<[(String, DlColumn)]>;
+
+/// Append a column to its table's list (a new list: readers share the old).
+fn add_dl_column(cols: &mut HashMap<String, DlColumns>, table: &str, column: &str, info: DlColumn) {
+    let of_table = cols.entry(table.to_ascii_lowercase()).or_default();
+    *of_table = of_table.iter().cloned().chain([(column.to_ascii_lowercase(), info)]).collect();
+}
+
 /// Options for one DATALINK column at table-creation time.
 #[derive(Debug, Clone)]
 pub struct DatalinkSpec {
@@ -231,7 +240,8 @@ struct HostInner {
     xid_seq: AtomicI64,
     rec_seq: AtomicI64,
     grp_seq: AtomicI64,
-    dl_cols: RwLock<HashMap<(String, String), DlColumn>>,
+    /// DATALINK columns per (lower-case) table name, in creation order.
+    dl_cols: RwLock<HashMap<String, DlColumns>>,
     coord_log: CoordLog,
     sync_commit: AtomicBool,
     metrics: HostMetrics,
@@ -712,35 +722,28 @@ impl HostDb {
 
     /// Datalink metadata for a column, if it is a DATALINK column.
     pub fn dl_column(&self, table: &str, column: &str) -> Option<DlColumn> {
-        self.inner
-            .dl_cols
-            .read()
-            .get(&(table.to_ascii_lowercase(), column.to_ascii_lowercase()))
-            .cloned()
+        let cols = self.dl_columns_of(table);
+        cols.iter().find(|(c, _)| c.eq_ignore_ascii_case(column)).map(|(_, info)| info.clone())
     }
 
-    /// All datalink columns of a table.
-    pub fn dl_columns_of(&self, table: &str) -> Vec<(String, DlColumn)> {
-        let lc = table.to_ascii_lowercase();
-        self.inner
-            .dl_cols
-            .read()
-            .iter()
-            .filter(|((t, _), _)| *t == lc)
-            .map(|((_, c), info)| (c.clone(), info.clone()))
-            .collect()
+    /// All datalink columns of a table (shared, not copied: this runs on
+    /// every statement).
+    pub fn dl_columns_of(&self, table: &str) -> DlColumns {
+        let cols = self.inner.dl_cols.read();
+        let found = if table.bytes().any(|b| b.is_ascii_uppercase()) {
+            cols.get(&table.to_ascii_lowercase())
+        } else {
+            cols.get(table)
+        };
+        found.cloned().unwrap_or_default()
     }
 
     pub(crate) fn register_dl_column(&self, table: &str, column: &str, info: DlColumn) {
-        self.inner
-            .dl_cols
-            .write()
-            .insert((table.to_ascii_lowercase(), column.to_ascii_lowercase()), info);
+        add_dl_column(&mut self.inner.dl_cols.write(), table, column, info);
     }
 
     pub(crate) fn forget_dl_columns(&self, table: &str) {
-        let lc = table.to_ascii_lowercase();
-        self.inner.dl_cols.write().retain(|(t, _), _| *t != lc);
+        self.inner.dl_cols.write().remove(&table.to_ascii_lowercase());
     }
 
     pub(crate) fn connector_for(
@@ -817,14 +820,9 @@ impl HostDb {
         for row in rows {
             let grp_id = row[2].as_int()?;
             max_grp = max_grp.max(grp_id);
-            map.insert(
-                (row[0].as_str()?.to_string(), row[1].as_str()?.to_string()),
-                DlColumn {
-                    grp_id,
-                    access: AccessControl::from_code(row[3].as_int()?),
-                    recovery: row[4].as_int()? != 0,
-                },
-            );
+            let access = AccessControl::from_code(row[3].as_int()?);
+            let info = DlColumn { grp_id, access, recovery: row[4].as_int()? != 0 };
+            add_dl_column(&mut map, row[0].as_str()?, row[1].as_str()?, info);
         }
         *self.inner.dl_cols.write() = map;
         let cur = self.inner.grp_seq.load(Ordering::SeqCst);
@@ -1421,7 +1419,8 @@ impl HostDb {
             .dl_cols
             .read()
             .iter()
-            .map(|((tbl, col), info)| GroupSpec {
+            .flat_map(|(tbl, cols)| cols.iter().map(move |(col, info)| (tbl, col, info)))
+            .map(|(tbl, col, info)| GroupSpec {
                 grp_id: info.grp_id,
                 dbid: self.inner.dbid,
                 table_name: tbl.clone(),
@@ -1977,8 +1976,9 @@ impl HostSession {
         // statement causes — RPC calls, DLFM agent work, minidb activity —
         // carries this trace id.
         let mut span = obs::span_root(obs::Layer::Host, "stmt");
-        let stmt =
-            minidb::sql::parser::parse(sql).map_err(HostError::Db).inspect_err(|_| span.fail())?;
+        // Bound through minidb's statement cache: a repeated application
+        // statement is neither parsed nor planned again.
+        let stmt = self.host.db().bind_cached(sql).inspect_err(|_| span.fail())?;
         let autocommit = self.txn.is_none();
         if autocommit {
             self.begin().inspect_err(|_| span.fail())?;
@@ -2026,7 +2026,8 @@ impl HostSession {
     /// DLFM locks, and one that fails locally has sent nothing. `vote`: the
     /// statement opened the transaction itself and commits it when it ends
     /// (autocommit), so its round carries the Prepare.
-    fn exec_stmt(&mut self, stmt: &Stmt, params: &[Value], vote: bool) -> HostResult<ExecResult> {
+    fn exec_stmt(&mut self, p: &Prepared, params: &[Value], vote: bool) -> HostResult<ExecResult> {
+        let stmt = p.stmt();
         let queue: fn(&mut Self, &Stmt, &[Value]) -> HostResult<()> = match stmt {
             Stmt::Insert { table, .. } if !self.host.dl_columns_of(table).is_empty() => {
                 Self::queue_insert
@@ -2044,12 +2045,12 @@ impl HostSession {
                     "use HostSession::drop_table to drop {name}: it has DATALINK columns"
                 )))
             }
-            _ => return Ok(self.session.exec_ast(stmt, params)?),
+            _ => return Ok(self.session.exec_prepared(p, params)?),
         };
         // Statement atomicity: remember where we started.
         let sp = self.session.savepoint()?;
         let result = queue(self, stmt, params).and_then(|()| {
-            let r = self.session.exec_ast(stmt, params)?;
+            let r = self.session.exec_prepared(p, params)?;
             self.flush(vote)?;
             Ok(r)
         });
@@ -2066,22 +2067,20 @@ impl HostSession {
 
     fn queue_insert(&mut self, stmt: &Stmt, params: &[Value]) -> HostResult<()> {
         let Stmt::Insert { table, columns, values } = stmt else { unreachable!() };
-        let schema = self.host.db().table_schema(table)?;
         // Figure out which value expression feeds each datalink column.
-        let col_names: Vec<String> = match columns {
-            Some(cols) => cols.clone(),
-            None => schema.column_names(),
-        };
-        for (cname, vexpr) in col_names.iter().zip(values) {
-            if let Some(info) = self.host.dl_column(table, cname) {
-                let v = minidb::eval::eval_standalone(vexpr, params)?;
-                if let Value::Str(url) = v {
-                    self.queue_op(Some((table, cname)), &DatalinkUrl::parse(&url)?, &info)?;
-                } else if !v.is_null() {
-                    return Err(HostError::Usage(format!(
-                        "datalink column {cname} must be a URL string or NULL"
-                    )));
-                }
+        for (cname, info) in self.host.dl_columns_of(table).iter() {
+            let pos = match columns {
+                Some(cols) => cols.iter().position(|c| c.eq_ignore_ascii_case(cname)),
+                None => self.host.db().table_meta(table)?.schema.col_index(cname).ok(),
+            };
+            let Some(vexpr) = pos.and_then(|i| values.get(i)) else { continue };
+            let v = minidb::eval::eval_standalone(vexpr, params)?;
+            if let Value::Str(url) = v {
+                self.queue_op(Some((table, cname)), &DatalinkUrl::parse(&url)?, info)?;
+            } else if !v.is_null() {
+                return Err(HostError::Usage(format!(
+                    "datalink column {cname} must be a URL string or NULL"
+                )));
             }
         }
         Ok(())
@@ -2436,7 +2435,7 @@ impl HostSession {
         let dl_cols = self.host.dl_columns_of(table);
         self.begin()?;
         let result = (|| -> HostResult<()> {
-            for (_, info) in &dl_cols {
+            for (_, info) in dl_cols.iter() {
                 let rec_id = self.host.next_rec_id();
                 for server in self.host.servers() {
                     let xid = self.open_txn()?.xid;

@@ -37,18 +37,8 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use obs::fault::fnv1a;
 use parking_lot::{Condvar, Mutex};
-
-/// Stable 64-bit FNV-1a: deterministic across processes and builds, unlike
-/// `std::collections::hash_map::DefaultHasher`.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Routing key of a path: its dirname (files of one directory co-locate).
 pub fn route_key(path: &str) -> &str {

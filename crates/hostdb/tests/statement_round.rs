@@ -421,6 +421,8 @@ fn a_round_lost_in_transit_with_the_vote_on_it_is_a_lost_vote() {
     assert_eq!(m.prepare_failures.load(Relaxed), before.0 + 1);
     assert_eq!(m.rollbacks.load(Relaxed), before.1 + 1);
     assert_eq!(m.unsolicited_votes.load(Relaxed), votes + 1, "the lost vote rode on the round");
+    // The connection's reader thread counts the death when it sees it.
+    wait_until("the dead connection to be noticed", || connector.epoch() != 0);
     assert_eq!(connector.epoch(), 1, "the connection died, once");
     assert!(host.coord_log().unfinished_commits().is_empty());
     assert_eq!(Session::new(host.db()).query_int("SELECT COUNT(*) FROM t", &[]).unwrap(), 1);

@@ -14,24 +14,33 @@
 //! * a full scan row-locks everything it reads — with an UPDATE/DELETE this
 //!   means X locks on the whole table's rows, the "havoc" of §4 when the
 //!   optimizer picks a table scan.
+//!
+//! Every statement — text, AST or prepared — is first *bound*
+//! ([`crate::bind`]) and then run by the one executor here, which works by
+//! reference off the binding: no catalog access, no name resolution and no
+//! schema or plan copies on the statement path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::catalog::Catalog;
+pub use crate::bind::Prepared;
+use crate::bind::{
+    bind, Aggregate, BoundKind, BoundSelect, BoundStmt, Output, PreparedShared, Scan, StmtCache,
+};
+use crate::catalog::{Catalog, TableMeta};
 use crate::config::{DbConfig, Isolation};
 use crate::error::{DbError, DbResult};
-use crate::eval::{eval, eval_pred, eval_standalone};
+use crate::eval::{eval, eval_pred, BoundExpr};
 use crate::lock::{LockManager, LockMetrics, LockMode, Res};
 use crate::plan::{plan_access, AccessPath, TablePlan};
 use crate::schema::{ColumnDef, IndexId, IndexSchema, TableId, TableSchema};
-use crate::sql::ast::{AggFn, Expr, OrderKey, Projection, SelectItem, SelectStmt, Stmt};
+use crate::sql::ast::{AggFn, Expr, Stmt};
 use crate::sql::parser::parse;
 use crate::stats::StatsRegistry;
-use crate::storage::{Storage, StorageSnapshot};
+use crate::storage::{Storage, StorageSnapshot, TableData};
 use crate::txn::{Savepoint, Txn, TxnId, TxnState, UndoOp};
 use crate::value::{Row, Value};
 use crate::wal::{LogPayload, LogRecord, Lsn, Wal};
@@ -41,8 +50,9 @@ use crate::wal::{LogPayload, LogRecord, Lsn, Wal};
 pub enum ExecResult {
     /// SELECT result: column names and rows.
     Rows {
-        /// Output column names.
-        columns: Vec<String>,
+        /// Output column names (one header shared by every result of the
+        /// statement).
+        columns: Arc<[String]>,
         /// Result rows.
         rows: Vec<Row>,
     },
@@ -67,35 +77,6 @@ impl ExecResult {
             ExecResult::Count(n) => *n,
             ExecResult::Rows { rows, .. } => rows.len(),
             ExecResult::Unit => 0,
-        }
-    }
-}
-
-/// A statement prepared ("bound") against the catalog. The access plan is
-/// chosen at prepare time and *pinned*, mirroring DB2 static SQL: a later
-/// RUNSTATS does not change the plan until the statement is rebound.
-#[derive(Debug, Clone)]
-pub struct Prepared {
-    /// Original SQL text.
-    pub sql: String,
-    stmt: Stmt,
-    plan: Option<TablePlan>,
-    /// Plan for the EXCEPT arm of a SELECT, when present.
-    except_plan: Option<TablePlan>,
-}
-
-impl Prepared {
-    /// The plan bound at prepare time, if the statement has one.
-    pub fn plan(&self) -> Option<&TablePlan> {
-        self.plan.as_ref()
-    }
-
-    /// EXPLAIN-style rendering of the bound plan.
-    pub fn explain(&self, db: &Database) -> String {
-        let catalog = db.inner.catalog.read();
-        match &self.plan {
-            Some(p) => p.render(&catalog),
-            None => "NO PLAN (DDL or INSERT)".into(),
         }
     }
 }
@@ -157,20 +138,53 @@ struct Checkpoint {
 /// watermark (oldest active snapshot) passes `ts`.
 struct PendingUnindex {
     ts: u64,
-    table: TableId,
-    index: IndexId,
-    /// Key columns of the index at enqueue time, to re-extract the live
-    /// row's key for the resurrection check at removal time.
-    key_columns: Vec<usize>,
+    /// The table as of enqueue time and the position of the index in it:
+    /// its key columns re-extract the live row's key for the resurrection
+    /// check at removal time.
+    meta: Arc<TableMeta>,
+    index_pos: usize,
     key: Vec<Value>,
     rowid: u64,
+}
+
+impl PendingUnindex {
+    fn index(&self) -> &IndexSchema {
+        &self.meta.indexes[self.index_pos]
+    }
 }
 
 /// Commits between automatic version-GC sweeps.
 const GC_COMMIT_INTERVAL: u64 = 64;
 
+/// `slow_threshold_nanos` value meaning "log nothing".
+const SLOW_LOG_OFF: u64 = u64::MAX;
+
+/// Bound-statement counters (the `minidb_stmt_*` metric family).
+#[derive(Default)]
+struct StmtCounters {
+    /// Statements parsed and bound (`prepare`, AST execution, cache misses).
+    binds: AtomicU64,
+    /// Text statements served from the dynamic statement cache.
+    cache_hits: AtomicU64,
+    /// Bindings replaced because DDL changed a table they resolved.
+    rebinds_ddl: AtomicU64,
+    /// Dynamic bindings replanned because the statistics moved.
+    rebinds_stats: AtomicU64,
+}
+
 struct DbInner {
     catalog: RwLock<Catalog>,
+    /// Catalog DDL generation: moves whenever a table definition may have
+    /// changed — every DDL statement, and every wholesale replacement of
+    /// the catalog (restore, crash, restart). Written only under the
+    /// catalog write lock ([`Database::catalog_mut`]); a bound statement
+    /// stamped with the current value needs no catalog access to run.
+    ddl_gen: AtomicU64,
+    /// `catalog.stats.generation`, republished after every catalog write so
+    /// dynamic statements can notice a statistics change without the lock.
+    stats_gen: AtomicU64,
+    stmt_cache: Mutex<StmtCache>,
+    stmt_counters: StmtCounters,
     storage: Storage,
     lm: LockManager,
     wal: Wal,
@@ -179,7 +193,9 @@ struct DbInner {
     isolation: Isolation,
     next_key_locking: AtomicBool,
     checkpoint: Mutex<Option<Checkpoint>>,
-    slow_threshold: Mutex<Option<std::time::Duration>>,
+    /// Slow-statement threshold in nanoseconds ([`SLOW_LOG_OFF`] = none);
+    /// read by every statement.
+    slow_threshold_nanos: AtomicU64,
     slow_log: Mutex<std::collections::VecDeque<SlowStatement>>,
     // ---- MVCC ---------------------------------------------------------
     mvcc: AtomicBool,
@@ -209,12 +225,20 @@ pub struct Database {
     inner: Arc<DbInner>,
 }
 
+fn threshold_nanos(t: Option<std::time::Duration>) -> u64 {
+    t.map_or(SLOW_LOG_OFF, |d| (d.as_nanos() as u64).min(SLOW_LOG_OFF - 1))
+}
+
 impl Database {
     /// Create an empty database with the given configuration.
     pub fn new(config: DbConfig) -> Database {
         Database {
             inner: Arc::new(DbInner {
                 catalog: RwLock::new(Catalog::default()),
+                ddl_gen: AtomicU64::new(0),
+                stats_gen: AtomicU64::new(0),
+                stmt_cache: Mutex::new(StmtCache::default()),
+                stmt_counters: StmtCounters::default(),
                 storage: Storage::default(),
                 lm: LockManager::with_shards(
                     config.lock_timeout,
@@ -234,7 +258,9 @@ impl Database {
                 isolation: config.isolation,
                 next_key_locking: AtomicBool::new(config.next_key_locking),
                 checkpoint: Mutex::new(None),
-                slow_threshold: Mutex::new(config.slow_statement_threshold),
+                slow_threshold_nanos: AtomicU64::new(threshold_nanos(
+                    config.slow_statement_threshold,
+                )),
                 slow_log: Mutex::new(std::collections::VecDeque::new()),
                 mvcc: AtomicBool::new(config.mvcc),
                 commit_ts: AtomicU64::new(0),
@@ -263,6 +289,37 @@ impl Database {
         } else {
             Err(DbError::Offline)
         }
+    }
+
+    /// The one way the catalog is written. `ddl`: table definitions may
+    /// have changed, so bound statements must revalidate. Both generations
+    /// are published while the write lock is still held, which is what lets
+    /// readers trust them after merely taking the read lock.
+    fn catalog_mut<R>(&self, ddl: bool, f: impl FnOnce(&mut Catalog) -> R) -> R {
+        let mut catalog = self.inner.catalog.write();
+        let out = f(&mut catalog);
+        if ddl {
+            self.inner.ddl_gen.fetch_add(1, AtomicOrdering::Release);
+        }
+        self.inner.stats_gen.store(catalog.stats.generation, AtomicOrdering::Release);
+        out
+    }
+
+    /// Replace the whole catalog (restore, crash, restart). The statistics
+    /// generation keeps rising across the swap, so "the statistics a plan
+    /// was bound under" can never be confused with an older registry that
+    /// happens to carry the same number.
+    fn install_catalog(&self, mut fresh: Catalog) {
+        self.catalog_mut(true, |catalog| {
+            fresh.stats.generation = fresh.stats.generation.max(catalog.stats.generation) + 1;
+            *catalog = fresh;
+        });
+    }
+
+    /// A table's definition by id (commit, undo and redo paths, which know
+    /// tables by id only).
+    fn meta_by_id(&self, table: TableId) -> Option<Arc<TableMeta>> {
+        self.inner.catalog.read().table_meta_by_id(table).ok().cloned()
     }
 
     // ------------------------------------------------------------------
@@ -359,8 +416,9 @@ impl Database {
     pub fn rollback(&self, txn: &mut Txn) {
         if txn.state == TxnState::Active {
             let ops = txn.drain_all();
-            self.apply_undo(txn.id, &ops);
-            if !ops.is_empty() {
+            let had_work = !ops.is_empty();
+            self.apply_undo(txn.id, ops);
+            if had_work {
                 // Abort records are always admitted (terminal).
                 let _ = self.inner.wal.append(txn.id, LogPayload::Abort);
             }
@@ -421,56 +479,61 @@ impl Database {
     /// queue deferred removals for the index entries its committed state no
     /// longer needs (old keys of updates, keys of deleted rows).
     fn mvcc_publish_commit(&self, txn: &Txn) {
-        // (table, rowid) -> superseded keys from undo old-images.
-        type StaleKeys = HashMap<(TableId, u64), Vec<(IndexSchema, Vec<Value>)>>;
-        let mut indexes_by_table: HashMap<TableId, Vec<IndexSchema>> = HashMap::new();
-        let mut rows: Vec<(TableId, u64)> = Vec::new();
-        let mut seen: HashSet<(TableId, u64)> = HashSet::new();
-        let mut stale = StaleKeys::new();
+        // Rows written, in first-touch order, each with the pre-images its
+        // undo records hold.
+        let mut rows: Vec<(TableId, u64, Vec<&Row>)> = Vec::new();
+        let mut slot_of: HashMap<(TableId, u64), usize> = HashMap::new();
         for op in &txn.undo {
             let (table, rowid, old) = match op {
                 UndoOp::Insert { table, rowid } => (*table, *rowid, None),
                 UndoOp::Delete { table, rowid, row } => (*table, *rowid, Some(row)),
                 UndoOp::Update { table, rowid, old } => (*table, *rowid, Some(old)),
             };
-            if seen.insert((table, rowid)) {
-                rows.push((table, rowid));
-            }
-            let Some(old) = old else { continue };
-            let idxs =
-                indexes_by_table.entry(table).or_insert_with(|| self.indexes_of_snapshot(table));
-            for ix in idxs.iter() {
-                let key = extract_key(ix, old);
-                let entries = stale.entry((table, rowid)).or_default();
-                if !entries.iter().any(|(e_ix, e_key)| e_ix.id == ix.id && *e_key == key) {
-                    entries.push((ix.clone(), key));
-                }
-            }
+            let slot = *slot_of.entry((table, rowid)).or_insert_with(|| {
+                rows.push((table, rowid, Vec::new()));
+                rows.len() - 1
+            });
+            rows[slot].2.extend(old);
         }
+        let mut metas: HashMap<TableId, Option<Arc<TableMeta>>> = HashMap::new();
+        let mut queued: Vec<PendingUnindex> = Vec::new();
         let publish = self.inner.publish.lock();
         let ts = self.inner.commit_ts.load(AtomicOrdering::Relaxed) + 1;
-        for &(table, rowid) in &rows {
+        for (table, rowid, olds) in &rows {
+            let (table, rowid) = (*table, *rowid);
             let _ = self.inner.storage.with_table_mut(table, |t| t.mvcc_publish(rowid, ts));
-        }
-        let mut queued: Vec<PendingUnindex> = Vec::new();
-        for ((table, rowid), entries) in stale {
-            let final_row =
-                self.inner.storage.with_table(table, |t| t.get(rowid).cloned()).ok().flatten();
-            for (ix, key) in entries {
-                // A later write in this transaction restored the key: the
-                // committed image still needs its entry.
-                if final_row.as_ref().is_some_and(|r| extract_key(&ix, r) == key) {
-                    continue;
-                }
-                queued.push(PendingUnindex {
-                    ts,
-                    table,
-                    index: ix.id,
-                    key_columns: ix.key_columns.clone(),
-                    key,
-                    rowid,
-                });
+            if olds.is_empty() {
+                continue;
             }
+            let Some(meta) = metas.entry(table).or_insert_with(|| self.meta_by_id(table)) else {
+                continue;
+            };
+            // A pre-image's key is stale unless the committed image still
+            // carries it (a later write in this transaction restored it).
+            let first = queued.len();
+            let _ = self.inner.storage.with_table(table, |t| {
+                let committed = t.get(rowid);
+                for (index_pos, ix) in meta.indexes.iter().enumerate() {
+                    for old in olds {
+                        if committed.is_some_and(|now| same_key(ix, old, now)) {
+                            continue;
+                        }
+                        let key = extract_key(ix, old);
+                        let dup = queued[first..]
+                            .iter()
+                            .any(|p| p.index_pos == index_pos && p.key == key);
+                        if !dup {
+                            queued.push(PendingUnindex {
+                                ts,
+                                meta: meta.clone(),
+                                index_pos,
+                                key,
+                                rowid,
+                            });
+                        }
+                    }
+                }
+            });
         }
         if !queued.is_empty() {
             self.inner.pending_unindex.lock().extend(queued);
@@ -502,26 +565,23 @@ impl Database {
         };
         let mut requeue: Vec<PendingUnindex> = Vec::new();
         for p in ripe {
+            let table = p.meta.schema.id;
             // The apply mutex makes the check-and-remove atomic against
             // writers mutating heap + index.
-            let guard = self.inner.storage.apply_guard(p.table);
+            let guard = self.inner.storage.apply_guard(table);
             let _g = guard.lock();
             // 0 = row gone or key superseded (remove the entry), 1 = the
             // live image carries the key again (entry needed, drop the
             // tombstone), 2 = row mid-write (committed key unknown, retry).
-            let verdict = self.inner.storage.with_table(p.table, |t| {
+            let verdict = self.inner.storage.with_table(table, |t| {
                 if t.mvcc_row_dirty(p.rowid) {
                     return 2u8;
                 }
-                let resurrected = t.get(p.rowid).is_some_and(|row| {
-                    p.key_columns.len() == p.key.len()
-                        && p.key_columns.iter().zip(&p.key).all(|(&c, k)| row.get(c) == Some(k))
-                });
-                u8::from(resurrected)
+                u8::from(t.get(p.rowid).is_some_and(|row| has_key(p.index(), row, &p.key)))
             });
             match verdict {
                 Ok(0) => {
-                    let _ = self.inner.storage.with_index_mut(p.index, |t| {
+                    let _ = self.inner.storage.with_index_mut(p.index().id, |t| {
                         t.remove(&p.key, p.rowid);
                     });
                     self.inner.gc_unindexed.fetch_add(1, AtomicOrdering::Relaxed);
@@ -555,7 +615,7 @@ impl Database {
     pub fn rollback_to(&self, txn: &mut Txn, sp: Savepoint) -> DbResult<()> {
         txn.check_active()?;
         let ops = txn.drain_to_savepoint(sp);
-        self.apply_undo(txn.id, &ops);
+        self.apply_undo(txn.id, ops);
         Ok(())
     }
 
@@ -565,175 +625,109 @@ impl Database {
     /// transaction is backing out may coincide with one an older snapshot
     /// still needs (a reused slot or a restored key), so removals are queued
     /// behind the GC watermark instead.
-    fn apply_undo(&self, txn: TxnId, ops: &[UndoOp]) {
-        let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
+    fn apply_undo(&self, txn: TxnId, ops: Vec<UndoOp>) {
         for op in ops {
+            let (UndoOp::Insert { table, .. }
+            | UndoOp::Delete { table, .. }
+            | UndoOp::Update { table, .. }) = &op;
+            // A table dropped since (DDL is not transactional) has nothing
+            // left to restore.
+            let Some(meta) = self.meta_by_id(*table) else { continue };
+            let table = meta.schema.id;
             match op {
-                UndoOp::Insert { table, rowid } => {
-                    let keys = self.index_keys_for_row(*table, *rowid);
-                    let _ = self.inner.storage.with_table_mut(*table, |t| {
-                        if let Some(old) = t.remove(*rowid) {
-                            let _ = self.inner.wal.append(
-                                txn,
-                                LogPayload::Delete { table: table.0, rowid: *rowid, row: old },
-                            );
-                        }
-                    });
-                    for (ix, key) in keys {
-                        if mvcc_on {
-                            self.queue_unindex(*table, &ix, key, *rowid);
-                        } else {
-                            let _ = self.inner.storage.with_index_mut(ix.id, |t| {
-                                t.remove(&key, *rowid);
-                            });
-                        }
+                UndoOp::Insert { rowid, .. } => {
+                    let removed = self
+                        .inner
+                        .storage
+                        .with_table_mut(table, |t| t.remove(rowid))
+                        .ok()
+                        .flatten();
+                    let Some(row) = removed else { continue };
+                    for (index_pos, ix) in meta.indexes.iter().enumerate() {
+                        self.unindex(&meta, index_pos, extract_key(ix, &row), rowid);
                     }
+                    let _ = self
+                        .inner
+                        .wal
+                        .append(txn, LogPayload::Delete { table: table.0, rowid, row });
                 }
-                UndoOp::Delete { table, rowid, row } => {
-                    let _ = self.inner.storage.with_table_mut(*table, |t| {
-                        t.put(*rowid, row.clone());
-                    });
-                    let _ = self.inner.wal.append(
-                        txn,
-                        LogPayload::Insert { table: table.0, rowid: *rowid, row: row.clone() },
-                    );
-                    let idxs = self.indexes_of_snapshot(*table);
-                    for ix in idxs {
-                        let key = extract_key(&ix, row);
+                UndoOp::Delete { rowid, row, .. } => {
+                    for ix in &meta.indexes {
+                        let key = extract_key(ix, &row);
                         let _ = self.inner.storage.with_index_mut(ix.id, |t| {
-                            t.insert(key.clone(), *rowid);
+                            t.insert(key, rowid);
                         });
                     }
+                    let _ = self.inner.wal.append(
+                        txn,
+                        LogPayload::Insert { table: table.0, rowid, row: row.clone() },
+                    );
+                    let _ = self.inner.storage.with_table_mut(table, |t| t.put(rowid, row));
                 }
-                UndoOp::Update { table, rowid, old } => {
-                    let idxs = self.indexes_of_snapshot(*table);
-                    let _ = self.inner.storage.with_table_mut(*table, |t| {
-                        if let Some(cur) = t.replace(*rowid, old.clone()) {
-                            let _ = self.inner.wal.append(
-                                txn,
-                                LogPayload::Update {
-                                    table: table.0,
-                                    rowid: *rowid,
-                                    old: cur.clone(),
-                                    new: old.clone(),
-                                },
-                            );
-                            for ix in &idxs {
-                                let ck = extract_key(ix, &cur);
-                                let ok = extract_key(ix, old);
-                                if ck != ok {
-                                    let _ = self.inner.storage.with_index_mut(ix.id, |t| {
-                                        t.insert(ok.clone(), *rowid);
-                                    });
-                                    if mvcc_on {
-                                        self.queue_unindex(*table, ix, ck, *rowid);
-                                    } else {
-                                        let _ = self.inner.storage.with_index_mut(ix.id, |t| {
-                                            t.remove(&ck, *rowid);
-                                        });
-                                    }
-                                }
-                            }
+                UndoOp::Update { rowid, old, .. } => {
+                    let replaced = self
+                        .inner
+                        .storage
+                        .with_table_mut(table, |t| t.replace(rowid, old.clone()))
+                        .ok()
+                        .flatten();
+                    let Some(cur) = replaced else { continue };
+                    for (index_pos, ix) in meta.indexes.iter().enumerate() {
+                        if same_key(ix, &cur, &old) {
+                            continue;
                         }
-                    });
+                        let restored = extract_key(ix, &old);
+                        let _ = self.inner.storage.with_index_mut(ix.id, |t| {
+                            t.insert(restored, rowid);
+                        });
+                        self.unindex(&meta, index_pos, extract_key(ix, &cur), rowid);
+                    }
+                    let _ = self.inner.wal.append(
+                        txn,
+                        LogPayload::Update { table: table.0, rowid, old: cur, new: old },
+                    );
                 }
             }
         }
     }
 
-    /// Index keys currently pointing at a row (for undo of insert).
-    fn index_keys_for_row(&self, table: TableId, rowid: u64) -> Vec<(IndexSchema, Vec<Value>)> {
-        let row = self.inner.storage.with_table(table, |t| t.get(rowid).cloned()).ok().flatten();
-        let Some(row) = row else { return Vec::new() };
-        self.indexes_of_snapshot(table)
-            .into_iter()
-            .map(|ix| {
-                let k = extract_key(&ix, &row);
-                (ix, k)
-            })
-            .collect()
-    }
-
-    /// Queue a deferred index-entry removal at the current commit horizon
-    /// (rollback paths — see [`Database::apply_undo`]).
-    fn queue_unindex(&self, table: TableId, ix: &IndexSchema, key: Vec<Value>, rowid: u64) {
-        self.inner.pending_unindex.lock().push(PendingUnindex {
-            ts: self.inner.commit_ts.load(AtomicOrdering::Acquire),
-            table,
-            index: ix.id,
-            key_columns: ix.key_columns.clone(),
-            key,
-            rowid,
-        });
-    }
-
-    fn indexes_of_snapshot(&self, table: TableId) -> Vec<IndexSchema> {
-        let catalog = self.inner.catalog.read();
-        catalog.indexes_of(table).into_iter().cloned().collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Statement execution
-    // ------------------------------------------------------------------
-
-    /// Parse and execute `sql` inside `txn`.
-    pub fn exec(&self, txn: &mut Txn, sql: &str, params: &[Value]) -> DbResult<ExecResult> {
-        let stmt = parse(sql)?;
-        self.exec_stmt(txn, &stmt, params, None, Some(sql))
-    }
-
-    /// Execute an already-parsed statement inside `txn` (used by layers —
-    /// like the datalink engine — that inspect and rewrite statements).
-    pub fn execute(&self, txn: &mut Txn, stmt: &Stmt, params: &[Value]) -> DbResult<ExecResult> {
-        self.exec_stmt(txn, stmt, params, None, None)
-    }
-
-    /// Schema of a table (public lookup for engine layers).
-    pub fn table_schema(&self, table: &str) -> DbResult<TableSchema> {
-        Ok(self.inner.catalog.read().table(table)?.clone())
-    }
-
-    /// Names of all user tables.
-    pub fn table_names(&self) -> Vec<String> {
-        self.inner.catalog.read().all_tables().iter().map(|s| s.name.clone()).collect()
-    }
-
-    /// Prepare (bind) a statement: parse and pin its access plan now.
-    pub fn prepare(&self, sql: &str) -> DbResult<Prepared> {
-        let stmt = parse(sql)?;
-        let catalog = self.inner.catalog.read();
-        let (plan, except_plan) = match &stmt {
-            Stmt::Select(sel) => {
-                let p = plan_access(&catalog, &sel.table, sel.filter.as_ref())?;
-                let ep = match &sel.except {
-                    Some(e) => Some(plan_access(&catalog, &e.table, e.filter.as_ref())?),
-                    None => None,
-                };
-                (Some(p), ep)
-            }
-            Stmt::Update { table, filter, .. } | Stmt::Delete { table, filter } => {
-                (Some(plan_access(&catalog, table, filter.as_ref())?), None)
-            }
-            _ => (None, None),
-        };
-        Ok(Prepared { sql: sql.to_string(), stmt, plan, except_plan })
-    }
-
-    /// Re-bind a prepared statement against current statistics.
-    pub fn rebind(&self, p: &mut Prepared) -> DbResult<()> {
-        let fresh = self.prepare(&p.sql)?;
-        *p = fresh;
-        Ok(())
-    }
-
-    /// True when the plan was bound against statistics that have since
-    /// changed (DLFM checks this to know when to re-apply its hand-crafted
-    /// stats and rebind).
-    pub fn plan_is_stale(&self, p: &Prepared) -> bool {
-        match &p.plan {
-            Some(plan) => plan.stats_generation != self.inner.catalog.read().stats.generation,
-            None => false,
+    /// Take an index entry out on a rollback path: at once under plain 2PL,
+    /// queued at the current commit horizon under MVCC (see
+    /// [`Database::apply_undo`]).
+    fn unindex(&self, meta: &Arc<TableMeta>, index_pos: usize, key: Vec<Value>, rowid: u64) {
+        if self.inner.mvcc.load(AtomicOrdering::Relaxed) {
+            self.inner.pending_unindex.lock().push(PendingUnindex {
+                ts: self.inner.commit_ts.load(AtomicOrdering::Acquire),
+                meta: meta.clone(),
+                index_pos,
+                key,
+                rowid,
+            });
+        } else {
+            let _ = self.inner.storage.with_index_mut(meta.indexes[index_pos].id, |t| {
+                t.remove(&key, rowid);
+            });
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Statement entry points: bind, then run
+    // ------------------------------------------------------------------
+
+    /// Execute `sql` inside `txn`. The text is bound through the dynamic
+    /// statement cache, so a repeated statement is neither parsed nor
+    /// planned again until DDL or a statistics change invalidates it.
+    pub fn exec(&self, txn: &mut Txn, sql: &str, params: &[Value]) -> DbResult<ExecResult> {
+        let p = self.bind_cached(sql)?;
+        self.exec_prepared(txn, &p, params)
+    }
+
+    /// Execute an already-parsed statement inside `txn` (for layers that
+    /// build statements rather than text). Bound for this one run.
+    pub fn execute(&self, txn: &mut Txn, stmt: &Stmt, params: &[Value]) -> DbResult<ExecResult> {
+        self.check_online()?;
+        let bound = self.bind_now(stmt)?;
+        self.run(txn, stmt, &bound, None, params)
     }
 
     /// Execute a prepared statement with its pinned plan.
@@ -743,24 +737,131 @@ impl Database {
         p: &Prepared,
         params: &[Value],
     ) -> DbResult<ExecResult> {
-        self.exec_stmt(
-            txn,
-            &p.stmt,
-            params,
-            p.plan.clone().map(|pl| (pl, p.except_plan.clone())),
-            Some(&p.sql),
-        )
+        self.check_online()?;
+        let bound = self.current_binding(&p.shared)?;
+        self.run(txn, &p.shared.stmt, &bound, Some(&p.shared.sql), params)
     }
 
-    fn exec_stmt(
+    /// Prepare (bind) a static statement: parse, resolve names and pin its
+    /// access plan now. RUNSTATS does not change the plan until
+    /// [`Database::rebind`].
+    pub fn prepare(&self, sql: &str) -> DbResult<Prepared> {
+        let stmt = parse(sql)?;
+        let bound = self.bind_now(&stmt)?;
+        Ok(Prepared::new(sql, stmt, bound, false))
+    }
+
+    /// Bind `sql` as a dynamic statement through the statement cache: the
+    /// handle [`Database::exec`] runs. Layers that must look at a statement
+    /// before running it (the host's datalink engine) take the handle, read
+    /// [`Prepared::stmt`], and pass it to [`Database::exec_prepared`].
+    pub fn bind_cached(&self, sql: &str) -> DbResult<Prepared> {
+        self.check_online()?;
+        if let Some(p) = self.inner.stmt_cache.lock().get(sql) {
+            self.inner.stmt_counters.cache_hits.fetch_add(1, AtomicOrdering::Relaxed);
+            return Ok(p);
+        }
+        let stmt = parse(sql)?;
+        let bound = self.bind_now(&stmt)?;
+        let p = Prepared::new(sql, stmt, bound, true);
+        self.inner.stmt_cache.lock().insert(p.clone());
+        Ok(p)
+    }
+
+    /// Bind against the catalog as it is now.
+    fn bind_now(&self, stmt: &Stmt) -> DbResult<BoundStmt> {
+        self.inner.stmt_counters.binds.fetch_add(1, AtomicOrdering::Relaxed);
+        let catalog = self.inner.catalog.read();
+        bind(&catalog, stmt, self.inner.ddl_gen.load(AtomicOrdering::Acquire))
+    }
+
+    /// The binding to run `p` with: its current one when nothing it depends
+    /// on has moved (two atomic loads, no catalog access), otherwise a
+    /// revalidated or fresh one.
+    fn current_binding(&self, p: &PreparedShared) -> DbResult<Arc<BoundStmt>> {
+        let bound = p.bound.read().clone();
+        let stats_moved =
+            p.dynamic && bound.stats_gen != self.inner.stats_gen.load(AtomicOrdering::Acquire);
+        let ddl_moved = bound.ddl_gen.load(AtomicOrdering::Relaxed)
+            != self.inner.ddl_gen.load(AtomicOrdering::Acquire);
+        if stats_moved || ddl_moved {
+            self.revalidate(p, bound, stats_moved)
+        } else {
+            Ok(bound)
+        }
+    }
+
+    /// Slow path of [`Database::current_binding`]. DDL somewhere in the
+    /// catalog leaves a binding valid when its own tables are untouched
+    /// (the plan stays pinned); a changed table rebinds, or fails cleanly
+    /// when the table or a referenced column is gone.
+    #[cold]
+    fn revalidate(
+        &self,
+        p: &PreparedShared,
+        bound: Arc<BoundStmt>,
+        stats_moved: bool,
+    ) -> DbResult<Arc<BoundStmt>> {
+        let catalog = self.inner.catalog.read();
+        // Generations move only under the catalog write lock.
+        let ddl_gen = self.inner.ddl_gen.load(AtomicOrdering::Acquire);
+        let valid = bound.still_valid(&catalog);
+        if valid && !stats_moved {
+            bound.ddl_gen.store(ddl_gen, AtomicOrdering::Relaxed);
+            return Ok(bound);
+        }
+        let fresh = Arc::new(bind(&catalog, &p.stmt, ddl_gen)?);
+        let counters = &self.inner.stmt_counters;
+        let cause = if valid { &counters.rebinds_stats } else { &counters.rebinds_ddl };
+        cause.fetch_add(1, AtomicOrdering::Relaxed);
+        *p.bound.write() = fresh.clone();
+        Ok(fresh)
+    }
+
+    /// Re-bind a prepared statement against the current catalog and
+    /// statistics (every clone of it sees the new plan).
+    pub fn rebind(&self, p: &Prepared) -> DbResult<()> {
+        let fresh = self.bind_now(&p.shared.stmt)?;
+        *p.shared.bound.write() = Arc::new(fresh);
+        Ok(())
+    }
+
+    /// True when the plan was bound against statistics that have since
+    /// changed (DLFM checks this to know when to re-apply its hand-crafted
+    /// stats and rebind).
+    pub fn plan_is_stale(&self, p: &Prepared) -> bool {
+        p.plan().is_some_and(|plan| {
+            plan.stats_generation != self.inner.stats_gen.load(AtomicOrdering::Acquire)
+        })
+    }
+
+    /// A table's definition — schema and indexes (public lookup for engine
+    /// layers).
+    pub fn table_meta(&self, table: &str) -> DbResult<Arc<TableMeta>> {
+        Ok(self.inner.catalog.read().table_meta(table)?.clone())
+    }
+
+    /// Names of all user tables.
+    pub fn table_names(&self) -> Vec<String> {
+        self.inner.catalog.read().all_tables().iter().map(|s| s.name.clone()).collect()
+    }
+
+    pub(crate) fn render_plan(&self, plan: &TablePlan) -> String {
+        plan.render(&self.inner.catalog.read())
+    }
+
+    // ------------------------------------------------------------------
+    // The executor: one statement body, driven by a binding
+    // ------------------------------------------------------------------
+
+    fn run(
         &self,
         txn: &mut Txn,
         stmt: &Stmt,
+        bound: &BoundStmt,
+        sql: Option<&Arc<str>>,
         params: &[Value],
-        pinned: Option<(TablePlan, Option<TablePlan>)>,
-        sql: Option<&str>,
     ) -> DbResult<ExecResult> {
-        self.check_online()?;
         txn.check_active()?;
         txn.statements += 1;
         // Register the SQL for deadlock forensics; reset the per-thread
@@ -770,36 +871,31 @@ impl Database {
             self.inner.lm.set_current_sql(txn.id, sql);
         }
         let _ = crate::lock::take_stmt_lock_wait();
-        let slow_threshold = *self.inner.slow_threshold.lock();
-        let pinned_plan_for_log =
-            if slow_threshold.is_some() { pinned.as_ref().map(|(p, _)| p.clone()) } else { None };
-        let started = std::time::Instant::now();
-        let result = match stmt {
-            Stmt::CreateTable { name, columns } => self.ddl_create_table(name, columns),
-            Stmt::CreateIndex { name, table, columns, unique } => {
-                self.ddl_create_index(name, table, columns, *unique)
-            }
-            Stmt::DropTable { name } => self.ddl_drop_table(name),
-            Stmt::Insert { table, columns, values } => {
-                self.exec_insert(txn, table, columns.as_deref(), values, params)
-            }
-            Stmt::Select(sel) => self.exec_select(txn, sel, params, pinned),
-            Stmt::Update { table, sets, filter } => {
-                self.exec_update(txn, table, sets, filter.as_ref(), params, pinned.map(|p| p.0))
-            }
-            Stmt::Delete { table, filter } => {
-                self.exec_delete(txn, table, filter.as_ref(), params, pinned.map(|p| p.0))
-            }
-            Stmt::Explain(inner) => self.exec_explain(inner),
+        let slow_nanos = self.inner.slow_threshold_nanos.load(AtomicOrdering::Relaxed);
+        let started = (slow_nanos != SLOW_LOG_OFF).then(std::time::Instant::now);
+        let result = match &bound.kind {
+            BoundKind::Insert { meta, values } => self.exec_insert(txn, meta, values, params),
+            BoundKind::Select(sel) => self.exec_select(txn, sel, params),
+            BoundKind::Update { scan, sets } => self.exec_update(txn, scan, sets, params),
+            BoundKind::Delete(scan) => self.exec_delete(txn, scan, params),
+            BoundKind::Ast => match stmt {
+                Stmt::CreateTable { name, columns } => self.ddl_create_table(name, columns),
+                Stmt::CreateIndex { name, table, columns, unique } => {
+                    self.ddl_create_index(name, table, columns, *unique)
+                }
+                Stmt::DropTable { name } => self.ddl_drop_table(name),
+                Stmt::Explain(inner) => self.exec_explain(inner),
+                dml => Err(DbError::Internal(format!("no binding for {dml:?}"))),
+            },
         };
         // Cursor stability: read locks do not survive the statement.
         if self.inner.isolation == Isolation::CursorStability {
             self.inner.lm.release_shared(txn.id);
         }
-        if let Some(threshold) = slow_threshold {
+        if let Some(started) = started {
             let elapsed = started.elapsed();
-            if elapsed >= threshold {
-                self.record_slow_statement(txn.id, stmt, sql, elapsed, pinned_plan_for_log);
+            if elapsed.as_nanos() as u64 >= slow_nanos {
+                self.record_slow_statement(txn.id, bound, sql, elapsed);
             }
         }
         result
@@ -811,32 +907,15 @@ impl Database {
     fn record_slow_statement(
         &self,
         txn: TxnId,
-        stmt: &Stmt,
-        sql: Option<&str>,
+        bound: &BoundStmt,
+        sql: Option<&Arc<str>>,
         elapsed: std::time::Duration,
-        pinned_plan: Option<TablePlan>,
     ) {
-        let lock_wait_micros = crate::lock::take_stmt_lock_wait();
-        let plan = {
-            let catalog = self.inner.catalog.read();
-            let plan = match (pinned_plan, stmt) {
-                (Some(p), _) => Some(p),
-                (None, Stmt::Select(sel)) => {
-                    plan_access(&catalog, &sel.table, sel.filter.as_ref()).ok()
-                }
-                (None, Stmt::Update { table, filter, .. })
-                | (None, Stmt::Delete { table, filter }) => {
-                    plan_access(&catalog, table, filter.as_ref()).ok()
-                }
-                _ => None,
-            };
-            plan.map(|p| p.render(&catalog))
-        };
         let entry = SlowStatement {
-            sql: sql.map(str::to_string),
+            sql: sql.map(|s| s.to_string()),
             micros: elapsed.as_micros() as u64,
-            lock_wait_micros,
-            plan,
+            lock_wait_micros: crate::lock::take_stmt_lock_wait(),
+            plan: bound.main_scan().map(|scan| self.render_plan(&scan.plan)),
             at_micros: obs::journal::now_micros(),
         };
         obs::journal::record(obs::journal::JournalKind::SlowStatement, txn.0 as i64, || {
@@ -851,7 +930,7 @@ impl Database {
 
     fn exec_explain(&self, stmt: &Stmt) -> DbResult<ExecResult> {
         Ok(ExecResult::Rows {
-            columns: vec!["plan".into()],
+            columns: vec!["plan".to_string()].into(),
             rows: vec![vec![Value::Str(self.explain_text(stmt)?)]],
         })
     }
@@ -878,11 +957,11 @@ impl Database {
                 Ok(plan_access(&catalog, table, filter.as_ref())?.render(&catalog))
             }
             Stmt::Insert { table, .. } => {
-                let schema = catalog.table(table)?;
-                let n_idx = catalog.indexes_of(schema.id).len();
+                let meta = catalog.table_meta(table)?;
                 Ok(format!(
-                    "INSERT {} (heap append + {n_idx} index maintenance) cost=1.0 rows=1.0",
-                    schema.name
+                    "INSERT {} (heap append + {} index maintenance) cost=1.0 rows=1.0",
+                    meta.schema.name,
+                    meta.indexes.len()
                 ))
             }
             Stmt::Explain(inner) => {
@@ -912,17 +991,10 @@ impl Database {
             .iter()
             .map(|(n, t, nn)| ColumnDef { name: n.clone(), ty: *t, not_null: *nn })
             .collect();
-        let schema = {
-            let mut catalog = self.inner.catalog.write();
-            catalog.create_table(name, cols)?
-        };
+        let schema = self.catalog_mut(true, |catalog| catalog.create_table(name, cols))?;
         self.inner.storage.create_table(schema.id);
         self.inner.wal.append(ddl_txn.id, LogPayload::CreateTable { schema })?;
-        let commit_rec = self.inner.wal.append(ddl_txn.id, LogPayload::Commit)?;
-        if !self.inner.wal.force_up_to(commit_rec) {
-            return Err(DbError::Offline);
-        }
-        Ok(ExecResult::Unit)
+        self.force_ddl(ddl_txn.id)
     }
 
     fn ddl_create_index(
@@ -933,52 +1005,46 @@ impl Database {
         unique: bool,
     ) -> DbResult<ExecResult> {
         let ddl_txn = self.begin();
-        let schema = {
-            let mut catalog = self.inner.catalog.write();
-            catalog.create_index(name, table, columns, unique)?
-        };
+        let schema =
+            self.catalog_mut(true, |catalog| catalog.create_index(name, table, columns, unique))?;
         self.inner.storage.create_index(schema.id);
         // Backfill from existing rows.
-        let rows: Vec<(u64, Row)> = self
-            .inner
-            .storage
-            .with_table(schema.table, |t| t.iter().map(|(id, r)| (id, r.clone())).collect())?;
+        let keys: Vec<(u64, Vec<Value>)> = self.inner.storage.with_table(schema.table, |t| {
+            t.iter().map(|(id, r)| (id, extract_key(&schema, r))).collect()
+        })?;
         let mut seen = std::collections::HashSet::new();
-        for (rowid, row) in &rows {
-            let key = extract_key(&schema, row);
-            if unique && !seen.insert(key.clone()) {
-                // Roll the DDL back.
-                self.inner.catalog.write().drop_index(&schema.name)?;
-                self.inner.storage.drop_index(schema.id);
-                return Err(DbError::UniqueViolation {
-                    index: schema.name.clone(),
-                    key: format!("{key:?}"),
-                });
+        if let Some((_, dup)) = keys.iter().find(|(_, key)| unique && !seen.insert(key)) {
+            // Roll the DDL back.
+            self.catalog_mut(true, |catalog| catalog.drop_index(&schema.name))?;
+            self.inner.storage.drop_index(schema.id);
+            return Err(DbError::UniqueViolation {
+                index: schema.name.clone(),
+                key: format!("{dup:?}"),
+            });
+        }
+        self.inner.storage.with_index_mut(schema.id, |t| {
+            for (rowid, key) in keys {
+                t.insert(key, rowid);
             }
-            self.inner.storage.with_index_mut(schema.id, |t| {
-                t.insert(key.clone(), *rowid);
-            })?;
-        }
+        })?;
         self.inner.wal.append(ddl_txn.id, LogPayload::CreateIndex { schema })?;
-        let commit_rec = self.inner.wal.append(ddl_txn.id, LogPayload::Commit)?;
-        if !self.inner.wal.force_up_to(commit_rec) {
-            return Err(DbError::Offline);
-        }
-        Ok(ExecResult::Unit)
+        self.force_ddl(ddl_txn.id)
     }
 
     fn ddl_drop_table(&self, name: &str) -> DbResult<ExecResult> {
         let ddl_txn = self.begin();
-        let (tid, idxs) = {
-            let mut catalog = self.inner.catalog.write();
-            catalog.drop_table(name)?
-        };
+        let (tid, idxs) = self.catalog_mut(true, |catalog| catalog.drop_table(name))?;
         self.inner.storage.drop_table(tid);
         for ix in idxs {
             self.inner.storage.drop_index(ix);
         }
         self.inner.wal.append(ddl_txn.id, LogPayload::DropTable { table: tid.0 })?;
-        let commit_rec = self.inner.wal.append(ddl_txn.id, LogPayload::Commit)?;
+        self.force_ddl(ddl_txn.id)
+    }
+
+    /// Commit a DDL statement's internal transaction, forced.
+    fn force_ddl(&self, txn: TxnId) -> DbResult<ExecResult> {
+        let commit_rec = self.inner.wal.append(txn, LogPayload::Commit)?;
         if !self.inner.wal.force_up_to(commit_rec) {
             return Err(DbError::Offline);
         }
@@ -992,354 +1058,250 @@ impl Database {
     fn exec_insert(
         &self,
         txn: &mut Txn,
-        table: &str,
-        columns: Option<&[String]>,
-        values: &[Expr],
+        meta: &TableMeta,
+        values: &[(usize, BoundExpr)],
         params: &[Value],
     ) -> DbResult<ExecResult> {
-        let (schema, indexes) = self.table_meta(table)?;
         // Build the full row in schema order.
-        let mut row: Row = vec![Value::Null; schema.columns.len()];
-        match columns {
-            Some(cols) => {
-                if cols.len() != values.len() {
-                    return Err(DbError::Plan(format!(
-                        "{} columns but {} values",
-                        cols.len(),
-                        values.len()
-                    )));
-                }
-                for (c, v) in cols.iter().zip(values) {
-                    let i = schema.col_index(c)?;
-                    row[i] = eval_standalone(v, params)?;
-                }
-            }
-            None => {
-                if values.len() != schema.columns.len() {
-                    return Err(DbError::Plan(format!(
-                        "table {} has {} columns but {} values given",
-                        schema.name,
-                        schema.columns.len(),
-                        values.len()
-                    )));
-                }
-                for (i, v) in values.iter().enumerate() {
-                    row[i] = eval_standalone(v, params)?;
-                }
-            }
+        let mut row: Row = vec![Value::Null; meta.schema.columns.len()];
+        for (i, v) in values {
+            row[*i] = eval(v, &[], params)?.into_owned();
         }
-        self.validate_row(&schema, &row)?;
-        self.insert_row(txn, &schema, &indexes, row)?;
+        validate_row(&meta.schema, &row)?;
+        self.insert_row(txn, meta, row)?;
         Ok(ExecResult::Count(1))
     }
 
-    /// Insert a validated row: locking, logging, physical apply.
-    fn insert_row(
+    /// X-lock an index key and its next key (ARIES/KVL) for an insert or a
+    /// delete of `key`. `eof`: also lock the end-of-index marker when `key`
+    /// is the largest.
+    fn lock_key_and_next(
         &self,
-        txn: &mut Txn,
-        schema: &TableSchema,
-        indexes: &[IndexSchema],
-        row: Row,
-    ) -> DbResult<u64> {
-        let nkl = self.inner.next_key_locking.load(AtomicOrdering::Relaxed);
-        self.inner.lm.lock(txn.id, Res::Table(schema.id), LockMode::IX)?;
+        txn: TxnId,
+        table: TableId,
+        index: IndexId,
+        key: &[Value],
+        eof: bool,
+    ) -> DbResult<()> {
+        let lm = &self.inner.lm;
+        lm.lock(txn, Res::Key(table, index, key.to_vec()), LockMode::X)?;
+        match self.inner.storage.with_index(index, |t| t.next_key(key))? {
+            Some(next) => lm.lock(txn, Res::Key(table, index, next), LockMode::X),
+            None if eof => lm.lock(txn, Res::KeyEof(table, index), LockMode::X),
+            None => Ok(()),
+        }
+    }
+
+    /// Insert a validated row: locking, logging, physical apply. The row is
+    /// cloned once (for the log) and moved into the heap; each index key is
+    /// extracted once and moved into its tree.
+    fn insert_row(&self, txn: &mut Txn, meta: &TableMeta, row: Row) -> DbResult<u64> {
+        let table = meta.schema.id;
+        self.inner.lm.lock(txn.id, Res::Table(table), LockMode::IX)?;
+        let keys: Vec<Vec<Value>> = meta.indexes.iter().map(|ix| extract_key(ix, &row)).collect();
 
         // Key locks, in index-creation order (the order DB2 updates them).
-        if nkl {
-            for ix in indexes {
-                let key = extract_key(ix, &row);
-                self.inner.lm.lock(txn.id, Res::Key(schema.id, ix.id, key.clone()), LockMode::X)?;
-                let next = self.inner.storage.with_index(ix.id, |t| t.next_key(&key))?;
-                match next {
-                    Some(nk) => {
-                        self.inner.lm.lock(txn.id, Res::Key(schema.id, ix.id, nk), LockMode::X)?
-                    }
-                    None => {
-                        self.inner.lm.lock(txn.id, Res::KeyEof(schema.id, ix.id), LockMode::X)?
-                    }
-                }
+        if self.inner.next_key_locking.load(AtomicOrdering::Relaxed) {
+            for (ix, key) in meta.indexes.iter().zip(&keys) {
+                self.lock_key_and_next(txn.id, table, ix.id, key, true)?;
             }
         }
 
         // Physical apply: atomic unique check + mutation under the table's
         // apply mutex.
         let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
-        let guard = self.inner.storage.apply_guard(schema.id);
+        let guard = self.inner.storage.apply_guard(table);
         let _g = guard.lock();
-        for ix in indexes {
-            if ix.unique {
-                let key = extract_key(ix, &row);
-                if self.unique_clash(schema.id, ix, &key, None)? {
-                    return Err(DbError::UniqueViolation {
-                        index: ix.name.clone(),
-                        key: render_key(&key),
-                    });
-                }
+        for (ix, key) in meta.indexes.iter().zip(&keys) {
+            if ix.unique && self.unique_clash(table, ix, key, None)? {
+                return Err(DbError::UniqueViolation {
+                    index: ix.name.clone(),
+                    key: render_key(key),
+                });
             }
         }
-        let rowid = self.inner.storage.with_table_mut(schema.id, |t| t.reserve())?;
+        let rowid = self.inner.storage.with_table_mut(table, |t| t.reserve())?;
         // The row is invisible to others until inserted; the X lock is
         // uncontended but required so later readers block until commit.
-        self.inner.lm.lock(txn.id, Res::Row(schema.id, rowid), LockMode::X)?;
+        self.inner.lm.lock(txn.id, Res::Row(table, rowid), LockMode::X)?;
         self.inner
             .wal
-            .append(txn.id, LogPayload::Insert { table: schema.id.0, rowid, row: row.clone() })?;
-        let mut first_touch = false;
-        self.inner.storage.with_table_mut(schema.id, |t| {
+            .append(txn.id, LogPayload::Insert { table: table.0, rowid, row: row.clone() })?;
+        let first_touch = self.inner.storage.with_table_mut(table, |t| {
             // Open the version chain under the same write latch as the heap
             // mutation, so readers never see a dirty image without history.
-            if mvcc_on {
-                first_touch = t.mvcc_begin_write(rowid, txn.id.0);
-            }
-            t.put_reserved(rowid, row.clone())
+            let first_touch = mvcc_on && t.mvcc_begin_write(rowid, txn.id.0);
+            t.put_reserved(rowid, row);
+            first_touch
         })?;
         if first_touch {
-            txn.mvcc_touched.push((schema.id, rowid));
+            txn.mvcc_touched.push((table, rowid));
         }
-        for ix in indexes {
-            let key = extract_key(ix, &row);
-            self.inner.storage.with_index_mut(ix.id, |t| {
-                t.insert(key.clone(), rowid);
-            })?;
-        }
-        txn.undo.push(UndoOp::Insert { table: schema.id, rowid });
+        let entries = meta.indexes.iter().map(|ix| ix.id).zip(keys);
+        self.inner.storage.with_indexes_mut(entries, |t, key| {
+            t.insert(key, rowid);
+        })?;
+        txn.undo.push(UndoOp::Insert { table, rowid });
         Ok(rowid)
     }
 
     fn exec_select(
         &self,
         txn: &mut Txn,
-        sel: &SelectStmt,
+        sel: &BoundSelect,
         params: &[Value],
-        pinned: Option<(TablePlan, Option<TablePlan>)>,
     ) -> DbResult<ExecResult> {
-        let (pinned_main, pinned_except) = match pinned {
-            Some((p, e)) => (Some(p), e),
-            None => (None, None),
-        };
-        let (schema, _) = self.table_meta(&sel.table)?;
-        let mut matched = self.find_matching(
-            txn,
-            &sel.table,
-            sel.filter.as_ref(),
-            params,
-            sel.for_update,
-            sel.for_share,
-            pinned_main,
-        )?;
-        sort_rows(&schema, &mut matched, &sel.order_by)?;
-
-        // Aggregates short-circuit projection.
-        if let Projection::Items(items) = &sel.projection {
-            if items.iter().any(|i| !matches!(i, SelectItem::Expr(_))) {
-                let row = compute_aggregates(&schema, items, &matched, params)?;
-                return Ok(ExecResult::Rows {
-                    columns: items.iter().map(render_item_name).collect(),
-                    rows: vec![row],
-                });
-            }
+        let mut matched =
+            self.find_matching(txn, &sel.scan, params, sel.for_update, sel.for_share)?;
+        if !sel.order_by.is_empty() {
+            matched.sort_by(|(_, a), (_, b)| {
+                sel.order_by
+                    .iter()
+                    .map(|&(i, desc)| if desc { b[i].cmp(&a[i]) } else { a[i].cmp(&b[i]) })
+                    .find(|ord| ord.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
         }
-
-        let (columns, mut rows) = project(&schema, &sel.projection, &matched, params)?;
-
+        let mut rows: Vec<Row> = match &sel.output {
+            // Aggregates short-circuit projection (and EXCEPT).
+            Output::Aggregates(aggs) => {
+                let rows = vec![compute_aggregates(aggs, &matched)?];
+                return Ok(ExecResult::Rows { columns: sel.columns.clone(), rows });
+            }
+            Output::Star => matched.into_iter().map(|(_, row)| row).collect(),
+            Output::Exprs(exprs) => matched
+                .iter()
+                .map(|(_, row)| {
+                    exprs.iter().map(|e| Ok(eval(e, row, params)?.into_owned())).collect()
+                })
+                .collect::<DbResult<_>>()?,
+        };
         if let Some(except) = &sel.except {
-            let sub = self.exec_select(txn, except, params, pinned_except.map(|p| (p, None)))?;
-            let exclude: std::collections::HashSet<Row> = sub.rows().into_iter().collect();
+            let exclude: std::collections::HashSet<Row> =
+                self.exec_select(txn, except, params)?.rows().into_iter().collect();
             let mut seen = std::collections::HashSet::new();
             rows.retain(|r| !exclude.contains(r) && seen.insert(r.clone()));
         }
-
-        Ok(ExecResult::Rows { columns, rows })
+        Ok(ExecResult::Rows { columns: sel.columns.clone(), rows })
     }
 
     fn exec_update(
         &self,
         txn: &mut Txn,
-        table: &str,
-        sets: &[(String, Expr)],
-        filter: Option<&Expr>,
+        scan: &Scan,
+        sets: &[(usize, BoundExpr)],
         params: &[Value],
-        pinned: Option<TablePlan>,
     ) -> DbResult<ExecResult> {
-        let (schema, indexes) = self.table_meta(table)?;
-        let matched = self.find_matching(txn, table, filter, params, true, false, pinned)?;
+        let meta = &*scan.meta;
+        let table = meta.schema.id;
+        let matched = self.find_matching(txn, scan, params, true, false)?;
         let nkl = self.inner.next_key_locking.load(AtomicOrdering::Relaxed);
+        let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
         let mut count = 0usize;
         for (rowid, old) in matched {
             let mut new = old.clone();
-            for (col, e) in sets {
-                let i = schema.col_index(col)?;
-                new[i] = eval(e, &schema, &old, params)?;
+            for (i, e) in sets {
+                new[*i] = eval(e, &old, params)?.into_owned();
             }
-            self.validate_row(&schema, &new)?;
-            // Key locks for changed index entries.
+            validate_row(&meta.schema, &new)?;
+            // The indexes whose entry moves, with the old and new key.
+            let moved: Vec<(&IndexSchema, Vec<Value>, Vec<Value>)> = meta
+                .indexes
+                .iter()
+                .filter(|ix| !same_key(ix, &old, &new))
+                .map(|ix| (ix, extract_key(ix, &old), extract_key(ix, &new)))
+                .collect();
             if nkl {
-                for ix in &indexes {
-                    let ok = extract_key(ix, &old);
-                    let nk = extract_key(ix, &new);
-                    if ok != nk {
-                        self.inner.lm.lock(
-                            txn.id,
-                            Res::Key(schema.id, ix.id, ok.clone()),
-                            LockMode::X,
-                        )?;
-                        let next_of_old =
-                            self.inner.storage.with_index(ix.id, |t| t.next_key(&ok))?;
-                        if let Some(n) = next_of_old {
-                            self.inner.lm.lock(
-                                txn.id,
-                                Res::Key(schema.id, ix.id, n),
-                                LockMode::X,
-                            )?;
-                        }
-                        self.inner.lm.lock(
-                            txn.id,
-                            Res::Key(schema.id, ix.id, nk.clone()),
-                            LockMode::X,
-                        )?;
-                        let next_of_new =
-                            self.inner.storage.with_index(ix.id, |t| t.next_key(&nk))?;
-                        match next_of_new {
-                            Some(n) => self.inner.lm.lock(
-                                txn.id,
-                                Res::Key(schema.id, ix.id, n),
-                                LockMode::X,
-                            )?,
-                            None => self.inner.lm.lock(
-                                txn.id,
-                                Res::KeyEof(schema.id, ix.id),
-                                LockMode::X,
-                            )?,
-                        }
-                    }
+                for (ix, old_key, new_key) in &moved {
+                    self.lock_key_and_next(txn.id, table, ix.id, old_key, false)?;
+                    self.lock_key_and_next(txn.id, table, ix.id, new_key, true)?;
                 }
             }
             // Physical apply with unique checks.
-            let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
-            let guard = self.inner.storage.apply_guard(schema.id);
+            let guard = self.inner.storage.apply_guard(table);
             let _g = guard.lock();
-            for ix in &indexes {
-                if !ix.unique {
-                    continue;
-                }
-                let ok = extract_key(ix, &old);
-                let nk = extract_key(ix, &new);
-                if ok != nk && self.unique_clash(schema.id, ix, &nk, Some(rowid))? {
+            for (ix, _, new_key) in &moved {
+                if ix.unique && self.unique_clash(table, ix, new_key, Some(rowid))? {
                     return Err(DbError::UniqueViolation {
                         index: ix.name.clone(),
-                        key: render_key(&nk),
+                        key: render_key(new_key),
                     });
                 }
             }
+            // The log takes the fetched pre-image; the undo record takes the
+            // one the heap gives back (the same, under our X lock).
             self.inner.wal.append(
                 txn.id,
-                LogPayload::Update {
-                    table: schema.id.0,
-                    rowid,
-                    old: old.clone(),
-                    new: new.clone(),
-                },
+                LogPayload::Update { table: table.0, rowid, old, new: new.clone() },
             )?;
-            let mut first_touch = false;
-            self.inner.storage.with_table_mut(schema.id, |t| {
-                if mvcc_on {
-                    first_touch = t.mvcc_begin_write(rowid, txn.id.0);
-                }
-                t.replace(rowid, new.clone())
+            let (first_touch, replaced) = self.inner.storage.with_table_mut(table, |t| {
+                let first_touch = mvcc_on && t.mvcc_begin_write(rowid, txn.id.0);
+                (first_touch, t.replace(rowid, new))
             })?;
             if first_touch {
-                txn.mvcc_touched.push((schema.id, rowid));
+                txn.mvcc_touched.push((table, rowid));
             }
-            for ix in &indexes {
-                let ok = extract_key(ix, &old);
-                let nk = extract_key(ix, &new);
-                if ok != nk {
-                    // Under MVCC the old entry stays: snapshot scans still
-                    // resolve the pre-image through it. Commit queues its
-                    // removal behind the GC watermark.
-                    self.inner.storage.with_index_mut(ix.id, |t| {
-                        if !mvcc_on {
-                            t.remove(&ok, rowid);
-                        }
-                        t.insert(nk.clone(), rowid);
-                    })?;
-                }
+            for (ix, old_key, new_key) in moved {
+                // Under MVCC the old entry stays: snapshot scans still
+                // resolve the pre-image through it. Commit queues its
+                // removal behind the GC watermark.
+                self.inner.storage.with_index_mut(ix.id, |t| {
+                    if !mvcc_on {
+                        t.remove(&old_key, rowid);
+                    }
+                    t.insert(new_key, rowid);
+                })?;
             }
-            txn.undo.push(UndoOp::Update { table: schema.id, rowid, old });
+            let old = replaced.ok_or_else(|| {
+                DbError::Internal(format!("row {rowid} vanished under its X lock"))
+            })?;
+            txn.undo.push(UndoOp::Update { table, rowid, old });
             count += 1;
         }
         Ok(ExecResult::Count(count))
     }
 
-    fn exec_delete(
-        &self,
-        txn: &mut Txn,
-        table: &str,
-        filter: Option<&Expr>,
-        params: &[Value],
-        pinned: Option<TablePlan>,
-    ) -> DbResult<ExecResult> {
-        let (schema, indexes) = self.table_meta(table)?;
-        let matched = self.find_matching(txn, table, filter, params, true, false, pinned)?;
+    fn exec_delete(&self, txn: &mut Txn, scan: &Scan, params: &[Value]) -> DbResult<ExecResult> {
+        let meta = &*scan.meta;
+        let table = meta.schema.id;
+        let matched = self.find_matching(txn, scan, params, true, false)?;
         let nkl = self.inner.next_key_locking.load(AtomicOrdering::Relaxed);
+        let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
         let mut count = 0usize;
         for (rowid, row) in matched {
             if nkl {
                 // Deleting a key locks it and its next key (ARIES/KVL).
-                for ix in &indexes {
-                    let key = extract_key(ix, &row);
-                    self.inner.lm.lock(
-                        txn.id,
-                        Res::Key(schema.id, ix.id, key.clone()),
-                        LockMode::X,
-                    )?;
-                    let next = self.inner.storage.with_index(ix.id, |t| t.next_key(&key))?;
-                    match next {
-                        Some(n) => self.inner.lm.lock(
-                            txn.id,
-                            Res::Key(schema.id, ix.id, n),
-                            LockMode::X,
-                        )?,
-                        None => self.inner.lm.lock(
-                            txn.id,
-                            Res::KeyEof(schema.id, ix.id),
-                            LockMode::X,
-                        )?,
-                    }
+                for ix in &meta.indexes {
+                    self.lock_key_and_next(txn.id, table, ix.id, &extract_key(ix, &row), true)?;
                 }
             }
-            let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
-            let guard = self.inner.storage.apply_guard(schema.id);
+            let guard = self.inner.storage.apply_guard(table);
             let _g = guard.lock();
-            let existed = self.inner.storage.with_table(schema.id, |t| t.get(rowid).is_some())?;
-            if !existed {
+            if !self.inner.storage.with_table(table, |t| t.get(rowid).is_some())? {
                 continue;
             }
-            self.inner.wal.append(
-                txn.id,
-                LogPayload::Delete { table: schema.id.0, rowid, row: row.clone() },
-            )?;
-            let mut first_touch = false;
-            self.inner.storage.with_table_mut(schema.id, |t| {
-                if mvcc_on {
-                    first_touch = t.mvcc_begin_write(rowid, txn.id.0);
-                }
-                t.remove(rowid)
+            self.inner.wal.append(txn.id, LogPayload::Delete { table: table.0, rowid, row })?;
+            let (first_touch, removed) = self.inner.storage.with_table_mut(table, |t| {
+                let first_touch = mvcc_on && t.mvcc_begin_write(rowid, txn.id.0);
+                (first_touch, t.remove(rowid))
             })?;
             if first_touch {
-                txn.mvcc_touched.push((schema.id, rowid));
+                txn.mvcc_touched.push((table, rowid));
             }
+            let row = removed.ok_or_else(|| {
+                DbError::Internal(format!("row {rowid} vanished under its X lock"))
+            })?;
             // Under MVCC the index entries stay until the GC watermark
             // passes the delete's commit timestamp (queued at commit).
             if !mvcc_on {
-                for ix in &indexes {
+                for ix in &meta.indexes {
                     let key = extract_key(ix, &row);
                     self.inner.storage.with_index_mut(ix.id, |t| {
                         t.remove(&key, rowid);
                     })?;
                 }
             }
-            txn.undo.push(UndoOp::Delete { table: schema.id, rowid, row });
+            txn.undo.push(UndoOp::Delete { table, rowid, row });
             count += 1;
         }
         Ok(ExecResult::Count(count))
@@ -1357,289 +1319,162 @@ impl Database {
         key: &[Value],
         exclude: Option<u64>,
     ) -> DbResult<bool> {
-        let rowids = self.inner.storage.with_index(ix.id, |t| t.get(key))?;
-        if rowids.is_empty() {
-            return Ok(false);
-        }
-        if !self.inner.mvcc.load(AtomicOrdering::Relaxed) {
-            return Ok(rowids.iter().any(|r| Some(*r) != exclude));
+        let others = |t: &crate::storage::IndexData| -> Vec<u64> {
+            t.get(key).filter(|r| Some(*r) != exclude).collect()
+        };
+        let rowids = self.inner.storage.with_index(ix.id, others)?;
+        if rowids.is_empty() || !self.inner.mvcc.load(AtomicOrdering::Relaxed) {
+            return Ok(!rowids.is_empty());
         }
         self.inner.storage.with_table(table, |t| {
-            rowids.iter().any(|&r| {
-                Some(r) != exclude && t.get(r).is_some_and(|row| extract_key(ix, row) == key)
-            })
+            rowids.iter().any(|&r| t.get(r).is_some_and(|row| has_key(ix, row, key)))
         })
     }
 
-    /// Locate rows matching `filter`, locking as it goes.
+    /// Locate rows matching the scan's filter, locking as it goes.
     ///
     /// `for_write` controls row lock mode (X vs S) and the table intent
     /// lock (IX vs IS); `for_share` forces a locking S read even when MVCC
-    /// is on (SELECT ... FOR SHARE). A plain read under MVCC takes the
-    /// lock-free snapshot path instead. Index scans additionally take key
-    /// locks when next-key locking is on — note the *order*: index key
-    /// first, then row; modifications lock row first, then index keys. Two
-    /// access paths to the same data with opposite acquisition orders is
-    /// exactly the multi-index deadlock generator of paper §3.2.1.
-    #[allow(clippy::too_many_arguments)]
+    /// is on (SELECT ... FOR SHARE). A plain read under MVCC is a
+    /// **snapshot read** instead: resolved against the transaction's
+    /// snapshot timestamp, it takes no table, row or key locks — readers
+    /// never wait on writers and never appear in the wait-for graph. Stale
+    /// index entries (removal deferred behind the GC watermark) are
+    /// harmless there: the visible image is re-checked against the filter,
+    /// which subsumes the probe predicate.
+    ///
+    /// Locking index scans additionally take key locks when next-key
+    /// locking is on — note the *order*: index key first, then row;
+    /// modifications lock row first, then index keys. Two access paths to
+    /// the same data with opposite acquisition orders is exactly the
+    /// multi-index deadlock generator of paper §3.2.1.
+    ///
+    /// A row is examined in place, under its heap latch, and cloned only
+    /// when the filter keeps it.
     fn find_matching(
         &self,
         txn: &mut Txn,
-        table: &str,
-        filter: Option<&Expr>,
+        scan: &Scan,
         params: &[Value],
         for_write: bool,
         for_share: bool,
-        pinned: Option<TablePlan>,
     ) -> DbResult<Vec<(u64, Row)>> {
-        let (schema, _) = self.table_meta(table)?;
-        if let Some(f) = filter {
-            crate::plan::check_columns(&self.inner.catalog.read(), table, f)?;
-        }
-        let plan = match pinned {
-            Some(p) => p,
-            None => plan_access(&self.inner.catalog.read(), table, filter)?,
-        };
-        if !for_write && !for_share && self.inner.mvcc.load(AtomicOrdering::Relaxed) {
-            return self.find_matching_snapshot(txn, &schema, filter, params, &plan);
-        }
-        let nkl = self.inner.next_key_locking.load(AtomicOrdering::Relaxed);
-        let table_mode = if for_write { LockMode::IX } else { LockMode::IS };
+        let table = scan.meta.schema.id;
+        let storage = &self.inner.storage;
+        let lm = &self.inner.lm;
+        let snapshot = (!for_write && !for_share && self.inner.mvcc.load(AtomicOrdering::Relaxed))
+            .then(|| self.snapshot_for(txn));
+        let me = txn.id;
+        let nkl = snapshot.is_none() && self.inner.next_key_locking.load(AtomicOrdering::Relaxed);
         let row_mode = if for_write { LockMode::X } else { LockMode::S };
-        self.inner.lm.lock(txn.id, Res::Table(schema.id), table_mode)?;
-
-        let mut out = Vec::new();
-        match &plan.path {
-            AccessPath::FullScan => {
-                let rowids: Vec<u64> = self
-                    .inner
-                    .storage
-                    .with_table(schema.id, |t| t.iter().map(|(id, _)| id).collect())?;
-                for rowid in rowids {
-                    self.inner.lm.lock(txn.id, Res::Row(schema.id, rowid), row_mode)?;
-                    let row =
-                        self.inner.storage.with_table(schema.id, |t| t.get(rowid).cloned())?;
-                    let Some(row) = row else { continue };
-                    let keep = match filter {
-                        Some(f) => eval_pred(f, &schema, &row, params)?,
-                        None => true,
-                    };
-                    if keep {
-                        out.push((rowid, row));
-                    }
-                }
+        match snapshot {
+            Some(_) => {
+                self.inner.mvcc_reads.fetch_add(1, AtomicOrdering::Relaxed);
             }
-            AccessPath::IndexEq { index, probes, .. } => {
-                let prefix: Vec<Value> =
-                    probes.iter().map(|e| eval_standalone(e, params)).collect::<DbResult<_>>()?;
-                let hits = self.inner.storage.with_index(*index, |t| t.prefix_scan(&prefix))?;
-                for (key, rowids) in hits {
-                    if nkl {
-                        // Key-value lock on the traversed key: S for reads,
-                        // X for update-bound scans.
-                        self.inner.lm.lock(
-                            txn.id,
-                            Res::Key(schema.id, *index, key.clone()),
-                            row_mode,
-                        )?;
-                    }
-                    for rowid in rowids {
-                        self.inner.lm.lock(txn.id, Res::Row(schema.id, rowid), row_mode)?;
-                        let row =
-                            self.inner.storage.with_table(schema.id, |t| t.get(rowid).cloned())?;
-                        let Some(row) = row else { continue };
-                        // Revalidate: the row may have changed between the
-                        // index probe and lock acquisition.
-                        let keep = match filter {
-                            Some(f) => eval_pred(f, &schema, &row, params)?,
-                            None => true,
-                        };
-                        if keep {
-                            out.push((rowid, row));
-                        }
-                    }
-                }
-                if nkl && self.inner.isolation == Isolation::RepeatableRead && out.is_empty() {
-                    // Phantom protection on a miss: lock the next key.
-                    let next = self.inner.storage.with_index(*index, |t| t.next_key(&prefix))?;
-                    match next {
-                        Some(n) => {
-                            self.inner.lm.lock(txn.id, Res::Key(schema.id, *index, n), row_mode)?
-                        }
-                        None => {
-                            self.inner.lm.lock(txn.id, Res::KeyEof(schema.id, *index), row_mode)?
-                        }
-                    }
-                }
-            }
-            AccessPath::IndexRange { index, probes, lo, hi } => {
-                let prefix: Vec<Value> =
-                    probes.iter().map(|e| eval_standalone(e, params)).collect::<DbResult<_>>()?;
-                let lo_v = match lo {
-                    Some(b) => Some((eval_standalone(&b.value, params)?, b.inclusive)),
-                    None => None,
-                };
-                let hi_v = match hi {
-                    Some(b) => Some((eval_standalone(&b.value, params)?, b.inclusive)),
-                    None => None,
-                };
-                let hits = self.inner.storage.with_index(*index, |t| {
-                    t.range_scan(
-                        &prefix,
-                        lo_v.as_ref().map(|(v, i)| (v, *i)),
-                        hi_v.as_ref().map(|(v, i)| (v, *i)),
-                    )
-                })?;
-                for (key, rowids) in hits {
-                    if nkl {
-                        self.inner.lm.lock(
-                            txn.id,
-                            Res::Key(schema.id, *index, key.clone()),
-                            row_mode,
-                        )?;
-                    }
-                    for rowid in rowids {
-                        self.inner.lm.lock(txn.id, Res::Row(schema.id, rowid), row_mode)?;
-                        let row =
-                            self.inner.storage.with_table(schema.id, |t| t.get(rowid).cloned())?;
-                        let Some(row) = row else { continue };
-                        let keep = match filter {
-                            Some(f) => eval_pred(f, &schema, &row, params)?,
-                            None => true,
-                        };
-                        if keep {
-                            out.push((rowid, row));
-                        }
-                    }
-                }
+            None => {
+                let table_mode = if for_write { LockMode::IX } else { LockMode::IS };
+                lm.lock(me, Res::Table(table), table_mode)?;
             }
         }
-        out.sort_by_key(|(id, _)| *id);
-        out.dedup_by_key(|(id, _)| *id);
-        Ok(out)
-    }
 
-    /// Snapshot-read arm of [`Database::find_matching`]: resolve the scan
-    /// against the transaction's snapshot timestamp. Takes **no** table,
-    /// row, or key locks — readers never wait on writers and never appear
-    /// in the wait-for graph. Stale index entries (removal deferred behind
-    /// the GC watermark) are harmless: the visible image is re-checked
-    /// against the filter, which subsumes the probe predicate.
-    fn find_matching_snapshot(
-        &self,
-        txn: &mut Txn,
-        schema: &TableSchema,
-        filter: Option<&Expr>,
-        params: &[Value],
-        plan: &TablePlan,
-    ) -> DbResult<Vec<(u64, Row)>> {
-        let snapshot = self.snapshot_for(txn);
-        let me = txn.id.0;
-        self.inner.mvcc_reads.fetch_add(1, AtomicOrdering::Relaxed);
         let mut scanned = 0u64;
         let mut out: Vec<(u64, Row)> = Vec::new();
-        let keep_visible =
-            |rowid: u64, row: Option<Row>, out: &mut Vec<(u64, Row)>| -> DbResult<()> {
-                let Some(row) = row else { return Ok(()) };
-                let keep = match filter {
-                    Some(f) => eval_pred(f, schema, &row, params)?,
-                    None => true,
-                };
-                if keep {
-                    out.push((rowid, row));
-                }
-                Ok(())
+        // The image of `rowid` this statement sees, if the filter keeps it.
+        let mut visit = |t: &TableData, rowid: u64, out: &mut Vec<(u64, Row)>| -> DbResult<()> {
+            let image = match snapshot {
+                Some(ts) => t.mvcc_visible(rowid, ts, me.0, &mut scanned),
+                None => t.get(rowid),
             };
-        match &plan.path {
+            let Some(row) = image else { return Ok(()) };
+            if scan.filter.as_ref().map_or(Ok(true), |f| eval_pred(f, row, params))? {
+                out.push((rowid, row.clone()));
+            }
+            Ok(())
+        };
+        // Candidate rows, grouped under the index key to lock first (when
+        // key locks are wanted).
+        let mut groups: Vec<(Option<Vec<Value>>, Vec<u64>)> = Vec::new();
+        // The index scanned and the probe it was scanned with.
+        let mut probed: Option<(IndexId, Vec<Value>)> = None;
+        match &scan.plan.path {
             AccessPath::FullScan => {
-                // Union live heap rows with chain-only rowids: a committed
-                // delete empties the slot while older snapshots must still
-                // see the prior image.
-                let visible: Vec<(u64, Row)> = self.inner.storage.with_table(schema.id, |t| {
+                // A snapshot unions live heap rows with chain-only rowids:
+                // a committed delete empties the slot while older snapshots
+                // must still see the prior image.
+                let rowids = storage.with_table(table, |t| {
                     let mut ids: Vec<u64> = t.iter().map(|(id, _)| id).collect();
-                    ids.extend(t.mvcc_rowids());
-                    ids.sort_unstable();
-                    ids.dedup();
-                    ids.into_iter()
-                        .filter_map(|id| {
-                            t.mvcc_visible(id, snapshot, me, &mut scanned).map(|r| (id, r.clone()))
-                        })
-                        .collect()
-                })?;
-                for (rowid, row) in visible {
-                    keep_visible(rowid, Some(row), &mut out)?;
-                }
-            }
-            AccessPath::IndexEq { index, probes, .. } => {
-                let prefix: Vec<Value> =
-                    probes.iter().map(|e| eval_standalone(e, params)).collect::<DbResult<_>>()?;
-                let hits = self.inner.storage.with_index(*index, |t| t.prefix_scan(&prefix))?;
-                for (_key, rowids) in hits {
-                    for rowid in rowids {
-                        let row = self.inner.storage.with_table(schema.id, |t| {
-                            t.mvcc_visible(rowid, snapshot, me, &mut scanned).cloned()
-                        })?;
-                        keep_visible(rowid, row, &mut out)?;
+                    if snapshot.is_some() {
+                        ids.extend(t.mvcc_rowids());
+                        ids.sort_unstable();
+                        ids.dedup();
                     }
-                }
-            }
-            AccessPath::IndexRange { index, probes, lo, hi } => {
-                let prefix: Vec<Value> =
-                    probes.iter().map(|e| eval_standalone(e, params)).collect::<DbResult<_>>()?;
-                let lo_v = match lo {
-                    Some(b) => Some((eval_standalone(&b.value, params)?, b.inclusive)),
-                    None => None,
-                };
-                let hi_v = match hi {
-                    Some(b) => Some((eval_standalone(&b.value, params)?, b.inclusive)),
-                    None => None,
-                };
-                let hits = self.inner.storage.with_index(*index, |t| {
-                    t.range_scan(
-                        &prefix,
-                        lo_v.as_ref().map(|(v, i)| (v, *i)),
-                        hi_v.as_ref().map(|(v, i)| (v, *i)),
-                    )
+                    ids
                 })?;
-                for (_key, rowids) in hits {
-                    for rowid in rowids {
-                        let row = self.inner.storage.with_table(schema.id, |t| {
-                            t.mvcc_visible(rowid, snapshot, me, &mut scanned).cloned()
-                        })?;
-                        keep_visible(rowid, row, &mut out)?;
+                groups.push((None, rowids));
+            }
+            AccessPath::IndexEq { index, probes, .. }
+            | AccessPath::IndexRange { index, probes, .. } => {
+                let prefix: Vec<Value> = probes
+                    .iter()
+                    .map(|e| probe_value(e, params).cloned())
+                    .collect::<DbResult<_>>()?;
+                let range = match &scan.plan.path {
+                    AccessPath::IndexRange { lo, hi, .. } => {
+                        Some((bound_value(lo, params)?, bound_value(hi, params)?))
                     }
-                }
+                    _ => None,
+                };
+                storage.with_index(*index, |t| {
+                    if nkl {
+                        groups
+                            .extend(t.scan(&prefix, range).map(|(key, rowids)| {
+                                (Some(key.to_vec()), rowids.iter().collect())
+                            }));
+                    } else {
+                        let rowids = t.scan(&prefix, range).flat_map(|(_, rowids)| rowids.iter());
+                        groups.push((None, rowids.collect()));
+                    }
+                })?;
+                // Keys to lock come from this index.
+                probed = Some((*index, prefix));
             }
         }
-        self.inner.mvcc_versions_scanned.record(scanned);
+        for (key, rowids) in groups {
+            if snapshot.is_some() {
+                storage.with_table(table, |t| {
+                    rowids.iter().try_for_each(|&rowid| visit(t, rowid, &mut out))
+                })??;
+                continue;
+            }
+            if let (Some(key), Some((index, _))) = (key, &probed) {
+                // Key-value lock on the traversed key: S for reads, X for
+                // update-bound scans.
+                lm.lock(me, Res::Key(table, *index, key), row_mode)?;
+            }
+            for rowid in rowids {
+                lm.lock(me, Res::Row(table, rowid), row_mode)?;
+                // (Re)validate under the lock: the row may have changed
+                // between the index probe and lock acquisition.
+                storage.with_table(table, |t| visit(t, rowid, &mut out))??;
+            }
+        }
+        if let (Some((index, prefix)), AccessPath::IndexEq { .. }) = (probed, &scan.plan.path) {
+            if nkl && self.inner.isolation == Isolation::RepeatableRead && out.is_empty() {
+                // Phantom protection on a miss: lock the next key.
+                let next = storage.with_index(index, |t| t.next_key(&prefix))?;
+                let res = match next {
+                    Some(n) => Res::Key(table, index, n),
+                    None => Res::KeyEof(table, index),
+                };
+                lm.lock(me, res, row_mode)?;
+            }
+        }
+        if snapshot.is_some() {
+            self.inner.mvcc_versions_scanned.record(scanned);
+        }
         out.sort_by_key(|(id, _)| *id);
         out.dedup_by_key(|(id, _)| *id);
         Ok(out)
-    }
-
-    fn table_meta(&self, table: &str) -> DbResult<(TableSchema, Vec<IndexSchema>)> {
-        let catalog = self.inner.catalog.read();
-        let schema = catalog.table(table)?.clone();
-        let indexes = catalog.indexes_of(schema.id).into_iter().cloned().collect();
-        Ok((schema, indexes))
-    }
-
-    fn validate_row(&self, schema: &TableSchema, row: &Row) -> DbResult<()> {
-        for (col, v) in schema.columns.iter().zip(row) {
-            if v.is_null() && col.not_null {
-                return Err(DbError::Constraint(format!(
-                    "column {} of {} is NOT NULL",
-                    col.name, schema.name
-                )));
-            }
-            if !v.fits(col.ty) {
-                return Err(DbError::Type(format!(
-                    "value {v} does not fit column {} ({})",
-                    col.name, col.ty
-                )));
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1649,29 +1484,40 @@ impl Database {
     /// RUNSTATS: measure real cardinalities, *overwriting* any hand-crafted
     /// statistics (the paper's hazard).
     pub fn runstats(&self, table: &str) -> DbResult<()> {
-        let (schema, indexes) = self.table_meta(table)?;
-        let card = self.inner.storage.with_table(schema.id, |t| t.len())? as u64;
-        let mut catalog = self.inner.catalog.write();
-        catalog.stats.runstats_table(schema.id, card);
-        for ix in indexes {
-            let distinct = self.inner.storage.with_index(ix.id, |t| t.distinct_keys())? as u64;
-            catalog.stats.runstats_index(ix.id, distinct);
-        }
+        let meta = self.table_meta(table)?;
+        let card = self.inner.storage.with_table(meta.schema.id, |t| t.len())? as u64;
+        let distinct: Vec<(IndexId, u64)> = meta
+            .indexes
+            .iter()
+            .map(|ix| {
+                Ok((ix.id, self.inner.storage.with_index(ix.id, |t| t.distinct_keys())? as u64))
+            })
+            .collect::<DbResult<_>>()?;
+        self.catalog_mut(false, |catalog| {
+            catalog.stats.runstats_table(meta.schema.id, card);
+            for (ix, distinct) in distinct {
+                catalog.stats.runstats_index(ix, distinct);
+            }
+        });
         Ok(())
     }
 
     /// Hand-craft table statistics (DLFM's optimizer-influencing utility).
     pub fn set_table_stats(&self, table: &str, cardinality: u64) -> DbResult<()> {
-        let id = self.inner.catalog.read().table(table)?.id;
-        self.inner.catalog.write().stats.set_table_stats(id, cardinality);
-        Ok(())
+        self.catalog_mut(false, |catalog| {
+            let id = catalog.table(table)?.id;
+            catalog.stats.set_table_stats(id, cardinality);
+            Ok(())
+        })
     }
 
     /// Hand-craft index statistics.
     pub fn set_index_stats(&self, index: &str, distinct_keys: u64) -> DbResult<()> {
-        let id = self.inner.catalog.read().index(index)?.id;
-        self.inner.catalog.write().stats.set_index_stats(id, distinct_keys);
-        Ok(())
+        self.catalog_mut(false, |catalog| {
+            let id = catalog.index(index)?.id;
+            catalog.stats.set_index_stats(id, distinct_keys);
+            Ok(())
+        })
     }
 
     /// Whether the table's statistics are currently hand-crafted.
@@ -1683,7 +1529,7 @@ impl Database {
 
     /// Current statistics generation (bumped on every stats change).
     pub fn stats_generation(&self) -> u64 {
-        self.inner.catalog.read().stats.generation
+        self.inner.stats_gen.load(AtomicOrdering::Acquire)
     }
 
     /// Read-only access to the statistics registry.
@@ -1845,7 +1691,7 @@ impl Database {
 
     /// Change the slow-statement threshold at runtime (`None` disables).
     pub fn set_slow_statement_threshold(&self, t: Option<std::time::Duration>) {
-        *self.inner.slow_threshold.lock() = t;
+        self.inner.slow_threshold_nanos.store(threshold_nanos(t), AtomicOrdering::Relaxed);
     }
 
     /// Live lock-table summary (grants, waiters, per-transaction totals)
@@ -1978,6 +1824,33 @@ impl Database {
                 value,
             );
         }
+        let stmts = &self.inner.stmt_counters;
+        r.counter(
+            "minidb_stmt_binds_total",
+            "Statements parsed and bound (prepare, AST execution, statement-cache misses).",
+            &[],
+            stmts.binds.load(AtomicOrdering::Relaxed),
+        );
+        r.counter(
+            "minidb_stmt_cache_hits_total",
+            "Text statements served from the dynamic statement cache (no parse, no plan).",
+            &[],
+            stmts.cache_hits.load(AtomicOrdering::Relaxed),
+        );
+        for (cause, counter) in [("ddl", &stmts.rebinds_ddl), ("stats", &stmts.rebinds_stats)] {
+            r.counter(
+                "minidb_stmt_rebinds_total",
+                "Bindings replaced before a run: DDL changed a table they resolved, or (dynamic statements only) the statistics moved.",
+                &[("cause", cause)],
+                counter.load(AtomicOrdering::Relaxed),
+            );
+        }
+        r.gauge(
+            "minidb_stmt_cache_entries",
+            "Statements held by the dynamic statement cache (bounded).",
+            &[],
+            self.inner.stmt_cache.lock().len() as i64,
+        );
         for (i, st) in self.inner.lm.shard_stats().iter().enumerate() {
             let shard = i.to_string();
             r.counter(
@@ -2026,7 +1899,7 @@ impl Database {
     /// restore). Takes a checkpoint so crash recovery resumes from the
     /// restored state.
     pub fn restore_image(&self, image: &DbImage) {
-        *self.inner.catalog.write() = image.catalog.clone();
+        self.install_catalog(image.catalog.clone());
         self.inner.storage.restore(image.storage.clone());
         // Deferred index removals refer to pre-restore state.
         self.inner.pending_unindex.lock().clear();
@@ -2054,7 +1927,7 @@ impl Database {
         // timestamps stay unique across the restart.
         self.inner.snapshots.lock().clear();
         self.inner.pending_unindex.lock().clear();
-        *self.inner.catalog.write() = Catalog::default();
+        self.install_catalog(Catalog::default());
         lost
     }
 
@@ -2066,12 +1939,12 @@ impl Database {
             let cp = self.inner.checkpoint.lock();
             match cp.as_ref() {
                 Some(c) if c.lsn <= self.inner.wal.durable_lsn() => {
-                    *self.inner.catalog.write() = c.catalog.clone();
+                    self.install_catalog(c.catalog.clone());
                     self.inner.storage.restore(c.storage.clone());
                     c.lsn + 1
                 }
                 _ => {
-                    *self.inner.catalog.write() = Catalog::default();
+                    self.install_catalog(Catalog::default());
                     self.inner.storage.clear();
                     0
                 }
@@ -2094,89 +1967,74 @@ impl Database {
     }
 
     fn replay(&self, rec: &LogRecord, committed: &std::collections::HashSet<u64>) -> DbResult<()> {
-        // DDL is auto-committed, so its records always carry a committed txn.
+        // Redo of committed work only. DDL is auto-committed, so its
+        // records always carry a committed txn.
+        if !committed.contains(&rec.txn) {
+            return Ok(());
+        }
+        let storage = &self.inner.storage;
+        // Index maintenance of one redone row change: `old`/`new` are the
+        // images before and after (a table dropped later in the log has no
+        // definition left, and no trees to maintain).
+        let reindex =
+            |table: u32, rowid: u64, old: Option<&Row>, new: Option<&Row>| -> DbResult<()> {
+                let Some(meta) = self.meta_by_id(TableId(table)) else { return Ok(()) };
+                for ix in &meta.indexes {
+                    if old.zip(new).is_some_and(|(old, new)| same_key(ix, old, new)) {
+                        continue;
+                    }
+                    storage.with_index_mut(ix.id, |t| {
+                        if let Some(old) = old {
+                            t.remove(&extract_key(ix, old), rowid);
+                        }
+                        if let Some(new) = new {
+                            t.insert(extract_key(ix, new), rowid);
+                        }
+                    })?;
+                }
+                Ok(())
+            };
         match &rec.payload {
             LogPayload::CreateTable { schema } => {
-                if committed.contains(&rec.txn) {
-                    self.inner.catalog.write().adopt_table(schema.clone());
-                    self.inner.storage.create_table(schema.id);
-                }
+                self.catalog_mut(true, |catalog| catalog.adopt_table(schema.clone()));
+                storage.create_table(schema.id);
             }
             LogPayload::CreateIndex { schema } => {
-                if committed.contains(&rec.txn) {
-                    self.inner.catalog.write().adopt_index(schema.clone());
-                    self.inner.storage.create_index(schema.id);
-                    // Backfill from whatever the heap holds at this point.
-                    let rows: Vec<(u64, Row)> =
-                        self.inner.storage.with_table(schema.table, |t| {
-                            t.iter().map(|(id, r)| (id, r.clone())).collect()
-                        })?;
-                    for (rowid, row) in rows {
-                        let key = extract_key(schema, &row);
-                        self.inner.storage.with_index_mut(schema.id, |t| {
-                            t.insert(key.clone(), rowid);
-                        })?;
+                self.catalog_mut(true, |catalog| catalog.adopt_index(schema.clone()));
+                storage.create_index(schema.id);
+                // Backfill from whatever the heap holds at this point.
+                let keys: Vec<(u64, Vec<Value>)> = storage.with_table(schema.table, |t| {
+                    t.iter().map(|(id, r)| (id, extract_key(schema, r))).collect()
+                })?;
+                storage.with_index_mut(schema.id, |t| {
+                    for (rowid, key) in keys {
+                        t.insert(key, rowid);
                     }
-                }
+                })?;
             }
             LogPayload::DropTable { table } => {
-                if committed.contains(&rec.txn) {
-                    let name = self
-                        .inner
-                        .catalog
-                        .read()
-                        .table_by_id(TableId(*table))
-                        .map(|s| s.name.clone());
-                    if let Ok(name) = name {
-                        let (tid, idxs) = self.inner.catalog.write().drop_table(&name)?;
-                        self.inner.storage.drop_table(tid);
-                        for ix in idxs {
-                            self.inner.storage.drop_index(ix);
-                        }
+                if let Some(meta) = self.meta_by_id(TableId(*table)) {
+                    let (tid, idxs) =
+                        self.catalog_mut(true, |catalog| catalog.drop_table(&meta.schema.name))?;
+                    storage.drop_table(tid);
+                    for ix in idxs {
+                        storage.drop_index(ix);
                     }
                 }
             }
             LogPayload::Insert { table, rowid, row } => {
-                if committed.contains(&rec.txn) {
-                    let tid = TableId(*table);
-                    self.inner.storage.with_table_mut(tid, |t| t.put(*rowid, row.clone()))?;
-                    for ix in self.indexes_of_snapshot(tid) {
-                        let key = extract_key(&ix, row);
-                        self.inner.storage.with_index_mut(ix.id, |t| {
-                            t.insert(key.clone(), *rowid);
-                        })?;
-                    }
-                }
+                storage.with_table_mut(TableId(*table), |t| t.put(*rowid, row.clone()))?;
+                reindex(*table, *rowid, None, Some(row))?;
             }
             LogPayload::Delete { table, rowid, row } => {
-                if committed.contains(&rec.txn) {
-                    let tid = TableId(*table);
-                    self.inner.storage.with_table_mut(tid, |t| t.remove(*rowid))?;
-                    for ix in self.indexes_of_snapshot(tid) {
-                        let key = extract_key(&ix, row);
-                        self.inner.storage.with_index_mut(ix.id, |t| {
-                            t.remove(&key, *rowid);
-                        })?;
-                    }
-                }
+                storage.with_table_mut(TableId(*table), |t| t.remove(*rowid))?;
+                reindex(*table, *rowid, Some(row), None)?;
             }
             LogPayload::Update { table, rowid, old, new } => {
-                if committed.contains(&rec.txn) {
-                    let tid = TableId(*table);
-                    self.inner.storage.with_table_mut(tid, |t| {
-                        t.replace(*rowid, new.clone());
-                    })?;
-                    for ix in self.indexes_of_snapshot(tid) {
-                        let ok = extract_key(&ix, old);
-                        let nk = extract_key(&ix, new);
-                        if ok != nk {
-                            self.inner.storage.with_index_mut(ix.id, |t| {
-                                t.remove(&ok, *rowid);
-                                t.insert(nk.clone(), *rowid);
-                            })?;
-                        }
-                    }
-                }
+                storage.with_table_mut(TableId(*table), |t| {
+                    t.replace(*rowid, new.clone());
+                })?;
+                reindex(*table, *rowid, Some(old), Some(new))?;
             }
             LogPayload::Begin | LogPayload::Commit | LogPayload::Abort => {}
         }
@@ -2190,8 +2048,19 @@ impl Database {
 }
 
 /// Extract an index key from a row.
-pub fn extract_key(ix: &IndexSchema, row: &Row) -> Vec<Value> {
+pub fn extract_key(ix: &IndexSchema, row: &[Value]) -> Vec<Value> {
     ix.key_columns.iter().map(|&i| row[i].clone()).collect()
+}
+
+/// Do two images of a row carry the same key in `ix`?
+fn same_key(ix: &IndexSchema, a: &[Value], b: &[Value]) -> bool {
+    ix.key_columns.iter().all(|&c| a[c] == b[c])
+}
+
+/// Does `row` carry exactly `key` in `ix`?
+fn has_key(ix: &IndexSchema, row: &[Value], key: &[Value]) -> bool {
+    ix.key_columns.len() == key.len()
+        && ix.key_columns.iter().zip(key).all(|(&c, k)| row.get(c) == Some(k))
 }
 
 fn render_key(key: &[Value]) -> String {
@@ -2199,117 +2068,64 @@ fn render_key(key: &[Value]) -> String {
     format!("({})", parts.join(", "))
 }
 
-fn render_item_name(item: &SelectItem) -> String {
-    match item {
-        SelectItem::Expr(Expr::Col(c)) => c.clone(),
-        SelectItem::Expr(_) => "expr".into(),
-        SelectItem::CountStar => "count".into(),
-        SelectItem::Agg(AggFn::Count, c) => format!("count_{c}"),
-        SelectItem::Agg(AggFn::Min, c) => format!("min_{c}"),
-        SelectItem::Agg(AggFn::Max, c) => format!("max_{c}"),
-        SelectItem::Agg(AggFn::Sum, c) => format!("sum_{c}"),
+/// The value an index probe expression stands for, borrowed: the planner
+/// only ever probes with literals and parameters.
+fn probe_value<'a>(probe: &'a Expr, params: &'a [Value]) -> DbResult<&'a Value> {
+    match probe {
+        Expr::Lit(v) => Ok(v),
+        Expr::Param(i) => params.get(*i).ok_or(DbError::MissingParam(*i)),
+        other => Err(DbError::Internal(format!("index probe is not a constant: {other:?}"))),
     }
 }
 
-fn sort_rows(schema: &TableSchema, rows: &mut [(u64, Row)], order_by: &[OrderKey]) -> DbResult<()> {
-    if order_by.is_empty() {
-        return Ok(());
+fn bound_value<'a>(
+    bound: &'a Option<crate::plan::RangeBound>,
+    params: &'a [Value],
+) -> DbResult<crate::storage::ScanBound<'a>> {
+    match bound {
+        Some(b) => Ok(Some((probe_value(&b.value, params)?, b.inclusive))),
+        None => Ok(None),
     }
-    let keys: Vec<(usize, bool)> = order_by
-        .iter()
-        .map(|k| Ok((schema.col_index(&k.column)?, k.desc)))
-        .collect::<DbResult<_>>()?;
-    rows.sort_by(|(_, a), (_, b)| {
-        for &(i, desc) in &keys {
-            let ord = a[i].cmp(&b[i]);
-            if ord != std::cmp::Ordering::Equal {
-                return if desc { ord.reverse() } else { ord };
-            }
+}
+
+fn validate_row(schema: &TableSchema, row: &[Value]) -> DbResult<()> {
+    for (col, v) in schema.columns.iter().zip(row) {
+        if v.is_null() && col.not_null {
+            return Err(DbError::Constraint(format!(
+                "column {} of {} is NOT NULL",
+                col.name, schema.name
+            )));
         }
-        std::cmp::Ordering::Equal
-    });
+        if !v.fits(col.ty) {
+            return Err(DbError::Type(format!(
+                "value {v} does not fit column {} ({})",
+                col.name, col.ty
+            )));
+        }
+    }
     Ok(())
 }
 
-fn project(
-    schema: &TableSchema,
-    projection: &Projection,
-    matched: &[(u64, Row)],
-    params: &[Value],
-) -> DbResult<(Vec<String>, Vec<Row>)> {
-    match projection {
-        Projection::Star => {
-            Ok((schema.column_names(), matched.iter().map(|(_, r)| r.clone()).collect()))
-        }
-        Projection::Items(items) => {
-            let mut columns = Vec::with_capacity(items.len());
-            let mut exprs = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    SelectItem::Expr(e) => {
-                        columns.push(render_item_name(item));
-                        exprs.push(e.clone());
-                    }
-                    other => {
-                        return Err(DbError::Plan(format!(
-                            "aggregate {other:?} mixed with row projection"
-                        )))
-                    }
-                }
-            }
-            let mut rows = Vec::with_capacity(matched.len());
-            for (_, r) in matched {
-                let mut out = Vec::with_capacity(exprs.len());
-                for e in &exprs {
-                    out.push(eval(e, schema, r, params)?);
-                }
-                rows.push(out);
-            }
-            Ok((columns, rows))
-        }
-    }
-}
-
-fn compute_aggregates(
-    schema: &TableSchema,
-    items: &[SelectItem],
-    matched: &[(u64, Row)],
-    _params: &[Value],
-) -> DbResult<Row> {
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            SelectItem::CountStar => out.push(Value::Int(matched.len() as i64)),
-            SelectItem::Agg(f, col) => {
-                let i = schema.col_index(col)?;
-                let vals: Vec<&Value> =
-                    matched.iter().map(|(_, r)| &r[i]).filter(|v| !v.is_null()).collect();
-                let v = match f {
-                    AggFn::Count => Value::Int(vals.len() as i64),
-                    AggFn::Min => vals.iter().min().map(|v| (*v).clone()).unwrap_or(Value::Null),
-                    AggFn::Max => vals.iter().max().map(|v| (*v).clone()).unwrap_or(Value::Null),
-                    AggFn::Sum => {
-                        if vals.is_empty() {
-                            Value::Null
-                        } else {
-                            let mut acc = 0i64;
-                            for v in vals {
-                                acc = acc
-                                    .checked_add(v.as_int()?)
-                                    .ok_or_else(|| DbError::Type("SUM overflow".into()))?;
-                            }
-                            Value::Int(acc)
-                        }
-                    }
-                };
-                out.push(v);
-            }
-            SelectItem::Expr(_) => {
-                return Err(DbError::Plan(
-                    "plain expressions mixed with aggregates are unsupported".into(),
-                ))
-            }
-        }
-    }
-    Ok(out)
+fn compute_aggregates(aggs: &[Aggregate], matched: &[(u64, Row)]) -> DbResult<Row> {
+    aggs.iter()
+        .map(|agg| {
+            let (f, i) = match agg {
+                Aggregate::CountStar => return Ok(Value::Int(matched.len() as i64)),
+                Aggregate::Column(f, i) => (*f, *i),
+            };
+            let mut vals = matched.iter().map(|(_, r)| &r[i]).filter(|v| !v.is_null());
+            Ok(match f {
+                AggFn::Count => Value::Int(vals.count() as i64),
+                AggFn::Min => vals.min().cloned().unwrap_or(Value::Null),
+                AggFn::Max => vals.max().cloned().unwrap_or(Value::Null),
+                AggFn::Sum => match vals.next() {
+                    None => Value::Null,
+                    Some(first) => Value::Int(vals.try_fold(first.as_int()?, |acc, v| {
+                        acc.checked_add(v.as_int()?)
+                            .ok_or_else(|| DbError::Type("SUM overflow".into()))
+                    })?),
+                },
+            })
+        })
+        .collect()
 }

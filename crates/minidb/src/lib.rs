@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bind;
 pub mod catalog;
 pub mod config;
 pub mod engine;
@@ -53,8 +54,10 @@ pub mod txn;
 pub mod value;
 pub mod wal;
 
+pub use bind::Prepared;
+pub use catalog::TableMeta;
 pub use config::{DbConfig, Isolation};
-pub use engine::{Database, DbImage, ExecResult, Prepared, SlowStatement};
+pub use engine::{Database, DbImage, ExecResult, SlowStatement};
 pub use error::{DbError, DbResult};
 pub use lock::{DeadlockParty, DeadlockReport, LockMetrics, LockMetricsSnapshot, LockMode};
 pub use schema::{ColumnDef, IndexId, IndexSchema, TableId, TableSchema};

@@ -36,6 +36,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -332,11 +333,27 @@ struct TxnInfo {
     /// Tables this transaction has escalated on; further fine-grained
     /// requests there are no-ops.
     escalated: HashMap<TableId, LockMode>,
+    /// Resources granted in a mode cursor stability gives back at statement
+    /// end (see [`released_at_statement_end`]), so that release need not
+    /// walk `held`. An entry may be stale — upgraded, escalated away — and
+    /// is checked against `held` when used.
+    shared: Vec<Res>,
     /// The pending blocked request, while waiting.
     waiting: Option<WaitInfo>,
-    /// Current SQL (for deadlock forensics); dies with the entry at
-    /// commit/abort, so the map cannot grow across transactions.
-    sql: Option<String>,
+    /// Current SQL (for deadlock forensics), shared with the bound
+    /// statement; dies with the entry at commit/abort, so the map cannot
+    /// grow across transactions.
+    sql: Option<Arc<str>>,
+}
+
+/// Does cursor stability release a lock of this mode on this resource when
+/// its statement ends? Row and key S locks and the table IS lock; a table S
+/// lock (an escalated read) stays to commit.
+fn released_at_statement_end(res: &Res, mode: LockMode) -> bool {
+    match res {
+        Res::Table(_) => mode == LockMode::IS,
+        _ => mode.is_shared_only(),
+    }
 }
 
 /// One resource shard: a slice of the lock table plus the condvar its
@@ -543,8 +560,8 @@ impl LockManager {
 
     /// Register the SQL a transaction is currently running (overwritten
     /// per statement, cleared on release). Feeds [`DeadlockReport`]s.
-    pub fn set_current_sql(&self, txn: TxnId, sql: &str) {
-        self.with_txn_mut(txn, |t| t.sql = Some(sql.to_string()));
+    pub fn set_current_sql(&self, txn: TxnId, sql: &Arc<str>) {
+        self.with_txn_mut(txn, |t| t.sql = Some(sql.clone()));
     }
 
     /// Recent deadlock reports, oldest first (bounded at
@@ -650,14 +667,40 @@ impl LockManager {
         self.with_txn(txn, |t| t.held.get(res).copied()).flatten()
     }
 
-    /// Record a grant in the holder's bookkeeping.
-    fn record_held(&self, txn: TxnId, res: &Res, effective: LockMode) {
-        self.with_txn_mut(txn, |t| {
+    /// Record a grant in the holder's bookkeeping and, when a fine-grained
+    /// grant takes the transaction over the per-table threshold, escalate to
+    /// a table lock in the strongest fine-grained mode held there.
+    fn record_held(&self, txn: TxnId, res: &Res, effective: LockMode) -> DbResult<()> {
+        let threshold = self.threshold();
+        let escalate_in = self.with_txn_mut(txn, |t| {
             let newly = t.held.insert(res.clone(), effective).is_none();
-            if newly && res.is_fine_grained() {
-                *t.fine_counts.entry(res.table()).or_insert(0) += 1;
+            if newly && released_at_statement_end(res, effective) {
+                t.shared.push(res.clone());
             }
+            if !res.is_fine_grained() {
+                return None;
+            }
+            let table = res.table();
+            let count = t.fine_counts.entry(table).or_insert(0);
+            *count += usize::from(newly);
+            let over =
+                threshold.is_some_and(|max| *count > max) && !t.escalated.contains_key(&table);
+            over.then(|| {
+                let wants_x = t
+                    .held
+                    .iter()
+                    .any(|(r, m)| r.is_fine_grained() && r.table() == table && *m == LockMode::X);
+                if wants_x {
+                    LockMode::X
+                } else {
+                    LockMode::S
+                }
+            })
         });
+        match escalate_in {
+            Some(mode) => self.escalate(txn, res.table(), mode),
+            None => Ok(()),
+        }
     }
 
     /// Transactions `txn` is directly waiting on, from a point-in-time
@@ -739,7 +782,8 @@ impl LockManager {
                     let mut held: Vec<String> =
                         info.held.iter().map(|(r, m)| format!("{m:?} on {r}")).collect();
                     held.sort();
-                    DeadlockParty { txn: t.0, requested, held, sql: info.sql.clone() }
+                    let sql = info.sql.as_deref().map(str::to_string);
+                    DeadlockParty { txn: t.0, requested, held, sql }
                 })
                 .unwrap_or(DeadlockParty {
                     txn: t.0,
@@ -786,24 +830,20 @@ impl LockManager {
     pub fn lock(&self, txn: TxnId, res: Res, mode: LockMode) -> DbResult<()> {
         let timeout = self.timeout();
 
-        // Covered by a prior escalation to table granularity?
-        if res.is_fine_grained() {
-            let table_mode =
-                self.with_txn(txn, |t| t.escalated.get(&res.table()).copied()).flatten();
-            if let Some(table_mode) = table_mode {
-                let needed = if mode == LockMode::X { LockMode::X } else { LockMode::S };
-                if table_mode.covers(needed) {
-                    return Ok(());
-                }
-            }
-        }
-
-        // Already held in a covering mode?
-        let existing = self.with_txn(txn, |t| t.held.get(&res).copied()).flatten();
-        if let Some(held) = existing {
-            if held.covers(mode) {
-                return Ok(());
-            }
+        // Covered by a prior escalation to table granularity, or already
+        // held in a covering mode? (One look at the bookkeeping for both.)
+        let (escalated, existing) = self
+            .with_txn(txn, |t| {
+                let escalated =
+                    if res.is_fine_grained() { t.escalated.get(&res.table()) } else { None };
+                (escalated.copied(), t.held.get(&res).copied())
+            })
+            .unwrap_or((None, None));
+        let needed = if mode == LockMode::X { LockMode::X } else { LockMode::S };
+        if escalated.is_some_and(|table_mode| table_mode.covers(needed))
+            || existing.is_some_and(|held| held.covers(mode))
+        {
+            return Ok(());
         }
         let is_conversion = existing.is_some();
         let target = existing.map(|h| h.supremum(mode)).unwrap_or(mode);
@@ -832,18 +872,20 @@ impl LockManager {
         let ticket;
         {
             let mut map = shard.state.lock();
-            if can_grant(&map, &res, txn, target, None)
-                && map.get(&res).map(|s| s.waiters.is_empty()).unwrap_or(true)
-            {
+            // Immediate grant: nobody queued, every other holder compatible.
+            let free = map.get(&res).is_none_or(|state| {
+                state.waiters.is_empty()
+                    && state.granted.iter().all(|g| g.txn == txn || g.mode.compatible(target))
+            });
+            if free {
                 let (newly, effective) = grant_in(&mut map, &res, txn, target);
                 drop(map);
                 if newly {
                     self.total_locks.fetch_add(1, AtomicOrdering::Relaxed);
                 }
-                self.record_held(txn, &res, effective);
                 LockMetrics::bump(&self.metrics.immediate_grants);
                 LockMetrics::bump(&self.metrics.acquisitions);
-                return self.maybe_escalate_after_grant(txn, res, mode);
+                return self.record_held(txn, &res, effective);
             }
 
             // Enqueue while the shard is still held, so no release slips
@@ -909,7 +951,6 @@ impl LockManager {
                     self.total_locks.fetch_add(1, AtomicOrdering::Relaxed);
                 }
                 self.with_txn_mut(txn, |t| t.waiting = None);
-                self.record_held(txn, &res, effective);
                 LockMetrics::bump(&self.metrics.acquisitions);
                 shard.cv.notify_all();
                 self.wait_hist.record_micros(started.elapsed());
@@ -923,7 +964,7 @@ impl LockManager {
                         started.elapsed().as_micros()
                     )
                 });
-                return self.maybe_escalate_after_grant(txn, res, mode);
+                return self.record_held(txn, &res, effective);
             }
             if Instant::now() >= deadline {
                 unqueue_in(&mut map, txn, &res);
@@ -955,35 +996,6 @@ impl LockManager {
         }
     }
 
-    /// After a fine-grained grant, escalate to a table lock if this txn has
-    /// crossed the per-table threshold.
-    fn maybe_escalate_after_grant(&self, txn: TxnId, res: Res, _mode: LockMode) -> DbResult<()> {
-        if !res.is_fine_grained() {
-            return Ok(());
-        }
-        let threshold = match self.threshold() {
-            Some(t) => t,
-            None => return Ok(()),
-        };
-        let table = res.table();
-        let (over, wants_x) = self
-            .with_txn(txn, |t| {
-                let over = !t.escalated.contains_key(&table)
-                    && t.fine_counts.get(&table).copied().unwrap_or(0) > threshold;
-                let wants_x = t
-                    .held
-                    .iter()
-                    .any(|(r, m)| r.is_fine_grained() && r.table() == table && *m == LockMode::X);
-                (over, wants_x)
-            })
-            .unwrap_or((false, false));
-        if over {
-            // Escalate in the strongest fine-grained mode held on the table.
-            self.escalate(txn, table, if wants_x { LockMode::X } else { LockMode::S })?;
-        }
-        Ok(())
-    }
-
     /// Escalate `txn`'s fine-grained locks on `table` to a single table lock.
     pub fn escalate(&self, txn: TxnId, table: TableId, mode: LockMode) -> DbResult<()> {
         let table_mode =
@@ -1010,29 +1022,29 @@ impl LockManager {
         Ok(())
     }
 
-    /// Release a set of resources for `txn` with one pass per touched
-    /// shard, then drop them from its bookkeeping.
-    fn release_batch(&self, txn: TxnId, resources: &[Res]) {
-        let mut by_shard: HashMap<usize, Vec<&Res>> = HashMap::new();
-        for r in resources {
-            by_shard.entry(self.shard_of(r)).or_default().push(r);
-        }
+    /// Release `txn`'s grants on `resources` with one pass per touched
+    /// shard. The caller maintains the transaction's own bookkeeping.
+    fn release_grants<'a>(&self, txn: TxnId, resources: impl Iterator<Item = &'a Res>) {
+        let mut by_shard: Vec<(usize, &Res)> = resources.map(|r| (self.shard_of(r), r)).collect();
+        by_shard.sort_unstable_by_key(|(shard, _)| *shard);
         let mut removed = 0usize;
-        for (ix, group) in by_shard {
-            let shard = &self.shards[ix];
+        for group in by_shard.chunk_by(|a, b| a.0 == b.0) {
+            let shard = &self.shards[group[0].0];
             {
                 let mut map = shard.state.lock();
-                for r in group {
-                    if release_in(&mut map, txn, r) {
-                        removed += 1;
-                    }
-                }
+                removed += group.iter().filter(|(_, r)| release_in(&mut map, txn, r)).count();
             }
             shard.cv.notify_all();
         }
         if removed > 0 {
             self.total_locks.fetch_sub(removed, AtomicOrdering::Relaxed);
         }
+    }
+
+    /// Release a set of resources for `txn`, then drop them from its
+    /// bookkeeping.
+    fn release_batch(&self, txn: TxnId, resources: &[Res]) {
+        self.release_grants(txn, resources.iter());
         self.with_txn_mut(txn, |t| {
             for r in resources {
                 if t.held.remove(r).is_some() && r.is_fine_grained() {
@@ -1051,43 +1063,28 @@ impl LockManager {
         let info = self.txn_shard(txn).lock().remove(&txn);
         self.victims.lock().remove(&txn);
         let Some(info) = info else { return };
-        let mut by_shard: HashMap<usize, Vec<Res>> = HashMap::new();
-        for r in info.held.into_keys() {
-            by_shard.entry(self.shard_of(&r)).or_default().push(r);
-        }
-        let mut removed = 0usize;
-        for (ix, group) in by_shard {
-            let shard = &self.shards[ix];
-            {
-                let mut map = shard.state.lock();
-                for r in &group {
-                    if release_in(&mut map, txn, r) {
-                        removed += 1;
-                    }
-                }
-            }
-            shard.cv.notify_all();
-        }
-        if removed > 0 {
-            self.total_locks.fetch_sub(removed, AtomicOrdering::Relaxed);
-        }
+        self.release_grants(txn, info.held.keys());
     }
 
     /// Release `txn`'s shared-only locks (cursor stability at statement end).
     pub fn release_shared(&self, txn: TxnId) {
-        let shared: Vec<Res> = self
-            .with_txn(txn, |t| {
-                t.held
-                    .iter()
-                    .filter(|(r, m)| {
-                        (m.is_shared_only() && r.is_fine_grained())
-                            || (matches!(**r, Res::Table(_)) && **m == LockMode::IS)
-                    })
-                    .map(|(r, _)| r.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
+        // The list, minus entries upgraded or escalated away since; nothing
+        // to do (and no bookkeeping entry created) for a statement that
+        // took no read locks.
+        let mut shared = {
+            let mut txns = self.txn_shard(txn).lock();
+            let Some(t) = txns.get_mut(&txn) else { return };
+            if t.shared.is_empty() {
+                return;
+            }
+            let mut shared = std::mem::take(&mut t.shared);
+            shared.retain(|r| t.held.get(r).is_some_and(|m| released_at_statement_end(r, *m)));
+            shared
+        };
         self.release_batch(txn, &shared);
+        // Hand the buffer back for the next statement.
+        shared.clear();
+        self.with_txn_mut(txn, |t| t.shared = shared);
     }
 
     /// Total locks currently held across all transactions.
@@ -1324,7 +1321,7 @@ mod tests {
         lm.lock(TxnId(1), Res::Row(T, 1), LockMode::X).unwrap();
         lm.lock(TxnId(2), Res::Row(T, 2), LockMode::X).unwrap();
         lm.lock(TxnId(3), Res::Row(T, 3), LockMode::X).unwrap();
-        lm.set_current_sql(TxnId(3), "UPDATE t SET n = 3 WHERE id = 1");
+        lm.set_current_sql(TxnId(3), &"UPDATE t SET n = 3 WHERE id = 1".into());
         let lm_a = lm.clone();
         let h1 = thread::spawn(move || lm_a.lock(TxnId(1), Res::Row(T, 2), LockMode::X));
         thread::sleep(Duration::from_millis(50));
@@ -1406,7 +1403,7 @@ mod tests {
         let lm = lm(100);
         for i in 0..10_000u64 {
             let t = TxnId(i + 100);
-            lm.set_current_sql(t, "SELECT 1 -- short txn");
+            lm.set_current_sql(t, &"SELECT 1 -- short txn".into());
             lm.lock(t, Res::Row(T, i % 64), LockMode::S).unwrap();
             lm.release_all(t);
         }

@@ -10,7 +10,7 @@
 //! statements that pin the plan at bind time.
 
 use crate::catalog::Catalog;
-use crate::error::{DbError, DbResult};
+use crate::error::DbResult;
 use crate::schema::{IndexId, TableId};
 use crate::sql::ast::{CmpOp, Expr};
 
@@ -275,26 +275,6 @@ pub fn plan_access(
         }
     }
     Ok(best)
-}
-
-/// Validate that every column referenced by `expr` exists in the table.
-pub fn check_columns(catalog: &Catalog, table_name: &str, expr: &Expr) -> DbResult<()> {
-    let schema = catalog.table(table_name)?;
-    fn walk(schema: &crate::schema::TableSchema, e: &Expr) -> DbResult<()> {
-        match e {
-            Expr::Col(c) => schema.col_index(c).map(|_| ()),
-            Expr::Cmp(l, _, r) | Expr::And(l, r) | Expr::Or(l, r) | Expr::Arith(l, _, r) => {
-                walk(schema, l)?;
-                walk(schema, r)
-            }
-            Expr::Not(i) | Expr::IsNull(i, _) => walk(schema, i),
-            Expr::Lit(_) | Expr::Param(_) => Ok(()),
-        }
-    }
-    walk(schema, expr).map_err(|e| match e {
-        DbError::Plan(m) => DbError::Plan(m),
-        other => other,
-    })
 }
 
 #[cfg(test)]

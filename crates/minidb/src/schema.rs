@@ -50,10 +50,9 @@ pub struct TableSchema {
 impl TableSchema {
     /// Position of `column` in the row layout.
     pub fn col_index(&self, column: &str) -> DbResult<usize> {
-        let lc = column.to_ascii_lowercase();
         self.columns
             .iter()
-            .position(|c| c.name == lc)
+            .position(|c| c.name.eq_ignore_ascii_case(column))
             .ok_or_else(|| DbError::Plan(format!("no column {column} in table {}", self.name)))
     }
 

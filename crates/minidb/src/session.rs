@@ -6,7 +6,8 @@
 //! DB2's `-911` behaviour that forces the host database to roll back the
 //! full global transaction (paper §3.2).
 
-use crate::engine::{Database, ExecResult, Prepared};
+use crate::bind::Prepared;
+use crate::engine::{Database, ExecResult};
 use crate::error::{DbError, DbResult};
 use crate::txn::{Savepoint, Txn, TxnId};
 use crate::value::{Row, Value};
@@ -138,9 +139,8 @@ impl Session {
         if auto {
             self.txn = Some(self.db.begin());
         }
-        let db = self.db.clone();
         let txn = self.txn.as_mut().expect("transaction just ensured");
-        let result = f(&db, txn);
+        let result = f(&self.db, txn);
         match result {
             Ok(r) => {
                 if auto {
@@ -393,7 +393,7 @@ mod tests {
         let db = db();
         db.set_table_stats("t", 1_000_000).unwrap();
         db.set_index_stats("ix_id", 1_000_000).unwrap();
-        let mut p = db.prepare("SELECT * FROM t WHERE id = ?").unwrap();
+        let p = db.prepare("SELECT * FROM t WHERE id = ?").unwrap();
         assert!(p.explain(&db).starts_with("IXSCAN"));
         // A RUNSTATS on the (empty) table reverts measured cardinality to 0.
         db.runstats("t").unwrap();
@@ -401,7 +401,7 @@ mod tests {
         // The pinned plan still runs as an index scan.
         assert!(p.explain(&db).contains("IXSCAN"));
         // Rebinding picks the (bad) table scan.
-        db.rebind(&mut p).unwrap();
+        db.rebind(&p).unwrap();
         assert!(p.explain(&db).starts_with("TBSCAN"));
     }
 

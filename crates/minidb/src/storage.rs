@@ -260,10 +260,53 @@ impl TableData {
     }
 }
 
-/// One B-tree index: ordered map from key to the set of row ids.
+/// The row ids under one index key, ascending. Unique and near-unique
+/// indexes hold exactly one, so the smallest lives inline and only further
+/// ones cost a tree (an empty `BTreeSet` owns no heap memory).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RowIds {
+    first: u64,
+    rest: BTreeSet<u64>,
+}
+
+impl RowIds {
+    /// The row ids, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+
+    /// How many row ids.
+    pub fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    /// Never: a key with no row ids left is removed from its index.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    fn insert(&mut self, rowid: u64) -> bool {
+        match rowid.cmp(&self.first) {
+            std::cmp::Ordering::Equal => false,
+            std::cmp::Ordering::Greater => self.rest.insert(rowid),
+            std::cmp::Ordering::Less => self.rest.insert(std::mem::replace(&mut self.first, rowid)),
+        }
+    }
+
+    /// Remove `rowid`; `None` when it was the last one.
+    fn remove(&mut self, rowid: u64) -> Option<bool> {
+        if rowid != self.first {
+            return Some(self.rest.remove(&rowid));
+        }
+        self.first = self.rest.pop_first()?;
+        Some(true)
+    }
+}
+
+/// One B-tree index: ordered map from key to its row ids.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct IndexData {
-    tree: BTreeMap<Vec<Value>, BTreeSet<u64>>,
+    tree: BTreeMap<Vec<Value>, RowIds>,
 }
 
 impl IndexData {
@@ -277,9 +320,9 @@ impl IndexData {
         self.tree.values().map(|s| s.len()).sum()
     }
 
-    /// Row ids for an exact key.
-    pub fn get(&self, key: &[Value]) -> Vec<u64> {
-        self.tree.get(key).map(|s| s.iter().copied().collect()).unwrap_or_default()
+    /// Row ids for an exact key, ascending.
+    pub fn get(&self, key: &[Value]) -> impl Iterator<Item = u64> + '_ {
+        self.tree.get(key).into_iter().flat_map(|ids| ids.iter())
     }
 
     /// True if the key has at least one entry.
@@ -289,20 +332,23 @@ impl IndexData {
 
     /// Insert an entry. Returns `false` if (key,rowid) already existed.
     pub fn insert(&mut self, key: Vec<Value>, rowid: u64) -> bool {
-        self.tree.entry(key).or_default().insert(rowid)
+        use std::collections::btree_map::Entry;
+        match self.tree.entry(key) {
+            Entry::Occupied(ids) => ids.into_mut().insert(rowid),
+            Entry::Vacant(slot) => {
+                slot.insert(RowIds { first: rowid, rest: BTreeSet::new() });
+                true
+            }
+        }
     }
 
     /// Remove an entry; prunes empty key nodes.
     pub fn remove(&mut self, key: &[Value], rowid: u64) -> bool {
-        if let Some(set) = self.tree.get_mut(key) {
-            let removed = set.remove(&rowid);
-            if set.is_empty() {
-                self.tree.remove(key);
-            }
-            removed
-        } else {
-            false
-        }
+        let Some(ids) = self.tree.get_mut(key) else { return false };
+        ids.remove(rowid).unwrap_or_else(|| {
+            self.tree.remove(key);
+            true
+        })
     }
 
     /// The smallest key strictly greater than `key`, i.e. the *next key*
@@ -315,60 +361,44 @@ impl IndexData {
             .map(|(k, _)| k.clone())
     }
 
-    /// All `(key, rowids)` whose key has `prefix` as its leading columns,
-    /// in key order.
-    pub fn prefix_scan(&self, prefix: &[Value]) -> Vec<(Vec<Value>, Vec<u64>)> {
+    /// Every `(key, rowids)` whose key has `prefix` as its leading columns,
+    /// in key order, borrowed from the tree — the caller copies out what it
+    /// needs (row ids always, keys only when it will lock them). With
+    /// `range`, the key column right after the prefix must also lie within
+    /// the `(lower, upper)` bounds, each `(value, inclusive)`; a key with no
+    /// such column never matches a range.
+    pub fn scan<'a>(
+        &'a self,
+        prefix: &'a [Value],
+        range: Option<(ScanBound<'a>, ScanBound<'a>)>,
+    ) -> impl Iterator<Item = (&'a [Value], &'a RowIds)> + 'a {
+        use std::cmp::Ordering::{Equal, Greater, Less};
         use std::ops::Bound;
-        let mut out = Vec::new();
-        for (k, set) in self.tree.range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded)) {
-            if k.len() < prefix.len() || &k[..prefix.len()] != prefix {
-                break;
-            }
-            out.push((k.clone(), set.iter().copied().collect()));
-        }
-        out
-    }
-
-    /// Every `(key, rowids)` pair in key order.
-    pub fn full_scan(&self) -> Vec<(Vec<Value>, Vec<u64>)> {
-        self.tree.iter().map(|(k, s)| (k.clone(), s.iter().copied().collect())).collect()
-    }
-
-    /// Keys matching `prefix` on the leading columns with the next key
-    /// column bounded by `lo`/`hi` (each `(value, inclusive)`), in key
-    /// order. With an empty prefix this is a range over the first column.
-    pub fn range_scan(
-        &self,
-        prefix: &[Value],
-        lo: Option<(&Value, bool)>,
-        hi: Option<(&Value, bool)>,
-    ) -> Vec<(Vec<Value>, Vec<u64>)> {
-        let in_range = |v: &Value| {
-            if let Some((bound, inclusive)) = &lo {
-                match v.cmp(bound) {
-                    std::cmp::Ordering::Less => return false,
-                    std::cmp::Ordering::Equal if !inclusive => return false,
-                    _ => {}
-                }
-            }
-            if let Some((bound, inclusive)) = &hi {
-                match v.cmp(bound) {
-                    std::cmp::Ordering::Greater => return false,
-                    std::cmp::Ordering::Equal if !inclusive => return false,
-                    _ => {}
-                }
-            }
-            true
+        let in_range = move |key: &[Value]| {
+            let Some((lo, hi)) = range else { return true };
+            let Some(v) = key.get(prefix.len()) else { return false };
+            let above = lo.is_none_or(|(bound, inclusive)| match v.cmp(bound) {
+                Less => false,
+                Equal => inclusive,
+                Greater => true,
+            });
+            let below = hi.is_none_or(|(bound, inclusive)| match v.cmp(bound) {
+                Greater => false,
+                Equal => inclusive,
+                Less => true,
+            });
+            above && below
         };
-        self.prefix_scan(prefix)
-            .into_iter()
-            .filter(|(k, _)| match k.get(prefix.len()) {
-                Some(v) => in_range(v),
-                None => false,
-            })
-            .collect()
+        self.tree
+            .range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(prefix))
+            .filter(move |(k, _)| in_range(k))
+            .map(|(k, set)| (k.as_slice(), set))
     }
 }
+
+/// One side of an index range scan: `(bound, inclusive)`, or open.
+pub type ScanBound<'a> = Option<(&'a Value, bool)>;
 
 /// All heaps and index trees of a database.
 #[derive(Default)]
@@ -468,11 +498,27 @@ impl Storage {
         id: IndexId,
         f: impl FnOnce(&mut IndexData) -> R,
     ) -> DbResult<R> {
+        let mut out = None;
+        self.with_indexes_mut([(id, f)], |t, f| out = Some(f(t)))?;
+        Ok(out.expect("the one tree was visited"))
+    }
+
+    /// Run `f` on several index trees in turn, each under its own write
+    /// latch, resolving them all with one look at the index map (an insert
+    /// maintains every index of its table).
+    pub fn with_indexes_mut<T>(
+        &self,
+        work: impl IntoIterator<Item = (IndexId, T)>,
+        mut f: impl FnMut(&mut IndexData, T),
+    ) -> DbResult<()> {
         let idx = self.indexes.read();
-        let t =
-            idx.get(&id).ok_or_else(|| DbError::Internal(format!("no tree for index#{}", id.0)))?;
-        let mut guard = t.write();
-        Ok(f(&mut guard))
+        for (id, item) in work {
+            let t = idx
+                .get(&id)
+                .ok_or_else(|| DbError::Internal(format!("no tree for index#{}", id.0)))?;
+            f(&mut t.write(), item);
+        }
+        Ok(())
     }
 
     /// Ids of all registered tables (MVCC GC sweeps each heap's chains).
@@ -599,22 +645,53 @@ mod tests {
         assert_eq!(ix.next_key(&[Value::str("b")]), Some(vec![Value::str("d")]));
         assert_eq!(ix.next_key(&[Value::str("d")]), None);
         ix.remove(&[Value::str("d")], 2);
-        assert_eq!(ix.get(&[Value::str("d")]), vec![3]);
+        assert_eq!(ix.get(&[Value::str("d")]).collect::<Vec<_>>(), vec![3]);
         ix.remove(&[Value::str("d")], 3);
         assert!(!ix.contains_key(&[Value::str("d")]));
     }
 
     #[test]
-    fn index_prefix_scan() {
+    fn row_ids_stay_ascending_with_the_smallest_inline() {
+        let mut ix = IndexData::default();
+        let k = vec![v(1)];
+        assert!(ix.insert(k.clone(), 5));
+        assert!(ix.insert(k.clone(), 3));
+        assert!(ix.insert(k.clone(), 9));
+        assert!(!ix.insert(k.clone(), 3), "already there");
+        assert_eq!(ix.get(&k).collect::<Vec<_>>(), vec![3, 5, 9]);
+        assert_eq!((ix.entries(), ix.distinct_keys()), (3, 1));
+        assert!(ix.remove(&k, 3), "the inline one goes, the next is promoted");
+        assert!(!ix.remove(&k, 4));
+        assert_eq!(ix.get(&k).collect::<Vec<_>>(), vec![5, 9]);
+        assert!(ix.remove(&k, 9));
+        assert!(ix.remove(&k, 5));
+        assert!(!ix.contains_key(&k), "the last row id takes the key with it");
+        assert!(!ix.remove(&k, 5));
+    }
+
+    #[test]
+    fn index_scan_by_prefix_and_range() {
         let mut ix = IndexData::default();
         ix.insert(vec![v(1), Value::str("a")], 1);
         ix.insert(vec![v(1), Value::str("b")], 2);
+        ix.insert(vec![v(1), Value::str("c")], 4);
         ix.insert(vec![v(2), Value::str("a")], 3);
-        let hits = ix.prefix_scan(&[v(1)]);
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].1, vec![1]);
-        assert_eq!(hits[1].1, vec![2]);
-        assert_eq!(ix.prefix_scan(&[v(3)]).len(), 0);
+        let rowids = |prefix: &[Value], range| -> Vec<u64> {
+            ix.scan(prefix, range).flat_map(|(_, ids)| ids.iter()).collect()
+        };
+        assert_eq!(rowids(&[v(1)], None), vec![1, 2, 4]);
+        assert_eq!(rowids(&[v(3)], None), Vec::<u64>::new());
+        let (a, c, two, one) = (Value::str("a"), Value::str("c"), v(2), [v(1)]);
+        assert_eq!(rowids(&[v(1)], Some((Some((&a, false)), Some((&c, true))))), vec![2, 4]);
+        assert_eq!(rowids(&[v(1)], Some((Some((&a, true)), Some((&c, false))))), vec![1, 2]);
+        assert_eq!(rowids(&[v(1)], Some((None, Some((&a, true))))), vec![1]);
+        // An empty prefix ranges over the first key column.
+        assert_eq!(rowids(&[], Some((Some((&two, true)), None))), vec![3]);
+        // A full-key probe has no next column to range over.
+        assert_eq!(rowids(&[v(1), a.clone()], Some((None, None))), Vec::<u64>::new());
+        let keys: Vec<&[Value]> = ix.scan(&one, None).map(|(k, _)| k).collect();
+        assert_eq!(keys.len(), 3);
+        assert_eq!(keys[0], [v(1), Value::str("a")]);
     }
 
     #[test]

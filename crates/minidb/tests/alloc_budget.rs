@@ -1,0 +1,232 @@
+//! Heap allocations per bound statement, counted — not timed.
+//!
+//! A `#[global_allocator]` that counts the calling thread's `alloc` /
+//! `realloc` calls wraps 1 000 executions of each hot DLFM statement shape
+//! (the File table's 16 columns and 6 indexes, next-key locking off, MVCC
+//! on, all inside one transaction so commit work stays out). A count
+//! repeats exactly, so a schema clone, a lower-cased column name or a
+//! per-execution plan copy creeping back onto the statement path fails
+//! here deterministically instead of showing up as benchmark noise.
+//!
+//! At the parent of the PR that bound statements (PR 20) this loop counted
+//! 114 / 108 / 82 / 121 / 91 allocations for the FOR SHARE select, snapshot
+//! select, insert, update and delete, and 169 for the select as text (the
+//! issue's own harness: 116 / 110 / 83 / 129 / 92 and 163). The budgets
+//! below are exactly what the bound executor needs today — what is left is
+//! the result itself (row, strings, result vectors), the log's copy of a
+//! written row, the index keys, one lock-table entry per new lock and one
+//! version-chain entry per written row. Each is also checked against the
+//! ceiling of 35 % of the parent's count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use minidb::{Database, DbConfig, Session, Value};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only added
+// work is a thread-local counter bump that never allocates (const-init
+// `Cell`, no destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const N: usize = 1_000;
+
+/// Allocations per execution, exactly as counted today.
+const BUDGET_SHARE: u64 = 12;
+const BUDGET_SNAPSHOT: u64 = 9;
+const BUDGET_INSERT: u64 = 17;
+const BUDGET_UPDATE: u64 = 18;
+const BUDGET_DELETE: u64 = 9;
+
+const INS: &str = "INSERT INTO dfm_file (dbid, filename, grp_id, lnk_state, check_flag, \
+     link_xid, rec_id, unlink_xid, unlink_rec_id, unlink_ts, access_ctl, \
+     recovery, orig_owner, orig_mode, fsid, inode) \
+     VALUES (?, ?, ?, ?, ?, ?, ?, NULL, NULL, NULL, ?, ?, ?, ?, ?, ?)";
+const SEL_SHARE: &str = "SELECT * FROM dfm_file WHERE filename = ? AND check_flag = 0 FOR SHARE";
+const SEL_SNAPSHOT: &str = "SELECT * FROM dfm_file WHERE filename = ? AND check_flag = 0";
+const UPD: &str = "UPDATE dfm_file SET rec_id = ? WHERE filename = ? AND check_flag = 0";
+const DEL: &str = "DELETE FROM dfm_file WHERE filename = ? AND check_flag = ?";
+
+fn dfm_file_db() -> Database {
+    let db = Database::new(DbConfig::dlfm_tuned());
+    let mut s = Session::new(&db);
+    s.exec(
+        "CREATE TABLE dfm_file (dbid BIGINT NOT NULL, filename VARCHAR NOT NULL, \
+         grp_id BIGINT NOT NULL, lnk_state INTEGER NOT NULL, check_flag BIGINT NOT NULL, \
+         link_xid BIGINT NOT NULL, rec_id BIGINT NOT NULL, unlink_xid BIGINT, \
+         unlink_rec_id BIGINT, unlink_ts BIGINT, access_ctl INTEGER NOT NULL, \
+         recovery INTEGER NOT NULL, orig_owner VARCHAR, orig_mode INTEGER, fsid BIGINT, \
+         inode BIGINT)",
+    )
+    .unwrap();
+    for ddl in [
+        "CREATE UNIQUE INDEX ix_file_name_cf ON dfm_file (filename, check_flag)",
+        "CREATE INDEX ix_file_link_xid ON dfm_file (link_xid)",
+        "CREATE INDEX ix_file_unlink_xid ON dfm_file (unlink_xid)",
+        "CREATE INDEX ix_file_grp ON dfm_file (grp_id)",
+        "CREATE INDEX ix_file_unlink_recid ON dfm_file (unlink_rec_id)",
+        "CREATE INDEX ix_file_recid ON dfm_file (rec_id)",
+    ] {
+        s.exec(ddl).unwrap();
+    }
+    db.set_table_stats("dfm_file", 1_000_000).unwrap();
+    for ix in [
+        "ix_file_name_cf",
+        "ix_file_link_xid",
+        "ix_file_unlink_xid",
+        "ix_file_grp",
+        "ix_file_unlink_recid",
+        "ix_file_recid",
+    ] {
+        db.set_index_stats(ix, 1_000_000).unwrap();
+    }
+    db
+}
+
+fn file_row(name: String, xid: i64) -> Vec<Value> {
+    vec![
+        Value::Int(1),
+        Value::str(name),
+        Value::Int(1),
+        Value::Int(1),
+        Value::Int(0),
+        Value::Int(xid),
+        Value::Int(xid),
+        Value::Int(2),
+        Value::Int(1),
+        Value::str("app"),
+        Value::Int(3),
+        Value::Int(1),
+        Value::Int(xid),
+    ]
+}
+
+fn existing(i: usize) -> String {
+    format!("/b/d{:02}/s{i}v0", i % 100)
+}
+
+fn fresh(i: usize) -> String {
+    format!("/b/d{:02}/s{i}v1", i % 100)
+}
+
+/// Mean allocations of one `body(i)` over `N` calls, rounded to nearest.
+/// Parameters are built before the count starts.
+fn per_call<P>(params: Vec<P>, mut body: impl FnMut(&P)) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    for p in &params {
+        body(p);
+    }
+    let total = ALLOCS.with(Cell::get) - before;
+    (total + N as u64 / 2) / N as u64
+}
+
+#[test]
+fn allocations_per_bound_statement_stay_within_budget() {
+    let db = dfm_file_db();
+    let mut s = Session::new(&db);
+    let ins = db.prepare(INS).unwrap();
+    let sel_share = db.prepare(SEL_SHARE).unwrap();
+    let sel_snapshot = db.prepare(SEL_SNAPSHOT).unwrap();
+    let upd = db.prepare(UPD).unwrap();
+    let del = db.prepare(DEL).unwrap();
+
+    s.begin().unwrap();
+    for i in 0..N {
+        s.exec_prepared(&ins, &file_row(existing(i), i as i64)).unwrap();
+    }
+    s.commit().unwrap();
+
+    let names = || (0..N).map(|i| vec![Value::str(existing(i))]).collect::<Vec<_>>();
+
+    s.begin().unwrap();
+    let share = per_call(names(), |p| {
+        assert_eq!(s.exec_prepared(&sel_share, p).unwrap().count(), 1);
+    });
+    s.commit().unwrap();
+
+    s.begin().unwrap();
+    let snapshot = per_call(names(), |p| {
+        assert_eq!(s.exec_prepared(&sel_snapshot, p).unwrap().count(), 1);
+    });
+    s.commit().unwrap();
+
+    // Text entry: the first execution binds and caches, the rest must hit.
+    s.begin().unwrap();
+    s.exec_params(SEL_SHARE, &[Value::str(existing(0))]).unwrap();
+    let text = per_call(names(), |p| {
+        assert_eq!(s.exec_params(SEL_SHARE, p).unwrap().count(), 1);
+    });
+    s.commit().unwrap();
+
+    s.begin().unwrap();
+    let rows: Vec<_> = (0..N).map(|i| file_row(fresh(i), 20_000 + i as i64)).collect();
+    let insert = per_call(rows, |p| {
+        assert_eq!(s.exec_prepared(&ins, p).unwrap().count(), 1);
+    });
+    s.commit().unwrap();
+
+    s.begin().unwrap();
+    let sets: Vec<_> =
+        (0..N).map(|i| vec![Value::Int(50_000 + i as i64), Value::str(existing(i))]).collect();
+    let update = per_call(sets, |p| {
+        assert_eq!(s.exec_prepared(&upd, p).unwrap().count(), 1);
+    });
+    s.commit().unwrap();
+
+    s.begin().unwrap();
+    let keys: Vec<_> = (0..N).map(|i| vec![Value::str(fresh(i)), Value::Int(0)]).collect();
+    let delete = per_call(keys, |p| {
+        assert_eq!(s.exec_prepared(&del, p).unwrap().count(), 1);
+    });
+    s.commit().unwrap();
+
+    println!(
+        "allocations per statement: share={share} snapshot={snapshot} text={text} \
+         insert={insert} update={update} delete={delete}"
+    );
+    // (measured, budget, parent's count)
+    for (what, got, budget, parent) in [
+        ("FOR SHARE select", share, BUDGET_SHARE, 114u64),
+        ("snapshot select", snapshot, BUDGET_SNAPSHOT, 108),
+        ("insert", insert, BUDGET_INSERT, 82),
+        ("update", update, BUDGET_UPDATE, 121),
+        ("delete", delete, BUDGET_DELETE, 91),
+    ] {
+        assert!(budget * 100 <= parent * 35, "{what}: budget {budget} is over 35% of {parent}");
+        assert!(got <= budget, "{what}: {got} allocations per execution, budget {budget}");
+    }
+    assert!(
+        text <= share + 2,
+        "text select: {text} allocations per execution against {share} prepared"
+    );
+}

@@ -47,7 +47,11 @@ struct PointState {
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static PLAN: Mutex<Option<HashMap<String, PointState>>> = Mutex::new(None);
 
-fn fnv1a(s: &str) -> u64 {
+/// Stable 64-bit FNV-1a: deterministic across processes and builds, unlike
+/// `std::collections::hash_map::DefaultHasher`. The workspace's one copy —
+/// fault-plan seeding here, the host's shard ring and minidb's statement
+/// cache elsewhere.
+pub fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= b as u64;

@@ -104,7 +104,18 @@ fn concurrent_callers_on_one_mux_never_interleave_frames() {
 fn a_dialled_connection_costs_one_reader_thread_on_each_side() {
     let _s = serial();
     let (addr, _srv, _bridge) = echo_server("threads", 2);
-    let before = threads_in_process();
+    // The test harness starts the next test's thread (which then blocks on
+    // `serial`) whenever a test finishes — possibly just now. Let the count
+    // settle before taking the baseline.
+    let mut before = threads_in_process();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = threads_in_process();
+        if now == before {
+            break;
+        }
+        before = now;
+    }
     let first = wire_connector::<Blob, Blob>(addr.clone());
     let c1 = first.connect().unwrap();
     assert_eq!(c1.call(Blob(vec![1])).unwrap(), Blob(vec![1]));

@@ -12,7 +12,8 @@
 //!
 //! The workload: create a DATALINK table, link every seeded file (one 2PC
 //! commit each, which must cost exactly two RPC calls: the statement round
-//! carrying the Prepare, and the Commit), ask for every link's access
+//! carrying the Prepare, and the Commit — and, after the first, no bind:
+//! the INSERT comes from the statement cache), ask for every link's access
 //! token twice (the second round
 //! must come from the host's token cache: no RPC), unlink half by DELETE
 //! (their cached tokens must go, and asking again must get the DLFM's
@@ -63,8 +64,14 @@ fn main() {
         assert_eq!(votes - before.1, writes as u64, "{what}: every vote rides on its round");
     };
 
-    // Link every seeded file, one two-phase commit per row.
+    // Link every seeded file, one two-phase commit per row. The first
+    // INSERT binds the statement; every later one must find it in the
+    // host database's statement cache — no parse, no plan, no bind.
     let before = costs(&host);
+    let stmts = |host: &hostdb::HostDb| {
+        (metric(host, "minidb_stmt_binds_total"), metric(host, "minidb_stmt_cache_hits_total"))
+    };
+    let mut after_first = (0, 0);
     for i in 0..files {
         session
             .exec_params(
@@ -72,8 +79,19 @@ fn main() {
                 &[Value::Int(i as i64), Value::str(format!("dlfs://fs1/seed/file{i}"))],
             )
             .unwrap_or_else(|e| panic!("link of /seed/file{i} failed: {e}"));
+        if i == 0 {
+            after_first = stmts(&host);
+        }
     }
     check_cost("insert", before, files);
+    let (binds, hits) = stmts(&host);
+    println!(
+        "insert: {} binds, {} cache hits after the first",
+        binds - after_first.0,
+        hits - after_first.1
+    );
+    assert_eq!(binds, after_first.0, "a repeated INSERT must not be bound again");
+    assert_eq!(hits - after_first.1, files as u64 - 1, "every repeated INSERT is one cache hit");
 
     // Tokens come from the DLFM (IssueToken over the wire) — once per
     // link. The second round is answered by the host's cache.
