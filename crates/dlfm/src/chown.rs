@@ -1,16 +1,21 @@
 //! The Chown daemon (paper §3.5).
 //!
-//! A separate privileged process whose effective user id is root: it is the
-//! only component that manipulates file ownership and permission bits.
-//! Child agents talk to it over a channel and must authenticate — the
-//! daemon rejects requests that do not carry the shared secret ("it is
-//! important to safeguard unauthorized requests").
+//! In the paper a separate privileged process whose effective user id is
+//! root is the only component that manipulates file ownership and
+//! permission bits, and child agents must authenticate to it ("it is
+//! important to safeguard unauthorized requests"). Here that privilege
+//! boundary is the shared secret and this module's exclusive use of
+//! `fs.chown`/`fs.chmod`: every request carries the secret and is refused
+//! without it, and the operations run one at a time under one mutex, as a
+//! single daemon process serves them. What the component does not model is
+//! the inter-process hand-off: a request runs on the calling agent's
+//! thread, so a privileged call costs its `stat` or `chown` + `chmod` and
+//! nothing else — the same way the Upcall daemon runs as a DLFF handler.
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use filesys::{FileMeta, FileSystem, Mode};
+use parking_lot::Mutex;
 
 /// Mode-bit encoding stored in `dfm_file.orig_mode`.
 pub fn encode_mode(m: Mode) -> i64 {
@@ -50,27 +55,23 @@ pub enum ChownOp {
     },
 }
 
-struct ChownRequest {
-    op: ChownOp,
-    auth: u64,
-    reply: Sender<Result<Option<FileMeta>, String>>,
-}
-
-/// Authenticated client handle used by child agents and daemons.
+/// Authenticated handle used by child agents and daemons.
 #[derive(Clone)]
 pub struct ChownClient {
-    tx: Sender<ChownRequest>,
+    daemon: Arc<ChownDaemon>,
     auth: u64,
 }
 
 impl ChownClient {
-    /// Execute an operation, waiting for the daemon's answer.
+    /// Execute an operation: check the secret, then serve it on this
+    /// thread, one operation at a time across all clients.
     pub fn call(&self, op: ChownOp) -> Result<Option<FileMeta>, String> {
-        let (rtx, rrx) = unbounded();
-        self.tx
-            .send(ChownRequest { op, auth: self.auth, reply: rtx })
-            .map_err(|_| "chown daemon is down".to_string())?;
-        rrx.recv().map_err(|_| "chown daemon is down".to_string())?
+        let d = &self.daemon;
+        if self.auth != d.secret {
+            return Err("authentication failure: request rejected".to_string());
+        }
+        let _serial = d.serial.lock();
+        serve(&d.fs, &d.admin, &op)
     }
 
     /// Stat helper.
@@ -82,51 +83,28 @@ impl ChownClient {
     /// Construct a client with a *wrong* secret (for the authentication
     /// test — mirrors the paper's concern about unauthorized requests).
     pub fn with_bad_auth(&self) -> ChownClient {
-        ChownClient { tx: self.tx.clone(), auth: self.auth.wrapping_add(1) }
+        ChownClient { daemon: self.daemon.clone(), auth: self.auth.wrapping_add(1) }
     }
 }
 
-/// The running daemon.
+/// The privileged component: the file system, the admin user full-control
+/// takeover transfers files to, and the secret clients must present.
 pub struct ChownDaemon {
-    tx: Sender<ChownRequest>,
-    auth: u64,
-    handle: Option<JoinHandle<()>>,
+    fs: Arc<FileSystem>,
+    admin: String,
+    secret: u64,
+    /// Held while an operation runs: one at a time.
+    serial: Mutex<()>,
 }
 
 impl ChownDaemon {
-    /// Spawn the daemon over a file system, with the admin user that
-    /// full-control takeover transfers files to.
-    pub fn spawn(fs: Arc<FileSystem>, dlfm_admin: &str) -> ChownDaemon {
-        let (tx, rx): (Sender<ChownRequest>, Receiver<ChownRequest>) = unbounded();
-        let auth: u64 = rand::random();
-        let admin = dlfm_admin.to_string();
-        let handle = std::thread::spawn(move || {
-            while let Ok(req) = rx.recv() {
-                let result = if req.auth != auth {
-                    Err("authentication failure: request rejected".to_string())
-                } else {
-                    serve(&fs, &admin, &req.op)
-                };
-                let _ = req.reply.send(result);
-            }
-        });
-        ChownDaemon { tx, auth, handle: Some(handle) }
-    }
-
-    /// An authenticated client for agents.
-    pub fn client(&self) -> ChownClient {
-        ChownClient { tx: self.tx.clone(), auth: self.auth }
-    }
-}
-
-impl Drop for ChownDaemon {
-    fn drop(&mut self) {
-        // Closing the channel ends the daemon loop.
-        let (tx, _) = unbounded();
-        self.tx = tx;
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Set the component up over a file system and return the
+    /// authenticated client agents and daemons share.
+    pub fn start(fs: Arc<FileSystem>, dlfm_admin: &str) -> ChownClient {
+        let secret: u64 = rand::random();
+        let daemon =
+            ChownDaemon { fs, admin: dlfm_admin.to_string(), secret, serial: Mutex::new(()) };
+        ChownClient { daemon: Arc::new(daemon), auth: secret }
     }
 }
 
@@ -177,8 +155,7 @@ mod tests {
         let fs = Arc::new(FileSystem::new());
         fs.create("/f", "alice", b"x").unwrap();
         let original = fs.stat("/f").unwrap();
-        let daemon = ChownDaemon::spawn(fs.clone(), "dlfm_admin");
-        let client = daemon.client();
+        let client = ChownDaemon::start(fs.clone(), "dlfm_admin");
 
         client.call(ChownOp::Takeover { path: "/f".into(), full: true }).unwrap();
         let m = fs.stat("/f").unwrap();
@@ -201,8 +178,8 @@ mod tests {
     fn partial_takeover_leaves_fs_untouched() {
         let fs = Arc::new(FileSystem::new());
         fs.create("/f", "alice", b"x").unwrap();
-        let daemon = ChownDaemon::spawn(fs.clone(), "dlfm_admin");
-        daemon.client().call(ChownOp::Takeover { path: "/f".into(), full: false }).unwrap();
+        let client = ChownDaemon::start(fs.clone(), "dlfm_admin");
+        client.call(ChownOp::Takeover { path: "/f".into(), full: false }).unwrap();
         let m = fs.stat("/f").unwrap();
         assert_eq!(m.owner, "alice");
         assert!(m.mode.owner_write);
@@ -212,20 +189,71 @@ mod tests {
     fn unauthenticated_requests_rejected() {
         let fs = Arc::new(FileSystem::new());
         fs.create("/f", "alice", b"x").unwrap();
-        let daemon = ChownDaemon::spawn(fs.clone(), "dlfm_admin");
-        let bad = daemon.client().with_bad_auth();
-        let err = bad.call(ChownOp::Takeover { path: "/f".into(), full: true }).unwrap_err();
-        assert!(err.contains("authentication"), "{err}");
-        // File untouched.
-        assert_eq!(fs.stat("/f").unwrap().owner, "alice");
+        let before = fs.stat("/f").unwrap();
+        let client = ChownDaemon::start(fs.clone(), "dlfm_admin");
+        let bad = client.with_bad_auth();
+        for op in [
+            ChownOp::Takeover { path: "/f".into(), full: true },
+            ChownOp::Release { path: "/f".into(), owner: "mallory".into(), mode_bits: 7 },
+            ChownOp::GetInfo { path: "/f".into() },
+        ] {
+            let err = bad.call(op).unwrap_err();
+            assert!(err.contains("authentication"), "{err}");
+        }
+        // File untouched: owner, mode and modification time.
+        assert_eq!(fs.stat("/f").unwrap(), before);
+        // The real secret still works.
+        client.call(ChownOp::Takeover { path: "/f".into(), full: true }).unwrap();
+        assert_eq!(fs.stat("/f").unwrap().owner, "dlfm_admin");
+    }
+
+    /// Takeover is a chown then a chmod, Release the same back: run
+    /// interleaved, they would leave or show a mixed pair such as
+    /// (alice, read-only). One at a time, every state anybody can observe
+    /// through the component is one of the two whole ones.
+    #[test]
+    fn concurrent_takeover_and_release_run_one_at_a_time() {
+        let fs = Arc::new(FileSystem::new());
+        fs.create("/f", "alice", b"x").unwrap();
+        let client = ChownDaemon::start(fs.clone(), "dlfm_admin");
+        let released = ("alice".to_string(), Mode::user_default());
+        let taken = ("dlfm_admin".to_string(), Mode::read_only());
+        let workers: Vec<_> = (0..2)
+            .map(|t| {
+                let client = client.clone();
+                let (released, taken) = (released.clone(), taken.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..5_000 {
+                        let op = if t == 0 {
+                            ChownOp::Takeover { path: "/f".into(), full: true }
+                        } else {
+                            ChownOp::Release {
+                                path: "/f".into(),
+                                owner: "alice".into(),
+                                mode_bits: encode_mode(Mode::user_default()),
+                            }
+                        };
+                        client.call(op).unwrap();
+                        let m = client.get_info("/f").unwrap();
+                        let seen = (m.owner, m.mode);
+                        assert!(seen == released || seen == taken, "mixed state {seen:?}");
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let m = fs.stat("/f").unwrap();
+        let last = (m.owner, m.mode);
+        assert!(last == released || last == taken, "mixed final state {last:?}");
     }
 
     #[test]
     fn get_info_returns_metadata() {
         let fs = Arc::new(FileSystem::new());
         fs.create("/f", "alice", b"hello").unwrap();
-        let daemon = ChownDaemon::spawn(fs.clone(), "dlfm_admin");
-        let meta = daemon.client().get_info("/f").unwrap();
+        let meta = ChownDaemon::start(fs.clone(), "dlfm_admin").get_info("/f").unwrap();
         assert_eq!(meta.owner, "alice");
         assert_eq!(meta.size, 5);
         assert!(meta.inode > 0);
@@ -234,9 +262,7 @@ mod tests {
     #[test]
     fn release_of_missing_file_is_noop() {
         let fs = Arc::new(FileSystem::new());
-        let daemon = ChownDaemon::spawn(fs, "dlfm_admin");
-        daemon
-            .client()
+        ChownDaemon::start(fs, "dlfm_admin")
             .call(ChownOp::Release { path: "/gone".into(), owner: "a".into(), mode_bits: 7 })
             .unwrap();
     }

@@ -1,6 +1,7 @@
 //! The DLFM service daemons (paper §3.5, Figure 5): Copy, Delete-Group,
-//! Garbage Collector, Retrieve, and Upcall. (The privileged Chown daemon
-//! lives in [`crate::chown`].)
+//! Garbage Collector, Retrieve, and Upcall. (The privileged Chown component
+//! lives in [`crate::chown`]; every ownership or permission change goes
+//! through it.)
 //!
 //! All daemons follow the paper's discipline for long-running work: they
 //! operate in small batches and **commit frequently** so they never hold
@@ -20,7 +21,7 @@ use crossbeam::channel::{Receiver, Sender};
 use minidb::{Session, Value};
 
 use crate::api::{AccessControl, DlfmResult};
-use crate::chown::ChownOp;
+use crate::chown::{encode_mode, ChownOp};
 use crate::meta::{FileEntry, G_DELETED, LNK_LINKED, LNK_UNLINKED};
 use crate::metrics::DlfmMetrics;
 use crate::server::{now_micros, DlfmShared};
@@ -437,8 +438,10 @@ fn retrieve_one(shared: &DlfmShared, job: &RetrieveJob) -> Result<(), String> {
     };
     if shared.fs.exists(&job.filename) {
         // Make it writable long enough to restore the content.
-        shared.fs.chmod(&job.filename, filesys::Mode::user_default()).map_err(|e| e.to_string())?;
-        shared.fs.chown(&job.filename, &job.owner, "users").map_err(|e| e.to_string())?;
+        let mode_bits = encode_mode(filesys::Mode::user_default());
+        let release =
+            ChownOp::Release { path: job.filename.clone(), owner: job.owner.clone(), mode_bits };
+        shared.chown.call(release)?;
         shared.fs.write(&job.filename, &job.owner, &content).map_err(|e| e.to_string())?;
     } else {
         shared.fs.create(&job.filename, &job.owner, &content).map_err(|e| e.to_string())?;

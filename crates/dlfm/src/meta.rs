@@ -247,10 +247,10 @@ pub fn hand_craft_stats(db: &Database) -> DbResult<()> {
 ///
 /// Reads that gate an integrity decision (link/unlink checks, the Upcall's
 /// deny-by-default probe) or drive non-transactional file-system actions
-/// (phase-2 takeover/release) use `FOR SHARE`: they must observe *locked
-/// current* state and conflict with in-flight writers, exactly as under
-/// plain 2PL. Everything else — daemon queue scans, counts — rides the
-/// MVCC snapshot path and never blocks.
+/// (phase-2 takeover/release) use `FOR SHARE` or `FOR UPDATE`: they must
+/// observe *locked current* state and conflict with in-flight writers,
+/// exactly as under plain 2PL. Everything else — daemon queue scans,
+/// counts — rides the MVCC snapshot path and never blocks.
 #[derive(Debug, Clone)]
 pub struct Statements {
     /// Insert a new linked file entry.
@@ -270,7 +270,10 @@ pub struct Statements {
     pub del_backout_link: Prepared,
     /// Savepoint backout of an unlink: restore the entry to linked.
     pub upd_backout_unlink: Prepared,
-    /// Entries linked by a transaction (commit/abort phase 2).
+    /// Entries linked by a transaction (commit phase 2), locked until the
+    /// phase-2 local commit: a FOR SHARE lock would end with the
+    /// statement, and an unlink could then commit and release the file
+    /// before this transaction's takeover lands on it.
     pub sel_by_link_xid: Prepared,
     /// Entries unlinked by a transaction (commit/abort phase 2).
     pub sel_unlinked_by_xid: Prepared,
@@ -336,8 +339,9 @@ impl Statements {
                  unlink_rec_id = NULL, unlink_ts = NULL \
                  WHERE filename = ? AND unlink_xid = ? AND lnk_state = 2",
             )?,
-            sel_by_link_xid: db
-                .prepare("SELECT * FROM dfm_file WHERE link_xid = ? AND lnk_state = 1 FOR SHARE")?,
+            sel_by_link_xid: db.prepare(
+                "SELECT * FROM dfm_file WHERE link_xid = ? AND lnk_state = 1 FOR UPDATE",
+            )?,
             sel_unlinked_by_xid: db.prepare(
                 "SELECT * FROM dfm_file WHERE unlink_xid = ? AND lnk_state = 2 FOR SHARE",
             )?,

@@ -2,9 +2,11 @@
 //! daemon's accept loop (paper §3.5, Figure 5).
 //!
 //! Process model: a main daemon accepts connections from host-database
-//! agents and spawns one child agent per connection; six service daemons
-//! (Copy, Retrieve, Delete-Group, Garbage Collector, Chown, Upcall) run
-//! alongside.
+//! agents and spawns one child agent per connection; four service daemons
+//! (Copy, Retrieve, Delete-Group, Garbage Collector) run alongside as
+//! threads, and two run in-line on their callers: the privileged Chown
+//! component on the agent or daemon that asks, the Upcall daemon as the
+//! DLFF's handler.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,7 +45,7 @@ pub struct DlfmShared {
     pub dlff: Arc<Dlff>,
     /// The archive server used for coordinated backup.
     pub archive: Arc<ArchiveServer>,
-    /// Authenticated client to the Chown daemon.
+    /// Authenticated client of the privileged Chown component.
     pub chown: ChownClient,
     /// Configuration.
     pub config: DlfmConfig,
@@ -123,7 +125,6 @@ pub struct DlfmServer {
     rpc: Option<ServerHandle>,
     wire: Option<dlrpc::WireServer>,
     daemons: Vec<JoinHandle<()>>,
-    _chown: ChownDaemon,
     watchdog: Option<obs::WatchdogHandle>,
 }
 
@@ -146,7 +147,7 @@ impl DlfmServer {
         let stmts = Statements::prepare(&db).expect("statement binding cannot fail");
 
         let dlff = Arc::new(Dlff::new(fs.clone(), &config.dlfm_admin));
-        let chown_daemon = ChownDaemon::spawn(fs.clone(), &config.dlfm_admin);
+        let chown = ChownDaemon::start(fs.clone(), &config.dlfm_admin);
         let (groupd_tx, groupd_rx) = unbounded::<(i64, i64)>();
         let (retrieve_tx, retrieve_rx) = unbounded();
 
@@ -155,7 +156,7 @@ impl DlfmServer {
             fs,
             dlff: dlff.clone(),
             archive: archive_server,
-            chown: chown_daemon.client(),
+            chown,
             config,
             metrics: Arc::new(DlfmMetrics::default()),
             stmts: RwLock::new(Arc::new(stmts)),
@@ -229,13 +230,11 @@ impl DlfmServer {
             rpc: Some(rpc),
             wire,
             daemons: handles,
-            _chown: chown_daemon,
             watchdog: None,
         };
         // Arm the telemetry RPC. The closures capture Weak, not Arc: a
         // strong reference here would make DlfmShared self-referential and
-        // immortal, and ChownDaemon::drop (which joins a thread that only
-        // exits when shared.chown's sender drops) would deadlock.
+        // immortal.
         {
             let weak = Arc::downgrade(&server.shared);
             let connector = server.connector.clone();

@@ -142,8 +142,12 @@ fn commit_attempt(shared: &DlfmShared, dbid: i64, xid: i64) -> DlfmResult<Option
     s.begin()?;
 
     // Files linked by this transaction: take them over and queue archive
-    // copies for recovery-managed groups.
+    // copies for recovery-managed groups. The rows stay locked until the
+    // commit below, so no unlink can release a file before its takeover.
     let linked = s.exec_prepared(&stmts.sel_by_link_xid, &[Value::Int(xid)])?.rows();
+    if obs::fault::fire("dlfm.phase2.stall_before_takeover") {
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
     for row in &linked {
         let e = FileEntry::from_row(row)?;
         let full = AccessControl::from_code(e.access_ctl) == AccessControl::Full;

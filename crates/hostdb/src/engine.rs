@@ -2028,7 +2028,7 @@ impl HostSession {
     /// (autocommit), so its round carries the Prepare.
     fn exec_stmt(&mut self, p: &Prepared, params: &[Value], vote: bool) -> HostResult<ExecResult> {
         let stmt = p.stmt();
-        let queue: fn(&mut Self, &Stmt, &[Value]) -> HostResult<()> = match stmt {
+        let queue: fn(&mut Self, &Prepared, &[Value]) -> HostResult<()> = match stmt {
             Stmt::Insert { table, .. } if !self.host.dl_columns_of(table).is_empty() => {
                 Self::queue_insert
             }
@@ -2049,7 +2049,7 @@ impl HostSession {
         };
         // Statement atomicity: remember where we started.
         let sp = self.session.savepoint()?;
-        let result = queue(self, stmt, params).and_then(|()| {
+        let result = queue(self, p, params).and_then(|()| {
             let r = self.session.exec_prepared(p, params)?;
             self.flush(vote)?;
             Ok(r)
@@ -2065,8 +2065,8 @@ impl HostSession {
         result
     }
 
-    fn queue_insert(&mut self, stmt: &Stmt, params: &[Value]) -> HostResult<()> {
-        let Stmt::Insert { table, columns, values } = stmt else { unreachable!() };
+    fn queue_insert(&mut self, p: &Prepared, params: &[Value]) -> HostResult<()> {
+        let Stmt::Insert { table, columns, values } = p.stmt() else { unreachable!() };
         // Figure out which value expression feeds each datalink column.
         for (cname, info) in self.host.dl_columns_of(table).iter() {
             let pos = match columns {
@@ -2086,22 +2086,22 @@ impl HostSession {
         Ok(())
     }
 
-    fn queue_delete(&mut self, stmt: &Stmt, params: &[Value]) -> HostResult<()> {
-        let Stmt::Delete { table, filter } = stmt else { unreachable!() };
+    fn queue_delete(&mut self, p: &Prepared, params: &[Value]) -> HostResult<()> {
+        let Stmt::Delete { table, .. } = p.stmt() else { unreachable!() };
         let dl_cols = self.host.dl_columns_of(table);
-        let old = self.probe_dl_values(table, &dl_cols, filter.as_ref(), params)?;
+        let old = self.probe_dl_values(p, &dl_cols, params)?;
         old.iter().try_for_each(|(_, info, url)| self.queue_op(None, url, info))
     }
 
-    fn queue_update(&mut self, stmt: &Stmt, params: &[Value]) -> HostResult<()> {
-        let Stmt::Update { table, sets, filter } = stmt else { unreachable!() };
+    fn queue_update(&mut self, p: &Prepared, params: &[Value]) -> HostResult<()> {
+        let Stmt::Update { table, sets, .. } = p.stmt() else { unreachable!() };
         // Only the datalink columns being SET participate.
         let dl_cols: Vec<(String, DlColumn)> = sets
             .iter()
             .filter_map(|(c, _)| self.host.dl_column(table, c).map(|i| (c.clone(), i)))
             .collect();
         // Unlink every old value of the updated datalink columns ...
-        let old = self.probe_dl_values(table, &dl_cols, filter.as_ref(), params)?;
+        let old = self.probe_dl_values(p, &dl_cols, params)?;
         old.iter().try_for_each(|(_, info, url)| self.queue_op(None, url, info))?;
         // ... and link the new ones (once, however many rows matched).
         for (cname, new_expr) in sets {
@@ -2113,29 +2113,29 @@ impl HostSession {
         Ok(())
     }
 
-    /// Read current datalink values of the rows a WHERE clause matches.
+    /// Current datalink values of the rows a WHERE clause matches (probe bound once).
     fn probe_dl_values(
         &mut self,
-        table: &str,
+        p: &Prepared,
         dl_cols: &[(String, DlColumn)],
-        filter: Option<&Expr>,
         params: &[Value],
     ) -> HostResult<Vec<(String, DlColumn, DatalinkUrl)>> {
-        if dl_cols.is_empty() {
-            return Ok(Vec::new());
-        }
-        let probe = Stmt::Select(SelectStmt {
-            projection: Projection::Items(
-                dl_cols.iter().map(|(c, _)| SelectItem::Expr(Expr::Col(c.clone()))).collect(),
-            ),
-            table: table.to_string(),
-            filter: filter.cloned(),
-            order_by: Vec::new(),
-            for_update: true,
-            for_share: false,
-            except: None,
-        });
-        let rows = self.session.exec_ast(&probe, params)?.rows();
+        let probe = self.host.db().bind_derived(p, |stmt| {
+            let (Stmt::Update { table, filter, .. } | Stmt::Delete { table, filter }) = stmt else {
+                unreachable!()
+            };
+            let cols = dl_cols.iter().map(|(c, _)| SelectItem::Expr(Expr::Col(c.clone())));
+            Stmt::Select(SelectStmt {
+                projection: Projection::Items(cols.collect()),
+                table: table.clone(),
+                filter: filter.clone(),
+                order_by: Vec::new(),
+                for_update: true,
+                for_share: false,
+                except: None,
+            })
+        })?;
+        let rows = self.session.exec_prepared(&probe, params)?.rows();
         let mut out = Vec::new();
         for row in rows {
             for ((cname, info), v) in dl_cols.iter().zip(&row) {

@@ -587,3 +587,38 @@ fn a_statement_of_more_than_a_batch_takes_more_rounds_and_votes_on_the_last() {
     assert_eq!(Rig::count(&rig.sa, "SELECT COUNT(*) FROM dfm_xact"), 0);
     assert_eq!(rig.host_count("SELECT COUNT(*) FROM sys_datalinks"), 0);
 }
+
+/// A repeated UPDATE or DELETE of a linked row binds nothing after its
+/// first run: the statement comes from the statement cache, and its
+/// datalink probe is bound once with it.
+#[test]
+fn repeated_updates_and_deletes_of_linked_rows_bind_nothing_after_the_first() {
+    let _s = serial();
+    let rig = Rig::new();
+    let binds = || -> u64 {
+        let samples = obs::registry::parse_samples(&rig.host.metrics_text());
+        samples.iter().filter(|s| s.name == "minidb_stmt_binds_total").map(|s| s.value as u64).sum()
+    };
+    const N: i64 = 8;
+    let mut s = rig.host.session();
+    for i in 0..N {
+        let (_, f) = rig.file(&rig.dir_a, &format!("f{i}"));
+        s.exec_params(INSERT, &[Value::Int(i), f]).unwrap();
+    }
+    let mut after_first = None;
+    for i in 0..N {
+        let (_, f) = rig.file(&rig.dir_a, &format!("g{i}"));
+        let sql = "UPDATE t SET doc = ? WHERE id = ?";
+        assert_eq!(s.exec_params(sql, &[f, Value::Int(i)]).unwrap().count(), 1);
+        after_first.get_or_insert_with(binds);
+    }
+    assert_eq!(binds(), after_first.unwrap(), "a repeated UPDATE was bound again");
+    let mut after_first = None;
+    for i in 0..N {
+        let deleted = s.exec_params("DELETE FROM t WHERE id = ?", &[Value::Int(i)]).unwrap();
+        assert_eq!(deleted.count(), 1);
+        after_first.get_or_insert_with(binds);
+    }
+    assert_eq!(binds(), after_first.unwrap(), "a repeated DELETE was bound again");
+    assert_eq!(Rig::linked(&rig.sa), 0);
+}

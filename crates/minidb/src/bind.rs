@@ -279,12 +279,18 @@ pub(crate) struct PreparedShared {
     pub dynamic: bool,
     /// The current binding; replaced, never edited, on rebind.
     pub bound: RwLock<Arc<BoundStmt>>,
+    /// A statement derived from this one, with the DDL generation it was
+    /// derived at (see [`crate::Database::bind_derived`]).
+    pub derived: RwLock<Option<(u64, Prepared)>>,
 }
 
 impl Prepared {
     pub(crate) fn new(sql: &str, stmt: Stmt, bound: BoundStmt, dynamic: bool) -> Prepared {
         let bound = RwLock::new(Arc::new(bound));
-        Prepared { shared: Arc::new(PreparedShared { sql: sql.into(), stmt, dynamic, bound }) }
+        let derived = RwLock::new(None);
+        Prepared {
+            shared: Arc::new(PreparedShared { sql: sql.into(), stmt, dynamic, bound, derived }),
+        }
     }
 
     /// Original SQL text.

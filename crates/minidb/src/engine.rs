@@ -768,6 +768,29 @@ impl Database {
         Ok(p)
     }
 
+    /// A statement a layer above derives from `p`'s AST (the host's
+    /// datalink probe of an UPDATE or DELETE), bound once as a dynamic
+    /// statement and kept with `p`, so every run of `p` reuses it. DDL
+    /// derives it again (`derive` may depend on the catalog); a statistics
+    /// change replans it, like any dynamic statement.
+    pub fn bind_derived(
+        &self,
+        p: &Prepared,
+        derive: impl FnOnce(&Stmt) -> Stmt,
+    ) -> DbResult<Prepared> {
+        let ddl_gen = self.inner.ddl_gen.load(AtomicOrdering::Acquire);
+        if let Some((gen, d)) = &*p.shared.derived.read() {
+            if *gen == ddl_gen {
+                return Ok(d.clone());
+            }
+        }
+        let stmt = derive(&p.shared.stmt);
+        let bound = self.bind_now(&stmt)?;
+        let d = Prepared::new(&p.shared.sql, stmt, bound, true);
+        *p.shared.derived.write() = Some((ddl_gen, d.clone()));
+        Ok(d)
+    }
+
     /// Bind against the catalog as it is now.
     fn bind_now(&self, stmt: &Stmt) -> DbResult<BoundStmt> {
         self.inner.stmt_counters.binds.fetch_add(1, AtomicOrdering::Relaxed);

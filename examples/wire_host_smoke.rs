@@ -16,7 +16,8 @@
 //! the INSERT comes from the statement cache), ask for every link's access
 //! token twice (the second round
 //! must come from the host's token cache: no RPC), unlink half by DELETE
-//! (their cached tokens must go, and asking again must get the DLFM's
+//! (again no bind after the first, the datalink probe included; their
+//! cached tokens must go, and asking again must get the DLFM's
 //! not-linked error), roll one transaction back, and run the indoubt
 //! resolver. Asserts the host ends with the expected row count and zero
 //! unresolved indoubts.
@@ -131,14 +132,22 @@ fn main() {
     assert_eq!(session.read_token(&urls[0]).expect("token after failed relink"), first[0]);
 
     // Unlink half by DELETE (one 2PC each): each drops its cached token.
+    // As for the INSERT, only the first DELETE binds — the statement and
+    // the probe that reads the datalink values it unlinks.
     let dropped = metric(&host, "hostdb_token_cache_invalidations_total");
     let before = costs(&host);
     for i in 0..files / 2 {
         session
             .exec_params("DELETE FROM docs WHERE id = ?", &[Value::Int(i as i64)])
             .unwrap_or_else(|e| panic!("unlink of /seed/file{i} failed: {e}"));
+        if i == 0 {
+            after_first = stmts(&host);
+        }
     }
     check_cost("delete", before, files / 2);
+    let binds = stmts(&host).0;
+    println!("delete: {} binds after the first", binds - after_first.0);
+    assert_eq!(binds, after_first.0, "a repeated DELETE must not be bound again");
     let dropped = metric(&host, "hostdb_token_cache_invalidations_total") - dropped;
     assert_eq!(dropped, (files / 2) as u64, "every unlink must drop its cached token");
     if files >= 2 {
