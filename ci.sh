@@ -3,7 +3,6 @@
 #   ./ci.sh            full gate (build, tests, benchmark package tests, clippy, fmt, commit-path smoke)
 #   ./ci.sh fast       skip the release build, the benchmark package and the smoke benches
 #   ./ci.sh smoke      only the commit-path smoke stages (tiny benches + two-process wire + force audit)
-#   ./ci.sh bench-gate tiny benches vs the committed baseline (perf-regression gate)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -50,23 +49,28 @@ smoke() {
 
 # A shard's log may see only the two forces per sub-transaction the
 # protocol requires (Prepare, phase-2 Commit): daemons, aborts and chunk
-# commits commit lazily. A traced `--quick` run of the forced two-shard
-# workload counts them — and fails by itself on a broken audit or
-# crash/restart check — so a background force creeping back onto the shard
-# logs fails here, not in a benchmark run. (The 0.02 is slack, not a
-# budget: on a healthy run the two sides are equal.)
+# commits commit lazily. The coordinator log forces only the commit
+# decision — End records harden with the next decision's force — so it
+# may see at most one force per two-phase commit. A traced `--quick` run
+# of the forced two-shard workload counts both — and fails by itself on a
+# broken audit or crash/restart check — so a background force creeping
+# back onto either log fails here, not in a benchmark run. (The 0.02 is
+# slack, not a budget: on a healthy run the two sides are equal.)
 force_audit() {
-  step "force audit: shard log forces per transaction <= 4 x two-phase commits per transaction"
+  step "force audit: shard log forces <= 4 x, coordinator forces <= 1 x two-phase commits per transaction"
   cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
-  local out forces twopc
+  local out forces coord twopc
   out="$(benchmark/target/release/dlfm-bench --quick --workload commit_forced_2shard --trace 1 \
     | tail -n 1)"
   metric() { sed -n "s/.*\"$1\": {\"value\": \([0-9.eE+-]*\).*/\1/p" <<<"$out"; }
   forces="$(metric minidb.dlfm_wal_forces_per_txn)"
+  coord="$(metric hostdb.coord_forces_per_txn)"
   twopc="$(metric hostdb.twopc_commits_per_txn)"
-  echo "dlfm_wal_forces_per_txn=$forces twopc_commits_per_txn=$twopc"
+  echo "dlfm_wal_forces_per_txn=$forces coord_forces_per_txn=$coord twopc_commits_per_txn=$twopc"
   awk -v f="$forces" -v c="$twopc" 'BEGIN { exit !(f != "" && c > 0 && f <= 4 * c + 0.02) }' \
     || { echo "force audit: a force beyond Prepare + Commit reached a shard log"; exit 1; }
+  awk -v f="$coord" -v c="$twopc" 'BEGIN { exit !(f != "" && c > 0 && f <= c + 0.02) }' \
+    || { echo "force audit: a force beyond the commit decision reached the coordinator log"; exit 1; }
 }
 
 # Two real OS processes over a real kernel socket: `dlfmd` (the standalone
@@ -152,44 +156,8 @@ shard_smoke() {
     "$out_a" "$out_b" "$out_a.client" "$out_b.client"
 }
 
-# Perf-regression gate: re-run the smoke benches into target/bench-gate,
-# consolidate them into a BENCH_SUMMARY.json, and diff against the
-# committed baseline. Tolerances are deliberately loose (machines differ);
-# the gate exists to catch catastrophic regressions and arms that stopped
-# running, not 5% noise. Refresh the baseline with:
-#   BENCH_JSON_DIR=crates/bench/baselines ./ci.sh bench-gate  # then
-#   cp target/bench-gate/BENCH_SUMMARY.json crates/bench/baselines/smoke.json
-bench_gate() {
-  step "bench-gate: tiny benches into target/bench-gate"
-  rm -rf target/bench-gate
-  mkdir -p target/bench-gate
-  RUN_SECS=0.2 CLIENTS=8 FORCE_MS=1 BENCH_METRICS=0 BENCH_JSON_DIR=target/bench-gate \
-    cargo run -q --offline --release -p bench --bin e11_group_commit
-  BENCH_METRICS=0 BENCH_JSON_DIR=target/bench-gate \
-    cargo run -q --offline --release -p bench --bin e5_sync_commit
-  RUN_SECS=0.2 CLIENTS=8 BENCH_METRICS=0 BENCH_JSON_DIR=target/bench-gate \
-    cargo run -q --offline --release -p bench --bin e12_agent_scaling
-  RUN_SECS=0.2 CLIENTS=4 BENCH_METRICS=0 BENCH_JSON_DIR=target/bench-gate \
-    cargo run -q --offline --release -p bench --bin e13_read_heavy
-  RUN_SECS=0.3 CLIENTS=16 SHARDS=2 MIGRATE_CLIENTS=8 FORCE_MS=1 \
-    BENCH_METRICS=0 BENCH_JSON_DIR=target/bench-gate \
-    cargo run -q --offline --release -p bench --bin e14_shard_scaling
-  step "bench-gate: consolidate + compare against crates/bench/baselines/smoke.json"
-  BENCH_JSON_DIR=target/bench-gate \
-    cargo run -q --offline --release -p bench --bin run_all -- --consolidate-only
-  cargo run -q --offline --release -p bench --bin bench_compare -- \
-    crates/bench/baselines/smoke.json target/bench-gate/BENCH_SUMMARY.json \
-    --tol-ops 0.85 --tol-p99 19.0 --min-ops 5 --min-p99-us 2000
-}
-
 if [[ "${1:-}" == "smoke" ]]; then
   smoke
-  step "OK"
-  exit 0
-fi
-
-if [[ "${1:-}" == "bench-gate" ]]; then
-  bench_gate
   step "OK"
   exit 0
 fi

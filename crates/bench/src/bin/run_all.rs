@@ -1,15 +1,8 @@
-//! Run every experiment binary in sequence (the full evaluation sweep),
-//! then consolidate the per-experiment `BENCH_E*.json` artifacts into one
-//! `BENCH_SUMMARY.json` stamped with the git revision, date, and scaling
-//! config — the document `bench_compare` diffs across revisions.
+//! Run every experiment binary in sequence (the full evaluation sweep);
+//! each writes its own `BENCH_E*.json`.
 //!
 //! `cargo run -p bench --release --bin run_all`
-//!
-//! `run_all --consolidate-only` skips the sweep and just rebuilds the
-//! summary from whatever `BENCH_E*.json` files are already in the output
-//! directory (`BENCH_JSON_DIR`, default `.`).
 
-use std::path::Path;
 use std::process::Command;
 
 const EXPERIMENTS: &[&str] = &[
@@ -29,22 +22,7 @@ const EXPERIMENTS: &[&str] = &[
     "e14_shard_scaling",
 ];
 
-fn consolidate(dir: &str) {
-    match bench::summary::consolidate(Path::new(dir)) {
-        Ok((path, n)) => println!("consolidated {n} experiments into {}", path.display()),
-        Err(e) => {
-            eprintln!("consolidation failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
-    let json_dir = std::env::var("BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_string());
-    if std::env::args().any(|a| a == "--consolidate-only") {
-        consolidate(&json_dir);
-        return;
-    }
     let exe = std::env::current_exe().expect("current exe path");
     let bin_dir = exe.parent().expect("bin dir");
     let mut failures = Vec::new();
@@ -60,9 +38,6 @@ fn main() {
     println!("\n################ summary ################");
     if failures.is_empty() {
         println!("all {} experiments completed", EXPERIMENTS.len());
-        if std::env::var("BENCH_JSON").as_deref() != Ok("0") {
-            consolidate(&json_dir);
-        }
     } else {
         println!("FAILED: {failures:?}");
         std::process::exit(1);

@@ -11,9 +11,6 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
-pub mod summary;
-
 use std::sync::Arc;
 use std::time::Duration;
 

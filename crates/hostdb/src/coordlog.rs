@@ -6,20 +6,16 @@
 //! end record are re-driven to commit; prepared participant transactions
 //! with no commit record are aborted.
 //!
-//! Like the minidb WAL, forces go through a simulated single-force-at-a-time
-//! device (`force_latency`) and group commit batches concurrent commit
-//! decisions under one leader force (see `minidb::wal` for the protocol).
-//! Crash safety mirrors the WAL too: a crash truncates the volatile tail,
-//! after which sequence numbers are reused, so [`CoordLog::append`] returns
-//! an [`Appended`] receipt carrying the crash epoch (captured under the log
-//! lock) and [`CoordLog::force_up_to`] decides durability exactly from the
-//! receipt plus the final watermark each closed epoch ended with.
+//! The log is the minidb log core ([`minidb::log`]) over [`CoordRecord`]:
+//! the same single-force device, leader/follower group commit and exact
+//! crash epochs as the minidb WAL. Only the commit decision is forced; End
+//! records harden with the next decision's force.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::thread;
+use std::ops::Deref;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use minidb::log::{Log, Record};
+use obs::journal::JournalKind;
 
 /// One coordinator log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,84 +34,34 @@ pub enum CoordRecord {
     },
 }
 
-/// Receipt for one appended record: its sequence number plus the crash
-/// epoch the append happened in. Sequence numbers are reused after a
-/// crash truncates the tail, so the epoch is what ties the receipt to
-/// *this* record rather than a later namesake.
-#[derive(Debug, Clone, Copy)]
-pub struct Appended {
-    /// 1-based sequence number of the record.
-    pub seq: usize,
-    /// Crash epoch the record was appended in (captured under the log
-    /// lock, so it can never be stale with respect to a racing crash).
-    epoch: u64,
+impl Record for CoordRecord {
+    fn is_commit(&self) -> bool {
+        matches!(self, CoordRecord::Commit { .. })
+    }
 }
 
-#[derive(Default)]
-struct Inner {
-    records: Vec<CoordRecord>,
-    durable: usize,
-    /// Final durable watermark of each closed (crashed) epoch — the exact
-    /// survival test for records appended in that epoch.
-    epoch_final: std::collections::HashMap<u64, usize>,
+/// The coordinator log. Everything not defined here — appends, forces,
+/// crash, counters — is the log core's, reached through `Deref`.
+pub struct CoordLog(Log<CoordRecord>);
+
+impl Deref for CoordLog {
+    type Target = Log<CoordRecord>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
-#[derive(Default)]
-struct GroupState {
-    leader_active: bool,
-}
-
-/// The coordinator log with an explicit durability watermark, so a host
-/// crash can lose the volatile tail.
-#[derive(Default)]
-pub struct CoordLog {
-    inner: Mutex<Inner>,
-    /// Mirror of `inner.durable` for lock-free waiter checks.
-    durable: AtomicUsize,
-    /// Bumped on crash so blocked committers never report false durability.
-    epoch: AtomicU64,
-    force_latency_nanos: AtomicU64,
-    group_commit: AtomicBool,
-    forces: AtomicU64,
-    decisions: AtomicU64,
-    batch_hist: obs::Histogram,
-    /// The simulated force device: one force in flight at a time.
-    device: Mutex<()>,
-    group: Mutex<GroupState>,
-    group_cv: Condvar,
+impl Default for CoordLog {
+    fn default() -> Self {
+        CoordLog::new()
+    }
 }
 
 impl CoordLog {
     /// New empty log with group commit on and zero force latency.
     pub fn new() -> CoordLog {
-        let log = CoordLog::default();
-        log.group_commit.store(true, Ordering::Relaxed);
-        log
-    }
-
-    /// Simulated per-force latency (commit-decision durability cost).
-    pub fn set_force_latency(&self, d: Duration) {
-        self.force_latency_nanos.store(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Toggle group commit for coordinator-log forces.
-    pub fn set_group_commit(&self, on: bool) {
-        self.group_commit.store(on, Ordering::Relaxed);
-    }
-
-    /// Append a record (volatile until forced). The returned receipt
-    /// carries the 1-based sequence number and the append-time crash
-    /// epoch, usable with [`CoordLog::force_up_to`].
-    pub fn append(&self, rec: CoordRecord) -> Appended {
-        if matches!(rec, CoordRecord::Commit { .. }) {
-            self.decisions.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut inner = self.inner.lock();
-        inner.records.push(rec);
-        // Epoch captured under the log lock — `crash()` bumps it under the
-        // same lock, so the receipt can never carry a post-crash epoch for
-        // a pre-crash record.
-        Appended { seq: inner.records.len(), epoch: self.epoch.load(Ordering::Acquire) }
+        CoordLog(Log::new(obs::Layer::Host, JournalKind::CoordForce, Duration::ZERO))
     }
 
     /// Append and force in one step (used for the commit decision).
@@ -125,162 +71,32 @@ impl CoordLog {
         self.force_up_to(rec)
     }
 
-    /// Make all appended records durable. Returns `false` when a crash
-    /// destroyed part of that tail first (see [`CoordLog::force_up_to`]).
-    pub fn force(&self) -> bool {
-        // Bind outside the call so the guard drops before forcing —
-        // `force_device` re-locks `inner` on this thread.
-        let tail = {
-            let inner = self.inner.lock();
-            Appended { seq: inner.records.len(), epoch: self.epoch.load(Ordering::Acquire) }
-        };
-        self.force_up_to(tail)
-    }
-
-    /// Block until the record behind `rec` is durable: the same
-    /// leader/follower group-commit protocol as `minidb::wal`. Returns
-    /// `false` if a simulated crash destroyed the record; the verdict is
-    /// exact either way (see [`CoordLog::durable_status`]).
-    pub fn force_up_to(&self, rec: Appended) -> bool {
-        if !self.group_commit.load(Ordering::Relaxed) {
-            self.force_device(rec.epoch);
-            // Decide on the watermark, not on our own force's outcome:
-            // another force may already have covered `rec`.
-            return self.durable_status(rec).unwrap_or(false);
-        }
-        let mut group = self.group.lock();
-        loop {
-            if let Some(durable) = self.durable_status(rec) {
-                return durable;
-            }
-            if group.leader_active {
-                self.group_cv.wait(&mut group);
-                continue;
-            }
-            group.leader_active = true;
-            drop(group);
-            self.force_device(rec.epoch);
-            group = self.group.lock();
-            group.leader_active = false;
-            self.group_cv.notify_all();
-        }
-    }
-
-    /// Exact durability status of `rec`: `Some(true)` once durable,
-    /// `Some(false)` once a crash provably destroyed it, `None` while
-    /// undecided. Same reasoning as `minidb::wal`: the watermark never
-    /// rewinds and a record appended in epoch E sits above E's starting
-    /// watermark, so covered-while-still-in-E means covered; once E is
-    /// over, the watermark E closed with is the precise survival test.
-    fn durable_status(&self, rec: Appended) -> Option<bool> {
-        if self.durable.load(Ordering::Acquire) >= rec.seq
-            && self.epoch.load(Ordering::Acquire) == rec.epoch
-        {
-            return Some(true);
-        }
-        if self.epoch.load(Ordering::Acquire) == rec.epoch {
-            return None;
-        }
-        let inner = self.inner.lock();
-        Some(inner.epoch_final.get(&rec.epoch).is_some_and(|&d| d >= rec.seq))
-    }
-
-    /// One pass over the simulated force device: capture the target, sleep
-    /// the device latency, publish durability.
-    fn force_device(&self, epoch: u64) -> bool {
-        let _device = self.device.lock();
-        let target = self.inner.lock().records.len();
-        let latency = self.force_latency_nanos.load(Ordering::Relaxed);
-        if latency > 0 {
-            thread::sleep(Duration::from_nanos(latency));
-        }
-        let mut inner = self.inner.lock();
-        if self.epoch.load(Ordering::Acquire) != epoch {
-            return false;
-        }
-        let target = target.min(inner.records.len());
-        let covered = inner.records[inner.durable.min(target)..target]
-            .iter()
-            .filter(|r| matches!(r, CoordRecord::Commit { .. }))
-            .count();
-        inner.durable = inner.durable.max(target);
-        let durable = inner.durable;
-        self.durable.store(durable, Ordering::Release);
-        drop(inner);
-        self.forces.fetch_add(1, Ordering::Relaxed);
-        self.batch_hist.record(covered as u64);
-        obs::journal::record(obs::journal::JournalKind::CoordForce, 0, || {
-            format!("coordinator log forced to seq {durable} covering {covered} decisions")
-        });
-        true
-    }
-
-    /// Total forces performed.
-    pub fn forces_total(&self) -> u64 {
-        self.forces.load(Ordering::Relaxed)
-    }
-
     /// Total commit-decision records appended.
     pub fn decisions_total(&self) -> u64 {
-        self.decisions.load(Ordering::Relaxed)
+        self.commits_total()
     }
 
-    /// Histogram of commit decisions made durable per force (batch size).
-    pub fn batch_hist(&self) -> &obs::Histogram {
-        &self.batch_hist
-    }
-
-    /// Crash: discard the volatile tail. Returns records lost. Blocked
-    /// committers are woken and observe the epoch bump.
-    pub fn crash(&self) -> usize {
-        let mut inner = self.inner.lock();
-        let lost = inner.records.len() - inner.durable;
-        let durable = inner.durable;
-        inner.records.truncate(durable);
-        // Close the epoch under the log lock, recording the watermark it
-        // ended with — the exact survival test for its records.
-        let closed = self.epoch.fetch_add(1, Ordering::Release);
-        inner.epoch_final.insert(closed, durable);
-        drop(inner);
-        self.group_cv.notify_all();
-        lost
-    }
-
-    /// Transactions with a durable commit decision but no end record —
-    /// phase 2 must be re-driven for these after a restart.
+    /// Transactions with a commit decision but no end record — phase 2
+    /// must be re-driven for these. Reads the volatile tail too: the
+    /// resolver leaves transactions still open on this host alone.
     pub fn unfinished_commits(&self) -> Vec<(i64, Vec<String>)> {
-        let inner = self.inner.lock();
-        let mut open: Vec<(i64, Vec<String>)> = Vec::new();
-        for rec in &inner.records {
-            match rec {
-                CoordRecord::Commit { xid, servers } => {
-                    open.push((*xid, servers.clone()));
-                }
-                CoordRecord::End { xid } => {
-                    open.retain(|(x, _)| x != xid);
+        self.read(|records, _| {
+            let mut open: Vec<(i64, Vec<String>)> = Vec::new();
+            for rec in records {
+                match rec {
+                    CoordRecord::Commit { xid, servers } => open.push((*xid, servers.clone())),
+                    CoordRecord::End { xid } => open.retain(|(x, _)| x != xid),
                 }
             }
-        }
-        open
+            open
+        })
     }
 
-    /// Was a commit decision durably recorded for `xid`?
+    /// Was a commit decision recorded for `xid`?
     pub fn committed(&self, xid: i64) -> bool {
-        self.inner
-            .lock()
-            .records
-            .iter()
-            .any(|r| matches!(r, CoordRecord::Commit { xid: x, .. } if *x == xid))
-    }
-
-    /// Total records retained (diagnostics).
-    pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
-    }
-
-    /// True when no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.read(|records, _| {
+            records.iter().any(|r| matches!(r, CoordRecord::Commit { xid: x, .. } if *x == xid))
+        })
     }
 }
 
@@ -323,10 +139,12 @@ mod tests {
     fn one_force_covers_earlier_appends() {
         let log = CoordLog::new();
         let s1 = log.append(CoordRecord::Commit { xid: 1, servers: vec![] });
+        log.append(CoordRecord::End { xid: 0 });
         let s2 = log.append(CoordRecord::Commit { xid: 2, servers: vec![] });
-        assert!(s1.seq < s2.seq);
+        assert!(s1.lsn < s2.lsn);
         assert!(log.force_up_to(s2));
         assert_eq!(log.forces_total(), 1);
+        // End records are not decisions, neither appended nor hardened.
         assert_eq!(log.decisions_total(), 2);
         assert_eq!(log.batch_hist().max(), 2);
         // Already durable: no new force.
@@ -374,32 +192,5 @@ mod tests {
             log.crash();
             assert!(log.force_up_to(rec), "durable decision reported as lost");
         }
-    }
-
-    #[test]
-    fn concurrent_decisions_batch_under_one_leader() {
-        use std::sync::Arc;
-        let log = Arc::new(CoordLog::new());
-        log.set_force_latency(Duration::from_millis(2));
-        let mut handles = Vec::new();
-        for t in 0..4i64 {
-            let log = log.clone();
-            handles.push(thread::spawn(move || {
-                for i in 0..5 {
-                    assert!(log
-                        .append_forced(CoordRecord::Commit { xid: t * 100 + i, servers: vec![] }));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(log.decisions_total(), 20);
-        assert!(
-            log.forces_total() < log.decisions_total(),
-            "grouped forces ({}) must undercut decisions ({})",
-            log.forces_total(),
-            log.decisions_total()
-        );
     }
 }

@@ -16,7 +16,7 @@
 //!   currently linked file, carrying the recovery id the Reconcile and
 //!   Restore utilities need.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,12 +63,6 @@ pub struct HostConfig {
     /// true; the `false` mode exists to reproduce the §4 distributed
     /// deadlock).
     pub synchronous_commit: bool,
-    /// Simulated latency of each coordinator-log force (the commit-decision
-    /// fsync of presumed-abort 2PC).
-    pub coord_force_latency: std::time::Duration,
-    /// Group commit for coordinator-log forces: one force covers every
-    /// commit decision waiting at that moment.
-    pub coord_group_commit: bool,
     /// Maximum idle DLFM connections kept per server for reuse. Sessions
     /// and the indoubt resolver check connections out of this pool instead
     /// of opening a fresh one (a fresh dedicated-mode connection spawns a
@@ -102,8 +96,6 @@ impl Default for HostConfig {
             dbid: 1,
             db: DbConfig::default(),
             synchronous_commit: true,
-            coord_force_latency: std::time::Duration::ZERO,
-            coord_group_commit: true,
             conn_pool_size: 8,
             shard_route_timeout: std::time::Duration::from_secs(30),
             shard_drain_timeout: std::time::Duration::from_secs(30),
@@ -243,6 +235,9 @@ struct HostInner {
     /// DATALINK columns per (lower-case) table name, in creation order.
     dl_cols: RwLock<HashMap<String, DlColumns>>,
     coord_log: CoordLog,
+    /// Transactions open on this host, from `begin` until commit or
+    /// rollback returns: the resolver leaves them to their session.
+    open_xids: Mutex<HashSet<i64>>,
     sync_commit: AtomicBool,
     metrics: HostMetrics,
     backups: Mutex<Vec<crate::utilities::HostBackup>>,
@@ -309,12 +304,8 @@ impl HostDb {
                 rec_seq: AtomicI64::new(1),
                 grp_seq: AtomicI64::new(1),
                 dl_cols: RwLock::new(HashMap::new()),
-                coord_log: {
-                    let log = CoordLog::new();
-                    log.set_force_latency(config.coord_force_latency);
-                    log.set_group_commit(config.coord_group_commit);
-                    log
-                },
+                coord_log: CoordLog::new(),
+                open_xids: Mutex::new(HashSet::new()),
                 sync_commit: AtomicBool::new(config.synchronous_commit),
                 tokens: crate::tokens::TokenCache::new(metrics.token_cache.clone()),
                 metrics,
@@ -702,7 +693,7 @@ impl HostDb {
         }
         out.push_str(&format!(
             "coordinator log: {} records, {} decisions, {} forces\n",
-            self.inner.coord_log.len(),
+            self.inner.coord_log.last_lsn(),
             self.inner.coord_log.decisions_total(),
             self.inner.coord_log.forces_total(),
         ));
@@ -792,6 +783,7 @@ impl HostDb {
     pub fn crash(&self) {
         self.inner.db.crash();
         self.inner.coord_log.crash();
+        self.inner.open_xids.lock().clear();
         self.inner.tokens.clear();
     }
 
@@ -810,6 +802,10 @@ impl HostDb {
         self.inner.rec_seq.store(cur.max(low + 1), Ordering::SeqCst);
         self.resolve_indoubts()?;
         Ok(())
+    }
+
+    fn txn_open(&self, xid: i64) -> bool {
+        self.inner.open_xids.lock().contains(&xid)
     }
 
     pub(crate) fn reload_dl_columns(&self) -> HostResult<()> {
@@ -840,11 +836,20 @@ impl HostDb {
     /// commit's `End` record is appended only once **all** its servers
     /// acked the re-driven phase 2 — ending it earlier would stop the
     /// resolver from ever retrying the servers that failed.
+    ///
+    /// A transaction still open on this host is skipped: its session owns
+    /// the outcome. Its decision may sit in the coordinator log's volatile
+    /// tail mid-force (re-driving it could commit what a crash then aborts)
+    /// or not be written yet (aborting its prepared participants would let
+    /// the commit ack a link that is not there).
     pub fn resolve_indoubts(&self) -> HostResult<usize> {
         let mut resolved = 0usize;
         let mut failed_calls = 0usize;
         // Re-drive commit decisions that never finished phase 2.
         for (xid, servers) in self.inner.coord_log.unfinished_commits() {
+            if self.txn_open(xid) {
+                continue;
+            }
             obs::info!(
                 "hostdb::resolver",
                 "re-driving unfinished commit for xid {xid} on {} server(s)",
@@ -916,6 +921,9 @@ impl HostDb {
             let mut transport_ok = true;
             if let DlfmResponse::Indoubt(xids) = resp {
                 for xid in xids {
+                    if self.txn_open(xid) {
+                        continue;
+                    }
                     let committed = self.inner.coord_log.committed(xid);
                     obs::info!(
                         "hostdb::resolver",
@@ -1712,8 +1720,10 @@ impl HostSession {
             return Err(HostError::Usage("transaction already open".into()));
         }
         self.session.begin()?;
+        let xid = self.host.next_xid();
+        self.host.inner.open_xids.lock().insert(xid);
         self.txn = Some(HostTxn {
-            xid: self.host.next_xid(),
+            xid,
             epoch: self.host.inner.shards.begin_txn(),
             touched: BTreeSet::new(),
             dl_ops: Vec::new(),
@@ -1740,6 +1750,7 @@ impl HostSession {
         let epoch = txn.epoch;
         let (xid, start_micros, trace_ids) = (txn.xid, txn.start_micros, txn.trace_ids.clone());
         let result = self.commit_txn(txn).inspect_err(|_| span.fail());
+        self.host.inner.open_xids.lock().remove(&xid);
         // The shard-map pin ends only after the outcome is settled either
         // way: a migration must not move rows this transaction's phase 2
         // may still be writing.
@@ -1897,6 +1908,7 @@ impl HostSession {
     pub fn rollback(&mut self) {
         if let Some(txn) = self.txn.take() {
             self.abort_everywhere(&txn);
+            self.host.inner.open_xids.lock().remove(&txn.xid);
             self.host.inner.shards.end_txn(txn.epoch);
             self.host.maybe_autopsy(txn.xid, txn.start_micros, &txn.trace_ids, true);
         }

@@ -145,7 +145,7 @@ fn local_only_transactions_skip_two_phase_commit() {
     s.exec("INSERT INTO plain (k) VALUES (1)").unwrap();
     s.commit().unwrap();
     assert_eq!(r.host.metrics().twopc_commits.load(std::sync::atomic::Ordering::Relaxed), 0);
-    assert!(r.host.coord_log().is_empty());
+    assert_eq!(r.host.coord_log().last_lsn(), 0);
 }
 
 #[test]
@@ -157,12 +157,12 @@ fn read_only_dlfm_participation_skips_phase_two() {
     r.fs.create("/f", "u", b"x").unwrap();
     s.exec_params("INSERT INTO docs (id, doc) VALUES (1, ?)", &[Value::str("dlfs://fs1/f")])
         .unwrap();
-    let log_len = r.host.coord_log().len();
+    let log_len = r.host.coord_log().last_lsn();
     // Token issuance talks to the DLFM but is not transactional work.
     s.begin().unwrap();
     let _ = s.read_token("dlfs://fs1/f").unwrap();
     s.commit().unwrap();
-    assert_eq!(r.host.coord_log().len(), log_len, "no new commit decision expected");
+    assert_eq!(r.host.coord_log().last_lsn(), log_len, "no new commit decision expected");
 }
 
 #[test]

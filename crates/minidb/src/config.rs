@@ -54,11 +54,6 @@ pub struct DbConfig {
     /// serialised at the simulated log device — the historical behaviour,
     /// kept so E11 can measure the gap.
     pub group_commit: bool,
-    /// How long a group-commit leader lingers before forcing, to let more
-    /// committers join the batch. Zero (the default) forces immediately;
-    /// the natural batching from the force latency itself is usually
-    /// enough.
-    pub group_commit_wait: Duration,
     /// Statements running at least this long are recorded in the
     /// slow-statement log with their plan text, optimizer cost/cardinality
     /// estimates, and lock-wait breakdown — the paper's RUNSTATS lesson
@@ -90,7 +85,6 @@ impl Default for DbConfig {
             isolation: Isolation::CursorStability,
             log_force_latency: Duration::ZERO,
             group_commit: true,
-            group_commit_wait: Duration::ZERO,
             slow_statement_threshold: None,
             mvcc: true,
             lock_shards: 16,
@@ -113,7 +107,6 @@ impl DbConfig {
             isolation: Isolation::CursorStability,
             log_force_latency: Duration::ZERO,
             group_commit: true,
-            group_commit_wait: Duration::ZERO,
             slow_statement_threshold: None,
             mvcc: true,
             lock_shards: 16,

@@ -35,6 +35,7 @@ use crate::config::{DbConfig, Isolation};
 use crate::error::{DbError, DbResult};
 use crate::eval::{eval, eval_pred, BoundExpr};
 use crate::lock::{LockManager, LockMetrics, LockMode, Res};
+use crate::log::Lsn;
 use crate::plan::{plan_access, AccessPath, TablePlan};
 use crate::schema::{ColumnDef, IndexId, IndexSchema, TableId, TableSchema};
 use crate::sql::ast::{AggFn, Expr, Stmt};
@@ -43,7 +44,7 @@ use crate::stats::StatsRegistry;
 use crate::storage::{Storage, StorageSnapshot, TableData};
 use crate::txn::{Savepoint, Txn, TxnId, TxnState, UndoOp};
 use crate::value::{Row, Value};
-use crate::wal::{LogPayload, LogRecord, Lsn, Wal};
+use crate::wal::{LogPayload, LogRecord, Wal};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,7 +251,6 @@ impl Database {
                 wal: {
                     let wal = Wal::new(config.log_capacity_records, config.log_force_latency);
                     wal.set_group_commit(config.group_commit);
-                    wal.set_group_commit_wait(config.group_commit_wait);
                     wal
                 },
                 next_txn: AtomicU64::new(1),
@@ -1650,11 +1650,6 @@ impl Database {
     /// Is group commit enabled?
     pub fn group_commit(&self) -> bool {
         self.inner.wal.group_commit()
-    }
-
-    /// Change the group-commit leader accumulation window.
-    pub fn set_group_commit_wait(&self, d: std::time::Duration) {
-        self.inner.wal.set_group_commit_wait(d);
     }
 
     /// Lock-manager counters.

@@ -11,7 +11,9 @@
 //! * **lock escalation** from rows to tables past a threshold,
 //! * wait-for-graph **deadlock detection** plus **lock timeouts**,
 //! * a write-ahead log with a bounded active window (**log full** for long
-//!   transactions) and crash/restart recovery,
+//!   transactions) and crash/restart recovery, over a log core with group
+//!   commit and exact crash epochs that the host's 2PC coordinator log
+//!   shares,
 //! * a **cost-based optimizer** driven by catalog statistics, with
 //!   RUNSTATS and hand-crafted statistic overrides, and prepared
 //!   statements that pin ("bind") plans.
@@ -44,6 +46,7 @@ pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod lock;
+pub mod log;
 pub mod plan;
 pub mod schema;
 pub mod session;

@@ -154,7 +154,6 @@ fn group_commit_knob_round_trips() {
     assert!(db.group_commit());
     db.set_group_commit(false);
     assert!(!db.group_commit());
-    db.set_group_commit_wait(Duration::from_micros(100));
     db.set_group_commit(true);
     let mut s = Session::new(&db);
     s.begin().unwrap();
