@@ -110,8 +110,10 @@ wire_smoke() {
 # Two shards, three OS processes: two `dlfmd` daemons (telemetry watchdog
 # armed) each serve a Unix-domain socket, and a host process enables the
 # hash-routing ring over both, migrating the seeded directory between the
-# daemons mid-run (ExportLinks/ImportLinks over the wire). Both daemons
-# exit nonzero on watchdog alerts or an unclean shutdown.
+# daemons mid-run (ExportLinks/ImportLinks over the wire). Daemon A runs
+# the default dedicated agent model, daemon B the pooled one, so both
+# settings serve a second process. Both daemons exit nonzero on watchdog
+# alerts or an unclean shutdown.
 shard_smoke() {
   step "shard smoke: two dlfmd daemons + host ring with a live prefix migration"
   local sock_a sock_b out_a out_b pid_a pid_b
@@ -125,7 +127,7 @@ shard_smoke() {
   target/release/dlfmd --listen "unix://$sock_a" --seed-files 16 --watch \
     <"$sock_a.stdin" >"$out_a" &
   pid_a=$!
-  target/release/dlfmd --listen "unix://$sock_b" --seed-files 16 --watch \
+  target/release/dlfmd --listen "unix://$sock_b" --seed-files 16 --pooled 4:64 --watch \
     <"$sock_b.stdin" >"$out_b" &
   pid_b=$!
   exec 7>"$sock_a.stdin" 8>"$sock_b.stdin"

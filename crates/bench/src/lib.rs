@@ -161,15 +161,9 @@ impl JsonArm {
 }
 
 fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+    let mut out = String::with_capacity(s.len());
+    obs::json_escape(s, &mut out);
+    out
 }
 
 fn json_num(v: f64) -> String {

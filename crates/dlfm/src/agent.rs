@@ -1,4 +1,11 @@
-//! The DLFM child agent: one per host connection (paper §3.5).
+//! The DLFM agent: executes each host connection's requests against that
+//! connection's state in the session table (paper §3.5).
+//!
+//! Whichever way the RPC fabric lays out its agents — one pinned to each
+//! connection, the paper's child agent, or a pool shared by all of them —
+//! every event goes through [`handle_event`]: a request runs against its
+//! session's [`SessionState`], checked out of the [`SessionTable`], and a
+//! hangup retires that state.
 //!
 //! Forward processing (link/unlink/delete-group) runs inside a single local
 //! database transaction per host transaction; Prepare hardens it with a
@@ -10,6 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use dlrpc::{PoolEvent, ReplySlot};
 use minidb::{Session, Value};
 
 use crate::api::{
@@ -37,9 +45,8 @@ struct CurTxn {
 
 /// Per-connection mutable state: the local-database session (whose open
 /// sub-transaction spans requests) and the in-progress host transaction.
-/// In dedicated mode each child agent owns one; in pooled mode these live
-/// in the [`SessionTable`] keyed by the fabric session id, so any worker
-/// can pick up any connection's next request.
+/// It lives in the [`SessionTable`] keyed by the fabric session id, so
+/// whichever agent serves a connection's next request finds it there.
 pub struct SessionState {
     /// Local-database session; its open transaction spans requests.
     session: Session,
@@ -51,7 +58,7 @@ pub struct SessionState {
 
 impl SessionState {
     /// Fresh state for a new connection.
-    pub fn new(shared: &DlfmShared) -> SessionState {
+    fn new(shared: &DlfmShared) -> SessionState {
         SessionState { session: Session::new(&shared.db), dbid: 0, cur: None }
     }
 
@@ -98,11 +105,10 @@ impl SessionState {
     }
 }
 
-/// Session-state table for pooled mode, keyed by fabric session id.
-/// Checkout hands back the per-session lock: concurrent requests on the
-/// same session serialize on it (the host issues one call at a time per
-/// connection anyway), while different sessions proceed in parallel on
-/// different workers.
+/// Session-state table, keyed by fabric session id. Checkout hands back
+/// the per-session lock: concurrent requests on the same session serialize
+/// on it (the host issues one call at a time per connection anyway), while
+/// different sessions proceed in parallel on different agents.
 #[derive(Default)]
 pub struct SessionTable {
     states: parking_lot::Mutex<HashMap<u64, Arc<parking_lot::Mutex<SessionState>>>>,
@@ -123,7 +129,7 @@ impl SessionTable {
     }
 
     /// Drop `session`'s state (the client hung up), rolling back any open
-    /// transaction — the connection-loss behaviour of a dedicated agent.
+    /// transaction and undoing its chunk-hardened work.
     pub fn retire(&self, shared: &DlfmShared, session: u64) {
         let state = self.states.lock().remove(&session);
         if let Some(state) = state {
@@ -137,7 +143,7 @@ impl SessionTable {
     }
 
     /// One status line per live session, sorted by session id. A session
-    /// currently executing on a worker reports `(busy)` rather than
+    /// currently executing on an agent reports `(busy)` rather than
     /// blocking the status caller on its lock.
     pub fn status_lines(&self) -> Vec<(u64, String)> {
         let states: Vec<_> = self.states.lock().iter().map(|(id, s)| (*id, s.clone())).collect();
@@ -146,7 +152,7 @@ impl SessionTable {
             .map(|(id, s)| {
                 let line = match s.try_lock() {
                     Some(st) => st.status_line(),
-                    None => "(busy on a worker)".to_string(),
+                    None => "(busy on an agent)".to_string(),
                 };
                 (id, line)
             })
@@ -156,42 +162,30 @@ impl SessionTable {
     }
 }
 
-/// A child agent serving one host connection (dedicated mode): one
-/// session's state bundled with the shared DLFM for the serve loop.
-pub struct Agent {
-    shared: Arc<DlfmShared>,
-    state: SessionState,
-}
-
-impl Agent {
-    /// New agent over the shared DLFM state.
-    pub fn new(shared: Arc<DlfmShared>) -> Agent {
-        let state = SessionState::new(&shared);
-        Agent { shared, state }
-    }
-
-    /// Dispatch one request, tracing it and recording per-op latency.
-    pub fn handle(&mut self, req: DlfmRequest) -> DlfmResponse {
-        handle_request(&self.shared, &mut self.state, req)
-    }
-}
-
-impl Drop for Agent {
-    /// A dedicated agent exits when its connection's channel closes — on a
-    /// graceful disconnect but also when a wire client dies mid-call. The
-    /// rollback (and phase-2 abort of chunk-hardened work) must not depend
-    /// on how the connection ended, so it runs here, mirroring
-    /// [`SessionTable::retire`] in pooled mode.
-    fn drop(&mut self) {
-        self.state.abandon(&self.shared);
+/// The one DLFM handler, run by every agent under either agent model. A
+/// request runs against its session's state; a hangup — a client that
+/// dropped its connection, a wire socket that died mid-call, or the
+/// server's shutdown reaching a pinned agent — retires that state, so the
+/// rollback does not depend on how the connection ended.
+pub fn handle_event(
+    shared: &DlfmShared,
+    event: PoolEvent<DlfmRequest>,
+    slot: ReplySlot<DlfmResponse>,
+) {
+    match event {
+        PoolEvent::Request { session, req } => {
+            let state = shared.sessions.checkout(shared, session);
+            let resp = handle_request(shared, &mut state.lock(), req);
+            slot.send(resp);
+        }
+        PoolEvent::Hangup { session } => shared.sessions.retire(shared, session),
     }
 }
 
 /// Dispatch one request against a session's state, tracing it and
-/// recording per-op latency. Both agent models funnel through here, and a
-/// batch funnels each of its members through here in turn, so a member is
-/// traced, timed, chunk-committed and force-rolled-back exactly like the
-/// same request sent alone.
+/// recording per-op latency. A batch funnels each of its members through
+/// here in turn, so a member is traced, timed, chunk-committed and
+/// force-rolled-back exactly like the same request sent alone.
 pub fn handle_request(
     shared: &DlfmShared,
     state: &mut SessionState,

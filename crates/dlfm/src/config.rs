@@ -2,39 +2,8 @@
 
 use std::time::Duration;
 
+use dlrpc::AgentModel;
 use minidb::DbConfig;
-
-/// How the DLFM executes agent work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AgentModel {
-    /// The paper's process model (§2, §3.5): the main daemon spawns one
-    /// dedicated child agent per host connection, and the request channel
-    /// is a rendezvous — a sender blocks until the agent issues its
-    /// receive. This is the default; the §4 synchronous-commit /
-    /// distributed-deadlock behaviour depends on it.
-    Dedicated,
-    /// Session-multiplexed agent pool: a fixed set of worker threads pulls
-    /// from one shared bounded run queue, and per-connection state lives in
-    /// a session table so any worker can serve any connection. The bounded
-    /// queue is the admission control: requests that cannot be enqueued
-    /// within `admission_timeout` are rejected with
-    /// `dlrpc::RpcError::Overloaded`.
-    Pooled {
-        /// Worker threads in the pool.
-        workers: usize,
-        /// Capacity of the shared run queue.
-        queue_depth: usize,
-        /// How long a sender waits for queue space before being rejected.
-        admission_timeout: Duration,
-    },
-}
-
-impl AgentModel {
-    /// A pooled model with the default admission timeout (250 ms).
-    pub fn pooled(workers: usize, queue_depth: usize) -> AgentModel {
-        AgentModel::Pooled { workers, queue_depth, admission_timeout: Duration::from_millis(250) }
-    }
-}
 
 /// Which transport the DLFM server listens on.
 ///
@@ -98,8 +67,10 @@ pub struct DlfmConfig {
     /// binding the DLFM's SQL statements, and re-apply + rebind when a
     /// RUNSTATS overwrites them (§3.2.1, §4).
     pub hand_craft_stats: bool,
-    /// Agent execution model: dedicated child agents (the paper's process
-    /// model, default) or a session-multiplexed worker pool.
+    /// How the RPC fabric lays out its agents: one pinned to each
+    /// connection (the paper's process model, default) or a
+    /// session-multiplexed worker pool. Either way every connection's state
+    /// lives in the session table.
     pub agent_model: AgentModel,
     /// Continuous-telemetry watchdog: when set, the server spawns an
     /// `obs::watch` sampler over its own metrics at startup and stops it

@@ -49,6 +49,7 @@ pub use api::{
     AccessControl, DbErrorKind, DlfmError, DlfmRequest, DlfmResponse, DlfmResult, GroupSpec,
     LinkStatus, TelemetryKind, MAX_BATCH_OPS,
 };
-pub use config::{default_watch_rules, AgentModel, DlfmConfig, Transport};
+pub use config::{default_watch_rules, DlfmConfig, Transport};
+pub use dlrpc::AgentModel;
 pub use metrics::{DlfmMetrics, DlfmMetricsSnapshot};
 pub use server::{now_micros, DlfmServer, DlfmShared};

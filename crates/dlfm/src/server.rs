@@ -2,7 +2,8 @@
 //! daemon's accept loop (paper §3.5, Figure 5).
 //!
 //! Process model: a main daemon accepts connections from host-database
-//! agents and spawns one child agent per connection; four service daemons
+//! agents and pins one child agent to each (or, as a setting, a fixed pool
+//! of agents serves them all — `dlrpc::AgentModel`); four service daemons
 //! (Copy, Retrieve, Delete-Group, Garbage Collector) run alongside as
 //! threads, and two run in-line on their callers: the privileged Chown
 //! component on the agent or daemon that asks, the Upcall daemon as the
@@ -15,15 +16,15 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use archive::ArchiveServer;
 use crossbeam::channel::{unbounded, Sender};
-use dlrpc::{fabric, pool_fabric, serve, serve_pool, Connector, PoolEvent, ServerHandle};
+use dlrpc::{fabric, serve, Connector, ServerHandle};
 use filesys::{Dlff, FileSystem};
 use minidb::{Database, Session, Value};
 use parking_lot::RwLock;
 
-use crate::agent::{self, Agent, SessionTable};
+use crate::agent::{self, SessionTable};
 use crate::api::{DlfmRequest, DlfmResponse};
 use crate::chown::{ChownClient, ChownDaemon};
-use crate::config::{AgentModel, DlfmConfig};
+use crate::config::DlfmConfig;
 use crate::daemons;
 use crate::meta::{self, Statements, XS_INFLIGHT};
 use crate::metrics::DlfmMetrics;
@@ -53,9 +54,8 @@ pub struct DlfmShared {
     pub metrics: Arc<DlfmMetrics>,
     /// Bound SQL statements, swapped atomically on rebind.
     pub stmts: RwLock<Arc<Statements>>,
-    /// Per-connection session state, keyed by fabric session id (pooled
-    /// agent model; empty under the dedicated model, where each child
-    /// agent owns its state).
+    /// Per-connection session state, keyed by fabric session id, under
+    /// either agent model.
     pub sessions: SessionTable,
     /// Work queue feeding the Delete-Group daemon.
     pub groupd_tx: Sender<(i64, i64)>,
@@ -178,43 +178,15 @@ impl DlfmServer {
             daemons::spawn_retrieve_daemon(shared.clone(), retrieve_rx),
         ];
 
-        // The main daemon, in one of two agent models (paper §3.5 vs a
-        // session-multiplexed pool).
-        let (connector, rpc) = match shared.config.agent_model {
-            // Dedicated: accept connections, one child agent each.
-            AgentModel::Dedicated => {
-                let (listener, connector) = fabric();
-                let agent_shared = shared.clone();
-                let rpc = serve(listener, move || {
-                    let mut agent = Agent::new(agent_shared.clone());
-                    move |req: DlfmRequest, slot: dlrpc::ReplySlot<DlfmResponse>| {
-                        let resp = agent.handle(req);
-                        slot.send(resp);
-                    }
-                });
-                (connector, rpc)
-            }
-            // Pooled: N workers share one bounded run queue; per-connection
-            // state lives in the session table, checked out by session id.
-            AgentModel::Pooled { workers, queue_depth, admission_timeout } => {
-                let (listener, connector) = pool_fabric(queue_depth, admission_timeout);
-                let agent_shared = shared.clone();
-                let rpc = serve_pool(listener, workers, move || {
-                    let shared = agent_shared.clone();
-                    move |ev: PoolEvent<DlfmRequest>, slot: dlrpc::ReplySlot<DlfmResponse>| match ev
-                    {
-                        PoolEvent::Request { session, req } => {
-                            let state = shared.sessions.checkout(&shared, session);
-                            let mut state = state.lock();
-                            let resp = agent::handle_request(&shared, &mut state, req);
-                            slot.send(resp);
-                        }
-                        PoolEvent::Hangup { session } => shared.sessions.retire(&shared, session),
-                    }
-                });
-                (connector, rpc)
-            }
-        };
+        // The main daemon and its agents, laid out as the agent model says
+        // (paper §3.5's child agent per connection, or a pool); either way
+        // per-connection state lives in the session table.
+        let (listener, connector) = fabric(shared.config.agent_model);
+        let agent_shared = shared.clone();
+        let rpc = serve(listener, move || {
+            let shared = agent_shared.clone();
+            move |event, slot| agent::handle_event(&shared, event, slot)
+        });
 
         // Socket listener: bridge remote sessions into the same fabric the
         // in-process connector serves, so agents never see the transport.
@@ -246,21 +218,8 @@ impl DlfmServer {
             });
             let weak = Arc::downgrade(&server.shared);
             let connector = server.connector.clone();
-            let agents = server
-                .rpc
-                .as_ref()
-                .map(|h| h.agents_spawned.clone())
-                .unwrap_or_else(|| Arc::new(std::sync::atomic::AtomicU64::new(0)));
             let status = Box::new(move || {
-                weak.upgrade()
-                    .map(|s| {
-                        render_status_text(
-                            &s,
-                            &connector,
-                            agents.load(std::sync::atomic::Ordering::Relaxed),
-                        )
-                    })
-                    .unwrap_or_default()
+                weak.upgrade().map(|s| render_status_text(&s, &connector)).unwrap_or_default()
             });
             let _ = server.shared.telemetry.set(TelemetryProviders { metrics, status });
         }
@@ -308,9 +267,9 @@ impl DlfmServer {
     }
 
     /// Agent threads spawned by the RPC server so far: one per connection
-    /// under [`AgentModel::Dedicated`], the fixed worker count under
-    /// [`AgentModel::Pooled`]. Benchmarks use this to show the thread-count
-    /// difference between the two models.
+    /// under [`dlrpc::AgentModel::Dedicated`], the fixed worker count under
+    /// [`dlrpc::AgentModel::Pooled`]. Benchmarks use this to show the
+    /// thread-count difference between the two settings.
     pub fn agents_spawned(&self) -> u64 {
         self.rpc
             .as_ref()
@@ -350,18 +309,7 @@ impl DlfmServer {
     pub fn status_provider(&self) -> impl Fn() -> String + Send + Sync + 'static {
         let shared = self.shared.clone();
         let connector = self.connector.clone();
-        let agents = self
-            .rpc
-            .as_ref()
-            .map(|h| h.agents_spawned.clone())
-            .unwrap_or_else(|| Arc::new(std::sync::atomic::AtomicU64::new(0)));
-        move || {
-            render_status_text(
-                &shared,
-                &connector,
-                agents.load(std::sync::atomic::Ordering::Relaxed),
-            )
-        }
+        move || render_status_text(&shared, &connector)
     }
 }
 
@@ -480,21 +428,16 @@ fn render_metrics_text(
         if let Some(pool) = connector.pool_stats() {
             r.gauge(
                 "dlfm_pool_workers",
-                "Agent-pool worker threads (pooled agent model).",
+                "Agent threads running: the pool's workers, or one per open connection (dedicated).",
                 &[],
                 pool.workers() as i64,
             );
-            r.gauge(
-                "dlfm_pool_busy",
-                "Pool workers currently executing a request.",
-                &[],
-                pool.busy(),
-            );
+            r.gauge("dlfm_pool_busy", "Agents currently executing a request.", &[], pool.busy());
             r.gauge(
                 "dlfm_pool_queue_depth",
-                "Requests waiting in the shared run queue.",
+                "Work no agent has picked up: queued requests (pooled) or connections awaiting their agent (dedicated).",
                 &[],
-                connector.pool_queue_depth().unwrap_or(0) as i64,
+                connector.accept_backlog() as i64,
             );
             r.counter(
                 "dlfm_pool_rejects_total",
@@ -502,25 +445,20 @@ fn render_metrics_text(
                 &[],
                 pool.rejects(),
             );
-            r.counter(
-                "dlfm_pool_served_total",
-                "Requests served by pool workers.",
-                &[],
-                pool.served(),
-            );
+            r.counter("dlfm_pool_served_total", "Requests served by agents.", &[], pool.served());
             r.counter(
                 "dlfm_pool_hangups_total",
-                "Session hangups processed by the pool.",
+                "Session hangups processed by agents.",
                 &[],
                 pool.hangups(),
             );
-            r.gauge(
-                "dlfm_sessions_active",
-                "Connections with live session state in the session table.",
-                &[],
-                shared.sessions.active() as i64,
-            );
         }
+        r.gauge(
+            "dlfm_sessions_active",
+            "Connections with live session state in the session table.",
+            &[],
+            shared.sessions.active() as i64,
+        );
 
         r.gauge(
             "dlfm_daemon_queue_depth",
@@ -535,26 +473,7 @@ fn render_metrics_text(
             shared.retrieve_tx.len() as i64,
         );
 
-        let spans = obs::trace::global_ring();
-        r.counter(
-            "obs_spans_dropped_total",
-            "Span events overwritten in the trace ring before being read.",
-            &[],
-            spans.dropped(),
-        );
-        r.counter(
-            "obs_journal_events_total",
-            "Structured events recorded by the flight-recorder journal.",
-            &[],
-            obs::journal::recorded(),
-        );
-        r.counter(
-            "obs_journal_events_dropped_total",
-            "Journal events overwritten in the flight-recorder ring before being read.",
-            &[],
-            obs::journal::dropped(),
-        );
-
+        obs::render_recorder_metrics(&mut r);
         obs::render_process_metrics(&mut r);
         obs::render_watch_metrics(&mut r);
 
@@ -568,7 +487,7 @@ impl DlfmServer {
     /// operator tails while a workload runs (rendered by the `dlfmtop`
     /// example).
     pub fn status_text(&self) -> String {
-        render_status_text(&self.shared, &self.connector, self.agents_spawned())
+        render_status_text(&self.shared, &self.connector)
     }
 }
 
@@ -577,31 +496,24 @@ impl DlfmServer {
 fn render_status_text(
     shared: &Arc<DlfmShared>,
     connector: &Connector<DlfmRequest, DlfmResponse>,
-    agents_spawned: u64,
 ) -> String {
     {
         let mut out = String::new();
         out.push_str("=== dlfm status ===\n");
 
-        // Agent model + pool occupancy.
-        match shared.config.agent_model {
-            crate::config::AgentModel::Dedicated => {
-                out.push_str(&format!(
-                    "agent model: dedicated ({agents_spawned} agents spawned)\n"
-                ));
-            }
-            crate::config::AgentModel::Pooled { workers, queue_depth, .. } => {
-                let busy = connector.pool_stats().map(|p| p.busy()).unwrap_or(0);
-                let queued = connector.pool_queue_depth().unwrap_or(0);
-                let rejects = connector.pool_stats().map(|p| p.rejects()).unwrap_or(0);
-                out.push_str(&format!(
-                    "agent model: pooled, {busy}/{workers} workers busy, \
-                     run queue {queued}/{queue_depth}, {rejects} admission rejects\n"
-                ));
-            }
+        // Agent model + occupancy.
+        if let Some(pool) = connector.pool_stats() {
+            out.push_str(&format!(
+                "agent model: {}: {}/{} agents busy, {} waiting, {} admission rejects\n",
+                shared.config.agent_model,
+                pool.busy(),
+                pool.workers(),
+                connector.accept_backlog(),
+                pool.rejects(),
+            ));
         }
 
-        // Session table (pooled mode; empty under dedicated agents).
+        // Session table.
         let sessions = shared.sessions.status_lines();
         out.push_str(&format!("sessions: {}\n", sessions.len()));
         for (id, line) in sessions {

@@ -65,9 +65,10 @@ pub struct HostConfig {
     pub synchronous_commit: bool,
     /// Maximum idle DLFM connections kept per server for reuse. Sessions
     /// and the indoubt resolver check connections out of this pool instead
-    /// of opening a fresh one (a fresh dedicated-mode connection spawns a
-    /// whole child-agent thread); checked-in connections beyond the cap
-    /// are closed. `0` disables reuse.
+    /// of opening a fresh one (under the DLFM's dedicated agent model a
+    /// fresh connection gets a whole agent thread pinned to it, for as
+    /// long as it stays open); checked-in connections beyond the cap are
+    /// closed. `0` disables reuse.
     pub conn_pool_size: usize,
     /// How long a datalink operation may block on an in-progress shard
     /// migration of its prefix before failing.
@@ -589,24 +590,7 @@ impl HostDb {
         for connector in self.inner.dlfms.read().values() {
             connector.render_metrics(&mut r);
         }
-        r.counter(
-            "obs_spans_dropped_total",
-            "Span events overwritten in the trace ring before being read.",
-            &[],
-            obs::trace::global_ring().dropped(),
-        );
-        r.counter(
-            "obs_journal_events_total",
-            "Structured events recorded by the flight-recorder journal.",
-            &[],
-            obs::journal::recorded(),
-        );
-        r.counter(
-            "obs_journal_events_dropped_total",
-            "Journal events overwritten in the flight-recorder ring before being read.",
-            &[],
-            obs::journal::dropped(),
-        );
+        obs::render_recorder_metrics(&mut r);
         obs::render_process_metrics(&mut r);
         obs::render_watch_metrics(&mut r);
         r.render()
@@ -2334,8 +2318,9 @@ impl HostSession {
 
     pub(crate) fn conn(&mut self, server: &str) -> HostResult<&DlfmConn> {
         if !self.conns.contains_key(server) {
-            // Reuse an idle pooled connection when one exists; a fresh
-            // dedicated-mode connection costs a whole child-agent thread.
+            // Reuse an idle pooled connection when one exists; under the
+            // DLFM's dedicated agent model a fresh one costs an agent thread
+            // pinned to it.
             let conn = self.host.checkout_conn(server)?;
             self.conns.insert(server.to_string(), conn);
         }

@@ -213,12 +213,14 @@ fn an_unexpected_prepare_reply_is_a_counted_global_abort() {
     let _s = serial();
     // A participant that answers everything — Prepare included — with a
     // bare `Ok`, and counts the Aborts it is sent.
-    let (listener, connector) = dlrpc::fabric::<DlfmRequest, DlfmResponse>();
+    let (listener, connector) =
+        dlrpc::fabric::<DlfmRequest, DlfmResponse>(dlrpc::AgentModel::Dedicated);
     let aborts = Arc::new(AtomicU64::new(0));
     let seen = aborts.clone();
     let mut fake = dlrpc::serve(listener, move || {
         let seen = seen.clone();
-        move |req: DlfmRequest, slot: dlrpc::ReplySlot<DlfmResponse>| {
+        move |ev: dlrpc::PoolEvent<DlfmRequest>, slot: dlrpc::ReplySlot<DlfmResponse>| {
+            let dlrpc::PoolEvent::Request { req, .. } = ev else { return };
             if matches!(req, DlfmRequest::Abort { .. }) {
                 seen.fetch_add(1, Relaxed);
             }

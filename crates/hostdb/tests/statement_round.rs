@@ -291,7 +291,8 @@ fn a_no_vote_on_the_round_is_a_counted_global_abort() {
     let _s = serial();
     // A participant that does every operation and then refuses to prepare,
     // whichever way it is asked; it counts the Aborts it is sent.
-    let (listener, connector) = dlrpc::fabric::<DlfmRequest, DlfmResponse>();
+    let (listener, connector) =
+        dlrpc::fabric::<DlfmRequest, DlfmResponse>(dlrpc::AgentModel::Dedicated);
     let aborts = Arc::new(AtomicU64::new(0));
     let seen = aborts.clone();
     let no = || {
@@ -303,7 +304,8 @@ fn a_no_vote_on_the_round_is_a_counted_global_abort() {
     };
     let mut fake = dlrpc::serve(listener, move || {
         let seen = seen.clone();
-        move |req: DlfmRequest, slot: dlrpc::ReplySlot<DlfmResponse>| {
+        move |ev: dlrpc::PoolEvent<DlfmRequest>, slot: dlrpc::ReplySlot<DlfmResponse>| {
+            let dlrpc::PoolEvent::Request { req, .. } = ev else { return };
             let one = |req: &DlfmRequest| match req {
                 DlfmRequest::Prepare { .. } => no(),
                 _ => DlfmResponse::Ok,

@@ -14,8 +14,9 @@
 use crate::journal::{self, JournalEvent};
 use crate::trace::{global_ring, Layer, Outcome, SpanEvent};
 
-/// Escape a string for a JSON string literal.
-fn escape_into(s: &str, out: &mut String) {
+/// Append `s` to `out` escaped for the inside of a JSON string literal —
+/// the one escaper every hand-rolled JSON writer in the workspace uses.
+pub fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -96,7 +97,7 @@ pub fn chrome_trace(spans: &[SpanEvent], events: &[JournalEvent]) -> String {
             e.txn,
             e.trace_id,
         ));
-        escape_into(&e.detail, &mut out);
+        json_escape(&e.detail, &mut out);
         out.push_str("\"}}");
     }
     // The journal's own pseudo-process.
@@ -242,15 +243,15 @@ pub fn merge_chrome_trace(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":\""
         ));
-        escape_into(&proc.name, &mut out);
+        json_escape(&proc.name, &mut out);
         out.push_str("\"}}");
         for s in &proc.spans {
             let ts = (s.start_micros as i64).saturating_add(proc.clock_offset_micros).max(0);
             let tid = s.trace_id % 1_000_000;
             out.push_str(",{\"name\":\"");
-            escape_into(&s.op, &mut out);
+            json_escape(&s.op, &mut out);
             out.push_str("\",\"cat\":\"");
-            escape_into(&s.layer, &mut out);
+            json_escape(&s.layer, &mut out);
             out.push_str(&format!(
                 "\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":\"{:016x}\",\

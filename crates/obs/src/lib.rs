@@ -44,7 +44,7 @@ pub mod trace;
 pub mod watch;
 
 pub use export::{
-    export_chrome_trace, export_span_dump, json_is_well_formed, merge_chrome_trace,
+    export_chrome_trace, export_span_dump, json_escape, json_is_well_formed, merge_chrome_trace,
     parse_span_dump, span_dump, ProcessTrace, RemoteSpan,
 };
 pub use fault::{FaultGuard, Trigger};
@@ -56,8 +56,8 @@ pub use trace::{
     SpanGuard, TraceCtx,
 };
 pub use watch::{
-    render_process_metrics, render_watch_metrics, Cmp, Rule, RuleKind, WatchConfig, Watchdog,
-    WatchdogHandle,
+    render_process_metrics, render_recorder_metrics, render_watch_metrics, Cmp, Rule, RuleKind,
+    WatchConfig, Watchdog, WatchdogHandle,
 };
 
 use std::sync::atomic::{AtomicU64, Ordering};

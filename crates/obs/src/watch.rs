@@ -82,6 +82,29 @@ pub fn render_watch_metrics(r: &mut Registry) {
     );
 }
 
+/// Render the flight recorder's health into a registry: spans lost to
+/// the trace ring, and journal events recorded and lost.
+pub fn render_recorder_metrics(r: &mut Registry) {
+    r.counter(
+        "obs_spans_dropped_total",
+        "Span events overwritten in the trace ring before being read.",
+        &[],
+        crate::trace::global_ring().dropped(),
+    );
+    r.counter(
+        "obs_journal_events_total",
+        "Structured events recorded by the flight-recorder journal.",
+        &[],
+        crate::journal::recorded(),
+    );
+    r.counter(
+        "obs_journal_events_dropped_total",
+        "Journal events overwritten in the flight-recorder ring before being read.",
+        &[],
+        crate::journal::dropped(),
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Process self-metrics.
 
@@ -983,20 +1006,6 @@ fn check_rule(rule: &Rule, prev: Option<&TimePoint>, cur: &TimePoint) -> Option<
 // ---------------------------------------------------------------------------
 // Incident bundles.
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -1018,7 +1027,9 @@ pub fn timeseries_json(points: &[TimePoint], interval: Duration) -> String {
             if j > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": {}", json_escape(k), json_num(*v)));
+            out.push('"');
+            crate::export::json_escape(k, &mut out);
+            out.push_str(&format!("\": {}", json_num(*v)));
         }
         out.push_str(if i + 1 < points.len() { "}},\n" } else { "}}\n" });
     }

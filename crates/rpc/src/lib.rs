@@ -1,36 +1,36 @@
 //! # dlrpc — the agent connection fabric
 //!
 //! Models the remote-procedure-call mechanism between host-database agents
-//! and DLFM child agents (paper §2, §3.5). The crate splits into a
-//! **protocol core** — the `Listener`/`Connector`/`ClientConn`/`ServerConn`
-//! surface plus two server modes — and pluggable **transports**:
+//! and DLFM agents (paper §2, §3.5). The crate splits into a **protocol
+//! core** — [`fabric`] + [`serve`] on the server, [`Connector`] →
+//! [`ClientConn`] on the client — and pluggable **transports**:
 //!
-//! * **in-process** (the default; [`fabric`]/[`pool_fabric`]) — channels
-//!   inside one process, used by tests, benches, and embedded deployments;
+//! * **in-process** (the default; [`fabric`]) — channels inside one
+//!   process, used by tests, benches, and embedded deployments;
 //! * **wire** ([`socket`] + [`wire`]) — a length-prefixed frame codec over
 //!   real TCP or Unix-domain sockets, many sessions multiplexed per socket,
 //!   with [`wire_connector`] dialing out and [`serve_wire`] bridging
 //!   accepted sockets into an in-process fabric on the server.
 //!
-//! Server modes (transport-independent):
+//! Every connection is a **session** with a fabric-assigned id. [`serve`]
+//! runs one agent loop: it hands each request to the handler as a
+//! [`PoolEvent`] tagged with its session, and a [`PoolEvent::Hangup`] once
+//! the session's client is gone, so per-connection state lives behind the
+//! handler, keyed by session id. An [`AgentModel`] only decides how the
+//! queues between senders and agents are laid out:
 //!
-//! * **Dedicated** ([`serve`]) — the paper's process model: the DLFM **main
-//!   daemon** listens for connects and spawns one **child agent** per
-//!   connection; all requests on that connection are served by that agent.
-//!   On the in-process transport requests are strictly **synchronous**: the
-//!   request channel is a rendezvous, so a sender blocks until the child
-//!   agent actually issues its message receive. This is load-bearing — the
-//!   distributed-deadlock scenario of §4 hinges on "T11 is blocked on
-//!   message send as the DLFM child is still doing the commit processing
-//!   for T1 (and has not issued msg receive)". (The wire transport buffers
-//!   per-session, so §4's send-blocking semantics are an in-process
-//!   property.)
-//! * **Pooled** ([`pool_fabric`] + [`serve_pool`]) — a fixed set of worker
-//!   threads pulls from one shared bounded run queue; any worker serves any
-//!   connection. Every connection carries a fabric-assigned **session id**
-//!   on each request so per-connection state can live server-side, keyed by
-//!   that id. The bounded queue is the admission control: when it stays
-//!   full past the admission timeout the sender gets
+//! * **Dedicated** — the paper's process model: the **main daemon** pins
+//!   one **child agent** to each session, serving that session's own
+//!   queue. In-process the queue is a **rendezvous**, so a sender blocks
+//!   until the agent actually issues its message receive. This is
+//!   load-bearing — the distributed-deadlock scenario of §4 hinges on "T11
+//!   is blocked on message send as the DLFM child is still doing the
+//!   commit processing for T1 (and has not issued msg receive)". (A wire
+//!   session's queue buffers, so §4's send-blocking semantics are an
+//!   in-process property.)
+//! * **Pooled** — a fixed set of agents pulls every session's requests
+//!   from one shared bounded run queue. The bounded queue is the admission
+//!   control: when it stays full past the admission timeout the sender gets
 //!   [`RpcError::Overloaded`] instead of queueing unboundedly.
 //!
 //! Every round trip is split-phase underneath: [`ClientConn::start`] sends
@@ -52,7 +52,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{
+    bounded, Receiver, RecvTimeoutError, SendError, SendTimeoutError, Sender,
+};
 use obs::trace::{self, Layer, TraceCtx};
 
 pub use socket::{
@@ -60,6 +62,13 @@ pub use socket::{
     WireStats,
 };
 pub use wire::{Reader, Wire, WireError};
+
+/// How often idle agents and the main daemon look at the shutdown flag.
+const AGENT_POLL: Duration = Duration::from_millis(20);
+
+/// Sessions a dedicated fabric's main daemon may have waiting for their
+/// agent before `connect` blocks.
+const ACCEPT_BACKLOG: usize = 64;
 
 /// RPC-level failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +78,7 @@ pub enum RpcError {
     /// A timed call did not complete in time.
     Timeout,
     /// The server's run queue stayed full past the admission timeout
-    /// (pooled mode only): the request was rejected, not queued.
+    /// (pooled setting only): the request was rejected, not queued.
     Overloaded,
     /// A wire-transport failure: dial error, frame corruption, or a
     /// payload that did not decode.
@@ -89,13 +98,55 @@ impl fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
+/// How a fabric lays out the queues between its senders and its agents.
+/// Both settings run the same agent loop and hand the handler the same
+/// [`PoolEvent`]s; they differ only in which queue a session sends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AgentModel {
+    /// The paper's process model (§2, §3.5): the main daemon pins one agent
+    /// to each session, over that session's own queue — a rendezvous
+    /// in-process, so a sender blocks until the agent issues its receive.
+    /// The §4 synchronous-commit / distributed-deadlock behaviour depends
+    /// on it.
+    Dedicated,
+    /// Session-multiplexed pool: a fixed set of agents pulls every
+    /// session's requests from one shared bounded run queue. The bounded
+    /// queue is the admission control: requests that cannot be enqueued
+    /// within `admission_timeout` are rejected with
+    /// [`RpcError::Overloaded`].
+    Pooled {
+        /// Agent threads in the pool.
+        workers: usize,
+        /// Capacity of the shared run queue.
+        queue_depth: usize,
+        /// How long a sender waits for queue space before being rejected.
+        admission_timeout: Duration,
+    },
+}
+
+impl AgentModel {
+    /// A pooled model with the default admission timeout (250 ms).
+    pub fn pooled(workers: usize, queue_depth: usize) -> AgentModel {
+        AgentModel::Pooled { workers, queue_depth, admission_timeout: Duration::from_millis(250) }
+    }
+}
+
+impl fmt::Display for AgentModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AgentModel::Dedicated => f.write_str("dedicated (one agent pinned per session)"),
+            AgentModel::Pooled { workers, queue_depth, .. } => {
+                write!(f, "pooled ({workers} workers, run queue depth {queue_depth})")
+            }
+        }
+    }
+}
+
 /// What a connection puts on the wire.
 pub(crate) enum Payload<Req> {
     /// An ordinary request.
     Request(Req),
-    /// The client endpoint was dropped (pooled mode sends this so the
-    /// server can retire the session's state; dedicated mode signals the
-    /// same by closing the per-connection channel).
+    /// The client endpoint is gone: retire the session's state.
     Hangup,
 }
 
@@ -142,8 +193,8 @@ impl<Resp> Drop for ReplyTo<Resp> {
 /// One message in flight. `reply` is empty for posted (fire-and-forget)
 /// requests. `ctx` is the sender's trace context, installed on the
 /// receiving agent's thread so spans on both sides share one trace id.
-/// `session` is the fabric-assigned connection id (pooled workers key
-/// server-side session state by it).
+/// `session` is the fabric-assigned connection id the handler keys
+/// server-side session state by.
 pub(crate) struct Envelope<Req, Resp> {
     pub(crate) payload: Payload<Req>,
     pub(crate) reply: ReplyTo<Resp>,
@@ -151,8 +202,14 @@ pub(crate) struct Envelope<Req, Resp> {
     pub(crate) session: u64,
 }
 
-/// Fabric-wide instrumentation, shared by the connector, the listener,
-/// and every connection created through them. Makes the paper's §4
+impl<Req, Resp> Envelope<Req, Resp> {
+    fn hangup(session: u64) -> Self {
+        Envelope { payload: Payload::Hangup, reply: ReplyTo(None), ctx: None, session }
+    }
+}
+
+/// Fabric-wide instrumentation, shared by the connector and every
+/// connection created through it. Makes the paper's §4
 /// backpressure directly visible: a synchronous commit keeps the child
 /// agent busy, so the next sender blocks *on message send* — that is the
 /// `send_blocked` gauge.
@@ -191,30 +248,31 @@ impl RpcStats {
     }
 }
 
-/// Instrumentation of one agent pool ([`pool_fabric`] mode): admission
-/// and occupancy, shared by the connector, every client connection, and
-/// the worker threads.
+/// Instrumentation of one local fabric's agents under either setting:
+/// admission and occupancy, shared by the connector, every client
+/// connection, and the agent threads.
 #[derive(Debug, Default)]
 pub struct PoolStats {
-    /// Worker threads in the pool (set by [`serve_pool`]).
+    /// Agent threads running (gauge): the pool's workers, or one per open
+    /// session under [`AgentModel::Dedicated`].
     pub workers: AtomicU64,
-    /// Workers currently executing a request (gauge).
+    /// Agents currently executing a request (gauge).
     pub busy: AtomicI64,
-    /// Requests rejected by admission control (counter).
+    /// Requests rejected by admission control (counter; pooled only).
     pub rejects: AtomicU64,
-    /// Requests a worker picked up and served (counter).
+    /// Requests an agent picked up and served (counter).
     pub served: AtomicU64,
     /// Session hangups processed (counter).
     pub hangups: AtomicU64,
 }
 
 impl PoolStats {
-    /// Configured worker count.
+    /// Agent threads running.
     pub fn workers(&self) -> u64 {
         self.workers.load(Ordering::Relaxed)
     }
 
-    /// Workers currently executing a request.
+    /// Agents currently executing a request.
     pub fn busy(&self) -> i64 {
         self.busy.load(Ordering::Relaxed)
     }
@@ -224,7 +282,7 @@ impl PoolStats {
         self.rejects.load(Ordering::Relaxed)
     }
 
-    /// Requests served by the pool.
+    /// Requests served by the agents.
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
     }
@@ -251,11 +309,57 @@ impl Drop for GaugeGuard<'_> {
     }
 }
 
-/// Admission-control handle a pooled [`ClientConn`] carries: how long to
-/// wait for run-queue space before rejecting, and where to count rejects.
+/// Admission control on a shared run queue: how long to wait for space
+/// before rejecting, and where to count rejects.
 struct Admission {
     timeout: Duration,
     pool: Arc<PoolStats>,
+}
+
+/// The sending end of one session on a local fabric: the session's own
+/// pinned queue (dedicated), or a handle on the shared run queue with its
+/// admission bound (pooled). In-process client connections and the wire
+/// bridge both send through it.
+pub(crate) struct SessionTx<Req, Resp> {
+    tx: Sender<Envelope<Req, Resp>>,
+    admission: Option<Admission>,
+}
+
+impl<Req, Resp> SessionTx<Req, Resp> {
+    /// Queue one envelope: block until the pinned agent has room for it,
+    /// or wait at most the admission timeout for room in the run queue. A
+    /// timeout is an admission reject, counted and journaled here.
+    pub(crate) fn send(
+        &self,
+        env: Envelope<Req, Resp>,
+    ) -> Result<(), SendTimeoutError<Envelope<Req, Resp>>> {
+        let Some(adm) = &self.admission else {
+            return self.tx.send(env).map_err(|SendError(env)| SendTimeoutError::Disconnected(env));
+        };
+        self.tx.send_timeout(env, adm.timeout).inspect_err(|e| {
+            if let SendTimeoutError::Timeout(_) = e {
+                adm.pool.rejects.fetch_add(1, Ordering::Relaxed);
+                let timeout = adm.timeout;
+                obs::journal::record(obs::journal::JournalKind::PoolReject, 0, || {
+                    format!("admission reject: run queue full past {timeout:?}")
+                });
+            }
+        })
+    }
+
+    /// Tell the agents `session` is over, now.
+    fn hangup(&self, session: u64) {
+        let _ = self.send(Envelope::hangup(session));
+    }
+
+    /// End `session` as this sender goes away. A run queue outlives every
+    /// session on it, so it needs an explicit hangup; a pinned queue closes
+    /// when this sender drops, which its agent reads as the same hangup.
+    pub(crate) fn close(&self, session: u64) {
+        if self.admission.is_some() {
+            self.hangup(session);
+        }
+    }
 }
 
 /// Serializer function pointers a wire connection carries, captured at
@@ -285,10 +389,8 @@ pub(crate) fn decode_val<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 
 /// Which transport a [`ClientConn`] speaks.
 enum ConnInner<Req, Resp> {
-    /// In-process channels. In dedicated mode `tx` is this connection's
-    /// private rendezvous channel; in pooled mode it is a clone of the
-    /// pool's shared run queue and `admission` bounds the enqueue.
-    Local { tx: Sender<Envelope<Req, Resp>>, admission: Option<Admission> },
+    /// In-process channels, through this session's sender.
+    Local(SessionTx<Req, Resp>),
     /// A session multiplexed over a shared socket.
     Wire { mux: Arc<socket::Mux>, vt: WireVt<Req, Resp> },
 }
@@ -326,18 +428,7 @@ impl<Req, Resp> ClientConn<Req, Resp> {
     fn sever(&self) {
         if !self.severed.swap(true, Ordering::Relaxed) {
             match &self.inner {
-                ConnInner::Local { tx, admission } => {
-                    let env = Envelope::<Req, Resp> {
-                        payload: Payload::Hangup,
-                        reply: ReplyTo(None),
-                        ctx: None,
-                        session: self.session,
-                    };
-                    let _ = match admission {
-                        None => tx.send(env).is_ok(),
-                        Some(adm) => tx.send_timeout(env, adm.timeout).is_ok(),
-                    };
-                }
+                ConnInner::Local(tx) => tx.hangup(self.session),
                 ConnInner::Wire { mux, .. } => mux.hangup(self.session),
             }
         }
@@ -347,38 +438,26 @@ impl<Req, Resp> ClientConn<Req, Resp> {
         self.severed.load(Ordering::Relaxed)
     }
 
-    /// Send one envelope over the local transport, applying admission
-    /// control in pooled mode.
+    /// Send one envelope over the local transport.
     fn send_env(
         &self,
-        tx: &Sender<Envelope<Req, Resp>>,
-        admission: &Option<Admission>,
+        tx: &SessionTx<Req, Resp>,
         env: Envelope<Req, Resp>,
     ) -> Result<(), RpcError> {
         let _blocked = GaugeGuard::enter(&self.stats.send_blocked);
-        match admission {
-            None => tx.send(env).map_err(|_| RpcError::Disconnected),
-            Some(adm) => tx.send_timeout(env, adm.timeout).map_err(|e| match e {
-                crossbeam::channel::SendTimeoutError::Timeout(_) => {
-                    adm.pool.rejects.fetch_add(1, Ordering::Relaxed);
-                    let timeout = adm.timeout;
-                    obs::journal::record(obs::journal::JournalKind::PoolReject, 0, || {
-                        format!("admission reject: run queue full past {timeout:?}")
-                    });
-                    RpcError::Overloaded
-                }
-                crossbeam::channel::SendTimeoutError::Disconnected(_) => RpcError::Disconnected,
-            }),
-        }
+        tx.send(env).map_err(|e| match e {
+            SendTimeoutError::Timeout(_) => RpcError::Overloaded,
+            SendTimeoutError::Disconnected(_) => RpcError::Disconnected,
+        })
     }
 
     /// Send a request and return without waiting for the response: the
     /// first half of every round trip. The agent has *received* the request
-    /// when this returns (dedicated mode), it has been admitted to the run
-    /// queue (pooled mode, bounded by the admission timeout — may fail with
-    /// [`RpcError::Overloaded`]), or it has been written to the socket
-    /// (wire transport). Starting calls on several connections and only
-    /// then waiting on each overlaps their service times.
+    /// when this returns (dedicated setting), it has been admitted to the
+    /// run queue (pooled setting, bounded by the admission timeout — may
+    /// fail with [`RpcError::Overloaded`]), or it has been written to the
+    /// socket (wire transport). Starting calls on several connections and
+    /// only then waiting on each overlaps their service times.
     ///
     /// The call's rpc span opens here and closes when the [`PendingCall`]
     /// is waited on or dropped. It is the context the request carries to
@@ -423,7 +502,7 @@ impl<Req, Resp> ClientConn<Req, Resp> {
                 let parked = mux.start(wire::FrameKind::Call, self.session, payload)?;
                 Ok(Reply::Wire { parked, decode: vt.decode_resp })
             }
-            ConnInner::Local { tx, admission } => {
+            ConnInner::Local(tx) => {
                 if self.is_severed() || obs::fault::fire("rpc.call.disconnect") {
                     self.sever();
                     return Err(RpcError::Disconnected);
@@ -450,9 +529,9 @@ impl<Req, Resp> ClientConn<Req, Resp> {
                     )
                 });
                 let env = self.envelope(Payload::Request(req), ReplyTo(Some(ReplyDest::Chan(rtx))));
-                self.send_env(tx, admission, env)?;
+                self.send_env(tx, env)?;
                 if let Some(env) = dup_env {
-                    let _ = self.send_env(tx, admission, env);
+                    let _ = self.send_env(tx, env);
                 }
                 Ok(Reply::Local(rrx))
             }
@@ -480,8 +559,8 @@ impl<Req, Resp> ClientConn<Req, Resp> {
     }
 
     /// Fire-and-forget post: returns as soon as the agent *receives* the
-    /// request (dedicated mode), it is admitted to the run queue (pooled
-    /// mode), or it has been written to the socket (wire transport),
+    /// request (dedicated setting), it is admitted to the run queue (pooled
+    /// setting), or it has been written to the socket (wire transport),
     /// without waiting for processing (the unsafe asynchronous commit mode
     /// of §4).
     pub fn post(&self, req: Req) -> Result<(), RpcError> {
@@ -495,9 +574,9 @@ impl<Req, Resp> ClientConn<Req, Resp> {
                 (vt.encode_req)(&req, &mut payload);
                 mux.post(self.session, payload)
             }
-            ConnInner::Local { tx, admission } => {
+            ConnInner::Local(tx) => {
                 let env = self.envelope(Payload::Request(req), ReplyTo(None));
-                self.send_env(tx, admission, env)
+                self.send_env(tx, env)
             }
         }
     }
@@ -511,7 +590,7 @@ impl<Req, Resp> ClientConn<Req, Resp> {
             return Err(RpcError::Disconnected);
         }
         match &self.inner {
-            ConnInner::Local { .. } => Ok(()),
+            ConnInner::Local(_) => Ok(()),
             ConnInner::Wire { mux, .. } => mux
                 .start(wire::FrameKind::Ping, self.session, Vec::new())?
                 .wait(Some(timeout))
@@ -529,26 +608,16 @@ impl<Req, Resp> Drop for ClientConn<Req, Resp> {
     fn drop(&mut self) {
         // The server must learn the client is gone so it can retire this
         // session's state (roll back the open transaction, release locks).
-        // Dedicated in-process connections signal it by the channel close
-        // itself; pooled ones share the run queue, so they send an explicit
-        // hangup; wire sessions share a socket, so they send a Hangup
-        // frame. Best-effort everywhere — if the transport is already dead
-        // the server-side cleanup ran (or runs) through its own teardown.
-        // A severed connection already delivered its hangup.
+        // Wire sessions share a socket, so they send a Hangup frame; local
+        // ones close their session sender. Best-effort everywhere — if the
+        // transport is already dead the server-side cleanup ran (or runs)
+        // through its own teardown. A severed connection already delivered
+        // its hangup.
         if self.is_severed() {
             return;
         }
         match &self.inner {
-            ConnInner::Local { tx, admission: Some(adm) } => {
-                let env = Envelope {
-                    payload: Payload::Hangup,
-                    reply: ReplyTo(None),
-                    ctx: None,
-                    session: self.session,
-                };
-                let _ = tx.send_timeout(env, adm.timeout);
-            }
-            ConnInner::Local { .. } => {}
+            ConnInner::Local(tx) => tx.close(self.session),
             ConnInner::Wire { mux, .. } => mux.hangup(self.session),
         }
     }
@@ -615,11 +684,6 @@ impl<Resp> PendingCall<Resp> {
     }
 }
 
-/// Server side of one connection (held by a DLFM child agent).
-pub struct ServerConn<Req, Resp> {
-    pub(crate) rx: Receiver<Envelope<Req, Resp>>,
-}
-
 /// Where to send the response for a received request (empty for posts).
 pub struct ReplySlot<Resp> {
     to: ReplyTo<Resp>,
@@ -648,77 +712,88 @@ impl<Resp> ReplySlot<Resp> {
     }
 }
 
-impl<Req, Resp> ServerConn<Req, Resp> {
-    /// Receive the next request; blocks until one arrives. Returns
-    /// `Disconnected` when the client is gone.
-    ///
-    /// As a side effect, the sender's trace context is installed on the
-    /// calling thread, so spans opened while handling the request share
-    /// the originating statement's trace id.
-    pub fn recv(&self) -> Result<(Req, ReplySlot<Resp>), RpcError> {
-        let env = self.rx.recv().map_err(|_| RpcError::Disconnected)?;
-        trace::set_current_ctx(env.ctx);
-        match env.payload {
-            Payload::Request(req) => Ok((req, ReplySlot { to: env.reply })),
-            // Dedicated connections signal hangup by closing the channel;
-            // an explicit hangup is equivalent.
-            Payload::Hangup => Err(RpcError::Disconnected),
-        }
-    }
-
-    /// Receive with a timeout (lets agent loops poll a shutdown flag).
-    /// Installs the sender's trace context like [`ServerConn::recv`].
-    pub fn recv_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Result<Option<(Req, ReplySlot<Resp>)>, RpcError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => {
-                trace::set_current_ctx(env.ctx);
-                match env.payload {
-                    Payload::Request(req) => Ok(Some((req, ReplySlot { to: env.reply }))),
-                    Payload::Hangup => Err(RpcError::Disconnected),
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(RpcError::Disconnected),
-        }
-    }
+/// A dedicated session's own queue, handed to the main daemon as the
+/// session opens.
+struct PinnedQueue<Req, Resp> {
+    session: u64,
+    rx: Receiver<Envelope<Req, Resp>>,
 }
 
-/// The listener held by the DLFM main daemon (dedicated mode).
+/// The server end of a local fabric: the queues [`serve`]'s agents drain.
 pub struct Listener<Req, Resp> {
-    rx: Receiver<ServerConn<Req, Resp>>,
-    stats: Arc<RpcStats>,
+    queues: Queues<Req, Resp>,
+    pool: Arc<PoolStats>,
+}
+
+enum Queues<Req, Resp> {
+    /// Dedicated: every session's own queue, announced as it opens.
+    Pinned(Receiver<PinnedQueue<Req, Resp>>),
+    /// Pooled: the one run queue every session shares.
+    Shared { rx: Receiver<Envelope<Req, Resp>>, workers: usize },
 }
 
 impl<Req, Resp> Listener<Req, Resp> {
-    /// Accept the next connection; blocks. Returns `Disconnected` when the
-    /// connector endpoint is gone.
-    pub fn accept(&self) -> Result<ServerConn<Req, Resp>, RpcError> {
-        self.rx.recv().map_err(|_| RpcError::Disconnected)
+    /// Agent instrumentation.
+    pub fn pool_stats(&self) -> &Arc<PoolStats> {
+        &self.pool
     }
+}
 
-    /// Accept with a timeout.
-    pub fn accept_timeout(
+/// The client end of a local fabric: how a new session gets somewhere to
+/// send.
+pub(crate) struct LocalFabric<Req, Resp> {
+    route: Route<Req, Resp>,
+    pool: Arc<PoolStats>,
+}
+
+enum Route<Req, Resp> {
+    /// Dedicated: the main daemon's accept queue.
+    Pinned(Sender<PinnedQueue<Req, Resp>>),
+    /// Pooled: the shared run queue.
+    Shared { tx: Sender<Envelope<Req, Resp>>, admission_timeout: Duration },
+}
+
+impl<Req, Resp> Clone for LocalFabric<Req, Resp> {
+    fn clone(&self) -> Self {
+        let route = match &self.route {
+            Route::Pinned(accept) => Route::Pinned(accept.clone()),
+            Route::Shared { tx, admission_timeout } => {
+                Route::Shared { tx: tx.clone(), admission_timeout: *admission_timeout }
+            }
+        };
+        LocalFabric { route, pool: self.pool.clone() }
+    }
+}
+
+impl<Req, Resp> LocalFabric<Req, Resp> {
+    /// Open `session`. Dedicated: a fresh queue holding `depth` envelopes
+    /// (0 = rendezvous), handed to the main daemon, which pins an agent to
+    /// it. Pooled: a handle on the run queue (`depth` does not apply).
+    pub(crate) fn open(
         &self,
-        timeout: Duration,
-    ) -> Result<Option<ServerConn<Req, Resp>>, RpcError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(c) => Ok(Some(c)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(RpcError::Disconnected),
+        session: u64,
+        depth: usize,
+    ) -> Result<SessionTx<Req, Resp>, RpcError> {
+        match &self.route {
+            Route::Pinned(accept) => {
+                let (tx, rx) = bounded(depth);
+                accept.send(PinnedQueue { session, rx }).map_err(|_| RpcError::Disconnected)?;
+                Ok(SessionTx { tx, admission: None })
+            }
+            Route::Shared { tx, admission_timeout } => Ok(SessionTx {
+                tx: tx.clone(),
+                admission: Some(Admission { timeout: *admission_timeout, pool: self.pool.clone() }),
+            }),
         }
     }
 
-    /// Fabric-wide instrumentation.
-    pub fn stats(&self) -> &Arc<RpcStats> {
-        &self.stats
-    }
-
-    /// Connections waiting to be accepted (gauge).
-    pub fn accept_backlog(&self) -> usize {
-        self.rx.len()
+    /// Work no agent has picked up yet: sessions waiting for their pinned
+    /// agent, or requests waiting in the run queue.
+    fn backlog(&self) -> usize {
+        match &self.route {
+            Route::Pinned(accept) => accept.len(),
+            Route::Shared { tx, .. } => tx.len(),
+        }
     }
 }
 
@@ -751,18 +826,8 @@ impl RemoteState {
 
 /// How a connector hands out connections.
 pub(crate) enum ConnectorMode<Req, Resp> {
-    /// Each connect creates a private rendezvous channel served by a
-    /// dedicated child agent.
-    Dedicated(Sender<ServerConn<Req, Resp>>),
-    /// Each connect clones the pool's shared bounded run queue.
-    Pooled {
-        /// The shared run queue.
-        tx: Sender<Envelope<Req, Resp>>,
-        /// Pool instrumentation.
-        pool: Arc<PoolStats>,
-        /// How long senders wait for queue space before rejection.
-        admission_timeout: Duration,
-    },
+    /// Each connect opens a session on a fabric in this process.
+    Local(LocalFabric<Req, Resp>),
     /// Each connect is a fresh session multiplexed over the (shared,
     /// lazily dialed) socket to a remote server.
     Remote {
@@ -783,12 +848,7 @@ pub struct Connector<Req, Resp> {
 impl<Req, Resp> Clone for Connector<Req, Resp> {
     fn clone(&self) -> Self {
         let mode = match &self.mode {
-            ConnectorMode::Dedicated(tx) => ConnectorMode::Dedicated(tx.clone()),
-            ConnectorMode::Pooled { tx, pool, admission_timeout } => ConnectorMode::Pooled {
-                tx: tx.clone(),
-                pool: pool.clone(),
-                admission_timeout: *admission_timeout,
-            },
+            ConnectorMode::Local(fabric) => ConnectorMode::Local(fabric.clone()),
             ConnectorMode::Remote { state, vt } => {
                 ConnectorMode::Remote { state: state.clone(), vt: *vt }
             }
@@ -798,57 +858,38 @@ impl<Req, Resp> Clone for Connector<Req, Resp> {
 }
 
 impl<Req, Resp> Connector<Req, Resp> {
-    /// Establish a new connection. Dedicated mode: a fresh child agent will
-    /// serve it. Pooled mode: a fresh session id is assigned and any pool
-    /// worker may serve its requests. Remote mode: a fresh session over the
-    /// shared socket, dialing (or redialing) it if needed.
+    /// Establish a new connection: a fresh session, with its own agent
+    /// (dedicated) or served by any agent of the pool (pooled); over a
+    /// remote connector, a fresh session on the shared socket, dialing (or
+    /// redialing) it if needed.
     pub fn connect(&self) -> Result<ClientConn<Req, Resp>, RpcError> {
         let session = self.sessions.fetch_add(1, Ordering::Relaxed) + 1;
-        match &self.mode {
-            ConnectorMode::Dedicated(ctx) => {
-                // Rendezvous request channel: sends block until the agent
-                // receives.
-                let (tx, rx) = bounded(0);
-                ctx.send(ServerConn { rx }).map_err(|_| RpcError::Disconnected)?;
-                Ok(ClientConn {
-                    inner: ConnInner::Local { tx, admission: None },
-                    stats: self.stats.clone(),
-                    session,
-                    severed: AtomicBool::new(false),
-                })
-            }
-            ConnectorMode::Pooled { tx, pool, admission_timeout } => Ok(ClientConn {
-                inner: ConnInner::Local {
-                    tx: tx.clone(),
-                    admission: Some(Admission { timeout: *admission_timeout, pool: pool.clone() }),
-                },
-                stats: self.stats.clone(),
-                session,
-                severed: AtomicBool::new(false),
-            }),
+        let inner = match &self.mode {
+            // In-process a dedicated session's queue is a rendezvous: sends
+            // block until the agent receives.
+            ConnectorMode::Local(fabric) => ConnInner::Local(fabric.open(session, 0)?),
             ConnectorMode::Remote { state, vt } => {
-                let mux = state.mux_or_dial()?;
-                Ok(ClientConn {
-                    inner: ConnInner::Wire { mux, vt: *vt },
-                    stats: self.stats.clone(),
-                    session,
-                    severed: AtomicBool::new(false),
-                })
+                ConnInner::Wire { mux: state.mux_or_dial()?, vt: *vt }
             }
-        }
+        };
+        Ok(ClientConn {
+            inner,
+            stats: self.stats.clone(),
+            session,
+            severed: AtomicBool::new(false),
+        })
     }
 
-    /// Fabric-wide instrumentation (shared with the listener and every
-    /// connection).
+    /// Fabric-wide instrumentation (shared with every connection).
     pub fn stats(&self) -> &Arc<RpcStats> {
         &self.stats
     }
 
-    /// Pool instrumentation, when this connector fronts an agent pool.
+    /// Agent instrumentation, when this connector fronts a local fabric.
     pub fn pool_stats(&self) -> Option<&Arc<PoolStats>> {
         match &self.mode {
-            ConnectorMode::Pooled { pool, .. } => Some(pool),
-            _ => None,
+            ConnectorMode::Local(fabric) => Some(&fabric.pool),
+            ConnectorMode::Remote { .. } => None,
         }
     }
 
@@ -856,7 +897,7 @@ impl<Req, Resp> Connector<Req, Resp> {
     pub fn wire_stats(&self) -> Option<&Arc<WireStats>> {
         match &self.mode {
             ConnectorMode::Remote { state, .. } => Some(&state.stats),
-            _ => None,
+            ConnectorMode::Local(_) => None,
         }
     }
 
@@ -869,34 +910,25 @@ impl<Req, Resp> Connector<Req, Resp> {
     pub fn epoch(&self) -> u64 {
         match &self.mode {
             ConnectorMode::Remote { state, .. } => state.deaths.load(Ordering::Relaxed),
-            _ => 0,
+            ConnectorMode::Local(_) => 0,
         }
     }
 
-    /// Connections waiting to be accepted (dedicated mode) or requests
-    /// waiting in the shared run queue (pooled mode) — both are "work the
-    /// server has not picked up yet". Always 0 for a remote connector (the
-    /// backlog lives on the server).
+    /// Work the server has not picked up yet: sessions waiting for their
+    /// pinned agent (dedicated) or requests waiting in the shared run queue
+    /// (pooled). Always 0 for a remote connector (the backlog lives on the
+    /// server).
     pub fn accept_backlog(&self) -> usize {
         match &self.mode {
-            ConnectorMode::Dedicated(tx) => tx.len(),
-            ConnectorMode::Pooled { tx, .. } => tx.len(),
+            ConnectorMode::Local(fabric) => fabric.backlog(),
             ConnectorMode::Remote { .. } => 0,
-        }
-    }
-
-    /// Requests waiting in the shared run queue (pooled mode only).
-    pub fn pool_queue_depth(&self) -> Option<usize> {
-        match &self.mode {
-            ConnectorMode::Pooled { tx, .. } => Some(tx.len()),
-            _ => None,
         }
     }
 
     /// Render this fabric's base `rpc_*` metrics into a registry: call and
     /// post totals, in-flight and send-blocked gauges, and the accept
     /// backlog; a remote connector adds its `rpc_wire_*` family. Servers
-    /// layer their own pool gauges on top.
+    /// layer their own agent gauges on top.
     pub fn render_metrics(&self, r: &mut obs::Registry) {
         let stats = self.stats();
         r.counter("rpc_calls_total", "Round-trip RPC calls issued.", &[], stats.calls());
@@ -910,7 +942,7 @@ impl<Req, Resp> Connector<Req, Resp> {
         );
         r.gauge(
             "rpc_accept_backlog",
-            "Connections queued at the main daemon's accept loop.",
+            "Work no agent has picked up: sessions awaiting their agent (dedicated) or queued requests (pooled).",
             &[],
             self.accept_backlog() as i64,
         );
@@ -920,16 +952,28 @@ impl<Req, Resp> Connector<Req, Resp> {
     }
 }
 
-/// Create a dedicated-mode listener/connector pair (one per DLFM
-/// instance): every connect is served by its own child agent.
-pub fn fabric<Req, Resp>() -> (Listener<Req, Resp>, Connector<Req, Resp>) {
-    let (tx, rx) = bounded(64);
-    let stats = Arc::new(RpcStats::default());
+/// Create an in-process fabric (one per DLFM instance) laid out as `model`
+/// says: run [`serve`] on the listener, hand the connector to clients.
+pub fn fabric<Req, Resp>(model: AgentModel) -> (Listener<Req, Resp>, Connector<Req, Resp>) {
+    let (route, queues) = match model {
+        AgentModel::Dedicated => {
+            let (tx, rx) = bounded(ACCEPT_BACKLOG);
+            (Route::Pinned(tx), Queues::Pinned(rx))
+        }
+        AgentModel::Pooled { workers, queue_depth, admission_timeout } => {
+            let (tx, rx) = bounded(queue_depth.max(1));
+            (
+                Route::Shared { tx, admission_timeout },
+                Queues::Shared { rx, workers: workers.max(1) },
+            )
+        }
+    };
+    let pool = Arc::new(PoolStats::default());
     (
-        Listener { rx, stats: stats.clone() },
+        Listener { queues, pool: pool.clone() },
         Connector {
-            mode: ConnectorMode::Dedicated(tx),
-            stats,
+            mode: ConnectorMode::Local(LocalFabric { route, pool }),
+            stats: Arc::new(RpcStats::default()),
             sessions: Arc::new(AtomicU64::new(0)),
         },
     )
@@ -961,46 +1005,7 @@ where
     }
 }
 
-/// The run-queue endpoint [`serve_pool`] drains (pooled mode).
-pub struct PoolListener<Req, Resp> {
-    rx: Receiver<Envelope<Req, Resp>>,
-    stats: Arc<RpcStats>,
-    pool: Arc<PoolStats>,
-}
-
-impl<Req, Resp> PoolListener<Req, Resp> {
-    /// Fabric-wide instrumentation.
-    pub fn stats(&self) -> &Arc<RpcStats> {
-        &self.stats
-    }
-
-    /// Pool instrumentation.
-    pub fn pool_stats(&self) -> &Arc<PoolStats> {
-        &self.pool
-    }
-}
-
-/// Create a pooled-mode fabric: one shared bounded run queue of depth
-/// `queue_depth`. Senders wait at most `admission_timeout` for queue space
-/// before their request is rejected with [`RpcError::Overloaded`].
-pub fn pool_fabric<Req, Resp>(
-    queue_depth: usize,
-    admission_timeout: Duration,
-) -> (PoolListener<Req, Resp>, Connector<Req, Resp>) {
-    let (tx, rx) = bounded(queue_depth.max(1));
-    let stats = Arc::new(RpcStats::default());
-    let pool = Arc::new(PoolStats::default());
-    (
-        PoolListener { rx, stats: stats.clone(), pool: pool.clone() },
-        Connector {
-            mode: ConnectorMode::Pooled { tx, pool, admission_timeout },
-            stats,
-            sessions: Arc::new(AtomicU64::new(0)),
-        },
-    )
-}
-
-/// What a pooled worker hands to its handler.
+/// What an agent hands to its handler.
 pub enum PoolEvent<Req> {
     /// A request from some session.
     Request {
@@ -1016,16 +1021,105 @@ pub enum PoolEvent<Req> {
     },
 }
 
-/// Handle to a running server (dedicated main daemon + child agents, or an
-/// agent pool).
-pub struct ServerHandle {
+/// The agent threads of one server and what they share.
+#[derive(Clone)]
+struct Agents {
     shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    /// Child-agent threads (dedicated mode) or pool workers (pooled mode);
-    /// all joined on shutdown so no agent outlives the server.
     threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// Agent threads spawned so far: one per connection in dedicated mode
-    /// (the paper's process model), the fixed worker count in pooled mode.
+    spawned: Arc<AtomicU64>,
+    pool: Arc<PoolStats>,
+}
+
+impl Agents {
+    /// Start one agent draining `rx`: pinned to `session`, or one of a
+    /// pool's workers (`None`).
+    fn spawn<Req, Resp, H>(
+        &self,
+        rx: Receiver<Envelope<Req, Resp>>,
+        pinned: Option<u64>,
+        handler: H,
+    ) where
+        Req: Send + 'static,
+        Resp: Send + 'static,
+        H: FnMut(PoolEvent<Req>, ReplySlot<Resp>) + Send + 'static,
+    {
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+        self.pool.workers.fetch_add(1, Ordering::Relaxed);
+        let (pool, shutdown) = (self.pool.clone(), self.shutdown.clone());
+        let agent = std::thread::spawn(move || {
+            run_agent(&rx, pinned, handler, &pool, &shutdown);
+            pool.workers.fetch_sub(1, Ordering::Relaxed);
+        });
+        self.threads.lock().unwrap_or_else(|e| e.into_inner()).push(agent);
+    }
+
+    /// Join the agents that have exited, so a finished agent's stack is
+    /// released now rather than at shutdown.
+    fn reap(&self) {
+        let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+        let mut i = 0;
+        while i < threads.len() {
+            if threads[i].is_finished() {
+                let _ = threads.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+    }
+}
+
+/// The one agent loop. Serves envelopes off `rx` until the queue closes
+/// or, after shutdown, runs dry (a graceful drain: whatever is already
+/// queued is served first). A pinned agent's session ends with it: an
+/// explicit hangup, its queue closing, or shutdown all deliver one
+/// [`PoolEvent::Hangup`] for that session on the way out.
+fn run_agent<Req, Resp, H>(
+    rx: &Receiver<Envelope<Req, Resp>>,
+    pinned: Option<u64>,
+    mut handler: H,
+    pool: &PoolStats,
+    shutdown: &AtomicBool,
+) where
+    H: FnMut(PoolEvent<Req>, ReplySlot<Resp>),
+{
+    let mut draining = false;
+    loop {
+        draining = draining || shutdown.load(Ordering::SeqCst);
+        let env = match rx.recv_timeout(if draining { Duration::ZERO } else { AGENT_POLL }) {
+            Ok(env) => env,
+            Err(RecvTimeoutError::Timeout) if !draining => continue,
+            Err(_) => break,
+        };
+        let event = match env.payload {
+            Payload::Request(req) => {
+                pool.served.fetch_add(1, Ordering::Relaxed);
+                PoolEvent::Request { session: env.session, req }
+            }
+            Payload::Hangup if pinned.is_some() => break,
+            Payload::Hangup => {
+                pool.hangups.fetch_add(1, Ordering::Relaxed);
+                PoolEvent::Hangup { session: env.session }
+            }
+        };
+        let _busy = GaugeGuard::enter(&pool.busy);
+        trace::set_current_ctx(env.ctx);
+        handler(event, ReplySlot { to: env.reply });
+    }
+    if let Some(session) = pinned {
+        pool.hangups.fetch_add(1, Ordering::Relaxed);
+        trace::set_current_ctx(None);
+        handler(PoolEvent::Hangup { session }, ReplySlot { to: ReplyTo(None) });
+    }
+}
+
+/// Handle to a running server: the main daemon (dedicated) and the agent
+/// threads.
+pub struct ServerHandle {
+    accept_thread: Option<JoinHandle<()>>,
+    agents: Agents,
+    /// Agent threads spawned so far: one per session under
+    /// [`AgentModel::Dedicated`] (the paper's process model), the fixed
+    /// worker count under [`AgentModel::Pooled`].
     pub agents_spawned: Arc<AtomicU64>,
 }
 
@@ -1033,12 +1127,12 @@ impl ServerHandle {
     /// Ask the main daemon and all agent threads to stop, then join every
     /// one of them: after this returns no agent thread is running.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.agents.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
         let drained: Vec<JoinHandle<()>> = {
-            let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+            let mut threads = self.agents.threads.lock().unwrap_or_else(|e| e.into_inner());
             threads.drain(..).collect()
         };
         for h in drained {
@@ -1046,9 +1140,11 @@ impl ServerHandle {
         }
     }
 
-    /// Agent threads still alive (diagnostics; 0 after [`Self::shutdown`]).
+    /// Agent threads not yet joined (diagnostics; exited dedicated agents
+    /// are joined as the main daemon goes round, and 0 after
+    /// [`Self::shutdown`]).
     pub fn live_threads(&self) -> usize {
-        self.threads.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.agents.threads.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 }
 
@@ -1058,136 +1154,90 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Run a main daemon in dedicated mode: accept connections and spawn one
-/// child-agent thread per connection. `factory` builds the per-connection
-/// handler, which is invoked once per request. All child threads are
-/// joined by [`ServerHandle::shutdown`].
+/// Serve a fabric. `factory` builds one handler per agent, and every
+/// agent runs the same loop, handing its handler each request and each
+/// session hangup as a [`PoolEvent`]. Dedicated: a main daemon pins a
+/// fresh agent to each session as it opens, and joins it once it exits.
+/// Pooled: the configured workers share the run queue, so per-session
+/// state must live behind the handler, keyed by the event's session id.
+/// [`ServerHandle::shutdown`] drains and joins them all.
 pub fn serve<Req, Resp, H, F>(listener: Listener<Req, Resp>, mut factory: F) -> ServerHandle
-where
-    Req: Send + 'static,
-    Resp: Send + 'static,
-    H: FnMut(Req, ReplySlot<Resp>) + Send + 'static,
-    F: FnMut() -> H + Send + 'static,
-{
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let agents = Arc::new(AtomicU64::new(0));
-    let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let sd = shutdown.clone();
-    let ag = agents.clone();
-    let th = threads.clone();
-    let accept_thread = std::thread::spawn(move || {
-        while !sd.load(Ordering::SeqCst) {
-            match listener.accept_timeout(Duration::from_millis(20)) {
-                Ok(Some(conn)) => {
-                    ag.fetch_add(1, Ordering::Relaxed);
-                    let mut handler = factory();
-                    let child_sd = sd.clone();
-                    let child = std::thread::spawn(move || loop {
-                        if child_sd.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match conn.recv_timeout(Duration::from_millis(20)) {
-                            Ok(Some((req, slot))) => handler(req, slot),
-                            Ok(None) => continue,
-                            Err(_) => break,
-                        }
-                    });
-                    th.lock().unwrap_or_else(|e| e.into_inner()).push(child);
-                }
-                Ok(None) => continue,
-                Err(_) => break,
-            }
-        }
-    });
-    ServerHandle { shutdown, accept_thread: Some(accept_thread), threads, agents_spawned: agents }
-}
-
-/// Run an agent pool: `workers` threads pull from the shared run queue and
-/// serve requests from any session. `factory` builds one handler per
-/// *worker* (not per connection — per-session state must live behind the
-/// handler, keyed by the session id of each [`PoolEvent`]).
-///
-/// Shutdown is a graceful drain: each worker first serves whatever is
-/// already queued, then exits; [`ServerHandle::shutdown`] joins them all.
-pub fn serve_pool<Req, Resp, H, F>(
-    listener: PoolListener<Req, Resp>,
-    workers: usize,
-    mut factory: F,
-) -> ServerHandle
 where
     Req: Send + 'static,
     Resp: Send + 'static,
     H: FnMut(PoolEvent<Req>, ReplySlot<Resp>) + Send + 'static,
     F: FnMut() -> H + Send + 'static,
 {
-    let workers = workers.max(1);
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let agents = Arc::new(AtomicU64::new(workers as u64));
-    let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let PoolListener { rx, stats: _, pool } = listener;
-    pool.workers.store(workers as u64, Ordering::Relaxed);
-    {
-        let mut th = threads.lock().unwrap_or_else(|e| e.into_inner());
-        for _ in 0..workers {
-            let rx = rx.clone();
-            let pool = pool.clone();
-            let sd = shutdown.clone();
-            let mut handler = factory();
-            th.push(std::thread::spawn(move || {
-                let mut draining = false;
-                loop {
-                    // On shutdown, finish what is already queued (graceful
-                    // drain), then exit.
-                    if !draining && sd.load(Ordering::SeqCst) {
-                        draining = true;
-                    }
-                    let timeout = if draining { Duration::ZERO } else { Duration::from_millis(10) };
-                    match rx.recv_timeout(timeout) {
-                        Ok(env) => {
-                            let _busy = GaugeGuard::enter(&pool.busy);
-                            trace::set_current_ctx(env.ctx);
-                            match env.payload {
-                                Payload::Request(req) => {
-                                    pool.served.fetch_add(1, Ordering::Relaxed);
-                                    handler(
-                                        PoolEvent::Request { session: env.session, req },
-                                        ReplySlot { to: env.reply },
-                                    );
-                                }
-                                Payload::Hangup => {
-                                    pool.hangups.fetch_add(1, Ordering::Relaxed);
-                                    handler(
-                                        PoolEvent::Hangup { session: env.session },
-                                        ReplySlot { to: ReplyTo(None) },
-                                    );
-                                }
-                            }
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if draining {
-                                break;
-                            }
-                        }
+    let agents = Agents {
+        shutdown: Arc::new(AtomicBool::new(false)),
+        threads: Arc::new(Mutex::new(Vec::new())),
+        spawned: Arc::new(AtomicU64::new(0)),
+        pool: listener.pool,
+    };
+    let accept_thread = match listener.queues {
+        // `rx` drops once every worker has its clone: when the last one
+        // exits, queued and blocked senders observe Disconnected.
+        Queues::Shared { rx, workers } => {
+            for _ in 0..workers {
+                agents.spawn(rx.clone(), None, factory());
+            }
+            None
+        }
+        Queues::Pinned(accept) => {
+            let agents = agents.clone();
+            Some(std::thread::spawn(move || {
+                while !agents.shutdown.load(Ordering::SeqCst) {
+                    agents.reap();
+                    match accept.recv_timeout(AGENT_POLL) {
+                        Ok(q) => agents.spawn(q.rx, Some(q.session), factory()),
+                        Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
                 }
-            }));
+            }))
         }
-    }
-    // `rx` drops here: once every worker exits, all receivers are gone and
-    // blocked/queued senders observe Disconnected instead of hanging.
-    ServerHandle { shutdown, accept_thread: None, threads, agents_spawned: agents }
+    };
+    let agents_spawned = agents.spawned.clone();
+    ServerHandle { accept_thread, agents, agents_spawned }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::thread;
 
+    /// A handler that answers each request with `f` and ignores hangups —
+    /// what a stateless test server needs.
+    pub(crate) fn on_request<Req, Resp>(
+        mut f: impl FnMut(Req, ReplySlot<Resp>) + Send,
+    ) -> impl FnMut(PoolEvent<Req>, ReplySlot<Resp>) + Send {
+        move |ev, slot| {
+            if let PoolEvent::Request { req, .. } = ev {
+                f(req, slot)
+            }
+        }
+    }
+
+    /// Counts live values: `fetch_sub` on drop.
+    struct Live(Arc<AtomicI64>);
+    impl Drop for Live {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(3);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     #[test]
     fn call_roundtrip() {
-        let (listener, connector) = fabric::<i32, i32>();
-        let mut handle = serve(listener, || |req: i32, slot: ReplySlot<i32>| slot.send(req * 2));
+        let (listener, connector) = fabric::<i32, i32>(AgentModel::Dedicated);
+        let mut handle = serve(listener, || on_request(|req: i32, slot| slot.send(req * 2)));
         let conn = connector.connect().unwrap();
         assert_eq!(conn.call(21).unwrap(), 42);
         assert_eq!(conn.call(5).unwrap(), 10);
@@ -1196,14 +1246,14 @@ mod tests {
 
     #[test]
     fn each_connection_gets_its_own_agent() {
-        let (listener, connector) = fabric::<i32, i32>();
+        let (listener, connector) = fabric::<i32, i32>(AgentModel::Dedicated);
         let handle = serve(listener, || {
             // Per-agent state: a counter proving requests stay on one agent.
             let mut count = 0;
-            move |_req: i32, slot: ReplySlot<i32>| {
+            on_request(move |_req: i32, slot| {
                 count += 1;
                 slot.send(count)
-            }
+            })
         });
         let c1 = connector.connect().unwrap();
         let c2 = connector.connect().unwrap();
@@ -1220,14 +1270,14 @@ mod tests {
     fn send_blocks_while_agent_is_busy() {
         // The §4 scenario: a posted (async) commit keeps the agent busy and
         // the next synchronous call blocks on message send.
-        let (listener, connector) = fabric::<&'static str, &'static str>();
+        let (listener, connector) = fabric::<&'static str, &'static str>(AgentModel::Dedicated);
         let mut handle = serve(listener, || {
-            |req: &'static str, slot: ReplySlot<&'static str>| {
+            on_request(|req: &'static str, slot| {
                 if req == "commit" {
                     thread::sleep(Duration::from_millis(200));
                 }
                 slot.send("done");
-            }
+            })
         });
         let conn = connector.connect().unwrap();
         conn.post("commit").unwrap();
@@ -1244,12 +1294,12 @@ mod tests {
 
     #[test]
     fn call_timeout_fires_when_agent_stalls() {
-        let (listener, connector) = fabric::<u8, u8>();
+        let (listener, connector) = fabric::<u8, u8>(AgentModel::Dedicated);
         let mut handle = serve(listener, || {
-            |_req: u8, slot: ReplySlot<u8>| {
+            on_request(|_req: u8, slot| {
                 thread::sleep(Duration::from_millis(300));
                 slot.send(0);
-            }
+            })
         });
         let conn = connector.connect().unwrap();
         conn.post(0).unwrap(); // occupy the agent
@@ -1260,24 +1310,28 @@ mod tests {
 
     #[test]
     fn disconnect_reported() {
-        let (listener, connector) = fabric::<u8, u8>();
+        // The server side of a live connection goes away: the client's next
+        // call fails with Disconnected rather than hanging.
+        let (listener, connector) = fabric::<u8, u8>(AgentModel::Dedicated);
+        let mut handle = serve(listener, || on_request(|req: u8, slot| slot.send(req)));
         let conn = connector.connect().unwrap();
-        let server = listener.accept().unwrap();
-        drop(server);
+        assert_eq!(conn.call(1).unwrap(), 1);
+        handle.shutdown();
         assert_eq!(conn.call(1).unwrap_err(), RpcError::Disconnected);
+        assert_eq!(connector.connect().err(), Some(RpcError::Disconnected));
     }
 
     #[test]
     fn stats_count_calls_and_blocked_senders() {
-        let (listener, connector) = fabric::<u8, u8>();
+        let (listener, connector) = fabric::<u8, u8>(AgentModel::Dedicated);
         let stats = connector.stats().clone();
         let mut handle = serve(listener, || {
-            |req: u8, slot: ReplySlot<u8>| {
+            on_request(|req: u8, slot| {
                 if req == 1 {
                     thread::sleep(Duration::from_millis(120));
                 }
                 slot.send(req)
-            }
+            })
         });
         let conn = connector.connect().unwrap();
         conn.post(1).unwrap(); // occupy the agent for ~120ms
@@ -1307,13 +1361,13 @@ mod tests {
 
     #[test]
     fn trace_ctx_propagates_to_agent_thread() {
-        let (listener, connector) = fabric::<u8, u64>();
+        let (listener, connector) = fabric::<u8, u64>(AgentModel::Dedicated);
         // The handler reports the trace id installed on its thread.
         let mut handle = serve(listener, || {
-            |_req: u8, slot: ReplySlot<u64>| {
+            on_request(|_req: u8, slot| {
                 let id = obs::trace::current_ctx().map(|c| c.trace_id).unwrap_or(0);
                 slot.send(id)
-            }
+            })
         });
         let conn = connector.connect().unwrap();
 
@@ -1332,12 +1386,12 @@ mod tests {
 
     #[test]
     fn post_does_not_wait_for_processing() {
-        let (listener, connector) = fabric::<u8, u8>();
+        let (listener, connector) = fabric::<u8, u8>(AgentModel::Dedicated);
         let mut handle = serve(listener, || {
-            |_req: u8, slot: ReplySlot<u8>| {
+            on_request(|_req: u8, slot| {
                 thread::sleep(Duration::from_millis(150));
                 slot.send(0);
-            }
+            })
         });
         let conn = connector.connect().unwrap();
         let started = std::time::Instant::now();
@@ -1354,22 +1408,16 @@ mod tests {
         // Regression for the detached-thread leak: every child agent must
         // be joined by shutdown(), observable through a live-agent counter
         // decremented as each child thread exits.
-        struct Live(Arc<AtomicI64>);
-        impl Drop for Live {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
         let live = Arc::new(AtomicI64::new(0));
-        let (listener, connector) = fabric::<u8, u8>();
+        let (listener, connector) = fabric::<u8, u8>(AgentModel::Dedicated);
         let l = live.clone();
         let mut handle = serve(listener, move || {
             l.fetch_add(1, Ordering::SeqCst);
             let guard = Live(l.clone());
-            move |req: u8, slot: ReplySlot<u8>| {
+            on_request(move |req: u8, slot| {
                 let _ = &guard;
                 slot.send(req)
-            }
+            })
         });
         let conns: Vec<_> = (0..4).map(|_| connector.connect().unwrap()).collect();
         for c in &conns {
@@ -1385,21 +1433,68 @@ mod tests {
         assert_eq!(handle.live_threads(), 0);
     }
 
+    #[test]
+    fn exited_dedicated_agents_are_joined_before_shutdown() {
+        // Regression: every agent's JoinHandle used to wait for shutdown, so
+        // each connection ever served kept its finished thread's stack
+        // mapped and counted in live_threads().
+        let (listener, connector) = fabric::<u8, u8>(AgentModel::Dedicated);
+        let mut handle = serve(listener, || on_request(|req: u8, slot| slot.send(req)));
+        for i in 0..30 {
+            let conn = connector.connect().unwrap();
+            assert_eq!(conn.call(i).unwrap(), i);
+        }
+        wait_until("exited agents joined", || handle.live_threads() == 0);
+        assert_eq!(handle.agents_spawned.load(Ordering::Relaxed), 30, "the count stays cumulative");
+        assert_eq!(connector.pool_stats().unwrap().workers(), 0, "no agent is running");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_pinned_agent_delivers_its_sessions_hangup_on_every_exit() {
+        // A dropped client and shutdown each end a pinned agent, and each
+        // delivers exactly one Hangup for that agent's session.
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::default();
+        let (listener, connector) = fabric::<u8, u8>(AgentModel::Dedicated);
+        let s = seen.clone();
+        let mut handle = serve(listener, move || {
+            let s = s.clone();
+            move |ev: PoolEvent<u8>, slot: ReplySlot<u8>| match ev {
+                PoolEvent::Request { req, .. } => slot.send(req),
+                PoolEvent::Hangup { session } => s.lock().unwrap().push(session),
+            }
+        });
+        let dropped = connector.connect().unwrap();
+        let kept = connector.connect().unwrap();
+        for c in [&dropped, &kept] {
+            assert_eq!(c.call(1).unwrap(), 1);
+        }
+        let ids = [dropped.session(), kept.session()];
+        drop(dropped);
+        wait_until("the dropped session's hangup", || seen.lock().unwrap().len() == 1);
+        handle.shutdown();
+        assert_eq!(*seen.lock().unwrap(), ids, "one hangup per session, shutdown included");
+        assert_eq!(connector.pool_stats().unwrap().hangups(), 2);
+        drop(kept);
+    }
+
     // ------------------------------------------------------------------
-    // Pooled mode
+    // Pooled setting
     // ------------------------------------------------------------------
+
+    fn pooled(workers: usize, queue_depth: usize, admission_ms: u64) -> AgentModel {
+        AgentModel::Pooled {
+            workers,
+            queue_depth,
+            admission_timeout: Duration::from_millis(admission_ms),
+        }
+    }
 
     #[test]
     fn pool_roundtrip_and_worker_count() {
-        let (listener, connector) = pool_fabric::<i32, i32>(16, Duration::from_millis(100));
+        let (listener, connector) = fabric::<i32, i32>(pooled(3, 16, 100));
         let pool = listener.pool_stats().clone();
-        let mut handle = serve_pool(listener, 3, || {
-            |ev: PoolEvent<i32>, slot: ReplySlot<i32>| {
-                if let PoolEvent::Request { req, .. } = ev {
-                    slot.send(req * 2)
-                }
-            }
-        });
+        let mut handle = serve(listener, || on_request(|req: i32, slot| slot.send(req * 2)));
         let conn = connector.connect().unwrap();
         assert_eq!(conn.call(21).unwrap(), 42);
         assert_eq!(pool.workers(), 3);
@@ -1412,8 +1507,8 @@ mod tests {
     fn pool_sessions_are_not_sticky() {
         // One worker, many connections: every session is served, and the
         // worker sees each session's own id (state can be keyed by it).
-        let (listener, connector) = pool_fabric::<u8, u64>(16, Duration::from_millis(100));
-        let mut handle = serve_pool(listener, 1, || {
+        let (listener, connector) = fabric::<u8, u64>(pooled(1, 16, 100));
+        let mut handle = serve(listener, || {
             |ev: PoolEvent<u8>, slot: ReplySlot<u64>| {
                 if let PoolEvent::Request { session, .. } = ev {
                     slot.send(session)
@@ -1434,17 +1529,15 @@ mod tests {
         // Queue depth 1, one worker stuck processing: the first call
         // occupies the worker, the second fills the queue, the third must
         // be rejected with Overloaded within the admission timeout.
-        let (listener, connector) = pool_fabric::<u8, u8>(1, Duration::from_millis(40));
+        let (listener, connector) = fabric::<u8, u8>(pooled(1, 1, 40));
         let pool = listener.pool_stats().clone();
-        let mut handle = serve_pool(listener, 1, || {
-            |ev: PoolEvent<u8>, slot: ReplySlot<u8>| {
-                if let PoolEvent::Request { req, .. } = ev {
-                    if req == 9 {
-                        thread::sleep(Duration::from_millis(300));
-                    }
-                    slot.send(req);
+        let mut handle = serve(listener, || {
+            on_request(|req: u8, slot| {
+                if req == 9 {
+                    thread::sleep(Duration::from_millis(300));
                 }
-            }
+                slot.send(req);
+            })
         });
         let conn = connector.connect().unwrap();
         conn.post(9).unwrap(); // occupies the single worker
@@ -1458,27 +1551,19 @@ mod tests {
 
     #[test]
     fn pool_shutdown_drains_queue_and_joins_workers() {
-        struct Live(Arc<AtomicI64>);
-        impl Drop for Live {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
         let live = Arc::new(AtomicI64::new(0));
         let served = Arc::new(AtomicU64::new(0));
-        let (listener, connector) = pool_fabric::<u8, u8>(64, Duration::from_millis(100));
+        let (listener, connector) = fabric::<u8, u8>(pooled(2, 64, 100));
         let (l, s) = (live.clone(), served.clone());
-        let mut handle = serve_pool(listener, 2, move || {
+        let mut handle = serve(listener, move || {
             l.fetch_add(1, Ordering::SeqCst);
             let guard = Live(l.clone());
             let s = s.clone();
-            move |ev: PoolEvent<u8>, slot: ReplySlot<u8>| {
+            on_request(move |req: u8, slot| {
                 let _ = &guard;
-                if let PoolEvent::Request { req, .. } = ev {
-                    s.fetch_add(1, Ordering::SeqCst);
-                    slot.send(req);
-                }
-            }
+                s.fetch_add(1, Ordering::SeqCst);
+                slot.send(req);
+            })
         });
         let conn = connector.connect().unwrap();
         // Queue a burst of posts, then shut down immediately: the drain
@@ -1494,42 +1579,37 @@ mod tests {
 
     #[test]
     fn pool_hangup_reaches_handler() {
-        let hangups = Arc::new(AtomicU64::new(0));
-        let (listener, connector) = pool_fabric::<u8, u8>(16, Duration::from_millis(100));
-        let pool = listener.pool_stats().clone();
-        let h = hangups.clone();
-        let mut handle = serve_pool(listener, 1, move || {
-            let h = h.clone();
-            move |ev: PoolEvent<u8>, slot: ReplySlot<u8>| match ev {
-                PoolEvent::Request { req, .. } => slot.send(req),
-                PoolEvent::Hangup { .. } => {
-                    h.fetch_add(1, Ordering::SeqCst);
+        // Under both settings a dropped client is one Hangup event for its
+        // session.
+        for model in [pooled(1, 16, 100), AgentModel::Dedicated] {
+            let hangups = Arc::new(AtomicU64::new(0));
+            let (listener, connector) = fabric::<u8, u8>(model);
+            let pool = listener.pool_stats().clone();
+            let h = hangups.clone();
+            let mut handle = serve(listener, move || {
+                let h = h.clone();
+                move |ev: PoolEvent<u8>, slot: ReplySlot<u8>| match ev {
+                    PoolEvent::Request { req, .. } => slot.send(req),
+                    PoolEvent::Hangup { .. } => {
+                        h.fetch_add(1, Ordering::SeqCst);
+                    }
                 }
-            }
-        });
-        let conn = connector.connect().unwrap();
-        assert_eq!(conn.call(3).unwrap(), 3);
-        drop(conn);
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while hangups.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
+            });
+            let conn = connector.connect().unwrap();
+            assert_eq!(conn.call(3).unwrap(), 3);
+            drop(conn);
+            wait_until("the hangup", || hangups.load(Ordering::SeqCst) > 0);
+            assert_eq!(hangups.load(Ordering::SeqCst), 1, "{model}: drop delivers a hangup event");
+            assert_eq!(pool.hangups(), 1);
+            handle.shutdown();
         }
-        assert_eq!(hangups.load(Ordering::SeqCst), 1, "drop must deliver a hangup event");
-        assert_eq!(pool.hangups(), 1);
-        handle.shutdown();
     }
 
     #[test]
     fn pool_no_rejects_below_capacity() {
-        let (listener, connector) = pool_fabric::<u8, u8>(32, Duration::from_millis(200));
+        let (listener, connector) = fabric::<u8, u8>(pooled(4, 32, 200));
         let pool = listener.pool_stats().clone();
-        let mut handle = serve_pool(listener, 4, || {
-            |ev: PoolEvent<u8>, slot: ReplySlot<u8>| {
-                if let PoolEvent::Request { req, .. } = ev {
-                    slot.send(req)
-                }
-            }
-        });
+        let mut handle = serve(listener, || on_request(|req: u8, slot| slot.send(req)));
         let mut joins = Vec::new();
         for t in 0..8u8 {
             let connector = connector.clone();
@@ -1546,11 +1626,7 @@ mod tests {
         assert_eq!(pool.rejects(), 0, "no rejects below capacity");
         // The reply is sent from inside the handler, so a client can see
         // its response a hair before the worker drops its busy guard.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while pool.busy() != 0 && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(pool.busy(), 0, "busy gauge drains");
+        wait_until("busy gauge drains", || pool.busy() == 0);
         handle.shutdown();
     }
 }

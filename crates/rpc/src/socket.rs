@@ -9,11 +9,12 @@
 //!   on a one-shot channel, and lets the reader thread route each
 //!   Reply/Pong frame back by correlation id;
 //! * the **server bridge** ([`serve_wire`]) decodes frames off the socket
-//!   and feeds them into the existing in-process fabric — a per-session
-//!   channel + `ServerConn` in dedicated mode, the shared run queue in
-//!   pooled mode — so `serve`/`serve_pool` and every agent above them are
-//!   transport-agnostic. The agent that served a request writes its Reply
-//!   frame itself.
+//!   and feeds each wire session into the in-process fabric exactly as a
+//!   local session: it opens a session on the fabric (its own pinned queue
+//!   under the dedicated setting, the shared run queue under the pooled
+//!   one) and sends through it, so [`crate::serve`] and every agent above
+//!   it are transport-agnostic. The agent that served a request writes its
+//!   Reply frame itself.
 //!
 //! Whoever has a frame to send writes it ([`FrameWriter`]): the frame is
 //! encoded outside the socket's write lock and goes out as one `write_all`
@@ -35,6 +36,7 @@
 //! partition: every parked caller gets `RpcError::Disconnected` and the
 //! next `connect()` redials.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -45,14 +47,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender};
 
 use crate::wire::{
     encode_frame, read_frame, status, Frame, FrameKind, Wire, WireError, HEADER_TAIL,
 };
 use crate::{
-    Connector, ConnectorMode, Envelope, Payload, PoolStats, ReplyDest, ReplyTo, RpcError,
-    ServerConn,
+    Connector, ConnectorMode, Envelope, LocalFabric, Payload, ReplyDest, ReplyTo, RpcError,
+    SessionTx,
 };
 
 /// How long blocking loops sleep between shutdown-flag polls.
@@ -73,9 +75,10 @@ pub fn set_wire_tracing(on: bool) -> bool {
 pub fn wire_tracing() -> bool {
     WIRE_TRACE.load(Ordering::Relaxed)
 }
-/// Depth of a per-session request channel in dedicated mode. Buffered, not
-/// a rendezvous: the paper's §4 send-blocks-until-receive semantics are a
-/// property of the **in-process** backend only (see DESIGN.md).
+/// Depth of a wire session's own queue under the dedicated setting.
+/// Buffered, not a rendezvous: the paper's §4 send-blocks-until-receive
+/// semantics are a property of the **in-process** backend only (see
+/// DESIGN.md).
 const SESSION_QUEUE: usize = 256;
 
 // ---------------------------------------------------------------------
@@ -665,24 +668,6 @@ impl SocketListener {
     }
 }
 
-/// Where the server bridge pushes decoded requests: the accept channel of
-/// a dedicated fabric or the shared run queue of a pooled one.
-enum ServerSink<Req, Resp> {
-    Dedicated(Sender<ServerConn<Req, Resp>>),
-    Pooled { tx: Sender<Envelope<Req, Resp>>, pool: Arc<PoolStats>, admission: Duration },
-}
-
-impl<Req, Resp> Clone for ServerSink<Req, Resp> {
-    fn clone(&self) -> Self {
-        match self {
-            ServerSink::Dedicated(tx) => ServerSink::Dedicated(tx.clone()),
-            ServerSink::Pooled { tx, pool, admission } => {
-                ServerSink::Pooled { tx: tx.clone(), pool: pool.clone(), admission: *admission }
-            }
-        }
-    }
-}
-
 /// Handle to a running wire bridge: the accept loop plus one reader
 /// thread per live socket. Dropping (or [`WireServer::shutdown`])
 /// closes every socket, hangs up every wire session, and joins all
@@ -741,9 +726,9 @@ impl Drop for WireServer {
 
 /// Bridge a bound socket listener onto an in-process fabric: frames
 /// arriving on accepted sockets become envelopes on `connector`'s fabric,
-/// and agent replies flow back as Reply frames. The fabric's own server
-/// loop (`serve` or `serve_pool`) must be running as usual — it cannot
-/// tell wire sessions from local ones.
+/// and agent replies flow back as Reply frames. The fabric's own
+/// [`crate::serve`] must be running as usual — it cannot tell wire
+/// sessions from local ones.
 ///
 /// Panics if `connector` is itself a remote (wire) connector: a bridge
 /// needs the server end of a local fabric.
@@ -755,15 +740,10 @@ where
     Req: Wire + Send + 'static,
     Resp: Wire + Send + 'static,
 {
-    let sink = match &connector.mode {
-        ConnectorMode::Dedicated(tx) => ServerSink::Dedicated(tx.clone()),
-        ConnectorMode::Pooled { tx, pool, admission_timeout } => {
-            ServerSink::Pooled { tx: tx.clone(), pool: pool.clone(), admission: *admission_timeout }
-        }
-        ConnectorMode::Remote { .. } => {
-            panic!("serve_wire needs a local fabric connector, not a remote one")
-        }
+    let ConnectorMode::Local(fabric) = &connector.mode else {
+        panic!("serve_wire needs a local fabric connector, not a remote one")
     };
+    let fabric = fabric.clone();
     let bound = listener.bound_addr();
     let unlink = match &listener {
         SocketListener::Unix(_, p) => Some(p.clone()),
@@ -795,7 +775,7 @@ where
                     let reader = spawn_server_reader(
                         r_sock,
                         writer,
-                        sink.clone(),
+                        fabric.clone(),
                         sessions.clone(),
                         rpc_stats.clone(),
                         st.clone(),
@@ -821,12 +801,11 @@ where
     }
 }
 
-/// One live session behind a socket: its server-local fabric id, plus the
-/// per-session request channel in dedicated mode (dropping it closes the
-/// channel, which is how the child agent learns the client is gone).
+/// One live session behind a socket: its server-local fabric id and the
+/// sender its requests go through.
 struct WireSession<Req, Resp> {
     local: u64,
-    dedicated_tx: Option<Sender<Envelope<Req, Resp>>>,
+    tx: SessionTx<Req, Resp>,
 }
 
 /// Server reader: decode frames, map wire sessions to server-local fabric
@@ -836,7 +815,7 @@ struct WireSession<Req, Resp> {
 fn spawn_server_reader<Req, Resp>(
     mut sock: WireSocket,
     writer: Arc<FrameWriter>,
-    sink: ServerSink<Req, Resp>,
+    fabric: LocalFabric<Req, Resp>,
     session_ids: Arc<AtomicU64>,
     rpc_stats: Arc<crate::RpcStats>,
     stats: Arc<WireStats>,
@@ -870,7 +849,7 @@ where
                 }
                 FrameKind::Hangup => {
                     if let Some(sess) = sessions.remove(&frame.session) {
-                        hangup_session(&sink, sess);
+                        sess.tx.close(sess.local);
                         stats.hangups.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -912,7 +891,7 @@ where
                         .trace()
                         .map(|(trace_id, span_id)| obs::trace::TraceCtx { trace_id, span_id });
                     deliver(
-                        &sink,
+                        &fabric,
                         &mut sessions,
                         &session_ids,
                         frame.session,
@@ -928,20 +907,20 @@ where
         }
         // Socket gone: hang up everything this socket was carrying.
         for (_, sess) in sessions.drain() {
-            hangup_session(&sink, sess);
+            sess.tx.close(sess.local);
             stats.hangups.fetch_add(1, Ordering::Relaxed);
         }
         sock.shutdown();
     })
 }
 
-/// Deliver one decoded request into the fabric, creating the session's
-/// server-side identity on first sight. `ctx` is the trace context the
-/// client stamped on the frame; the fabric installs it on the handling
-/// agent thread so remote spans parent under the caller's span.
+/// Deliver one decoded request into the fabric, opening the session on
+/// first sight. `ctx` is the trace context the client stamped on the
+/// frame; the fabric installs it on the handling agent thread so remote
+/// spans parent under the caller's span.
 #[allow(clippy::too_many_arguments)]
 fn deliver<Req, Resp>(
-    sink: &ServerSink<Req, Resp>,
+    fabric: &LocalFabric<Req, Resp>,
     sessions: &mut HashMap<u64, WireSession<Req, Resp>>,
     session_ids: &Arc<AtomicU64>,
     wire_session: u64,
@@ -949,55 +928,33 @@ fn deliver<Req, Resp>(
     reply: ReplyTo<Resp>,
     ctx: Option<obs::trace::TraceCtx>,
     writer: &FrameWriter,
-) where
-    Req: Send + 'static,
-    Resp: Send + 'static,
-{
+) {
     let corr = reply_corr(&reply);
-    let sess = match sessions.get(&wire_session) {
-        Some(s) => s,
-        None => {
+    let sess = match sessions.entry(wire_session) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => {
             let local = session_ids.fetch_add(1, Ordering::Relaxed) + 1;
-            let dedicated_tx = match sink {
-                ServerSink::Dedicated(accept) => {
-                    let (tx, rx) = bounded(SESSION_QUEUE);
-                    if accept.send(ServerConn { rx }).is_err() {
-                        // The fabric's main daemon is gone.
-                        fail_reply(reply, wire_session, corr, writer, status::DISCONNECTED);
-                        return;
-                    }
-                    Some(tx)
+            match fabric.open(local, SESSION_QUEUE) {
+                Ok(tx) => e.insert(WireSession { local, tx }),
+                Err(_) => {
+                    // The fabric's server is gone.
+                    fail_reply(reply, wire_session, corr, writer, status::DISCONNECTED);
+                    return;
                 }
-                ServerSink::Pooled { .. } => None,
-            };
-            sessions.insert(wire_session, WireSession { local, dedicated_tx });
-            sessions.get(&wire_session).unwrap()
+            }
         }
     };
     let env = Envelope { payload: Payload::Request(req), reply, ctx, session: sess.local };
-    match sink {
-        ServerSink::Dedicated(_) => {
-            let tx = sess.dedicated_tx.as_ref().expect("dedicated session has a channel");
-            if let Err(e) = tx.send(env) {
-                // Agent already exited; fail the call rather than hang it.
-                let crossbeam::channel::SendError(env) = e;
-                fail_reply(env.reply, wire_session, corr, writer, status::DISCONNECTED);
-                sessions.remove(&wire_session);
-            }
+    match sess.tx.send(env) {
+        Ok(()) => {}
+        Err(SendTimeoutError::Timeout(env)) => {
+            fail_reply(env.reply, wire_session, corr, writer, status::OVERLOADED);
         }
-        ServerSink::Pooled { tx, pool, admission } => match tx.send_timeout(env, *admission) {
-            Ok(()) => {}
-            Err(crossbeam::channel::SendTimeoutError::Timeout(env)) => {
-                pool.rejects.fetch_add(1, Ordering::Relaxed);
-                obs::journal::record(obs::journal::JournalKind::PoolReject, 0, || {
-                    "admission reject: run queue full (wire bridge)".to_string()
-                });
-                fail_reply(env.reply, wire_session, corr, writer, status::OVERLOADED);
-            }
-            Err(crossbeam::channel::SendTimeoutError::Disconnected(env)) => {
-                fail_reply(env.reply, wire_session, corr, writer, status::DISCONNECTED);
-            }
-        },
+        Err(SendTimeoutError::Disconnected(env)) => {
+            // The agent already exited; fail the call rather than hang it.
+            fail_reply(env.reply, wire_session, corr, writer, status::DISCONNECTED);
+            sessions.remove(&wire_session);
+        }
     }
 }
 
@@ -1022,30 +979,12 @@ fn fail_reply<Resp>(
     }
 }
 
-/// Retire one session: dedicated mode drops the per-session channel (the
-/// child agent's receive fails, its loop exits, and its state — open
-/// transaction included — is torn down); pooled mode sends an explicit
-/// Hangup envelope so a worker retires the session's table entry.
-fn hangup_session<Req, Resp>(sink: &ServerSink<Req, Resp>, sess: WireSession<Req, Resp>) {
-    match sink {
-        ServerSink::Dedicated(_) => drop(sess.dedicated_tx),
-        ServerSink::Pooled { tx, admission, .. } => {
-            let env = Envelope {
-                payload: Payload::Hangup,
-                reply: ReplyTo(None),
-                ctx: None,
-                session: sess.local,
-            };
-            let _ = tx.send_timeout(env, *admission);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::on_request;
     use crate::wire::{put_u32, Reader};
-    use crate::{fabric, pool_fabric, serve, serve_pool, wire_connector, PoolEvent, ReplySlot};
+    use crate::{fabric, serve, wire_connector, AgentModel};
     use std::sync::atomic::AtomicI64;
 
     impl Wire for i32 {
@@ -1071,8 +1010,8 @@ mod tests {
     /// Stand up a dedicated echo server bridged onto `addr`; returns what a
     /// test needs plus the guards keeping it alive.
     fn echo_server(addr: &WireAddr) -> (WireAddr, crate::ServerHandle, WireServer) {
-        let (listener, connector) = fabric::<i32, i32>();
-        let handle = serve(listener, || |req: i32, slot: ReplySlot<i32>| slot.send(req * 2));
+        let (listener, connector) = fabric::<i32, i32>(AgentModel::Dedicated);
+        let handle = serve(listener, || on_request(|req: i32, slot| slot.send(req * 2)));
         let sock = SocketListener::bind(addr).unwrap();
         let bound = sock.bound_addr();
         let bridge = serve_wire(sock, &connector);
@@ -1129,15 +1068,15 @@ mod tests {
             }
         }
         let live = Arc::new(AtomicI64::new(0));
-        let (listener, connector) = fabric::<i32, i32>();
+        let (listener, connector) = fabric::<i32, i32>(AgentModel::Dedicated);
         let l = live.clone();
         let _srv = serve(listener, move || {
             l.fetch_add(1, Ordering::SeqCst);
             let guard = Live(l.clone());
-            move |req: i32, slot: ReplySlot<i32>| {
+            on_request(move |req: i32, slot| {
                 let _ = &guard;
                 slot.send(req)
-            }
+            })
         });
         let sock = SocketListener::bind(&WireAddr::Tcp("127.0.0.1:0".into())).unwrap();
         let bound = sock.bound_addr();
@@ -1146,8 +1085,8 @@ mod tests {
         let conn = remote.connect().unwrap();
         assert_eq!(conn.call(7).unwrap(), 7);
         assert_eq!(live.load(Ordering::SeqCst), 1);
-        // Dropping the wire client sends a Hangup frame; the bridge drops
-        // the per-session channel and the child agent exits.
+        // Dropping the wire client sends a Hangup frame; the bridge closes
+        // the session's own queue and its pinned agent exits.
         drop(conn);
         let deadline = std::time::Instant::now() + Duration::from_secs(3);
         while live.load(Ordering::SeqCst) != 0 && std::time::Instant::now() < deadline {
@@ -1160,15 +1099,14 @@ mod tests {
     #[test]
     fn wire_pooled_roundtrip_and_socket_death_hangs_up_sessions() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let (listener, connector) = pool_fabric::<i32, i32>(64, Duration::from_millis(200));
+        let model = AgentModel::Pooled {
+            workers: 2,
+            queue_depth: 64,
+            admission_timeout: Duration::from_millis(200),
+        };
+        let (listener, connector) = fabric::<i32, i32>(model);
         let pool = listener.pool_stats().clone();
-        let _srv = serve_pool(listener, 2, || {
-            |ev: PoolEvent<i32>, slot: ReplySlot<i32>| {
-                if let PoolEvent::Request { req, .. } = ev {
-                    slot.send(req + 1)
-                }
-            }
-        });
+        let _srv = serve(listener, || on_request(|req: i32, slot| slot.send(req + 1)));
         let sock = SocketListener::bind(&WireAddr::Tcp("127.0.0.1:0".into())).unwrap();
         let bound = sock.bound_addr();
         let _bridge = serve_wire(sock, &connector);
@@ -1288,8 +1226,8 @@ mod tests {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let path = unique_unix_path("reconnect");
         let addr = WireAddr::Unix(path.clone());
-        let (listener, connector) = fabric::<i32, i32>();
-        let _srv = serve(listener, || |req: i32, slot: ReplySlot<i32>| slot.send(req * 2));
+        let (listener, connector) = fabric::<i32, i32>(AgentModel::Dedicated);
+        let _srv = serve(listener, || on_request(|req: i32, slot| slot.send(req * 2)));
         let mut bridge = serve_wire(SocketListener::bind(&addr).unwrap(), &connector);
         let remote = wire_connector::<i32, i32>(addr.clone());
         let conn = remote.connect().unwrap();
@@ -1384,14 +1322,14 @@ mod tests {
     fn trace_ctx_rides_the_wire_to_the_agent_thread() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let seen: Arc<Mutex<Vec<Option<obs::TraceCtx>>>> = Arc::new(Mutex::new(Vec::new()));
-        let (listener, connector) = fabric::<i32, i32>();
+        let (listener, connector) = fabric::<i32, i32>(AgentModel::Dedicated);
         let s = seen.clone();
         let _srv = serve(listener, move || {
             let s = s.clone();
-            move |req: i32, slot: ReplySlot<i32>| {
+            on_request(move |req: i32, slot| {
                 s.lock().unwrap().push(obs::current_ctx());
                 slot.send(req)
-            }
+            })
         });
         let sock = SocketListener::bind(&WireAddr::Tcp("127.0.0.1:0".into())).unwrap();
         let bound = sock.bound_addr();

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use dlrpc::wire::{put_u32, put_u8};
 use dlrpc::{
-    pool_fabric, serve_pool, serve_wire, wire_connector, PoolEvent, Reader, ReplySlot, RpcError,
+    fabric, serve, serve_wire, wire_connector, AgentModel, PoolEvent, Reader, ReplySlot, RpcError,
     SocketListener, Wire, WireAddr, WireError, WireServer,
 };
 use obs::fault::{self, Trigger};
@@ -43,8 +43,10 @@ impl Wire for Blob {
 
 /// A pooled echo server in this process, bridged onto a Unix socket.
 fn echo_server(tag: &str, workers: usize) -> (WireAddr, dlrpc::ServerHandle, WireServer) {
-    let (listener, connector) = pool_fabric::<Blob, Blob>(256, Duration::from_secs(5));
-    let handle = serve_pool(listener, workers, || {
+    let model =
+        AgentModel::Pooled { workers, queue_depth: 256, admission_timeout: Duration::from_secs(5) };
+    let (listener, connector) = fabric::<Blob, Blob>(model);
+    let handle = serve(listener, || {
         |ev: PoolEvent<Blob>, slot: ReplySlot<Blob>| {
             if let PoolEvent::Request { req, .. } = ev {
                 slot.send(req)

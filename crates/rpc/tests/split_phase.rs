@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dlrpc::{fabric, pool_fabric, serve, serve_pool, PoolEvent, ReplySlot, RpcError};
+use dlrpc::{fabric, serve, AgentModel, PoolEvent, ReplySlot, RpcError};
 use obs::fault::{self, Trigger};
 use obs::trace::{self, Layer};
 
@@ -23,11 +23,22 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// A handler that answers each request with `f` and ignores hangups.
+fn on_request<Req, Resp>(
+    mut f: impl FnMut(Req, ReplySlot<Resp>) + Send,
+) -> impl FnMut(PoolEvent<Req>, ReplySlot<Resp>) + Send {
+    move |ev, slot| {
+        if let PoolEvent::Request { req, .. } = ev {
+            f(req, slot)
+        }
+    }
+}
+
 #[test]
 fn call_timeout_sees_the_call_fault_points() {
     let _s = serial();
-    let (listener, connector) = fabric::<u8, u8>();
-    let mut handle = serve(listener, || |req: u8, slot: ReplySlot<u8>| slot.send(req));
+    let (listener, connector) = fabric::<u8, u8>(AgentModel::Dedicated);
+    let mut handle = serve(listener, || on_request(|req: u8, slot| slot.send(req)));
     let conn = connector.connect().unwrap();
     assert_eq!(conn.call_timeout(1, Duration::from_secs(5)).unwrap(), 1);
     {
@@ -51,17 +62,20 @@ fn call_timeout_goes_through_admission_control() {
     // worker, the second fills the queue, the third request must be
     // rejected by admission control — through `call_timeout` as through
     // `call`.
-    let (listener, connector) = pool_fabric::<u8, u8>(1, Duration::from_millis(40));
+    let model = AgentModel::Pooled {
+        workers: 1,
+        queue_depth: 1,
+        admission_timeout: Duration::from_millis(40),
+    };
+    let (listener, connector) = fabric::<u8, u8>(model);
     let pool = listener.pool_stats().clone();
-    let mut handle = serve_pool(listener, 1, || {
-        |ev: PoolEvent<u8>, slot: ReplySlot<u8>| {
-            if let PoolEvent::Request { req, .. } = ev {
-                if req == 9 {
-                    thread::sleep(Duration::from_millis(300));
-                }
-                slot.send(req);
+    let mut handle = serve(listener, || {
+        on_request(|req: u8, slot| {
+            if req == 9 {
+                thread::sleep(Duration::from_millis(300));
             }
-        }
+            slot.send(req);
+        })
     });
     let conn = connector.connect().unwrap();
     conn.post(9).unwrap();
@@ -77,14 +91,14 @@ fn call_timeout_goes_through_admission_control() {
 #[test]
 fn started_calls_overlap_and_their_spans_are_siblings() {
     let _s = serial();
-    let (listener, connector) = fabric::<u8, u64>();
+    let (listener, connector) = fabric::<u8, u64>(AgentModel::Dedicated);
     // Each agent takes 100 ms and reports the span its request arrived
     // under.
     let mut handle = serve(listener, || {
-        |_req: u8, slot: ReplySlot<u64>| {
+        on_request(|_req: u8, slot| {
             thread::sleep(Duration::from_millis(100));
             slot.send(trace::current_ctx().map_or(0, |c| c.span_id));
-        }
+        })
     });
     let (a, b) = (connector.connect().unwrap(), connector.connect().unwrap());
     let stats = connector.stats().clone();
@@ -121,12 +135,12 @@ fn started_calls_overlap_and_their_spans_are_siblings() {
 #[test]
 fn abandoned_and_timed_out_calls_release_the_gauge() {
     let _s = serial();
-    let (listener, connector) = fabric::<u8, u8>();
+    let (listener, connector) = fabric::<u8, u8>(AgentModel::Dedicated);
     let mut handle = serve(listener, || {
-        |req: u8, slot: ReplySlot<u8>| {
+        on_request(|req: u8, slot| {
             thread::sleep(Duration::from_millis(u64::from(req)));
             slot.send(req);
-        }
+        })
     });
     let conn = connector.connect().unwrap();
     let stats = connector.stats().clone();
@@ -137,4 +151,33 @@ fn abandoned_and_timed_out_calls_release_the_gauge() {
     assert_eq!(stats.in_flight(), 0);
     assert_eq!(conn.call(0).unwrap(), 0, "the late reply went nowhere; the next call is clean");
     handle.shutdown();
+}
+
+#[test]
+fn a_severed_connection_is_one_hangup_under_both_settings() {
+    let _s = serial();
+    let pooled = AgentModel::Pooled {
+        workers: 1,
+        queue_depth: 8,
+        admission_timeout: Duration::from_secs(1),
+    };
+    for model in [AgentModel::Dedicated, pooled] {
+        let (listener, connector) = fabric::<u8, u8>(model);
+        let pool = listener.pool_stats().clone();
+        let mut handle = serve(listener, || on_request(|req: u8, slot| slot.send(req)));
+        let conn = connector.connect().unwrap();
+        assert_eq!(conn.call(1).unwrap(), 1);
+        {
+            let _g = fault::install_guarded(1, &[("rpc.call.disconnect", Trigger::Times(1))]);
+            assert_eq!(conn.call(2).unwrap_err(), RpcError::Disconnected);
+        }
+        assert_eq!(conn.call(3).unwrap_err(), RpcError::Disconnected, "{model}: severed for good");
+        drop(conn);
+        let deadline = Instant::now() + Duration::from_secs(3);
+        while pool.hangups() == 0 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        handle.shutdown();
+        assert_eq!(pool.hangups(), 1, "{model}: the sever is the hangup, the drop adds none");
+    }
 }

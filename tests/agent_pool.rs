@@ -1,6 +1,7 @@
 //! Agent-model integration tests: the session-multiplexed pool serves the
-//! full link/unlink/2PC stack, and the paper's §4 behaviour is pinned to
-//! the dedicated model.
+//! full link/unlink/2PC stack, both settings keep every connection's state
+//! in the one session table, and the paper's §4 behaviour is pinned to the
+//! dedicated model.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -120,13 +121,58 @@ fn pooled_agents_multiplex_many_concurrent_sessions() {
 
 #[test]
 fn pooled_session_state_is_retired_on_hangup() {
-    let dep = pooled_deployment(2);
-    let before = dep.dlfm.shared().sessions.active();
+    for model in [AgentModel::pooled(2, 32), AgentModel::Dedicated] {
+        let config = DlfmConfig { agent_model: model, ..DlfmConfig::for_tests() };
+        let dep = Deployment::new("fs1", config, HostConfig::for_tests());
+        let before = dep.dlfm.shared().sessions.active();
+        let conn = dep.dlfm.connector().connect().unwrap();
+        conn.call(dlfm::DlfmRequest::Connect { dbid: dep.host.dbid() }).unwrap();
+        assert!(dep.dlfm.shared().sessions.active() > before, "{model}: state parks in the table");
+        drop(conn); // the hangup
+        wait_until("session state retired", || dep.dlfm.shared().sessions.active() == before);
+    }
+}
+
+/// The paper's child agent per connection runs through the session table
+/// too, so the status page and the session gauge see its connections.
+#[test]
+fn dedicated_connections_show_on_the_status_page_and_the_session_gauge() {
+    let config = DlfmConfig::for_tests();
+    assert_eq!(config.agent_model, AgentModel::Dedicated);
+    let dep = Deployment::new("fs1", config, HostConfig::for_tests());
+    dep.fs.create("/v/open.mpg", "alice", b"x").unwrap();
     let conn = dep.dlfm.connector().connect().unwrap();
-    conn.call(dlfm::DlfmRequest::Connect { dbid: dep.host.dbid() }).unwrap();
-    assert!(dep.dlfm.shared().sessions.active() > before, "connect parks state in the table");
-    drop(conn); // sends Hangup
-    wait_until("session state retired", || dep.dlfm.shared().sessions.active() == before);
+    let dbid = dep.host.dbid();
+    conn.call(dlfm::DlfmRequest::Connect { dbid }).unwrap();
+    conn.call(dlfm::DlfmRequest::RegisterGroup(dlfm::GroupSpec {
+        grp_id: 7,
+        dbid,
+        table_name: "media".into(),
+        column_name: "clip".into(),
+        access: AccessControl::Full,
+        recovery: false,
+    }))
+    .unwrap();
+    let link = dlfm::DlfmRequest::LinkFile {
+        xid: 42,
+        rec_id: 1,
+        grp_id: 7,
+        filename: "/v/open.mpg".into(),
+        in_backout: false,
+    };
+    assert!(matches!(conn.call(link).unwrap(), dlfm::DlfmResponse::Ok));
+
+    let status = dep.dlfm.status_text();
+    let line = format!("session#{}: dbid#{dbid} xid#42 open", conn.session());
+    assert!(status.contains("agent model: dedicated"), "{status}");
+    assert!(status.contains("sessions: 1\n"), "{status}");
+    assert!(status.contains(&line), "want {line:?} in\n{status}");
+    assert!(dep.dlfm.metrics_text().contains("dlfm_sessions_active 1\n"));
+
+    drop(conn); // the pinned agent delivers the hangup: xid#42 rolls back
+    wait_until("session state retired", || dep.dlfm.shared().sessions.active() == 0);
+    assert!(dep.dlfm.metrics_text().contains("dlfm_sessions_active 0\n"));
+    assert_eq!(dep.fs.stat("/v/open.mpg").unwrap().owner, "alice", "the link never committed");
 }
 
 #[test]
