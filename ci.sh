@@ -14,6 +14,7 @@ step() { printf '\n==> %s\n' "$*"; }
 # agent sweep. Bench JSON summaries land in target/ so the tree stays
 # clean.
 smoke() {
+  seam_check
   step "fault-matrix smoke: seed slice of the fault-injection sweep"
   FAULT_MATRIX_SEEDS=2 cargo test -q --offline -p datalinks --test fault_matrix
   step "observability smoke: dlfmtop status surfaces + Perfetto export"
@@ -45,6 +46,18 @@ smoke() {
   wire_smoke
   shard_smoke
   force_audit
+}
+
+# One participant seam: in hostdb only the participant module reads a
+# DLFM reply or sends on a DLFM connection, so every reply meets the same
+# failure rules (coordinator, resolver and statement round alike).
+seam_check() {
+  step "seam check: DLFM replies and calls only in hostdb/src/participant.rs"
+  if grep -nE 'DlfmResponse::|\.(call|call_timeout|start|post|ping)\(' crates/hostdb/src/*.rs \
+    | grep -v '^crates/hostdb/src/participant.rs:'; then
+    echo "seam check: the lines above talk to a DLFM outside the participant module"
+    exit 1
+  fi
 }
 
 # A shard's log may see only the two forces per sub-transaction the
@@ -168,6 +181,8 @@ if [[ "${1:-}" != "fast" ]]; then
   step "release build"
   cargo build --release --offline --workspace
 fi
+
+seam_check
 
 step "tests"
 cargo test -q --offline --workspace

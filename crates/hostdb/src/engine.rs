@@ -4,8 +4,8 @@
 //! that touches a DATALINK column (paper §2): inserts link files, deletes
 //! unlink them, updates do both, DROP TABLE deletes the file groups. The
 //! host also owns the transaction machinery the DLFM relies on:
-//! monotonically increasing transaction ids and recovery ids (§3.3), and
-//! the presumed-abort two-phase-commit coordinator (§3.3).
+//! monotonically increasing transaction ids and recovery ids (§3.3); the
+//! presumed-abort coordinator is [`crate::twopc`].
 //!
 //! Internal bookkeeping lives in two system tables kept transactionally
 //! consistent with user data:
@@ -16,41 +16,22 @@
 //!   currently linked file, carrying the recovery id the Reconcile and
 //!   Restore utilities need.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dlfm::{
-    AccessControl, DlfmError, DlfmRequest, DlfmResponse, GroupSpec, TelemetryKind, MAX_BATCH_OPS,
-};
-use dlrpc::{ClientConn, Connector};
+use dlfm::{AccessControl, DlfmRequest, DlfmResponse, GroupSpec, MAX_BATCH_OPS};
+use dlrpc::Connector;
 use minidb::sql::ast::{Expr, Projection, SelectItem, SelectStmt, Stmt};
 use minidb::{Database, DbConfig, ExecResult, Prepared, Row, Session, Value};
 use parking_lot::{Mutex, RwLock};
 
-use crate::coordlog::{CoordLog, CoordRecord};
+use crate::coordlog::CoordLog;
 use crate::error::{HostError, HostResult};
+use crate::participant::{Conns, DlOp, DlfmConn, Vote};
 use crate::tokens::{Invalidation, Lookup};
 use crate::url::DatalinkUrl;
-
-/// Connection type to a DLFM.
-pub type DlfmConn = ClientConn<DlfmRequest, DlfmResponse>;
-
-/// Process-global registry behind `inproc://name` URLs: in-process DLFM
-/// connectors published by whoever hosts the server in this process.
-fn inproc_registry() -> &'static Mutex<HashMap<String, Connector<DlfmRequest, DlfmResponse>>> {
-    static REGISTRY: std::sync::OnceLock<
-        Mutex<HashMap<String, Connector<DlfmRequest, DlfmResponse>>>,
-    > = std::sync::OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Publish an in-process DLFM connector under `name`, so
-/// [`HostDb::attach_dlfm_url`] can resolve `inproc://name`. Re-publishing
-/// a name replaces the previous connector.
-pub fn register_inproc(name: &str, connector: Connector<DlfmRequest, DlfmResponse>) {
-    inproc_registry().lock().insert(name.to_string(), connector);
-}
 
 /// Host configuration.
 #[derive(Debug, Clone)]
@@ -168,11 +149,12 @@ pub struct HostMetrics {
     /// Transactions whose phase 1 rode on their (autocommit) statement's
     /// round instead of costing a Prepare call of its own.
     pub unsolicited_votes: AtomicU64,
-    /// Indoubt transactions resolved after failures.
+    /// Indoubt transactions resolved after failures, counting only the
+    /// resolutions their participant acknowledged.
     pub indoubts_resolved: AtomicU64,
     /// RPC failures (transport errors or DLFM-side errors) on the commit,
-    /// abort, backout, and indoubt-resolution paths — previously discarded
-    /// silently, now counted so partial-commit anomalies are visible.
+    /// abort, backout, and indoubt-resolution paths, counted so
+    /// partial-commit anomalies are visible.
     pub host_rpc_errors: AtomicU64,
     /// Connection-pool checkouts satisfied by an idle pooled connection.
     pub conn_pool_hits: AtomicU64,
@@ -193,8 +175,8 @@ pub struct HostMetrics {
     /// already durable, so the error is absorbed (the resolver re-drives
     /// phase 2) instead of surfacing a false abort to the application.
     pub phase2_transport_errors: AtomicU64,
-    /// Resolver calls skipped because a server was unreachable; resolution
-    /// continued on the remaining servers (liveness fix).
+    /// Resolver calls that failed (an unreachable server, a refused or
+    /// lost decision); resolution continued past each (liveness fix).
     pub resolver_partial_failures: AtomicU64,
     /// Transaction autopsy bundles written (slow or aborted transactions).
     pub autopsies: AtomicU64,
@@ -225,36 +207,29 @@ impl DlStatements {
     }
 }
 
-struct HostInner {
-    db: Database,
+pub(crate) struct HostInner {
+    pub(crate) db: Database,
     dl_stmts: RwLock<Arc<DlStatements>>,
-    dbid: i64,
-    dlfms: RwLock<HashMap<String, Connector<DlfmRequest, DlfmResponse>>>,
-    xid_seq: AtomicI64,
-    rec_seq: AtomicI64,
-    grp_seq: AtomicI64,
+    pub(crate) dlfms: RwLock<HashMap<String, Connector<DlfmRequest, DlfmResponse>>>,
+    pub(crate) xid_seq: AtomicI64,
+    pub(crate) rec_seq: AtomicI64,
+    pub(crate) grp_seq: AtomicI64,
     /// DATALINK columns per (lower-case) table name, in creation order.
-    dl_cols: RwLock<HashMap<String, DlColumns>>,
-    coord_log: CoordLog,
+    pub(crate) dl_cols: RwLock<HashMap<String, DlColumns>>,
+    pub(crate) coord_log: CoordLog,
     /// Transactions open on this host, from `begin` until commit or
     /// rollback returns: the resolver leaves them to their session.
-    open_xids: Mutex<HashSet<i64>>,
-    sync_commit: AtomicBool,
-    metrics: HostMetrics,
-    backups: Mutex<Vec<crate::utilities::HostBackup>>,
+    pub(crate) open_xids: Mutex<HashSet<i64>>,
+    pub(crate) sync_commit: AtomicBool,
+    pub(crate) metrics: HostMetrics,
+    pub(crate) backups: Mutex<Vec<crate::utilities::HostBackup>>,
     /// Idle DLFM connections kept for reuse, per server.
-    conn_pool: Mutex<HashMap<String, Vec<DlfmConn>>>,
-    conn_pool_size: usize,
+    pub(crate) conn_pool: Mutex<HashMap<String, Vec<DlfmConn>>>,
     /// Placement of link metadata over the attached DLFMs (ROADMAP 2).
-    shards: crate::shard::ShardMap,
+    pub(crate) shards: crate::shard::ShardMap,
     /// DLFM-issued access tokens remembered per link (`crate::tokens`).
-    tokens: crate::tokens::TokenCache,
-    shard_route_timeout: std::time::Duration,
-    shard_drain_timeout: std::time::Duration,
-    autopsy_dir: Option<std::path::PathBuf>,
-    autopsy_slow: std::time::Duration,
-    autopsy_aborts: bool,
-    autopsy_max: u64,
+    pub(crate) tokens: crate::tokens::TokenCache,
+    pub(crate) config: HostConfig,
 }
 
 fn create_sys_tables(db: &Database) {
@@ -286,7 +261,7 @@ fn create_sys_tables(db: &Database) {
 /// A shared handle to the host database. Cheap to clone.
 #[derive(Clone)]
 pub struct HostDb {
-    inner: Arc<HostInner>,
+    pub(crate) inner: Arc<HostInner>,
 }
 
 impl HostDb {
@@ -299,7 +274,6 @@ impl HostDb {
             inner: Arc::new(HostInner {
                 dl_stmts: RwLock::new(Arc::new(DlStatements::bind(&db))),
                 db,
-                dbid: config.dbid,
                 dlfms: RwLock::new(HashMap::new()),
                 xid_seq: AtomicI64::new(1),
                 rec_seq: AtomicI64::new(1),
@@ -312,14 +286,8 @@ impl HostDb {
                 metrics,
                 backups: Mutex::new(Vec::new()),
                 conn_pool: Mutex::new(HashMap::new()),
-                conn_pool_size: config.conn_pool_size,
                 shards: crate::shard::ShardMap::new(),
-                shard_route_timeout: config.shard_route_timeout,
-                shard_drain_timeout: config.shard_drain_timeout,
-                autopsy_dir: config.autopsy_dir,
-                autopsy_slow: config.autopsy_slow,
-                autopsy_aborts: config.autopsy_aborts,
-                autopsy_max: config.autopsy_max,
+                config,
             }),
         }
     }
@@ -336,46 +304,19 @@ impl HostDb {
         fresh
     }
 
-    /// Register a DLFM (file server) under a name used in datalink URLs.
-    pub fn attach_dlfm(&self, server: &str, connector: Connector<DlfmRequest, DlfmResponse>) {
-        self.inner.dlfms.write().insert(server.to_string(), connector);
-        self.inner.tokens.clear();
-    }
-
-    /// Register a DLFM by connection URL: `tcp://host:port` and
-    /// `unix:///path.sock` dial the wire transport (redialing on broken
-    /// sockets), `inproc://name` resolves a connector previously published
-    /// with [`register_inproc`]. This is how a host process attaches to a
-    /// DLFM it does not host in its own address space.
-    pub fn attach_dlfm_url(&self, server: &str, url: &str) -> HostResult<()> {
-        let connector = match dlrpc::Endpoint::parse(url)? {
-            dlrpc::Endpoint::Inproc(name) => inproc_registry()
-                .lock()
-                .get(&name)
-                .cloned()
-                .ok_or_else(|| HostError::Rpc(format!("no in-process DLFM named {name:?}")))?,
-            ep => {
-                let addr = ep.wire_addr().expect("tcp/unix endpoints have a wire address");
-                dlrpc::wire_connector::<DlfmRequest, DlfmResponse>(addr)
-            }
-        };
-        self.attach_dlfm(server, connector);
-        Ok(())
-    }
-
     /// Open an application session.
     pub fn session(&self) -> HostSession {
         HostSession {
             host: self.clone(),
             session: Session::new(&self.inner.db),
-            conns: HashMap::new(),
+            conns: Conns::new(self),
             txn: None,
         }
     }
 
     /// This host's database id.
     pub fn dbid(&self) -> i64 {
-        self.inner.dbid
+        self.inner.config.dbid
     }
 
     /// Next transaction id (monotonically increasing, paper §3.3).
@@ -387,13 +328,13 @@ impl HostDb {
     /// sequence in the low bits — globally unique and monotonically
     /// increasing per host (paper §3.2).
     pub fn next_rec_id(&self) -> i64 {
-        (self.inner.dbid << 48) | self.inner.rec_seq.fetch_add(1, Ordering::SeqCst)
+        (self.inner.config.dbid << 48) | self.inner.rec_seq.fetch_add(1, Ordering::SeqCst)
     }
 
     /// Current recovery-id watermark: the last id assigned. Everything
     /// `<=` this watermark happened before "now" (used by Backup).
     pub fn current_rec_id(&self) -> i64 {
-        (self.inner.dbid << 48) | (self.inner.rec_seq.load(Ordering::SeqCst) - 1)
+        (self.inner.config.dbid << 48) | (self.inner.rec_seq.load(Ordering::SeqCst) - 1)
     }
 
     /// The underlying storage engine (diagnostics and utilities).
@@ -409,280 +350,6 @@ impl HostDb {
     /// The coordinator log (diagnostics).
     pub fn coord_log(&self) -> &CoordLog {
         &self.inner.coord_log
-    }
-
-    /// Host metrics in Prometheus text format: operation counters, the 2PC
-    /// coordinator log (forces vs decisions, group-commit batch sizes), and
-    /// the host-local storage engine's commit path.
-    pub fn metrics_text(&self) -> String {
-        let m = &self.inner.metrics;
-        let db = &self.inner.db;
-        let coord = &self.inner.coord_log;
-        let mut r = obs::Registry::new();
-        r.counter(
-            "hostdb_commits_total",
-            "Committed host transactions.",
-            &[],
-            m.commits.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_rollbacks_total",
-            "Rolled-back host transactions.",
-            &[],
-            m.rollbacks.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_twopc_commits_total",
-            "Two-phase commits.",
-            &[],
-            m.twopc_commits.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_prepare_failures_total",
-            "Prepare-phase failures.",
-            &[],
-            m.prepare_failures.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_links_total",
-            "LinkFile requests issued.",
-            &[],
-            m.links.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_unlinks_total",
-            "UnlinkFile requests issued.",
-            &[],
-            m.unlinks.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_dl_rounds_total",
-            "Statement rounds: one batch of link/unlink operations per shard.",
-            &[],
-            m.dl_rounds.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_unsolicited_votes_total",
-            "Transactions whose phase 1 rode on their autocommit statement's round.",
-            &[],
-            m.unsolicited_votes.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_indoubts_resolved_total",
-            "Indoubt transactions resolved.",
-            &[],
-            m.indoubts_resolved.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_rpc_errors_total",
-            "RPC failures on commit/abort/backout/indoubt paths (possible partial-commit anomalies).",
-            &[],
-            m.host_rpc_errors.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_conn_pool_hits_total",
-            "DLFM connection checkouts served from the idle pool.",
-            &[],
-            m.conn_pool_hits.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_conn_pool_misses_total",
-            "DLFM connection checkouts that opened a fresh connection.",
-            &[],
-            m.conn_pool_misses.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_conn_retired_total",
-            "DLFM connections retired instead of pooled (error or pool full).",
-            &[],
-            m.conn_retired.load(Ordering::Relaxed),
-        );
-        r.gauge(
-            "hostdb_conn_pool_idle",
-            "Idle DLFM connections available for reuse.",
-            &[],
-            self.conn_pool_idle() as i64,
-        );
-        self.inner.tokens.render_metrics(&mut r);
-        r.counter(
-            "hostdb_shard_routes_total",
-            "Datalink operations routed through the shard map.",
-            &[],
-            m.shard_routes.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_shard_route_waits_total",
-            "Routes that waited out an in-progress prefix migration.",
-            &[],
-            m.shard_route_waits.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_shard_migrations_total",
-            "Prefix migrations completed.",
-            &[],
-            m.shard_migrations.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_shard_migrated_rows_total",
-            "Link rows moved between shards by migrations.",
-            &[],
-            m.shard_migrated_rows.load(Ordering::Relaxed),
-        );
-        r.gauge(
-            "hostdb_shard_epoch",
-            "Current shard-map epoch (bumped on every placement change).",
-            &[],
-            self.inner.shards.epoch() as i64,
-        );
-        r.gauge(
-            "hostdb_shard_count",
-            "Shards in the hash ring (0 = routing disabled).",
-            &[],
-            self.inner.shards.shards().len() as i64,
-        );
-        r.counter(
-            "hostdb_phase2_transport_errors_total",
-            "Phase-2 transport failures absorbed after a durable commit decision.",
-            &[],
-            m.phase2_transport_errors.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_resolver_partial_failures_total",
-            "Resolver calls skipped for unreachable servers (pass continued).",
-            &[],
-            m.resolver_partial_failures.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_autopsies_total",
-            "Transaction autopsy bundles written (slow or aborted transactions).",
-            &[],
-            m.autopsies.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_telemetry_scrape_errors_total",
-            "Failed telemetry scrapes of attached DLFMs (shard down).",
-            &[],
-            m.telemetry_scrape_errors.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "coordlog_forces_total",
-            "Coordinator-log forces (one per leader).",
-            &[],
-            coord.forces_total(),
-        );
-        r.counter(
-            "coordlog_commit_decisions_total",
-            "Commit-decision records appended.",
-            &[],
-            coord.decisions_total(),
-        );
-        r.histogram(
-            "coordlog_force_batch_decisions",
-            "Commit decisions made durable per coordinator-log force.",
-            &[],
-            coord.batch_hist(),
-        );
-        // The host-local storage engine renders the full minidb family
-        // (the same block DLFM's local database exports).
-        db.render_metrics(&mut r);
-        // Socket-backed DLFM connectors export the rpc_wire_* family (the
-        // reconnect-storm watch rule reads it from this provider).
-        for connector in self.inner.dlfms.read().values() {
-            connector.render_metrics(&mut r);
-        }
-        obs::render_recorder_metrics(&mut r);
-        obs::render_process_metrics(&mut r);
-        obs::render_watch_metrics(&mut r);
-        r.render()
-    }
-
-    /// Human-readable live status of the coordinator side: attached DLFM
-    /// servers, the connection pool, transactions whose phase 2 is still
-    /// outstanding, and the host-local lock table (rendered by the
-    /// `dlfmtop` example).
-    pub fn status_text(&self) -> String {
-        let m = &self.inner.metrics;
-        let mut out = String::new();
-        out.push_str("=== host status ===\n");
-        let servers = self.servers();
-        out.push_str(&format!(
-            "dlfm servers attached: {} ({})\n",
-            servers.len(),
-            servers.join(", ")
-        ));
-        out.push_str(&format!(
-            "conn pool: {} idle (hits {}, misses {}, retired {})\n",
-            self.conn_pool_idle(),
-            m.conn_pool_hits.load(Ordering::Relaxed),
-            m.conn_pool_misses.load(Ordering::Relaxed),
-            m.conn_retired.load(Ordering::Relaxed),
-        ));
-        out.push_str(&self.inner.tokens.status_line());
-        out.push_str(&format!(
-            "transactions: {} committed, {} rolled back, {} via 2PC, {} in-doubt resolved\n",
-            m.commits.load(Ordering::Relaxed),
-            m.rollbacks.load(Ordering::Relaxed),
-            m.twopc_commits.load(Ordering::Relaxed),
-            m.indoubts_resolved.load(Ordering::Relaxed),
-        ));
-        out.push_str(&format!(
-            "datalink ops: {} links + {} unlinks in {} statement rounds, {} votes rode on a round\n",
-            m.links.load(Ordering::Relaxed),
-            m.unlinks.load(Ordering::Relaxed),
-            m.dl_rounds.load(Ordering::Relaxed),
-            m.unsolicited_votes.load(Ordering::Relaxed),
-        ));
-        let shards = &self.inner.shards;
-        let ring = shards.shards();
-        if ring.is_empty() {
-            out.push_str("shard map: disabled (URL server names route directly)\n");
-        } else {
-            out.push_str(&format!(
-                "shard map: {} shards (epoch {}): {}\n",
-                ring.len(),
-                shards.epoch(),
-                ring.join(", ")
-            ));
-            out.push_str(&format!(
-                "  routes {} ({} waited on migration), migrations {} ({} rows moved)\n",
-                m.shard_routes.load(Ordering::Relaxed),
-                m.shard_route_waits.load(Ordering::Relaxed),
-                m.shard_migrations.load(Ordering::Relaxed),
-                m.shard_migrated_rows.load(Ordering::Relaxed),
-            ));
-            for (prefix, owner, migrating) in shards.overrides() {
-                out.push_str(&format!(
-                    "  prefix {prefix} -> {owner}{}\n",
-                    if migrating { " (migrating)" } else { "" }
-                ));
-            }
-            let inflight = shards.inflight();
-            if !inflight.is_empty() {
-                let pins: Vec<String> =
-                    inflight.iter().map(|(e, n)| format!("epoch {e} x{n}")).collect();
-                out.push_str(&format!("  in-flight pins: {}\n", pins.join(", ")));
-            }
-        }
-        let unfinished = self.inner.coord_log.unfinished_commits();
-        if unfinished.is_empty() {
-            out.push_str("phase-2 outstanding: none\n");
-        } else {
-            out.push_str(&format!("phase-2 outstanding: {}\n", unfinished.len()));
-            for (xid, servers) in unfinished {
-                out.push_str(&format!(
-                    "  xid#{xid} committed, awaiting end record (servers: {})\n",
-                    servers.join(", ")
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "coordinator log: {} records, {} decisions, {} forces\n",
-            self.inner.coord_log.last_lsn(),
-            self.inner.coord_log.decisions_total(),
-            self.inner.coord_log.forces_total(),
-        ));
-        out.push_str(&self.inner.db.lock_table_summary());
-        out
     }
 
     /// Toggle synchronous phase-2 commit (the §4 ablation knob).
@@ -713,53 +380,8 @@ impl HostDb {
         found.cloned().unwrap_or_default()
     }
 
-    pub(crate) fn register_dl_column(&self, table: &str, column: &str, info: DlColumn) {
-        add_dl_column(&mut self.inner.dl_cols.write(), table, column, info);
-    }
-
-    pub(crate) fn forget_dl_columns(&self, table: &str) {
-        self.inner.dl_cols.write().remove(&table.to_ascii_lowercase());
-    }
-
-    pub(crate) fn connector_for(
-        &self,
-        server: &str,
-    ) -> HostResult<Connector<DlfmRequest, DlfmResponse>> {
-        self.inner
-            .dlfms
-            .read()
-            .get(server)
-            .cloned()
-            .ok_or_else(|| HostError::Usage(format!("no DLFM attached for server {server}")))
-    }
-
-    /// Wire-transport instrumentation of `server`'s connector, when it is
-    /// socket-backed (`None` for in-process connectors).
-    pub fn wire_stats(&self, server: &str) -> Option<Arc<dlrpc::WireStats>> {
-        self.inner.dlfms.read().get(server).and_then(|c| c.wire_stats().cloned())
-    }
-
-    /// Names of all attached DLFM servers.
-    pub fn servers(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.dlfms.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    pub(crate) fn next_grp_id(&self) -> i64 {
-        self.inner.grp_seq.fetch_add(1, Ordering::SeqCst)
-    }
-
-    pub(crate) fn backups(&self) -> &Mutex<Vec<crate::utilities::HostBackup>> {
-        &self.inner.backups
-    }
-
-    pub(crate) fn tokens(&self) -> &crate::tokens::TokenCache {
-        &self.inner.tokens
-    }
-
     // ------------------------------------------------------------------
-    // Crash / restart / indoubt resolution
+    // Crash / restart
     // ------------------------------------------------------------------
 
     /// Simulate a host crash: the storage engine and the unforced tail of
@@ -788,10 +410,6 @@ impl HostDb {
         Ok(())
     }
 
-    fn txn_open(&self, xid: i64) -> bool {
-        self.inner.open_xids.lock().contains(&xid)
-    }
-
     pub(crate) fn reload_dl_columns(&self) -> HostResult<()> {
         let mut s = Session::new(&self.inner.db);
         let rows = s.query("SELECT tbl, col, grp_id, access_ctl, recovery FROM sys_dlcols", &[])?;
@@ -808,492 +426,6 @@ impl HostDb {
         let cur = self.inner.grp_seq.load(Ordering::SeqCst);
         self.inner.grp_seq.store(cur.max(max_grp + 1), Ordering::SeqCst);
         Ok(())
-    }
-
-    /// Resolve indoubt sub-transactions on every attached DLFM: commit
-    /// those with a durable coordinator commit record, abort the rest
-    /// (presumed abort). Also re-drives unfinished commits.
-    ///
-    /// A single unreachable server must not starve resolution on the
-    /// others: per-server failures are noted (counted in
-    /// `resolver_partial_failures`) and the pass continues. An unfinished
-    /// commit's `End` record is appended only once **all** its servers
-    /// acked the re-driven phase 2 — ending it earlier would stop the
-    /// resolver from ever retrying the servers that failed.
-    ///
-    /// A transaction still open on this host is skipped: its session owns
-    /// the outcome. Its decision may sit in the coordinator log's volatile
-    /// tail mid-force (re-driving it could commit what a crash then aborts)
-    /// or not be written yet (aborting its prepared participants would let
-    /// the commit ack a link that is not there).
-    pub fn resolve_indoubts(&self) -> HostResult<usize> {
-        let mut resolved = 0usize;
-        let mut failed_calls = 0usize;
-        // Re-drive commit decisions that never finished phase 2.
-        for (xid, servers) in self.inner.coord_log.unfinished_commits() {
-            if self.txn_open(xid) {
-                continue;
-            }
-            obs::info!(
-                "hostdb::resolver",
-                "re-driving unfinished commit for xid {xid} on {} server(s)",
-                servers.len()
-            );
-            let mut all_acked = true;
-            for server in &servers {
-                let conn = match self.checkout_conn(server) {
-                    Ok(conn) => conn,
-                    Err(e) => {
-                        self.note_rpc_error("re-driven commit", server, &e);
-                        all_acked = false;
-                        failed_calls += 1;
-                        continue;
-                    }
-                };
-                match conn.call(DlfmRequest::Commit { xid }) {
-                    Ok(DlfmResponse::Ok) => {
-                        self.checkin_conn(server, conn);
-                        resolved += 1;
-                    }
-                    Ok(DlfmResponse::Err(e)) => {
-                        self.note_rpc_error("re-driven commit", server, &e);
-                        self.checkin_conn(server, conn);
-                        all_acked = false;
-                        failed_calls += 1;
-                    }
-                    Ok(other) => {
-                        self.note_rpc_error(
-                            "re-driven commit",
-                            server,
-                            &format!("unexpected response {other:?}"),
-                        );
-                        self.checkin_conn(server, conn);
-                        all_acked = false;
-                        failed_calls += 1;
-                    }
-                    // Transport failure: retire the connection.
-                    Err(e) => {
-                        self.note_rpc_error("re-driven commit", server, &e);
-                        all_acked = false;
-                        failed_calls += 1;
-                    }
-                }
-            }
-            if all_acked {
-                self.inner.coord_log.append(CoordRecord::End { xid });
-            }
-        }
-        // Ask each DLFM for its indoubt list and resolve by presumed abort.
-        for server in self.servers() {
-            let conn = match self.checkout_conn(&server) {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.note_rpc_error("indoubt listing", &server, &e);
-                    failed_calls += 1;
-                    continue;
-                }
-            };
-            let resp = match conn.call(DlfmRequest::ListIndoubt) {
-                Ok(resp) => resp,
-                Err(e) => {
-                    // Transport failure: retire the connection, next server.
-                    self.note_rpc_error("indoubt listing", &server, &e);
-                    failed_calls += 1;
-                    continue;
-                }
-            };
-            let mut transport_ok = true;
-            if let DlfmResponse::Indoubt(xids) = resp {
-                for xid in xids {
-                    if self.txn_open(xid) {
-                        continue;
-                    }
-                    let committed = self.inner.coord_log.committed(xid);
-                    obs::info!(
-                        "hostdb::resolver",
-                        "resolving indoubt xid {xid} on {server}: {}",
-                        if committed { "commit" } else { "presumed abort" }
-                    );
-                    let decision = if committed {
-                        DlfmRequest::Commit { xid }
-                    } else {
-                        DlfmRequest::Abort { xid }
-                    };
-                    match conn.call(decision) {
-                        Ok(DlfmResponse::Ok) => {}
-                        Ok(DlfmResponse::Err(e)) => {
-                            self.note_rpc_error("indoubt resolution", &server, &e)
-                        }
-                        Ok(other) => self.note_rpc_error(
-                            "indoubt resolution",
-                            &server,
-                            &format!("unexpected response {other:?}"),
-                        ),
-                        Err(e) => {
-                            self.note_rpc_error("indoubt resolution", &server, &e);
-                            transport_ok = false;
-                            failed_calls += 1;
-                        }
-                    }
-                    resolved += 1;
-                    self.inner.metrics.indoubts_resolved.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if transport_ok {
-                self.checkin_conn(&server, conn);
-            }
-        }
-        if failed_calls > 0 {
-            self.inner
-                .metrics
-                .resolver_partial_failures
-                .fetch_add(failed_calls as u64, Ordering::Relaxed);
-            obs::warn!(
-                "hostdb::resolver",
-                "resolution pass continued past {failed_calls} failed call(s)"
-            );
-        }
-        Ok(resolved)
-    }
-
-    /// Spawn the indoubt-resolver daemon: polls the DLFMs and resolves
-    /// indoubt transactions when they come back up (paper §3.3).
-    pub fn spawn_resolver(
-        &self,
-        interval: std::time::Duration,
-        shutdown: Arc<AtomicBool>,
-    ) -> std::thread::JoinHandle<()> {
-        let host = self.clone();
-        std::thread::spawn(move || {
-            let slice = std::time::Duration::from_millis(5).min(interval);
-            'daemon: loop {
-                // Park in small slices so shutdown is prompt even when the
-                // resolver interval is long.
-                let deadline = std::time::Instant::now() + interval;
-                while std::time::Instant::now() < deadline {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break 'daemon;
-                    }
-                    std::thread::sleep(slice);
-                }
-                let _ = host.resolve_indoubts();
-            }
-        })
-    }
-
-    pub(crate) fn fresh_conn(&self, server: &str) -> HostResult<DlfmConn> {
-        let connector = self.connector_for(server)?;
-        let conn = connector.connect()?;
-        match conn.call(DlfmRequest::Connect { dbid: self.inner.dbid })? {
-            DlfmResponse::Ok => Ok(conn),
-            other => Err(HostError::Rpc(format!("connect failed: {other:?}"))),
-        }
-    }
-
-    /// Check a connection to `server` out of the pool, opening a fresh one
-    /// only when no idle connection is available. Wire-backed connections
-    /// are ping-probed first: the peer may have died since checkin, and a
-    /// retired conn here lets `fresh_conn` redial the socket instead of
-    /// handing the caller a dead multiplexer.
-    pub(crate) fn checkout_conn(&self, server: &str) -> HostResult<DlfmConn> {
-        while let Some(conn) = self.inner.conn_pool.lock().get_mut(server).and_then(Vec::pop) {
-            if conn.is_wire() && conn.ping(std::time::Duration::from_millis(200)).is_err() {
-                self.inner.metrics.conn_retired.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            self.inner.metrics.conn_pool_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(conn);
-        }
-        self.inner.metrics.conn_pool_misses.fetch_add(1, Ordering::Relaxed);
-        self.fresh_conn(server)
-    }
-
-    /// Return a connection for reuse. Health-checked with a quick Ping so
-    /// a broken connection is retired here instead of poisoning the next
-    /// checkout; also retired when the pool is at capacity.
-    pub(crate) fn checkin_conn(&self, server: &str, conn: DlfmConn) {
-        // Wire-backed connections probe with a transport-level Ping frame
-        // (answered by the peer's reader thread, no agent round trip);
-        // in-process ones must go through the agent to prove it is alive.
-        let probe = std::time::Duration::from_millis(200);
-        let healthy = self.inner.conn_pool_size > 0
-            && if conn.is_wire() {
-                conn.ping(probe).is_ok()
-            } else {
-                matches!(conn.call_timeout(DlfmRequest::Ping, probe), Ok(DlfmResponse::Ok))
-            };
-        if healthy {
-            let mut pool = self.inner.conn_pool.lock();
-            let idle = pool.entry(server.to_string()).or_default();
-            if idle.len() < self.inner.conn_pool_size {
-                idle.push(conn);
-                return;
-            }
-        }
-        self.inner.metrics.conn_retired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Idle pooled connections across all servers (gauge).
-    pub fn conn_pool_idle(&self) -> usize {
-        self.inner.conn_pool.lock().values().map(Vec::len).sum()
-    }
-
-    /// Record (and log) an RPC failure on a path that must not abort the
-    /// caller — phase-2 commit, abort, backout, indoubt resolution.
-    fn note_rpc_error(&self, context: &str, server: &str, err: &dyn std::fmt::Display) {
-        self.inner.metrics.host_rpc_errors.fetch_add(1, Ordering::Relaxed);
-        obs::warn!("hostdb::rpc", "{context} failed on {server}: {err}");
-    }
-
-    /// Did `server` acknowledge with `Ok`? Anything else is noted under
-    /// `context` ([`Self::note_rpc_error`]) and reported as not acked.
-    fn acked(&self, context: &str, server: &str, reply: &HostResult<DlfmResponse>) -> bool {
-        match reply {
-            Ok(DlfmResponse::Ok) => return true,
-            Ok(DlfmResponse::Err(e)) => self.note_rpc_error(context, server, e),
-            Ok(other) => {
-                self.note_rpc_error(context, server, &format!("unexpected response {other:?}"))
-            }
-            Err(e) => self.note_rpc_error(context, server, e),
-        }
-        false
-    }
-
-    // ------------------------------------------------------------------
-    // Fleet telemetry: scraping attached DLFMs over the wire
-    // ------------------------------------------------------------------
-
-    /// Pull one telemetry document from an attached DLFM over its normal
-    /// RPC transport (pooled connection; a fresh dial when the pool is
-    /// empty). A transport failure retires the connection and surfaces as
-    /// an error — callers render the shard as DOWN rather than crashing.
-    pub fn fetch_telemetry(&self, server: &str, kind: TelemetryKind) -> HostResult<String> {
-        let result = (|| {
-            let conn = self.checkout_conn(server)?;
-            match conn.call(DlfmRequest::FetchTelemetry { kind }) {
-                Ok(DlfmResponse::Telemetry(text)) => {
-                    self.checkin_conn(server, conn);
-                    Ok(text)
-                }
-                Ok(other) => {
-                    self.checkin_conn(server, conn);
-                    Err(HostError::Rpc(format!("unexpected telemetry response {other:?}")))
-                }
-                // Transport error: the connection is dead, drop it.
-                Err(e) => Err(e.into()),
-            }
-        })();
-        if result.is_err() {
-            self.inner.metrics.telemetry_scrape_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// Scrape one telemetry document from every attached DLFM. Unreachable
-    /// shards yield `None` — fleet views (dlfmtop) render them as DOWN
-    /// instead of erroring mid-refresh.
-    pub fn fleet_telemetry(&self, kind: TelemetryKind) -> Vec<(String, Option<String>)> {
-        let mut out: Vec<(String, Option<String>)> = self
-            .servers()
-            .into_iter()
-            .map(|server| {
-                let text = self.fetch_telemetry(&server, kind).ok();
-                (server, text)
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Estimate the offset of `server`'s observability clock relative to
-    /// the local one: read the remote clock over the wire and assume the
-    /// reading was taken halfway through the round trip. Each process
-    /// timestamps spans with µs since its *own* start, so without this the
-    /// merged fleet trace would scatter processes across the timeline.
-    pub fn clock_offset_micros(&self, server: &str) -> HostResult<i64> {
-        let t0 = obs::journal::now_micros();
-        let text = self.fetch_telemetry(server, TelemetryKind::Clock)?;
-        let t1 = obs::journal::now_micros();
-        let remote: u64 = text
-            .trim()
-            .parse()
-            .map_err(|_| HostError::Rpc(format!("bad clock reading {text:?} from {server}")))?;
-        let local_mid = t0 + (t1 - t0) / 2;
-        Ok(local_mid as i64 - remote as i64)
-    }
-
-    /// Remote per-process span dumps from every attached DLFM, shifted
-    /// onto the local clock. Unreachable daemons are skipped (warned, not
-    /// fatal); `filter` keeps only spans of the given trace ids.
-    fn remote_traces(&self, filter: Option<&BTreeSet<u64>>) -> Vec<obs::ProcessTrace> {
-        let mut servers = self.servers();
-        servers.sort();
-        let mut out = Vec::new();
-        for server in servers {
-            let scraped = (|| -> HostResult<obs::ProcessTrace> {
-                let clock_offset_micros = self.clock_offset_micros(&server)?;
-                let dump = self.fetch_telemetry(&server, TelemetryKind::Spans)?;
-                let mut spans = obs::parse_span_dump(&dump);
-                if let Some(ids) = filter {
-                    spans.retain(|s| ids.contains(&s.trace_id));
-                }
-                Ok(obs::ProcessTrace {
-                    name: format!("dlfm[{server}]"),
-                    clock_offset_micros,
-                    spans,
-                })
-            })();
-            match scraped {
-                Ok(t) => out.push(t),
-                Err(e) => {
-                    obs::warn!("hostdb::fleet", "telemetry scrape of {server} failed: {e}")
-                }
-            }
-        }
-        out
-    }
-
-    /// Every attached daemon's clock-aligned spans (full ring).
-    pub fn fleet_remote_traces(&self) -> Vec<obs::ProcessTrace> {
-        self.remote_traces(None)
-    }
-
-    /// ONE merged Perfetto/Chrome trace for the whole deployment: the
-    /// local span ring and journal, plus every attached daemon's spans
-    /// pulled over the telemetry RPC and shifted onto the local timeline.
-    /// Daemons that are down are simply absent from the document.
-    pub fn fleet_trace(&self) -> String {
-        let remotes = self.remote_traces(None);
-        obs::merge_chrome_trace(
-            &obs::trace::global_ring().snapshot(),
-            &obs::journal::snapshot(),
-            &remotes,
-        )
-    }
-
-    /// Build a fleet watchdog: the host's own metrics under provider
-    /// `host`, plus one provider per attached DLFM scraped over the
-    /// telemetry RPC (an unreachable shard contributes no series that
-    /// tick, so rules simply don't see it). Callers append rules — e.g.
-    /// [`obs::Rule::skew_quantile`] over `dlfm_commit_micros` to catch one
-    /// shard's commit p99 running away from the ring median — then spawn
-    /// it. Attach every DLFM *before* building: the provider set is fixed
-    /// here.
-    pub fn fleet_watchdog(&self, config: obs::WatchConfig) -> obs::Watchdog {
-        let host = self.clone();
-        let mut w = obs::Watchdog::new(config).provider("host", move || host.metrics_text());
-        let host = self.clone();
-        w = w.section("host_status", move || host.status_text());
-        let mut servers = self.servers();
-        servers.sort();
-        for server in servers {
-            let host = self.clone();
-            let name = server.clone();
-            w = w.provider(&server, move || {
-                host.fetch_telemetry(&name, TelemetryKind::Metrics).unwrap_or_default()
-            });
-        }
-        w
-    }
-
-    // ------------------------------------------------------------------
-    // Transaction autopsy
-    // ------------------------------------------------------------------
-
-    /// Called at the end of every transaction: write an autopsy bundle if
-    /// it was slow (or aborted, when configured) — the assembled
-    /// cross-process span tree plus the journal slice, so the question
-    /// "why was THIS transaction slow" is answerable after the fact
-    /// without reproducing it.
-    pub(crate) fn maybe_autopsy(
-        &self,
-        xid: i64,
-        start_micros: u64,
-        trace_ids: &BTreeSet<u64>,
-        aborted: bool,
-    ) {
-        let Some(root) = &self.inner.autopsy_dir else { return };
-        let elapsed = obs::journal::now_micros().saturating_sub(start_micros);
-        let slow = elapsed >= self.inner.autopsy_slow.as_micros() as u64;
-        let autopsy_abort = aborted && self.inner.autopsy_aborts;
-        if !slow && !autopsy_abort {
-            return;
-        }
-        if self.inner.metrics.autopsies.load(Ordering::Relaxed) >= self.inner.autopsy_max {
-            return;
-        }
-        let seq = self.inner.metrics.autopsies.fetch_add(1, Ordering::Relaxed);
-        let dir = root.join(format!("autopsy-{seq:04}-xid{xid}"));
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            obs::warn!("hostdb::autopsy", "cannot create {}: {e}", dir.display());
-            return;
-        }
-
-        // Local spans of this transaction's traces, and the matching
-        // remote spans from every reachable daemon (clock-aligned).
-        let local: Vec<obs::SpanEvent> = obs::trace::global_ring()
-            .snapshot()
-            .into_iter()
-            .filter(|s| trace_ids.contains(&s.trace_id))
-            .collect();
-        let remotes = self.remote_traces(Some(trace_ids));
-        let journal: Vec<obs::JournalEvent> = obs::journal::snapshot()
-            .into_iter()
-            .filter(|e| trace_ids.contains(&e.trace_id) || e.txn == xid)
-            .collect();
-
-        let outcome = if aborted { "aborted" } else { "slow-commit" };
-        let mut report = format!(
-            "transaction autopsy\nxid: {xid}\noutcome: {outcome}\nelapsed_micros: {elapsed}\n"
-        );
-        report.push_str(&format!(
-            "slow_threshold_micros: {}\ntraces: {}\n",
-            self.inner.autopsy_slow.as_micros(),
-            trace_ids.iter().map(|t| format!("{t:016x}")).collect::<Vec<_>>().join(" "),
-        ));
-        let down: Vec<String> = {
-            let mut servers = self.servers();
-            servers.sort();
-            servers
-                .into_iter()
-                .filter(|s| !remotes.iter().any(|r| r.name == format!("dlfm[{s}]")))
-                .collect()
-        };
-        report.push_str(&format!(
-            "processes: host + {} remote ({} unreachable{})\n\nspan tree:\n{}",
-            remotes.len(),
-            down.len(),
-            if down.is_empty() { String::new() } else { format!(": {}", down.join(" ")) },
-            render_span_tree(&local, &remotes),
-        ));
-
-        let mut journal_text = String::new();
-        for e in &journal {
-            journal_text.push_str(&format!(
-                "{:>12}us trace={:016x} txn={} {:<14} {}\n",
-                e.micros,
-                e.trace_id,
-                e.txn,
-                e.kind.as_str(),
-                e.detail
-            ));
-        }
-
-        let files = [
-            ("report.txt", report),
-            ("trace.json", obs::merge_chrome_trace(&local, &journal, &remotes)),
-            ("journal.txt", journal_text),
-        ];
-        for (name, content) in files {
-            if let Err(e) = std::fs::write(dir.join(name), content) {
-                obs::warn!("hostdb::autopsy", "cannot write {name}: {e}");
-            }
-        }
-        obs::warn!(
-            "hostdb::autopsy",
-            "{outcome} transaction xid {xid} ({elapsed}us): bundle at {}",
-            dir.display()
-        );
     }
 
     // ------------------------------------------------------------------
@@ -1320,334 +452,6 @@ impl HostDb {
         self.inner.tokens.clear();
         Ok(())
     }
-
-    /// The shard owning a datalink for a transaction pinned at `epoch`:
-    /// the map's placement when the ring is enabled, otherwise the URL's
-    /// own server name (pre-shard behaviour). May block while the path's
-    /// prefix is mid-migration.
-    pub(crate) fn route_datalink(&self, url: &DatalinkUrl, epoch: u64) -> HostResult<String> {
-        let routed = self
-            .inner
-            .shards
-            .route(&url.path, epoch, self.inner.shard_route_timeout)
-            .map_err(|e| HostError::Usage(e.to_string()))?;
-        match routed {
-            Some(r) => {
-                self.inner.metrics.shard_routes.fetch_add(1, Ordering::Relaxed);
-                if r.waited {
-                    self.inner.metrics.shard_route_waits.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(r.shard)
-            }
-            None => Ok(url.server.clone()),
-        }
-    }
-
-    /// Migrate the link metadata of a path prefix onto shard `to` without
-    /// stopping traffic (online reconfiguration v1):
-    ///
-    /// 1. flip the prefix to *migrating* in the map (epoch bump) — new
-    ///    transactions touching it park until the copy settles, while
-    ///    transactions begun earlier keep the old placement;
-    /// 2. drain those pre-flip transactions;
-    /// 3. register every known file group on the target (idempotent — a
-    ///    runtime-attached shard has none yet);
-    /// 4. copy the prefix's link rows from every other shard
-    ///    (`ExportLinks` → `ImportLinks`, then a destructive export only
-    ///    after the import acked);
-    /// 5. re-home the host's `sys_datalinks` rows;
-    /// 6. settle the map and wake parked transactions.
-    ///
-    /// Returns the number of link rows moved. On any error the map entry
-    /// is rolled back to the pre-flip placement; already-imported rows are
-    /// harmless duplicates-in-waiting that a retry will skip
-    /// (`ImportLinks` is idempotent). Unlinked-history rows stay on their
-    /// original shard: only *linked* entries move, which is all routing
-    /// needs (history is consulted where the unlink ran).
-    pub fn migrate_prefix(&self, prefix: &str, to: &str) -> HostResult<u64> {
-        self.connector_for(to)?;
-        let prefix = prefix.trim_end_matches('/');
-        if prefix.is_empty() {
-            return Err(HostError::Usage("cannot migrate the root prefix".into()));
-        }
-        if !self.inner.shards.enabled() {
-            return Err(HostError::Usage(
-                "shard routing is not enabled (call set_shards first)".into(),
-            ));
-        }
-        let flip = self
-            .inner
-            .shards
-            .begin_migration(prefix, to)
-            .map_err(|e| HostError::Usage(e.to_string()))?;
-        obs::info!("hostdb::shard", "migrating prefix {prefix} to {to} (flip epoch {flip})");
-        let result = self.run_migration(prefix, to, flip);
-        self.inner.tokens.clear();
-        match &result {
-            Ok(moved) => {
-                self.inner.shards.finish_migration(prefix);
-                self.inner.metrics.shard_migrations.fetch_add(1, Ordering::Relaxed);
-                self.inner.metrics.shard_migrated_rows.fetch_add(*moved, Ordering::Relaxed);
-                obs::info!("hostdb::shard", "prefix {prefix} now on {to} ({moved} rows moved)");
-            }
-            Err(e) => {
-                self.inner.shards.abort_migration(prefix);
-                obs::warn!("hostdb::shard", "migration of {prefix} to {to} failed: {e}");
-            }
-        }
-        result
-    }
-
-    fn run_migration(&self, prefix: &str, to: &str, flip: u64) -> HostResult<u64> {
-        self.inner
-            .shards
-            .drain_below(flip, self.inner.shard_drain_timeout)
-            .map_err(|e| HostError::Usage(e.to_string()))?;
-
-        // The target may have been attached after CREATE TABLE: make sure
-        // it knows every file group before rows referencing them arrive.
-        let specs: Vec<GroupSpec> = self
-            .inner
-            .dl_cols
-            .read()
-            .iter()
-            .flat_map(|(tbl, cols)| cols.iter().map(move |(col, info)| (tbl, col, info)))
-            .map(|(tbl, col, info)| GroupSpec {
-                grp_id: info.grp_id,
-                dbid: self.inner.dbid,
-                table_name: tbl.clone(),
-                column_name: col.clone(),
-                access: info.access,
-                recovery: info.recovery,
-            })
-            .collect();
-        let to_conn = self.checkout_conn(to)?;
-        for spec in specs {
-            match to_conn.call(DlfmRequest::RegisterGroup(spec))? {
-                DlfmResponse::Ok => {}
-                DlfmResponse::Err(e) => {
-                    return Err(HostError::Dlfm { error: e, txn_rolled_back: false })
-                }
-                other => return Err(HostError::Rpc(format!("unexpected {other:?}"))),
-            }
-        }
-
-        // Copy from every other shard: the prefix's subtree may span
-        // several ring positions (one per directory).
-        let mut moved = 0u64;
-        for server in self.servers() {
-            if server == to {
-                continue;
-            }
-            let from_conn = self.checkout_conn(&server)?;
-            let rows = match from_conn
-                .call(DlfmRequest::ExportLinks { prefix: prefix.to_string(), remove: false })?
-            {
-                DlfmResponse::Links(rows) => rows,
-                DlfmResponse::Err(e) => {
-                    return Err(HostError::Dlfm { error: e, txn_rolled_back: false })
-                }
-                other => return Err(HostError::Rpc(format!("unexpected {other:?}"))),
-            };
-            if !rows.is_empty() {
-                moved += rows.len() as u64;
-                match to_conn.call(DlfmRequest::ImportLinks { entries: rows })? {
-                    DlfmResponse::Count(_) => {}
-                    DlfmResponse::Err(e) => {
-                        return Err(HostError::Dlfm { error: e, txn_rolled_back: false })
-                    }
-                    other => return Err(HostError::Rpc(format!("unexpected {other:?}"))),
-                }
-                // Destructive pass only now that the import acked.
-                match from_conn
-                    .call(DlfmRequest::ExportLinks { prefix: prefix.to_string(), remove: true })?
-                {
-                    DlfmResponse::Links(_) => {}
-                    DlfmResponse::Err(e) => {
-                        return Err(HostError::Dlfm { error: e, txn_rolled_back: false })
-                    }
-                    other => return Err(HostError::Rpc(format!("unexpected {other:?}"))),
-                }
-            }
-            self.checkin_conn(&server, from_conn);
-        }
-        self.checkin_conn(to, to_conn);
-
-        // Re-home the host's own bookkeeping so Reconcile/Restore keep
-        // querying the right server ('0' is '/' + 1: the subtree range).
-        // One UPDATE per source server: the equality on `server` lets the
-        // (server, filename) index bound the scan to the migrated rows —
-        // a bare filename range would full-scan sys_datalinks and convoy
-        // with every concurrent link/unlink on the X locks it accretes.
-        let mut s = Session::new(&self.inner.db);
-        s.begin()?;
-        for server in self.servers() {
-            if server == to {
-                continue;
-            }
-            s.exec_params(
-                "UPDATE sys_datalinks SET server = ? \
-                 WHERE server = ? AND filename >= ? AND filename < ?",
-                &[
-                    Value::str(to),
-                    Value::str(server),
-                    Value::str(format!("{prefix}/")),
-                    Value::str(format!("{prefix}0")),
-                ],
-            )?;
-        }
-        s.commit()?;
-        Ok(moved)
-    }
-}
-
-/// Render local + remote spans of one transaction as an indented tree.
-/// Cross-process edges come for free: the wire frame carries the parent
-/// span id, so a remote agent span's parent IS the host-side rpc span and
-/// the stitched tree reads top to bottom through the whole deployment.
-fn render_span_tree(local: &[obs::SpanEvent], remotes: &[obs::ProcessTrace]) -> String {
-    struct Node {
-        process: String,
-        layer: String,
-        op: String,
-        ok: bool,
-        start: i64,
-        dur_micros: u64,
-        span_id: u64,
-        parent: u64,
-    }
-    let mut nodes: Vec<Node> = Vec::new();
-    for s in local {
-        nodes.push(Node {
-            process: "host".into(),
-            layer: s.layer.as_str().into(),
-            op: s.op.into(),
-            ok: s.outcome == obs::Outcome::Ok,
-            start: s.start_micros as i64,
-            dur_micros: s.duration.as_micros() as u64,
-            span_id: s.span_id,
-            parent: s.parent_span_id,
-        });
-    }
-    for r in remotes {
-        for s in &r.spans {
-            nodes.push(Node {
-                process: r.name.clone(),
-                layer: s.layer.clone(),
-                op: s.op.clone(),
-                ok: s.ok,
-                start: (s.start_micros as i64).saturating_add(r.clock_offset_micros),
-                dur_micros: s.dur_micros,
-                span_id: s.span_id,
-                parent: s.parent_span_id,
-            });
-        }
-    }
-    let by_id: HashMap<u64, usize> =
-        nodes.iter().enumerate().map(|(i, n)| (n.span_id, i)).collect();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    let mut roots: Vec<usize> = Vec::new();
-    for (i, n) in nodes.iter().enumerate() {
-        match by_id.get(&n.parent) {
-            Some(&p) if n.parent != 0 && p != i => children[p].push(i),
-            _ => roots.push(i),
-        }
-    }
-    let order = |xs: &mut Vec<usize>, nodes: &[Node]| {
-        xs.sort_by_key(|&i| (nodes[i].start, nodes[i].span_id));
-    };
-    for c in &mut children {
-        order(c, &nodes);
-    }
-    order(&mut roots, &nodes);
-    fn render(out: &mut String, nodes: &[Node], children: &[Vec<usize>], i: usize, depth: usize) {
-        let n = &nodes[i];
-        out.push_str(&format!(
-            "{:indent$}[{}/{}] {} {} {}us\n",
-            "",
-            n.process,
-            n.layer,
-            n.op,
-            if n.ok { "ok" } else { "err" },
-            n.dur_micros,
-            indent = depth * 2,
-        ));
-        for &c in &children[i] {
-            render(out, nodes, children, c, depth + 1);
-        }
-    }
-    let mut out = String::new();
-    for r in roots {
-        render(&mut out, &nodes, &children, r, 0);
-    }
-    if out.is_empty() {
-        out.push_str("(no spans retained — ring may have wrapped)\n");
-    }
-    out
-}
-
-/// One datalink operation performed in the current transaction, tracked so
-/// savepoint rollback can send the matching `in_backout` request (§3.2).
-#[derive(Debug, Clone)]
-pub(crate) struct DlOp {
-    /// For a link, the (table, column) it is recorded under in
-    /// `sys_datalinks`; `None` for an unlink.
-    pub link: Option<(String, String)>,
-    pub url: DatalinkUrl,
-    /// The shard the operation was routed to (the URL's server name when
-    /// hash routing is disabled); backout must target the same shard.
-    pub shard: String,
-    pub rec_id: i64,
-    pub grp_id: i64,
-}
-
-impl DlOp {
-    /// The DLFM request that performs this operation for `xid` — or, with
-    /// `in_backout`, undoes it (§3.2).
-    fn request(&self, xid: i64, in_backout: bool) -> DlfmRequest {
-        let (rec_id, grp_id, filename) = (self.rec_id, self.grp_id, self.url.path.clone());
-        if self.link.is_some() {
-            DlfmRequest::LinkFile { xid, rec_id, grp_id, filename, in_backout }
-        } else {
-            DlfmRequest::UnlinkFile { xid, rec_id, grp_id, filename, in_backout }
-        }
-    }
-}
-
-/// A DLFM-side error as the statement's error; a severe (retryable-class)
-/// one has already cost the DLFM its sub-transaction.
-fn dlfm_error(error: DlfmError) -> HostError {
-    let txn_rolled_back = matches!(&error, DlfmError::Db { retryable: true, .. });
-    HostError::Dlfm { error, txn_rolled_back }
-}
-
-/// What a shard's reply to a batch of `ops` operations (plus, when
-/// `closing`, the Prepare) says: how many of them it performed, the failure
-/// of the member that stopped it, and the vote. A closing batch lost in
-/// transit is a vote lost in transit — `commit_txn`'s case, not a failed
-/// statement.
-fn read_batch_reply(
-    ops: usize,
-    reply: HostResult<DlfmResponse>,
-    closing: bool,
-) -> (usize, Option<HostError>, Option<HostResult<DlfmResponse>>) {
-    let mut entries = match reply {
-        Ok(DlfmResponse::Batch(entries)) => entries.into_iter(),
-        // A refused batch fails its first member.
-        Ok(other) => vec![other].into_iter(),
-        Err(e) if closing => return (0, None, Some(Err(e))),
-        Err(e) => return (0, Some(e), None),
-    };
-    for done in 0..ops {
-        let err = match entries.next() {
-            Some(DlfmResponse::Ok) => continue,
-            Some(DlfmResponse::Err(e)) => dlfm_error(e),
-            other => HostError::Rpc(format!("unexpected batch entry {other:?}")),
-        };
-        return (done, Some(err), None);
-    }
-    let no_vote = || HostError::Rpc("batch reply has no vote".into());
-    (ops, None, closing.then(|| entries.next().ok_or_else(no_vote)))
 }
 
 pub(crate) struct HostTxn {
@@ -1660,7 +464,7 @@ pub(crate) struct HostTxn {
     /// The running statement's operations, not sent yet (`flush`).
     pub queued: Vec<DlOp>,
     /// Phase-1 votes that rode on the autocommit statement's round.
-    pub votes: Option<Vec<(String, HostResult<DlfmResponse>)>>,
+    pub votes: Option<Vec<(String, Vote)>>,
     /// When the transaction began (observability clock), for the autopsy
     /// latency threshold.
     pub start_micros: u64,
@@ -1677,10 +481,10 @@ pub struct HostSavepoint {
 
 /// An application session on the host database.
 pub struct HostSession {
-    host: HostDb,
-    session: Session,
-    conns: HashMap<String, DlfmConn>,
-    txn: Option<HostTxn>,
+    pub(crate) host: HostDb,
+    pub(crate) session: Session,
+    pub(crate) conns: Conns,
+    pub(crate) txn: Option<HostTxn>,
 }
 
 impl HostSession {
@@ -1719,206 +523,6 @@ impl HostSession {
         Ok(())
     }
 
-    /// Commit: presumed-abort two-phase commit across every DLFM this
-    /// transaction touched, with the host's own commit in the middle.
-    pub fn commit(&mut self) -> HostResult<()> {
-        // Child of the statement span under autocommit; a fresh root when
-        // the application commits an explicit transaction.
-        let mut span = obs::span(obs::Layer::Host, "commit");
-        let mut txn = self
-            .txn
-            .take()
-            .ok_or_else(|| HostError::Usage("no transaction open".into()))
-            .inspect_err(|_| span.fail())?;
-        txn.trace_ids.insert(span.ctx().trace_id);
-        let epoch = txn.epoch;
-        let (xid, start_micros, trace_ids) = (txn.xid, txn.start_micros, txn.trace_ids.clone());
-        let result = self.commit_txn(txn).inspect_err(|_| span.fail());
-        self.host.inner.open_xids.lock().remove(&xid);
-        // The shard-map pin ends only after the outcome is settled either
-        // way: a migration must not move rows this transaction's phase 2
-        // may still be writing.
-        self.host.inner.shards.end_txn(epoch);
-        self.host.maybe_autopsy(xid, start_micros, &trace_ids, result.is_err());
-        result
-    }
-
-    /// Send each server its request, and only then gather every reply: all
-    /// requests are on their way before the first reply is awaited, so N
-    /// participants cost the slowest one's service time, not the sum (one
-    /// participant is the same code). Every reply is gathered before the
-    /// caller decides anything. With `await_reply` off the request is
-    /// posted instead — the §4 asynchronous-commit ablation — and reported
-    /// as `Ok`: there is no ack to await. What becomes of a connection
-    /// whose call failed is the caller's business: 2PC messages retire it
-    /// (the next use redials), a statement round keeps it ([`Self::flush`]).
-    fn scatter<'a>(
-        &mut self,
-        sends: impl IntoIterator<Item = (&'a String, DlfmRequest)>,
-        await_reply: bool,
-    ) -> Vec<(&'a String, HostResult<DlfmResponse>)> {
-        let sent: Vec<_> = sends
-            .into_iter()
-            .map(|(server, req)| {
-                let sent = self.conn(server).and_then(|conn| {
-                    if await_reply {
-                        Ok(Some(conn.start(req)?))
-                    } else {
-                        conn.post(req)?;
-                        Ok(None)
-                    }
-                });
-                (server, sent)
-            })
-            .collect();
-        sent.into_iter()
-            .map(|(server, sent)| {
-                let reply = sent.and_then(|pending| match pending {
-                    Some(call) => Ok(call.wait(None)?),
-                    None => Ok(DlfmResponse::Ok),
-                });
-                (server, reply)
-            })
-            .collect()
-    }
-
-    fn commit_txn(&mut self, mut txn: HostTxn) -> HostResult<()> {
-        let xid = txn.xid;
-
-        // Phase 1: every touched DLFM prepares (and forces) concurrently.
-        // An autocommit statement already collected the votes: its round
-        // ended with the Prepare on every shard (`flush`). An explicit
-        // transaction asks now — only the application knows which
-        // statement was the last.
-        let votes = match txn.votes.take() {
-            Some(votes) => {
-                self.host.inner.metrics.unsolicited_votes.fetch_add(1, Ordering::Relaxed);
-                votes
-            }
-            None => self
-                .scatter(txn.touched.iter().map(|s| (s, DlfmRequest::Prepare { xid })), true)
-                .into_iter()
-                .map(|(server, vote)| (server.clone(), vote))
-                .collect(),
-        };
-        let mut participants = Vec::new();
-        let mut failure = None;
-        for (server, vote) in votes {
-            let err = match vote {
-                Ok(DlfmResponse::Prepared { read_only }) => {
-                    if !read_only {
-                        participants.push(server);
-                    }
-                    continue;
-                }
-                Ok(DlfmResponse::Err(e)) => {
-                    HostError::PrepareFailed { server: server.clone(), reason: e.to_string() }
-                }
-                Ok(other) => HostError::Rpc(format!("unexpected prepare response {other:?}")),
-                // Transport failure: the vote is unknown, so it counts as
-                // a "no". Skipping the global abort here would leave every
-                // participant — including this one, if the prepare never
-                // reached it — with an open forward transaction holding
-                // locks, parked behind a pooled connection. (A prepare
-                // that did land is covered by presumed abort: no commit
-                // record exists.) The Abort goes over a fresh connection.
-                Err(e) => {
-                    self.conns.remove(&server);
-                    e
-                }
-            };
-            failure.get_or_insert((server, err));
-        }
-        if let Some((server, err)) = failure {
-            self.host.inner.metrics.prepare_failures.fetch_add(1, Ordering::Relaxed);
-            self.global_abort(&txn, &format!("prepare on {server} failed: {err}"));
-            return Err(err);
-        }
-
-        if participants.is_empty() {
-            // Local-only transaction.
-            self.session.commit()?;
-            self.host.inner.metrics.commits.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-
-        // Decision: force the commit record, then commit locally. One
-        // coordinator-log force may cover many concurrent decisions (group
-        // commit); `false` means a simulated host crash raced the force,
-        // so the decision cannot be claimed durable.
-        if !self
-            .host
-            .inner
-            .coord_log
-            .append_forced(CoordRecord::Commit { xid, servers: participants.clone() })
-        {
-            self.global_abort(&txn, &"commit record lost to a host crash before its force");
-            return Err(HostError::Db(minidb::DbError::Offline));
-        }
-        self.session.commit()?;
-
-        // Phase 2, again on every participant at once: synchronous by
-        // default — the paper found the commit request *must* be
-        // synchronous or distributed deadlocks form (§4).
-        //
-        // The commit decision is already durable, so NOTHING past this
-        // point may surface an error to the application: the transaction
-        // IS committed. A transport failure here used to propagate `Err`
-        // out of `commit()` — the app saw an abort for a committed
-        // transaction and could retry into a double link. Instead, note
-        // the error and leave the commit record unfinished so the resolver
-        // re-drives phase 2.
-        let synchronous = self.host.synchronous_commit();
-        let mut all_acked = true;
-        let commit = participants.iter().map(|s| (s, DlfmRequest::Commit { xid }));
-        for (server, ack) in self.scatter(commit, synchronous) {
-            if ack.is_err() {
-                self.host.inner.metrics.phase2_transport_errors.fetch_add(1, Ordering::Relaxed);
-                self.conns.remove(server);
-            }
-            // A DLFM-side failure leaves the participant prepared until
-            // the resolver re-drives it.
-            all_acked &= self.host.acked("phase-2 commit", server, &ack);
-        }
-        if all_acked {
-            self.host.inner.coord_log.append(CoordRecord::End { xid });
-        }
-        self.host.inner.metrics.commits.fetch_add(1, Ordering::Relaxed);
-        self.host.inner.metrics.twopc_commits.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Roll back the open transaction everywhere.
-    pub fn rollback(&mut self) {
-        if let Some(txn) = self.txn.take() {
-            self.abort_everywhere(&txn);
-            self.host.inner.open_xids.lock().remove(&txn.xid);
-            self.host.inner.shards.end_txn(txn.epoch);
-            self.host.maybe_autopsy(txn.xid, txn.start_micros, &txn.trace_ids, true);
-        }
-    }
-
-    /// The coordinator's own decision to abort (a failed phase 1, a lost
-    /// commit record): abort everywhere, with the reason on the log.
-    fn global_abort(&mut self, txn: &HostTxn, reason: &dyn std::fmt::Display) {
-        obs::warn!("hostdb::twopc", "aborting xid {} globally: {reason}", txn.xid);
-        self.abort_everywhere(txn);
-    }
-
-    /// Tell every touched DLFM to abort — even already-prepared
-    /// participants — and roll back locally (paper §3.3). Counted once.
-    fn abort_everywhere(&mut self, txn: &HostTxn) {
-        let abort = txn.touched.iter().map(|s| (s, DlfmRequest::Abort { xid: txn.xid }));
-        for (server, ack) in self.scatter(abort, true) {
-            if ack.is_err() {
-                self.conns.remove(server);
-            }
-            self.host.acked("abort", server, &ack);
-        }
-        self.session.rollback();
-        self.host.inner.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Create a savepoint covering local data and datalink operations.
     pub fn savepoint(&mut self) -> HostResult<HostSavepoint> {
         let txn =
@@ -1926,32 +530,13 @@ impl HostSession {
         Ok(HostSavepoint { db_sp: self.session.savepoint()?, dl_ops_len: txn.dl_ops.len() })
     }
 
-    /// Roll back to a savepoint: local undo plus `in_backout` requests for
+    /// Roll back to a savepoint: local undo plus the [`Self::backout`] of
     /// the datalink operations performed since (§3.2).
     pub fn rollback_to(&mut self, sp: &HostSavepoint) -> HostResult<()> {
-        let (xid, to_undo) = {
-            let txn =
-                self.txn.as_mut().ok_or_else(|| HostError::Usage("no transaction open".into()))?;
-            let to_undo: Vec<DlOp> = txn.dl_ops.split_off(sp.dl_ops_len);
-            (txn.xid, to_undo)
-        };
-        // Undo newest-first; an error here forces full rollback (the paper:
-        // "it is not possible to rollback a rollback").
-        for op in to_undo.iter().rev() {
-            let req = op.request(xid, true);
-            let conn = self.conn(&op.shard)?;
-            match conn.call(req)? {
-                DlfmResponse::Ok => {}
-                DlfmResponse::Err(e) => {
-                    self.rollback();
-                    return Err(HostError::Dlfm { error: e, txn_rolled_back: true });
-                }
-                other => {
-                    self.rollback();
-                    return Err(HostError::Rpc(format!("unexpected backout response {other:?}")));
-                }
-            }
-        }
+        let txn =
+            self.txn.as_mut().ok_or_else(|| HostError::Usage("no transaction open".into()))?;
+        let (xid, to_undo) = (txn.xid, txn.dl_ops.split_off(sp.dl_ops_len));
+        self.backout(xid, &to_undo)?;
         self.session.rollback_to(sp.db_sp)?;
         Ok(())
     }
@@ -1994,23 +579,11 @@ impl HostSession {
             }
             Err(e) => {
                 span.fail();
-                if autocommit || self.txn_lost(&e) {
+                if autocommit || txn_lost(&e) {
                     self.rollback();
                 }
                 Err(e)
             }
-        }
-    }
-
-    /// Did this error force the loss of the transaction?
-    fn txn_lost(&self, e: &HostError) -> bool {
-        match e {
-            HostError::Db(db) => db.is_rollback_forced(),
-            // A severe (retryable-class) DLFM error means the DLFM's local
-            // database already rolled the sub-transaction back: the host
-            // must roll back the full transaction (paper §3.2).
-            HostError::Dlfm { error: DlfmError::Db { retryable, .. }, .. } => *retryable,
-            _ => false,
         }
     }
 
@@ -2050,11 +623,9 @@ impl HostSession {
             self.flush(vote)?;
             Ok(r)
         });
-        if let Err(e) = &result {
-            if let Some(txn) = self.txn.as_mut() {
-                txn.queued.clear();
-            }
-            if !self.txn_lost(e) {
+        if let (Err(e), Some(txn)) = (&result, self.txn.as_mut()) {
+            txn.queued.clear();
+            if !txn_lost(e) {
                 let _ = self.session.rollback_to(sp);
             }
         }
@@ -2143,19 +714,6 @@ impl HostSession {
         Ok(out)
     }
 
-    fn backout_ops(&mut self, performed: &[DlOp]) {
-        let Some(xid) = self.txn.as_ref().map(|t| t.xid) else { return };
-        for op in performed.iter().rev() {
-            if let Ok(conn) = self.conn(&op.shard) {
-                let reply = conn.call(op.request(xid, true)).map_err(HostError::from);
-                if reply.is_err() {
-                    self.conns.remove(&op.shard);
-                }
-                self.host.acked("backout", &op.shard, &reply);
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Datalink primitives
     // ------------------------------------------------------------------
@@ -2197,12 +755,10 @@ impl HostSession {
         Ok(())
     }
 
-    /// Send the running statement's queued operations: one `Batch` per
-    /// shard, started on every shard before any reply is awaited (more than
-    /// a batch's worth takes several such rounds); then record what the
-    /// DLFMs performed. With `vote` each shard's last batch ends with
-    /// `Prepare` — the unsolicited vote — and the votes, one lost in transit
-    /// included, are kept for `commit_txn`.
+    /// Send the running statement's queued operations ([`Self::rounds`]),
+    /// then record what the DLFMs performed. With `vote` each shard's last
+    /// batch ends with `Prepare` — the unsolicited vote — and the votes,
+    /// one lost in transit included, are kept for `commit_txn`.
     ///
     /// If a member fails the caller sees its error, and the members that
     /// succeeded (on any shard) are backed out — except with `vote`, where
@@ -2210,8 +766,7 @@ impl HostSession {
     /// voted no longer has the forward transaction a backout runs in.
     /// A shard counts as touched *before* its first batch is sent (there is
     /// no begin message), so one that fails in transit still gets its
-    /// Abort; a failed statement keeps the connection, so that later uses
-    /// fail too instead of continuing on a fresh DLFM session.
+    /// Abort.
     fn flush(&mut self, vote: bool) -> HostResult<()> {
         let Some(txn) = self.txn.as_mut() else { return Ok(()) };
         let ops = std::mem::take(&mut txn.queued);
@@ -2223,47 +778,12 @@ impl HostSession {
         txn.touched.extend(shards.iter().cloned());
         self.host.inner.metrics.dl_rounds.fetch_add(1, Ordering::Relaxed);
 
-        let mut performed: Vec<DlOp> = Vec::new();
-        let mut votes = Vec::new();
-        let mut failure: Option<HostError> = None;
-        let rounds: Vec<&[DlOp]> = ops.chunks(MAX_BATCH_OPS - 1).collect();
-        for (n, round) in rounds.iter().enumerate() {
-            let closing = vote && n + 1 == rounds.len();
-            let mut per_shard: BTreeMap<&String, Vec<&DlOp>> = BTreeMap::new();
-            if closing {
-                per_shard.extend(shards.iter().map(|shard| (shard, Vec::new())));
-            }
-            for op in *round {
-                per_shard.entry(&op.shard).or_default().push(op);
-            }
-            let sends = per_shard.iter().map(|(shard, ops)| {
-                let mut members: Vec<_> = ops.iter().map(|op| op.request(xid, false)).collect();
-                if closing {
-                    members.push(DlfmRequest::Prepare { xid });
-                }
-                (*shard, DlfmRequest::Batch(members))
-            });
-            for (shard, reply) in self.scatter(sends, true) {
-                let sent = &per_shard[shard];
-                let (done, err, ballot) = read_batch_reply(sent.len(), reply, closing);
-                for &op in &sent[..done] {
-                    let m = &self.host.inner.metrics;
-                    let counter = if op.link.is_some() { &m.links } else { &m.unlinks };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    performed.push(op.clone());
-                }
-                votes.extend(ballot.map(|ballot| (shard.clone(), ballot)));
-                // A lost sub-transaction outranks an ordinary refusal: the
-                // caller must roll everything back.
-                if let Some(err) = err {
-                    if failure.as_ref().is_none_or(|f| !self.txn_lost(f) && self.txn_lost(&err)) {
-                        failure = Some(err);
-                    }
-                }
-            }
-            if failure.is_some() {
-                break;
-            }
+        let (performed, mut failure, votes) =
+            self.rounds(xid, &ops, false, vote.then_some(&shards));
+        let m = &self.host.inner.metrics;
+        for op in &performed {
+            let counter = if op.link.is_some() { &m.links } else { &m.unlinks };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
         // Second half of the token-cache rule: again after the reply.
         for op in ops.iter().filter(|op| op.link.is_some()) {
@@ -2275,56 +795,98 @@ impl HostSession {
         match failure {
             None => {
                 let txn = self.txn.as_mut().expect("checked on entry");
-                txn.dl_ops.extend(performed);
+                txn.dl_ops.extend(performed.into_iter().cloned());
                 txn.votes = vote.then_some(votes);
                 Ok(())
             }
-            Some(e) => {
-                if !vote && !self.txn_lost(&e) {
-                    self.backout_ops(&performed);
+            Some(e) if vote || txn_lost(&e) => Err(e),
+            Some(e) => match self.backout(xid, &performed) {
+                Ok(()) => Err(e),
+                Err(_) => Err(lost(e)),
+            },
+        }
+    }
+
+    /// Send `ops` (all of transaction `xid`) to their shards — or, with
+    /// `in_backout`, undo them newest first — in rounds of one `Batch` per
+    /// shard, each started on every shard before any reply is awaited. A
+    /// round carries at most `MAX_BATCH_OPS - 1` operations, leaving room
+    /// for the Prepare that, with `vote`, closes the last batch of each of
+    /// its shards. Stops after a round in which an operation failed, and
+    /// returns the operations performed, the failure — a lost
+    /// sub-transaction outranks an ordinary refusal — and the votes.
+    fn rounds<'o, T: Borrow<DlOp>>(
+        &mut self,
+        xid: i64,
+        ops: &'o [T],
+        in_backout: bool,
+        vote: Option<&BTreeSet<String>>,
+    ) -> (Vec<&'o DlOp>, Option<HostError>, Vec<(String, Vote)>) {
+        let (mut performed, mut failure, mut votes) = (Vec::new(), None, Vec::new());
+        let size = MAX_BATCH_OPS - 1;
+        let rounds: Vec<&'o [T]> =
+            if in_backout { ops.rchunks(size).collect() } else { ops.chunks(size).collect() };
+        for (n, &round) in rounds.iter().enumerate() {
+            let closing = vote.filter(|_| n + 1 == rounds.len());
+            let mut batches: BTreeMap<&String, Vec<&DlOp>> = BTreeMap::new();
+            batches.extend(closing.into_iter().flatten().map(|shard| (shard, Vec::new())));
+            for op in round.iter().map(T::borrow) {
+                batches.entry(&op.shard).or_default().push(op);
+            }
+            if in_backout {
+                batches.values_mut().for_each(|ops| ops.reverse());
+            }
+            for (shard, (done, err, vote)) in
+                self.conns.round(xid, &batches, in_backout, closing.is_some())
+            {
+                performed.extend_from_slice(&batches[shard][..done]);
+                votes.extend(vote.map(|vote| (shard.clone(), vote)));
+                if let Some(err) = err {
+                    if failure.as_ref().is_none_or(|f| !txn_lost(f) && txn_lost(&err)) {
+                        failure = Some(err);
+                    }
                 }
-                Err(e)
+            }
+            if failure.is_some() {
+                break;
             }
         }
+        (performed, failure, votes)
+    }
+
+    /// Undo `ops` at their DLFMs with `in_backout` requests, newest first,
+    /// in the statement round's batches (§3.2). It is not possible to roll
+    /// back a rollback: if any backout fails, the transaction is rolled
+    /// back everywhere and the failure says so.
+    fn backout<T: Borrow<DlOp>>(&mut self, xid: i64, ops: &[T]) -> HostResult<()> {
+        let Some(e) = self.rounds(xid, ops, true, None).1 else { return Ok(()) };
+        self.rollback();
+        Err(lost(e))
     }
 
     /// The shard serving `url`: the shard map's placement under the
     /// transaction's pinned epoch (the current epoch outside one), or the
-    /// URL's server name when hash routing is disabled.
+    /// URL's server name when hash routing is disabled. May block while the
+    /// path's prefix is mid-migration.
     fn route(&self, url: &DatalinkUrl) -> HostResult<String> {
-        let epoch = match self.txn.as_ref() {
-            Some(txn) => txn.epoch,
-            None => self.host.inner.shards.epoch(),
-        };
-        self.host.route_datalink(url, epoch)
+        let host = &self.host.inner;
+        let epoch = self.txn.as_ref().map_or_else(|| host.shards.epoch(), |txn| txn.epoch);
+        let routed = host
+            .shards
+            .route(&url.path, epoch, host.config.shard_route_timeout)
+            .map_err(|e| HostError::Usage(e.to_string()))?;
+        let Some(r) = routed else { return Ok(url.server.clone()) };
+        host.metrics.shard_routes.fetch_add(1, Ordering::Relaxed);
+        if r.waited {
+            host.metrics.shard_route_waits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(r.shard)
     }
 
     fn open_txn(&mut self) -> HostResult<&mut HostTxn> {
         self.txn
             .as_mut()
             .ok_or_else(|| HostError::Usage("datalink operation outside a transaction".into()))
-    }
-
-    /// One plain transactional request (`drop_table`'s DeleteGroup). As in
-    /// [`Self::flush`], the participant is recorded before the send.
-    fn dl_request(&mut self, server: &str, req: DlfmRequest) -> HostResult<DlfmResponse> {
-        self.conn(server)?;
-        self.open_txn()?.touched.insert(server.to_string());
-        match self.conns[server].call(req)? {
-            DlfmResponse::Err(e) => Err(dlfm_error(e)),
-            other => Ok(other),
-        }
-    }
-
-    pub(crate) fn conn(&mut self, server: &str) -> HostResult<&DlfmConn> {
-        if !self.conns.contains_key(server) {
-            // Reuse an idle pooled connection when one exists; under the
-            // DLFM's dedicated agent model a fresh one costs an agent thread
-            // pinned to it.
-            let conn = self.host.checkout_conn(server)?;
-            self.conns.insert(server.to_string(), conn);
-        }
-        Ok(&self.conns[server])
     }
 
     // ------------------------------------------------------------------
@@ -2353,15 +915,9 @@ impl HostSession {
             Lookup::Hit(token) => return Ok(token),
             Lookup::Miss { generation } => generation,
         };
-        let conn = self.conn(&shard)?;
-        match conn.call(DlfmRequest::IssueToken { filename: url.path.clone() })? {
-            DlfmResponse::Token(t) => {
-                self.host.inner.tokens.insert(&shard, &url.path, &t, epoch, generation);
-                Ok(t)
-            }
-            DlfmResponse::Err(e) => Err(HostError::Dlfm { error: e, txn_rolled_back: false }),
-            other => Err(HostError::Rpc(format!("unexpected {other:?}"))),
-        }
+        let token = self.conns.issue_token(&shard, &url.path)?;
+        self.host.inner.tokens.insert(&shard, &url.path, &token, epoch, generation);
+        Ok(token)
     }
 
     // ------------------------------------------------------------------
@@ -2385,7 +941,7 @@ impl HostSession {
                 Some(s) => (s.access, s.recovery),
                 None => (AccessControl::Full, true),
             };
-            let grp_id = self.host.next_grp_id();
+            let grp_id = self.host.inner.grp_seq.fetch_add(1, Ordering::SeqCst);
             self.session.exec_params(
                 "INSERT INTO sys_dlcols (tbl, col, grp_id, access_ctl, recovery) \
                  VALUES (?, ?, ?, ?, ?)",
@@ -2397,7 +953,8 @@ impl HostSession {
                     Value::Int(recovery as i64),
                 ],
             )?;
-            self.host.register_dl_column(name, cname, DlColumn { grp_id, access, recovery });
+            let info = DlColumn { grp_id, access, recovery };
+            add_dl_column(&mut self.host.inner.dl_cols.write(), name, cname, info);
             let spec = GroupSpec {
                 grp_id,
                 dbid: self.host.dbid(),
@@ -2407,14 +964,7 @@ impl HostSession {
                 recovery,
             };
             for server in self.host.servers() {
-                let conn = self.conn(&server)?;
-                match conn.call(DlfmRequest::RegisterGroup(spec.clone()))? {
-                    DlfmResponse::Ok => {}
-                    DlfmResponse::Err(e) => {
-                        return Err(HostError::Dlfm { error: e, txn_rolled_back: false })
-                    }
-                    other => return Err(HostError::Rpc(format!("unexpected {other:?}"))),
-                }
+                self.conns.register_group(&server, spec.clone())?;
             }
         }
         Ok(())
@@ -2435,12 +985,11 @@ impl HostSession {
             for (_, info) in dl_cols.iter() {
                 let rec_id = self.host.next_rec_id();
                 for server in self.host.servers() {
-                    let xid = self.open_txn()?.xid;
-                    let resp = self.dl_request(
-                        &server,
-                        DlfmRequest::DeleteGroup { xid, grp_id: info.grp_id, rec_id },
-                    )?;
-                    let _ = resp;
+                    // As in `flush`, the participant is recorded before the send.
+                    let txn = self.open_txn()?;
+                    txn.touched.insert(server.clone());
+                    let xid = txn.xid;
+                    self.conns.delete_group(&server, xid, info.grp_id, rec_id)?;
                 }
             }
             self.session
@@ -2455,7 +1004,7 @@ impl HostSession {
                 // The local DDL is auto-committed after the group deletion
                 // committed globally.
                 self.session.exec_params(&format!("DROP TABLE {table}"), &[])?;
-                self.host.forget_dl_columns(table);
+                self.host.inner.dl_cols.write().remove(&table.to_ascii_lowercase());
                 Ok(())
             }
             Err(e) => {
@@ -2468,11 +1017,28 @@ impl HostSession {
 
 impl Drop for HostSession {
     fn drop(&mut self) {
+        // Then the connections go back to the pool with `conns`.
         self.rollback();
-        // Hand the session's connections back for reuse (each is
-        // health-checked at checkin; broken ones are retired).
-        for (server, conn) in self.conns.drain() {
-            self.host.checkin_conn(&server, conn);
-        }
+    }
+}
+
+/// Did this error cost the transaction? A severe (retryable-class) DLFM
+/// error means the DLFM's local database already rolled the
+/// sub-transaction back, so the host must roll back the full transaction
+/// (paper §3.2); so must a failed backout ([`lost`]).
+fn txn_lost(e: &HostError) -> bool {
+    match e {
+        HostError::Db(db) => db.is_rollback_forced(),
+        HostError::Dlfm { txn_rolled_back, .. } => *txn_rolled_back,
+        _ => false,
+    }
+}
+
+/// The error of a statement or savepoint rollback whose backout failed:
+/// the transaction is gone, and a DLFM error says so.
+fn lost(e: HostError) -> HostError {
+    match e {
+        HostError::Dlfm { error, .. } => HostError::Dlfm { error, txn_rolled_back: true },
+        e => e,
     }
 }

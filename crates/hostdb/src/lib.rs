@@ -24,18 +24,22 @@ pub mod coordlog;
 pub mod engine;
 pub mod error;
 pub mod load;
+mod migrate;
+mod participant;
 pub mod shard;
+mod telemetry;
 pub mod tokens;
+mod twopc;
 pub mod url;
 pub mod utilities;
 
 pub use coordlog::{CoordLog, CoordRecord};
 pub use engine::{
-    register_inproc, DatalinkSpec, DlColumn, HostConfig, HostDb, HostMetrics, HostSavepoint,
-    HostSession,
+    DatalinkSpec, DlColumn, HostConfig, HostDb, HostMetrics, HostSavepoint, HostSession,
 };
 pub use error::{HostError, HostResult};
 pub use load::{LoadReport, LoadRow};
+pub use participant::register_inproc;
 pub use shard::{route_key, Routed, ShardError, ShardMap};
 pub use tokens::{Invalidation, TokenCacheMetrics};
 pub use url::DatalinkUrl;

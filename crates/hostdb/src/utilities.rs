@@ -11,7 +11,7 @@
 //!   DLFM's metadata and file-system state, fixing both sides: dangling
 //!   host references are nulled out, orphaned DLFM links are unlinked.
 
-use dlfm::{DlfmRequest, DlfmResponse};
+use dlfm::DlfmRequest;
 use minidb::{DbImage, Session, Value};
 
 use crate::engine::HostSession;
@@ -49,22 +49,22 @@ impl HostSession {
         // declaring that the database backup has been successfully
         // completed").
         for server in &servers {
-            let resp = self.utility_call(server, DlfmRequest::BeginBackup { backup_id, rec_id })?;
-            if let DlfmResponse::Err(e) = resp {
+            if let Err(e) =
+                self.conns.utility(server, DlfmRequest::BeginBackup { backup_id, rec_id })
+            {
                 // Roll the backup back everywhere.
                 for s in &servers {
                     let _ =
-                        self.utility_call(s, DlfmRequest::EndBackup { backup_id, success: false });
+                        self.conns.utility(s, DlfmRequest::EndBackup { backup_id, success: false });
                 }
-                return Err(HostError::Dlfm { error: e, txn_rolled_back: false });
+                return Err(e);
             }
         }
         let image = host.db().backup_image();
         for server in &servers {
-            let _ =
-                self.utility_call(server, DlfmRequest::EndBackup { backup_id, success: true })?;
+            self.conns.utility(server, DlfmRequest::EndBackup { backup_id, success: true })?;
         }
-        host.backups().lock().push(HostBackup {
+        host.inner.backups.lock().push(HostBackup {
             backup_id,
             rec_id,
             image,
@@ -81,7 +81,7 @@ impl HostSession {
         }
         let host = self.host().clone();
         let (rec_id, image, servers) = {
-            let backups = host.backups().lock();
+            let backups = host.inner.backups.lock();
             let b = backups
                 .iter()
                 .find(|b| b.backup_id == backup_id)
@@ -93,14 +93,11 @@ impl HostSession {
         // The recovery id at backup time "is preserved in the backup image
         // which is sent to the DLFM during restore to reconcile its
         // metadata" (§3.4).
-        let restored = servers.iter().try_for_each(|server| {
-            match self.utility_call(server, DlfmRequest::RestoreTo { rec_id })? {
-                DlfmResponse::Err(e) => Err(HostError::Dlfm { error: e, txn_rolled_back: false }),
-                _ => Ok(()),
-            }
-        });
+        let restored = servers
+            .iter()
+            .try_for_each(|server| self.conns.utility(server, DlfmRequest::RestoreTo { rec_id }));
         // The DLFMs relinked and unlinked files behind the sessions' backs.
-        host.tokens().clear();
+        host.inner.tokens.clear();
         restored
     }
 
@@ -125,21 +122,11 @@ impl HostSession {
                 .iter()
                 .map(|r| Ok((r[2].as_str()?.to_string(), r[3].as_int()?)))
                 .collect::<Result<_, minidb::DbError>>()?;
-            let resp =
-                self.utility_call(&server, DlfmRequest::Reconcile { entries: entries.clone() })?;
-            let (broken, orphans) = match resp {
-                DlfmResponse::ReconcileReport { broken_host_refs, orphans_unlinked } => {
-                    (broken_host_refs, orphans_unlinked)
-                }
-                DlfmResponse::Err(e) => {
-                    return Err(HostError::Dlfm { error: e, txn_rolled_back: false })
-                }
-                other => return Err(HostError::Rpc(format!("unexpected {other:?}"))),
-            };
+            let (broken, orphans) = self.conns.reconcile(&server, entries)?;
             // Fix the host side: null out broken references in user tables
             // and remove their bookkeeping rows.
             let mut repaired = Vec::new();
-            for (filename, _rec) in &broken {
+            for filename in &broken {
                 let url = DatalinkUrl { server: server.clone(), path: filename.clone() };
                 for row in &rows {
                     if row[2].as_str()? == filename.as_str() {
@@ -166,15 +153,8 @@ impl HostSession {
                     .collect(),
             });
         }
-        host.tokens().clear();
+        host.inner.tokens.clear();
         Ok(outcomes)
-    }
-
-    /// Utility-path DLFM call on this session's connection, outside any
-    /// transaction context.
-    fn utility_call(&mut self, server: &str, req: DlfmRequest) -> HostResult<DlfmResponse> {
-        let conn = self.conn(server)?;
-        Ok(conn.call(req)?)
     }
 }
 

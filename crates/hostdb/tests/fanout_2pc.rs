@@ -345,3 +345,58 @@ fn first_statement_on_a_dead_shard_aborts_cleanly_and_the_next_transaction_redia
     assert_eq!(rig.host.metrics().conn_retired.load(Relaxed), retired + 2, "sa's and sb's");
     assert_eq!(rig.host.conn_pool_idle(), idle, "severed connections are not pooled");
 }
+
+/// The resolver re-drives an unfinished decision through the coordinator's
+/// own phase 2: both Commits are on their way before either is answered —
+/// sibling rpc spans under the resolver's pass that overlap in time.
+#[test]
+fn the_resolver_redrives_phase2_to_every_participant_at_once() {
+    let _s = serial();
+    let rig = Rig::new();
+    let mut s = rig.open_cross_shard_txn();
+    let xid = s.xid().unwrap();
+
+    // Calls 1, 2: the Prepares. Lose both Commits: call 3 is refused
+    // admission and call 4 dropped (one point fires on one schedule; the
+    // drop point is not consulted for a refused call).
+    let guard = fault::install_guarded(
+        7,
+        &[("rpc.call.overloaded", Trigger::Nth(3)), ("rpc.call.drop", Trigger::Nth(3))],
+    );
+    s.commit().expect("the decision was durable");
+    drop(guard);
+    assert!(rig.host.coord_log().unfinished_commits().iter().any(|(x, _)| *x == xid));
+    for shard in [&rig.sa, &rig.sb] {
+        assert_eq!(Rig::shard_count(shard, "SELECT COUNT(*) FROM dfm_xact"), 1, "in doubt");
+    }
+
+    obs::drain_spans();
+    assert_eq!(rig.host.resolve_indoubts().unwrap(), 2);
+    assert!(rig.host.coord_log().unfinished_commits().is_empty());
+    assert_eq!(
+        (rig.owner(&rig.on_a), rig.owner(&rig.on_b)),
+        (ADMIN.to_string(), ADMIN.to_string())
+    );
+
+    let spans = obs::drain_spans();
+    let pass = spans
+        .iter()
+        .find(|e| e.layer == obs::Layer::Host && e.op == "resolve")
+        .expect("resolve span");
+    let calls: Vec<&obs::SpanEvent> = spans
+        .iter()
+        .filter(|e| e.layer == obs::Layer::Dlfm && e.op == "Commit" && e.trace_id == pass.trace_id)
+        .map(|commit| {
+            spans
+                .iter()
+                .find(|e| e.layer == obs::Layer::Rpc && e.span_id == commit.parent_span_id)
+                .expect("a Commit has its rpc call for parent")
+        })
+        .collect();
+    assert_eq!(calls.len(), 2, "one Commit per participant: {spans:#?}");
+    let (a, b) = (calls[0], calls[1]);
+    assert_ne!(a.span_id, b.span_id);
+    assert_eq!((a.parent_span_id, b.parent_span_id), (pass.span_id, pass.span_id), "siblings");
+    let end = |e: &obs::SpanEvent| e.start_micros + e.duration.as_micros() as u64;
+    assert!(a.start_micros <= end(b) && b.start_micros <= end(a), "in flight together");
+}

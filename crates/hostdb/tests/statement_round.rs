@@ -624,3 +624,94 @@ fn repeated_updates_and_deletes_of_linked_rows_bind_nothing_after_the_first() {
     assert_eq!(binds(), after_first.unwrap(), "a repeated DELETE was bound again");
     assert_eq!(Rig::linked(&rig.sa), 0);
 }
+
+/// A backout that does not arrive leaves the DLFM's sub-transaction in a
+/// state the host cannot know: it is not possible to roll back a rollback
+/// (§3.2), so the transaction is lost — rolled back everywhere — instead
+/// of going on to commit a row whose link the shard may not hold.
+#[test]
+fn a_backout_lost_in_transit_costs_the_transaction() {
+    let _s = serial();
+    let rig = Rig::new();
+    let (pa, fa) = rig.file(&rig.dir_a, "a");
+    let missing = Value::str(format!("dlfs://sa{}/nowhere", rig.dir_a));
+    let mut s = rig.host.session();
+    s.begin().unwrap();
+    s.exec_params(INSERT, &[Value::Int(1), fa]).unwrap();
+    // The UPDATE's round unlinks `a` and fails on the missing file; the
+    // backout of the unlink, the next call, is lost.
+    let guard = fault::install_guarded(3, &[("rpc.call.drop", Trigger::Nth(2))]);
+    let err = s.exec_params("UPDATE t SET doc = ? WHERE id = 1", &[missing]).unwrap_err();
+    drop(guard);
+    let committed = s.commit();
+
+    wait_until("the shard to forget the transaction", || {
+        Rig::count(&rig.sa, "SELECT COUNT(*) FROM dfm_xact") == 0
+    });
+    assert_eq!(
+        (rig.host_count("SELECT COUNT(*) FROM t"), Rig::linked(&rig.sa), rig.owner(&pa)),
+        (0, 0, "u".to_string()),
+        "no committed row without its link"
+    );
+    assert!(
+        matches!(&err, HostError::Dlfm { error: DlfmError::NoSuchFile(_), txn_rolled_back: true }),
+        "got {err:?}"
+    );
+    assert!(matches!(committed, Err(HostError::Usage(_))), "nothing left to commit");
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM sys_datalinks"), 0);
+}
+
+/// The same rule for a savepoint: a backout lost half way through
+/// `rollback_to` rolls the whole transaction back.
+#[test]
+fn a_rollback_to_whose_backout_is_lost_costs_the_transaction() {
+    let _s = serial();
+    let rig = Rig::new();
+    let (pa, fa) = rig.file(&rig.dir_a, "a");
+    let (pb, fb) = rig.file(&rig.dir_b, "b");
+    let mut s = rig.host.session();
+    s.begin().unwrap();
+    let sp = s.savepoint().unwrap();
+    s.exec_params(INSERT, &[Value::Int(1), fa]).unwrap();
+    s.exec_params(INSERT, &[Value::Int(2), fb]).unwrap();
+    // Two operations to undo; the second backout call is lost.
+    let guard = fault::install_guarded(3, &[("rpc.call.drop", Trigger::Nth(2))]);
+    let err = s.rollback_to(&sp).unwrap_err();
+    drop(guard);
+    let committed = s.commit();
+
+    for shard in [&rig.sa, &rig.sb] {
+        wait_until("the shards to forget the transaction", || {
+            Rig::count(shard, "SELECT COUNT(*) FROM dfm_xact") == 0
+        });
+    }
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM t"), 0, "no committed row without its link");
+    assert_eq!((Rig::linked(&rig.sa), Rig::linked(&rig.sb)), (0, 0));
+    assert_eq!((rig.owner(&pa), rig.owner(&pb)), ("u".to_string(), "u".to_string()));
+    assert!(matches!(err, HostError::Rpc(_)), "got {err:?}");
+    assert!(matches!(committed, Err(HostError::Usage(_))), "nothing left to commit");
+}
+
+#[test]
+fn rollback_to_backs_out_each_shard_in_one_call() {
+    let _s = serial();
+    let rig = Rig::new();
+    let (pa, fa) = rig.file(&rig.dir_a, "a");
+    let (pc, fc) = rig.file(&rig.dir_a, "c");
+    let (pb, fb) = rig.file(&rig.dir_b, "b");
+    let mut s = rig.host.session();
+    s.begin().unwrap();
+    let sp = s.savepoint().unwrap();
+    s.exec_params(INSERT, &[Value::Int(1), fa]).unwrap();
+    s.exec_params(INSERT, &[Value::Int(2), fb]).unwrap();
+    s.exec_params("UPDATE t SET doc = ? WHERE id = 1", &[fc]).unwrap();
+    let (a0, b0) = rig.calls();
+    s.rollback_to(&sp).unwrap();
+    assert_eq!(rig.calls(), (a0 + 1, b0 + 1), "three backouts on sa, one on sb: a batch each");
+    s.commit().unwrap();
+    assert_eq!((Rig::linked(&rig.sa), Rig::linked(&rig.sb)), (0, 0));
+    assert_eq!(Rig::count(&rig.sa, "SELECT COUNT(*) FROM dfm_file"), 0);
+    for path in [&pa, &pb, &pc] {
+        assert_eq!(rig.owner(path), "u");
+    }
+}

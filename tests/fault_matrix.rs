@@ -233,6 +233,30 @@ fn sweep_with(d: Driver, seed: u64, faults: &[(&str, Trigger)]) {
         let acked = s.exec_params("DELETE FROM t WHERE id = ?", &[Value::Int(i)]).is_ok();
         expect.insert(path, if acked { Some(false) } else { None });
     }
+    // Phase C: explicit transactions that back out — a statement whose
+    // UPDATE names a missing file (its unlink is backed out) and a
+    // savepoint rolled back over a link. A failed backout costs the
+    // transaction, so these may end anywhere; only the invariants below
+    // apply to their files.
+    for j in 0..3i64 {
+        let (kept, undone) = (format!("/g{j}"), format!("/h{j}"));
+        for path in [&kept, &undone] {
+            d.dep.fs.create(path, "u", b"x").unwrap();
+        }
+        let mut s = d.dep.host.session();
+        let _ = (|| -> hostdb::HostResult<()> {
+            s.begin()?;
+            let insert = "INSERT INTO t (id, doc) VALUES (?, ?)";
+            s.exec_params(insert, &[Value::Int(100 + j), Value::str(d.dep.url(&kept))])?;
+            let missing = Value::str(d.dep.url("/missing"));
+            let update = "UPDATE t SET doc = ? WHERE id = ?";
+            assert!(s.exec_params(update, &[missing, Value::Int(100 + j)]).is_err());
+            let sp = s.savepoint()?;
+            s.exec_params(insert, &[Value::Int(200 + j), Value::str(d.dep.url(&undone))])?;
+            s.rollback_to(&sp)?;
+            s.commit()
+        })();
+    }
 
     // Heal: disarm every fault and let the resolver finish what's left.
     drop(guard);
@@ -261,8 +285,9 @@ fn sweep_with(d: Driver, seed: u64, faults: &[(&str, Trigger)]) {
         }
     }
 
-    // Invariant: nothing stays in-doubt, and a file is owned by the DLFM
-    // admin if and only if a committed linked entry backs it.
+    // Invariant: nothing stays in-doubt, and for every file a committed
+    // host row references it ⟺ a committed linked entry backs it ⟺ it is
+    // owned by the DLFM admin.
     assert_eq!(d.xact_count(), 0, "seed {seed}: in-doubt sub-transactions remain");
     for path in d.dep.fs.list("/") {
         let linked = d.is_linked(&path);
@@ -273,6 +298,10 @@ fn sweep_with(d: Driver, seed: u64, faults: &[(&str, Trigger)]) {
             "seed {seed}: {path} owner={owner} linked={linked} — takeover without \
              committed link state (or the reverse)"
         );
+        let rows = host
+            .query_int("SELECT COUNT(*) FROM t WHERE doc = ?", &[Value::str(d.dep.url(&path))])
+            .unwrap();
+        assert_eq!(rows == 1, linked, "seed {seed}: {path} has {rows} host rows, linked={linked}");
     }
 }
 
@@ -583,6 +612,45 @@ fn abandoned_phase2_commit_stays_prepared_and_the_resolver_completes_it() {
     d.resolve_until_clean();
     assert!(d.is_linked("/ab"), "acked commit must be completed by the resolver");
     assert_eq!(d.owner("/ab"), "dlfm_admin");
+}
+
+// ---------------------------------------------------------------------
+// Pinned regression: the resolver counts only the resolutions a
+// participant acknowledged.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_refused_resolution_is_not_counted_and_the_next_pass_resolves_it() {
+    let _s = serial();
+    let mut config = dlfm::DlfmConfig::for_tests();
+    config.commit_retry_limit = 2;
+    let d = Driver::with_config(config);
+    let conn = d.conn();
+    let xid = d.dep.host.next_xid();
+    assert_eq!(d.link(&conn, xid, "/rs"), DlfmResponse::Ok);
+    conn.call(DlfmRequest::Prepare { xid }).unwrap();
+    let resolved = || {
+        let text = d.dep.host.metrics_text();
+        let samples = obs::registry::parse_samples(&text);
+        let total = samples.iter().find(|s| s.name == "hostdb_indoubts_resolved_total");
+        total.expect("the family is exported").value as u64
+    };
+    let listed =
+        || conn.call(DlfmRequest::ListIndoubt).unwrap() == DlfmResponse::Indoubt(vec![xid]);
+
+    // No decision was recorded: presumed abort. Every phase-2 attempt
+    // deadlocks, so the DLFM abandons the Abort and refuses it.
+    let guard = fault::install_guarded(5, &[("dlfm.phase2.deadlock", Trigger::Always)]);
+    assert_eq!(d.dep.host.resolve_indoubts().unwrap(), 0);
+    drop(guard);
+    assert_eq!(resolved(), 0, "a refused resolution is not a resolution");
+    assert!(listed(), "still in doubt");
+
+    assert_eq!(d.dep.host.resolve_indoubts().unwrap(), 1);
+    assert_eq!(resolved(), 1);
+    assert!(!listed());
+    assert_eq!(d.xact_count(), 0);
+    assert_eq!((d.is_linked("/rs"), d.owner("/rs")), (false, "u".to_string()));
 }
 
 // ---------------------------------------------------------------------
