@@ -142,12 +142,13 @@ pub struct HostMetrics {
     pub links: AtomicU64,
     /// UnlinkFile requests issued.
     pub unlinks: AtomicU64,
-    /// Statement rounds: flushes of a statement's queued link/unlink
-    /// operations, one batch per shard (`links + unlinks` over this is
-    /// operations per round).
+    /// Statement rounds: flushes of a statement's (or a load piece's)
+    /// queued link/unlink operations, one batch per shard (`links +
+    /// unlinks` over this is operations per round).
     pub dl_rounds: AtomicU64,
-    /// Transactions whose phase 1 rode on their (autocommit) statement's
-    /// round instead of costing a Prepare call of its own.
+    /// Transactions whose phase 1 rode on their round (an autocommit
+    /// statement's or a load piece's) instead of costing a Prepare call of
+    /// its own.
     pub unsolicited_votes: AtomicU64,
     /// Indoubt transactions resolved after failures, counting only the
     /// resolutions their participant acknowledged.
@@ -473,6 +474,11 @@ pub(crate) struct HostTxn {
     pub trace_ids: BTreeSet<u64>,
 }
 
+/// A failed round's error, and the recovery id of the operation it names —
+/// one a DLFM refused or the host could not record; `None` when no one
+/// operation failed (a batch lost in transit).
+pub(crate) type RoundError = (HostError, Option<i64>);
+
 /// A savepoint covering both local data and datalink operations.
 pub struct HostSavepoint {
     db_sp: minidb::Savepoint,
@@ -587,17 +593,33 @@ impl HostSession {
         }
     }
 
-    /// Run one statement. One that changes datalink values first queues
-    /// its link/unlink operations (`queue_*`), then runs its local DML,
-    /// then sends the queue to the DLFMs in one round ([`Self::flush`]).
-    /// The DML depends on no DLFM reply (shard and recovery id are
-    /// generated here), so every statement takes its table's locks before
-    /// DLFM locks, and one that fails locally has sent nothing. `vote`: the
-    /// statement opened the transaction itself and commits it when it ends
-    /// (autocommit), so its round carries the Prepare.
+    /// Run one statement: [`Self::intercept`] it, then send what it queued
+    /// in one round ([`Self::flush`]); a statement whose round fails is
+    /// undone locally too. `vote`: the statement opened the transaction
+    /// itself and commits it when it ends (autocommit), so its round
+    /// carries the Prepare.
     fn exec_stmt(&mut self, p: &Prepared, params: &[Value], vote: bool) -> HostResult<ExecResult> {
-        let stmt = p.stmt();
-        let queue: fn(&mut Self, &Prepared, &[Value]) -> HostResult<()> = match stmt {
+        // Statement atomicity: remember where we started.
+        let sp = self.session.savepoint()?;
+        let result = self.intercept(p, params)?;
+        if let Err((e, _)) = self.flush(vote) {
+            if !txn_lost(&e) {
+                let _ = self.session.rollback_to(sp);
+            }
+            return Err(e);
+        }
+        Ok(result)
+    }
+
+    /// The interception half of a statement. One that changes datalink
+    /// values queues its link/unlink operations (`queue_*`) and runs its
+    /// local DML; sending the queue is [`Self::flush`]'s, once per
+    /// statement or once per load piece. The DML depends on no DLFM reply
+    /// (shard and recovery id are generated here), so every statement
+    /// takes its table's locks before DLFM locks, and one that fails here
+    /// has sent nothing and leaves its table and the queue as they were.
+    pub(crate) fn intercept(&mut self, p: &Prepared, params: &[Value]) -> HostResult<ExecResult> {
+        let queue: fn(&mut Self, &Prepared, &[Value]) -> HostResult<()> = match p.stmt() {
             Stmt::Insert { table, .. } if !self.host.dl_columns_of(table).is_empty() => {
                 Self::queue_insert
             }
@@ -616,15 +638,11 @@ impl HostSession {
             }
             _ => return Ok(self.session.exec_prepared(p, params)?),
         };
-        // Statement atomicity: remember where we started.
-        let sp = self.session.savepoint()?;
-        let result = queue(self, p, params).and_then(|()| {
-            let r = self.session.exec_prepared(p, params)?;
-            self.flush(vote)?;
-            Ok(r)
-        });
+        let (sp, queued) = (self.session.savepoint()?, self.open_txn()?.queued.len());
+        let result =
+            queue(self, p, params).and_then(|()| Ok(self.session.exec_prepared(p, params)?));
         if let (Err(e), Some(txn)) = (&result, self.txn.as_mut()) {
-            txn.queued.clear();
+            txn.queued.truncate(queued);
             if !txn_lost(e) {
                 let _ = self.session.rollback_to(sp);
             }
@@ -755,10 +773,10 @@ impl HostSession {
         Ok(())
     }
 
-    /// Send the running statement's queued operations ([`Self::rounds`]),
-    /// then record what the DLFMs performed. With `vote` each shard's last
-    /// batch ends with `Prepare` — the unsolicited vote — and the votes,
-    /// one lost in transit included, are kept for `commit_txn`.
+    /// Send the queued operations ([`Self::rounds`]), then record what the
+    /// DLFMs performed. With `vote` each shard's last batch ends with
+    /// `Prepare` — the unsolicited vote — and the votes, one lost in
+    /// transit included, are kept for `commit_txn`.
     ///
     /// If a member fails the caller sees its error, and the members that
     /// succeeded (on any shard) are backed out — except with `vote`, where
@@ -767,7 +785,7 @@ impl HostSession {
     /// A shard counts as touched *before* its first batch is sent (there is
     /// no begin message), so one that fails in transit still gets its
     /// Abort.
-    fn flush(&mut self, vote: bool) -> HostResult<()> {
+    pub(crate) fn flush(&mut self, vote: bool) -> Result<(), RoundError> {
         let Some(txn) = self.txn.as_mut() else { return Ok(()) };
         let ops = std::mem::take(&mut txn.queued);
         if ops.is_empty() {
@@ -790,20 +808,21 @@ impl HostSession {
             self.host.inner.tokens.invalidate(&op.url.path, Invalidation::Link);
         }
         if failure.is_none() {
-            failure = performed.iter().try_for_each(|op| self.record_op(op)).err();
+            failure =
+                performed.iter().find_map(|op| Some((self.record_op(op).err()?, Some(op.rec_id))));
         }
-        match failure {
-            None => {
-                let txn = self.txn.as_mut().expect("checked on entry");
-                txn.dl_ops.extend(performed.into_iter().cloned());
-                txn.votes = vote.then_some(votes);
-                Ok(())
-            }
-            Some(e) if vote || txn_lost(&e) => Err(e),
-            Some(e) => match self.backout(xid, &performed) {
-                Ok(()) => Err(e),
-                Err(_) => Err(lost(e)),
-            },
+        let Some((e, at)) = failure else {
+            let txn = self.txn.as_mut().expect("checked on entry");
+            txn.dl_ops.extend(performed.into_iter().cloned());
+            txn.votes = vote.then_some(votes);
+            return Ok(());
+        };
+        if vote || txn_lost(&e) {
+            return Err((e, at));
+        }
+        match self.backout(xid, &performed) {
+            Ok(()) => Err((e, at)),
+            Err(_) => Err((lost(e), at)),
         }
     }
 
@@ -813,16 +832,21 @@ impl HostSession {
     /// round carries at most `MAX_BATCH_OPS - 1` operations, leaving room
     /// for the Prepare that, with `vote`, closes the last batch of each of
     /// its shards. Stops after a round in which an operation failed, and
-    /// returns the operations performed, the failure — a lost
-    /// sub-transaction outranks an ordinary refusal — and the votes.
+    /// returns the operations performed, the failure and the votes.
+    ///
+    /// Of a round's failures (one per shard at most) the one returned is
+    /// the refusal of the earliest operation — the one a statement at a
+    /// time would have met first — naming that operation; a batch lost in
+    /// transit names none. It says the transaction is lost if any of them
+    /// cost it.
     fn rounds<'o, T: Borrow<DlOp>>(
         &mut self,
         xid: i64,
         ops: &'o [T],
         in_backout: bool,
         vote: Option<&BTreeSet<String>>,
-    ) -> (Vec<&'o DlOp>, Option<HostError>, Vec<(String, Vote)>) {
-        let (mut performed, mut failure, mut votes) = (Vec::new(), None, Vec::new());
+    ) -> (Vec<&'o DlOp>, Option<RoundError>, Vec<(String, Vote)>) {
+        let (mut performed, mut votes) = (Vec::new(), Vec::new());
         let size = MAX_BATCH_OPS - 1;
         let rounds: Vec<&'o [T]> =
             if in_backout { ops.rchunks(size).collect() } else { ops.chunks(size).collect() };
@@ -836,22 +860,28 @@ impl HostSession {
             if in_backout {
                 batches.values_mut().for_each(|ops| ops.reverse());
             }
+            let mut failures = Vec::new();
             for (shard, (done, err, vote)) in
                 self.conns.round(xid, &batches, in_backout, closing.is_some())
             {
                 performed.extend_from_slice(&batches[shard][..done]);
                 votes.extend(vote.map(|vote| (shard.clone(), vote)));
-                if let Some(err) = err {
-                    if failure.as_ref().is_none_or(|f| !txn_lost(f) && txn_lost(&err)) {
-                        failure = Some(err);
-                    }
-                }
+                failures.extend(err.map(|err| {
+                    let refused = matches!(err, HostError::Dlfm { .. });
+                    let at = batches[shard].get(done).filter(|_| refused).map(|op| op.rec_id);
+                    (err, at)
+                }));
             }
-            if failure.is_some() {
-                break;
+            let lost_any = failures.iter().any(|(err, _)| txn_lost(err));
+            let earliest = failures
+                .into_iter()
+                .min_by_key(|(_, at)| at.unwrap_or(i64::MAX))
+                .map(|(err, at)| (if lost_any { lost(err) } else { err }, at));
+            if earliest.is_some() {
+                return (performed, earliest, votes);
             }
         }
-        (performed, failure, votes)
+        (performed, None, votes)
     }
 
     /// Undo `ops` at their DLFMs with `in_backout` requests, newest first,
@@ -859,7 +889,7 @@ impl HostSession {
     /// back a rollback: if any backout fails, the transaction is rolled
     /// back everywhere and the failure says so.
     fn backout<T: Borrow<DlOp>>(&mut self, xid: i64, ops: &[T]) -> HostResult<()> {
-        let Some(e) = self.rounds(xid, ops, true, None).1 else { return Ok(()) };
+        let Some((e, _)) = self.rounds(xid, ops, true, None).1 else { return Ok(()) };
         self.rollback();
         Err(lost(e))
     }
@@ -1026,7 +1056,7 @@ impl Drop for HostSession {
 /// error means the DLFM's local database already rolled the
 /// sub-transaction back, so the host must roll back the full transaction
 /// (paper §3.2); so must a failed backout ([`lost`]).
-fn txn_lost(e: &HostError) -> bool {
+pub(crate) fn txn_lost(e: &HostError) -> bool {
     match e {
         HostError::Db(db) => db.is_rollback_forced(),
         HostError::Dlfm { txn_rolled_back, .. } => *txn_rolled_back,

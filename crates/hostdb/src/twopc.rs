@@ -38,8 +38,9 @@ impl HostSession {
     /// Commit: presumed-abort two-phase commit across every DLFM this
     /// transaction touched, with the host's own commit in the middle.
     pub fn commit(&mut self) -> HostResult<()> {
-        // Child of the statement span under autocommit; a fresh root when
-        // the application commits an explicit transaction.
+        // Child of the statement span under autocommit (of the piece's
+        // under `load`); a fresh root when the application commits an
+        // explicit transaction.
         let mut span = obs::span(obs::Layer::Host, "commit");
         let mut txn = self
             .txn
@@ -56,10 +57,10 @@ impl HostSession {
         let xid = txn.xid;
 
         // Phase 1: every touched DLFM prepares (and forces) concurrently.
-        // An autocommit statement already collected the votes: its round
-        // ended with the Prepare on every shard (`flush`). An explicit
-        // transaction asks now — only the application knows which
-        // statement was the last.
+        // An autocommit statement (or a load piece) already collected the
+        // votes: its round ended with the Prepare on every shard (`flush`).
+        // An explicit transaction asks now — only the application knows
+        // which statement was the last.
         let votes = match txn.votes.take() {
             Some(votes) => {
                 self.host.inner.metrics.unsolicited_votes.fetch_add(1, Ordering::Relaxed);

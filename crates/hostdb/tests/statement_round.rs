@@ -590,6 +590,178 @@ fn a_statement_of_more_than_a_batch_takes_more_rounds_and_votes_on_the_last() {
     assert_eq!(rig.host_count("SELECT COUNT(*) FROM sys_datalinks"), 0);
 }
 
+/// Load rows `(first + i, <tag>i)` over fresh files, in `dir_b` where
+/// `on_b(i)` and in `dir_a` otherwise.
+fn load_rows(
+    rig: &Rig,
+    tag: &str,
+    first: usize,
+    n: usize,
+    on_b: fn(usize) -> bool,
+) -> Vec<Vec<Value>> {
+    (0..n)
+        .map(|i| {
+            let dir = if on_b(i) { &rig.dir_b } else { &rig.dir_a };
+            vec![Value::Int((first + i) as i64), rig.file(dir, &format!("{tag}{i}")).1]
+        })
+        .collect()
+}
+
+#[test]
+fn a_load_piece_is_one_round_per_shard_under_one_span() {
+    let _s = serial();
+    let rig = Rig::new();
+    let mut s = rig.host.session();
+    let m = rig.host.metrics();
+    let counts = || {
+        (
+            m.dl_rounds.load(Relaxed),
+            m.unsolicited_votes.load(Relaxed),
+            m.twopc_commits.load(Relaxed),
+        )
+    };
+
+    // Two small pieces over both shards: one `load` root each, its rounds
+    // and commit under it, no statement roots.
+    obs::drain_spans();
+    let small = load_rows(&rig, "small", 0, 6, |i| i % 2 == 0);
+    assert_eq!(s.load("t", &["id", "doc"], &small, 3).unwrap().pieces_committed, 2);
+    let spans = obs::drain_spans();
+    let host_op = |op: &str| spans.iter().filter(|e| e.layer == Layer::Host && e.op == op).count();
+    assert_eq!((host_op("load"), host_op("stmt")), (2, 0), "{spans:#?}");
+    for load in spans.iter().filter(|e| e.layer == Layer::Host && e.op == "load") {
+        assert_eq!(load.parent_span_id, 0, "a root");
+        let under = |parent: u64, layer: Layer, op: &str| {
+            spans
+                .iter()
+                .filter(|e| e.parent_span_id == parent && e.layer == layer && e.op == op)
+                .count()
+        };
+        assert_eq!(under(load.span_id, Layer::Rpc, "call"), 2, "the round: one batch per shard");
+        let commit = spans
+            .iter()
+            .find(|e| e.op == "commit" && e.parent_span_id == load.span_id)
+            .expect("the commit is the piece's");
+        assert_eq!(under(commit.span_id, Layer::Rpc, "call"), 2, "one Commit per shard");
+    }
+
+    // Two pieces of more than a batch each.
+    let piece = MAX_BATCH_OPS + 40;
+    let rows = load_rows(&rig, "bulk", 100, 2 * piece, |i| i % 10 == 0);
+    let before = counts();
+    let (a0, b0) = rig.calls();
+    let report = s.load("t", &["id", "doc"], &rows, piece).unwrap();
+    assert_eq!(
+        (report.rows_loaded, report.pieces_committed, report.failed_at),
+        (2 * piece, 2, None)
+    );
+    // Per piece, two rounds of at most MAX_BATCH_OPS - 1 links, one batch
+    // per shard each and the Prepare closing the second; then the Commit.
+    assert_eq!(rig.calls(), (a0 + 6, b0 + 6), "per piece and shard: 2 batches + Commit");
+    assert_eq!(counts(), (before.0 + 2, before.1 + 2, before.2 + 2), "a round and a vote a piece");
+    let linked = (6 + 2 * piece) as i64;
+    assert_eq!(Rig::linked(&rig.sa) + Rig::linked(&rig.sb), linked);
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM sys_datalinks"), linked);
+    assert_eq!(Rig::count(&rig.sa, "SELECT COUNT(*) FROM dfm_xact"), 0);
+    assert_eq!(Rig::count(&rig.sb, "SELECT COUNT(*) FROM dfm_xact"), 0);
+}
+
+/// Refusals on both shards in one round: the lower row is reported, as a
+/// row-at-a-time load would have stopped there — also when its shard's
+/// batch is answered second.
+#[test]
+fn a_load_reports_the_lowest_row_refused_on_any_shard() {
+    let _s = serial();
+    let rig = Rig::new();
+    let mut rows = load_rows(&rig, "f", 0, 8, |i| i % 2 == 0);
+    rows[2][1] = Value::str(format!("dlfs://sa{}/missing", rig.dir_b));
+    rows[5][1] = Value::str(format!("dlfs://sa{}/missing", rig.dir_a));
+    let mut s = rig.host.session();
+    let report = s.load("t", &["id", "doc"], &rows, 8).unwrap();
+    assert_eq!((report.rows_loaded, report.failed_at), (0, Some(2)));
+    let missing = format!("{}/missing", rig.dir_b);
+    assert!(
+        matches!(&report.error, Some(HostError::Dlfm { error: DlfmError::NoSuchFile(p), .. }) if *p == missing),
+        "{report:?}"
+    );
+    for shard in [&rig.sa, &rig.sb] {
+        assert_eq!(Rig::count(shard, "SELECT COUNT(*) FROM dfm_file"), 0);
+        assert_eq!(Rig::count(shard, "SELECT COUNT(*) FROM dfm_xact"), 0);
+    }
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM t"), 0);
+}
+
+/// A piece whose vote is lost fails at commit: the piece is rolled back
+/// and the report still says how far the load got, instead of an error
+/// that hides the committed pieces.
+#[test]
+fn a_piece_whose_vote_is_lost_is_reported_not_raised() {
+    let _s = serial();
+    let rig = Rig::new();
+    let rows = load_rows(&rig, "f", 0, 10, |_| false);
+    let mut s = rig.host.session();
+    let m = rig.host.metrics();
+    let failures = m.prepare_failures.load(Relaxed);
+    // Piece 1 is [5 links, Prepare] and the Commit; the third call is piece
+    // 2's batch, which carries its vote.
+    let guard = fault::install_guarded(3, &[("rpc.call.drop", Trigger::Nth(3))]);
+    let report = s.load("t", &["id", "doc"], &rows, 5).expect("a failed piece is reported");
+    assert_eq!(fault::fires("rpc.call.drop"), 1);
+    drop(guard);
+    assert_eq!((report.rows_loaded, report.pieces_committed, report.failed_at), (5, 1, Some(5)));
+    assert!(matches!(&report.error, Some(HostError::Rpc(_))), "{report:?}");
+    assert_eq!(m.prepare_failures.load(Relaxed), failures + 1, "a lost vote is a no");
+    assert_eq!(m.unsolicited_votes.load(Relaxed), 2, "both pieces' votes rode on their rounds");
+    assert_eq!(Rig::count(&rig.sa, "SELECT COUNT(*) FROM dfm_xact"), 0);
+    assert_eq!(Rig::linked(&rig.sa), 5);
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM t"), 5);
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM sys_datalinks"), 5);
+}
+
+/// `load.rs`'s `load_commits_in_pieces` with the shard behind a Unix
+/// socket: a piece's batches are frames like any statement's.
+#[test]
+fn a_load_over_a_unix_socket_commits_in_pieces() {
+    let _s = serial();
+    let sock = std::env::temp_dir().join(format!("dlfm-load-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let fs = Arc::new(FileSystem::new());
+    let mut config = DlfmConfig::for_tests();
+    config.listen = Transport::Unix(sock.display().to_string());
+    let shard = DlfmServer::start(config, fs.clone(), Arc::new(ArchiveServer::new()));
+    let host = HostDb::new(HostConfig::for_tests());
+    host.attach_dlfm(
+        "w",
+        dlrpc::wire_connector::<DlfmRequest, DlfmResponse>(
+            shard.listen_addr().expect("wire transport binds"),
+        ),
+    );
+    let mut s = host.session();
+    s.create_table(
+        "CREATE TABLE t (id BIGINT NOT NULL, doc DATALINK)",
+        &[DatalinkSpec { column: "doc".into(), access: AccessControl::Full, recovery: false }],
+    )
+    .unwrap();
+    let rows: Vec<Vec<Value>> = (0..25)
+        .map(|i| {
+            let p = format!("/l/f{i}");
+            fs.create(&p, "u", b"x").unwrap();
+            vec![Value::Int(i), Value::str(format!("dlfs://w{p}"))]
+        })
+        .collect();
+    let report = s.load("t", &["id", "doc"], &rows, 10).unwrap();
+    assert_eq!(report.rows_loaded, 25);
+    assert_eq!(report.pieces_committed, 3);
+    assert_eq!(report.failed_at, None);
+    assert_eq!(s.query_int("SELECT COUNT(*) FROM t", &[]).unwrap(), 25);
+    assert_eq!(Rig::linked(&shard), 25);
+    assert_eq!(Rig::count(&shard, "SELECT COUNT(*) FROM dfm_xact"), 0);
+    assert_eq!(host.metrics().unsolicited_votes.load(Relaxed), 3, "a vote rode on each piece");
+    drop(s);
+    drop(shard);
+    let _ = std::fs::remove_file(&sock);
+}
+
 /// A repeated UPDATE or DELETE of a linked row binds nothing after its
 /// first run: the statement comes from the statement cache, and its
 /// datalink probe is bound once with it.

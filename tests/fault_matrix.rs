@@ -257,13 +257,34 @@ fn sweep_with(d: Driver, seed: u64, faults: &[(&str, Trigger)]) {
             s.commit()
         })();
     }
+    // Phase D: a three-piece Load utility run. Whatever fails, it reports
+    // how far it got instead of failing.
+    let load: Vec<Vec<Value>> = (0..9i64)
+        .map(|i| {
+            let path = format!("/l{i}");
+            d.dep.fs.create(&path, "u", b"x").unwrap();
+            vec![Value::Int(300 + i), Value::str(d.dep.url(&path))]
+        })
+        .collect();
+    let report = d.dep.host.session().load("t", &["id", "doc"], &load, 3);
+    let loaded = report.expect("a load reports how far it got").rows_loaded;
 
     // Heal: disarm every fault and let the resolver finish what's left.
     drop(guard);
     d.resolve_until_clean();
 
-    // Invariant: acknowledged outcomes are never lost.
+    // Invariant: acknowledged outcomes are never lost — the load's
+    // committed rows are exactly the ones it reported.
     let mut host = d.dep.host.session();
+    for i in 0..9i64 {
+        let sql = "SELECT COUNT(*) FROM t WHERE id = ?";
+        let rows = host.query_int(sql, &[Value::Int(300 + i)]).unwrap();
+        assert_eq!(
+            rows,
+            i64::from(i < loaded as i64),
+            "seed {seed}: load row {i}, {loaded} loaded"
+        );
+    }
     for (path, state) in &expect {
         match state {
             Some(true) => {
