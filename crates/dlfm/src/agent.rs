@@ -681,8 +681,9 @@ impl Exec<'_> {
         }
         twopc::run_phase2_commit(self.shared, self.state.dbid, xid)?;
         // Crash point: phase 2 completed locally but the Ok never reaches
-        // the coordinator, which must re-drive Commit on a later
-        // connection; the second delivery finds nothing left to do.
+        // the coordinator, and the crash takes the lazy local commit too.
+        // The resolver re-drives Commit on a later connection; a further
+        // delivery finds nothing left to do.
         if obs::fault::fire("dlfm.phase2.crash_before_ack") {
             self.shared.db.crash();
             return Err(DlfmError::Db {

@@ -12,6 +12,13 @@
 //! the marks back. File-system actions (takeover/release via the Chown
 //! daemon) happen here in phase 2 because the file system is not
 //! transactional (§3.2); they are idempotent so retries are safe.
+//!
+//! Neither phase-2 outcome forces the log (DESIGN §5.1). The vote was
+//! forced at Prepare, and the coordinator keeps its forced decision: a
+//! phase-2 record lost in a crash leaves the transaction PREPARED, and the
+//! host resolver (`ListIndoubt`) delivers the same outcome again, whose
+//! file-system actions repeat idempotently. Only a commit that deleted a
+//! group forces, because the Delete-Group daemon acts on it.
 
 use minidb::{Session, Value};
 
@@ -226,9 +233,14 @@ fn commit_attempt(shared: &DlfmShared, dbid: i64, xid: i64) -> DlfmResult<Option
     if obs::fault::fire("dlfm.phase2.crash_after_takeover") {
         shared.db.crash();
     }
-    // Forced: "acked ⇒ durable at this DLFM" is what lets the coordinator
-    // write `End` and forget the transaction.
-    s.commit()?;
+    // Lazy (module doc), but forced for a group deletion: the Delete-Group
+    // daemon starts releasing files on the notification, and restart
+    // requeues from the COMMITTED row.
+    if notify.is_some() {
+        s.commit()?;
+    } else {
+        s.commit_lazy()?;
+    }
     Ok(notify)
 }
 

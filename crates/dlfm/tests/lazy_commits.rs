@@ -1,14 +1,15 @@
 //! Which local commits force the log, and what happens when one that does
 //! not is lost.
 //!
-//! A sub-transaction forces the shard's log exactly twice — the local
-//! COMMIT at prepare (the vote) and the local COMMIT of phase-2 commit (the
-//! ack). Every other local commit is lazy: its record hardens with the next
-//! force, and if a crash gets there first an existing recovery path
-//! re-drives the work. One test per lazy site crashes right after the work
-//! was done and acknowledged — nothing has forced the log since, so the
-//! crash takes it — and checks that recovery path; the pins at the end
-//! check that the two forced commits still survive an immediate crash.
+//! A sub-transaction forces the shard's log exactly once — the local
+//! COMMIT at prepare (the vote). Every other local commit is lazy, the
+//! phase-2 commit included: its record hardens with the next force, and if
+//! a crash gets there first an existing recovery path re-drives the work.
+//! One test per lazy site crashes right after the work was done and
+//! acknowledged — nothing has forced the log since, so the crash takes it —
+//! and checks that recovery path; the pins at the end check that the forced
+//! commits — the vote, and the phase-2 commit of a group deletion — still
+//! survive an immediate crash.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -129,8 +130,12 @@ fn a_lost_copy_daemon_delete_requeues_its_entries_for_an_idempotent_recopy() {
 
     rig.crash_and_restart();
 
-    // The deletes are gone, the entries are back, and the daemon copies
-    // every file again — onto the same keys, with the same content.
+    // The phase-2 commit went with the deletes: xid 10 is in doubt, and the
+    // resolver's Commit queues the entries again. The daemon copies every
+    // file again — onto the same keys, with the same content.
+    let conn2 = rig.connect();
+    assert_eq!(rig.indoubt(&conn2), vec![10]);
+    assert_eq!(call(&conn2, DlfmRequest::Commit { xid: 10 }), DlfmResponse::Ok);
     wait("the re-drain", || rig.metrics().files_archived == 10);
     assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_archive"), 0);
     assert_eq!(rig.archive.metrics().stores.load(Relaxed), 10);
@@ -227,8 +232,8 @@ fn a_crash_before_prepare_compensates_whatever_prefix_of_chunks_survived() {
 }
 
 /// Link `n` files into group 1, commit, then drop the group in its own
-/// committed transaction. Returns the forces spent up to and including the
-/// group deletion's phase-2 commit.
+/// committed transaction, whose phase-2 commit forces. Returns the forces
+/// spent up to and including that commit.
 fn delete_group_of(rig: &Rig, conn: &Conn, n: i64) -> u64 {
     rig.link_files(conn, 50, 0..n);
     prepare(conn, 50);
@@ -236,7 +241,9 @@ fn delete_group_of(rig: &Rig, conn: &Conn, n: i64) -> u64 {
     let drop_group = DlfmRequest::DeleteGroup { xid: 51, grp_id: 1, rec_id: 5100 };
     assert_eq!(call(conn, drop_group), DlfmResponse::Ok);
     prepare(conn, 51);
+    let forces = rig.forces();
     assert_eq!(call(conn, DlfmRequest::Commit { xid: 51 }), DlfmResponse::Ok);
+    assert_eq!(rig.forces(), forces + 1, "a group deletion's phase-2 commit forces");
     rig.forces()
 }
 
@@ -323,11 +330,40 @@ fn reconcile_rebuilds_its_temp_table_after_a_run_cut_short() {
     assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_file WHERE lnk_state = 1"), 2);
 }
 
-/// The two commits the protocol promises: an acked Prepare and an acked
-/// Commit each cost exactly one force and survive a crash that follows the
-/// ack at once.
+/// The phase-2 commit is lazy: an acked Commit costs no force, and a crash
+/// right after the ack takes it. The xid is PREPARED again; the host's
+/// resolver finds it, has the forced commit decision, and commits again.
 #[test]
-fn an_acked_prepare_and_an_acked_commit_survive_an_immediate_crash() {
+fn an_acked_commit_lost_in_a_crash_leaves_the_xid_indoubt_until_committed_again() {
+    let rig = Rig::new(DlfmConfig::for_tests());
+    let conn = rig.connect();
+    rig.group(&conn, false);
+    rig.link_files(&conn, 80, 0..1);
+    prepare(&conn, 80);
+    let forces = rig.forces();
+    assert_eq!(call(&conn, DlfmRequest::Commit { xid: 80 }), DlfmResponse::Ok);
+    assert_eq!(rig.forces(), forces, "phase-2 commit forces nothing");
+    assert!(rig.indoubt(&conn).is_empty(), "the commit took effect");
+    assert_eq!(rig.fs.stat("/f0").unwrap().owner, "dlfm_admin");
+
+    rig.crash_and_restart();
+
+    let conn2 = rig.connect();
+    assert_eq!(rig.indoubt(&conn2), vec![80]);
+    for _ in 0..2 {
+        // The third delivery of the Commit finds nothing left to do.
+        assert_eq!(call(&conn2, DlfmRequest::Commit { xid: 80 }), DlfmResponse::Ok);
+        assert!(rig.indoubt(&conn2).is_empty());
+        assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_xact"), 0);
+        assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_file WHERE lnk_state = 1"), 1);
+    }
+    assert_eq!(rig.fs.stat("/f0").unwrap().owner, "dlfm_admin");
+}
+
+/// The commit the protocol forces: an acked Prepare costs exactly one force
+/// and survives a crash that follows the ack at once.
+#[test]
+fn an_acked_prepare_survives_an_immediate_crash() {
     let rig = Rig::new(DlfmConfig::for_tests());
     let conn = rig.connect();
     rig.group(&conn, false);
@@ -339,17 +375,30 @@ fn an_acked_prepare_and_an_acked_commit_survive_an_immediate_crash() {
     let conn2 = rig.connect();
     assert_eq!(rig.indoubt(&conn2), vec![70]);
     assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_file WHERE link_xid = 70"), 1);
+}
 
-    let forces = rig.forces();
-    assert_eq!(call(&conn2, DlfmRequest::Commit { xid: 70 }), DlfmResponse::Ok);
-    assert_eq!(rig.forces(), forces + 1);
+/// The exception, chosen by call site: a commit that deleted a group forces
+/// (`delete_group_of` counts it). The Delete-Group daemon starts releasing
+/// files as soon as it is told, and restart requeues from the COMMITTED
+/// row, so an immediate crash must leave that row — not a PREPARED one.
+#[test]
+fn an_acked_group_deletion_survives_an_immediate_crash() {
+    let config = DlfmConfig {
+        group_life_span_micros: 3_600_000_000, // keep the GC out of this one
+        ..DlfmConfig::for_tests()
+    };
+    let rig = Rig::new(config);
+    let conn = rig.connect();
+    rig.group(&conn, false);
+    delete_group_of(&rig, &conn, 3);
+
     rig.crash_and_restart();
-    let conn3 = rig.connect();
-    assert!(rig.indoubt(&conn3).is_empty());
-    assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_xact"), 0);
-    assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_file WHERE lnk_state = 1"), 1);
-    assert_eq!(rig.fs.stat("/f0").unwrap().owner, "dlfm_admin");
-    // Delivered again (the coordinator never saw the ack): nothing to do.
-    assert_eq!(call(&conn3, DlfmRequest::Commit { xid: 70 }), DlfmResponse::Ok);
-    assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_file WHERE lnk_state = 1"), 1);
+
+    assert!(rig.indoubt(&rig.connect()).is_empty(), "the group deletion is not in doubt");
+    wait("the requeued deletion to finish", || {
+        rig.count("SELECT COUNT(*) FROM dfm_grp WHERE state = 3") == 1
+            && rig.count("SELECT COUNT(*) FROM dfm_xact") == 0
+    });
+    assert_eq!(rig.count("SELECT COUNT(*) FROM dfm_file"), 0);
+    assert_eq!(rig.fs.stat("/f2").unwrap().owner, "alice");
 }

@@ -10,6 +10,15 @@
 //! the same single-force device, leader/follower group commit and exact
 //! crash epochs as the minidb WAL. Only the commit decision is forced; End
 //! records harden with the next decision's force.
+//!
+//! `End` means every participant acknowledged phase 2, so no proactive
+//! re-drive is needed. It does not mean the commit is durable there: a DLFM
+//! commits phase 2 lazily, and one that crashes before its next force comes
+//! back with the transaction in doubt. The resolver then asks
+//! [`CoordLog::committed`], which answers from the `Commit` record whether
+//! or not an `End` follows it. Hence the invariant: a `Commit` record is
+//! never dropped while a participant may still hold its transaction in
+//! doubt. (Nothing truncates this log today.)
 
 use std::ops::Deref;
 use std::time::Duration;
@@ -32,6 +41,15 @@ pub enum CoordRecord {
         /// Host transaction id.
         xid: i64,
     },
+}
+
+impl CoordRecord {
+    /// The transaction the record is about.
+    pub(crate) fn xid(&self) -> i64 {
+        match self {
+            CoordRecord::Commit { xid, .. } | CoordRecord::End { xid } => *xid,
+        }
+    }
 }
 
 impl Record for CoordRecord {
@@ -92,7 +110,13 @@ impl CoordLog {
         })
     }
 
-    /// Was a commit decision recorded for `xid`?
+    /// The highest transaction id the log names, 0 for an empty log.
+    pub(crate) fn max_xid(&self) -> i64 {
+        self.read(|records, _| records.iter().map(CoordRecord::xid).max().unwrap_or(0))
+    }
+
+    /// Was a commit decision recorded for `xid`? An `End` does not hide it:
+    /// a participant may have lost its lazy phase-2 commit since.
     pub fn committed(&self, xid: i64) -> bool {
         self.read(|records, _| {
             records.iter().any(|r| matches!(r, CoordRecord::Commit { xid: x, .. } if *x == xid))

@@ -325,6 +325,11 @@ impl HostDb {
         self.inner.xid_seq.fetch_add(1, Ordering::SeqCst)
     }
 
+    /// Never hand out `xid` or anything below it again.
+    pub(crate) fn advance_xid_past(&self, xid: i64) {
+        self.inner.xid_seq.fetch_max(xid + 1, Ordering::SeqCst);
+    }
+
     /// Next recovery id: dbid in the high bits, a monotonic timestamp
     /// sequence in the low bits — globally unique and monotonically
     /// increasing per host (paper §3.2).
@@ -385,18 +390,25 @@ impl HostDb {
     // Crash / restart
     // ------------------------------------------------------------------
 
-    /// Simulate a host crash: the storage engine and the unforced tail of
-    /// the coordinator log are lost.
+    /// Simulate a host crash: the storage engine, the unforced tail of the
+    /// coordinator log and the transaction-id counter are lost.
     pub fn crash(&self) {
         self.inner.db.crash();
         self.inner.coord_log.crash();
         self.inner.open_xids.lock().clear();
         self.inner.tokens.clear();
+        self.inner.xid_seq.store(1, Ordering::SeqCst);
     }
 
     /// Restart after a crash: recover storage, reload datalink metadata,
     /// and resolve indoubt sub-transactions at every DLFM (paper §3.3:
     /// "host database restart processing does it").
+    ///
+    /// Transaction ids resume past every xid the coordinator log names and
+    /// every xid a DLFM lists in doubt (the resolver pass), so no id is
+    /// handed out twice. Not covered: a DLFM unreachable during restart.
+    /// Its in-doubt xids are learnt at the first resolver pass that reaches
+    /// it; until then a new transaction may get one of those ids.
     pub fn restart(&self) -> HostResult<()> {
         self.inner.db.restart()?;
         *self.inner.dl_stmts.write() = Arc::new(DlStatements::bind(&self.inner.db));
@@ -407,6 +419,7 @@ impl HostDb {
         let low = max_rec & 0xFFFF_FFFF_FFFF;
         let cur = self.inner.rec_seq.load(Ordering::SeqCst);
         self.inner.rec_seq.store(cur.max(low + 1), Ordering::SeqCst);
+        self.advance_xid_past(self.inner.coord_log.max_xid());
         self.resolve_indoubts()?;
         Ok(())
     }

@@ -17,6 +17,10 @@ use crate::participant::{Ack, Conns};
 /// instead under the §4 asynchronous-commit ablation — and append the
 /// `End` record only if every one acknowledged, so the resolver keeps
 /// re-driving the rest. Returns how many did not acknowledge.
+///
+/// An ack is not durability: a DLFM commits phase 2 lazily. One that loses
+/// the commit in a crash lists the transaction in doubt again, and the
+/// resolver commits it from the `Commit` record, which `End` does not hide.
 fn phase2(host: &HostDb, conns: &mut Conns, xid: i64, participants: &[String]) -> usize {
     let post = !host.synchronous_commit();
     let mut unacked = 0;
@@ -111,7 +115,9 @@ impl HostSession {
         self.session.commit()?;
 
         // Phase 2: synchronous by default — the paper found the commit
-        // request *must* be synchronous or distributed deadlocks form (§4).
+        // request *must* be synchronous or distributed deadlocks form (§4):
+        // the reply means the participant's locks and file takeovers are
+        // done, though not yet forced to its log.
         // The commit decision is already durable, so NOTHING past this
         // point may surface an error to the application: the transaction
         // IS committed. A participant that did not acknowledge is left to
@@ -158,8 +164,9 @@ impl HostSession {
 impl HostDb {
     /// Resolve indoubt sub-transactions on every attached DLFM: re-drive
     /// phase 2 of unfinished commit decisions, then settle what each DLFM
-    /// still lists in doubt — commit where a commit record exists, abort
-    /// the rest (presumed abort). Returns the acknowledged resolutions.
+    /// still lists in doubt — commit where a commit record exists (ended
+    /// or not: a DLFM may have lost its lazy phase-2 commit), abort the
+    /// rest (presumed abort). Returns the acknowledged resolutions.
     ///
     /// A single unreachable server must not starve resolution on the
     /// others: per-server failures are noted (counted in
@@ -191,7 +198,14 @@ impl HostDb {
         }
         for server in self.servers() {
             let xids = match conns.list_indoubt(&server) {
-                Ok(xids) => xids,
+                Ok(xids) => {
+                    // A DLFM's in-doubt xids are the ids a crashed host
+                    // has no other record of: resume the sequence past them.
+                    if let Some(&max) = xids.iter().max() {
+                        self.advance_xid_past(max);
+                    }
+                    xids
+                }
                 Err(e) => {
                     self.note_rpc_error("indoubt listing", &server, &e);
                     failed += 1;

@@ -129,12 +129,12 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// What a sub-transaction costs a shard's log: the Prepare's force and the
-/// phase-2 Commit's, and nothing else — the Copy daemon that archives the
-/// linked file afterwards commits lazily. Serial 1 ms forces, so a force
+/// What a sub-transaction costs a shard's log: the Prepare's force and
+/// nothing else — the phase-2 Commit and the Copy daemon that archives the
+/// linked file afterwards commit lazily. Serial 1 ms forces, so a force
 /// that crept back in could not hide inside somebody else's group commit.
 #[test]
-fn a_cross_shard_commit_costs_each_shard_log_exactly_two_forces() {
+fn a_cross_shard_commit_costs_each_shard_log_exactly_one_force() {
     let _s = serial();
     let rig = Rig::with_recovery(true);
     for shard in [&rig.sa, &rig.sb] {
@@ -146,8 +146,12 @@ fn a_cross_shard_commit_costs_each_shard_log_exactly_two_forces() {
     for (shard, before) in [&rig.sa, &rig.sb].into_iter().zip(before) {
         wait_until("the Copy daemon to drain", || shard.metrics().snapshot().files_archived == 1);
         assert_eq!(Rig::shard_count(shard, "SELECT COUNT(*) FROM dfm_archive"), 0);
-        assert_eq!(shard.db().wal_forces_total() - before, 2);
-        assert_eq!(shard.db().wal_lazy_commits_total(), 1, "the Copy daemon's queue delete");
+        assert_eq!(shard.db().wal_forces_total() - before, 1);
+        assert_eq!(
+            shard.db().wal_lazy_commits_total(),
+            2,
+            "the phase-2 commit and the Copy daemon's queue delete"
+        );
     }
 }
 
@@ -399,4 +403,79 @@ fn the_resolver_redrives_phase2_to_every_participant_at_once() {
     assert_eq!((a.parent_span_id, b.parent_span_id), (pass.span_id, pass.span_id), "siblings");
     let end = |e: &obs::SpanEvent| e.start_micros + e.duration.as_micros() as u64;
     assert!(a.start_micros <= end(b) && b.start_micros <= end(a), "in flight together");
+}
+
+/// `End` means every participant acknowledged, not that the commit is
+/// durable there: a shard commits phase 2 lazily. One that crashes before
+/// its next force lists the transaction in doubt again, and the resolver
+/// commits it from the `Commit` record — which a durable `End` must not
+/// hide.
+#[test]
+fn a_shard_that_loses_an_ended_commit_is_recommitted_from_the_retained_decision() {
+    let _s = serial();
+    let rig = Rig::new();
+    let mut s = rig.open_cross_shard_txn();
+    let xid = s.xid().unwrap();
+    s.commit().unwrap();
+    assert!(rig.host.coord_log().force(), "the End record is durable");
+    assert!(rig.host.coord_log().unfinished_commits().is_empty());
+    assert_eq!(rig.owner(&rig.on_a), ADMIN);
+
+    rig.sa.crash();
+    rig.sa.restart().unwrap();
+    let xact = "SELECT COUNT(*) FROM dfm_xact";
+    assert_eq!(Rig::shard_count(&rig.sa, xact), 1, "sa lost its phase-2 commit");
+    assert!(rig.host.coord_log().committed(xid));
+
+    assert_eq!(rig.host.resolve_indoubts().unwrap(), 1);
+    assert_eq!(Rig::shard_count(&rig.sa, xact), 0);
+    let linked = "SELECT COUNT(*) FROM dfm_file WHERE lnk_state = 1";
+    assert_eq!(Rig::shard_count(&rig.sa, linked), 1, "committed, not presumed aborted");
+    assert_eq!(rig.owner(&rig.on_a), ADMIN);
+    assert_eq!(rig.host_rows(), 2);
+}
+
+/// The xid counter is volatile, so a host restart recovers it: past every
+/// xid the coordinator log names, and — in each resolver pass — past every
+/// xid a DLFM lists in doubt. A reused xid would let the resolver commit
+/// one transaction's in-doubt work on another's decision.
+#[test]
+fn xids_after_a_host_restart_are_above_every_decided_and_indoubt_xid() {
+    let _s = serial();
+    let rig = Rig::new();
+    let begin_after_restart = || {
+        rig.host.crash();
+        rig.host.restart().unwrap();
+        let mut s = rig.host.session();
+        s.begin().unwrap();
+        let xid = s.xid().unwrap();
+        s.rollback();
+        xid
+    };
+
+    // A decided transaction: the coordinator log's Commit record names it.
+    let mut s = rig.open_cross_shard_txn();
+    let decided = s.xid().unwrap();
+    s.commit().unwrap();
+    drop(s);
+    assert!(begin_after_restart() > decided);
+
+    // A transaction prepared on sa whose host crashed before deciding:
+    // only sa's in-doubt list names it.
+    let indoubt = rig.host.next_xid();
+    let conn = rig.sa.connector().connect().unwrap();
+    conn.call(DlfmRequest::Connect { dbid: rig.host.dbid() }).unwrap();
+    rig.fs.create("/indoubt/f", "u", b"x").unwrap();
+    let link = DlfmRequest::LinkFile {
+        xid: indoubt,
+        rec_id: rig.host.next_rec_id(),
+        grp_id: rig.host.dl_column("t", "doc").unwrap().grp_id,
+        filename: "/indoubt/f".into(),
+        in_backout: false,
+    };
+    assert_eq!(conn.call(link).unwrap(), DlfmResponse::Ok);
+    let vote = conn.call(DlfmRequest::Prepare { xid: indoubt }).unwrap();
+    assert_eq!(vote, DlfmResponse::Prepared { read_only: false });
+    assert!(begin_after_restart() > indoubt);
+    assert_eq!(Rig::shard_count(&rig.sa, "SELECT COUNT(*) FROM dfm_xact"), 0, "presumed abort");
 }

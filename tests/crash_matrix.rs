@@ -109,18 +109,24 @@ fn crash_after_prepare_abort_decision_wins() {
     assert_eq!(d.dep.fs.stat("/a").unwrap().owner, "u");
 }
 
+/// An acked commit is durably *decided*, not durable at the DLFM: its
+/// phase-2 commit is lazy, so a crash right after the ack takes it. The
+/// transaction comes back in doubt, and the resolver commits it again from
+/// the coordinator's decision.
 #[test]
 fn crash_after_commit_is_durable() {
     let d = Driver::new();
-    let conn = d.conn();
-    let xid = d.dep.host.next_xid();
-    d.link(&conn, xid, "/a");
-    conn.call(DlfmRequest::Prepare { xid }).unwrap();
-    assert_eq!(conn.call(DlfmRequest::Commit { xid }).unwrap(), DlfmResponse::Ok);
+    let mut s = d.dep.host.session();
+    d.dep.fs.create("/a", "u", b"x").unwrap();
+    s.exec_params("INSERT INTO t (id, doc) VALUES (1, ?)", &[Value::str(d.dep.url("/a"))]).unwrap();
     d.dep.dlfm.crash();
     d.dep.dlfm.restart().unwrap();
-    assert_eq!(d.linked_count(), 1);
+    assert_eq!(d.xact_count(), 1, "the lazy phase-2 commit went with the crash");
+
+    assert_eq!(d.dep.host.resolve_indoubts().unwrap(), 1);
     assert_eq!(d.xact_count(), 0);
+    assert_eq!(d.linked_count(), 1);
+    assert_eq!(d.dep.fs.stat("/a").unwrap().owner, "dlfm_admin");
 }
 
 #[test]

@@ -461,7 +461,8 @@ fn crash_after_phase2_commit_before_ack_is_idempotent_on_redrive() {
     d.dep.fs.create("/c", "u", b"x").unwrap();
     let _g = fault::install_guarded(1, &[("dlfm.phase2.crash_before_ack", Trigger::Nth(1))]);
 
-    // Phase 2 completes locally; the crash eats the acknowledgement.
+    // Phase 2 completes locally; the crash eats the acknowledgement and
+    // the lazy local commit with it.
     let mut s = d.dep.host.session();
     s.exec_params("INSERT INTO t (id, doc) VALUES (1, ?)", &[Value::str(d.dep.url("/c"))]).unwrap();
     drop(s);
@@ -469,7 +470,8 @@ fn crash_after_phase2_commit_before_ack_is_idempotent_on_redrive() {
 
     fault::clear();
     d.dep.dlfm.restart().unwrap();
-    // The completed phase 2 was durable; any re-driven commit is a no-op.
+    // The transaction is in doubt again: the resolver re-drives the
+    // commit, and any further delivery is a no-op.
     d.resolve_until_clean();
     let conn = d.conn();
     assert_eq!(conn.call(DlfmRequest::Commit { xid: 0 }).unwrap(), DlfmResponse::Ok);
