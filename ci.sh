@@ -3,6 +3,7 @@
 #   ./ci.sh            full gate (build, tests, benchmark package tests, clippy, fmt, commit-path smoke)
 #   ./ci.sh fast       skip the release build, the benchmark package and the smoke benches
 #   ./ci.sh smoke      only the commit-path smoke stages (tiny benches + two-process wire + force audit)
+#   ./ci.sh loc        report non-test lines per crate and for the workspace (a report, not a gate)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -171,6 +172,26 @@ shard_smoke() {
   rm -f "$sock_a" "$sock_b" "$sock_a.stdin" "$sock_b.stdin" \
     "$out_a" "$out_b" "$out_a.client" "$out_b.client"
 }
+
+# Non-test lines per crate and for the workspace: every line of each
+# crates/*/src/**/*.rs before its first `#[cfg(test)]`. The design aim
+# ("the same behaviour from the least code") is judged by this number.
+loc() {
+  step "non-test lines: crates/*/src/**/*.rs up to each file's first #[cfg(test)]"
+  local crate n total=0
+  for crate in crates/*/; do
+    n="$(find "$crate/src" -name '*.rs' -print0 \
+      | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }')"
+    printf '%-10s %6d\n' "$(basename "$crate")" "$n"
+    total=$((total + n))
+  done
+  printf '%-10s %6d\n' workspace "$total"
+}
+
+if [[ "${1:-}" == "loc" ]]; then
+  loc
+  exit 0
+fi
 
 if [[ "${1:-}" == "smoke" ]]; then
   smoke

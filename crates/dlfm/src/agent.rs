@@ -249,8 +249,8 @@ fn handle_batch(
 
 /// A legal batch is 1..=[`MAX_BATCH_OPS`] `LinkFile`/`UnlinkFile` members
 /// of one transaction, optionally closed by that transaction's `Prepare`.
-/// Checked in full before anything runs (in-process callers do not pass
-/// through the wire decoder).
+/// Checked in full before anything runs. (The decoder already refuses an
+/// oversized or nested batch, so no agent sees one.)
 fn check_batch(members: &[DlfmRequest]) -> Result<(), String> {
     if members.is_empty() || members.len() > MAX_BATCH_OPS {
         return Err(format!("batch of {} members (1..={MAX_BATCH_OPS})", members.len()));

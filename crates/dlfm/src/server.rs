@@ -452,6 +452,12 @@ fn render_metrics_text(
                 &[],
                 pool.hangups(),
             );
+            r.counter(
+                "dlfm_pool_decode_errors_total",
+                "Requests whose payload did not decode, answered without reaching a handler.",
+                &[],
+                pool.decode_errors(),
+            );
         }
         r.gauge(
             "dlfm_sessions_active",

@@ -10,7 +10,7 @@ use dlfm::{
     AccessControl, DbErrorKind, DlfmConfig, DlfmError, DlfmRequest, DlfmResponse, DlfmServer,
     GroupSpec, MAX_BATCH_OPS,
 };
-use dlrpc::ClientConn;
+use dlrpc::{ClientConn, RpcError};
 use filesys::FileSystem;
 use minidb::Session;
 
@@ -144,13 +144,17 @@ fn an_illegal_batch_runs_nothing() {
     let (rig, conn) = rig(DlfmConfig::for_tests());
     let illegal: Vec<(&str, Vec<DlfmRequest>)> = vec![
         ("empty", vec![]),
-        ("oversized", vec![link(1, 10, "/a"); MAX_BATCH_OPS + 1]),
         ("mixed xids", vec![link(1, 10, "/a"), link(2, 11, "/b")]),
         ("vote of another xid", vec![link(1, 10, "/a"), DlfmRequest::Prepare { xid: 2 }]),
         ("vote not last", vec![DlfmRequest::Prepare { xid: 1 }, link(1, 10, "/a")]),
         ("commit", vec![link(1, 10, "/a"), DlfmRequest::Commit { xid: 1 }]),
         ("abort", vec![link(1, 10, "/a"), DlfmRequest::Abort { xid: 1 }]),
         ("begin", vec![DlfmRequest::BeginTxn { xid: 1 }, link(1, 10, "/a")]),
+    ];
+    // Two shapes never reach an agent: the codec refuses them, on either
+    // carrier, and the caller hears that the peer could not decode them.
+    let undecodable: Vec<(&str, Vec<DlfmRequest>)> = vec![
+        ("oversized", vec![link(1, 10, "/a"); MAX_BATCH_OPS + 1]),
         ("nested", vec![link(1, 10, "/a"), DlfmRequest::Batch(vec![link(1, 11, "/b")])]),
     ];
     let before = rig.server.metrics().snapshot();
@@ -160,6 +164,10 @@ fn an_illegal_batch_runs_nothing() {
             matches!(reply, DlfmResponse::Err(DlfmError::Protocol(_))),
             "{what}: got {reply:?}"
         );
+    }
+    for (what, members) in undecodable {
+        let err = conn.call(DlfmRequest::Batch(members)).unwrap_err();
+        assert_eq!(err, RpcError::Wire("peer failed to decode the request".into()), "{what}");
     }
     assert_eq!(rig.server.metrics().snapshot(), before, "nothing ran, nothing was counted");
     // No sub-transaction was opened by the legal prefix of any of them.

@@ -25,6 +25,9 @@ use crate::url::DatalinkUrl;
 /// Connection type to a DLFM.
 pub(crate) type DlfmConn = ClientConn<DlfmRequest, DlfmResponse>;
 
+/// How long a pooled connection's health ping may take.
+const PING_PROBE: Duration = Duration::from_millis(200);
+
 /// Process-global registry behind `inproc://name` URLs: in-process DLFM
 /// connectors published by whoever hosts the server in this process.
 fn inproc_registry() -> &'static Mutex<HashMap<String, Connector<DlfmRequest, DlfmResponse>>> {
@@ -103,13 +106,13 @@ impl HostDb {
     }
 
     /// Check a connection to `server` out of the pool, opening a fresh one
-    /// only when no idle connection is available. Wire-backed connections
-    /// are ping-probed first: the peer may have died since checkin, and a
-    /// retired conn here lets `fresh_conn` redial the socket instead of
-    /// handing the caller a dead multiplexer.
+    /// only when no idle connection is available. Each pooled connection is
+    /// pinged first: the peer may have died since checkin, and a retired
+    /// conn here lets `fresh_conn` redial the socket instead of handing the
+    /// caller a dead multiplexer.
     fn checkout_conn(&self, server: &str) -> HostResult<DlfmConn> {
         while let Some(conn) = self.inner.conn_pool.lock().get_mut(server).and_then(Vec::pop) {
-            if conn.is_wire() && conn.ping(Duration::from_millis(200)).is_err() {
+            if conn.ping(PING_PROBE).is_err() {
                 self.inner.metrics.conn_retired.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -120,21 +123,12 @@ impl HostDb {
         self.fresh_conn(server)
     }
 
-    /// Return a connection for reuse. Health-checked with a quick Ping so
-    /// a broken connection is retired here instead of poisoning the next
-    /// checkout; also retired when the pool is at capacity.
+    /// Return a connection for reuse. Health-checked with a ping (answered
+    /// without a DLFM handler round trip) so a broken connection is retired
+    /// here instead of poisoning the next checkout; also retired when the
+    /// pool is at capacity.
     fn checkin_conn(&self, server: &str, conn: DlfmConn) {
-        // Wire-backed connections probe with a transport-level Ping frame
-        // (answered by the peer's reader thread, no agent round trip);
-        // in-process ones must go through the agent to prove it is alive.
-        let probe = Duration::from_millis(200);
-        let healthy = self.inner.config.conn_pool_size > 0
-            && if conn.is_wire() {
-                conn.ping(probe).is_ok()
-            } else {
-                matches!(conn.call_timeout(DlfmRequest::Ping, probe), Ok(DlfmResponse::Ok))
-            };
-        if healthy {
+        if self.inner.config.conn_pool_size > 0 && conn.ping(PING_PROBE).is_ok() {
             let mut pool = self.inner.conn_pool.lock();
             let idle = pool.entry(server.to_string()).or_default();
             if idle.len() < self.inner.config.conn_pool_size {

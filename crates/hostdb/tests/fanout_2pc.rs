@@ -340,14 +340,15 @@ fn first_statement_on_a_dead_shard_aborts_cleanly_and_the_next_transaction_redia
     assert_eq!(rig.host_rows(), 1);
 
     // A dead in-process connection does not survive checkin either: the
-    // health probe is a `call_timeout` through the agent.
+    // health probe is a ping the DLFM's agent loop answers, so it fails
+    // once the DLFM is gone.
     let (retired, idle) =
         (rig.host.metrics().conn_retired.load(Relaxed), rig.host.conn_pool_idle());
-    let guard = fault::install_guarded(7, &[("rpc.call.disconnect", Trigger::Always)]);
+    drop(rig.sa);
+    drop(rig.sb);
     drop(s);
-    drop(guard);
     assert_eq!(rig.host.metrics().conn_retired.load(Relaxed), retired + 2, "sa's and sb's");
-    assert_eq!(rig.host.conn_pool_idle(), idle, "severed connections are not pooled");
+    assert_eq!(rig.host.conn_pool_idle(), idle, "dead connections are not pooled");
 }
 
 /// The resolver re-drives an unfinished decision through the coordinator's

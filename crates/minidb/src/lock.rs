@@ -848,8 +848,11 @@ impl LockManager {
         let is_conversion = existing.is_some();
         let target = existing.map(|h| h.supremum(mode)).unwrap_or(mode);
 
-        // Lock-list pressure: try to escalate this txn before refusing.
+        // Lock-list pressure: try to escalate this txn before refusing. Only
+        // a fine-grained request escalates: the table lock the escalation
+        // asks for must not escalate again.
         if !is_conversion
+            && res.is_fine_grained()
             && self.total_locks.load(AtomicOrdering::Relaxed) >= self.lock_list_capacity
         {
             let table = res.table();
@@ -862,9 +865,7 @@ impl LockManager {
                 });
             }
             // Escalation covers the fine-grained request entirely.
-            if res.is_fine_grained() {
-                return Ok(());
-            }
+            return Ok(());
         }
 
         let shard = &self.shards[self.shard_of(&res)];
@@ -1037,7 +1038,14 @@ impl LockManager {
             shard.cv.notify_all();
         }
         if removed > 0 {
-            self.total_locks.fetch_sub(removed, AtomicOrdering::Relaxed);
+            // Saturating: a crash's `clear_all` may zero the count between
+            // this release's removal and its decrement, and a wrapped count
+            // would read as a full lock list for good.
+            let _ = self.total_locks.fetch_update(
+                AtomicOrdering::Relaxed,
+                AtomicOrdering::Relaxed,
+                |n| Some(n.saturating_sub(removed)),
+            );
         }
     }
 
@@ -1144,6 +1152,34 @@ mod tests {
         assert!(X.covers(S));
         assert!(SIX.covers(IX));
         assert!(!S.covers(IX));
+    }
+
+    #[test]
+    fn a_table_lock_under_lock_list_pressure_does_not_escalate_again() {
+        // Regression: under pressure every request escalated, including the
+        // table lock the escalation itself asks for — an endless recursion
+        // that overflowed the requesting thread's stack.
+        let lm = LockManager::new(Duration::from_millis(100), None, 2, true);
+        lm.lock(TxnId(1), Res::Row(T, 1), LockMode::S).unwrap();
+        lm.lock(TxnId(1), Res::Row(T, 2), LockMode::S).unwrap();
+        lm.lock(TxnId(2), Res::Table(TableId(2)), LockMode::S).unwrap();
+        // A row request under pressure escalates once, to its table; that
+        // frees nothing of txn 2's here, so the list is full.
+        let err = lm.lock(TxnId(2), Res::Row(T, 3), LockMode::S).unwrap_err();
+        assert!(matches!(err, DbError::LockListFull { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn a_release_racing_a_crash_reset_does_not_wrap_the_lock_count() {
+        let lm = lm(100);
+        lm.lock(TxnId(1), Res::Row(T, 1), LockMode::X).unwrap();
+        // A crash's `clear_all` zeroes the count after this grant's removal
+        // and before its decrement: emulate that interleaving.
+        lm.total_locks.store(0, AtomicOrdering::Relaxed);
+        lm.release_all(TxnId(1));
+        assert_eq!(lm.total_held(), 0, "the count saturates instead of wrapping");
+        lm.lock(TxnId(2), Res::Row(T, 2), LockMode::X).unwrap();
+        assert_eq!(lm.held_count(TxnId(2)), 1, "a wrapped count would read as a full lock list");
     }
 
     #[test]

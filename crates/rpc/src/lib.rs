@@ -1,16 +1,24 @@
 //! # dlrpc — the agent connection fabric
 //!
 //! Models the remote-procedure-call mechanism between host-database agents
-//! and DLFM agents (paper §2, §3.5). The crate splits into a **protocol
-//! core** — [`fabric`] + [`serve`] on the server, [`Connector`] →
-//! [`ClientConn`] on the client — and pluggable **transports**:
+//! and DLFM agents (paper §2, §3.5): agents talk by sending **messages**.
+//! The crate splits into a **protocol core** — [`fabric`] + [`serve`] on
+//! the server, [`Connector`] → [`ClientConn`] on the client — and two
+//! **carriers** for the same message bytes:
 //!
-//! * **in-process** (the default; [`fabric`]) — channels inside one
+//! * **in-process** (the default; [`fabric`]) — session queues inside one
 //!   process, used by tests, benches, and embedded deployments;
-//! * **wire** ([`socket`] + [`wire`]) — a length-prefixed frame codec over
-//!   real TCP or Unix-domain sockets, many sessions multiplexed per socket,
-//!   with [`wire_connector`] dialing out and [`serve_wire`] bridging
-//!   accepted sockets into an in-process fabric on the server.
+//! * **socket** ([`socket`] + [`wire`]) — a length-prefixed frame codec
+//!   over real TCP or Unix-domain sockets, many sessions multiplexed per
+//!   socket, with [`wire_connector`] dialing out and [`serve_wire`]
+//!   bridging accepted sockets into an in-process fabric on the server.
+//!
+//! The codec is not optional: requests and responses are [`Wire`] types,
+//! a call encodes its request once, both carriers move those payload
+//! bytes, and the agent loop decodes them once. Every reply is a status
+//! byte ([`wire::status`]) plus the encoded response — the payload of a
+//! Reply frame — and the client maps both in one place. So an in-process
+//! test exercises the very bytes a remote DLFM receives.
 //!
 //! Every connection is a **session** with a fabric-assigned id. [`serve`]
 //! runs one agent loop: it hands each request to the handler as a
@@ -47,6 +55,7 @@ pub mod socket;
 pub mod wire;
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -142,67 +151,75 @@ impl fmt::Display for AgentModel {
     }
 }
 
-/// What a connection puts on the wire.
-pub(crate) enum Payload<Req> {
-    /// An ordinary request.
-    Request(Req),
+/// What a session queue carries.
+#[derive(Clone)]
+pub(crate) enum Payload {
+    /// An encoded request.
+    Request(Vec<u8>),
+    /// A liveness probe: the agent loop answers it without the handler.
+    Ping,
     /// The client endpoint is gone: retire the session's state.
     Hangup,
 }
 
-/// Where a response should go. `None` means no reply is expected (posts
-/// and hangups). The channel form serves in-process callers; the wire form
-/// carries enough to encode a Reply frame back onto the caller's socket.
-pub(crate) enum ReplyDest<Resp> {
-    /// An in-process caller parked on a channel.
-    Chan(Sender<Resp>),
+/// Where a reply goes: the status byte plus the encoded response, exactly
+/// a Reply frame's payload, on either carrier.
+pub(crate) enum ReplyDest {
+    /// An in-process caller parked on a one-shot channel.
+    Chan(Sender<Vec<u8>>),
     /// A remote caller parked behind the socket this writes to.
-    Wire {
+    Socket {
         /// The socket's write half; the answering thread writes the frame.
         writer: Arc<socket::FrameWriter>,
         /// Wire session id (client-facing, not the server-local one).
         session: u64,
         /// Correlation id of the Call being answered.
         corr: u64,
-        /// Response serializer, captured where `Resp: Wire` held.
-        encode: fn(&Resp, &mut Vec<u8>),
     },
 }
 
-/// A reply destination with a safety net: if a wire destination is dropped
-/// unconsumed — the serving agent died, or a queued envelope was thrown
-/// away at shutdown — a `Disconnected` status Reply is sent so the remote
-/// caller fails cleanly instead of hanging. (An in-process caller gets the
-/// same for free when its channel sender drops.)
-pub(crate) struct ReplyTo<Resp>(pub(crate) Option<ReplyDest<Resp>>);
+/// A reply destination, empty when no reply is expected (posts, hangups).
+/// It answers at most once, and with a safety net: dropped unanswered —
+/// the serving agent died, or a queued envelope was thrown away at
+/// shutdown — it answers `Disconnected`, so the caller fails cleanly
+/// instead of hanging.
+pub(crate) struct ReplyTo(pub(crate) Option<ReplyDest>);
 
-impl<Resp> Drop for ReplyTo<Resp> {
-    fn drop(&mut self) {
-        if let Some(ReplyDest::Wire { writer, session, corr, .. }) = self.0.take() {
-            let frame = wire::Frame::new(
-                wire::FrameKind::Reply,
-                session,
-                corr,
-                vec![wire::status::DISCONNECTED],
-            );
-            let _ = writer.send(&frame);
+impl ReplyTo {
+    /// Send `reply` (status byte + body). A caller that went away is not
+    /// an error for the answering side.
+    pub(crate) fn send(&mut self, reply: Vec<u8>) {
+        match self.0.take() {
+            None => {}
+            Some(ReplyDest::Chan(tx)) => {
+                let _ = tx.send(reply);
+            }
+            Some(ReplyDest::Socket { writer, session, corr }) => {
+                let _ =
+                    writer.send(&wire::Frame::new(wire::FrameKind::Reply, session, corr, reply));
+            }
         }
     }
 }
 
-/// One message in flight. `reply` is empty for posted (fire-and-forget)
-/// requests. `ctx` is the sender's trace context, installed on the
-/// receiving agent's thread so spans on both sides share one trace id.
-/// `session` is the fabric-assigned connection id the handler keys
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        self.send(vec![wire::status::DISCONNECTED]);
+    }
+}
+
+/// One message in flight. `ctx` is the sender's trace context, installed
+/// on the receiving agent's thread so spans on both sides share one trace
+/// id. `session` is the fabric-assigned connection id the handler keys
 /// server-side session state by.
-pub(crate) struct Envelope<Req, Resp> {
-    pub(crate) payload: Payload<Req>,
-    pub(crate) reply: ReplyTo<Resp>,
+pub(crate) struct Envelope {
+    pub(crate) payload: Payload,
+    pub(crate) reply: ReplyTo,
     pub(crate) ctx: Option<TraceCtx>,
     pub(crate) session: u64,
 }
 
-impl<Req, Resp> Envelope<Req, Resp> {
+impl Envelope {
     fn hangup(session: u64) -> Self {
         Envelope { payload: Payload::Hangup, reply: ReplyTo(None), ctx: None, session }
     }
@@ -264,6 +281,9 @@ pub struct PoolStats {
     pub served: AtomicU64,
     /// Session hangups processed (counter).
     pub hangups: AtomicU64,
+    /// Requests whose payload did not decode, answered `status::DECODE`
+    /// without reaching the handler (counter).
+    pub decode_errors: AtomicU64,
 }
 
 impl PoolStats {
@@ -290,6 +310,11 @@ impl PoolStats {
     /// Hangups processed.
     pub fn hangups(&self) -> u64 {
         self.hangups.load(Ordering::Relaxed)
+    }
+
+    /// Requests that failed to decode.
+    pub fn decode_errors(&self) -> u64 {
+        self.decode_errors.load(Ordering::Relaxed)
     }
 }
 
@@ -320,19 +345,16 @@ struct Admission {
 /// pinned queue (dedicated), or a handle on the shared run queue with its
 /// admission bound (pooled). In-process client connections and the wire
 /// bridge both send through it.
-pub(crate) struct SessionTx<Req, Resp> {
-    tx: Sender<Envelope<Req, Resp>>,
+pub(crate) struct SessionTx {
+    tx: Sender<Envelope>,
     admission: Option<Admission>,
 }
 
-impl<Req, Resp> SessionTx<Req, Resp> {
+impl SessionTx {
     /// Queue one envelope: block until the pinned agent has room for it,
     /// or wait at most the admission timeout for room in the run queue. A
     /// timeout is an admission reject, counted and journaled here.
-    pub(crate) fn send(
-        &self,
-        env: Envelope<Req, Resp>,
-    ) -> Result<(), SendTimeoutError<Envelope<Req, Resp>>> {
+    pub(crate) fn send(&self, env: Envelope) -> Result<(), SendTimeoutError<Envelope>> {
         let Some(adm) = &self.admission else {
             return self.tx.send(env).map_err(|SendError(env)| SendTimeoutError::Disconnected(env));
         };
@@ -362,63 +384,30 @@ impl<Req, Resp> SessionTx<Req, Resp> {
     }
 }
 
-/// Serializer function pointers a wire connection carries, captured at
-/// connector construction where `Req: Wire` and `Resp: Wire` held — so
-/// `ClientConn` itself needs no `Wire` bounds.
-pub(crate) struct WireVt<Req, Resp> {
-    encode_req: fn(&Req, &mut Vec<u8>),
-    decode_resp: fn(&[u8]) -> Result<Resp, WireError>,
-}
-
-impl<Req, Resp> Clone for WireVt<Req, Resp> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<Req, Resp> Copy for WireVt<Req, Resp> {}
-
-pub(crate) fn encode_val<T: Wire>(v: &T, out: &mut Vec<u8>) {
-    v.encode(out)
-}
-
-pub(crate) fn decode_val<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
-    let mut r = Reader::new(bytes);
-    T::decode(&mut r)
-}
-
-/// Which transport a [`ClientConn`] speaks.
-enum ConnInner<Req, Resp> {
-    /// In-process channels, through this session's sender.
-    Local(SessionTx<Req, Resp>),
+/// What carries a [`ClientConn`]'s payload bytes.
+enum Carrier {
+    /// This session's queue on a fabric in this process.
+    Local(SessionTx),
     /// A session multiplexed over a shared socket.
-    Wire { mux: Arc<socket::Mux>, vt: WireVt<Req, Resp> },
+    Socket(Arc<socket::Mux>),
 }
 
 /// Client side of one connection (held by a host-database agent).
 pub struct ClientConn<Req, Resp> {
-    inner: ConnInner<Req, Resp>,
+    carrier: Carrier,
     stats: Arc<RpcStats>,
     session: u64,
     /// Set once the `rpc.call.disconnect` fault fires: the endpoint then
     /// behaves like a real peer disconnect (server saw a hangup, every
     /// later use fails) instead of a one-off error on a healthy channel.
     severed: AtomicBool,
+    _types: PhantomData<fn(Req) -> Resp>,
 }
 
-impl<Req, Resp> ClientConn<Req, Resp> {
-    fn envelope(&self, payload: Payload<Req>, reply: ReplyTo<Resp>) -> Envelope<Req, Resp> {
-        Envelope { payload, reply, ctx: trace::current_ctx(), session: self.session }
-    }
-
+impl<Req: Wire, Resp: Wire> ClientConn<Req, Resp> {
     /// The fabric-assigned session id of this connection.
     pub fn session(&self) -> u64 {
         self.session
-    }
-
-    /// Does this connection cross a real socket (vs in-process channels)?
-    pub fn is_wire(&self) -> bool {
-        matches!(self.inner, ConnInner::Wire { .. })
     }
 
     /// Tear the connection down as an injected disconnect: notify the
@@ -427,9 +416,9 @@ impl<Req, Resp> ClientConn<Req, Resp> {
     /// later use of this endpoint fail with [`RpcError::Disconnected`].
     fn sever(&self) {
         if !self.severed.swap(true, Ordering::Relaxed) {
-            match &self.inner {
-                ConnInner::Local(tx) => tx.hangup(self.session),
-                ConnInner::Wire { mux, .. } => mux.hangup(self.session),
+            match &self.carrier {
+                Carrier::Local(tx) => tx.hangup(self.session),
+                Carrier::Socket(mux) => mux.hangup(self.session),
             }
         }
     }
@@ -438,12 +427,12 @@ impl<Req, Resp> ClientConn<Req, Resp> {
         self.severed.load(Ordering::Relaxed)
     }
 
-    /// Send one envelope over the local transport.
-    fn send_env(
-        &self,
-        tx: &SessionTx<Req, Resp>,
-        env: Envelope<Req, Resp>,
-    ) -> Result<(), RpcError> {
+    fn envelope(&self, payload: Payload, reply: ReplyTo) -> Envelope {
+        Envelope { payload, reply, ctx: trace::current_ctx(), session: self.session }
+    }
+
+    /// Queue one envelope on this session's local queue.
+    fn send_env(&self, tx: &SessionTx, env: Envelope) -> Result<(), RpcError> {
         let _blocked = GaugeGuard::enter(&self.stats.send_blocked);
         tx.send(env).map_err(|e| match e {
             SendTimeoutError::Timeout(_) => RpcError::Overloaded,
@@ -451,151 +440,132 @@ impl<Req, Resp> ClientConn<Req, Resp> {
         })
     }
 
+    /// Hand a request's bytes or a ping to the carrier — twice when
+    /// `duplicate` — and return where its reply will land.
+    fn carry(&self, payload: Payload, duplicate: bool) -> Result<Reply, RpcError> {
+        match &self.carrier {
+            Carrier::Local(tx) => {
+                // Room for every delivery's reply: the agent serves each,
+                // and its reply must never block on a caller that already
+                // returned with the first one.
+                let (rtx, rrx) = bounded(if duplicate { 2 } else { 1 });
+                let dup = duplicate.then(|| {
+                    self.envelope(payload.clone(), ReplyTo(Some(ReplyDest::Chan(rtx.clone()))))
+                });
+                self.send_env(tx, self.envelope(payload, ReplyTo(Some(ReplyDest::Chan(rtx)))))?;
+                if let Some(env) = dup {
+                    let _ = self.send_env(tx, env);
+                }
+                Ok(Reply::Local(rrx))
+            }
+            Carrier::Socket(mux) => {
+                let (kind, bytes) = match payload {
+                    Payload::Request(bytes) => (wire::FrameKind::Call, bytes),
+                    _ => (wire::FrameKind::Ping, Vec::new()),
+                };
+                mux.start(kind, self.session, bytes, duplicate).map(Reply::Socket)
+            }
+        }
+    }
+
     /// Send a request and return without waiting for the response: the
-    /// first half of every round trip. The agent has *received* the request
-    /// when this returns (dedicated setting), it has been admitted to the
-    /// run queue (pooled setting, bounded by the admission timeout — may
-    /// fail with [`RpcError::Overloaded`]), or it has been written to the
-    /// socket (wire transport). Starting calls on several connections and
-    /// only then waiting on each overlaps their service times.
+    /// first half of every round trip. The request is encoded here, once,
+    /// and its bytes handed to the carrier. The agent has *received* them
+    /// when this returns (in-process, dedicated setting), they have been
+    /// admitted to the run queue (in-process, pooled setting, bounded by
+    /// the admission timeout — may fail with [`RpcError::Overloaded`]), or
+    /// they have been written to the socket. Starting calls on several
+    /// connections and only then waiting on each overlaps their service
+    /// times.
     ///
     /// The call's rpc span opens here and closes when the [`PendingCall`]
     /// is waited on or dropped. It is the context the request carries to
     /// the agent, but it stops being the *thread's* context when `start`
     /// returns, so overlapping calls are siblings under the caller's span.
     ///
-    /// Fault points (`obs::fault`, no-ops unless a test arms them) on the
-    /// in-process transport: `rpc.call.disconnect` severs the connection
-    /// for good — the server observes a hangup (and rolls the session
-    /// back) and every later use of this endpoint fails;
-    /// `rpc.call.overloaded` fails the call before the send;
-    /// `rpc.call.drop` loses the request on the wire (the server never
-    /// sees it, the caller observes a timeout); `rpc.call.delay` stalls
+    /// Fault points (`obs::fault`, no-ops unless a test arms them), fired
+    /// here before the carrier is chosen, so they apply to both:
+    /// `rpc.call.disconnect` severs the connection for good — the server
+    /// observes a hangup (and rolls the session back) and every later use
+    /// of this endpoint fails; `rpc.call.overloaded` fails the call before
+    /// the send; `rpc.call.drop` loses the request (the server never sees
+    /// it, the caller observes a timeout); `rpc.call.delay` stalls
     /// delivery; `rpc.call.duplicate` delivers the request twice — the
     /// caller takes the first response, which is exactly how a
     /// retried-after-lost-ack message looks to the server. The socket
-    /// transport has its own packet-level points (`rpc.wire.*`, see
-    /// [`socket`]) injected where the frame is written instead.
-    pub fn start(&self, req: Req) -> Result<PendingCall<Resp>, RpcError>
-    where
-        Req: Clone,
-    {
+    /// adds its packet-level points (`rpc.wire.*`, see [`socket`]) where
+    /// the frame is written.
+    pub fn start(&self, req: Req) -> Result<PendingCall<Resp>, RpcError> {
         let mut span = trace::span(Layer::Rpc, "call");
         self.stats.calls.fetch_add(1, Ordering::Relaxed);
         let in_flight = InFlight::enter(&self.stats);
-        let reply = self.send_request(req).inspect_err(|_| span.fail())?;
+        let reply = self.send_call(req).inspect_err(|_| span.fail())?;
         span.detach();
-        Ok(PendingCall { reply, span, _in_flight: in_flight })
+        Ok(PendingCall { reply, span, _in_flight: in_flight, _resp: PhantomData })
     }
 
-    fn send_request(&self, req: Req) -> Result<Reply<Resp>, RpcError>
-    where
-        Req: Clone,
-    {
-        match &self.inner {
-            ConnInner::Wire { mux, vt } => {
-                if self.is_severed() {
-                    return Err(RpcError::Disconnected);
-                }
-                let mut payload = Vec::new();
-                (vt.encode_req)(&req, &mut payload);
-                let parked = mux.start(wire::FrameKind::Call, self.session, payload)?;
-                Ok(Reply::Wire { parked, decode: vt.decode_resp })
-            }
-            ConnInner::Local(tx) => {
-                if self.is_severed() || obs::fault::fire("rpc.call.disconnect") {
-                    self.sever();
-                    return Err(RpcError::Disconnected);
-                }
-                if obs::fault::fire("rpc.call.overloaded") {
-                    return Err(RpcError::Overloaded);
-                }
-                if obs::fault::fire("rpc.call.drop") {
-                    return Err(RpcError::Timeout);
-                }
-                if obs::fault::fire("rpc.call.delay") {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                // The duplicate's reply needs buffer space: the agent
-                // serves both deliveries, and its second ReplySlot::send
-                // must never block on a caller that already returned with
-                // the first response.
-                let duplicate = obs::fault::fire("rpc.call.duplicate");
-                let (rtx, rrx) = bounded(if duplicate { 2 } else { 1 });
-                let dup_env = duplicate.then(|| {
-                    self.envelope(
-                        Payload::Request(req.clone()),
-                        ReplyTo(Some(ReplyDest::Chan(rtx.clone()))),
-                    )
-                });
-                let env = self.envelope(Payload::Request(req), ReplyTo(Some(ReplyDest::Chan(rtx))));
-                self.send_env(tx, env)?;
-                if let Some(env) = dup_env {
-                    let _ = self.send_env(tx, env);
-                }
-                Ok(Reply::Local(rrx))
-            }
+    fn send_call(&self, req: Req) -> Result<Reply, RpcError> {
+        if self.is_severed() || obs::fault::fire("rpc.call.disconnect") {
+            self.sever();
+            return Err(RpcError::Disconnected);
         }
+        if obs::fault::fire("rpc.call.overloaded") {
+            return Err(RpcError::Overloaded);
+        }
+        if obs::fault::fire("rpc.call.drop") {
+            return Err(RpcError::Timeout);
+        }
+        if obs::fault::fire("rpc.call.delay") {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let duplicate = obs::fault::fire("rpc.call.duplicate");
+        self.carry(Payload::Request(encode(&req)), duplicate)
     }
 
     /// Synchronous call: blocks until the agent receives the request
     /// *and* sends the response ([`Self::start`], then wait).
-    pub fn call(&self, req: Req) -> Result<Resp, RpcError>
-    where
-        Req: Clone,
-    {
+    pub fn call(&self, req: Req) -> Result<Resp, RpcError> {
         self.start(req)?.wait(None)
     }
 
     /// Synchronous call with a deadline on the response. The send is
-    /// [`Self::start`]'s: on the in-process transport it still blocks until
-    /// the agent issues its receive (rendezvous) or the admission timeout
-    /// rejects it (pooled); only the response wait is bounded by `timeout`.
-    pub fn call_timeout(&self, req: Req, timeout: Duration) -> Result<Resp, RpcError>
-    where
-        Req: Clone,
-    {
+    /// [`Self::start`]'s: in-process it still blocks until the agent
+    /// issues its receive (rendezvous) or the admission timeout rejects it
+    /// (pooled); only the response wait is bounded by `timeout`.
+    pub fn call_timeout(&self, req: Req, timeout: Duration) -> Result<Resp, RpcError> {
         self.start(req)?.wait(Some(timeout))
     }
 
     /// Fire-and-forget post: returns as soon as the agent *receives* the
     /// request (dedicated setting), it is admitted to the run queue (pooled
-    /// setting), or it has been written to the socket (wire transport),
-    /// without waiting for processing (the unsafe asynchronous commit mode
-    /// of §4).
+    /// setting), or it has been written to the socket, without waiting for
+    /// processing (the unsafe asynchronous commit mode of §4).
     pub fn post(&self, req: Req) -> Result<(), RpcError> {
         self.stats.posts.fetch_add(1, Ordering::Relaxed);
         if self.is_severed() {
             return Err(RpcError::Disconnected);
         }
-        match &self.inner {
-            ConnInner::Wire { mux, vt } => {
-                let mut payload = Vec::new();
-                (vt.encode_req)(&req, &mut payload);
-                mux.post(self.session, payload)
+        let bytes = encode(&req);
+        match &self.carrier {
+            Carrier::Local(tx) => {
+                self.send_env(tx, self.envelope(Payload::Request(bytes), ReplyTo(None)))
             }
-            ConnInner::Local(tx) => {
-                let env = self.envelope(Payload::Request(req), ReplyTo(None));
-                self.send_env(tx, env)
-            }
+            Carrier::Socket(mux) => mux.post(self.session, bytes),
         }
     }
 
-    /// Liveness probe. On the socket transport this is a wire-level
-    /// Ping/Pong round trip — it proves the socket, both reader threads, and
-    /// the server bridge are alive without touching any agent. In-process
-    /// connections are alive by construction, so this is a no-op there.
+    /// Liveness probe, answered by the serving side without running the
+    /// handler: in-process by the agent loop (so it proves an agent still
+    /// receives on this session), over a socket by the server's reader
+    /// thread with a Pong (so it proves the socket and both readers are
+    /// alive). Fails with [`RpcError::Disconnected`] once the server is
+    /// gone, on either carrier.
     pub fn ping(&self, timeout: Duration) -> Result<(), RpcError> {
         if self.is_severed() {
             return Err(RpcError::Disconnected);
         }
-        match &self.inner {
-            ConnInner::Local(_) => Ok(()),
-            ConnInner::Wire { mux, .. } => mux
-                .start(wire::FrameKind::Ping, self.session, Vec::new())?
-                .wait(Some(timeout))
-                .map(|_| ()),
-        }
+        let reply = self.carry(Payload::Ping, false)?.wait(Some(timeout))?;
+        reply_body(&reply).map(drop)
     }
 
     /// Fabric-wide instrumentation (shared with the connector).
@@ -613,22 +583,52 @@ impl<Req, Resp> Drop for ClientConn<Req, Resp> {
         // transport is already dead the server-side cleanup ran (or runs)
         // through its own teardown. A severed connection already delivered
         // its hangup.
-        if self.is_severed() {
+        if self.severed.load(Ordering::Relaxed) {
             return;
         }
-        match &self.inner {
-            ConnInner::Local(tx) => tx.close(self.session),
-            ConnInner::Wire { mux, .. } => mux.hangup(self.session),
+        match &self.carrier {
+            Carrier::Local(tx) => tx.close(self.session),
+            Carrier::Socket(mux) => mux.hangup(self.session),
         }
     }
 }
 
-/// Where a started call's response will arrive.
-enum Reply<Resp> {
+/// Encode one value into a fresh payload.
+fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    v.encode(&mut out);
+    out
+}
+
+/// Map a reply (status byte + body) to its body, or to the error its
+/// status names. Both carriers' replies end here.
+fn reply_body(reply: &[u8]) -> Result<&[u8], RpcError> {
+    match reply.split_first() {
+        Some((&wire::status::OK, body)) => Ok(body),
+        Some((&wire::status::OVERLOADED, _)) => Err(RpcError::Overloaded),
+        Some((&wire::status::DISCONNECTED, _)) => Err(RpcError::Disconnected),
+        Some((&wire::status::DECODE, _)) => {
+            Err(RpcError::Wire("peer failed to decode the request".into()))
+        }
+        _ => Err(RpcError::Wire("malformed reply status".into())),
+    }
+}
+
+/// Where a started call's reply (status byte + body) will arrive.
+enum Reply {
     /// The in-process reply channel.
-    Local(Receiver<Resp>),
-    /// A slot in the socket multiplexer, plus the response deserializer.
-    Wire { parked: socket::Parked, decode: fn(&[u8]) -> Result<Resp, WireError> },
+    Local(Receiver<Vec<u8>>),
+    /// A slot in the socket multiplexer.
+    Socket(socket::Parked),
+}
+
+impl Reply {
+    fn wait(self, timeout: Option<Duration>) -> Result<Vec<u8>, RpcError> {
+        match self {
+            Reply::Local(rx) => recv_reply(&rx, timeout),
+            Reply::Socket(parked) => parked.wait(timeout),
+        }
+    }
 }
 
 /// Holds the `in_flight` gauge up for as long as a call is unanswered.
@@ -662,21 +662,20 @@ pub(crate) fn recv_reply<T>(rx: &Receiver<T>, timeout: Option<Duration>) -> Resu
 /// Dropping it abandons the response; the agent still serves the request.
 #[must_use = "a started call is only answered through wait()"]
 pub struct PendingCall<Resp> {
-    reply: Reply<Resp>,
+    reply: Reply,
     span: trace::SpanGuard,
     _in_flight: InFlight,
+    _resp: PhantomData<fn() -> Resp>,
 }
 
-impl<Resp> PendingCall<Resp> {
+impl<Resp: Wire> PendingCall<Resp> {
     /// Block until the response arrives — at most `timeout`, when given
     /// ([`RpcError::Timeout`] past it) — or the peer goes away.
     pub fn wait(mut self, timeout: Option<Duration>) -> Result<Resp, RpcError> {
-        let res = match self.reply {
-            Reply::Local(rx) => recv_reply(&rx, timeout),
-            Reply::Wire { parked, decode } => parked
-                .wait(timeout)
-                .and_then(|bytes| decode(&bytes).map_err(|e| RpcError::Wire(e.to_string()))),
-        };
+        let res = self.reply.wait(timeout).and_then(|reply| {
+            let mut body = Reader::new(reply_body(&reply)?);
+            Resp::decode(&mut body).map_err(|e| RpcError::Wire(e.to_string()))
+        });
         if res.is_err() {
             self.span.fail();
         }
@@ -686,23 +685,17 @@ impl<Resp> PendingCall<Resp> {
 
 /// Where to send the response for a received request (empty for posts).
 pub struct ReplySlot<Resp> {
-    to: ReplyTo<Resp>,
+    to: ReplyTo,
+    _resp: PhantomData<fn(Resp)>,
 }
 
-impl<Resp> ReplySlot<Resp> {
+impl<Resp: Wire> ReplySlot<Resp> {
     /// Send the response. A dropped client is not an error for the agent.
     pub fn send(mut self, resp: Resp) {
-        match self.to.0.take() {
-            None => {}
-            Some(ReplyDest::Chan(tx)) => {
-                let _ = tx.send(resp);
-            }
-            Some(ReplyDest::Wire { writer, session, corr, encode }) => {
-                let mut payload = vec![wire::status::OK];
-                encode(&resp, &mut payload);
-                let frame = wire::Frame::new(wire::FrameKind::Reply, session, corr, payload);
-                let _ = writer.send(&frame);
-            }
+        if self.expects_reply() {
+            let mut reply = vec![wire::status::OK];
+            resp.encode(&mut reply);
+            self.to.send(reply);
         }
     }
 
@@ -714,25 +707,25 @@ impl<Resp> ReplySlot<Resp> {
 
 /// A dedicated session's own queue, handed to the main daemon as the
 /// session opens.
-struct PinnedQueue<Req, Resp> {
+struct PinnedQueue {
     session: u64,
-    rx: Receiver<Envelope<Req, Resp>>,
+    rx: Receiver<Envelope>,
 }
 
 /// The server end of a local fabric: the queues [`serve`]'s agents drain.
-pub struct Listener<Req, Resp> {
-    queues: Queues<Req, Resp>,
+pub struct Listener {
+    queues: Queues,
     pool: Arc<PoolStats>,
 }
 
-enum Queues<Req, Resp> {
+enum Queues {
     /// Dedicated: every session's own queue, announced as it opens.
-    Pinned(Receiver<PinnedQueue<Req, Resp>>),
+    Pinned(Receiver<PinnedQueue>),
     /// Pooled: the one run queue every session shares.
-    Shared { rx: Receiver<Envelope<Req, Resp>>, workers: usize },
+    Shared { rx: Receiver<Envelope>, workers: usize },
 }
 
-impl<Req, Resp> Listener<Req, Resp> {
+impl Listener {
     /// Agent instrumentation.
     pub fn pool_stats(&self) -> &Arc<PoolStats> {
         &self.pool
@@ -741,39 +734,25 @@ impl<Req, Resp> Listener<Req, Resp> {
 
 /// The client end of a local fabric: how a new session gets somewhere to
 /// send.
-pub(crate) struct LocalFabric<Req, Resp> {
-    route: Route<Req, Resp>,
+#[derive(Clone)]
+pub(crate) struct LocalFabric {
+    route: Route,
     pool: Arc<PoolStats>,
 }
 
-enum Route<Req, Resp> {
+#[derive(Clone)]
+enum Route {
     /// Dedicated: the main daemon's accept queue.
-    Pinned(Sender<PinnedQueue<Req, Resp>>),
+    Pinned(Sender<PinnedQueue>),
     /// Pooled: the shared run queue.
-    Shared { tx: Sender<Envelope<Req, Resp>>, admission_timeout: Duration },
+    Shared { tx: Sender<Envelope>, admission_timeout: Duration },
 }
 
-impl<Req, Resp> Clone for LocalFabric<Req, Resp> {
-    fn clone(&self) -> Self {
-        let route = match &self.route {
-            Route::Pinned(accept) => Route::Pinned(accept.clone()),
-            Route::Shared { tx, admission_timeout } => {
-                Route::Shared { tx: tx.clone(), admission_timeout: *admission_timeout }
-            }
-        };
-        LocalFabric { route, pool: self.pool.clone() }
-    }
-}
-
-impl<Req, Resp> LocalFabric<Req, Resp> {
+impl LocalFabric {
     /// Open `session`. Dedicated: a fresh queue holding `depth` envelopes
     /// (0 = rendezvous), handed to the main daemon, which pins an agent to
     /// it. Pooled: a handle on the run queue (`depth` does not apply).
-    pub(crate) fn open(
-        &self,
-        session: u64,
-        depth: usize,
-    ) -> Result<SessionTx<Req, Resp>, RpcError> {
+    pub(crate) fn open(&self, session: u64, depth: usize) -> Result<SessionTx, RpcError> {
         match &self.route {
             Route::Pinned(accept) => {
                 let (tx, rx) = bounded(depth);
@@ -825,58 +804,54 @@ impl RemoteState {
 }
 
 /// How a connector hands out connections.
-pub(crate) enum ConnectorMode<Req, Resp> {
+#[derive(Clone)]
+pub(crate) enum ConnectorMode {
     /// Each connect opens a session on a fabric in this process.
-    Local(LocalFabric<Req, Resp>),
+    Local(LocalFabric),
     /// Each connect is a fresh session multiplexed over the (shared,
     /// lazily dialed) socket to a remote server.
-    Remote {
-        /// Dial state shared by clones of this connector.
-        state: Arc<RemoteState>,
-        /// Serializers captured at construction.
-        vt: WireVt<Req, Resp>,
-    },
+    Remote(Arc<RemoteState>),
 }
 
 /// The connector endpoint host agents use to reach a DLFM.
 pub struct Connector<Req, Resp> {
-    pub(crate) mode: ConnectorMode<Req, Resp>,
+    pub(crate) mode: ConnectorMode,
     pub(crate) stats: Arc<RpcStats>,
     pub(crate) sessions: Arc<AtomicU64>,
+    _types: PhantomData<fn(Req) -> Resp>,
 }
 
 impl<Req, Resp> Clone for Connector<Req, Resp> {
     fn clone(&self) -> Self {
-        let mode = match &self.mode {
-            ConnectorMode::Local(fabric) => ConnectorMode::Local(fabric.clone()),
-            ConnectorMode::Remote { state, vt } => {
-                ConnectorMode::Remote { state: state.clone(), vt: *vt }
-            }
-        };
-        Connector { mode, stats: self.stats.clone(), sessions: self.sessions.clone() }
+        Connector::new(self.mode.clone(), self.stats.clone(), self.sessions.clone())
     }
 }
 
 impl<Req, Resp> Connector<Req, Resp> {
+    fn new(mode: ConnectorMode, stats: Arc<RpcStats>, sessions: Arc<AtomicU64>) -> Self {
+        Connector { mode, stats, sessions, _types: PhantomData }
+    }
+}
+
+impl<Req: Wire, Resp: Wire> Connector<Req, Resp> {
     /// Establish a new connection: a fresh session, with its own agent
     /// (dedicated) or served by any agent of the pool (pooled); over a
     /// remote connector, a fresh session on the shared socket, dialing (or
     /// redialing) it if needed.
     pub fn connect(&self) -> Result<ClientConn<Req, Resp>, RpcError> {
         let session = self.sessions.fetch_add(1, Ordering::Relaxed) + 1;
-        let inner = match &self.mode {
+        let carrier = match &self.mode {
             // In-process a dedicated session's queue is a rendezvous: sends
             // block until the agent receives.
-            ConnectorMode::Local(fabric) => ConnInner::Local(fabric.open(session, 0)?),
-            ConnectorMode::Remote { state, vt } => {
-                ConnInner::Wire { mux: state.mux_or_dial()?, vt: *vt }
-            }
+            ConnectorMode::Local(fabric) => Carrier::Local(fabric.open(session, 0)?),
+            ConnectorMode::Remote(state) => Carrier::Socket(state.mux_or_dial()?),
         };
         Ok(ClientConn {
-            inner,
+            carrier,
             stats: self.stats.clone(),
             session,
             severed: AtomicBool::new(false),
+            _types: PhantomData,
         })
     }
 
@@ -889,14 +864,14 @@ impl<Req, Resp> Connector<Req, Resp> {
     pub fn pool_stats(&self) -> Option<&Arc<PoolStats>> {
         match &self.mode {
             ConnectorMode::Local(fabric) => Some(&fabric.pool),
-            ConnectorMode::Remote { .. } => None,
+            ConnectorMode::Remote(_) => None,
         }
     }
 
     /// Wire-transport instrumentation, when this connector dials a socket.
     pub fn wire_stats(&self) -> Option<&Arc<WireStats>> {
         match &self.mode {
-            ConnectorMode::Remote { state, .. } => Some(&state.stats),
+            ConnectorMode::Remote(state) => Some(&state.stats),
             ConnectorMode::Local(_) => None,
         }
     }
@@ -909,7 +884,7 @@ impl<Req, Resp> Connector<Req, Resp> {
     /// (`Relaxed`: a bare count that publishes no other data.)
     pub fn epoch(&self) -> u64 {
         match &self.mode {
-            ConnectorMode::Remote { state, .. } => state.deaths.load(Ordering::Relaxed),
+            ConnectorMode::Remote(state) => state.deaths.load(Ordering::Relaxed),
             ConnectorMode::Local(_) => 0,
         }
     }
@@ -921,7 +896,7 @@ impl<Req, Resp> Connector<Req, Resp> {
     pub fn accept_backlog(&self) -> usize {
         match &self.mode {
             ConnectorMode::Local(fabric) => fabric.backlog(),
-            ConnectorMode::Remote { .. } => 0,
+            ConnectorMode::Remote(_) => 0,
         }
     }
 
@@ -946,15 +921,15 @@ impl<Req, Resp> Connector<Req, Resp> {
             &[],
             self.accept_backlog() as i64,
         );
-        if let ConnectorMode::Remote { state, .. } = &self.mode {
-            state.stats.render(r);
+        if let Some(wire) = self.wire_stats() {
+            wire.render(r);
         }
     }
 }
 
 /// Create an in-process fabric (one per DLFM instance) laid out as `model`
 /// says: run [`serve`] on the listener, hand the connector to clients.
-pub fn fabric<Req, Resp>(model: AgentModel) -> (Listener<Req, Resp>, Connector<Req, Resp>) {
+pub fn fabric<Req: Wire, Resp: Wire>(model: AgentModel) -> (Listener, Connector<Req, Resp>) {
     let (route, queues) = match model {
         AgentModel::Dedicated => {
             let (tx, rx) = bounded(ACCEPT_BACKLOG);
@@ -969,14 +944,8 @@ pub fn fabric<Req, Resp>(model: AgentModel) -> (Listener<Req, Resp>, Connector<R
         }
     };
     let pool = Arc::new(PoolStats::default());
-    (
-        Listener { queues, pool: pool.clone() },
-        Connector {
-            mode: ConnectorMode::Local(LocalFabric { route, pool }),
-            stats: Arc::new(RpcStats::default()),
-            sessions: Arc::new(AtomicU64::new(0)),
-        },
-    )
+    let mode = ConnectorMode::Local(LocalFabric { route, pool: pool.clone() });
+    (Listener { queues, pool }, Connector::new(mode, Arc::default(), Arc::default()))
 }
 
 /// Create a connector that dials a remote fabric over a socket. The
@@ -985,24 +954,10 @@ pub fn fabric<Req, Resp>(model: AgentModel) -> (Listener<Req, Resp>, Connector<R
 /// `rpc_wire_reconnects_total`). All sessions share one socket — the
 /// multiplexer runs one reader thread total, not per session, and callers
 /// write their own frames.
-pub fn wire_connector<Req, Resp>(addr: WireAddr) -> Connector<Req, Resp>
-where
-    Req: Wire,
-    Resp: Wire,
-{
-    Connector {
-        mode: ConnectorMode::Remote {
-            state: Arc::new(RemoteState {
-                addr,
-                mux: Mutex::new(None),
-                stats: Arc::new(WireStats::default()),
-                deaths: Arc::new(AtomicU64::new(0)),
-            }),
-            vt: WireVt { encode_req: encode_val::<Req>, decode_resp: decode_val::<Resp> },
-        },
-        stats: Arc::new(RpcStats::default()),
-        sessions: Arc::new(AtomicU64::new(0)),
-    }
+pub fn wire_connector<Req: Wire, Resp: Wire>(addr: WireAddr) -> Connector<Req, Resp> {
+    let state =
+        RemoteState { addr, mux: Mutex::new(None), stats: Arc::default(), deaths: Arc::default() };
+    Connector::new(ConnectorMode::Remote(Arc::new(state)), Arc::default(), Arc::default())
 }
 
 /// What an agent hands to its handler.
@@ -1033,14 +988,10 @@ struct Agents {
 impl Agents {
     /// Start one agent draining `rx`: pinned to `session`, or one of a
     /// pool's workers (`None`).
-    fn spawn<Req, Resp, H>(
-        &self,
-        rx: Receiver<Envelope<Req, Resp>>,
-        pinned: Option<u64>,
-        handler: H,
-    ) where
-        Req: Send + 'static,
-        Resp: Send + 'static,
+    fn spawn<Req, Resp, H>(&self, rx: Receiver<Envelope>, pinned: Option<u64>, handler: H)
+    where
+        Req: Wire + 'static,
+        Resp: Wire + 'static,
         H: FnMut(PoolEvent<Req>, ReplySlot<Resp>) + Send + 'static,
     {
         self.spawned.fetch_add(1, Ordering::Relaxed);
@@ -1070,11 +1021,14 @@ impl Agents {
 
 /// The one agent loop. Serves envelopes off `rx` until the queue closes
 /// or, after shutdown, runs dry (a graceful drain: whatever is already
-/// queued is served first). A pinned agent's session ends with it: an
-/// explicit hangup, its queue closing, or shutdown all deliver one
-/// [`PoolEvent::Hangup`] for that session on the way out.
-fn run_agent<Req, Resp, H>(
-    rx: &Receiver<Envelope<Req, Resp>>,
+/// queued is served first). Each request's bytes are decoded here, once,
+/// for both carriers: one that does not decode is answered
+/// `status::DECODE` and never reaches the handler. A ping is answered
+/// here too. A pinned agent's session ends with it: an explicit hangup,
+/// its queue closing, or shutdown all deliver one [`PoolEvent::Hangup`]
+/// for that session on the way out.
+fn run_agent<Req: Wire, Resp: Wire, H>(
+    rx: &Receiver<Envelope>,
     pinned: Option<u64>,
     mut handler: H,
     pool: &PoolStats,
@@ -1085,30 +1039,42 @@ fn run_agent<Req, Resp, H>(
     let mut draining = false;
     loop {
         draining = draining || shutdown.load(Ordering::SeqCst);
-        let env = match rx.recv_timeout(if draining { Duration::ZERO } else { AGENT_POLL }) {
-            Ok(env) => env,
-            Err(RecvTimeoutError::Timeout) if !draining => continue,
-            Err(_) => break,
-        };
-        let event = match env.payload {
-            Payload::Request(req) => {
-                pool.served.fetch_add(1, Ordering::Relaxed);
-                PoolEvent::Request { session: env.session, req }
+        let Envelope { payload, mut reply, ctx, session } =
+            match rx.recv_timeout(if draining { Duration::ZERO } else { AGENT_POLL }) {
+                Ok(env) => env,
+                Err(RecvTimeoutError::Timeout) if !draining => continue,
+                Err(_) => break,
+            };
+        let event = match payload {
+            Payload::Request(bytes) => match Req::decode(&mut Reader::new(&bytes)) {
+                Ok(req) => {
+                    pool.served.fetch_add(1, Ordering::Relaxed);
+                    PoolEvent::Request { session, req }
+                }
+                Err(_) => {
+                    pool.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    reply.send(vec![wire::status::DECODE]);
+                    continue;
+                }
+            },
+            Payload::Ping => {
+                reply.send(vec![wire::status::OK]);
+                continue;
             }
             Payload::Hangup if pinned.is_some() => break,
             Payload::Hangup => {
                 pool.hangups.fetch_add(1, Ordering::Relaxed);
-                PoolEvent::Hangup { session: env.session }
+                PoolEvent::Hangup { session }
             }
         };
         let _busy = GaugeGuard::enter(&pool.busy);
-        trace::set_current_ctx(env.ctx);
-        handler(event, ReplySlot { to: env.reply });
+        trace::set_current_ctx(ctx);
+        handler(event, ReplySlot { to: reply, _resp: PhantomData });
     }
     if let Some(session) = pinned {
         pool.hangups.fetch_add(1, Ordering::Relaxed);
         trace::set_current_ctx(None);
-        handler(PoolEvent::Hangup { session }, ReplySlot { to: ReplyTo(None) });
+        handler(PoolEvent::Hangup { session }, ReplySlot { to: ReplyTo(None), _resp: PhantomData });
     }
 }
 
@@ -1161,10 +1127,10 @@ impl Drop for ServerHandle {
 /// Pooled: the configured workers share the run queue, so per-session
 /// state must live behind the handler, keyed by the event's session id.
 /// [`ServerHandle::shutdown`] drains and joins them all.
-pub fn serve<Req, Resp, H, F>(listener: Listener<Req, Resp>, mut factory: F) -> ServerHandle
+pub fn serve<Req, Resp, H, F>(listener: Listener, mut factory: F) -> ServerHandle
 where
-    Req: Send + 'static,
-    Resp: Send + 'static,
+    Req: Wire + 'static,
+    Resp: Wire + 'static,
     H: FnMut(PoolEvent<Req>, ReplySlot<Resp>) + Send + 'static,
     F: FnMut() -> H + Send + 'static,
 {
@@ -1270,21 +1236,21 @@ pub(crate) mod tests {
     fn send_blocks_while_agent_is_busy() {
         // The §4 scenario: a posted (async) commit keeps the agent busy and
         // the next synchronous call blocks on message send.
-        let (listener, connector) = fabric::<&'static str, &'static str>(AgentModel::Dedicated);
+        let (listener, connector) = fabric::<String, String>(AgentModel::Dedicated);
         let mut handle = serve(listener, || {
-            on_request(|req: &'static str, slot| {
+            on_request(|req: String, slot| {
                 if req == "commit" {
                     thread::sleep(Duration::from_millis(200));
                 }
-                slot.send("done");
+                slot.send("done".to_string());
             })
         });
         let conn = connector.connect().unwrap();
-        conn.post("commit").unwrap();
+        conn.post("commit".to_string()).unwrap();
         let started = std::time::Instant::now();
         // The agent is mid-commit and has not issued its receive, so this
         // send blocks until it finishes.
-        assert_eq!(conn.call("link").unwrap(), "done");
+        assert_eq!(conn.call("link".to_string()).unwrap(), "done");
         assert!(
             started.elapsed() >= Duration::from_millis(150),
             "call should have blocked behind the in-flight commit"
@@ -1319,6 +1285,22 @@ pub(crate) mod tests {
         handle.shutdown();
         assert_eq!(conn.call(1).unwrap_err(), RpcError::Disconnected);
         assert_eq!(connector.connect().err(), Some(RpcError::Disconnected));
+    }
+
+    #[test]
+    fn ping_is_answered_by_the_agent_loop_and_fails_once_the_server_is_gone() {
+        // Regression: an in-process ping used to answer Ok(()) unconditionally,
+        // even after shutdown, while a call on the same connection failed.
+        for model in [AgentModel::Dedicated, pooled(1, 16, 100)] {
+            let (listener, connector) = fabric::<u8, u8>(model);
+            let pool = listener.pool_stats().clone();
+            let mut handle = serve(listener, || on_request(|req: u8, slot| slot.send(req)));
+            let conn = connector.connect().unwrap();
+            conn.ping(Duration::from_secs(2)).unwrap();
+            assert_eq!(pool.served(), 0, "{model}: a ping never reaches the handler");
+            handle.shutdown();
+            assert_eq!(conn.ping(Duration::from_secs(2)), Err(RpcError::Disconnected), "{model}");
+        }
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //!   Call/Ping, writes the frame from the calling thread, parks the caller
 //!   on a one-shot channel, and lets the reader thread route each
 //!   Reply/Pong frame back by correlation id;
-//! * the **server bridge** ([`serve_wire`]) decodes frames off the socket
-//!   and feeds each wire session into the in-process fabric exactly as a
-//!   local session: it opens a session on the fabric (its own pinned queue
-//!   under the dedicated setting, the shared run queue under the pooled
-//!   one) and sends through it, so [`crate::serve`] and every agent above
-//!   it are transport-agnostic. The agent that served a request writes its
-//!   Reply frame itself.
+//! * the **server bridge** ([`serve_wire`]) reads frames off the socket
+//!   and forwards each Call/Post payload, still encoded, into the
+//!   in-process fabric exactly as a local session would send it: it opens
+//!   a session on the fabric (its own pinned queue under the dedicated
+//!   setting, the shared run queue under the pooled one) and sends through
+//!   it, so [`crate::serve`]'s agents decode and answer the same bytes
+//!   from either carrier. The agent that served a request writes its Reply
+//!   frame itself.
 //!
 //! Whoever has a frame to send writes it ([`FrameWriter`]): the frame is
 //! encoded outside the socket's write lock and goes out as one `write_all`
@@ -27,7 +28,9 @@
 //! writes, the server's writers always finish, and the server reader gets
 //! back to draining what the client writes.
 //!
-//! Fault points (client-side writes, armed via `obs::fault`):
+//! Packet fault points (client-side frame writes, armed via `obs::fault`;
+//! only a socket has packets — the call-level `rpc.call.*` points fire in
+//! [`crate::ClientConn::start`] for both carriers):
 //! `rpc.wire.stall` delays a frame on the wire; `rpc.wire.corrupt` flips a
 //! payload byte after the checksum is computed (the peer detects it per
 //! frame and fails only that call); `rpc.wire.truncate` writes a partial
@@ -49,9 +52,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, SendTimeoutError, Sender};
 
-use crate::wire::{
-    encode_frame, read_frame, status, Frame, FrameKind, Wire, WireError, HEADER_TAIL,
-};
+use crate::wire::{encode_frame, read_frame, status, Frame, FrameKind, WireError, HEADER_TAIL};
 use crate::{
     Connector, ConnectorMode, Envelope, LocalFabric, Payload, ReplyDest, ReplyTo, RpcError,
     SessionTx,
@@ -239,7 +240,7 @@ pub struct WireStats {
     pub frames_rx: AtomicU64,
     /// Times a dead connection was redialed (counter; client side).
     pub reconnects: AtomicU64,
-    /// Frames that failed checksum or payload decode (counter).
+    /// Frames that failed their checksum or did not frame (counter).
     pub decode_errors: AtomicU64,
     /// Frames rejected because the peer speaks a different wire version.
     pub version_mismatches: AtomicU64,
@@ -258,7 +259,7 @@ impl WireStats {
         self.reconnects.load(Ordering::Relaxed)
     }
 
-    /// Frames that failed checksum or decode.
+    /// Frames that failed their checksum or did not frame.
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors.load(Ordering::Relaxed)
     }
@@ -297,7 +298,7 @@ impl WireStats {
         );
         r.counter(
             "rpc_wire_decode_errors_total",
-            "Frames rejected by checksum or payload decode.",
+            "Frames rejected by checksum or framing.",
             &[],
             self.decode_errors.load(Ordering::Relaxed),
         );
@@ -365,11 +366,6 @@ impl FrameWriter {
         self.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
-
-    /// Answer a Call with a bare status byte (best effort).
-    fn send_status(&self, session: u64, corr: u64, code: u8) {
-        let _ = self.send(&Frame::new(FrameKind::Reply, session, corr, vec![code]));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -380,9 +376,9 @@ type PendingMap = Arc<Mutex<HashMap<u64, Sender<Result<Vec<u8>, RpcError>>>>>;
 
 /// Client end of one socket: many sessions share it. Callers write their
 /// own frames and park ([`Parked`]) on a one-shot reply channel keyed by
-/// correlation id; the reader thread routes each Reply/Pong back by that
-/// id. When the socket dies, every parked caller is failed with
-/// `Disconnected` — nobody hangs.
+/// correlation id; the reader thread routes each Reply/Pong payload back
+/// by that id, still encoded. When the socket dies, every parked caller is
+/// failed with `Disconnected` — nobody hangs.
 pub(crate) struct Mux {
     writer: FrameWriter,
     pending: PendingMap,
@@ -448,12 +444,15 @@ impl Mux {
     }
 
     /// Send a Call (or Ping) and return the slot its Reply (or Pong) will
-    /// land in, without waiting for it.
+    /// land in, without waiting for it. `duplicate` writes the frame twice
+    /// under one correlation id: the server serves both, and the reader
+    /// drops the second Reply, whose caller is no longer parked.
     pub(crate) fn start(
         &self,
         kind: FrameKind,
         session: u64,
         payload: Vec<u8>,
+        duplicate: bool,
     ) -> Result<Parked, RpcError> {
         if self.is_dead() {
             return Err(self.death_error());
@@ -461,11 +460,13 @@ impl Mux {
         let corr = self.corr.fetch_add(1, Ordering::Relaxed) + 1;
         let (rtx, rrx) = bounded(1);
         self.pending.lock().unwrap_or_else(|e| e.into_inner()).insert(corr, rtx);
-        if let Err(e) =
-            self.writer.send(&Self::stamp_trace(Frame::new(kind, session, corr, payload)))
-        {
+        let frame = Self::stamp_trace(Frame::new(kind, session, corr, payload));
+        if let Err(e) = self.writer.send(&frame) {
             self.pending.lock().unwrap_or_else(|e2| e2.into_inner()).remove(&corr);
             return Err(e);
+        }
+        if duplicate {
+            let _ = self.writer.send(&frame);
         }
         // The reader may have died between the insert and here, after it
         // drained `pending`: reclaim our entry so we never park forever.
@@ -500,7 +501,7 @@ pub(crate) struct Parked {
 
 impl Parked {
     /// Park until the matching Reply (or Pong) arrives, the timeout fires,
-    /// or the socket dies.
+    /// or the socket dies. A reply is its status byte plus body.
     pub(crate) fn wait(self, timeout: Option<Duration>) -> Result<Vec<u8>, RpcError> {
         let reply = crate::recv_reply(&self.reply, timeout);
         if matches!(reply, Err(RpcError::Timeout)) {
@@ -518,7 +519,8 @@ impl Drop for Mux {
     }
 }
 
-/// Route Reply/Pong frames to parked callers; on any stream death, fail
+/// Route Reply/Pong payloads to parked callers (a Pong is a bare OK, a
+/// reply that failed its checksum an error); on any stream death, fail
 /// every parked caller. A version-mismatched peer produces a specific
 /// `RpcError::Wire` naming both versions instead of a bare `Disconnected`.
 fn spawn_client_reader(
@@ -540,9 +542,16 @@ fn spawn_client_reader(
                                 .lock()
                                 .unwrap_or_else(|e| e.into_inner())
                                 .remove(&frame.corr);
-                            if let Some(tx) = waiter {
-                                let _ = tx.send(decode_reply(&frame, &stats));
-                            }
+                            let Some(tx) = waiter else { continue };
+                            let reply = if frame.corrupt {
+                                stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+                                Err(RpcError::Wire("reply frame failed checksum".into()))
+                            } else if frame.kind == FrameKind::Pong {
+                                Ok(vec![status::OK])
+                            } else {
+                                Ok(frame.payload)
+                            };
+                            let _ = tx.send(reply);
                         }
                         // A server never sends other kinds; ignore.
                         _ => {}
@@ -580,24 +589,6 @@ fn spawn_client_reader(
             let _ = tx.send(Err(reason.clone()));
         }
     });
-}
-
-/// Map a Reply/Pong frame to what the parked caller should see.
-fn decode_reply(frame: &Frame, stats: &WireStats) -> Result<Vec<u8>, RpcError> {
-    if frame.corrupt {
-        stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-        return Err(RpcError::Wire("reply frame failed checksum".into()));
-    }
-    if frame.kind == FrameKind::Pong {
-        return Ok(Vec::new());
-    }
-    match frame.payload.first().copied() {
-        Some(status::OK) => Ok(frame.payload[1..].to_vec()),
-        Some(status::OVERLOADED) => Err(RpcError::Overloaded),
-        Some(status::DISCONNECTED) => Err(RpcError::Disconnected),
-        Some(status::DECODE) => Err(RpcError::Wire("peer failed to decode the request".into())),
-        _ => Err(RpcError::Wire("malformed reply status".into())),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -724,22 +715,18 @@ impl Drop for WireServer {
     }
 }
 
-/// Bridge a bound socket listener onto an in-process fabric: frames
-/// arriving on accepted sockets become envelopes on `connector`'s fabric,
-/// and agent replies flow back as Reply frames. The fabric's own
-/// [`crate::serve`] must be running as usual — it cannot tell wire
-/// sessions from local ones.
+/// Bridge a bound socket listener onto an in-process fabric: the payloads
+/// of frames arriving on accepted sockets become envelopes on
+/// `connector`'s fabric, undecoded, and agent replies flow back as Reply
+/// frames. The fabric's own [`crate::serve`] must be running as usual — it
+/// cannot tell wire sessions from local ones.
 ///
 /// Panics if `connector` is itself a remote (wire) connector: a bridge
 /// needs the server end of a local fabric.
 pub fn serve_wire<Req, Resp>(
     listener: SocketListener,
     connector: &Connector<Req, Resp>,
-) -> WireServer
-where
-    Req: Wire + Send + 'static,
-    Resp: Wire + Send + 'static,
-{
+) -> WireServer {
     let ConnectorMode::Local(fabric) = &connector.mode else {
         panic!("serve_wire needs a local fabric connector, not a remote one")
     };
@@ -803,29 +790,26 @@ where
 
 /// One live session behind a socket: its server-local fabric id and the
 /// sender its requests go through.
-struct WireSession<Req, Resp> {
+struct WireSession {
     local: u64,
-    tx: SessionTx<Req, Resp>,
+    tx: SessionTx,
 }
 
-/// Server reader: decode frames, map wire sessions to server-local fabric
-/// sessions, and push envelopes into the fabric. On socket death every
-/// live session is hung up so its server-side state is retired (open
-/// transactions roll back) — a dropped client never leaks an agent.
-fn spawn_server_reader<Req, Resp>(
+/// Server reader: map wire sessions to server-local fabric sessions and
+/// forward each Call/Post payload into the fabric, where the agent decodes
+/// it. On socket death every live session is hung up so its server-side
+/// state is retired (open transactions roll back) — a dropped client never
+/// leaks an agent.
+fn spawn_server_reader(
     mut sock: WireSocket,
     writer: Arc<FrameWriter>,
-    fabric: LocalFabric<Req, Resp>,
+    fabric: LocalFabric,
     session_ids: Arc<AtomicU64>,
     rpc_stats: Arc<crate::RpcStats>,
     stats: Arc<WireStats>,
-) -> JoinHandle<()>
-where
-    Req: Wire + Send + 'static,
-    Resp: Wire + Send + 'static,
-{
+) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let mut sessions: HashMap<u64, WireSession<Req, Resp>> = HashMap::new();
+        let mut sessions: HashMap<u64, WireSession> = HashMap::new();
         loop {
             let frame = match read_frame(&mut sock) {
                 Ok(Some(f)) => f,
@@ -860,46 +844,17 @@ where
                     } else {
                         rpc_stats.posts.fetch_add(1, Ordering::Relaxed);
                     }
+                    let mut reply = ReplyTo(is_call.then(|| ReplyDest::Socket {
+                        writer: writer.clone(),
+                        session: frame.session,
+                        corr: frame.corr,
+                    }));
                     if frame.corrupt {
                         stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        if is_call {
-                            writer.send_status(frame.session, frame.corr, status::DECODE);
-                        }
+                        reply.send(vec![status::DECODE]);
                         continue;
                     }
-                    let req = match crate::decode_val::<Req>(&frame.payload) {
-                        Ok(r) => r,
-                        Err(_) => {
-                            stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            if is_call {
-                                writer.send_status(frame.session, frame.corr, status::DECODE);
-                            }
-                            continue;
-                        }
-                    };
-                    let reply = if is_call {
-                        ReplyTo(Some(ReplyDest::Wire {
-                            writer: writer.clone(),
-                            session: frame.session,
-                            corr: frame.corr,
-                            encode: crate::encode_val::<Resp>,
-                        }))
-                    } else {
-                        ReplyTo(None)
-                    };
-                    let ctx = frame
-                        .trace()
-                        .map(|(trace_id, span_id)| obs::trace::TraceCtx { trace_id, span_id });
-                    deliver(
-                        &fabric,
-                        &mut sessions,
-                        &session_ids,
-                        frame.session,
-                        req,
-                        reply,
-                        ctx,
-                        &writer,
-                    );
+                    deliver(&fabric, &mut sessions, &session_ids, frame, reply);
                 }
                 // Clients never send these; ignore.
                 FrameKind::Reply | FrameKind::Pong => {}
@@ -914,68 +869,38 @@ where
     })
 }
 
-/// Deliver one decoded request into the fabric, opening the session on
-/// first sight. `ctx` is the trace context the client stamped on the
-/// frame; the fabric installs it on the handling agent thread so remote
-/// spans parent under the caller's span.
-#[allow(clippy::too_many_arguments)]
-fn deliver<Req, Resp>(
-    fabric: &LocalFabric<Req, Resp>,
-    sessions: &mut HashMap<u64, WireSession<Req, Resp>>,
-    session_ids: &Arc<AtomicU64>,
-    wire_session: u64,
-    req: Req,
-    reply: ReplyTo<Resp>,
-    ctx: Option<obs::trace::TraceCtx>,
-    writer: &FrameWriter,
+/// Deliver one request frame's payload into the fabric, opening the
+/// session on first sight. The trace context the client stamped on the
+/// frame rides along; the fabric installs it on the handling agent thread
+/// so remote spans parent under the caller's span. A reply that cannot be
+/// delivered answers `Disconnected` as it drops.
+fn deliver(
+    fabric: &LocalFabric,
+    sessions: &mut HashMap<u64, WireSession>,
+    session_ids: &AtomicU64,
+    frame: Frame,
+    reply: ReplyTo,
 ) {
-    let corr = reply_corr(&reply);
+    let wire_session = frame.session;
     let sess = match sessions.entry(wire_session) {
         Entry::Occupied(e) => e.into_mut(),
         Entry::Vacant(e) => {
             let local = session_ids.fetch_add(1, Ordering::Relaxed) + 1;
-            match fabric.open(local, SESSION_QUEUE) {
-                Ok(tx) => e.insert(WireSession { local, tx }),
-                Err(_) => {
-                    // The fabric's server is gone.
-                    fail_reply(reply, wire_session, corr, writer, status::DISCONNECTED);
-                    return;
-                }
-            }
+            // An error means the fabric's server is gone.
+            let Ok(tx) = fabric.open(local, SESSION_QUEUE) else { return };
+            e.insert(WireSession { local, tx })
         }
     };
-    let env = Envelope { payload: Payload::Request(req), reply, ctx, session: sess.local };
+    let ctx = frame.trace().map(|(trace_id, span_id)| obs::trace::TraceCtx { trace_id, span_id });
+    let env =
+        Envelope { payload: Payload::Request(frame.payload), reply, ctx, session: sess.local };
     match sess.tx.send(env) {
         Ok(()) => {}
-        Err(SendTimeoutError::Timeout(env)) => {
-            fail_reply(env.reply, wire_session, corr, writer, status::OVERLOADED);
-        }
-        Err(SendTimeoutError::Disconnected(env)) => {
-            // The agent already exited; fail the call rather than hang it.
-            fail_reply(env.reply, wire_session, corr, writer, status::DISCONNECTED);
+        Err(SendTimeoutError::Timeout(mut env)) => env.reply.send(vec![status::OVERLOADED]),
+        // The agent already exited.
+        Err(SendTimeoutError::Disconnected(_)) => {
             sessions.remove(&wire_session);
         }
-    }
-}
-
-fn reply_corr<Resp>(reply: &ReplyTo<Resp>) -> u64 {
-    match &reply.0 {
-        Some(ReplyDest::Wire { corr, .. }) => *corr,
-        _ => 0,
-    }
-}
-
-/// Consume a reply destination with an error status instead of letting its
-/// drop path send the generic Disconnected.
-fn fail_reply<Resp>(
-    mut reply: ReplyTo<Resp>,
-    session: u64,
-    corr: u64,
-    writer: &FrameWriter,
-    code: u8,
-) {
-    if reply.0.take().is_some() && code != 0 {
-        writer.send_status(session, corr, code);
     }
 }
 
@@ -983,18 +908,9 @@ fn fail_reply<Resp>(
 mod tests {
     use super::*;
     use crate::tests::on_request;
-    use crate::wire::{put_u32, Reader};
+    use crate::wire::put_u32;
     use crate::{fabric, serve, wire_connector, AgentModel};
     use std::sync::atomic::AtomicI64;
-
-    impl Wire for i32 {
-        fn encode(&self, out: &mut Vec<u8>) {
-            put_u32(out, *self as u32)
-        }
-        fn decode(r: &mut Reader<'_>) -> Result<i32, WireError> {
-            Ok(r.u32()? as i32)
-        }
-    }
 
     /// `obs::fault` is process-global: a one-shot trigger armed by one
     /// test can be consumed by another test's frame write. Every test
@@ -1026,7 +942,6 @@ mod tests {
         let conn = remote.connect().unwrap();
         assert_eq!(conn.call(21).unwrap(), 42);
         assert_eq!(conn.call_timeout(5, Duration::from_secs(5)).unwrap(), 10);
-        assert!(conn.is_wire());
         conn.ping(Duration::from_secs(2)).unwrap();
     }
 

@@ -288,15 +288,51 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
 // Payload serializer
 // ---------------------------------------------------------------------
 
-/// Hand-rolled byte serializer for envelope payload types. Implemented by
-/// the request/response enums that cross the wire (`DlfmRequest`,
-/// `DlfmResponse`); the transport stays generic over them through
-/// function pointers captured where these bounds hold.
+/// Hand-rolled byte serializer for message payload types. Every request
+/// and response type of a fabric implements it (`DlfmRequest`,
+/// `DlfmResponse`; a few primitives for tests and small servers): both
+/// carriers move the encoded bytes.
 pub trait Wire: Sized {
     /// Append this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
     /// Decode one value from the reader.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+impl Wire for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u8(out, *self)
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<u8, WireError> {
+        r.u8()
+    }
+}
+
+impl Wire for u64 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, *self)
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<u64, WireError> {
+        r.u64()
+    }
+}
+
+impl Wire for i32 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u32(out, *self as u32)
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<i32, WireError> {
+        Ok(r.u32()? as i32)
+    }
+}
+
+impl Wire for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, self)
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<String, WireError> {
+        r.str()
+    }
 }
 
 /// Bounded cursor over a payload's bytes.

@@ -122,7 +122,7 @@ fn a_dialled_connection_costs_one_reader_thread_on_each_side() {
     let c1 = first.connect().unwrap();
     assert_eq!(c1.call(Blob(vec![1])).unwrap(), Blob(vec![1]));
     // The reply proves both ends are up: the client's reader delivered it
-    // and the bridge's reader decoded the request.
+    // and the bridge's reader forwarded the request.
     assert_eq!(threads_in_process(), before + 2, "client reader + server reader, no writers");
     // More sessions on the same socket cost no threads at all ...
     let sessions: Vec<_> = (0..16).map(|_| first.connect().unwrap()).collect();

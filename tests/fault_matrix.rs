@@ -187,9 +187,10 @@ fn sweep_one_seed(seed: u64) {
 }
 
 /// The same sweep with the host dialing the DLFM over a Unix socket and
-/// the wire fault points armed instead of the in-process ones. Transport
-/// faults surface as failed host transactions (outcome unknown) or
-/// in-doubt sub-transactions for the resolver — never as a lost
+/// the socket's packet fault points armed instead of the call-level ones
+/// (which reach a socket connection as well: see the sharded sweep).
+/// Transport faults surface as failed host transactions (outcome unknown)
+/// or in-doubt sub-transactions for the resolver — never as a lost
 /// acknowledged commit.
 fn sweep_one_seed_wire(seed: u64) {
     sweep_with(
@@ -775,8 +776,8 @@ fn failed_hangup_abort_is_counted_and_resolved_after_restart() {
 
 /// Three DLFM shards sharing one file server, attached to a single host
 /// with the shard ring enabled. Shard `s2` is dialed over a Unix-domain
-/// socket so wire faults bite a subset of the shards while in-process
-/// faults bite the rest.
+/// socket, so the packet faults (`rpc.wire.*`) bite only it while the
+/// call-level faults (`rpc.call.*`) bite all three.
 struct ShardedDriver {
     fs: std::sync::Arc<filesys::FileSystem>,
     #[allow(dead_code)]
