@@ -4,6 +4,7 @@
 #   ./ci.sh fast       skip the release build, the benchmark package and the smoke benches
 #   ./ci.sh smoke      only the commit-path smoke stages (tiny benches + two-process wire + force audit)
 #   ./ci.sh loc        report non-test lines per crate and for the workspace (a report, not a gate)
+#   ./ci.sh schema_check  only the message-schema check (no hand-written codec or op names)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,6 +17,7 @@ step() { printf '\n==> %s\n' "$*"; }
 # clean.
 smoke() {
   seam_check
+  schema_check
   step "fault-matrix smoke: seed slice of the fault-injection sweep"
   FAULT_MATRIX_SEEDS=2 cargo test -q --offline -p datalinks --test fault_matrix
   step "observability smoke: dlfmtop status surfaces + Perfetto export"
@@ -57,6 +59,25 @@ seam_check() {
   if grep -nE 'DlfmResponse::|\.(call|call_timeout|start|post|ping)\(' crates/hostdb/src/*.rs \
     | grep -v '^crates/hostdb/src/participant.rs:'; then
     echo "seam check: the lines above talk to a DLFM outside the participant module"
+    exit 1
+  fi
+}
+
+# One message schema: every DLFM message is declared once, in
+# dlfm/src/api.rs through `dlrpc::wire_schema!`, which writes its encoder,
+# decoder and op name. Only dlfm/src/wire.rs, which holds the batch rule
+# the schema cannot state, may touch the codec primitives; a hand-written
+# encoder, decoder or op-name table anywhere else in dlfm or hostdb would
+# be a second copy of a message that must agree with the first.
+schema_check() {
+  step "schema check: codec primitives only in dlfm/src/wire.rs, no hand-written op_name"
+  local prims='put_(u8|u16|u32|u64|i64|str|bool)\b|\.(u8|u16|u32|u64|i64|bool|str|peek_u8)\(\)'
+  if grep -rnE "$prims" crates/dlfm/src crates/hostdb/src | grep -v '^crates/dlfm/src/wire.rs:'; then
+    echo "schema check: the lines above encode or decode by hand outside the schema"
+    exit 1
+  fi
+  if grep -rn 'fn op_name' crates/dlfm/src crates/hostdb/src; then
+    echo "schema check: op names come from the schema (wire_schema! writes op_name)"
     exit 1
   fi
 }
@@ -193,6 +214,12 @@ if [[ "${1:-}" == "loc" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "schema_check" ]]; then
+  schema_check
+  step "OK"
+  exit 0
+fi
+
 if [[ "${1:-}" == "smoke" ]]; then
   smoke
   step "OK"
@@ -205,6 +232,7 @@ if [[ "${1:-}" != "fast" ]]; then
 fi
 
 seam_check
+schema_check
 
 step "tests"
 cargo test -q --offline --workspace

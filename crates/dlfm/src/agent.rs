@@ -195,7 +195,7 @@ pub fn handle_request(
         DlfmRequest::Batch(members) => return handle_batch(shared, state, members),
         req => req,
     };
-    let op = op_name(&req);
+    let op = req.op_name();
     let metrics = shared.metrics.clone();
     let mut span = obs::span(obs::Layer::Dlfm, op);
     let started = std::time::Instant::now();
@@ -261,7 +261,7 @@ fn check_batch(members: &[DlfmRequest]) -> Result<(), String> {
             DlfmRequest::LinkFile { xid, .. } | DlfmRequest::UnlinkFile { xid, .. } => *xid,
             DlfmRequest::Prepare { xid } if i + 1 == members.len() => *xid,
             other => {
-                return Err(format!("{} is not a legal batch member #{i}", op_name(other)));
+                return Err(format!("{} is not a legal batch member #{i}", other.op_name()));
             }
         };
         let first = *batch_xid.get_or_insert(xid);
@@ -933,34 +933,6 @@ impl Exec<'_> {
         }
         s.commit()?;
         Ok(DlfmResponse::Count(imported))
-    }
-}
-
-/// Stable span/metric operation name for a request.
-fn op_name(req: &DlfmRequest) -> &'static str {
-    match req {
-        DlfmRequest::Connect { .. } => "Connect",
-        DlfmRequest::BeginTxn { .. } => "BeginTxn",
-        DlfmRequest::LinkFile { .. } => "LinkFile",
-        DlfmRequest::UnlinkFile { .. } => "UnlinkFile",
-        DlfmRequest::Prepare { .. } => "Prepare",
-        DlfmRequest::Commit { .. } => "Commit",
-        DlfmRequest::Abort { .. } => "Abort",
-        DlfmRequest::RegisterGroup(_) => "RegisterGroup",
-        DlfmRequest::DeleteGroup { .. } => "DeleteGroup",
-        DlfmRequest::IssueToken { .. } => "IssueToken",
-        DlfmRequest::ListIndoubt => "ListIndoubt",
-        DlfmRequest::BeginBackup { .. } => "BeginBackup",
-        DlfmRequest::EndBackup { .. } => "EndBackup",
-        DlfmRequest::RestoreTo { .. } => "RestoreTo",
-        DlfmRequest::Reconcile { .. } => "Reconcile",
-        DlfmRequest::UpcallQuery { .. } => "UpcallQuery",
-        DlfmRequest::PendingCopies => "PendingCopies",
-        DlfmRequest::ExportLinks { .. } => "ExportLinks",
-        DlfmRequest::ImportLinks { .. } => "ImportLinks",
-        DlfmRequest::Ping => "Ping",
-        DlfmRequest::FetchTelemetry { .. } => "FetchTelemetry",
-        DlfmRequest::Batch(_) => "Batch",
     }
 }
 

@@ -115,11 +115,17 @@ impl CoordLog {
         self.read(|records, _| records.iter().map(CoordRecord::xid).max().unwrap_or(0))
     }
 
-    /// Was a commit decision recorded for `xid`? An `End` does not hide it:
-    /// a participant may have lost its lazy phase-2 commit since.
-    pub fn committed(&self, xid: i64) -> bool {
+    /// Was a commit decision recorded for `xid` that names `server`? An
+    /// `End` does not hide it: a participant may have lost its lazy phase-2
+    /// commit since. A decision for the same xid that names other servers
+    /// is another transaction's (an xid handed out again after a restart
+    /// that could not reach `server`), so it does not commit `server`'s.
+    pub fn committed(&self, xid: i64, server: &str) -> bool {
         self.read(|records, _| {
-            records.iter().any(|r| matches!(r, CoordRecord::Commit { xid: x, .. } if *x == xid))
+            records.iter().any(|r| {
+                matches!(r, CoordRecord::Commit { xid: x, servers }
+                    if *x == xid && servers.iter().any(|s| s == server))
+            })
         })
     }
 }
@@ -154,9 +160,10 @@ mod tests {
     #[test]
     fn committed_lookup() {
         let log = CoordLog::new();
-        assert!(!log.committed(5));
-        log.append_forced(CoordRecord::Commit { xid: 5, servers: vec![] });
-        assert!(log.committed(5));
+        assert!(!log.committed(5, "fs1"));
+        log.append_forced(CoordRecord::Commit { xid: 5, servers: vec!["fs1".into()] });
+        assert!(log.committed(5, "fs1"));
+        assert!(!log.committed(5, "fs2"), "the decision does not name fs2");
     }
 
     #[test]

@@ -408,7 +408,10 @@ impl HostDb {
     /// every xid a DLFM lists in doubt (the resolver pass), so no id is
     /// handed out twice. Not covered: a DLFM unreachable during restart.
     /// Its in-doubt xids are learnt at the first resolver pass that reaches
-    /// it; until then a new transaction may get one of those ids.
+    /// it; until then a new transaction may get one of those ids. That
+    /// transaction's decision names only its own participants, and the
+    /// resolver commits an in-doubt xid only on a server the decision
+    /// names, so the orphan is still presumed aborted.
     pub fn restart(&self) -> HostResult<()> {
         self.inner.db.restart()?;
         *self.inner.dl_stmts.write() = Arc::new(DlStatements::bind(&self.inner.db));

@@ -213,7 +213,7 @@ impl HostDb {
                 }
             };
             for xid in xids.into_iter().filter(|&xid| !self.txn_open(xid)) {
-                let commit = self.inner.coord_log.committed(xid);
+                let commit = self.inner.coord_log.committed(xid, &server);
                 obs::info!(
                     "hostdb::resolver",
                     "resolving indoubt xid {xid} on {server}: {}",

@@ -426,7 +426,7 @@ fn a_shard_that_loses_an_ended_commit_is_recommitted_from_the_retained_decision(
     rig.sa.restart().unwrap();
     let xact = "SELECT COUNT(*) FROM dfm_xact";
     assert_eq!(Rig::shard_count(&rig.sa, xact), 1, "sa lost its phase-2 commit");
-    assert!(rig.host.coord_log().committed(xid));
+    assert!(rig.host.coord_log().committed(xid, "sa"));
 
     assert_eq!(rig.host.resolve_indoubts().unwrap(), 1);
     assert_eq!(Rig::shard_count(&rig.sa, xact), 0);
@@ -479,4 +479,52 @@ fn xids_after_a_host_restart_are_above_every_decided_and_indoubt_xid() {
     assert_eq!(vote, DlfmResponse::Prepared { read_only: false });
     assert!(begin_after_restart() > indoubt);
     assert_eq!(Rig::shard_count(&rig.sa, "SELECT COUNT(*) FROM dfm_xact"), 0, "presumed abort");
+}
+
+/// A decision commits an in-doubt xid only on a server it names. Here a
+/// shard that was unreachable while the host restarted holds a prepared
+/// orphan whose xid the restarted host hands out again; the new
+/// transaction's `Commit` record names only `sa`, so the orphan on `sb`
+/// is presumed aborted instead of committed on another transaction's
+/// decision.
+#[test]
+fn a_reused_xid_does_not_commit_an_orphan_on_a_server_its_decision_does_not_name() {
+    let _s = serial();
+    let rig = Rig::new();
+    let orphan = rig.host.next_xid();
+    let conn = rig.sb.connector().connect().unwrap();
+    conn.call(DlfmRequest::Connect { dbid: rig.host.dbid() }).unwrap();
+    rig.fs.create("/orphan/f", "u", b"x").unwrap();
+    let link = DlfmRequest::LinkFile {
+        xid: orphan,
+        rec_id: rig.host.next_rec_id(),
+        grp_id: rig.host.dl_column("t", "doc").unwrap().grp_id,
+        filename: "/orphan/f".into(),
+        in_backout: false,
+    };
+    assert_eq!(conn.call(link).unwrap(), DlfmResponse::Ok);
+    let vote = conn.call(DlfmRequest::Prepare { xid: orphan }).unwrap();
+    assert_eq!(vote, DlfmResponse::Prepared { read_only: false });
+
+    rig.host.crash();
+    {
+        let _unreachable = fault::install_guarded(7, &[("rpc.call.disconnect", Trigger::Always)]);
+        rig.host.restart().unwrap();
+    }
+    let mut s = rig.host.session();
+    s.begin().unwrap();
+    assert_eq!(s.xid().unwrap(), orphan, "the restarted host hands the orphan's xid out again");
+    s.exec_params(
+        "INSERT INTO t (id, doc) VALUES (1, ?)",
+        &[Value::str(format!("dlfs://sa{}", rig.on_a))],
+    )
+    .unwrap();
+    s.commit().unwrap();
+    assert_eq!(rig.owner(&rig.on_a), ADMIN);
+
+    rig.host.resolve_indoubts().unwrap();
+    assert_eq!(Rig::shard_count(&rig.sb, "SELECT COUNT(*) FROM dfm_xact"), 0, "resolved");
+    assert_eq!(rig.owner("/orphan/f"), "u", "presumed aborted, not committed");
+    let linked = "SELECT COUNT(*) FROM dfm_file WHERE lnk_state = 1";
+    assert_eq!(Rig::shard_count(&rig.sb, linked), 0);
 }

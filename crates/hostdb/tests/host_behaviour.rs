@@ -130,9 +130,9 @@ fn coordinator_log_records_commit_decisions() {
     let xid = s.xid().unwrap();
     s.exec_params("INSERT INTO docs (id, doc) VALUES (1, ?)", &[Value::str("dlfs://fs1/f")])
         .unwrap();
-    assert!(!r.host.coord_log().committed(xid), "no decision before commit");
+    assert!(!r.host.coord_log().committed(xid, "fs1"), "no decision before commit");
     s.commit().unwrap();
-    assert!(r.host.coord_log().committed(xid));
+    assert!(r.host.coord_log().committed(xid, "fs1"));
     assert!(r.host.coord_log().unfinished_commits().is_empty(), "End record written");
 }
 

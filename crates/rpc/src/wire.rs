@@ -33,12 +33,19 @@
 //! transport can surface a clean [`WireError::BadVersion`] naming both
 //! versions instead of desynchronizing.
 //!
-//! Payload bytes are produced by the hand-rolled [`Wire`] serializer the
-//! envelope types implement (the workspace has no serde; the stand-in
-//! crate is API-only). Primitives are little-endian, strings are
-//! length-prefixed UTF-8.
+//! A payload is one [`Wire`] value. A message type is declared once with
+//! [`wire_schema!`](crate::wire_schema), which writes its encoder, its
+//! decoder, its `op_name` and a seeded [`Sample`] generator. It is a
+//! declarative macro because the build is offline and the workspace's
+//! serde is an API-only stand-in. Integers are little-endian, a `bool` is
+//! one byte 0 or 1, and strings and `Vec`s are a `u32` count followed by
+//! their contents. The decoder refuses anything else, so each value has
+//! exactly one encoding.
 
 use std::io::Read;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Protocol magic ("DL" with the high bits set).
 pub const MAGIC: u16 = 0xD1FA;
@@ -288,10 +295,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
 // Payload serializer
 // ---------------------------------------------------------------------
 
-/// Hand-rolled byte serializer for message payload types. Every request
-/// and response type of a fabric implements it (`DlfmRequest`,
-/// `DlfmResponse`; a few primitives for tests and small servers): both
-/// carriers move the encoded bytes.
+/// Byte serializer for message payload types. Every request and response
+/// type of a fabric implements it, and both carriers move the encoded
+/// bytes. A message type declares itself with [`wire_schema!`](crate::wire_schema),
+/// which writes this impl; the impls below are the field types it uses.
 pub trait Wire: Sized {
     /// Append this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -299,22 +306,26 @@ pub trait Wire: Sized {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
-impl Wire for u8 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u8(out, *self)
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<u8, WireError> {
-        r.u8()
-    }
+macro_rules! primitive {
+    ($($t:ty: $put:ident, $get:ident;)*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                $put(out, *self)
+            }
+            #[inline]
+            fn decode(r: &mut Reader<'_>) -> Result<$t, WireError> {
+                r.$get()
+            }
+        }
+    )*};
 }
 
-impl Wire for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, *self)
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<u64, WireError> {
-        r.u64()
-    }
+primitive! {
+    u8: put_u8, u8;
+    u64: put_u64, u64;
+    i64: put_i64, i64;
+    bool: put_bool, bool;
 }
 
 impl Wire for i32 {
@@ -327,12 +338,302 @@ impl Wire for i32 {
 }
 
 impl Wire for String {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         put_str(out, self)
     }
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<String, WireError> {
         r.str()
     }
+}
+
+/// A `u32` count, then the elements. Every element takes at least one
+/// byte, so the count is checked against the bytes left before anything
+/// is allocated for it.
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.len() as u32);
+        for x in self {
+            x.encode(out);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
+        let n = r.u32()? as usize;
+        if n > r.remaining() {
+            return Err(WireError::Decode(format!(
+                "count {n} exceeds the {} bytes left",
+                r.remaining()
+            )));
+        }
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::decode(r)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<(A, B), WireError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+/// Seeded source for [`Sample`]: one seed always draws the same values,
+/// so a failure replays from its seed.
+pub struct Gen(StdRng);
+
+impl Gen {
+    /// A generator seeded with `seed`.
+    pub fn new(seed: u64) -> Gen {
+        Gen(StdRng::seed_from_u64(seed))
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.0.next_u64()
+    }
+
+    /// A number in `0..n` (`n` > 0).
+    pub fn below(&mut self, n: usize) -> usize {
+        self.0.gen_range(0..n)
+    }
+}
+
+/// A value drawn from a seeded [`Gen`]. [`wire_schema!`](crate::wire_schema)
+/// writes it for every message, so round-trip and decode-fuzz tests cover
+/// a new variant without naming it.
+pub trait Sample {
+    /// Draw one value.
+    fn sample(g: &mut Gen) -> Self;
+}
+
+impl Sample for bool {
+    fn sample(g: &mut Gen) -> bool {
+        g.below(2) == 1
+    }
+}
+
+/// Small numbers and the extremes as often as arbitrary ones.
+impl Sample for i64 {
+    fn sample(g: &mut Gen) -> i64 {
+        match g.below(4) {
+            0 => g.below(16) as i64,
+            1 => [i64::MIN, -1, i64::MAX][g.below(3)],
+            _ => g.next_u64() as i64,
+        }
+    }
+}
+
+/// Up to eight characters, multi-byte ones among them.
+impl Sample for String {
+    fn sample(g: &mut Gen) -> String {
+        const CHARS: [char; 8] = ['/', 'a', 'z', '0', '.', ' ', 'ü', 'フ'];
+        (0..g.below(9)).map(|_| CHARS[g.below(CHARS.len())]).collect()
+    }
+}
+
+impl<T: Sample> Sample for Vec<T> {
+    fn sample(g: &mut Gen) -> Vec<T> {
+        (0..g.below(4)).map(|_| T::sample(g)).collect()
+    }
+}
+
+impl<A: Sample, B: Sample> Sample for (A, B) {
+    fn sample(g: &mut Gen) -> (A, B) {
+        (A::sample(g), B::sample(g))
+    }
+}
+
+/// How the field of a one-field schema variant crosses the wire. The
+/// default, [`Plain`], is the field type's own [`Wire`] and [`Sample`]. A
+/// variant written `tag => Variant(Type as SomeCodec)` names another one,
+/// for a rule about the field that its type cannot state (a batch's member
+/// limit). `tag` is the variant's own tag.
+pub trait Codec<T> {
+    /// Append the field's encoding to `out`.
+    fn encode(v: &T, out: &mut Vec<u8>);
+    /// Decode the field of variant `tag`.
+    fn decode(r: &mut Reader<'_>, tag: u8) -> Result<T, WireError>;
+    /// Draw a field for variant `tag`.
+    fn sample(g: &mut Gen, tag: u8) -> T;
+}
+
+/// The field type's own [`Wire`] and [`Sample`].
+pub struct Plain;
+
+impl<T: Wire + Sample> Codec<T> for Plain {
+    #[inline]
+    fn encode(v: &T, out: &mut Vec<u8>) {
+        v.encode(out)
+    }
+    #[inline]
+    fn decode(r: &mut Reader<'_>, _tag: u8) -> Result<T, WireError> {
+        T::decode(r)
+    }
+    fn sample(g: &mut Gen, _tag: u8) -> T {
+        T::sample(g)
+    }
+}
+
+/// Declare a wire message type once: the type, its [`Wire`] encoding and
+/// its [`Sample`] generator all come from the one declaration.
+///
+/// An enum lists `tag => Variant` entries: unit, one-field tuple or struct
+/// variants. A value is its tag byte, then its fields in declaration
+/// order; an unknown tag fails to decode. A tuple variant may name a
+/// [`Codec`] for its field, `Variant(Type as SomeCodec)`. The enum also
+/// gets `op_name()`, the variant's name, and `every_variant(g)`, one
+/// sampled value per variant in tag order. A struct is its fields in
+/// declaration order. Attributes (docs, derives) pass through.
+///
+/// ```
+/// dlrpc::wire_schema! {
+///     /// A toy request.
+///     #[derive(Debug, PartialEq)]
+///     pub enum Req {
+///         0 => Ping,
+///         1 => Echo(String),
+///         5 => Add { a: i64, b: i64 },
+///     }
+/// }
+/// use dlrpc::{wire::Gen, Reader, Wire};
+/// let mut out = Vec::new();
+/// Req::Add { a: 1, b: 2 }.encode(&mut out);
+/// assert_eq!(out[0], 5);
+/// assert_eq!(Req::decode(&mut Reader::new(&out)).unwrap(), Req::Add { a: 1, b: 2 });
+/// assert_eq!(Req::Echo("x".into()).op_name(), "Echo");
+/// assert_eq!(Req::every_variant(&mut Gen::new(1)).len(), 3);
+/// ```
+#[macro_export]
+macro_rules! wire_schema {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident
+                $( ( $ty:ty $( as $codec:ty )? ) )?
+                $( { $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)? } )?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $( ($ty) )? $( { $( $(#[$fmeta])* $field: $fty ),* } )?,
+            )*
+        }
+
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( $name::$variant $( ($crate::__wire_bind!(field $ty)) )? $( { $($field),* } )? => {
+                        out.push($tag);
+                        $( <$crate::__wire_codec!($($codec)?) as $crate::wire::Codec<$ty>>::encode(field, out); )?
+                        $( $( $crate::wire::Wire::encode($field, out); )* )?
+                    } )*
+                }
+            }
+
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.u8()? {
+                    $( $tag => $name::$variant
+                        $( (<$crate::__wire_codec!($($codec)?) as $crate::wire::Codec<$ty>>::decode(r, $tag)?) )?
+                        $( { $( $field: <$fty as $crate::wire::Wire>::decode(r)? ),* } )?, )*
+                    tag => {
+                        return Err($crate::wire::WireError::Decode(format!(
+                            "unknown {} tag {tag}",
+                            stringify!($name)
+                        )))
+                    }
+                })
+            }
+        }
+
+        impl $crate::wire::Sample for $name {
+            fn sample(g: &mut $crate::wire::Gen) -> Self {
+                const TAGS: &[u8] = &[$($tag),*];
+                let tag = TAGS[g.below(TAGS.len())];
+                Self::sample_variant(g, tag)
+            }
+        }
+
+        impl $name {
+            /// The variant's name (the operation name of spans and metrics).
+            $vis fn op_name(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => stringify!($variant), )*
+                }
+            }
+
+            /// One sampled value of every variant, in tag order.
+            $vis fn every_variant(g: &mut $crate::wire::Gen) -> Vec<Self> {
+                [$($tag),*].into_iter().map(|tag| Self::sample_variant(g, tag)).collect()
+            }
+
+            fn sample_variant(g: &mut $crate::wire::Gen, tag: u8) -> Self {
+                match tag {
+                    $( $tag => $name::$variant
+                        $( (<$crate::__wire_codec!($($codec)?) as $crate::wire::Codec<$ty>>::sample(g, $tag)) )?
+                        $( { $( $field: <$fty as $crate::wire::Sample>::sample(g) ),* } )?, )*
+                    _ => unreachable!("{} has no tag {tag}", stringify!($name)),
+                }
+            }
+        }
+    };
+
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $fty, )*
+        }
+
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $( $crate::wire::Wire::encode(&self.$field, out); )*
+            }
+
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok($name { $( $field: <$fty as $crate::wire::Wire>::decode(r)?, )* })
+            }
+        }
+
+        impl $crate::wire::Sample for $name {
+            fn sample(g: &mut $crate::wire::Gen) -> Self {
+                $name { $( $field: <$fty as $crate::wire::Sample>::sample(g), )* }
+            }
+        }
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_codec {
+    () => {
+        $crate::wire::Plain
+    };
+    ($codec:ty) => {
+        $codec
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_bind {
+    ($bind:ident $ty:ty) => {
+        $bind
+    };
 }
 
 /// Bounded cursor over a payload's bytes.
@@ -364,6 +665,14 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next byte, left unconsumed.
+    pub fn peek_u8(&self) -> Result<u8, WireError> {
+        self.buf
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| WireError::Decode("need 1 byte, 0 remaining".into()))
+    }
+
     /// Read a `u8`.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
@@ -389,9 +698,14 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a `bool`.
+    /// Read a `bool`: one byte, 0 or 1. Any other byte fails, so a value
+    /// has one encoding.
     pub fn bool(&mut self) -> Result<bool, WireError> {
-        Ok(self.u8()? != 0)
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::Decode(format!("bool byte {b}"))),
+        }
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -630,6 +944,22 @@ mod tests {
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.remaining(), 0);
         assert!(r.u8().is_err(), "reading past the end is a clean error");
+    }
+
+    #[test]
+    fn lying_counts_and_bool_bytes_fail_cleanly() {
+        // A Vec count past the bytes left is refused before allocating.
+        let mut out = Vec::new();
+        put_u32(&mut out, u32::MAX);
+        out.extend_from_slice(&[0u8; 16]);
+        assert!(matches!(Vec::<i64>::decode(&mut Reader::new(&out)), Err(WireError::Decode(_))));
+        // A bool is 0 or 1: any other byte would give `true` two encodings.
+        assert!(matches!(bool::decode(&mut Reader::new(&[2])), Err(WireError::Decode(_))));
+        let pair = (String::from("ü"), -5i64);
+        let mut out = Vec::new();
+        vec![pair.clone(), pair.clone()].encode(&mut out);
+        let back = Vec::<(String, i64)>::decode(&mut Reader::new(&out)).unwrap();
+        assert_eq!(back, vec![pair.clone(), pair]);
     }
 
     #[test]
