@@ -5,6 +5,7 @@
 #   ./ci.sh smoke      only the commit-path smoke stages (tiny benches + two-process wire + force audit)
 #   ./ci.sh loc        report non-test lines per crate and for the workspace (a report, not a gate)
 #   ./ci.sh schema_check  only the message-schema check (no hand-written codec or op names)
+#   ./ci.sh metrics_check only the counter-schema check (no hand-written snapshot, delta or counter render)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -18,6 +19,7 @@ step() { printf '\n==> %s\n' "$*"; }
 smoke() {
   seam_check
   schema_check
+  metrics_check
   step "fault-matrix smoke: seed slice of the fault-injection sweep"
   FAULT_MATRIX_SEEDS=2 cargo test -q --offline -p datalinks --test fault_matrix
   step "observability smoke: dlfmtop status surfaces + Perfetto export"
@@ -78,6 +80,31 @@ schema_check() {
   fi
   if grep -rn 'fn op_name' crates/dlfm/src crates/hostdb/src; then
     echo "schema check: op names come from the schema (wire_schema! writes op_name)"
+    exit 1
+  fi
+}
+
+# One counter schema: every counter, gauge cell and histogram a struct
+# owns is declared once, in an `obs::counters!` table that writes the
+# struct, its snapshot, `delta` and rendering. A hand-written `fn delta(`
+# or `…Snapshot {` in non-test code outside obs would be a second copy of
+# a table that must agree with the first (minidb's StorageSnapshot is a
+# storage image, not counters); an `r.counter(`/`r.histogram(` in either
+# metrics_text() surface would render by hand what a table renders — only
+# gauges read from live state are rendered there.
+metrics_check() {
+  step "metrics check: counters declared once, through obs::counters!"
+  local copies
+  copies="$(find crates/*/src -name '*.rs' -not -path 'crates/obs/*' -print0 \
+    | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 }
+        !t && /fn delta\(|[A-Za-z]+Snapshot \{/ && !/=> [A-Za-z]+Snapshot \{|StorageSnapshot/ { print FILENAME ":" FNR ": " $0 }')"
+  if [[ -n "$copies" ]]; then
+    echo "$copies"
+    echo "metrics check: the lines above copy a counter table by hand (declare it in obs::counters!)"
+    exit 1
+  fi
+  if grep -nE 'r\.(counter|histogram)\(' crates/hostdb/src/telemetry.rs crates/dlfm/src/server.rs; then
+    echo "metrics check: the lines above render a counter or histogram by hand (its table renders it)"
     exit 1
   fi
 }
@@ -220,6 +247,12 @@ if [[ "${1:-}" == "schema_check" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "metrics_check" ]]; then
+  metrics_check
+  step "OK"
+  exit 0
+fi
+
 if [[ "${1:-}" == "smoke" ]]; then
   smoke
   step "OK"
@@ -233,6 +266,7 @@ fi
 
 seam_check
 schema_check
+metrics_check
 
 step "tests"
 cargo test -q --offline --workspace

@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::Duration;
 
@@ -43,17 +43,19 @@ pub struct ArchivedObject {
     pub high_priority: bool,
 }
 
-/// Counters for the benchmark harness.
-#[derive(Debug, Default)]
-pub struct ArchiveMetrics {
-    /// Objects stored.
-    pub stores: AtomicU64,
-    /// Objects stored via the priority lane.
-    pub priority_stores: AtomicU64,
-    /// Objects retrieved.
-    pub retrieves: AtomicU64,
-    /// Objects deleted (GC).
-    pub deletes: AtomicU64,
+obs::counters! {
+    /// Counters for the benchmark harness.
+    pub struct ArchiveMetrics => ArchiveMetricsSnapshot {
+        /// Objects stored.
+        stores: counter "archive_stores_total" "Objects stored in the archive.",
+        /// Objects stored via the priority lane.
+        priority_stores: counter "archive_priority_stores_total"
+            "Objects stored via the archive's priority lane.",
+        /// Objects retrieved.
+        retrieves: counter "archive_retrieves_total" "Objects retrieved from the archive.",
+        /// Objects deleted (GC).
+        deletes: counter "archive_deletes_total" "Archived objects deleted by GC.",
+    }
 }
 
 /// The archive server.

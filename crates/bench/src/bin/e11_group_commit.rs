@@ -107,7 +107,7 @@ fn run_arm(
         forces: db.wal_forces_total() - forces0,
         wal_commits: db.wal_commits_total() - commits0,
         batch_p95: db.wal_force_batch_hist().report().p95,
-        metrics: bench::minidb_metrics_text(&db),
+        metrics: db.metrics_text(),
     }
 }
 

@@ -145,7 +145,7 @@ fn run_arm(mvcc: bool, clients: usize, duration: Duration) -> ArmOutcome {
         read_wait_micros: read_wait.load(Ordering::Relaxed),
         write_wait_micros: write_wait.load(Ordering::Relaxed),
         mvcc_reads: db.mvcc_reads_total() - mvcc_reads0,
-        metrics: bench::minidb_metrics_text(&db),
+        metrics: db.metrics_text(),
     }
 }
 

@@ -147,7 +147,7 @@ fn run_arm(
             (committed + timeouts.load(Ordering::Relaxed)).max(1),
         ),
         escalations: lock.escalations,
-        metrics: bench::minidb_metrics_text(&db),
+        metrics: db.metrics_text(),
     }
 }
 

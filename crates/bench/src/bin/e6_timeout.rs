@@ -111,7 +111,7 @@ fn deadlock_arm(timeout: Duration, duration: Duration) -> ArmResult {
         committed: committed.load(Ordering::Relaxed),
         timeouts: timeouts.load(Ordering::Relaxed),
         p_max_stall_ms: max_stall.load(Ordering::Relaxed),
-        metrics: bench::minidb_metrics_text(&db),
+        metrics: db.metrics_text(),
     }
 }
 
@@ -161,7 +161,7 @@ fn slow_holder_arm(timeout: Duration, duration: Duration) -> ArmResult {
         committed: committed.load(Ordering::Relaxed),
         timeouts: timeouts.load(Ordering::Relaxed),
         p_max_stall_ms: 0,
-        metrics: bench::minidb_metrics_text(&db),
+        metrics: db.metrics_text(),
     }
 }
 

@@ -114,14 +114,6 @@ pub fn dump_metrics(text: &str) {
     println!("--- end metrics ---");
 }
 
-/// Render metrics for experiments that drive a raw minidb [`Database`]
-/// without a DLFM server (E4, E6). Now a thin wrapper over
-/// [`minidb::Database::metrics_text`], which renders the same `minidb_*`
-/// block every other layer exports.
-pub fn minidb_metrics_text(db: &minidb::Database) -> String {
-    db.metrics_text()
-}
-
 /// One arm of a benchmark in the machine-readable summary: a label, a
 /// throughput, latency percentiles, and any extra numeric fields.
 pub struct JsonArm {

@@ -3,116 +3,97 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-operation latency histograms (microseconds), recorded at the agent
-/// dispatch boundary and in phase-2 processing.
-#[derive(Debug, Default)]
-pub struct DlfmOpHists {
-    /// LinkFile forward processing.
-    pub link: obs::Histogram,
-    /// UnlinkFile forward processing.
-    pub unlink: obs::Histogram,
-    /// Prepare (including the hardening local commit).
-    pub prepare: obs::Histogram,
-    /// Phase-2 commit, including all retries.
-    pub phase2_commit: obs::Histogram,
-    /// Phase-2 abort, including all retries.
-    pub phase2_abort: obs::Histogram,
-    /// Upcall link-state queries.
-    pub upcall: obs::Histogram,
-}
-
-impl DlfmOpHists {
-    /// Iterate `(op label, histogram)` pairs for metric exposition.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &obs::Histogram)> {
-        [
-            ("link", &self.link),
-            ("unlink", &self.unlink),
-            ("prepare", &self.prepare),
-            ("phase2_commit", &self.phase2_commit),
-            ("phase2_abort", &self.phase2_abort),
-            ("upcall", &self.upcall),
-        ]
-        .into_iter()
+obs::counters! {
+    /// Per-operation latency histograms (microseconds), recorded at the
+    /// agent dispatch boundary and in phase-2 processing.
+    pub struct DlfmOpHists {
+        /// LinkFile forward processing.
+        link: histogram "dlfm_op_latency_micros" {op = "link"}
+            "DLFM per-operation latency in microseconds.",
+        /// UnlinkFile forward processing.
+        unlink: histogram "dlfm_op_latency_micros" {op = "unlink"}
+            "DLFM per-operation latency in microseconds.",
+        /// Prepare (including the hardening local commit).
+        prepare: histogram "dlfm_op_latency_micros" {op = "prepare"}
+            "DLFM per-operation latency in microseconds.",
+        /// Phase-2 commit, including all retries.
+        phase2_commit: histogram "dlfm_op_latency_micros" {op = "phase2_commit"}
+            "DLFM per-operation latency in microseconds.",
+        /// Phase-2 abort, including all retries.
+        phase2_abort: histogram "dlfm_op_latency_micros" {op = "phase2_abort"}
+            "DLFM per-operation latency in microseconds.",
+        /// Upcall link-state queries.
+        upcall: histogram "dlfm_op_latency_micros" {op = "upcall"}
+            "DLFM per-operation latency in microseconds.",
     }
 }
 
-/// Monotonic DLFM counters. All relaxed; read via [`DlfmMetrics::snapshot`].
-#[derive(Debug, Default)]
-pub struct DlfmMetrics {
-    /// Successful LinkFile operations.
-    pub links: AtomicU64,
-    /// Successful UnlinkFile operations.
-    pub unlinks: AtomicU64,
-    /// Prepare votes returned.
-    pub prepares: AtomicU64,
-    /// Batch requests unpacked (their members count in the per-operation
-    /// counters as if sent alone).
-    pub batches: AtomicU64,
-    /// Phase-2 commits completed.
-    pub commits: AtomicU64,
-    /// Phase-2 aborts completed.
-    pub aborts: AtomicU64,
-    /// Phase-2 attempts that hit a retryable local-database error and were
-    /// retried (Figure 4's "retry until it succeeds").
-    pub phase2_retries: AtomicU64,
-    /// Phase-2 operations abandoned at the retry-limit safety valve,
-    /// leaving the sub-transaction prepared for the resolver to re-drive.
-    pub phase2_abandoned: AtomicU64,
-    /// Phase-2 abort failures swallowed during session retirement/restart;
-    /// the sub-transaction stays in-doubt for the resolver.
-    pub phase2_abort_failures: AtomicU64,
-    /// Committed group-deletion notifications that could not be handed to
-    /// the Delete-Group daemon (daemon gone or injected drop); the work
-    /// stays in `dfm_xact` until a rescan picks it up.
-    pub groupd_notify_drops: AtomicU64,
-    /// Chunked local commits issued inside long-running transactions
-    /// (lazy: the transaction's Prepare is what forces them).
-    pub chunk_commits: AtomicU64,
-    /// Files archived by the Copy daemon.
-    pub files_archived: AtomicU64,
-    /// Files restored by the Retrieve daemon.
-    pub files_retrieved: AtomicU64,
-    /// Files unlinked by the Delete-Group daemon.
-    pub group_files_unlinked: AtomicU64,
-    /// Metadata entries removed by the Garbage Collector.
-    pub gc_entries_removed: AtomicU64,
-    /// Archive copies removed by the Garbage Collector.
-    pub gc_archive_removed: AtomicU64,
-    /// Upcall queries served.
-    pub upcalls: AtomicU64,
-    /// Forward-processing operations that failed with a retryable database
-    /// error and forced a host-side rollback.
-    pub forced_rollbacks: AtomicU64,
-    /// Times the statistics guard re-applied hand-crafted statistics after
-    /// a RUNSTATS overwrote them.
-    pub stats_reapplied: AtomicU64,
-    /// Per-operation latency histograms.
-    pub op_hists: DlfmOpHists,
-}
-
-/// Plain-value snapshot of [`DlfmMetrics`].
-#[allow(missing_docs)] // field names mirror DlfmMetrics docs
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DlfmMetricsSnapshot {
-    pub links: u64,
-    pub unlinks: u64,
-    pub prepares: u64,
-    pub batches: u64,
-    pub commits: u64,
-    pub aborts: u64,
-    pub phase2_retries: u64,
-    pub phase2_abandoned: u64,
-    pub phase2_abort_failures: u64,
-    pub groupd_notify_drops: u64,
-    pub chunk_commits: u64,
-    pub files_archived: u64,
-    pub files_retrieved: u64,
-    pub group_files_unlinked: u64,
-    pub gc_entries_removed: u64,
-    pub gc_archive_removed: u64,
-    pub upcalls: u64,
-    pub forced_rollbacks: u64,
-    pub stats_reapplied: u64,
+obs::counters! {
+    /// Monotonic DLFM counters. All relaxed; read via
+    /// [`DlfmMetrics::snapshot`].
+    pub struct DlfmMetrics => DlfmMetricsSnapshot {
+        /// Successful LinkFile operations.
+        links: counter "dlfm_ops_total" {op = "link"} "Completed DLFM operations by kind.",
+        /// Successful UnlinkFile operations.
+        unlinks: counter "dlfm_ops_total" {op = "unlink"} "Completed DLFM operations by kind.",
+        /// Prepare votes returned.
+        prepares: counter "dlfm_ops_total" {op = "prepare"} "Completed DLFM operations by kind.",
+        /// Batch requests unpacked (their members count in the per-operation
+        /// counters as if sent alone).
+        batches: counter "dlfm_batches_total"
+            "Batch requests unpacked (members count in dlfm_ops_total as if sent alone).",
+        /// Phase-2 commits completed.
+        commits: counter "dlfm_ops_total" {op = "phase2_commit"}
+            "Completed DLFM operations by kind.",
+        /// Phase-2 aborts completed.
+        aborts: counter "dlfm_ops_total" {op = "phase2_abort"} "Completed DLFM operations by kind.",
+        /// Phase-2 attempts that hit a retryable local-database error and were
+        /// retried (Figure 4's "retry until it succeeds").
+        phase2_retries: counter "dlfm_phase2_retries_total"
+            "Phase-2 attempts retried after a retryable local-database error (Figure 4).",
+        /// Phase-2 operations abandoned at the retry-limit safety valve,
+        /// leaving the sub-transaction prepared for the resolver to re-drive.
+        phase2_abandoned: counter "dlfm_phase2_abandoned_total"
+            "Phase-2 operations abandoned at the retry limit, left prepared for the resolver.",
+        /// Phase-2 abort failures swallowed during session retirement/restart;
+        /// the sub-transaction stays in-doubt for the resolver.
+        phase2_abort_failures: counter "dlfm_phase2_abort_failures_total"
+            "Phase-2 abort failures during session retirement/restart, left in-doubt.",
+        /// Committed group-deletion notifications that could not be handed to
+        /// the Delete-Group daemon (daemon gone or injected drop); the work
+        /// stays in `dfm_xact` until a rescan picks it up.
+        groupd_notify_drops: counter "dlfm_groupd_notify_drops_total"
+            "Delete-group notifications dropped and deferred to the daemon rescan.",
+        /// Chunked local commits issued inside long-running transactions
+        /// (lazy: the transaction's Prepare is what forces them).
+        chunk_commits: counter "dlfm_chunk_commits_total"
+            "Chunked local commits inside long-running transactions (paper section 4).",
+        /// Files archived by the Copy daemon.
+        files_archived: counter "dlfm_files_archived_total" "Files copied to the archive server.",
+        /// Files restored by the Retrieve daemon.
+        files_retrieved: counter "dlfm_files_retrieved_total" "Files restored from the archive.",
+        /// Files unlinked by the Delete-Group daemon.
+        group_files_unlinked: counter "dlfm_group_files_unlinked_total"
+            "Files unlinked by the Delete-Group daemon.",
+        /// Metadata entries removed by the Garbage Collector.
+        gc_entries_removed: counter "dlfm_gc_entries_removed_total"
+            "Metadata entries removed by GC.",
+        /// Archive copies removed by the Garbage Collector.
+        gc_archive_removed: counter "dlfm_gc_archive_removed_total" "Archive copies removed by GC.",
+        /// Upcall queries served.
+        upcalls: counter "dlfm_ops_total" {op = "upcall"} "Completed DLFM operations by kind.",
+        /// Forward-processing operations that failed with a retryable database
+        /// error and forced a host-side rollback.
+        forced_rollbacks: counter "dlfm_forced_rollbacks_total"
+            "Forward-processing failures that forced a host-side rollback.",
+        /// Times the statistics guard re-applied hand-crafted statistics after
+        /// a RUNSTATS overwrote them.
+        stats_reapplied: counter "dlfm_stats_reapplied_total"
+            "Times the statistics guard re-applied hand-crafted statistics.",
+    } beside {
+        /// Per-operation latency histograms.
+        pub op_hists: DlfmOpHists,
+    }
 }
 
 impl DlfmMetrics {
@@ -124,60 +105,6 @@ impl DlfmMetrics {
     /// Add `n` to a counter.
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Read everything.
-    pub fn snapshot(&self) -> DlfmMetricsSnapshot {
-        DlfmMetricsSnapshot {
-            links: self.links.load(Ordering::Relaxed),
-            unlinks: self.unlinks.load(Ordering::Relaxed),
-            prepares: self.prepares.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            phase2_retries: self.phase2_retries.load(Ordering::Relaxed),
-            phase2_abandoned: self.phase2_abandoned.load(Ordering::Relaxed),
-            phase2_abort_failures: self.phase2_abort_failures.load(Ordering::Relaxed),
-            groupd_notify_drops: self.groupd_notify_drops.load(Ordering::Relaxed),
-            chunk_commits: self.chunk_commits.load(Ordering::Relaxed),
-            files_archived: self.files_archived.load(Ordering::Relaxed),
-            files_retrieved: self.files_retrieved.load(Ordering::Relaxed),
-            group_files_unlinked: self.group_files_unlinked.load(Ordering::Relaxed),
-            gc_entries_removed: self.gc_entries_removed.load(Ordering::Relaxed),
-            gc_archive_removed: self.gc_archive_removed.load(Ordering::Relaxed),
-            upcalls: self.upcalls.load(Ordering::Relaxed),
-            forced_rollbacks: self.forced_rollbacks.load(Ordering::Relaxed),
-            stats_reapplied: self.stats_reapplied.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl DlfmMetricsSnapshot {
-    /// Component-wise difference (self - earlier), mirroring
-    /// [`minidb::LockMetricsSnapshot::delta`]. Experiments snapshot before
-    /// and after a phase and report only that phase's activity.
-    pub fn delta(&self, earlier: &DlfmMetricsSnapshot) -> DlfmMetricsSnapshot {
-        DlfmMetricsSnapshot {
-            links: self.links - earlier.links,
-            unlinks: self.unlinks - earlier.unlinks,
-            prepares: self.prepares - earlier.prepares,
-            batches: self.batches - earlier.batches,
-            commits: self.commits - earlier.commits,
-            aborts: self.aborts - earlier.aborts,
-            phase2_retries: self.phase2_retries - earlier.phase2_retries,
-            phase2_abandoned: self.phase2_abandoned - earlier.phase2_abandoned,
-            phase2_abort_failures: self.phase2_abort_failures - earlier.phase2_abort_failures,
-            groupd_notify_drops: self.groupd_notify_drops - earlier.groupd_notify_drops,
-            chunk_commits: self.chunk_commits - earlier.chunk_commits,
-            files_archived: self.files_archived - earlier.files_archived,
-            files_retrieved: self.files_retrieved - earlier.files_retrieved,
-            group_files_unlinked: self.group_files_unlinked - earlier.group_files_unlinked,
-            gc_entries_removed: self.gc_entries_removed - earlier.gc_entries_removed,
-            gc_archive_removed: self.gc_archive_removed - earlier.gc_archive_removed,
-            upcalls: self.upcalls - earlier.upcalls,
-            forced_rollbacks: self.forced_rollbacks - earlier.forced_rollbacks,
-            stats_reapplied: self.stats_reapplied - earlier.stats_reapplied,
-        }
     }
 }
 
@@ -283,9 +210,20 @@ mod tests {
     fn op_hists_iter_names_every_histogram() {
         let m = DlfmMetrics::default();
         m.op_hists.link.record(5);
-        let names: Vec<&str> = m.op_hists.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, ["link", "unlink", "prepare", "phase2_commit", "phase2_abort", "upcall"]);
-        let total: u64 = m.op_hists.iter().map(|(_, h)| h.count()).sum();
-        assert_eq!(total, 1);
+        let mut r = obs::Registry::new();
+        m.op_hists.render(&mut r);
+        let text = r.render();
+        let counts: Vec<(String, f64)> = obs::registry::parse_samples(&text)
+            .into_iter()
+            .filter(|s| s.name == "dlfm_op_latency_micros_count")
+            .map(|s| (s.labels, s.value))
+            .collect();
+        let names: Vec<&str> = counts.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            names,
+            ["link", "unlink", "prepare", "phase2_commit", "phase2_abort", "upcall"]
+                .map(|op| format!("{{op=\"{op}\"}}"))
+        );
+        assert_eq!(counts.iter().map(|(_, n)| n).sum::<f64>(), 1.0);
     }
 }

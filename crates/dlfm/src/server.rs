@@ -321,170 +321,54 @@ fn render_metrics_text(
     connector: &Connector<DlfmRequest, DlfmResponse>,
     wire: Option<Arc<dlrpc::WireStats>>,
 ) -> String {
-    {
-        let mut r = obs::Registry::new();
+    let mut r = obs::Registry::new();
 
-        let s = shared.metrics.snapshot();
-        for (op, value) in [
-            ("link", s.links),
-            ("unlink", s.unlinks),
-            ("prepare", s.prepares),
-            ("phase2_commit", s.commits),
-            ("phase2_abort", s.aborts),
-            ("upcall", s.upcalls),
-        ] {
-            r.counter("dlfm_ops_total", "Completed DLFM operations by kind.", &[("op", op)], value);
-        }
-        r.counter(
-            "dlfm_batches_total",
-            "Batch requests unpacked (members count in dlfm_ops_total as if sent alone).",
-            &[],
-            s.batches,
-        );
-        r.counter(
-            "dlfm_phase2_retries_total",
-            "Phase-2 attempts retried after a retryable local-database error (Figure 4).",
-            &[],
-            s.phase2_retries,
-        );
-        r.counter(
-            "dlfm_phase2_abandoned_total",
-            "Phase-2 operations abandoned at the retry limit, left prepared for the resolver.",
-            &[],
-            s.phase2_abandoned,
-        );
-        r.counter(
-            "dlfm_phase2_abort_failures_total",
-            "Phase-2 abort failures during session retirement/restart, left in-doubt.",
-            &[],
-            s.phase2_abort_failures,
-        );
-        r.counter(
-            "dlfm_groupd_notify_drops_total",
-            "Delete-group notifications dropped and deferred to the daemon rescan.",
-            &[],
-            s.groupd_notify_drops,
-        );
-        r.counter(
-            "dlfm_chunk_commits_total",
-            "Chunked local commits inside long-running transactions (paper section 4).",
-            &[],
-            s.chunk_commits,
-        );
-        r.counter(
-            "dlfm_forced_rollbacks_total",
-            "Forward-processing failures that forced a host-side rollback.",
-            &[],
-            s.forced_rollbacks,
-        );
-        r.counter(
-            "dlfm_stats_reapplied_total",
-            "Times the statistics guard re-applied hand-crafted statistics.",
-            &[],
-            s.stats_reapplied,
-        );
-        for (name, help, value) in [
-            ("dlfm_files_archived_total", "Files copied to the archive server.", s.files_archived),
-            ("dlfm_files_retrieved_total", "Files restored from the archive.", s.files_retrieved),
-            (
-                "dlfm_group_files_unlinked_total",
-                "Files unlinked by the Delete-Group daemon.",
-                s.group_files_unlinked,
-            ),
-            (
-                "dlfm_gc_entries_removed_total",
-                "Metadata entries removed by GC.",
-                s.gc_entries_removed,
-            ),
-            (
-                "dlfm_gc_archive_removed_total",
-                "Archive copies removed by GC.",
-                s.gc_archive_removed,
-            ),
-        ] {
-            r.counter(name, help, &[], value);
-        }
-        r.gauge(
-            "dlfm_dlff_tokens",
-            "Read tokens registered with the file-system filter (one per linked full-control file that was asked for).",
-            &[],
-            shared.dlff.token_count() as i64,
-        );
-        for (op, hist) in shared.metrics.op_hists.iter() {
-            r.histogram(
-                "dlfm_op_latency_micros",
-                "DLFM per-operation latency in microseconds.",
-                &[("op", op)],
-                hist,
-            );
-        }
-
-        shared.db.render_metrics(&mut r);
-        connector.render_metrics(&mut r);
-        if let Some(w) = &wire {
-            w.render(&mut r);
-        }
-
-        if let Some(pool) = connector.pool_stats() {
-            r.gauge(
-                "dlfm_pool_workers",
-                "Agent threads running: the pool's workers, or one per open connection (dedicated).",
-                &[],
-                pool.workers() as i64,
-            );
-            r.gauge("dlfm_pool_busy", "Agents currently executing a request.", &[], pool.busy());
-            r.gauge(
-                "dlfm_pool_queue_depth",
-                "Work no agent has picked up: queued requests (pooled) or connections awaiting their agent (dedicated).",
-                &[],
-                connector.accept_backlog() as i64,
-            );
-            r.counter(
-                "dlfm_pool_rejects_total",
-                "Requests rejected by admission control (run queue stayed full).",
-                &[],
-                pool.rejects(),
-            );
-            r.counter("dlfm_pool_served_total", "Requests served by agents.", &[], pool.served());
-            r.counter(
-                "dlfm_pool_hangups_total",
-                "Session hangups processed by agents.",
-                &[],
-                pool.hangups(),
-            );
-            r.counter(
-                "dlfm_pool_decode_errors_total",
-                "Requests whose payload did not decode, answered without reaching a handler.",
-                &[],
-                pool.decode_errors(),
-            );
-        }
-        r.gauge(
-            "dlfm_sessions_active",
-            "Connections with live session state in the session table.",
-            &[],
-            shared.sessions.active() as i64,
-        );
-
-        r.gauge(
-            "dlfm_daemon_queue_depth",
-            "Work items queued for a service daemon.",
-            &[("daemon", "delete_group")],
-            shared.groupd_tx.len() as i64,
-        );
-        r.gauge(
-            "dlfm_daemon_queue_depth",
-            "Work items queued for a service daemon.",
-            &[("daemon", "retrieve")],
-            shared.retrieve_tx.len() as i64,
-        );
-
-        obs::render_recorder_metrics(&mut r);
-        obs::render_process_metrics(&mut r);
-        obs::render_watch_metrics(&mut r);
-
-        r.render()
+    shared.metrics.render(&mut r);
+    shared.metrics.op_hists.render(&mut r);
+    r.gauge(
+        "dlfm_dlff_tokens",
+        "Read tokens registered with the file-system filter (one per linked full-control file that was asked for).",
+        &[],
+        shared.dlff.token_count() as i64,
+    );
+    shared.db.render_metrics(&mut r);
+    connector.render_metrics(&mut r);
+    if let Some(w) = &wire {
+        w.render(&mut r);
     }
+
+    if let Some(pool) = connector.pool_stats() {
+        pool.render(&mut r);
+        r.gauge(
+            "dlfm_pool_queue_depth",
+            "Work no agent has picked up: queued requests (pooled) or connections awaiting their agent (dedicated).",
+            &[],
+            connector.accept_backlog() as i64,
+        );
+    }
+    r.gauge(
+        "dlfm_sessions_active",
+        "Connections with live session state in the session table.",
+        &[],
+        shared.sessions.active() as i64,
+    );
+
+    r.gauge(
+        "dlfm_daemon_queue_depth",
+        "Work items queued for a service daemon.",
+        &[("daemon", "delete_group")],
+        shared.groupd_tx.len() as i64,
+    );
+    r.gauge(
+        "dlfm_daemon_queue_depth",
+        "Work items queued for a service daemon.",
+        &[("daemon", "retrieve")],
+        shared.retrieve_tx.len() as i64,
+    );
+
+    obs::render_metrics(&mut r);
+
+    r.render()
 }
 
 impl DlfmServer {

@@ -94,6 +94,29 @@ impl CoordLog {
         self.commits_total()
     }
 
+    /// The `coordlog_*` family: forces against decisions, and decisions
+    /// per force (the group-commit batch).
+    pub(crate) fn render_metrics(&self, r: &mut obs::Registry) {
+        r.counter(
+            "coordlog_forces_total",
+            "Coordinator-log forces (one per leader).",
+            &[],
+            self.forces_total(),
+        );
+        r.counter(
+            "coordlog_commit_decisions_total",
+            "Commit-decision records appended.",
+            &[],
+            self.decisions_total(),
+        );
+        r.histogram(
+            "coordlog_force_batch_decisions",
+            "Commit decisions made durable per coordinator-log force.",
+            &[],
+            self.batch_hist(),
+        );
+    }
+
     /// Transactions with a commit decision but no end record — phase 2
     /// must be re-driven for these. Reads the volatile tail too: the
     /// resolver leaves transactions still open on this host alone.

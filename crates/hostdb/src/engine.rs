@@ -18,7 +18,7 @@
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
 use dlfm::{AccessControl, DlfmRequest, DlfmResponse, GroupSpec, MAX_BATCH_OPS};
@@ -127,65 +127,81 @@ pub struct DatalinkSpec {
     pub recovery: bool,
 }
 
-/// Host-side operation counters.
-#[derive(Debug, Default)]
-pub struct HostMetrics {
-    /// Committed transactions.
-    pub commits: AtomicU64,
-    /// Rolled-back transactions.
-    pub rollbacks: AtomicU64,
-    /// Two-phase commits (at least one DLFM involved).
-    pub twopc_commits: AtomicU64,
-    /// Prepare-phase failures (global abort).
-    pub prepare_failures: AtomicU64,
-    /// LinkFile requests issued.
-    pub links: AtomicU64,
-    /// UnlinkFile requests issued.
-    pub unlinks: AtomicU64,
-    /// Statement rounds: flushes of a statement's (or a load piece's)
-    /// queued link/unlink operations, one batch per shard (`links +
-    /// unlinks` over this is operations per round).
-    pub dl_rounds: AtomicU64,
-    /// Transactions whose phase 1 rode on their round (an autocommit
-    /// statement's or a load piece's) instead of costing a Prepare call of
-    /// its own.
-    pub unsolicited_votes: AtomicU64,
-    /// Indoubt transactions resolved after failures, counting only the
-    /// resolutions their participant acknowledged.
-    pub indoubts_resolved: AtomicU64,
-    /// RPC failures (transport errors or DLFM-side errors) on the commit,
-    /// abort, backout, and indoubt-resolution paths, counted so
-    /// partial-commit anomalies are visible.
-    pub host_rpc_errors: AtomicU64,
-    /// Connection-pool checkouts satisfied by an idle pooled connection.
-    pub conn_pool_hits: AtomicU64,
-    /// Connection-pool checkouts that had to open a fresh connection.
-    pub conn_pool_misses: AtomicU64,
-    /// Connections retired (dropped instead of pooled) after an RPC error
-    /// or because the pool was full.
-    pub conn_retired: AtomicU64,
-    /// Datalink operations routed through the shard map (ring or override).
-    pub shard_routes: AtomicU64,
-    /// Routes that had to wait out an in-progress prefix migration.
-    pub shard_route_waits: AtomicU64,
-    /// Prefix migrations completed.
-    pub shard_migrations: AtomicU64,
-    /// Link rows moved between shards by migrations.
-    pub shard_migrated_rows: AtomicU64,
-    /// Phase-2 commit transport failures survived: the commit decision was
-    /// already durable, so the error is absorbed (the resolver re-drives
-    /// phase 2) instead of surfacing a false abort to the application.
-    pub phase2_transport_errors: AtomicU64,
-    /// Resolver calls that failed (an unreachable server, a refused or
-    /// lost decision); resolution continued past each (liveness fix).
-    pub resolver_partial_failures: AtomicU64,
-    /// Transaction autopsy bundles written (slow or aborted transactions).
-    pub autopsies: AtomicU64,
-    /// Telemetry scrapes of attached DLFMs that failed (server down or
-    /// mid-restart); fleet views render such shards as absent/DOWN.
-    pub telemetry_scrape_errors: AtomicU64,
-    /// Access-token cache: hits, misses, entries dropped by cause.
-    pub token_cache: Arc<crate::tokens::TokenCacheMetrics>,
+obs::counters! {
+    /// Host-side operation counters.
+    pub struct HostMetrics => HostMetricsSnapshot {
+        /// Committed transactions.
+        commits: counter "hostdb_commits_total" "Committed host transactions.",
+        /// Rolled-back transactions.
+        rollbacks: counter "hostdb_rollbacks_total" "Rolled-back host transactions.",
+        /// Two-phase commits (at least one DLFM involved).
+        twopc_commits: counter "hostdb_twopc_commits_total" "Two-phase commits.",
+        /// Prepare-phase failures (global abort).
+        prepare_failures: counter "hostdb_prepare_failures_total" "Prepare-phase failures.",
+        /// LinkFile requests issued.
+        links: counter "hostdb_links_total" "LinkFile requests issued.",
+        /// UnlinkFile requests issued.
+        unlinks: counter "hostdb_unlinks_total" "UnlinkFile requests issued.",
+        /// Statement rounds: flushes of a statement's (or a load piece's)
+        /// queued link/unlink operations, one batch per shard (`links +
+        /// unlinks` over this is operations per round).
+        dl_rounds: counter "hostdb_dl_rounds_total"
+            "Statement rounds: one batch of link/unlink operations per shard.",
+        /// Transactions whose phase 1 rode on their round (an autocommit
+        /// statement's or a load piece's) instead of costing a Prepare call of
+        /// its own.
+        unsolicited_votes: counter "hostdb_unsolicited_votes_total"
+            "Transactions whose phase 1 rode on their autocommit statement's round.",
+        /// Indoubt transactions resolved after failures, counting only the
+        /// resolutions their participant acknowledged.
+        indoubts_resolved: counter "hostdb_indoubts_resolved_total"
+            "Indoubt transactions whose resolution the participant acknowledged.",
+        /// RPC failures (transport errors or DLFM-side errors) on the commit,
+        /// abort, backout, and indoubt-resolution paths, counted so
+        /// partial-commit anomalies are visible.
+        host_rpc_errors: counter "hostdb_rpc_errors_total"
+            "RPC failures on commit/abort/backout/indoubt paths (possible partial-commit anomalies).",
+        /// Connection-pool checkouts satisfied by an idle pooled connection.
+        conn_pool_hits: counter "hostdb_conn_pool_hits_total"
+            "DLFM connection checkouts served from the idle pool.",
+        /// Connection-pool checkouts that had to open a fresh connection.
+        conn_pool_misses: counter "hostdb_conn_pool_misses_total"
+            "DLFM connection checkouts that opened a fresh connection.",
+        /// Connections retired (dropped instead of pooled) after an RPC error
+        /// or because the pool was full.
+        conn_retired: counter "hostdb_conn_retired_total"
+            "DLFM connections retired instead of pooled (error or pool full).",
+        /// Datalink operations routed through the shard map (ring or override).
+        shard_routes: counter "hostdb_shard_routes_total"
+            "Datalink operations routed through the shard map.",
+        /// Routes that had to wait out an in-progress prefix migration.
+        shard_route_waits: counter "hostdb_shard_route_waits_total"
+            "Routes that waited out an in-progress prefix migration.",
+        /// Prefix migrations completed.
+        shard_migrations: counter "hostdb_shard_migrations_total" "Prefix migrations completed.",
+        /// Link rows moved between shards by migrations.
+        shard_migrated_rows: counter "hostdb_shard_migrated_rows_total"
+            "Link rows moved between shards by migrations.",
+        /// Phase-2 commit transport failures survived: the commit decision was
+        /// already durable, so the error is absorbed (the resolver re-drives
+        /// phase 2) instead of surfacing a false abort to the application.
+        phase2_transport_errors: counter "hostdb_phase2_transport_errors_total"
+            "Phase-2 transport failures absorbed after a durable commit decision.",
+        /// Resolver calls that failed (an unreachable server, a refused or
+        /// lost decision); resolution continued past each (liveness fix).
+        resolver_partial_failures: counter "hostdb_resolver_partial_failures_total"
+            "Resolver calls that failed (the pass continued past them).",
+        /// Transaction autopsy bundles written (slow or aborted transactions).
+        autopsies: counter "hostdb_autopsies_total"
+            "Transaction autopsy bundles written (slow or aborted transactions).",
+        /// Telemetry scrapes of attached DLFMs that failed (server down or
+        /// mid-restart); fleet views render such shards as absent/DOWN.
+        telemetry_scrape_errors: counter "hostdb_telemetry_scrape_errors_total"
+            "Failed telemetry scrapes of attached DLFMs (shard down).",
+    } beside {
+        /// Access-token cache: hits, misses, entries dropped by cause.
+        pub token_cache: Arc<crate::tokens::TokenCacheMetrics>,
+    }
 }
 
 /// The two `sys_datalinks` statements behind every linked-row write,

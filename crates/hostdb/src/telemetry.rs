@@ -17,91 +17,8 @@ impl HostDb {
     /// coordinator log (forces vs decisions, group-commit batch sizes), and
     /// the host-local storage engine's commit path.
     pub fn metrics_text(&self) -> String {
-        let m = &self.inner.metrics;
-        let db = &self.inner.db;
-        let coord = &self.inner.coord_log;
         let mut r = obs::Registry::new();
-        for (name, help, value) in [
-            ("hostdb_commits_total", "Committed host transactions.", &m.commits),
-            ("hostdb_rollbacks_total", "Rolled-back host transactions.", &m.rollbacks),
-            ("hostdb_twopc_commits_total", "Two-phase commits.", &m.twopc_commits),
-            ("hostdb_prepare_failures_total", "Prepare-phase failures.", &m.prepare_failures),
-            ("hostdb_links_total", "LinkFile requests issued.", &m.links),
-            ("hostdb_unlinks_total", "UnlinkFile requests issued.", &m.unlinks),
-            (
-                "hostdb_dl_rounds_total",
-                "Statement rounds: one batch of link/unlink operations per shard.",
-                &m.dl_rounds,
-            ),
-            (
-                "hostdb_unsolicited_votes_total",
-                "Transactions whose phase 1 rode on their autocommit statement's round.",
-                &m.unsolicited_votes,
-            ),
-            (
-                "hostdb_indoubts_resolved_total",
-                "Indoubt transactions whose resolution the participant acknowledged.",
-                &m.indoubts_resolved,
-            ),
-            (
-                "hostdb_rpc_errors_total",
-                "RPC failures on commit/abort/backout/indoubt paths (possible partial-commit anomalies).",
-                &m.host_rpc_errors,
-            ),
-            (
-                "hostdb_conn_pool_hits_total",
-                "DLFM connection checkouts served from the idle pool.",
-                &m.conn_pool_hits,
-            ),
-            (
-                "hostdb_conn_pool_misses_total",
-                "DLFM connection checkouts that opened a fresh connection.",
-                &m.conn_pool_misses,
-            ),
-            (
-                "hostdb_conn_retired_total",
-                "DLFM connections retired instead of pooled (error or pool full).",
-                &m.conn_retired,
-            ),
-            (
-                "hostdb_shard_routes_total",
-                "Datalink operations routed through the shard map.",
-                &m.shard_routes,
-            ),
-            (
-                "hostdb_shard_route_waits_total",
-                "Routes that waited out an in-progress prefix migration.",
-                &m.shard_route_waits,
-            ),
-            ("hostdb_shard_migrations_total", "Prefix migrations completed.", &m.shard_migrations),
-            (
-                "hostdb_shard_migrated_rows_total",
-                "Link rows moved between shards by migrations.",
-                &m.shard_migrated_rows,
-            ),
-            (
-                "hostdb_phase2_transport_errors_total",
-                "Phase-2 transport failures absorbed after a durable commit decision.",
-                &m.phase2_transport_errors,
-            ),
-            (
-                "hostdb_resolver_partial_failures_total",
-                "Resolver calls that failed (the pass continued past them).",
-                &m.resolver_partial_failures,
-            ),
-            (
-                "hostdb_autopsies_total",
-                "Transaction autopsy bundles written (slow or aborted transactions).",
-                &m.autopsies,
-            ),
-            (
-                "hostdb_telemetry_scrape_errors_total",
-                "Failed telemetry scrapes of attached DLFMs (shard down).",
-                &m.telemetry_scrape_errors,
-            ),
-        ] {
-            r.counter(name, help, &[], value.load(Ordering::Relaxed));
-        }
+        self.inner.metrics.render(&mut r);
         r.gauge(
             "hostdb_conn_pool_idle",
             "Idle DLFM connections available for reuse.",
@@ -121,35 +38,16 @@ impl HostDb {
             self.inner.shards.shards().len() as i64,
         );
         self.inner.tokens.render_metrics(&mut r);
-        r.counter(
-            "coordlog_forces_total",
-            "Coordinator-log forces (one per leader).",
-            &[],
-            coord.forces_total(),
-        );
-        r.counter(
-            "coordlog_commit_decisions_total",
-            "Commit-decision records appended.",
-            &[],
-            coord.decisions_total(),
-        );
-        r.histogram(
-            "coordlog_force_batch_decisions",
-            "Commit decisions made durable per coordinator-log force.",
-            &[],
-            coord.batch_hist(),
-        );
+        self.inner.coord_log.render_metrics(&mut r);
         // The host-local storage engine renders the full minidb family
         // (the same block DLFM's local database exports).
-        db.render_metrics(&mut r);
+        self.inner.db.render_metrics(&mut r);
         // Socket-backed DLFM connectors export the rpc_wire_* family (the
         // reconnect-storm watch rule reads it from this provider).
         for connector in self.inner.dlfms.read().values() {
             connector.render_metrics(&mut r);
         }
-        obs::render_recorder_metrics(&mut r);
-        obs::render_process_metrics(&mut r);
-        obs::render_watch_metrics(&mut r);
+        obs::render_metrics(&mut r);
         r.render()
     }
 

@@ -82,14 +82,18 @@ impl Invalidation {
     ];
 }
 
-/// Counters of the access-token cache (part of [`crate::HostMetrics`]).
-#[derive(Debug, Default)]
-pub struct TokenCacheMetrics {
-    /// `read_token` calls answered from the cache (no RPC).
-    pub hits: AtomicU64,
-    /// `read_token` calls that went to the DLFM.
-    pub misses: AtomicU64,
-    dropped: [AtomicU64; Invalidation::ALL.len()],
+obs::counters! {
+    /// Counters of the access-token cache (part of [`crate::HostMetrics`]).
+    pub struct TokenCacheMetrics {
+        /// `read_token` calls answered from the cache (no RPC).
+        hits: counter "hostdb_token_cache_hits_total"
+            "read_token calls answered from the host's access-token cache (no RPC).",
+        /// `read_token` calls that went to the DLFM.
+        misses: counter "hostdb_token_cache_misses_total"
+            "read_token calls that asked the DLFM (IssueToken).",
+    } beside {
+        dropped: [AtomicU64; Invalidation::ALL.len()],
+    }
 }
 
 impl TokenCacheMetrics {
@@ -209,18 +213,7 @@ impl TokenCache {
     /// The `hostdb_token_cache_*` family.
     pub(crate) fn render_metrics(&self, r: &mut obs::Registry) {
         let m = &self.metrics;
-        r.counter(
-            "hostdb_token_cache_hits_total",
-            "read_token calls answered from the host's access-token cache (no RPC).",
-            &[],
-            m.hits.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "hostdb_token_cache_misses_total",
-            "read_token calls that asked the DLFM (IssueToken).",
-            &[],
-            m.misses.load(Ordering::Relaxed),
-        );
+        m.render(r);
         for (cause, label) in Invalidation::ALL {
             r.counter(
                 "hostdb_token_cache_invalidations_total",

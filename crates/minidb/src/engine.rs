@@ -1730,22 +1730,7 @@ impl Database {
     /// host database, raw benchmark databases) renders this one block so
     /// scrapers see the same family everywhere.
     pub fn render_metrics(&self, r: &mut obs::Registry) {
-        let lm = self.lock_metrics().snapshot();
-        for (kind, value) in [
-            ("immediate_grants", lm.immediate_grants),
-            ("waits", lm.waits),
-            ("deadlocks", lm.deadlocks),
-            ("timeouts", lm.timeouts),
-            ("escalations", lm.escalations),
-            ("acquisitions", lm.acquisitions),
-        ] {
-            r.counter(
-                "minidb_lock_events_total",
-                "Lock-manager events by kind (paper section 4).",
-                &[("kind", kind)],
-                value,
-            );
-        }
+        self.lock_metrics().render(r);
         r.histogram(
             "minidb_lock_wait_micros",
             "Time spent blocked in the lock manager before grant, timeout, or deadlock abort.",

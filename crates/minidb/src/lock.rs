@@ -165,64 +165,34 @@ impl fmt::Display for Res {
     }
 }
 
-/// Counters exported for the benchmark harness; all monotonically increasing.
-#[derive(Debug, Default)]
-pub struct LockMetrics {
-    /// Lock requests granted immediately.
-    pub immediate_grants: AtomicU64,
-    /// Lock requests that had to wait at least once.
-    pub waits: AtomicU64,
-    /// Requests rolled back as deadlock victims.
-    pub deadlocks: AtomicU64,
-    /// Requests rolled back by lock timeout.
-    pub timeouts: AtomicU64,
-    /// Row→table lock escalations performed.
-    pub escalations: AtomicU64,
-    /// Total lock acquisitions (grants of any kind).
-    pub acquisitions: AtomicU64,
+obs::counters! {
+    /// Counters exported for the benchmark harness; all monotonically
+    /// increasing.
+    pub struct LockMetrics => LockMetricsSnapshot {
+        /// Lock requests granted immediately.
+        immediate_grants: counter "minidb_lock_events_total" {kind = "immediate_grants"}
+            "Lock-manager events by kind (paper section 4).",
+        /// Lock requests that had to wait at least once.
+        waits: counter "minidb_lock_events_total" {kind = "waits"}
+            "Lock-manager events by kind (paper section 4).",
+        /// Requests rolled back as deadlock victims.
+        deadlocks: counter "minidb_lock_events_total" {kind = "deadlocks"}
+            "Lock-manager events by kind (paper section 4).",
+        /// Requests rolled back by lock timeout.
+        timeouts: counter "minidb_lock_events_total" {kind = "timeouts"}
+            "Lock-manager events by kind (paper section 4).",
+        /// Row→table lock escalations performed.
+        escalations: counter "minidb_lock_events_total" {kind = "escalations"}
+            "Lock-manager events by kind (paper section 4).",
+        /// Total lock acquisitions (grants of any kind).
+        acquisitions: counter "minidb_lock_events_total" {kind = "acquisitions"}
+            "Lock-manager events by kind (paper section 4).",
+    }
 }
 
 impl LockMetrics {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, AtomicOrdering::Relaxed);
-    }
-
-    /// Snapshot all counters as plain integers.
-    pub fn snapshot(&self) -> LockMetricsSnapshot {
-        LockMetricsSnapshot {
-            immediate_grants: self.immediate_grants.load(AtomicOrdering::Relaxed),
-            waits: self.waits.load(AtomicOrdering::Relaxed),
-            deadlocks: self.deadlocks.load(AtomicOrdering::Relaxed),
-            timeouts: self.timeouts.load(AtomicOrdering::Relaxed),
-            escalations: self.escalations.load(AtomicOrdering::Relaxed),
-            acquisitions: self.acquisitions.load(AtomicOrdering::Relaxed),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`LockMetrics`].
-#[allow(missing_docs)] // field names mirror LockMetrics docs
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LockMetricsSnapshot {
-    pub immediate_grants: u64,
-    pub waits: u64,
-    pub deadlocks: u64,
-    pub timeouts: u64,
-    pub escalations: u64,
-    pub acquisitions: u64,
-}
-
-impl LockMetricsSnapshot {
-    /// Component-wise difference (self - earlier).
-    pub fn delta(&self, earlier: &LockMetricsSnapshot) -> LockMetricsSnapshot {
-        LockMetricsSnapshot {
-            immediate_grants: self.immediate_grants - earlier.immediate_grants,
-            waits: self.waits - earlier.waits,
-            deadlocks: self.deadlocks - earlier.deadlocks,
-            timeouts: self.timeouts - earlier.timeouts,
-            escalations: self.escalations - earlier.escalations,
-            acquisitions: self.acquisitions - earlier.acquisitions,
-        }
     }
 }
 

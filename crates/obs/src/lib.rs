@@ -55,10 +55,7 @@ pub use trace::{
     current_ctx, drain_spans, set_current_ctx, span, span_root, Layer, Outcome, SpanEvent,
     SpanGuard, TraceCtx,
 };
-pub use watch::{
-    render_process_metrics, render_recorder_metrics, render_watch_metrics, Cmp, Rule, RuleKind,
-    WatchConfig, Watchdog, WatchdogHandle,
-};
+pub use watch::{render_metrics, Cmp, Rule, RuleKind, WatchConfig, Watchdog, WatchdogHandle};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -127,6 +127,137 @@ pub fn parse_samples(text: &str) -> Vec<Sample> {
     text.lines().filter_map(parse_line).collect()
 }
 
+/// Declare a table of metrics once; the struct that holds them, their
+/// read accessors, a plain-value snapshot with `delta`, and their
+/// Prometheus rendering are generated from it, so no copy can disagree.
+///
+/// Each entry is a field: its doc comment, name, kind, Prometheus family,
+/// optional fixed labels and help text. The kinds are
+///
+/// * `counter` — an `AtomicU64`, read as `u64`, rendered as a counter;
+/// * `gauge` — an `AtomicI64` cell, read as `i64`, rendered as a gauge;
+/// * `histogram` — a [`Histogram`], read as `&Histogram`.
+///
+/// Several fields may share a family under different labels (each field
+/// then repeats the family's help text). `struct Name => NameSnapshot`
+/// also generates the snapshot (every field, which must then be a counter
+/// or a gauge) with `snapshot()` and `delta()`: counters subtract, gauges
+/// keep their later level. Members that are no metric, such as a nested
+/// table, follow in a `beside { .. }` block. Every member is `Debug` and
+/// `Default`. Atomics are `Relaxed`: each is a bare statistic that
+/// publishes no other data.
+///
+/// ```
+/// use std::sync::atomic::Ordering::Relaxed;
+///
+/// obs::counters! {
+///     /// A toy server's requests.
+///     pub struct Served => ServedSnapshot {
+///         /// Requests answered.
+///         ok: counter "toy_requests_total" {outcome = "ok"} "Requests by outcome.",
+///         /// Requests refused.
+///         refused: counter "toy_requests_total" {outcome = "refused"} "Requests by outcome.",
+///         /// Requests being served right now.
+///         busy: gauge "toy_busy" "Requests being served.",
+///     } beside {
+///         /// Not a metric.
+///         pub name: String,
+///     }
+/// }
+/// let s = Served::default();
+/// s.ok.fetch_add(2, Relaxed);
+/// let before = s.snapshot();
+/// s.ok.fetch_add(1, Relaxed);
+/// assert_eq!((s.ok(), s.snapshot().delta(&before).ok), (3, 1));
+/// let mut r = obs::Registry::new();
+/// s.render(&mut r);
+/// assert!(r.render().contains("toy_requests_total{outcome=\"ok\"} 3\n"));
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (@cell counter) => { ::std::sync::atomic::AtomicU64 };
+    (@cell gauge) => { ::std::sync::atomic::AtomicI64 };
+    (@cell histogram) => { $crate::Histogram };
+    (@value counter) => { u64 };
+    (@value gauge) => { i64 };
+    (@read_ty histogram) => { &$crate::Histogram };
+    (@read_ty $kind:ident) => { $crate::counters!(@value $kind) };
+    (@read histogram, $cell:expr) => { &$cell };
+    (@read $kind:ident, $cell:expr) => { $cell.load(::std::sync::atomic::Ordering::Relaxed) };
+    (@delta counter, $later:expr, $earlier:expr) => { $later - $earlier };
+    (@delta gauge, $later:expr, $earlier:expr) => { $later };
+    (@render $kind:ident, $r:ident, $family:literal, $help:literal, $labels:expr, $value:expr) => {
+        $r.$kind($family, $help, $labels, $value)
+    };
+
+    (@struct [$(#[$meta:meta])* $vis:vis $name:ident] {
+        $(
+            $(#[$fmeta:meta])*
+            $field:ident : $kind:ident $family:literal $({ $($lk:ident = $lv:literal),* })? $help:literal
+        ),* $(,)?
+    } $(beside { $($(#[$xmeta:meta])* $xvis:vis $xname:ident : $xty:ty),* $(,)? })?) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $($(#[$fmeta])* pub $field: $crate::counters!(@cell $kind),)*
+            $($($(#[$xmeta])* $xvis $xname: $xty,)*)?
+        }
+
+        impl $name {
+            $(
+                $(#[$fmeta])*
+                pub fn $field(&self) -> $crate::counters!(@read_ty $kind) {
+                    $crate::counters!(@read $kind, self.$field)
+                }
+            )*
+
+            /// Render every metric of this table into `r`.
+            pub fn render(&self, r: &mut $crate::Registry) {
+                $(
+                    $crate::counters!(@render $kind, r, $family, $help,
+                        &[$($((stringify!($lk), $lv)),*)?], self.$field());
+                )*
+            }
+        }
+    };
+
+    (@snapshot [$vis:vis $name:ident $snap:ident] {
+        $(
+            $(#[$fmeta:meta])*
+            $field:ident : $kind:ident $family:literal $({ $($lk:ident = $lv:literal),* })? $help:literal
+        ),* $(,)?
+    }) => {
+        #[doc = concat!("Plain-value snapshot of [`", stringify!($name), "`].")]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $snap {
+            $($(#[$fmeta])* pub $field: $crate::counters!(@value $kind),)*
+        }
+
+        impl $name {
+            /// Read every metric.
+            pub fn snapshot(&self) -> $snap {
+                $snap { $($field: self.$field(),)* }
+            }
+        }
+
+        impl $snap {
+            /// What happened since `earlier`: counters subtract, gauges
+            /// keep their later level.
+            pub fn delta(&self, earlier: &$snap) -> $snap {
+                $snap { $($field: $crate::counters!(@delta $kind, self.$field, earlier.$field),)* }
+            }
+        }
+    };
+
+    ($(#[$meta:meta])* $vis:vis struct $name:ident => $snap:ident { $($table:tt)* } $($beside:tt)*) => {
+        $crate::counters!(@struct [$(#[$meta])* $vis $name] { $($table)* } $($beside)*);
+        $crate::counters!(@snapshot [$vis $name $snap] { $($table)* });
+    };
+    ($(#[$meta:meta])* $vis:vis struct $name:ident { $($table:tt)* } $($beside:tt)*) => {
+        $crate::counters!(@struct [$(#[$meta])* $vis $name] { $($table)* } $($beside)*);
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,13 +25,13 @@
 //! status sections are plain `Fn() -> String` closures, and rules address
 //! metrics by their exposition name (optionally qualified by provider, as
 //! `provider:name{labels}`). Process self-metrics (RSS, thread count,
-//! uptime) are exported by [`render_process_metrics`] so rules can catch
-//! memory growth.
+//! uptime) are exported by [`render_metrics`] so rules can catch memory
+//! growth.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LazyLock, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,50 +41,29 @@ use crate::warn;
 // ---------------------------------------------------------------------------
 // Global counters (rendered into every layer's metrics_text).
 
-static ALERTS_TOTAL: AtomicU64 = AtomicU64::new(0);
-static SAMPLES_TOTAL: AtomicU64 = AtomicU64::new(0);
-static BUNDLES_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Health-rule alerts fired by any watchdog in this process.
-pub fn alerts_total() -> u64 {
-    ALERTS_TOTAL.load(Ordering::Relaxed)
+crate::counters! {
+    /// What every watchdog in this process has done.
+    struct WatchTotals {
+        /// Health-rule alerts fired.
+        alerts: counter "obs_watch_alerts_total"
+            "Health-rule alerts fired by the telemetry watchdog.",
+        /// Samples taken.
+        samples: counter "obs_watch_samples_total"
+            "Metrics samples taken by the telemetry watchdog.",
+        /// Incident bundles written.
+        bundles: counter "obs_watch_bundles_total"
+            "Incident bundles written by the telemetry watchdog.",
+    }
 }
 
-/// Samples taken by any watchdog in this process.
-pub fn samples_total() -> u64 {
-    SAMPLES_TOTAL.load(Ordering::Relaxed)
-}
+static WATCH: LazyLock<WatchTotals> = LazyLock::new(WatchTotals::default);
 
-/// Incident bundles written by any watchdog in this process.
-pub fn bundles_total() -> u64 {
-    BUNDLES_TOTAL.load(Ordering::Relaxed)
-}
-
-/// Render the process-wide watchdog counters into a registry.
-pub fn render_watch_metrics(r: &mut Registry) {
-    r.counter(
-        "obs_watch_alerts_total",
-        "Health-rule alerts fired by the telemetry watchdog.",
-        &[],
-        alerts_total(),
-    );
-    r.counter(
-        "obs_watch_samples_total",
-        "Metrics samples taken by the telemetry watchdog.",
-        &[],
-        samples_total(),
-    );
-    r.counter(
-        "obs_watch_bundles_total",
-        "Incident bundles written by the telemetry watchdog.",
-        &[],
-        bundles_total(),
-    );
-}
-
-/// Render the flight recorder's health into a registry: spans lost to
-/// the trace ring, and journal events recorded and lost.
-pub fn render_recorder_metrics(r: &mut Registry) {
+/// Render the observability substrate's own families into a registry:
+/// spans lost to the trace ring, journal events recorded and lost, the
+/// process-wide watchdog counters, and process self-metrics (RSS, thread
+/// count, uptime — measured from the first use of the shared
+/// observability clock, effectively process start).
+pub fn render_metrics(r: &mut Registry) {
     r.counter(
         "obs_spans_dropped_total",
         "Span events overwritten in the trace ring before being read.",
@@ -103,6 +82,26 @@ pub fn render_recorder_metrics(r: &mut Registry) {
         &[],
         crate::journal::dropped(),
     );
+    let p = proc_self();
+    r.gauge(
+        "process_resident_memory_bytes",
+        "Resident set size from /proc/self/status (0 when unavailable).",
+        &[],
+        p.rss_bytes as i64,
+    );
+    r.gauge(
+        "process_threads",
+        "Thread count from /proc/self/status (0 when unavailable).",
+        &[],
+        p.threads as i64,
+    );
+    r.gauge(
+        "process_uptime_seconds",
+        "Seconds since the observability clock epoch (process start).",
+        &[],
+        (crate::journal::now_micros() / 1_000_000) as i64,
+    );
+    WATCH.render(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -138,32 +137,6 @@ pub fn proc_self() -> ProcSelf {
         }
     }
     out
-}
-
-/// Render process self-metrics (RSS, thread count, uptime) into a
-/// registry. Uptime is measured from the first use of the shared
-/// observability clock (effectively process start in any instrumented
-/// program).
-pub fn render_process_metrics(r: &mut Registry) {
-    let p = proc_self();
-    r.gauge(
-        "process_resident_memory_bytes",
-        "Resident set size from /proc/self/status (0 when unavailable).",
-        &[],
-        p.rss_bytes as i64,
-    );
-    r.gauge(
-        "process_threads",
-        "Thread count from /proc/self/status (0 when unavailable).",
-        &[],
-        p.threads as i64,
-    );
-    r.gauge(
-        "process_uptime_seconds",
-        "Seconds since the observability clock epoch (process start).",
-        &[],
-        (crate::journal::now_micros() / 1_000_000) as i64,
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -836,11 +809,11 @@ fn sample_once(inner: &Inner) {
         (alerts, window)
     };
     inner.samples.fetch_add(1, Ordering::Relaxed);
-    SAMPLES_TOTAL.fetch_add(1, Ordering::Relaxed);
+    WATCH.samples.fetch_add(1, Ordering::Relaxed);
 
     for alert in alerts {
         inner.alerts.fetch_add(1, Ordering::Relaxed);
-        ALERTS_TOTAL.fetch_add(1, Ordering::Relaxed);
+        WATCH.alerts.fetch_add(1, Ordering::Relaxed);
         warn!("obs::watch", "health alert [{}]: {}", alert.rule, alert.detail);
         let detail = alert.detail.clone();
         let rule = alert.rule.clone();
@@ -1062,7 +1035,7 @@ fn write_bundle(inner: &Inner, alert: &Alert, window: &[TimePoint]) {
         state.bundles_written += 1;
         state.last_bundle = Some(Instant::now());
     }
-    let seq = BUNDLES_TOTAL.fetch_add(1, Ordering::Relaxed);
+    let seq = WATCH.bundles.fetch_add(1, Ordering::Relaxed);
     let dir = root.join(format!("incident-{seq:04}-{}", sanitize(&alert.rule)));
     if let Err(e) = std::fs::create_dir_all(&dir) {
         warn!("obs::watch", "cannot create incident bundle dir {}: {e}", dir.display());
@@ -1419,8 +1392,7 @@ mod tests {
     #[test]
     fn process_metrics_render_and_parse() {
         let mut r = Registry::new();
-        render_process_metrics(&mut r);
-        render_watch_metrics(&mut r);
+        render_metrics(&mut r);
         let text = r.render();
         for name in [
             "process_resident_memory_bytes",

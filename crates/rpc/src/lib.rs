@@ -225,96 +225,48 @@ impl Envelope {
     }
 }
 
-/// Fabric-wide instrumentation, shared by the connector and every
-/// connection created through it. Makes the paper's §4
-/// backpressure directly visible: a synchronous commit keeps the child
-/// agent busy, so the next sender blocks *on message send* — that is the
-/// `send_blocked` gauge.
-#[derive(Debug, Default)]
-pub struct RpcStats {
-    /// Synchronous calls started and not yet answered (gauge).
-    pub in_flight: AtomicI64,
-    /// Senders currently blocked in a rendezvous send waiting for the
-    /// agent to issue its receive (gauge).
-    pub send_blocked: AtomicI64,
-    /// Synchronous calls issued (counter).
-    pub calls: AtomicU64,
-    /// Fire-and-forget posts issued (counter).
-    pub posts: AtomicU64,
-}
-
-impl RpcStats {
-    /// Current in-flight synchronous calls.
-    pub fn in_flight(&self) -> i64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Senders currently blocked on a rendezvous send.
-    pub fn send_blocked(&self) -> i64 {
-        self.send_blocked.load(Ordering::Relaxed)
-    }
-
-    /// Total synchronous calls issued.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Total posts issued.
-    pub fn posts(&self) -> u64 {
-        self.posts.load(Ordering::Relaxed)
+obs::counters! {
+    /// Fabric-wide instrumentation, shared by the connector and every
+    /// connection created through it. Makes the paper's §4
+    /// backpressure directly visible: a synchronous commit keeps the child
+    /// agent busy, so the next sender blocks *on message send* — that is the
+    /// `send_blocked` gauge.
+    pub struct RpcStats => RpcStatsSnapshot {
+        /// Synchronous calls started and not yet answered.
+        in_flight: gauge "rpc_in_flight" "RPC calls currently awaiting a reply.",
+        /// Senders currently blocked in a rendezvous send waiting for the
+        /// agent to issue its receive.
+        send_blocked: gauge "rpc_send_blocked"
+            "Senders currently blocked on the rendezvous channel (paper section 4).",
+        /// Synchronous calls issued.
+        calls: counter "rpc_calls_total" "Round-trip RPC calls issued.",
+        /// Fire-and-forget posts issued.
+        posts: counter "rpc_posts_total" "One-way RPC posts issued.",
     }
 }
 
-/// Instrumentation of one local fabric's agents under either setting:
-/// admission and occupancy, shared by the connector, every client
-/// connection, and the agent threads.
-#[derive(Debug, Default)]
-pub struct PoolStats {
-    /// Agent threads running (gauge): the pool's workers, or one per open
-    /// session under [`AgentModel::Dedicated`].
-    pub workers: AtomicU64,
-    /// Agents currently executing a request (gauge).
-    pub busy: AtomicI64,
-    /// Requests rejected by admission control (counter; pooled only).
-    pub rejects: AtomicU64,
-    /// Requests an agent picked up and served (counter).
-    pub served: AtomicU64,
-    /// Session hangups processed (counter).
-    pub hangups: AtomicU64,
-    /// Requests whose payload did not decode, answered `status::DECODE`
-    /// without reaching the handler (counter).
-    pub decode_errors: AtomicU64,
-}
-
-impl PoolStats {
-    /// Agent threads running.
-    pub fn workers(&self) -> u64 {
-        self.workers.load(Ordering::Relaxed)
-    }
-
-    /// Agents currently executing a request.
-    pub fn busy(&self) -> i64 {
-        self.busy.load(Ordering::Relaxed)
-    }
-
-    /// Requests rejected at admission.
-    pub fn rejects(&self) -> u64 {
-        self.rejects.load(Ordering::Relaxed)
-    }
-
-    /// Requests served by the agents.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Hangups processed.
-    pub fn hangups(&self) -> u64 {
-        self.hangups.load(Ordering::Relaxed)
-    }
-
-    /// Requests that failed to decode.
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
+obs::counters! {
+    /// Instrumentation of one local fabric's agents under either setting:
+    /// admission and occupancy, shared by the connector, every client
+    /// connection, and the agent threads.
+    pub struct PoolStats => PoolStatsSnapshot {
+        /// Agent threads running: the pool's workers, or one per open
+        /// session under [`AgentModel::Dedicated`].
+        workers: gauge "dlfm_pool_workers"
+            "Agent threads running: the pool's workers, or one per open connection (dedicated).",
+        /// Agents currently executing a request.
+        busy: gauge "dlfm_pool_busy" "Agents currently executing a request.",
+        /// Requests rejected by admission control (pooled only).
+        rejects: counter "dlfm_pool_rejects_total"
+            "Requests rejected by admission control (run queue stayed full).",
+        /// Requests an agent picked up and served.
+        served: counter "dlfm_pool_served_total" "Requests served by agents.",
+        /// Session hangups processed.
+        hangups: counter "dlfm_pool_hangups_total" "Session hangups processed by agents.",
+        /// Requests whose payload did not decode, answered `status::DECODE`
+        /// without reaching the handler.
+        decode_errors: counter "dlfm_pool_decode_errors_total"
+            "Requests whose payload did not decode, answered without reaching a handler.",
     }
 }
 
@@ -905,16 +857,7 @@ impl<Req: Wire, Resp: Wire> Connector<Req, Resp> {
     /// backlog; a remote connector adds its `rpc_wire_*` family. Servers
     /// layer their own agent gauges on top.
     pub fn render_metrics(&self, r: &mut obs::Registry) {
-        let stats = self.stats();
-        r.counter("rpc_calls_total", "Round-trip RPC calls issued.", &[], stats.calls());
-        r.counter("rpc_posts_total", "One-way RPC posts issued.", &[], stats.posts());
-        r.gauge("rpc_in_flight", "RPC calls currently awaiting a reply.", &[], stats.in_flight());
-        r.gauge(
-            "rpc_send_blocked",
-            "Senders currently blocked on the rendezvous channel (paper section 4).",
-            &[],
-            stats.send_blocked(),
-        );
+        self.stats().render(r);
         r.gauge(
             "rpc_accept_backlog",
             "Work no agent has picked up: sessions awaiting their agent (dedicated) or queued requests (pooled).",

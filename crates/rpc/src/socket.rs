@@ -226,94 +226,38 @@ impl Write for WireSocket {
 // Wire instrumentation
 // ---------------------------------------------------------------------
 
-/// Byte- and frame-level instrumentation of one wire endpoint (a client
-/// connector or a server bridge).
-#[derive(Debug, Default)]
-pub struct WireStats {
-    /// Bytes written to the socket (counter).
-    pub bytes_tx: AtomicU64,
-    /// Bytes read off the socket (counter).
-    pub bytes_rx: AtomicU64,
-    /// Frames written (counter).
-    pub frames_tx: AtomicU64,
-    /// Frames read (counter).
-    pub frames_rx: AtomicU64,
-    /// Times a dead connection was redialed (counter; client side).
-    pub reconnects: AtomicU64,
-    /// Frames that failed their checksum or did not frame (counter).
-    pub decode_errors: AtomicU64,
-    /// Frames rejected because the peer speaks a different wire version.
-    pub version_mismatches: AtomicU64,
-    /// Session hangups delivered over the wire (counter; server side).
-    pub hangups: AtomicU64,
+obs::counters! {
+    /// Byte- and frame-level instrumentation of one wire endpoint (a client
+    /// connector or a server bridge).
+    pub struct WireStats => WireStatsSnapshot {
+        /// Bytes written to the socket.
+        bytes_tx: counter "rpc_wire_bytes_tx_total" "Bytes written to wire transport sockets.",
+        /// Bytes read off the socket.
+        bytes_rx: counter "rpc_wire_bytes_rx_total" "Bytes read from wire transport sockets.",
+        /// Frames written.
+        frames_tx: counter "rpc_wire_frames_total" {dir = "tx"}
+            "Frames crossing the wire transport, by direction.",
+        /// Frames read.
+        frames_rx: counter "rpc_wire_frames_total" {dir = "rx"}
+            "Frames crossing the wire transport, by direction.",
+        /// Times a dead connection was redialed (client side).
+        reconnects: counter "rpc_wire_reconnects_total"
+            "Wire connections redialed after a disconnect.",
+        /// Frames that failed their checksum or did not frame.
+        decode_errors: counter "rpc_wire_decode_errors_total"
+            "Frames rejected by checksum or framing.",
+        /// Frames rejected because the peer speaks a different wire version.
+        version_mismatches: counter "rpc_wire_version_mismatch_total"
+            "Frames rejected because the peer speaks a different wire version.",
+        /// Session hangups delivered over the wire (server side).
+        hangups: counter "rpc_wire_hangups_total" "Session hangups delivered over the wire.",
+    }
 }
 
 impl WireStats {
     fn frame_rx(&self, frame: &Frame) {
         self.bytes_rx.fetch_add((4 + HEADER_TAIL + frame.payload.len()) as u64, Ordering::Relaxed);
         self.frames_rx.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Times a dead connection was redialed.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
-    }
-
-    /// Frames that failed their checksum or did not frame.
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
-    }
-
-    /// Render the `rpc_wire_*` metric family into a registry.
-    pub fn render(&self, r: &mut obs::Registry) {
-        r.counter(
-            "rpc_wire_bytes_tx_total",
-            "Bytes written to wire transport sockets.",
-            &[],
-            self.bytes_tx.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "rpc_wire_bytes_rx_total",
-            "Bytes read from wire transport sockets.",
-            &[],
-            self.bytes_rx.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "rpc_wire_frames_total",
-            "Frames crossing the wire transport, by direction.",
-            &[("dir", "tx")],
-            self.frames_tx.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "rpc_wire_frames_total",
-            "Frames crossing the wire transport, by direction.",
-            &[("dir", "rx")],
-            self.frames_rx.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "rpc_wire_reconnects_total",
-            "Wire connections redialed after a disconnect.",
-            &[],
-            self.reconnects.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "rpc_wire_decode_errors_total",
-            "Frames rejected by checksum or framing.",
-            &[],
-            self.decode_errors.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "rpc_wire_version_mismatch_total",
-            "Frames rejected because the peer speaks a different wire version.",
-            &[],
-            self.version_mismatches.load(Ordering::Relaxed),
-        );
-        r.counter(
-            "rpc_wire_hangups_total",
-            "Session hangups delivered over the wire.",
-            &[],
-            self.hangups.load(Ordering::Relaxed),
-        );
     }
 }
 
