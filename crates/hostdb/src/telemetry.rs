@@ -42,10 +42,12 @@ impl HostDb {
         // The host-local storage engine renders the full minidb family
         // (the same block DLFM's local database exports).
         self.inner.db.render_metrics(&mut r);
-        // Socket-backed DLFM connectors export the rpc_wire_* family (the
-        // reconnect-storm watch rule reads it from this provider).
-        for connector in self.inner.dlfms.read().values() {
-            connector.render_metrics(&mut r);
+        // One rpc_* block per attached DLFM, labelled with its name so no
+        // two repeat a series. Socket-backed connectors add the rpc_wire_*
+        // family (the reconnect-storm watch rule reads it from this
+        // provider, every shard's series alike).
+        for (server, connector) in self.inner.dlfms.read().iter() {
+            r.scoped(&[("server", server)], |r| connector.render_metrics(r));
         }
         obs::render_metrics(&mut r);
         r.render()

@@ -99,3 +99,14 @@ fn host_and_dlfm_expose_their_golden_families() {
         "dlfm.txt",
     );
 }
+#[test]
+fn a_host_with_two_shards_renders_each_series_once() {
+    let a = socket_dlfm("dup-a");
+    let b = socket_dlfm("dup-b");
+    let host = host_with(&[("fs1", &a), ("fs2", &b)]);
+    let text = host.metrics_text();
+    let mut seen = HashSet::new();
+    let repeated: Vec<String> =
+        sample_keys(&text).into_iter().filter(|k| !seen.insert(k.clone())).collect();
+    assert!(repeated.is_empty(), "series rendered more than once: {repeated:#?}");
+}

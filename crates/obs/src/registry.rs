@@ -21,21 +21,35 @@ pub const LE_BOUNDS: [u64; 8] =
 pub struct Registry {
     buf: String,
     seen: HashSet<String>,
-}
-
-fn fmt_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let inner: Vec<String> =
-        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", v.replace('"', "'"))).collect();
-    format!("{{{}}}", inner.join(","))
+    /// Labels every sample carries ahead of its own (see [`Registry::scoped`]).
+    scope: Vec<(String, String)>,
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
         Registry::default()
+    }
+
+    /// Render what `f` adds with `labels` ahead of each sample's own: one
+    /// block per attached server, say, so no two blocks repeat a series.
+    pub fn scoped(&mut self, labels: &[(&str, &str)], f: impl FnOnce(&mut Registry)) {
+        let outer = self.scope.len();
+        self.scope.extend(labels.iter().map(|(k, v)| (k.to_string(), v.to_string())));
+        f(self);
+        self.scope.truncate(outer);
+    }
+
+    fn fmt_labels(&self, labels: &[(&str, &str)]) -> String {
+        let scope = self.scope.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let inner: Vec<String> = scope
+            .chain(labels.iter().copied())
+            .map(|(k, v)| format!("{k}=\"{}\"", v.replace('"', "'")))
+            .collect();
+        if inner.is_empty() {
+            return String::new();
+        }
+        format!("{{{}}}", inner.join(","))
     }
 
     fn header(&mut self, name: &str, help: &str, kind: &str) {
@@ -48,13 +62,15 @@ impl Registry {
     /// Add a monotonic counter sample.
     pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
         self.header(name, help, "counter");
-        let _ = writeln!(self.buf, "{name}{} {value}", fmt_labels(labels));
+        let labels = self.fmt_labels(labels);
+        let _ = writeln!(self.buf, "{name}{labels} {value}");
     }
 
     /// Add a gauge sample (a value that can go up and down).
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: i64) {
         self.header(name, help, "gauge");
-        let _ = writeln!(self.buf, "{name}{} {value}", fmt_labels(labels));
+        let labels = self.fmt_labels(labels);
+        let _ = writeln!(self.buf, "{name}{labels} {value}");
     }
 
     /// Add a histogram family member: cumulative buckets at [`LE_BOUNDS`]
@@ -65,18 +81,16 @@ impl Registry {
             let mut with_le: Vec<(&str, &str)> = labels.to_vec();
             let le_s = le.to_string();
             with_le.push(("le", &le_s));
-            let _ = writeln!(
-                self.buf,
-                "{name}_bucket{} {}",
-                fmt_labels(&with_le),
-                h.count_at_or_below(le)
-            );
+            let with_le = self.fmt_labels(&with_le);
+            let _ = writeln!(self.buf, "{name}_bucket{with_le} {}", h.count_at_or_below(le));
         }
         let mut with_inf: Vec<(&str, &str)> = labels.to_vec();
         with_inf.push(("le", "+Inf"));
-        let _ = writeln!(self.buf, "{name}_bucket{} {}", fmt_labels(&with_inf), h.count());
-        let _ = writeln!(self.buf, "{name}_sum{} {}", fmt_labels(labels), h.sum());
-        let _ = writeln!(self.buf, "{name}_count{} {}", fmt_labels(labels), h.count());
+        let with_inf = self.fmt_labels(&with_inf);
+        let labels = self.fmt_labels(labels);
+        let _ = writeln!(self.buf, "{name}_bucket{with_inf} {}", h.count());
+        let _ = writeln!(self.buf, "{name}_sum{labels} {}", h.sum());
+        let _ = writeln!(self.buf, "{name}_count{labels} {}", h.count());
     }
 
     /// Finish and return the exposition text.
@@ -327,6 +341,11 @@ mod tests {
         r.counter("dlfm_ops_total", "Ops by kind.", &[("op", "unlink")], 8);
         r.gauge("rpc_in_flight", "Calls in flight.", &[], 3);
         r.histogram("op_latency_micros", "Latency.", &[("op", "link")], &h);
+        r.scoped(&[("server", "fs1")], |r| {
+            r.counter("rpc_calls_total", "Calls.", &[], 2);
+            r.counter("dlfm_ops_total", "Ops by kind.", &[("op", "link")], 1);
+        });
+        r.counter("rpc_calls_total", "Calls.", &[], 5);
         let text = r.render();
 
         assert_parseable(&text);
@@ -340,6 +359,10 @@ mod tests {
         assert!(text.contains("op_latency_micros_bucket{op=\"link\",le=\"+Inf\"} 4"));
         assert!(text.contains("op_latency_micros_count{op=\"link\"} 4"));
         assert!(text.contains("op_latency_micros_sum{op=\"link\"} 505055"));
+        // A scope puts its labels first, and only on the samples inside it.
+        assert!(text.contains("rpc_calls_total{server=\"fs1\"} 2\n"));
+        assert!(text.contains("dlfm_ops_total{server=\"fs1\",op=\"link\"} 1\n"));
+        assert!(text.contains("\nrpc_calls_total 5\n"));
     }
 
     #[test]
