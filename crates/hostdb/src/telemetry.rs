@@ -70,24 +70,24 @@ impl HostDb {
         out.push_str(&format!(
             "conn pool: {} idle (hits {}, misses {}, retired {})\n",
             self.conn_pool_idle(),
-            m.conn_pool_hits.load(Ordering::Relaxed),
-            m.conn_pool_misses.load(Ordering::Relaxed),
-            m.conn_retired.load(Ordering::Relaxed),
+            m.conn_pool_hits(),
+            m.conn_pool_misses(),
+            m.conn_retired(),
         ));
         out.push_str(&self.inner.tokens.status_line());
         out.push_str(&format!(
             "transactions: {} committed, {} rolled back, {} via 2PC, {} in-doubt resolved\n",
-            m.commits.load(Ordering::Relaxed),
-            m.rollbacks.load(Ordering::Relaxed),
-            m.twopc_commits.load(Ordering::Relaxed),
-            m.indoubts_resolved.load(Ordering::Relaxed),
+            m.commits(),
+            m.rollbacks(),
+            m.twopc_commits(),
+            m.indoubts_resolved(),
         ));
         out.push_str(&format!(
             "datalink ops: {} links + {} unlinks in {} statement rounds, {} votes rode on a round\n",
-            m.links.load(Ordering::Relaxed),
-            m.unlinks.load(Ordering::Relaxed),
-            m.dl_rounds.load(Ordering::Relaxed),
-            m.unsolicited_votes.load(Ordering::Relaxed),
+            m.links(),
+            m.unlinks(),
+            m.dl_rounds(),
+            m.unsolicited_votes(),
         ));
         let shards = &self.inner.shards;
         let ring = shards.shards();
@@ -102,10 +102,10 @@ impl HostDb {
             ));
             out.push_str(&format!(
                 "  routes {} ({} waited on migration), migrations {} ({} rows moved)\n",
-                m.shard_routes.load(Ordering::Relaxed),
-                m.shard_route_waits.load(Ordering::Relaxed),
-                m.shard_migrations.load(Ordering::Relaxed),
-                m.shard_migrated_rows.load(Ordering::Relaxed),
+                m.shard_routes(),
+                m.shard_route_waits(),
+                m.shard_migrations(),
+                m.shard_migrated_rows(),
             ));
             for (prefix, owner, migrating) in shards.overrides() {
                 out.push_str(&format!(
@@ -263,7 +263,7 @@ impl HostDb {
         if !slow && !autopsy_abort {
             return;
         }
-        if self.inner.metrics.autopsies.load(Ordering::Relaxed) >= self.inner.config.autopsy_max {
+        if self.inner.metrics.autopsies() >= self.inner.config.autopsy_max {
             return;
         }
         let seq = self.inner.metrics.autopsies.fetch_add(1, Ordering::Relaxed);

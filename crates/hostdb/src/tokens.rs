@@ -233,7 +233,7 @@ impl TokenCache {
     /// One line for `HostDb::status_text`.
     pub(crate) fn status_line(&self) -> String {
         let m = &self.metrics;
-        let (hits, misses) = (m.hits.load(Ordering::Relaxed), m.misses.load(Ordering::Relaxed));
+        let (hits, misses) = (m.hits(), m.misses());
         let by_cause: Vec<String> = Invalidation::ALL
             .iter()
             .map(|(cause, label)| format!("{label} {}", m.invalidations(*cause)))

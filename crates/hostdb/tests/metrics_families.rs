@@ -110,3 +110,20 @@ fn a_host_with_two_shards_renders_each_series_once() {
         sample_keys(&text).into_iter().filter(|k| !seen.insert(k.clone())).collect();
     assert!(repeated.is_empty(), "series rendered more than once: {repeated:#?}");
 }
+
+#[test]
+fn every_pinned_family_has_a_row_in_the_observability_doc() {
+    let doc = include_str!("../../../docs/OBSERVABILITY.md");
+    let goldens =
+        [include_str!("metrics_families/host.txt"), include_str!("metrics_families/dlfm.txt")];
+    let undocumented: Vec<&str> = goldens
+        .iter()
+        .flat_map(|g| g.lines().filter_map(|l| l.strip_prefix("# TYPE ")))
+        .filter_map(|l| l.split(' ').next())
+        .filter(|f| !doc.contains(&format!("`{f}`")) && !doc.contains(&format!("`{f}{{")))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "families missing from docs/OBSERVABILITY.md: {undocumented:?}"
+    );
+}

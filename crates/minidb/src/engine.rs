@@ -160,17 +160,43 @@ const GC_COMMIT_INTERVAL: u64 = 64;
 /// `slow_threshold_nanos` value meaning "log nothing".
 const SLOW_LOG_OFF: u64 = u64::MAX;
 
-/// Bound-statement counters (the `minidb_stmt_*` metric family).
-#[derive(Default)]
-struct StmtCounters {
-    /// Statements parsed and bound (`prepare`, AST execution, cache misses).
-    binds: AtomicU64,
-    /// Text statements served from the dynamic statement cache.
-    cache_hits: AtomicU64,
-    /// Bindings replaced because DDL changed a table they resolved.
-    rebinds_ddl: AtomicU64,
-    /// Dynamic bindings replanned because the statistics moved.
-    rebinds_stats: AtomicU64,
+obs::counters! {
+    /// Bound-statement counters (the `minidb_stmt_*` metric family).
+    struct StmtCounters {
+        /// Statements parsed and bound (`prepare`, AST execution, cache misses).
+        binds: counter "minidb_stmt_binds_total"
+            "Statements parsed and bound (prepare, AST execution, statement-cache misses).",
+        /// Text statements served from the dynamic statement cache.
+        cache_hits: counter "minidb_stmt_cache_hits_total"
+            "Text statements served from the dynamic statement cache (no parse, no plan).",
+        /// Bindings replaced because DDL changed a table they resolved.
+        rebinds_ddl: counter "minidb_stmt_rebinds_total" {cause = "ddl"}
+            "Bindings replaced before a run: DDL changed a table they resolved, or (dynamic statements only) the statistics moved.",
+        /// Dynamic bindings replanned because the statistics moved.
+        rebinds_stats: counter "minidb_stmt_rebinds_total" {cause = "stats"}
+            "Bindings replaced before a run: DDL changed a table they resolved, or (dynamic statements only) the statistics moved.",
+    }
+}
+
+obs::counters! {
+    /// Snapshot-read and version-GC counters (the counting half of the
+    /// `minidb_mvcc_*` family; its gauges read live state).
+    struct MvccCounters {
+        /// Statements resolved as lock-free snapshot reads.
+        reads: counter "minidb_mvcc_reads_total" "Statements resolved as lock-free snapshot reads.",
+        /// Version-chain entries examined per snapshot statement.
+        versions_scanned: histogram "minidb_mvcc_versions_scanned"
+            "Version-chain entries examined per snapshot statement.",
+        /// Superseded versions reclaimed by GC.
+        gc_versions: counter "minidb_mvcc_gc_collected_total" {kind = "versions"}
+            "Objects reclaimed by version GC, by kind.",
+        /// Version chains GC emptied.
+        gc_chains: counter "minidb_mvcc_gc_collected_total" {kind = "chains"}
+            "Objects reclaimed by version GC, by kind.",
+        /// Superseded index entries GC removed.
+        gc_unindexed: counter "minidb_mvcc_gc_collected_total" {kind = "index_entries"}
+            "Objects reclaimed by version GC, by kind.",
+    }
 }
 
 struct DbInner {
@@ -212,12 +238,8 @@ struct DbInner {
     /// Superseded index entries awaiting watermark-gated removal.
     pending_unindex: Mutex<Vec<PendingUnindex>>,
     commits_since_gc: AtomicU64,
-    mvcc_reads: AtomicU64,
-    mvcc_versions_scanned: obs::Histogram,
+    mvcc_counters: MvccCounters,
     gc_watermark: AtomicU64,
-    gc_versions: AtomicU64,
-    gc_chains: AtomicU64,
-    gc_unindexed: AtomicU64,
 }
 
 /// A shared handle to one database. Cheap to clone; thread-safe.
@@ -268,12 +290,8 @@ impl Database {
                 snapshots: Mutex::new(std::collections::BTreeMap::new()),
                 pending_unindex: Mutex::new(Vec::new()),
                 commits_since_gc: AtomicU64::new(0),
-                mvcc_reads: AtomicU64::new(0),
-                mvcc_versions_scanned: obs::Histogram::new(),
+                mvcc_counters: MvccCounters::default(),
                 gc_watermark: AtomicU64::new(0),
-                gc_versions: AtomicU64::new(0),
-                gc_chains: AtomicU64::new(0),
-                gc_unindexed: AtomicU64::new(0),
             }),
         }
     }
@@ -584,7 +602,7 @@ impl Database {
                     let _ = self.inner.storage.with_index_mut(p.index().id, |t| {
                         t.remove(&p.key, p.rowid);
                     });
-                    self.inner.gc_unindexed.fetch_add(1, AtomicOrdering::Relaxed);
+                    self.inner.mvcc_counters.gc_unindexed.fetch_add(1, AtomicOrdering::Relaxed);
                 }
                 Ok(2) => requeue.push(p),
                 // 1 (resurrected) or the table is gone: drop the tombstone.
@@ -605,8 +623,8 @@ impl Database {
             versions += v;
             chains += c;
         }
-        self.inner.gc_versions.fetch_add(versions, AtomicOrdering::Relaxed);
-        self.inner.gc_chains.fetch_add(chains, AtomicOrdering::Relaxed);
+        self.inner.mvcc_counters.gc_versions.fetch_add(versions, AtomicOrdering::Relaxed);
+        self.inner.mvcc_counters.gc_chains.fetch_add(chains, AtomicOrdering::Relaxed);
         self.inner.gc_watermark.store(watermark, AtomicOrdering::Relaxed);
         watermark
     }
@@ -1392,7 +1410,7 @@ impl Database {
         let row_mode = if for_write { LockMode::X } else { LockMode::S };
         match snapshot {
             Some(_) => {
-                self.inner.mvcc_reads.fetch_add(1, AtomicOrdering::Relaxed);
+                self.inner.mvcc_counters.reads.fetch_add(1, AtomicOrdering::Relaxed);
             }
             None => {
                 let table_mode = if for_write { LockMode::IX } else { LockMode::IS };
@@ -1493,7 +1511,7 @@ impl Database {
             }
         }
         if snapshot.is_some() {
-            self.inner.mvcc_versions_scanned.record(scanned);
+            self.inner.mvcc_counters.versions_scanned.record(scanned);
         }
         out.sort_by_key(|(id, _)| *id);
         out.dedup_by_key(|(id, _)| *id);
@@ -1579,7 +1597,7 @@ impl Database {
 
     /// Statements resolved as lock-free snapshot reads so far.
     pub fn mvcc_reads_total(&self) -> u64 {
-        self.inner.mvcc_reads.load(AtomicOrdering::Relaxed)
+        self.inner.mvcc_counters.reads()
     }
 
     /// The GC watermark of the last version-GC sweep.
@@ -1773,18 +1791,7 @@ impl Database {
             &[],
             self.log_active_window() as i64,
         );
-        r.counter(
-            "minidb_mvcc_reads_total",
-            "Statements resolved as lock-free snapshot reads.",
-            &[],
-            self.mvcc_reads_total(),
-        );
-        r.histogram(
-            "minidb_mvcc_versions_scanned",
-            "Version-chain entries examined per snapshot statement.",
-            &[],
-            &self.inner.mvcc_versions_scanned,
-        );
+        self.inner.mvcc_counters.render(r);
         r.gauge(
             "minidb_mvcc_gc_watermark",
             "Oldest-active-snapshot watermark of the last version-GC sweep.",
@@ -1815,39 +1822,7 @@ impl Database {
             &[],
             self.mvcc_pending_unindex() as i64,
         );
-        for (kind, value) in [
-            ("versions", self.inner.gc_versions.load(AtomicOrdering::Relaxed)),
-            ("chains", self.inner.gc_chains.load(AtomicOrdering::Relaxed)),
-            ("index_entries", self.inner.gc_unindexed.load(AtomicOrdering::Relaxed)),
-        ] {
-            r.counter(
-                "minidb_mvcc_gc_collected_total",
-                "Objects reclaimed by version GC, by kind.",
-                &[("kind", kind)],
-                value,
-            );
-        }
-        let stmts = &self.inner.stmt_counters;
-        r.counter(
-            "minidb_stmt_binds_total",
-            "Statements parsed and bound (prepare, AST execution, statement-cache misses).",
-            &[],
-            stmts.binds.load(AtomicOrdering::Relaxed),
-        );
-        r.counter(
-            "minidb_stmt_cache_hits_total",
-            "Text statements served from the dynamic statement cache (no parse, no plan).",
-            &[],
-            stmts.cache_hits.load(AtomicOrdering::Relaxed),
-        );
-        for (cause, counter) in [("ddl", &stmts.rebinds_ddl), ("stats", &stmts.rebinds_stats)] {
-            r.counter(
-                "minidb_stmt_rebinds_total",
-                "Bindings replaced before a run: DDL changed a table they resolved, or (dynamic statements only) the statistics moved.",
-                &[("cause", cause)],
-                counter.load(AtomicOrdering::Relaxed),
-            );
-        }
+        self.inner.stmt_counters.render(r);
         r.gauge(
             "minidb_stmt_cache_entries",
             "Statements held by the dynamic statement cache (bounded).",

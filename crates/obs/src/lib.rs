@@ -10,7 +10,8 @@
 //!   (HdrHistogram-style power-of-two sub-buckets, `Relaxed` atomics,
 //!   mergeable) for per-operation latency, lock waits, and WAL forces;
 //! * [`registry`] — a metrics registry rendering counters, gauges, and
-//!   histograms in the Prometheus text exposition format;
+//!   histograms in the Prometheus text exposition format, and
+//!   [`counters!`], which declares a table of them once;
 //! * [`log`](crate::logging) — leveled event logging to stderr
 //!   (`error!`/`warn!`/`info!`/`debug!`), filterable with the `DLFM_LOG`
 //!   environment variable, prefixed with the current trace id;

@@ -5,6 +5,11 @@
 //! string (`# HELP`/`# TYPE` headers once per family, then
 //! `name{labels} value` samples). Histograms render the conventional
 //! cumulative `_bucket{le="..."}` series plus `_sum` and `_count`.
+//!
+//! A struct's own counters, gauge cells and histograms are declared once,
+//! through [`counters!`](crate::counters), which writes the struct, its
+//! snapshot and its rendering; only values read from live state are
+//! added by hand.
 
 use std::collections::HashSet;
 use std::fmt::Write;
@@ -200,9 +205,6 @@ macro_rules! counters {
     (@read $kind:ident, $cell:expr) => { $cell.load(::std::sync::atomic::Ordering::Relaxed) };
     (@delta counter, $later:expr, $earlier:expr) => { $later - $earlier };
     (@delta gauge, $later:expr, $earlier:expr) => { $later };
-    (@render $kind:ident, $r:ident, $family:literal, $help:literal, $labels:expr, $value:expr) => {
-        $r.$kind($family, $help, $labels, $value)
-    };
 
     (@struct [$(#[$meta:meta])* $vis:vis $name:ident] {
         $(
@@ -227,10 +229,8 @@ macro_rules! counters {
 
             /// Render every metric of this table into `r`.
             pub fn render(&self, r: &mut $crate::Registry) {
-                $(
-                    $crate::counters!(@render $kind, r, $family, $help,
-                        &[$($((stringify!($lk), $lv)),*)?], self.$field());
-                )*
+                // Each kind is named after the registry method that renders it.
+                $(r.$kind($family, $help, &[$($((stringify!($lk), $lv)),*)?], self.$field());)*
             }
         }
     };
