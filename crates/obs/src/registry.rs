@@ -274,6 +274,8 @@ macro_rules! counters {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::Ordering;
+
     use super::*;
 
     /// Every non-comment, non-blank line the registry renders must parse
@@ -378,5 +380,50 @@ mod tests {
             prev = c;
         }
         assert!(h.count() >= prev);
+    }
+
+    crate::counters! {
+        /// A table with every kind.
+        struct Table => TableSnapshot {
+            /// A counter.
+            done: counter "t_done_total" {how = "ok"} "Done.",
+            /// A gauge cell.
+            level: gauge "t_level" "Level.",
+        } beside {
+            /// A histogram table beside the counters.
+            hists: Hists,
+        }
+    }
+
+    crate::counters! {
+        /// Histograms have no snapshot.
+        struct Hists {
+            /// Latency.
+            lat: histogram "t_latency_micros" {op = "x"} "Latency.",
+        }
+    }
+
+    #[test]
+    fn a_counters_table_reads_deltas_and_renders_every_kind() {
+        let t = Table::default();
+        t.done.fetch_add(5, Ordering::Relaxed);
+        t.level.store(7, Ordering::Relaxed);
+        let before = t.snapshot();
+        t.done.fetch_add(2, Ordering::Relaxed);
+        t.level.store(3, Ordering::Relaxed);
+        t.hists.lat.record(50);
+        // Counters subtract; a gauge is a level, so the delta keeps the later one.
+        assert_eq!(t.snapshot().delta(&before), TableSnapshot { done: 2, level: 3 });
+        assert_eq!((t.done(), t.level(), t.hists.lat().count()), (7, 3, 1));
+
+        let mut r = Registry::new();
+        t.render(&mut r);
+        t.hists.render(&mut r);
+        let text = r.render();
+        assert_parseable(&text);
+        assert!(text.contains("# TYPE t_done_total counter\nt_done_total{how=\"ok\"} 7\n"));
+        assert!(text.contains("# TYPE t_level gauge\nt_level 3\n"));
+        assert!(text.contains("# TYPE t_latency_micros histogram\n"));
+        assert!(text.contains("t_latency_micros_count{op=\"x\"} 1\n"));
     }
 }
