@@ -6,6 +6,7 @@
 #   ./ci.sh loc        report non-test lines per crate and for the workspace (a report, not a gate)
 #   ./ci.sh schema_check  only the message-schema check (no hand-written codec or op names)
 #   ./ci.sh metrics_check only the counter-schema check (no hand-written snapshot, delta or counter render)
+#   ./ci.sh oracle_check  only the oracle check (no hand-rolled §3.3 audit or drain loop outside datalinks::audit)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,6 +21,7 @@ smoke() {
   seam_check
   schema_check
   metrics_check
+  oracle_check
   step "fault-matrix smoke: seed slice of the fault-injection sweep"
   FAULT_MATRIX_SEEDS=2 cargo test -q --offline -p datalinks --test fault_matrix
   step "observability smoke: dlfmtop status surfaces + Perfetto export"
@@ -105,6 +107,24 @@ metrics_check() {
   fi
   if grep -nE 'r\.(counter|histogram)\(' crates/hostdb/src/telemetry.rs crates/dlfm/src/server.rs; then
     echo "metrics check: the lines above render a counter or histogram by hand (its table renders it)"
+    exit 1
+  fi
+}
+
+# One §3.3 oracle: the end-state audit and the drain loop that precedes it
+# live in crates/datalinks/src/audit.rs (outside the directories searched
+# here). A drain or in-doubt helper in the integration tests or the bench
+# binaries, or a bench binary counting dfm_xact rows itself, would be a
+# second copy of the oracle that checks a different subset.
+oracle_check() {
+  step "oracle check: §3.3 audits and drain loops only in datalinks::audit"
+  if grep -rnE 'fn (resolve_until_clean|drain|xact_total|linked_shards|routed_shard)\b' \
+    tests crates/bench/src/bin; then
+    echo "oracle check: the lines above hand-roll a drain or audit helper (use datalinks::Audit)"
+    exit 1
+  fi
+  if grep -rn 'FROM dfm_xact' crates/bench/src/bin; then
+    echo "oracle check: the lines above count in-doubt work by hand (use datalinks::Audit)"
     exit 1
   fi
 }
@@ -253,6 +273,12 @@ if [[ "${1:-}" == "metrics_check" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "oracle_check" ]]; then
+  oracle_check
+  step "OK"
+  exit 0
+fi
+
 if [[ "${1:-}" == "smoke" ]]; then
   smoke
   step "OK"
@@ -267,6 +293,7 @@ fi
 seam_check
 schema_check
 metrics_check
+oracle_check
 
 step "tests"
 cargo test -q --offline --workspace

@@ -91,7 +91,6 @@ fn run_arm(mode: Mode, clients: usize, run: Duration, workers: usize, queue: usi
         seed: 7,
         grp_id: stand.grp_id,
         base_dir: "/wl".into(),
-        think_time: Duration::ZERO,
     };
     let ids = Arc::new(IdSource::new(1_000));
     let connector = match mode {

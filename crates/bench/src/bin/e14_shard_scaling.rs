@@ -23,9 +23,10 @@
 //!
 //! A second scenario re-runs the mix on a 4-shard stand and migrates one
 //! client's directory between shards *mid-run* with
-//! `HostDb::migrate_prefix`, then audits the outcome: every host row's
-//! file must be linked on exactly the shard the host says owns it, and no
-//! shard may keep in-doubt work. The claims under test:
+//! `HostDb::migrate_prefix`. Every arm, and the migration, ends with the
+//! §3.3 oracle (`datalinks::audit`): every host row's file must be linked
+//! on exactly the shard the host says owns it, nothing may stay in doubt,
+//! and the binary exits nonzero on any violation. The claims under test:
 //!
 //! 1. throughput grows near-linearly with shards — ≥ 3x at 8 shards vs 1
 //!    (≥ 37.5% per-shard efficiency at other sweep widths);
@@ -42,15 +43,14 @@ use std::time::{Duration, Instant};
 use bench::{banner, env_num, env_secs, row, JsonArm};
 use dlfm::{AccessControl, AgentModel, DlfmConfig, DlfmServer};
 use hostdb::{DatalinkSpec, HostDb};
-use minidb::{Session, Value};
 use workload::{run_host_workload, HostWorkloadConfig, OpMix};
+
+/// Shard names, in ring order; a stand of `n` shards uses the first `n`.
+const NAMES: [&str; 8] = ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"];
 
 struct Stand {
     fs: Arc<filesys::FileSystem>,
-    #[allow(dead_code)]
-    archive: Arc<archive::ArchiveServer>,
     shards: Vec<DlfmServer>,
-    names: Vec<String>,
     host: HostDb,
 }
 
@@ -58,14 +58,13 @@ fn stand(nshards: usize, force: Duration) -> Stand {
     let fs = Arc::new(filesys::FileSystem::new());
     let archive = Arc::new(archive::ArchiveServer::new());
     let mut shards = Vec::new();
-    let mut names = Vec::new();
 
     let mut host_config = hostdb::HostConfig::default();
     host_config.db.lock_timeout = Duration::from_secs(3);
     host_config.db.next_key_locking = false;
     let host = HostDb::new(host_config);
 
-    for i in 0..nshards {
+    for name in &NAMES[..nshards] {
         let mut config = DlfmConfig::default();
         config.db.lock_timeout = Duration::from_secs(3);
         // The shard's log is the scarce resource under test: serial
@@ -76,13 +75,10 @@ fn stand(nshards: usize, force: Duration) -> Stand {
         config.commit_retry_backoff = Duration::from_millis(1);
         config.agent_model = AgentModel::pooled(8, 4096);
         let server = DlfmServer::start(config, fs.clone(), archive.clone());
-        let name = format!("s{i}");
-        host.attach_dlfm(&name, server.connector());
+        host.attach_dlfm(name, server.connector());
         shards.push(server);
-        names.push(name);
     }
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    host.set_shards(&name_refs).unwrap();
+    host.set_shards(&NAMES[..nshards]).unwrap();
 
     let mut s = host.session();
     s.create_table(
@@ -94,7 +90,7 @@ fn stand(nshards: usize, force: Duration) -> Stand {
     host.db().set_table_stats("media", 1_000_000).unwrap();
     host.db().set_index_stats("ix_media", 1_000_000).unwrap();
     drop(s);
-    Stand { fs, archive, shards, names, host }
+    Stand { fs, shards, host }
 }
 
 fn workload_config(clients: usize, run: Duration) -> HostWorkloadConfig {
@@ -108,75 +104,23 @@ fn workload_config(clients: usize, run: Duration) -> HostWorkloadConfig {
         table: "media".into(),
         server: "s0".into(), // routing ignores the URL server once the ring is on
         base_dir: "/wl".into(),
-        think_time: Duration::ZERO,
-        warmup_ops: 0,
+        ..HostWorkloadConfig::default()
     }
 }
 
-/// Audit the §3.3 cross-shard invariant: every host row's file is linked
-/// on exactly the shard the host metadata names, and nothing is in-doubt.
-/// Returns (host rows audited, mismatches, in-doubt entries).
-fn audit(stand: &Stand) -> (u64, u64, i64) {
-    let mut s = Session::new(stand.host.db());
-    let rows = s.query("SELECT filename, server FROM sys_datalinks", &[]).unwrap();
-    let mut audited = 0u64;
-    let mut mismatches = 0u64;
-    for r in &rows {
-        let (Value::Str(filename), Value::Str(server)) = (&r[0], &r[1]) else {
-            mismatches += 1;
-            continue;
-        };
-        audited += 1;
-        let mut linked_on = Vec::new();
-        for (i, shard) in stand.shards.iter().enumerate() {
-            let mut ss = Session::new(shard.db());
-            let n = ss
-                .query_int(
-                    "SELECT COUNT(*) FROM dfm_file WHERE filename = ? AND lnk_state = 1",
-                    &[Value::str(filename.clone())],
-                )
-                .unwrap();
-            if n > 0 {
-                linked_on.push(stand.names[i].clone());
-            }
-        }
-        if linked_on != vec![server.clone()] {
-            mismatches += 1;
-            eprintln!("AUDIT: {filename} owned by {server} but linked on {linked_on:?}");
-        }
+/// Let the resolver drain the stand, then run the §3.3 oracle over it,
+/// printing any violation.
+fn settle(stand: &Stand, arm: &str) -> datalinks::Report {
+    let shards = NAMES.into_iter().zip(&stand.shards).collect();
+    let audit = datalinks::Audit::new(&stand.host, shards, &stand.fs, "/wl");
+    if let Err(e) = audit.resolve_until_clean(Duration::from_secs(30)) {
+        eprintln!("AUDIT {arm}: {e}");
     }
-    let indoubt: i64 = stand
-        .shards
-        .iter()
-        .map(|sh| {
-            let mut ss = Session::new(sh.db());
-            ss.query_int("SELECT COUNT(*) FROM dfm_xact", &[]).unwrap()
-        })
-        .sum();
-    (audited, mismatches, indoubt)
-}
-
-fn drain(stand: &Stand) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let ok = stand.host.resolve_indoubts().is_ok();
-        let left: i64 = stand
-            .shards
-            .iter()
-            .map(|sh| {
-                let mut ss = Session::new(sh.db());
-                ss.query_int("SELECT COUNT(*) FROM dfm_xact", &[]).unwrap()
-            })
-            .sum();
-        if ok && left == 0 {
-            return;
-        }
-        if Instant::now() > deadline {
-            eprintln!("WARNING: {left} in-doubt entries failed to drain");
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
+    let report = audit.check();
+    if !report.is_clean() {
+        eprintln!("AUDIT {arm}: {report}");
     }
+    report
 }
 
 fn main() {
@@ -207,10 +151,11 @@ fn main() {
     let mut base_tput = 0.0f64;
     let mut last_tput = 0.0f64;
     let mut last_shards = 1usize;
+    let mut violations = 0usize;
     for &nshards in &sweep {
         let stand = stand(nshards, force);
         let report = run_host_workload(&stand.host, &stand.fs, &workload_config(clients, run));
-        drain(&stand);
+        violations += settle(&stand, &format!("shards/{nshards}")).total();
         let per_sec = report.committed() as f64 / report.elapsed.as_secs_f64().max(1e-9);
         if nshards == sweep[0] {
             base_tput = per_sec;
@@ -254,30 +199,29 @@ fn main() {
         .unwrap()
         .expect("ring enabled")
         .shard;
-    let home_idx = stand.names.iter().position(|n| *n == home).unwrap();
-    let target = stand.names[(home_idx + 1) % stand.names.len()].clone();
+    let home_idx = NAMES.iter().position(|n| *n == home).unwrap();
+    let target = NAMES[(home_idx + 1) % mig_shards];
 
     let host = stand.host.clone();
     let migrate = std::thread::spawn({
-        let target = target.clone();
         let delay = run / 4;
         move || {
             std::thread::sleep(delay);
             let t0 = Instant::now();
-            let moved = host.migrate_prefix("/wl/h0", &target);
+            let moved = host.migrate_prefix("/wl/h0", target);
             (moved, t0.elapsed())
         }
     });
     let report = run_host_workload(&stand.host, &stand.fs, &workload_config(migrate_clients, run));
     let (moved, mig_elapsed) = migrate.join().expect("migration thread must not panic");
     let moved = moved.expect("online migration must succeed under live traffic");
-    drain(&stand);
-    let (audited, mismatches, indoubt) = audit(&stand);
+    let audit = settle(&stand, "migrate");
+    violations += audit.total();
     let mig_per_sec = report.committed() as f64 / report.elapsed.as_secs_f64().max(1e-9);
     println!(
         "\nmigration: /wl/h0 {home} -> {target} on {mig_shards} shards moved {moved} rows in \
          {:.0} ms while {migrate_clients} clients committed {:.0} txn/s; \
-         audit: {audited} host rows, {mismatches} mismatches, {indoubt} in-doubt",
+         audit: {audit}",
         mig_elapsed.as_secs_f64() * 1000.0,
         mig_per_sec,
     );
@@ -292,7 +236,7 @@ fn main() {
             extra: Vec::new(),
         }
         .with("moved_rows", moved as f64)
-        .with("mismatches", mismatches as f64),
+        .with("violations", audit.total() as f64),
     );
 
     // A shard is worth adding when it brings most of its log device's
@@ -301,7 +245,7 @@ fn main() {
     let speedup = last_tput / base_tput.max(1e-9);
     let target_speedup = 3.0 * (last_shards as f64 / 8.0);
     let scaling_ok = last_shards == 1 || speedup >= target_speedup;
-    let migration_ok = mismatches == 0 && indoubt == 0 && audited > 0;
+    let migration_ok = audit.is_clean();
     println!(
         "verdict: {} — {last_shards} shards = {speedup:.2}x over 1 shard \
          (target >= {target_speedup:.2}x), migration clean: {}",
@@ -311,4 +255,9 @@ fn main() {
 
     bench::write_json_summary("E14", "shard scaling 1 -> N DLFMs", &arms);
     bench::dump_metrics(&stand.host.metrics_text());
+    // Throughput verdicts are informational; a broken §3.3 invariant is not.
+    if violations > 0 {
+        eprintln!("E14: the §3.3 oracle found {violations} violations");
+        std::process::exit(1);
+    }
 }

@@ -30,7 +30,6 @@ fn run_arm(next_key: bool, clients: usize, duration: Duration) -> (f64, f64, f64
         seed: 11,
         grp_id: stand.grp_id,
         base_dir: "/wl".into(),
-        think_time: Duration::ZERO,
     };
     let report = run_dlfm_workload(&stand.server.connector(), &stand.fs, &config, &ids);
     let lock = stand.server.db().lock_metrics().snapshot();

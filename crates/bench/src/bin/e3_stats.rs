@@ -68,7 +68,6 @@ fn main() {
             seed: 5,
             grp_id: stand.grp_id,
             base_dir: "/wl".into(),
-            think_time: Duration::ZERO,
         };
         let report = run_dlfm_workload(&stand.server.connector(), &stand.fs, &config, &ids);
         let lock = stand.server.db().lock_metrics().snapshot();

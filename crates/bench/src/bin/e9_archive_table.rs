@@ -53,7 +53,6 @@ fn run_arm(next_key: bool, mvcc: bool, clients: usize, duration: Duration) -> Ar
         seed: 9,
         grp_id: stand.grp_id,
         base_dir: "/wl".into(),
-        think_time: Duration::ZERO,
     };
     let report = run_dlfm_workload(&stand.server.connector(), &stand.fs, &wl, &ids);
     // Let the Copy daemon drain what's left.

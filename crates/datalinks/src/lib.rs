@@ -28,6 +28,10 @@ pub use minidb;
 pub use obs;
 pub use workload;
 
+pub mod audit;
+
+pub use audit::{Audit, Report};
+
 use std::sync::Arc;
 
 /// Everything a single-file-server deployment needs, wired together.
@@ -105,6 +109,12 @@ impl Deployment {
     /// Datalink URL for a path on this deployment's file server.
     pub fn url(&self, path: &str) -> String {
         format!("dlfs://{}{}", self.server_name, path)
+    }
+
+    /// The §3.3 oracle over this deployment, checking ownership of the
+    /// files under `prefix`.
+    pub fn audit<'a>(&'a self, prefix: &'a str) -> Audit<'a> {
+        Audit::new(&self.host, vec![(&self.server_name, &self.dlfm)], &self.fs, prefix)
     }
 
     /// Spawn a telemetry watchdog over the whole deployment: the DLFM and

@@ -18,7 +18,7 @@
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use dlfm::{AccessControl, DlfmRequest, DlfmResponse, GroupSpec, MAX_BATCH_OPS};
@@ -44,29 +44,13 @@ pub struct HostConfig {
     /// true; the `false` mode exists to reproduce the §4 distributed
     /// deadlock).
     pub synchronous_commit: bool,
-    /// Maximum idle DLFM connections kept per server for reuse. Sessions
-    /// and the indoubt resolver check connections out of this pool instead
-    /// of opening a fresh one (under the DLFM's dedicated agent model a
-    /// fresh connection gets a whole agent thread pinned to it, for as
-    /// long as it stays open); checked-in connections beyond the cap are
-    /// closed. `0` disables reuse.
-    pub conn_pool_size: usize,
-    /// How long a datalink operation may block on an in-progress shard
-    /// migration of its prefix before failing.
-    pub shard_route_timeout: std::time::Duration,
-    /// How long a shard migration waits for transactions pinned to the
-    /// pre-migration epoch to finish before giving up.
-    pub shard_drain_timeout: std::time::Duration,
     /// Per-transaction autopsy: transactions that run slower than
-    /// [`autopsy_slow`](HostConfig::autopsy_slow) (or abort, with
-    /// [`autopsy_aborts`](HostConfig::autopsy_aborts)) get their
+    /// [`autopsy_slow`](HostConfig::autopsy_slow), or abort, get their
     /// cross-process span tree and journal slice written as a bundle
     /// under this directory. `None` disables autopsies.
     pub autopsy_dir: Option<std::path::PathBuf>,
     /// Latency threshold above which a finished transaction is autopsied.
     pub autopsy_slow: std::time::Duration,
-    /// Autopsy aborted (rolled-back) transactions regardless of latency.
-    pub autopsy_aborts: bool,
     /// At most this many autopsies per host (an abort storm must not
     /// fill the disk).
     pub autopsy_max: u64,
@@ -78,12 +62,8 @@ impl Default for HostConfig {
             dbid: 1,
             db: DbConfig::default(),
             synchronous_commit: true,
-            conn_pool_size: 8,
-            shard_route_timeout: std::time::Duration::from_secs(30),
-            shard_drain_timeout: std::time::Duration::from_secs(30),
             autopsy_dir: None,
             autopsy_slow: std::time::Duration::from_secs(1),
-            autopsy_aborts: true,
             autopsy_max: 16,
         }
     }
@@ -237,7 +217,6 @@ pub(crate) struct HostInner {
     /// Transactions open on this host, from `begin` until commit or
     /// rollback returns: the resolver leaves them to their session.
     pub(crate) open_xids: Mutex<HashSet<i64>>,
-    pub(crate) sync_commit: AtomicBool,
     pub(crate) metrics: HostMetrics,
     pub(crate) backups: Mutex<Vec<crate::utilities::HostBackup>>,
     /// Idle DLFM connections kept for reuse, per server.
@@ -298,7 +277,6 @@ impl HostDb {
                 dl_cols: RwLock::new(HashMap::new()),
                 coord_log: CoordLog::new(),
                 open_xids: Mutex::new(HashSet::new()),
-                sync_commit: AtomicBool::new(config.synchronous_commit),
                 tokens: crate::tokens::TokenCache::new(metrics.token_cache.clone()),
                 metrics,
                 backups: Mutex::new(Vec::new()),
@@ -372,16 +350,6 @@ impl HostDb {
     /// The coordinator log (diagnostics).
     pub fn coord_log(&self) -> &CoordLog {
         &self.inner.coord_log
-    }
-
-    /// Toggle synchronous phase-2 commit (the §4 ablation knob).
-    pub fn set_synchronous_commit(&self, on: bool) {
-        self.inner.sync_commit.store(on, Ordering::SeqCst);
-    }
-
-    /// Is phase-2 commit synchronous?
-    pub fn synchronous_commit(&self) -> bool {
-        self.inner.sync_commit.load(Ordering::SeqCst)
     }
 
     /// Datalink metadata for a column, if it is a DATALINK column.
@@ -935,7 +903,7 @@ impl HostSession {
         let epoch = self.txn.as_ref().map_or_else(|| host.shards.epoch(), |txn| txn.epoch);
         let routed = host
             .shards
-            .route(&url.path, epoch, host.config.shard_route_timeout)
+            .route(&url.path, epoch, crate::shard::MIGRATION_WAIT)
             .map_err(|e| HostError::Usage(e.to_string()))?;
         let Some(r) = routed else { return Ok(url.server.clone()) };
         host.metrics.shard_routes.fetch_add(1, Ordering::Relaxed);

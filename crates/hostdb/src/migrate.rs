@@ -69,7 +69,7 @@ impl HostDb {
     fn run_migration(&self, prefix: &str, to: &str, flip: u64) -> HostResult<u64> {
         self.inner
             .shards
-            .drain_below(flip, self.inner.config.shard_drain_timeout)
+            .drain_below(flip, crate::shard::MIGRATION_WAIT)
             .map_err(|e| HostError::Usage(e.to_string()))?;
 
         // The target may have been attached after CREATE TABLE: make sure

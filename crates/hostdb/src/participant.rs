@@ -28,6 +28,13 @@ pub(crate) type DlfmConn = ClientConn<DlfmRequest, DlfmResponse>;
 /// How long a pooled connection's health ping may take.
 const PING_PROBE: Duration = Duration::from_millis(200);
 
+/// Idle connections kept per server for reuse. Sessions and the in-doubt
+/// resolver check connections out of this pool instead of opening a fresh
+/// one (under the DLFM's dedicated agent model a fresh connection pins a
+/// whole agent thread for as long as it stays open); checked-in
+/// connections beyond the cap are closed.
+const CONN_POOL_SIZE: usize = 8;
+
 /// Process-global registry behind `inproc://name` URLs: in-process DLFM
 /// connectors published by whoever hosts the server in this process.
 fn inproc_registry() -> &'static Mutex<HashMap<String, Connector<DlfmRequest, DlfmResponse>>> {
@@ -128,10 +135,10 @@ impl HostDb {
     /// here instead of poisoning the next checkout; also retired when the
     /// pool is at capacity.
     fn checkin_conn(&self, server: &str, conn: DlfmConn) {
-        if self.inner.config.conn_pool_size > 0 && conn.ping(PING_PROBE).is_ok() {
+        if conn.ping(PING_PROBE).is_ok() {
             let mut pool = self.inner.conn_pool.lock();
             let idle = pool.entry(server.to_string()).or_default();
-            if idle.len() < self.inner.config.conn_pool_size {
+            if idle.len() < CONN_POOL_SIZE {
                 idle.push(conn);
                 return;
             }

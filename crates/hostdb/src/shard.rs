@@ -40,6 +40,11 @@ use std::time::{Duration, Instant};
 use obs::fault::fnv1a;
 use parking_lot::{Condvar, Mutex};
 
+/// How long a datalink operation blocks on an in-progress migration of its
+/// prefix, and how long a migration waits for the transactions pinned
+/// before its flip, before either gives up.
+pub(crate) const MIGRATION_WAIT: Duration = Duration::from_secs(30);
+
 /// Routing key of a path: its dirname (files of one directory co-locate).
 pub fn route_key(path: &str) -> &str {
     match path.rfind('/') {

@@ -259,8 +259,7 @@ impl HostDb {
         let Some(root) = &self.inner.config.autopsy_dir else { return };
         let elapsed = obs::journal::now_micros().saturating_sub(start_micros);
         let slow = elapsed >= self.inner.config.autopsy_slow.as_micros() as u64;
-        let autopsy_abort = aborted && self.inner.config.autopsy_aborts;
-        if !slow && !autopsy_abort {
+        if !slow && !aborted {
             return;
         }
         if self.inner.metrics.autopsies() >= self.inner.config.autopsy_max {

@@ -22,7 +22,7 @@ use crate::participant::{Ack, Conns};
 /// the commit in a crash lists the transaction in doubt again, and the
 /// resolver commits it from the `Commit` record, which `End` does not hide.
 fn phase2(host: &HostDb, conns: &mut Conns, xid: i64, participants: &[String]) -> usize {
-    let post = !host.synchronous_commit();
+    let post = !host.inner.config.synchronous_commit;
     let mut unacked = 0;
     for (_, ack) in conns.commit(xid, participants, post) {
         if ack == Ack::Lost {

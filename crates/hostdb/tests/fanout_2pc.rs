@@ -40,17 +40,17 @@ struct Rig {
 
 impl Rig {
     fn new() -> Rig {
-        Rig::with_recovery(false)
+        Rig::with(false, HostConfig::for_tests())
     }
 
     /// `recovery` puts the Copy daemons to work: every committed link is
     /// queued for an archive copy.
-    fn with_recovery(recovery: bool) -> Rig {
+    fn with(recovery: bool, host_config: HostConfig) -> Rig {
         let fs = Arc::new(FileSystem::new());
         let archive = Arc::new(ArchiveServer::new());
         let sa = DlfmServer::start(DlfmConfig::for_tests(), fs.clone(), archive.clone());
         let sb = DlfmServer::start(DlfmConfig::for_tests(), fs.clone(), archive);
-        let host = HostDb::new(HostConfig::for_tests());
+        let host = HostDb::new(host_config);
         host.attach_dlfm("sa", sa.connector());
         host.attach_dlfm("sb", sb.connector());
         host.set_shards(&["sa", "sb"]).unwrap();
@@ -136,7 +136,7 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 #[test]
 fn a_cross_shard_commit_costs_each_shard_log_exactly_one_force() {
     let _s = serial();
-    let rig = Rig::with_recovery(true);
+    let rig = Rig::with(true, HostConfig::for_tests());
     for shard in [&rig.sa, &rig.sb] {
         shard.db().set_group_commit(false);
         shard.db().set_log_force_latency(Duration::from_millis(1));
@@ -290,8 +290,7 @@ fn a_lost_phase2_commit_to_a_is_not_an_abort_and_the_resolver_finishes_it() {
 #[test]
 fn asynchronous_commit_posts_phase2_to_every_participant() {
     let _s = serial();
-    let rig = Rig::new();
-    rig.host.set_synchronous_commit(false);
+    let rig = Rig::with(false, HostConfig { synchronous_commit: false, ..HostConfig::for_tests() });
     let mut s = rig.open_cross_shard_txn();
     let stats = [rig.sa.connector().stats().clone(), rig.sb.connector().stats().clone()];
     let before: Vec<_> = stats.iter().map(|st| (st.calls(), st.posts())).collect();

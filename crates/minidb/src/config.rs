@@ -7,22 +7,12 @@
 
 use std::time::Duration;
 
-/// Isolation level of read operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Isolation {
-    /// Cursor stability: read locks are released at statement end.
-    /// Writers still hold X locks to commit (strict 2PL for writes).
-    CursorStability,
-    /// Repeatable read: all locks held to commit; range scans take
-    /// next-key locks when next-key locking is enabled.
-    RepeatableRead,
-}
-
 /// Tunable engine behaviour.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
-    /// When true, index inserts and deletes X-lock the *next* key and range
-    /// scans under repeatable read S-lock the key past the range end.
+    /// When true, index inserts and deletes X-lock the *next* key and index
+    /// scans lock each key they traverse. Reads are cursor-stability: their
+    /// S locks are released at statement end.
     /// DB2's ARIES/KVL behaviour; the paper disables it inside DLFM's local
     /// database to kill the multi-index deadlock storms (§3.2.1, §4).
     pub next_key_locking: bool,
@@ -43,8 +33,6 @@ pub struct DbConfig {
     /// Maximum log records pinned by in-flight transactions before writes
     /// fail with `LogFull`.
     pub log_capacity_records: usize,
-    /// Default isolation for reads.
-    pub isolation: Isolation,
     /// Simulated latency added to each log force (commit durability cost).
     /// Used by the benchmark harness to model ~1999 disk behaviour.
     pub log_force_latency: Duration,
@@ -64,13 +52,8 @@ pub struct DbConfig {
     /// statements resolve against a commit-timestamp snapshot and take no
     /// row/key locks, while DML keeps strict 2PL + next-key locking.
     /// `false` restores the pure-2PL engine (locking reads) — kept as the
-    /// comparison/fallback arm. Toggle only on a quiesced database:
-    /// in-flight writers that predate enabling MVCC have no version
-    /// chains, so concurrent snapshot readers could see their dirty rows.
+    /// comparison/fallback arm. Fixed for the database's lifetime.
     pub mvcc: bool,
-    /// Shards in the hash-sharded lock table (rounded up to a power of
-    /// two). `1` degenerates to the old single-mutex behaviour.
-    pub lock_shards: usize,
 }
 
 impl Default for DbConfig {
@@ -82,12 +65,10 @@ impl Default for DbConfig {
             lock_timeout: Duration::from_secs(60),
             deadlock_detection: true,
             log_capacity_records: 1_000_000,
-            isolation: Isolation::CursorStability,
             log_force_latency: Duration::ZERO,
             group_commit: true,
             slow_statement_threshold: None,
             mvcc: true,
-            lock_shards: 16,
         }
     }
 }
@@ -104,12 +85,10 @@ impl DbConfig {
             lock_timeout: Duration::from_secs(60),
             deadlock_detection: true,
             log_capacity_records: 1_000_000,
-            isolation: Isolation::CursorStability,
             log_force_latency: Duration::ZERO,
             group_commit: true,
             slow_statement_threshold: None,
             mvcc: true,
-            lock_shards: 16,
         }
     }
 

@@ -31,7 +31,7 @@ use crate::bind::{
     bind, Aggregate, BoundKind, BoundSelect, BoundStmt, Output, PreparedShared, Scan, StmtCache,
 };
 use crate::catalog::{Catalog, TableMeta};
-use crate::config::{DbConfig, Isolation};
+use crate::config::DbConfig;
 use crate::error::{DbError, DbResult};
 use crate::eval::{eval, eval_pred, BoundExpr};
 use crate::lock::{LockManager, LockMetrics, LockMode, Res};
@@ -40,7 +40,6 @@ use crate::plan::{plan_access, AccessPath, TablePlan};
 use crate::schema::{ColumnDef, IndexId, IndexSchema, TableId, TableSchema};
 use crate::sql::ast::{AggFn, Expr, Stmt};
 use crate::sql::parser::parse;
-use crate::stats::StatsRegistry;
 use crate::storage::{Storage, StorageSnapshot, TableData};
 use crate::txn::{Savepoint, Txn, TxnId, TxnState, UndoOp};
 use crate::value::{Row, Value};
@@ -217,7 +216,6 @@ struct DbInner {
     wal: Wal,
     next_txn: AtomicU64,
     online: AtomicBool,
-    isolation: Isolation,
     next_key_locking: AtomicBool,
     checkpoint: Mutex<Option<Checkpoint>>,
     /// Slow-statement threshold in nanoseconds ([`SLOW_LOG_OFF`] = none);
@@ -225,7 +223,7 @@ struct DbInner {
     slow_threshold_nanos: AtomicU64,
     slow_log: Mutex<std::collections::VecDeque<SlowStatement>>,
     // ---- MVCC ---------------------------------------------------------
-    mvcc: AtomicBool,
+    mvcc: bool,
     /// Latest fully-published commit timestamp. Monotonic, never reset, so
     /// timestamps stay unique across crash/restart.
     commit_ts: AtomicU64,
@@ -263,12 +261,11 @@ impl Database {
                 stmt_cache: Mutex::new(StmtCache::default()),
                 stmt_counters: StmtCounters::default(),
                 storage: Storage::default(),
-                lm: LockManager::with_shards(
+                lm: LockManager::new(
                     config.lock_timeout,
                     config.lock_escalation_threshold,
                     config.lock_list_capacity,
                     config.deadlock_detection,
-                    config.lock_shards,
                 ),
                 wal: {
                     let wal = Wal::new(config.log_capacity_records, config.log_force_latency);
@@ -277,14 +274,13 @@ impl Database {
                 },
                 next_txn: AtomicU64::new(1),
                 online: AtomicBool::new(true),
-                isolation: config.isolation,
                 next_key_locking: AtomicBool::new(config.next_key_locking),
                 checkpoint: Mutex::new(None),
                 slow_threshold_nanos: AtomicU64::new(threshold_nanos(
                     config.slow_statement_threshold,
                 )),
                 slow_log: Mutex::new(std::collections::VecDeque::new()),
-                mvcc: AtomicBool::new(config.mvcc),
+                mvcc: config.mvcc,
                 commit_ts: AtomicU64::new(0),
                 publish: Mutex::new(()),
                 snapshots: Mutex::new(std::collections::BTreeMap::new()),
@@ -294,11 +290,6 @@ impl Database {
                 gc_watermark: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Create a database with default configuration.
-    pub fn new_default() -> Database {
-        Database::new(DbConfig::default())
     }
 
     fn check_online(&self) -> DbResult<()> {
@@ -403,7 +394,7 @@ impl Database {
                 return Err(DbError::Offline);
             }
         }
-        let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
+        let mvcc_on = self.inner.mvcc;
         // Publish committed versions before any deleted slot can be reused:
         // a reuser must find the chains clean.
         if mvcc_on && !txn.undo.is_empty() {
@@ -713,7 +704,7 @@ impl Database {
     /// queued at the current commit horizon under MVCC (see
     /// [`Database::apply_undo`]).
     fn unindex(&self, meta: &Arc<TableMeta>, index_pos: usize, key: Vec<Value>, rowid: u64) {
-        if self.inner.mvcc.load(AtomicOrdering::Relaxed) {
+        if self.inner.mvcc {
             self.inner.pending_unindex.lock().push(PendingUnindex {
                 ts: self.inner.commit_ts.load(AtomicOrdering::Acquire),
                 meta: meta.clone(),
@@ -930,9 +921,7 @@ impl Database {
             },
         };
         // Cursor stability: read locks do not survive the statement.
-        if self.inner.isolation == Isolation::CursorStability {
-            self.inner.lm.release_shared(txn.id);
-        }
+        self.inner.lm.release_shared(txn.id);
         if let Some(started) = started {
             let elapsed = started.elapsed();
             if elapsed.as_nanos() as u64 >= slow_nanos {
@@ -1150,7 +1139,7 @@ impl Database {
 
         // Physical apply: atomic unique check + mutation under the table's
         // apply mutex.
-        let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
+        let mvcc_on = self.inner.mvcc;
         let guard = self.inner.storage.apply_guard(table);
         let _g = guard.lock();
         for (ix, key) in meta.indexes.iter().zip(&keys) {
@@ -1237,7 +1226,7 @@ impl Database {
         let table = meta.schema.id;
         let matched = self.find_matching(txn, scan, params, true, false)?;
         let nkl = self.inner.next_key_locking.load(AtomicOrdering::Relaxed);
-        let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
+        let mvcc_on = self.inner.mvcc;
         let mut count = 0usize;
         for (rowid, old) in matched {
             let mut new = old.clone();
@@ -1307,7 +1296,7 @@ impl Database {
         let table = meta.schema.id;
         let matched = self.find_matching(txn, scan, params, true, false)?;
         let nkl = self.inner.next_key_locking.load(AtomicOrdering::Relaxed);
-        let mvcc_on = self.inner.mvcc.load(AtomicOrdering::Relaxed);
+        let mvcc_on = self.inner.mvcc;
         let mut count = 0usize;
         for (rowid, row) in matched {
             if nkl {
@@ -1364,7 +1353,7 @@ impl Database {
             t.get(key).filter(|r| Some(*r) != exclude).collect()
         };
         let rowids = self.inner.storage.with_index(ix.id, others)?;
-        if rowids.is_empty() || !self.inner.mvcc.load(AtomicOrdering::Relaxed) {
+        if rowids.is_empty() || !self.inner.mvcc {
             return Ok(!rowids.is_empty());
         }
         self.inner.storage.with_table(table, |t| {
@@ -1403,8 +1392,8 @@ impl Database {
         let table = scan.meta.schema.id;
         let storage = &self.inner.storage;
         let lm = &self.inner.lm;
-        let snapshot = (!for_write && !for_share && self.inner.mvcc.load(AtomicOrdering::Relaxed))
-            .then(|| self.snapshot_for(txn));
+        let snapshot =
+            (!for_write && !for_share && self.inner.mvcc).then(|| self.snapshot_for(txn));
         let me = txn.id;
         let nkl = snapshot.is_none() && self.inner.next_key_locking.load(AtomicOrdering::Relaxed);
         let row_mode = if for_write { LockMode::X } else { LockMode::S };
@@ -1435,8 +1424,8 @@ impl Database {
         // Candidate rows, grouped under the index key to lock first (when
         // key locks are wanted).
         let mut groups: Vec<(Option<Vec<Value>>, Vec<u64>)> = Vec::new();
-        // The index scanned and the probe it was scanned with.
-        let mut probed: Option<(IndexId, Vec<Value>)> = None;
+        // The index scanned, whose keys are locked.
+        let mut probed: Option<IndexId> = None;
         match &scan.plan.path {
             AccessPath::FullScan => {
                 // A snapshot unions live heap rows with chain-only rowids:
@@ -1477,7 +1466,7 @@ impl Database {
                     }
                 })?;
                 // Keys to lock come from this index.
-                probed = Some((*index, prefix));
+                probed = Some(*index);
             }
         }
         for (key, rowids) in groups {
@@ -1487,27 +1476,16 @@ impl Database {
                 })??;
                 continue;
             }
-            if let (Some(key), Some((index, _))) = (key, &probed) {
+            if let (Some(key), Some(index)) = (key, probed) {
                 // Key-value lock on the traversed key: S for reads, X for
                 // update-bound scans.
-                lm.lock(me, Res::Key(table, *index, key), row_mode)?;
+                lm.lock(me, Res::Key(table, index, key), row_mode)?;
             }
             for rowid in rowids {
                 lm.lock(me, Res::Row(table, rowid), row_mode)?;
                 // (Re)validate under the lock: the row may have changed
                 // between the index probe and lock acquisition.
                 storage.with_table(table, |t| visit(t, rowid, &mut out))??;
-            }
-        }
-        if let (Some((index, prefix)), AccessPath::IndexEq { .. }) = (probed, &scan.plan.path) {
-            if nkl && self.inner.isolation == Isolation::RepeatableRead && out.is_empty() {
-                // Phantom protection on a miss: lock the next key.
-                let next = storage.with_index(index, |t| t.next_key(&prefix))?;
-                let res = match next {
-                    Some(n) => Res::Key(table, index, n),
-                    None => Res::KeyEof(table, index),
-                };
-                lm.lock(me, res, row_mode)?;
             }
         }
         if snapshot.is_some() {
@@ -1573,26 +1551,13 @@ impl Database {
         self.inner.stats_gen.load(AtomicOrdering::Acquire)
     }
 
-    /// Read-only access to the statistics registry.
-    pub fn with_stats<R>(&self, f: impl FnOnce(&StatsRegistry) -> R) -> R {
-        f(&self.inner.catalog.read().stats)
-    }
-
     // ------------------------------------------------------------------
     // Runtime knobs & metrics
     // ------------------------------------------------------------------
 
-    /// Toggle MVCC snapshot reads at runtime. Only safe on a quiesced
-    /// database: writers already in flight before enabling have no version
-    /// chains, so concurrent snapshot readers could observe their dirty
-    /// rows.
-    pub fn set_mvcc(&self, on: bool) {
-        self.inner.mvcc.store(on, AtomicOrdering::Relaxed);
-    }
-
     /// Are reads resolved as lock-free snapshot scans?
     pub fn mvcc(&self) -> bool {
-        self.inner.mvcc.load(AtomicOrdering::Relaxed)
+        self.inner.mvcc
     }
 
     /// Statements resolved as lock-free snapshot reads so far.
@@ -1640,19 +1605,9 @@ impl Database {
         self.inner.next_key_locking.load(AtomicOrdering::Relaxed)
     }
 
-    /// Change the lock timeout.
-    pub fn set_lock_timeout(&self, d: std::time::Duration) {
-        self.inner.lm.set_timeout(d);
-    }
-
     /// Change the lock-escalation threshold (`None` disables escalation).
     pub fn set_lock_escalation_threshold(&self, t: Option<usize>) {
         self.inner.lm.set_escalation_threshold(t);
-    }
-
-    /// Change the WAL active-window capacity.
-    pub fn set_log_capacity(&self, records: usize) {
-        self.inner.wal.set_capacity(records);
     }
 
     /// Simulated log-force latency.
@@ -1706,11 +1661,6 @@ impl Database {
     /// [`Database::wal_commits_total`]).
     pub fn wal_lazy_commits_total(&self) -> u64 {
         self.inner.wal.lazy_commits_total()
-    }
-
-    /// Locks currently held by a transaction (diagnostics, Figure 4 trace).
-    pub fn locks_held(&self, txn: TxnId) -> usize {
-        self.inner.lm.held_count(txn)
     }
 
     /// Recent deadlocks captured by the wait-for detector, oldest first:
@@ -1853,12 +1803,6 @@ impl Database {
         let mut r = obs::Registry::new();
         self.render_metrics(&mut r);
         r.render()
-    }
-
-    /// Number of live rows in a table (diagnostics).
-    pub fn table_len(&self, table: &str) -> DbResult<usize> {
-        let id = self.inner.catalog.read().table(table)?.id;
-        self.inner.storage.with_table(id, |t| t.len())
     }
 
     // ------------------------------------------------------------------

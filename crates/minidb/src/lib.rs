@@ -59,7 +59,7 @@ pub mod wal;
 
 pub use bind::Prepared;
 pub use catalog::TableMeta;
-pub use config::{DbConfig, Isolation};
+pub use config::DbConfig;
 pub use engine::{Database, DbImage, ExecResult, SlowStatement};
 pub use error::{DbError, DbResult};
 pub use lock::{DeadlockParty, DeadlockReport, LockMetrics, LockMetricsSnapshot, LockMode};

@@ -35,7 +35,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -454,7 +454,7 @@ pub struct LockManager {
     /// Grants outstanding across all shards (lock-list pressure).
     total_locks: AtomicUsize,
     next_ticket: AtomicU64,
-    deadlock_detection: AtomicBool,
+    deadlock_detection: bool,
     /// Recent [`DeadlockReport`]s, newest last (bounded).
     deadlock_log: Mutex<VecDeque<DeadlockReport>>,
 }
@@ -492,7 +492,7 @@ impl LockManager {
             lock_list_capacity,
             total_locks: AtomicUsize::new(0),
             next_ticket: AtomicU64::new(0),
-            deadlock_detection: AtomicBool::new(deadlock_detection),
+            deadlock_detection,
             deadlock_log: Mutex::new(VecDeque::new()),
         }
     }
@@ -619,12 +619,6 @@ impl LockManager {
     /// Change the escalation threshold at runtime.
     pub fn set_escalation_threshold(&self, t: Option<usize>) {
         self.escalation_threshold.store(t.unwrap_or(usize::MAX), AtomicOrdering::Relaxed);
-    }
-
-    /// Enable/disable the local deadlock detector (when disabled, only the
-    /// timeout breaks cycles — how distributed deadlocks behave in §4).
-    pub fn set_deadlock_detection(&self, on: bool) {
-        self.deadlock_detection.store(on, AtomicOrdering::Relaxed);
     }
 
     /// Number of locks currently held by `txn`.
@@ -878,7 +872,7 @@ impl LockManager {
         });
 
         // Deadlock check now that the graph has a new edge set.
-        if self.deadlock_detection.load(AtomicOrdering::Relaxed) {
+        if self.deadlock_detection {
             if let Some(cycle) = self.find_cycle(txn) {
                 let victim = cycle.iter().copied().max_by_key(|t| t.0).unwrap_or(txn);
                 // Capture the forensic report while the cycle is still live

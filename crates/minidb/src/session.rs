@@ -9,7 +9,7 @@
 use crate::bind::Prepared;
 use crate::engine::{Database, ExecResult};
 use crate::error::{DbError, DbResult};
-use crate::txn::{Savepoint, Txn, TxnId};
+use crate::txn::{Savepoint, Txn};
 use crate::value::{Row, Value};
 
 /// One database session (not thread-safe; one per thread).
@@ -32,11 +32,6 @@ impl Session {
     /// Is a transaction open?
     pub fn in_txn(&self) -> bool {
         self.txn.is_some()
-    }
-
-    /// Id of the open transaction, if any.
-    pub fn txn_id(&self) -> Option<TxnId> {
-        self.txn.as_ref().map(|t| t.id)
     }
 
     /// Begin an explicit transaction.

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use obs::journal::JournalKind;
@@ -89,7 +89,7 @@ fn window(active: &Active, next_lsn: Lsn) -> usize {
 /// through `Deref`.
 pub struct Wal {
     log: Log<LogRecord, Active>,
-    capacity: AtomicUsize,
+    capacity: usize,
     /// Commit records whose committer did not wait for a force.
     lazy_commits: AtomicU64,
 }
@@ -108,14 +108,9 @@ impl Wal {
     pub fn new(capacity: usize, force_latency: Duration) -> Wal {
         Wal {
             log: Log::new(obs::Layer::Minidb, JournalKind::WalForce, force_latency),
-            capacity: AtomicUsize::new(capacity),
+            capacity,
             lazy_commits: AtomicU64::new(0),
         }
-    }
-
-    /// Change the active-window capacity at runtime (E8 sweeps this).
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
     }
 
     /// Append a record for `txn`. Fails with `LogFull` when the active
@@ -126,7 +121,7 @@ impl Wal {
             return Err(DbError::Internal("injected: wal append I/O error".into()));
         }
         let is_terminal = matches!(payload, LogPayload::Commit | LogPayload::Abort);
-        let capacity = self.capacity.load(Ordering::Relaxed);
+        let capacity = self.capacity;
         self.log.append_with(|lsn, active| {
             if is_terminal {
                 active.remove(&txn.0);

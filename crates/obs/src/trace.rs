@@ -237,11 +237,6 @@ impl SpanGuard {
         self.outcome = Outcome::Err;
     }
 
-    /// Set the outcome from a `Result`-ish flag.
-    pub fn set_ok(&mut self, ok: bool) {
-        self.outcome = if ok { Outcome::Ok } else { Outcome::Err };
-    }
-
     /// Stop being the thread's current context — the previous one is
     /// restored now — while the span itself stays open until drop. For
     /// work that outlives the code that started it (a pending RPC): spans

@@ -378,11 +378,6 @@ pub struct WatchConfig {
     /// Directory incident bundles are written under (`None` disables
     /// bundle writing; alerts are still journaled and counted).
     pub bundle_dir: Option<PathBuf>,
-    /// At most this many bundles per watchdog (an alert storm must not
-    /// fill the disk).
-    pub max_bundles: u64,
-    /// Minimum spacing between bundles.
-    pub bundle_cooldown: Duration,
     /// Health rules evaluated on every sample.
     pub rules: Vec<Rule>,
 }
@@ -393,8 +388,6 @@ impl Default for WatchConfig {
             interval: Duration::from_secs(1),
             capacity: 600,
             bundle_dir: None,
-            max_bundles: 8,
-            bundle_cooldown: Duration::from_secs(10),
             rules: Vec::new(),
         }
     }
@@ -1016,6 +1009,11 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
+/// At most this many bundles per watchdog (an alert storm must not fill the
+/// disk), at least this far apart.
+const MAX_BUNDLES: u64 = 8;
+const BUNDLE_COOLDOWN: Duration = Duration::from_secs(10);
+
 /// Write a self-contained incident bundle for one alert: the time-series
 /// window, every registered status section, a flight-recorder dump, and a
 /// Perfetto trace. Failures are logged, never fatal — the watchdog must
@@ -1024,11 +1022,11 @@ fn write_bundle(inner: &Inner, alert: &Alert, window: &[TimePoint]) {
     let Some(root) = &inner.config.bundle_dir else { return };
     {
         let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.bundles_written >= inner.config.max_bundles {
+        if state.bundles_written >= MAX_BUNDLES {
             return;
         }
         if let Some(last) = state.last_bundle {
-            if last.elapsed() < inner.config.bundle_cooldown {
+            if last.elapsed() < BUNDLE_COOLDOWN {
                 return;
             }
         }

@@ -65,8 +65,6 @@ pub struct DlfmWorkloadConfig {
     pub grp_id: i64,
     /// Base directory for generated files; each client gets a subtree.
     pub base_dir: String,
-    /// Optional think time between transactions.
-    pub think_time: Duration,
 }
 
 impl Default for DlfmWorkloadConfig {
@@ -78,7 +76,6 @@ impl Default for DlfmWorkloadConfig {
             seed: 42,
             grp_id: 1,
             base_dir: "/wl".into(),
-            think_time: Duration::ZERO,
         }
     }
 }
@@ -240,9 +237,6 @@ fn client_loop(
             Err(Fail::Timeout) => report.timeouts += 1,
             Err(Fail::Rejected) => report.rejects += 1,
             Err(Fail::Error) => report.errors += 1,
-        }
-        if config.think_time > Duration::ZERO {
-            std::thread::sleep(config.think_time);
         }
     }
     report.elapsed = start.elapsed();

@@ -40,7 +40,6 @@ fn dlfm_driver_commits_and_reports() {
         seed: 1,
         grp_id: 1,
         base_dir: "/wl".into(),
-        think_time: Duration::ZERO,
     };
     let report = run_dlfm_workload(&server.connector(), &fs, &config, &ids);
     assert!(report.committed() > 0, "driver must make progress: {}", report.summary());

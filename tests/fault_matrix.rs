@@ -11,6 +11,8 @@
 //!   and mid-attempt crashes;
 //! * no file is left taken-over without a matching committed link state.
 //!
+//! Every sweep ends on [`datalinks::audit`], the one §3.3 oracle.
+//!
 //! Each bug fixed alongside this harness has a pinned regression test
 //! here that fails if the fix is reverted.
 //!
@@ -21,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use datalinks::{dlfm, Deployment};
+use datalinks::{dlfm, Audit, Deployment};
 use dlfm::{DlfmRequest, DlfmResponse};
 use minidb::{Session, Value};
 use obs::fault::{self, Trigger};
@@ -133,22 +135,15 @@ impl Driver {
     fn owner(&self, path: &str) -> String {
         self.dep.fs.stat(path).unwrap().owner
     }
+}
 
-    /// Run the resolver until no in-doubt work remains. Abandoned agent
-    /// sessions may briefly hold locks while their threads wind down, so
-    /// the resolver is retried on a deadline rather than asserted once.
-    fn resolve_until_clean(&self) {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let resolved = self.dep.host.resolve_indoubts();
-            let mut s = Session::new(self.dep.dlfm.db());
-            if let (Ok(_), Ok(0)) = (resolved, s.query_int("SELECT COUNT(*) FROM dfm_xact", &[])) {
-                return;
-            }
-            assert!(Instant::now() < deadline, "in-doubt work failed to drain");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
+/// Let the resolver drain every in-doubt sub-transaction, then require a
+/// clean §3.3 report in which the `acked` outcomes stand.
+fn assert_clean(mut audit: Audit<'_>, acked: impl IntoIterator<Item = (String, bool)>, what: &str) {
+    audit.acked.extend(acked);
+    audit.resolve_until_clean(Duration::from_secs(30)).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let report = audit.check();
+    assert!(report.is_clean(), "{what}: {report}");
 }
 
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -164,11 +159,20 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 // check the paper's invariants.
 // ---------------------------------------------------------------------
 
-/// Expected converged link state of a path: `Some(linked?)` after an
-/// acknowledged operation; `None` once an operation on it failed (its
-/// decision may still be re-driven either way, so both outcomes are
-/// legal — only the global invariants apply).
-type Expectations = HashMap<String, Option<bool>>;
+/// Converged link state of each path whose last operation was
+/// acknowledged. A path leaves the map once an operation on it fails: its
+/// decision may still be re-driven either way, so both outcomes are legal
+/// and only the global invariants apply.
+type Expectations = HashMap<String, bool>;
+
+/// Record the outcome of an operation that leaves `path` linked or not.
+fn note(expect: &mut Expectations, path: String, acked: bool, linked: bool) {
+    if acked {
+        expect.insert(path, linked);
+    } else {
+        expect.remove(&path);
+    }
+}
 
 fn sweep_one_seed(seed: u64) {
     sweep_with(
@@ -222,17 +226,17 @@ fn sweep_with(d: Driver, seed: u64, faults: &[(&str, Trigger)]) {
                 &[Value::Int(i), Value::str(d.dep.url(&path))],
             )
             .is_ok();
-        expect.insert(path, if acked { Some(true) } else { None });
+        note(&mut expect, path, acked, true);
     }
     // Phase B: unlink half of the successfully linked ones.
     for i in 0..4i64 {
         let path = format!("/f{i}");
-        if expect[&path] != Some(true) {
+        if expect.get(&path) != Some(&true) {
             continue;
         }
         let mut s = d.dep.host.session();
         let acked = s.exec_params("DELETE FROM t WHERE id = ?", &[Value::Int(i)]).is_ok();
-        expect.insert(path, if acked { Some(false) } else { None });
+        note(&mut expect, path, acked, false);
     }
     // Phase C: explicit transactions that back out — a statement whose
     // UPDATE names a missing file (its unlink is backed out) and a
@@ -270,61 +274,12 @@ fn sweep_with(d: Driver, seed: u64, faults: &[(&str, Trigger)]) {
     let report = d.dep.host.session().load("t", &["id", "doc"], &load, 3);
     let loaded = report.expect("a load reports how far it got").rows_loaded;
 
-    // Heal: disarm every fault and let the resolver finish what's left.
+    // Heal: disarm every fault, let the resolver finish what's left, and
+    // require the §3.3 invariants — acknowledged outcomes among them: the
+    // load's committed rows are exactly the ones it reported.
     drop(guard);
-    d.resolve_until_clean();
-
-    // Invariant: acknowledged outcomes are never lost — the load's
-    // committed rows are exactly the ones it reported.
-    let mut host = d.dep.host.session();
-    for i in 0..9i64 {
-        let sql = "SELECT COUNT(*) FROM t WHERE id = ?";
-        let rows = host.query_int(sql, &[Value::Int(300 + i)]).unwrap();
-        assert_eq!(
-            rows,
-            i64::from(i < loaded as i64),
-            "seed {seed}: load row {i}, {loaded} loaded"
-        );
-    }
-    for (path, state) in &expect {
-        match state {
-            Some(true) => {
-                assert!(d.is_linked(path), "seed {seed}: acked link of {path} lost");
-                assert_eq!(d.owner(path), "dlfm_admin", "seed {seed}: {path} not taken over");
-                let id: i64 = path.trim_start_matches("/f").parse().unwrap();
-                assert_eq!(
-                    host.query_int("SELECT COUNT(*) FROM t WHERE id = ?", &[Value::Int(id)])
-                        .unwrap(),
-                    1,
-                    "seed {seed}: acked host row {id} lost"
-                );
-            }
-            Some(false) => {
-                assert!(!d.is_linked(path), "seed {seed}: acked unlink of {path} lost");
-                assert_eq!(d.owner(path), "u", "seed {seed}: {path} not released");
-            }
-            None => {} // outcome legitimately unknown; global checks below
-        }
-    }
-
-    // Invariant: nothing stays in-doubt, and for every file a committed
-    // host row references it ⟺ a committed linked entry backs it ⟺ it is
-    // owned by the DLFM admin.
-    assert_eq!(d.xact_count(), 0, "seed {seed}: in-doubt sub-transactions remain");
-    for path in d.dep.fs.list("/") {
-        let linked = d.is_linked(&path);
-        let owner = d.owner(&path);
-        assert_eq!(
-            owner == "dlfm_admin",
-            linked,
-            "seed {seed}: {path} owner={owner} linked={linked} — takeover without \
-             committed link state (or the reverse)"
-        );
-        let rows = host
-            .query_int("SELECT COUNT(*) FROM t WHERE doc = ?", &[Value::str(d.dep.url(&path))])
-            .unwrap();
-        assert_eq!(rows == 1, linked, "seed {seed}: {path} has {rows} host rows, linked={linked}");
-    }
+    expect.extend((0..9).map(|i| (format!("/l{i}"), i < loaded)));
+    assert_clean(d.dep.audit("/"), expect, &format!("seed {seed}"));
 }
 
 #[test]
@@ -424,9 +379,7 @@ fn crash_after_prepare_before_ack_resolves_by_presumed_abort() {
     d.dep.dlfm.restart().unwrap();
     // The hardened prepare survived the crash as an in-doubt entry; with
     // no commit record the resolver presumed-aborts it.
-    d.resolve_until_clean();
-    assert_eq!(d.linked_count(), 0);
-    assert_eq!(d.owner("/p"), "u");
+    assert_clean(d.dep.audit("/"), [("/p".into(), false)], "presumed abort");
     let mut s2 = d.dep.host.session();
     assert_eq!(s2.query_int("SELECT COUNT(*) FROM t", &[]).unwrap(), 0);
 }
@@ -450,9 +403,7 @@ fn crash_between_takeover_and_local_commit_redrives_the_acked_commit() {
 
     fault::clear();
     d.dep.dlfm.restart().unwrap();
-    d.resolve_until_clean();
-    assert!(d.is_linked("/w"), "acknowledged commit was lost");
-    assert_eq!(d.owner("/w"), "dlfm_admin");
+    assert_clean(d.dep.audit("/"), [("/w".into(), true)], "re-driven commit");
 }
 
 #[test]
@@ -473,12 +424,11 @@ fn crash_after_phase2_commit_before_ack_is_idempotent_on_redrive() {
     d.dep.dlfm.restart().unwrap();
     // The transaction is in doubt again: the resolver re-drives the
     // commit, and any further delivery is a no-op.
-    d.resolve_until_clean();
+    let audit = d.dep.audit("/");
+    audit.resolve_until_clean(Duration::from_secs(30)).unwrap();
     let conn = d.conn();
     assert_eq!(conn.call(DlfmRequest::Commit { xid: 0 }).unwrap(), DlfmResponse::Ok);
-    assert!(d.is_linked("/c"));
-    assert_eq!(d.owner("/c"), "dlfm_admin");
-    assert_eq!(d.xact_count(), 0);
+    assert_clean(audit, [("/c".into(), true)], "re-driven commit");
 }
 
 // ---------------------------------------------------------------------
@@ -633,9 +583,7 @@ fn abandoned_phase2_commit_stays_prepared_and_the_resolver_completes_it() {
 
     // The resolver's re-drive path completes it once the storm passes.
     fault::clear();
-    d.resolve_until_clean();
-    assert!(d.is_linked("/ab"), "acked commit must be completed by the resolver");
-    assert_eq!(d.owner("/ab"), "dlfm_admin");
+    assert_clean(d.dep.audit("/"), [("/ab".into(), true)], "resolver completes the acked commit");
 }
 
 // ---------------------------------------------------------------------
@@ -780,8 +728,6 @@ fn failed_hangup_abort_is_counted_and_resolved_after_restart() {
 /// call-level faults (`rpc.call.*`) bite all three.
 struct ShardedDriver {
     fs: std::sync::Arc<filesys::FileSystem>,
-    #[allow(dead_code)]
-    archive: std::sync::Arc<archive::ArchiveServer>,
     shards: Vec<dlfm::DlfmServer>,
     names: Vec<&'static str>,
     host: hostdb::HostDb,
@@ -829,7 +775,7 @@ impl ShardedDriver {
         )
         .unwrap();
         drop(s);
-        ShardedDriver { fs, archive, shards, names, host }
+        ShardedDriver { fs, shards, names, host }
     }
 
     /// A datalink URL for `path`. The server name in the URL is
@@ -838,52 +784,21 @@ impl ShardedDriver {
         format!("dlfs://s0{path}")
     }
 
-    fn linked_on(&self, i: usize, path: &str) -> bool {
-        let mut s = Session::new(self.shards[i].db());
-        s.query_int(
-            "SELECT COUNT(*) FROM dfm_file WHERE filename = ? AND lnk_state = 1",
-            &[Value::str(path.to_string())],
+    /// The oracle across all three shards.
+    fn audit(&self) -> Audit<'_> {
+        Audit::new(
+            &self.host,
+            self.names.iter().copied().zip(&self.shards).collect(),
+            &self.fs,
+            "/",
         )
-        .unwrap()
-            > 0
     }
 
-    /// Indices of the shards holding a linked entry for `path`.
-    fn linked_shards(&self, path: &str) -> Vec<usize> {
-        (0..self.shards.len()).filter(|&i| self.linked_on(i, path)).collect()
-    }
-
-    /// The shard index the map currently routes `path` to.
-    fn routed_shard(&self, path: &str) -> usize {
-        let map = self.host.shard_map();
-        let routed =
-            map.route(path, map.epoch(), Duration::from_secs(5)).unwrap().expect("ring is enabled");
-        self.names.iter().position(|n| *n == routed.shard).unwrap()
-    }
-
-    fn owner(&self, path: &str) -> String {
-        self.fs.stat(path).unwrap().owner
-    }
-
-    fn xact_total(&self) -> i64 {
-        (0..self.shards.len())
-            .map(|i| {
-                let mut s = Session::new(self.shards[i].db());
-                s.query_int("SELECT COUNT(*) FROM dfm_xact", &[]).unwrap()
-            })
-            .sum()
-    }
-
-    fn resolve_until_clean(&self) {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let resolved = self.host.resolve_indoubts();
-            if resolved.is_ok() && self.xact_total() == 0 {
-                return;
-            }
-            assert!(Instant::now() < deadline, "in-doubt work failed to drain across shards");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+    /// The shard the host's metadata names for a linked `path`.
+    fn home(&self, path: &str) -> Option<String> {
+        let sql = "SELECT server FROM sys_datalinks WHERE filename = ?";
+        let rows = Session::new(self.host.db()).query(sql, &[Value::str(path)]).unwrap();
+        rows.first().map(|r| r[0].as_str().unwrap().to_string())
     }
 }
 
@@ -917,77 +832,24 @@ fn sharded_sweep_one_seed(seed: u64) {
                     &[Value::Int(dir * 2 + f), Value::str(d.url(&path))],
                 )
                 .is_ok();
-            expect.insert(path, if acked { Some(true) } else { None });
+            note(&mut expect, path, acked, true);
         }
     }
     // Phase B: unlink the first acked file of each directory.
     for dir in 0..6i64 {
         let path = format!("/d{dir}/f0");
-        if expect[&path] != Some(true) {
+        if expect.get(&path) != Some(&true) {
             continue;
         }
         let mut s = d.host.session();
         let acked = s.exec_params("DELETE FROM t WHERE id = ?", &[Value::Int(dir * 2)]).is_ok();
-        expect.insert(path, if acked { Some(false) } else { None });
+        note(&mut expect, path, acked, false);
     }
-
-    drop(guard);
-    d.resolve_until_clean();
 
     // §3.3 invariants, now *across* shards: an acked link lives on exactly
     // the shard the map routes it to, an acked unlink lives nowhere.
-    let mut host = d.host.session();
-    for (path, state) in &expect {
-        let on = d.linked_shards(path);
-        match state {
-            Some(true) => {
-                assert_eq!(
-                    on,
-                    vec![d.routed_shard(path)],
-                    "seed {seed}: acked link of {path} must live on exactly its routed shard"
-                );
-                assert_eq!(d.owner(path), "dlfm_admin", "seed {seed}: {path} not taken over");
-                assert_eq!(
-                    host.query_int(
-                        "SELECT COUNT(*) FROM sys_datalinks WHERE filename = ?",
-                        &[Value::str(path.to_string())],
-                    )
-                    .unwrap(),
-                    1,
-                    "seed {seed}: acked host row for {path} lost"
-                );
-            }
-            Some(false) => {
-                assert!(on.is_empty(), "seed {seed}: acked unlink of {path} lost (on {on:?})");
-                assert_eq!(d.owner(path), "u", "seed {seed}: {path} not released");
-            }
-            None => {
-                assert!(on.len() <= 1, "seed {seed}: {path} linked on more than one shard: {on:?}");
-            }
-        }
-    }
-
-    // Nothing in-doubt anywhere; takeover ⟺ linked on some shard; no
-    // linked row strays off its routed shard.
-    assert_eq!(d.xact_total(), 0, "seed {seed}: in-doubt sub-transactions remain on a shard");
-    for path in d.fs.list("/") {
-        let on = d.linked_shards(&path);
-        assert!(on.len() <= 1, "seed {seed}: {path} linked on several shards: {on:?}");
-        let owner = d.owner(&path);
-        assert_eq!(
-            owner == "dlfm_admin",
-            !on.is_empty(),
-            "seed {seed}: {path} owner={owner} linked_on={on:?} — takeover without \
-             committed link state (or the reverse)"
-        );
-        if let Some(&i) = on.first() {
-            assert_eq!(
-                i,
-                d.routed_shard(&path),
-                "seed {seed}: linked row for {path} found on the wrong shard"
-            );
-        }
-    }
+    drop(guard);
+    assert_clean(d.audit(), expect, &format!("seed {seed}"));
 }
 
 #[test]
@@ -1022,19 +884,19 @@ fn live_prefix_migration_preserves_links_and_reroutes() {
         )
         .unwrap();
     }
-    let home = d.routed_shard("/mv/h0/f0");
-    let target = (home + 1) % d.shards.len();
-    let moved = d.host.migrate_prefix("/mv/h0", d.names[target]).unwrap();
+    let home = d.home("/mv/h0/f0").unwrap();
+    let other = d.home("/other/f0");
+    let target = d.names[(d.names.iter().position(|n| *n == home).unwrap() + 1) % 3];
+    let moved = d.host.migrate_prefix("/mv/h0", target).unwrap();
     assert_eq!(moved, 4, "all four linked rows under the prefix must move");
 
-    // The rows moved and new routing follows the override.
+    // The host rows moved; the oracle holds each to being linked on, and
+    // routed to, the shard its row names.
     for path in ["/mv/h0/f0", "/mv/h0/f1", "/mv/h0/f2", "/mv/h0/f3"] {
-        assert_eq!(d.linked_shards(path), vec![target], "{path} must live on the target shard");
-        assert_eq!(d.routed_shard(path), target, "{path} must route to the target shard");
-        assert_eq!(d.owner(path), "dlfm_admin");
+        assert_eq!(d.home(path).as_deref(), Some(target), "{path} must live on the target shard");
     }
-    // Untouched directory still routes and lives where it did.
-    assert_eq!(d.linked_shards("/other/f0"), vec![d.routed_shard("/other/f0")]);
+    // Untouched directory still lives where it did.
+    assert_eq!(d.home("/other/f0"), other);
 
     // A new link under the migrated prefix lands on the target shard.
     d.fs.create("/mv/h0/f9", "u", b"x").unwrap();
@@ -1044,15 +906,14 @@ fn live_prefix_migration_preserves_links_and_reroutes() {
         &[Value::Int(109), Value::str(d.url("/mv/h0/f9"))],
     )
     .unwrap();
-    assert_eq!(d.linked_shards("/mv/h0/f9"), vec![target]);
+    assert_eq!(d.home("/mv/h0/f9").as_deref(), Some(target));
 
     // Unlinking a migrated file works: the host metadata followed the
     // move, so the DELETE is sent to the new owner shard.
     s.exec_params("DELETE FROM t WHERE id = ?", &[Value::Int(100)]).unwrap();
     drop(s);
-    assert!(d.linked_shards("/mv/h0/f0").is_empty(), "unlink after migration must stick");
-    assert_eq!(d.owner("/mv/h0/f0"), "u");
-    d.resolve_until_clean();
+    let acked = [("/mv/h0/f0".into(), false), ("/mv/h0/f9".into(), true)];
+    assert_clean(d.audit(), acked, "after migration");
 }
 
 // ---------------------------------------------------------------------
@@ -1079,25 +940,17 @@ fn phase2_transport_error_does_not_false_abort_an_acked_commit() {
             )
             .is_ok()
             {
-                acked.push(path);
+                acked.push((path, true));
             }
         }
         drop(guard);
-        d.resolve_until_clean();
 
         // Every statement that returned Ok reached a durable commit
         // decision: after healing, its link must exist. Before the fix, a
         // socket reset on the phase-2 Commit call surfaced as Err from
         // commit() even though the forced commit record had been written —
         // the application saw an abort for a transaction that commits.
-        for path in &acked {
-            assert!(
-                d.is_linked(path),
-                "seed {seed}: acked commit of {path} was reported aborted or lost \
-                 after a phase-2 transport error"
-            );
-            assert_eq!(d.owner(path), "dlfm_admin");
-        }
+        assert_clean(d.dep.audit("/"), acked, &format!("seed {seed}"));
         fired_total += d.dep.host.metrics().phase2_transport_errors.load(Ordering::Relaxed);
         if fired_total > 0 {
             break; // the interesting path fired and its invariant held

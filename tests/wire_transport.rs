@@ -36,29 +36,6 @@ fn unique_unix_path(tag: &str) -> String {
     .to_string()
 }
 
-fn resolve_until_clean(dep: &Deployment) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let resolved = dep.host.resolve_indoubts();
-        let mut s = Session::new(dep.dlfm.db());
-        if let (Ok(_), Ok(0)) = (resolved, s.query_int("SELECT COUNT(*) FROM dfm_xact", &[])) {
-            return;
-        }
-        assert!(Instant::now() < deadline, "in-doubt work failed to drain");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn linked(dep: &Deployment, path: &str) -> bool {
-    let mut s = Session::new(dep.dlfm.db());
-    s.query_int(
-        "SELECT COUNT(*) FROM dfm_file WHERE filename = ? AND lnk_state = 1",
-        &[Value::str(path.to_string())],
-    )
-    .unwrap()
-        > 0
-}
-
 /// The full 2PC workload over one socket transport: link a batch through
 /// SQL (one two-phase commit each), unlink part of it, drive a prepared
 /// sub-transaction in-doubt across a DLFM crash, and let the resolver
@@ -131,19 +108,14 @@ fn full_stack_over(listen: Transport) {
     dep.dlfm.restart().unwrap();
 
     // No commit record exists for `xid`, so the resolver presumed-aborts
-    // it; everything else must already be converged.
-    resolve_until_clean(&dep);
-    assert!(!linked(&dep, "/indoubt"), "prepared-but-undecided link must presumed-abort");
-    assert_eq!(dep.fs.stat("/indoubt").unwrap().owner, "u");
-    for i in 4..12i64 {
-        let path = format!("/f{i}");
-        assert!(linked(&dep, &path), "acked link of {path} lost across crash");
-        assert_eq!(dep.fs.stat(&path).unwrap().owner, "dlfm_admin");
-    }
-    for i in 0..4i64 {
-        let path = format!("/f{i}");
-        assert!(!linked(&dep, &path), "acked unlink of {path} lost across crash");
-    }
+    // it; everything else must already be converged: the acked links of
+    // /f4../f11 and unlinks of /f0../f3 stand across the crash.
+    let mut audit = dep.audit("/");
+    audit.acked = (0..12).map(|i| (format!("/f{i}"), i >= 4)).collect();
+    audit.acked.insert("/indoubt".into(), false);
+    audit.resolve_until_clean(Duration::from_secs(30)).unwrap();
+    let report = audit.check();
+    assert!(report.is_clean(), "{report}");
     let mut s = dep.host.session();
     assert_eq!(s.query_int("SELECT COUNT(*) FROM t", &[]).unwrap(), 8);
 
