@@ -4,7 +4,7 @@
 //! violation under its kind (`mis-homed`, `orphan-link`, `column`,
 //! `ownership`, `in-doubt`, `unfinished-commit`, `acked`, or `unreadable`
 //! for a table it could not read). [`Audit::resolve_until_clean`] is the
-//! drain every sweep runs first.
+//! one drain; [`Audit::settle`] runs it and then the check.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -24,8 +24,18 @@ pub struct Audit<'a> {
     pub fs: &'a filesys::FileSystem,
     /// Only files under this prefix are checked for ownership.
     pub prefix: &'a str,
-    /// Acknowledged outcomes: path → linked (`true`) or unlinked (`false`).
-    pub acked: HashMap<String, bool>,
+    /// Acknowledged outcomes, by path.
+    pub acked: HashMap<String, Acked>,
+}
+
+/// An acknowledged outcome [`Audit::check`] holds a path to.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Acked {
+    /// The link committed: the file is linked.
+    Linked,
+    /// The unlink committed, or the link never did: the file is linked
+    /// nowhere and is back with the named owner, its owner before the link.
+    Unlinked(String),
 }
 
 /// Violations found by [`Audit::check`]: one `kind: detail` line each, at
@@ -104,23 +114,27 @@ impl<'a> Audit<'a> {
         }
     }
 
-    /// Run the resolver until nothing is in doubt anywhere, or fail once
-    /// `timeout` has passed. Abandoned agent sessions may briefly hold
-    /// locks while their threads wind down, hence a deadline, not one pass.
-    pub fn resolve_until_clean(&self, timeout: Duration) -> Result<(), String> {
+    /// Run the resolver until nothing is in doubt anywhere, or until
+    /// `timeout` has passed; [`Audit::check`] reports whatever is left.
+    /// Abandoned agent sessions may briefly hold locks while their threads
+    /// wind down, hence a deadline, not one pass.
+    pub fn resolve_until_clean(&self, timeout: Duration) {
         let deadline = Instant::now() + timeout;
         loop {
             let resolved = self.host.resolve_indoubts();
             let mut left = Report::default();
             self.in_doubt(&mut left);
-            if resolved.is_ok() && left.is_clean() {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(format!("in-doubt work failed to drain ({resolved:?}): {left}"));
+            if (resolved.is_ok() && left.is_clean()) || Instant::now() >= deadline {
+                return;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    /// Drain, then check: the end state every sweep requires to be clean.
+    pub fn settle(&self, timeout: Duration) -> Report {
+        self.resolve_until_clean(timeout);
+        self.check()
     }
 
     /// Check every invariant once.
@@ -203,10 +217,15 @@ impl<'a> Audit<'a> {
             }
         }
 
-        // Acknowledged outcomes stand.
-        for (path, &linked) in &self.acked {
-            if linked_on.contains_key(path) != linked {
-                r.push("acked", format!("acknowledged {path} linked = {linked}, lost"));
+        // Acknowledged outcomes stand, as [`Acked`] defines them.
+        for (path, acked) in &self.acked {
+            let (on, owner) = (linked_on.get(path), self.fs.stat(path).map(|m| m.owner).ok());
+            let held = match acked {
+                Acked::Linked => on.is_some(),
+                Acked::Unlinked(before) => on.is_none() && owner.as_ref() == Some(before),
+            };
+            if !held {
+                r.push("acked", format!("{path} not {acked:?}: on {on:?}, owner {owner:?}"));
             }
         }
         r
@@ -275,11 +294,11 @@ mod tests {
     #[test]
     fn clean_two_shard_stand_reports_nothing() {
         let rig = rig();
+        rig.fs.create("/b/never", "app", b"x").unwrap();
         let mut audit = rig.audit();
-        audit.acked.insert("/b/d0/f".into(), true);
-        audit.acked.insert("/b/never".into(), false);
-        audit.resolve_until_clean(Duration::from_secs(5)).unwrap();
-        let report = audit.check();
+        audit.acked.insert("/b/d0/f".into(), Acked::Linked);
+        audit.acked.insert("/b/never".into(), Acked::Unlinked("app".into()));
+        let report = audit.settle(Duration::from_secs(5));
         assert!(report.is_clean(), "{report}");
         // Both shards hold links, so the stand really is two-shard.
         let on: HashSet<&str> = ["s0", "s1"]
@@ -356,7 +375,20 @@ mod tests {
     fn acknowledged_outcome_mismatch_is_reported() {
         let rig = rig();
         let mut audit = rig.audit();
-        audit.acked.insert("/b/d3/f".into(), false);
+        audit.acked.insert("/b/d3/f".into(), Acked::Unlinked("app".into()));
+        rig.expect(&audit, &["acked"]);
+    }
+
+    #[test]
+    fn unlinked_file_with_the_wrong_owner_is_reported() {
+        let rig = rig();
+        rig.host.session().exec_params("DELETE FROM t WHERE id = 3", &[]).unwrap();
+        let mut audit = rig.audit();
+        audit.acked.insert("/b/d3/f".into(), Acked::Unlinked("app".into()));
+        rig.expect(&audit, &[]);
+        // Released, but not to the owner it had before the link: no
+        // takeover rule is broken, only the acknowledged outcome.
+        rig.fs.chown("/b/d3/f", "mallory", "app").unwrap();
         rig.expect(&audit, &["acked"]);
     }
 }

@@ -30,7 +30,7 @@ pub use workload;
 
 pub mod audit;
 
-pub use audit::{Audit, Report};
+pub use audit::{Acked, Audit, Report};
 
 use std::sync::Arc;
 
@@ -55,18 +55,9 @@ impl Deployment {
         dlfm_config: dlfm::DlfmConfig,
         host_config: hostdb::HostConfig,
     ) -> Deployment {
-        let fs = Arc::new(filesys::FileSystem::new());
-        let archive_server = Arc::new(archive::ArchiveServer::new());
-        let dlfm_server = dlfm::DlfmServer::start(dlfm_config, fs.clone(), archive_server.clone());
-        let host = hostdb::HostDb::new(host_config);
-        host.attach_dlfm(server_name, dlfm_server.connector());
-        Deployment {
-            fs,
-            archive: archive_server,
-            dlfm: dlfm_server,
-            host,
-            server_name: server_name.to_string(),
-        }
+        Deployment::wired(server_name, dlfm_config, host_config, |host, dlfm| {
+            host.attach_dlfm(server_name, dlfm.connector());
+        })
     }
 
     /// Default test-friendly deployment.
@@ -88,22 +79,26 @@ impl Deployment {
     ) -> Deployment {
         assert!(!matches!(listen, dlfm::Transport::Inproc), "new_wire needs a socket Transport");
         dlfm_config.listen = listen;
+        Deployment::wired(server_name, dlfm_config, host_config, |host, dlfm| {
+            let url = dlfm.listen_addr().expect("socket Transport always binds a listener");
+            host.attach_dlfm_url(server_name, &url.to_string())
+                .expect("wire attach cannot fail at bind time");
+        })
+    }
+
+    /// The stack, with the host attached to the DLFM by `attach`.
+    fn wired(
+        server_name: &str,
+        dlfm_config: dlfm::DlfmConfig,
+        host_config: hostdb::HostConfig,
+        attach: impl FnOnce(&hostdb::HostDb, &dlfm::DlfmServer),
+    ) -> Deployment {
         let fs = Arc::new(filesys::FileSystem::new());
-        let archive_server = Arc::new(archive::ArchiveServer::new());
-        let dlfm_server = dlfm::DlfmServer::start(dlfm_config, fs.clone(), archive_server.clone());
-        let url = dlfm_server
-            .listen_addr()
-            .expect("socket Transport always binds a listener")
-            .to_string();
+        let archive = Arc::new(archive::ArchiveServer::new());
+        let dlfm = dlfm::DlfmServer::start(dlfm_config, fs.clone(), archive.clone());
         let host = hostdb::HostDb::new(host_config);
-        host.attach_dlfm_url(server_name, &url).expect("wire attach cannot fail at bind time");
-        Deployment {
-            fs,
-            archive: archive_server,
-            dlfm: dlfm_server,
-            host,
-            server_name: server_name.to_string(),
-        }
+        attach(&host, &dlfm);
+        Deployment { fs, archive, dlfm, host, server_name: server_name.to_string() }
     }
 
     /// Datalink URL for a path on this deployment's file server.

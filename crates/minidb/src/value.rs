@@ -133,14 +133,6 @@ impl Value {
         }
     }
 
-    /// Extract a boolean, failing with a type error otherwise.
-    pub fn as_bool(&self) -> DbResult<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DbError::Type(format!("expected boolean, found {other}"))),
-        }
-    }
-
     /// Extract a byte slice, failing with a type error otherwise.
     pub fn as_bytes(&self) -> DbResult<&[u8]> {
         match self {
@@ -277,7 +269,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_int().unwrap(), 7);
         assert_eq!(Value::str("hi").as_str().unwrap(), "hi");
         assert!(Value::str("hi").as_int().is_err());
-        assert!(Value::Bool(true).as_bool().unwrap());
         assert_eq!(Value::Bytes(vec![1, 2]).as_bytes().unwrap(), &[1, 2]);
     }
 

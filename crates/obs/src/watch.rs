@@ -1022,13 +1022,9 @@ fn write_bundle(inner: &Inner, alert: &Alert, window: &[TimePoint]) {
     let Some(root) = &inner.config.bundle_dir else { return };
     {
         let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.bundles_written >= MAX_BUNDLES {
+        let cooling = state.last_bundle.is_some_and(|last| last.elapsed() < BUNDLE_COOLDOWN);
+        if state.bundles_written >= MAX_BUNDLES || cooling {
             return;
-        }
-        if let Some(last) = state.last_bundle {
-            if last.elapsed() < BUNDLE_COOLDOWN {
-                return;
-            }
         }
         state.bundles_written += 1;
         state.last_bundle = Some(Instant::now());

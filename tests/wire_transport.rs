@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use datalinks::{dlfm, hostdb, Deployment};
+use datalinks::{dlfm, hostdb, Acked, Deployment};
 use dlfm::{DlfmRequest, DlfmResponse, Transport};
 use minidb::{Session, Value};
 
@@ -109,12 +109,13 @@ fn full_stack_over(listen: Transport) {
 
     // No commit record exists for `xid`, so the resolver presumed-aborts
     // it; everything else must already be converged: the acked links of
-    // /f4../f11 and unlinks of /f0../f3 stand across the crash.
+    // /f4../f11 and unlinks of /f0../f3 stand across the crash, and every
+    // file not linked is back with its owner.
     let mut audit = dep.audit("/");
-    audit.acked = (0..12).map(|i| (format!("/f{i}"), i >= 4)).collect();
-    audit.acked.insert("/indoubt".into(), false);
-    audit.resolve_until_clean(Duration::from_secs(30)).unwrap();
-    let report = audit.check();
+    let outcome = |linked| if linked { Acked::Linked } else { Acked::Unlinked("u".into()) };
+    audit.acked = (0..12).map(|i| (format!("/f{i}"), outcome(i >= 4))).collect();
+    audit.acked.insert("/indoubt".into(), outcome(false));
+    let report = audit.settle(Duration::from_secs(30));
     assert!(report.is_clean(), "{report}");
     let mut s = dep.host.session();
     assert_eq!(s.query_int("SELECT COUNT(*) FROM t", &[]).unwrap(), 8);
