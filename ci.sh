@@ -24,6 +24,8 @@ smoke() {
   oracle_check
   step "fault-matrix smoke: seed slice of the fault-injection sweep"
   FAULT_MATRIX_SEEDS=2 cargo test -q --offline -p datalinks --test fault_matrix
+  step "snapshot-history slice: seeded concurrent MVCC histories against the model"
+  MINIDB_MVCC_SEEDS=32 cargo test -q --offline --release -p minidb --test snapshot_history
   step "observability smoke: dlfmtop status surfaces + Perfetto export"
   # Stands up a live deployment, renders both status pages, and validates
   # the Chrome-trace export; the example exits nonzero on any failure.

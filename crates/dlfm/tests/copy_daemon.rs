@@ -134,6 +134,9 @@ fn a_rejected_store_keeps_only_its_own_entry_queued() {
     let guard = fault::install_guarded(3, &[("archive.store", Trigger::Nth(3))]);
     r.enqueue(10, || {});
     r.wait_drained();
+    // As in the backlog test: the counter moves after the last delete
+    // committed, so an empty queue alone does not mean it reads 10 yet.
+    wait("the last batch to be accounted", || r.archived() == 10);
     assert_eq!(fault::fires("archive.store"), 1);
     drop(guard);
 

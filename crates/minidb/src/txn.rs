@@ -35,6 +35,16 @@ pub enum UndoOp {
     Update { table: TableId, rowid: u64, old: Row },
 }
 
+impl UndoOp {
+    /// The row the record restores.
+    pub fn row(&self) -> (TableId, u64) {
+        let (UndoOp::Insert { table, rowid }
+        | UndoOp::Delete { table, rowid, .. }
+        | UndoOp::Update { table, rowid, .. }) = self;
+        (*table, *rowid)
+    }
+}
+
 /// Current state of a transaction handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnState {
@@ -66,9 +76,9 @@ pub struct Txn {
     /// engine registers it with the active-snapshot set so the version GC
     /// watermark cannot advance past it; commit/abort release it.
     pub snapshot_ts: Option<u64>,
-    /// Rows this transaction opened a version chain on (first write per
-    /// row), so commit/abort can clear the dirty markers even for writes
-    /// later drained by a statement-level rollback. May contain duplicates.
+    /// Rows whose version chain this transaction holds dirty (first write
+    /// per row), handed to retirement at commit/abort — or at a savepoint
+    /// rollback that leaves the row with no write.
     pub mvcc_touched: Vec<(TableId, u64)>,
 }
 

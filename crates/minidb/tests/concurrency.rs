@@ -133,38 +133,41 @@ fn concurrent_unique_inserts_one_winner() {
 
 #[test]
 fn next_key_locking_produces_deadlocks_where_off_does_not() {
-    // A compact version of experiment E2: updaters rewriting an indexed
-    // column to values in a *shared* key space. Under next-key locking the
-    // old key and new key of one update are acquired in value order that
-    // differs between transactions (old may sort before or after new), so
-    // two updaters invert each other's acquisition order and deadlock.
-    // Without next-key locking each transaction only locks its own row.
+    // A compact version of experiment E2: two updaters each rewrite the
+    // indexed `b` of their own row, twice. Under next-key locking an update
+    // locks its old key, its new key and the key after each, so the first
+    // round leaves T1 holding {10, 11, 20} and T2 {30, 31, 40}. In the
+    // second round T1 moves to 32 and needs the key after it, 40 (T2's);
+    // T2 moves to 12 and needs 20 (T1's): the acquisition orders invert, on
+    // every run, once both have passed the barrier. Without next-key
+    // locking each transaction only locks its own row.
     fn churn(db: &Database) -> u64 {
-        {
-            let mut s = Session::new(db);
-            for c in 0..6i64 {
-                s.exec_params(
-                    "INSERT INTO t (id, a, b) VALUES (?, ?, 0)",
-                    &[Value::Int(c), Value::str(format!("s{c}"))],
-                )
-                .unwrap();
-            }
+        let mut s = Session::new(db);
+        for (id, b) in [(1, 10), (2, 20), (3, 30), (4, 40)] {
+            s.exec_params(
+                "INSERT INTO t (id, a, b) VALUES (?, 'r', ?)",
+                &[Value::Int(id), Value::Int(b)],
+            )
+            .unwrap();
         }
-        let mut handles = Vec::new();
-        for c in 0..6i64 {
-            let db = db.clone();
-            handles.push(thread::spawn(move || {
-                let mut s = Session::new(&db);
-                for i in 0..120i64 {
-                    // Each client updates only its own row, but the indexed
-                    // value moves around a shared keyspace.
-                    let _ = s.exec_params(
-                        "UPDATE t SET a = ? WHERE id = ?",
-                        &[Value::str(format!("s{}", (c * 31 + i * 17) % 23)), Value::Int(c)],
-                    );
-                }
-            }));
-        }
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let handles: Vec<_> = [(1i64, 11i64, 32i64), (3, 31, 12)]
+            .into_iter()
+            .map(|(id, first, second)| {
+                let (db, barrier) = (db.clone(), barrier.clone());
+                thread::spawn(move || {
+                    let mut s = Session::new(&db);
+                    s.begin().unwrap();
+                    let set = "UPDATE t SET b = ? WHERE id = ?";
+                    s.exec_params(set, &[Value::Int(first), Value::Int(id)]).unwrap();
+                    barrier.wait();
+                    // The deadlock victim's session has already rolled back.
+                    if s.exec_params(set, &[Value::Int(second), Value::Int(id)]).is_ok() {
+                        s.commit().unwrap();
+                    }
+                })
+            })
+            .collect();
         for h in handles {
             h.join().unwrap();
         }

@@ -1,6 +1,8 @@
 //! Snapshot-isolation tests for the MVCC read path: visibility rules,
 //! snapshot stability, version GC, and the deferred index-entry removals
-//! that keep old snapshots probe-able.
+//! that keep old snapshots probe-able. A transaction end retires the
+//! history it leaves at once when no other snapshot is open, and queues it
+//! behind the watermark otherwise.
 
 use std::thread;
 
@@ -124,12 +126,17 @@ fn gc_reclaims_versions_and_stale_index_entries() {
     let mut s = Session::new(&db);
     s.exec("INSERT INTO t (id, a, b) VALUES (1, 'x', 10)").unwrap();
 
-    // Churn one row so its chain and the ix_b stale entries accumulate.
+    // Churn one row under an open snapshot so its chain and the ix_b stale
+    // entries accumulate.
+    let mut old = Session::new(&db);
+    old.begin().unwrap();
+    assert_eq!(old.query_int("SELECT b FROM t WHERE id = 1", &[]).unwrap(), 10);
     for i in 0..20 {
         s.exec_params("UPDATE t SET b = ? WHERE id = 1", &[Value::Int(100 + i)]).unwrap();
     }
     assert!(db.mvcc_version_chains() >= 1);
     assert!(db.mvcc_pending_unindex() >= 20, "stale ix_b keys queue for deferred removal");
+    old.commit().unwrap();
 
     // No snapshots are active, so GC reclaims everything behind commit_ts.
     let watermark = db.mvcc_gc();
@@ -269,4 +276,159 @@ fn mvcc_off_falls_back_to_locking_reads() {
     assert!(blocked.is_err(), "2PL arm: plain reads block on writers: {blocked:?}");
     assert_eq!(db.mvcc_reads_total(), before, "no snapshot reads on the 2PL arm");
     w.rollback();
+}
+
+/// Queued history: rows with a version chain plus stale index entries.
+fn backlog(db: &Database) -> usize {
+    db.mvcc_version_chains() + db.mvcc_pending_unindex()
+}
+
+#[test]
+fn a_commit_with_no_other_snapshot_retires_its_history() {
+    let db = db();
+    let mut s = Session::new(&db);
+    s.exec("INSERT INTO t (id, a, b) VALUES (1, 'x', 10)").unwrap();
+    s.exec("INSERT INTO t (id, a, b) VALUES (2, 'y', 20)").unwrap();
+    s.exec("UPDATE t SET b = 11 WHERE id = 1").unwrap();
+    s.exec("DELETE FROM t WHERE id = 2").unwrap();
+
+    assert_eq!(db.mvcc_pending_unindex(), 0, "no stale key queued");
+    assert_eq!(db.mvcc_version_chains(), 0, "no chain left");
+    assert_eq!(s.query_int("SELECT COUNT(*) FROM t WHERE b = 10", &[]).unwrap(), 0);
+    assert_eq!(s.query_int("SELECT id FROM t WHERE b = 11", &[]).unwrap(), 1);
+    assert_eq!(s.query_int("SELECT COUNT(*) FROM t WHERE b = 20", &[]).unwrap(), 0);
+    assert_eq!(s.query_int("SELECT COUNT(*) FROM t WHERE id = 2", &[]).unwrap(), 0);
+}
+
+#[test]
+fn an_older_snapshot_keeps_the_pre_image_until_it_ends() {
+    let db = db();
+    let mut s = Session::new(&db);
+    s.exec("INSERT INTO t (id, a, b) VALUES (1, 'x', 10)").unwrap();
+
+    let mut old = Session::new(&db);
+    old.begin().unwrap();
+    assert_eq!(old.query_int("SELECT COUNT(*) FROM t", &[]).unwrap(), 1);
+    s.exec("UPDATE t SET b = 20 WHERE id = 1").unwrap();
+
+    // By the old key and by a full scan, the snapshot still finds the
+    // pre-image; the new key shows it nothing.
+    assert_eq!(old.query_int("SELECT id FROM t WHERE b = 10", &[]).unwrap(), 1);
+    assert_eq!(
+        old.query("SELECT id, b FROM t", &[]).unwrap(),
+        vec![vec![Value::Int(1), Value::Int(10)]]
+    );
+    assert_eq!(old.query_int("SELECT COUNT(*) FROM t WHERE b = 20", &[]).unwrap(), 0);
+    assert_eq!(backlog(&db), 2, "the chain and the stale key wait for the snapshot");
+    old.commit().unwrap();
+
+    // The next write's commit retires the backlog with its own history.
+    s.exec("UPDATE t SET a = 'z' WHERE id = 1").unwrap();
+    assert_eq!(backlog(&db), 0);
+    assert_eq!(s.query_int("SELECT COUNT(*) FROM t WHERE b = 10", &[]).unwrap(), 0);
+    assert_eq!(s.query_int("SELECT id FROM t WHERE b = 20", &[]).unwrap(), 1);
+}
+
+#[test]
+fn each_commit_retires_at_most_twice_its_own_history() {
+    let db = db();
+    let mut s = Session::new(&db);
+    for i in 0..31 {
+        s.exec_params(
+            "INSERT INTO t (id, a, b) VALUES (?, 'r', ?)",
+            &[Value::Int(i), Value::Int(i)],
+        )
+        .unwrap();
+    }
+    let mut old = Session::new(&db);
+    old.begin().unwrap();
+    assert_eq!(old.query_int("SELECT COUNT(*) FROM t", &[]).unwrap(), 31);
+    for i in 1..31 {
+        s.exec_params("UPDATE t SET b = b + 100 WHERE id = ?", &[Value::Int(i)]).unwrap();
+    }
+    assert_eq!(backlog(&db), 60, "30 chains and 30 stale keys");
+    old.commit().unwrap();
+
+    // A one-row key move hands over one chain and one stale key: each such
+    // commit retires at most twice its undo records plus its chains (4).
+    for n in 0..15 {
+        let before = backlog(&db);
+        s.exec_params("UPDATE t SET b = ? WHERE id = 0", &[Value::Int(1000 + n)]).unwrap();
+        let retired = before - backlog(&db);
+        assert!((1..=4).contains(&retired), "commit {n} retired {retired} of the backlog");
+    }
+    assert_eq!(backlog(&db), 0, "gone fifteen commits after the snapshot ended");
+}
+
+#[test]
+fn a_transactions_own_snapshot_does_not_queue_its_commit() {
+    let db = db();
+    let mut s = Session::new(&db);
+    s.exec("INSERT INTO t (id, a, b) VALUES (1, 'x', 10)").unwrap();
+    s.begin().unwrap();
+    assert_eq!(s.query_int("SELECT b FROM t WHERE id = 1", &[]).unwrap(), 10);
+    assert_eq!(db.mvcc_active_snapshots(), 1);
+    s.exec("UPDATE t SET b = 20 WHERE id = 1").unwrap();
+    s.commit().unwrap();
+    assert_eq!(db.mvcc_active_snapshots(), 0);
+    assert_eq!(backlog(&db), 0);
+}
+
+#[test]
+fn rollbacks_leave_no_chain_once_no_snapshot_is_open() {
+    let db = db();
+    let mut s = Session::new(&db);
+    s.exec("INSERT INTO t (id, a, b) VALUES (1, 'x', 10)").unwrap();
+    s.exec("INSERT INTO t (id, a, b) VALUES (2, 'y', 20)").unwrap();
+
+    let mut w = Session::new(&db);
+    w.begin().unwrap();
+    w.exec("UPDATE t SET b = 11 WHERE id = 1").unwrap();
+    w.exec("DELETE FROM t WHERE id = 2").unwrap();
+    w.exec("INSERT INTO t (id, a, b) VALUES (3, 'z', 30)").unwrap();
+    w.rollback();
+    assert_eq!(backlog(&db), 0);
+
+    // A savepoint rollback hands back the rows it leaves with no write.
+    w.begin().unwrap();
+    w.exec("UPDATE t SET b = 12 WHERE id = 1").unwrap();
+    let sp = w.savepoint().unwrap();
+    w.exec("UPDATE t SET b = 21 WHERE id = 2").unwrap();
+    w.exec("INSERT INTO t (id, a, b) VALUES (3, 'z', 30)").unwrap();
+    w.rollback_to(sp).unwrap();
+    assert_eq!(db.mvcc_version_chains(), 1, "only row 1 still carries a write");
+    assert_eq!(db.mvcc_pending_unindex(), 0);
+    w.commit().unwrap();
+    assert_eq!(backlog(&db), 0);
+
+    assert_eq!(s.query_int("SELECT id FROM t WHERE b = 12", &[]).unwrap(), 1);
+    assert_eq!(s.query_int("SELECT id FROM t WHERE b = 20", &[]).unwrap(), 2);
+    assert_eq!(
+        s.query_int("SELECT COUNT(*) FROM t WHERE b = 21 OR b = 30 OR b = 10", &[]).unwrap(),
+        0
+    );
+    assert_eq!(s.query_int("SELECT COUNT(*) FROM t", &[]).unwrap(), 2);
+}
+
+#[test]
+fn the_watermark_advances_with_commits_and_holds_at_a_pinned_snapshot() {
+    let db = db();
+    let mut s = Session::new(&db);
+    s.exec("INSERT INTO t (id, a, b) VALUES (1, 'x', 10)").unwrap();
+    assert_eq!(db.mvcc_watermark(), db.mvcc_commit_ts());
+    s.exec("UPDATE t SET b = 20 WHERE id = 1").unwrap();
+    assert_eq!(db.mvcc_watermark(), db.mvcc_commit_ts(), "moves with each commit");
+
+    let mut old = Session::new(&db);
+    old.begin().unwrap();
+    assert_eq!(old.query_int("SELECT b FROM t WHERE id = 1", &[]).unwrap(), 20);
+    let pinned = db.mvcc_commit_ts();
+    for b in 21..24 {
+        s.exec_params("UPDATE t SET b = ? WHERE id = 1", &[Value::Int(b)]).unwrap();
+        assert_eq!(db.mvcc_watermark(), pinned, "held at the open snapshot");
+    }
+    old.commit().unwrap();
+    s.exec("UPDATE t SET b = 30 WHERE id = 1").unwrap();
+    assert_eq!(db.mvcc_watermark(), db.mvcc_commit_ts());
+    assert!(db.mvcc_watermark() > pinned);
 }
