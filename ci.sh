@@ -3,7 +3,7 @@
 #   ./ci.sh            full gate (build, tests, benchmark package tests, clippy, fmt, commit-path smoke)
 #   ./ci.sh fast       skip the release build, the benchmark package and the smoke benches
 #   ./ci.sh smoke      only the commit-path smoke stages (tiny benches + two-process wire + force audit)
-#   ./ci.sh loc        report non-test lines per crate and for the workspace (a report, not a gate)
+#   ./ci.sh loc        report non-test lines per crate, for the workspace and per vendor/ stand-in (a report, not a gate)
 #   ./ci.sh schema_check  only the message-schema check (no hand-written codec or op names)
 #   ./ci.sh metrics_check only the counter-schema check (no hand-written snapshot, delta or counter render)
 #   ./ci.sh oracle_check  only the oracle check (no hand-rolled §3.3 audit or drain loop outside datalinks::audit)
@@ -246,16 +246,25 @@ shard_smoke() {
 # Non-test lines per crate and for the workspace: every line of each
 # crates/*/src/**/*.rs before its first `#[cfg(test)]`. The design aim
 # ("the same behaviour from the least code") is judged by this number.
+# The vendored stand-ins (vendor/*) are counted the same way and printed
+# below the total, outside it, so the workspace total stays comparable.
+src_lines() {
+  find "$1/src" -name '*.rs' -print0 \
+    | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'
+}
+
 loc() {
-  step "non-test lines: crates/*/src/**/*.rs up to each file's first #[cfg(test)]"
-  local crate n total=0
-  for crate in crates/*/; do
-    n="$(find "$crate/src" -name '*.rs' -print0 \
-      | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }')"
-    printf '%-10s %6d\n' "$(basename "$crate")" "$n"
+  step "non-test lines: {crates,vendor}/*/src/**/*.rs up to each file's first #[cfg(test)]"
+  local dir n total=0
+  for dir in crates/*/; do
+    n="$(src_lines "$dir")"
+    printf '%-10s %6d\n' "$(basename "$dir")" "$n"
     total=$((total + n))
   done
   printf '%-10s %6d\n' workspace "$total"
+  for dir in vendor/*/; do
+    printf '%-22s %6d\n' "vendor/$(basename "$dir")" "$(src_lines "$dir")"
+  done
 }
 
 if [[ "${1:-}" == "loc" ]]; then

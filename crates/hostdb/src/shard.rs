@@ -88,6 +88,9 @@ struct MapState {
     epoch: u64,
     /// In-flight transactions per pinned epoch.
     inflight: BTreeMap<u64, usize>,
+    /// Migrations parked in [`ShardMap::drain_below`]: the only waiters a
+    /// transaction end can release, so `end_txn` signals only when one is.
+    drainers: usize,
 }
 
 /// Errors from shard-map operations.
@@ -145,8 +148,9 @@ pub struct Routed {
 #[derive(Default)]
 pub struct ShardMap {
     state: Mutex<MapState>,
-    /// Woken on every map or inflight change: routers waiting out a
-    /// migration and migrations draining old transactions both park here.
+    /// Woken on every map change, and on an inflight change while a drain
+    /// is parked: routers waiting out a migration and migrations draining
+    /// old transactions both park here.
     changed: Condvar,
 }
 
@@ -208,7 +212,11 @@ impl ShardMap {
                 st.inflight.remove(&epoch);
             }
         }
-        self.changed.notify_all();
+        let wake = st.drainers > 0;
+        drop(st);
+        if wake {
+            self.changed.notify_all();
+        }
     }
 
     /// In-flight transactions per pinned epoch (for status).
@@ -303,7 +311,10 @@ impl ShardMap {
             if still == 0 {
                 return Ok(());
             }
-            if self.changed.wait_until(&mut st, deadline).timed_out() {
+            st.drainers += 1;
+            let timed_out = self.changed.wait_until(&mut st, deadline).timed_out();
+            st.drainers -= 1;
+            if timed_out {
                 return Err(ShardError::DrainTimeout { still_inflight: still });
             }
         }

@@ -74,6 +74,15 @@ struct Inner<R, S> {
     state: S,
 }
 
+/// Group-commit leadership. `parked` counts followers inside
+/// `group_cv.wait`, so a leader whose force nobody waited on signals
+/// nobody, and one that has followers signals them after unlocking.
+#[derive(Default)]
+struct Group {
+    leader_active: bool,
+    parked: usize,
+}
+
 /// A forced, group-committed, crash-simulating log of `R` records with
 /// per-log state `S` kept under the log lock.
 pub struct Log<R, S = ()> {
@@ -92,8 +101,9 @@ pub struct Log<R, S = ()> {
     batch_hist: obs::Histogram,
     /// The simulated fsync device: one force in flight at a time.
     device: Mutex<()>,
-    /// Is a group-commit leader forcing? Followers park on `group_cv`.
-    leader_active: Mutex<bool>,
+    /// Is a group-commit leader forcing, and how many followers are
+    /// parked on `group_cv` waiting for it?
+    group: Mutex<Group>,
     group_cv: Condvar,
     /// Where each force shows up: its span's layer, and the journal kind
     /// whose name is also the span's name.
@@ -121,7 +131,7 @@ impl<R: Record, S: Default> Log<R, S> {
             force_hist: obs::Histogram::new(),
             batch_hist: obs::Histogram::new(),
             device: Mutex::new(()),
-            leader_active: Mutex::new(false),
+            group: Mutex::new(Group::default()),
             group_cv: Condvar::new(),
             layer,
             kind,
@@ -197,25 +207,31 @@ impl<R: Record, S: Default> Log<R, S> {
             // race), and our own force succeeding implies it covered `rec`.
             return self.durable_status(rec).unwrap_or(false);
         }
-        let mut leader_active = self.leader_active.lock();
+        let mut group = self.group.lock();
         loop {
             if let Some(durable) = self.durable_status(rec) {
                 return durable;
             }
-            if *leader_active {
+            if group.leader_active {
                 // Follower: the in-flight (or next) force will cover us.
-                self.group_cv.wait(&mut leader_active);
+                group.parked += 1;
+                self.group_cv.wait(&mut group);
+                group.parked -= 1;
                 continue;
             }
-            *leader_active = true;
-            drop(leader_active);
+            group.leader_active = true;
+            drop(group);
             // `durable_status` was undecided, so `rec.epoch` was current a
             // moment ago: this force either covers `rec` or loses an epoch
             // race to a crash — the loop re-check resolves either exactly.
             self.force_pass(rec.epoch);
-            leader_active = self.leader_active.lock();
-            *leader_active = false;
-            self.group_cv.notify_all();
+            group = self.group.lock();
+            group.leader_active = false;
+            if group.parked > 0 {
+                drop(group);
+                self.group_cv.notify_all();
+                group = self.group.lock();
+            }
         }
     }
 
