@@ -47,6 +47,7 @@ pub mod error;
 pub mod eval;
 pub mod lock;
 pub mod log;
+pub mod mvcc;
 pub mod plan;
 pub mod schema;
 pub mod session;
