@@ -324,6 +324,11 @@ impl<R: Record, S: Default> Log<R, S> {
         f(&inner.records, &inner.state)
     }
 
+    /// Run `f` over the log's state, under the log lock.
+    pub fn update<T>(&self, f: impl FnOnce(&mut S) -> T) -> T {
+        f(&mut self.inner.lock().state)
+    }
+
     /// All retained records at or after `from_lsn`, in order.
     pub fn records_from(&self, from_lsn: Lsn) -> Vec<R>
     where

@@ -296,6 +296,13 @@ fn minidb_crash_recovery_preserves_committed_state() {
             (0..rng.gen_range(1..6usize)).map(|_| db_actions(&mut rng, 1, 8)).collect();
         let checkpoint_after =
             if rng.gen_range(0..2u8) == 0 { Some(rng.gen_range(0..batches.len())) } else { None };
+        // A checkpoint taken while a batch is still open must hold only
+        // what was committed before it: the batch commits afterwards, and
+        // redo has to bring its writes back.
+        let checkpoint_inside = rng.gen_bool(0.5).then(|| {
+            let batch = rng.gen_range(0..batches.len());
+            (batch, rng.gen_range(0..batches[batch].len()))
+        });
 
         let db = minidb::Database::new(minidb::DbConfig::for_tests());
         let mut s = Session::new(&db);
@@ -305,8 +312,11 @@ fn minidb_crash_recovery_preserves_committed_state() {
         let mut model: BTreeMap<u8, i64> = BTreeMap::new();
         for (i, batch) in batches.iter().enumerate() {
             s.begin().unwrap();
-            for a in batch.clone() {
-                apply(&mut s, &mut model, a);
+            for (j, a) in batch.iter().enumerate() {
+                apply(&mut s, &mut model, *a);
+                if checkpoint_inside == Some((i, j)) {
+                    db.checkpoint();
+                }
             }
             s.commit().unwrap();
             if checkpoint_after == Some(i) {
