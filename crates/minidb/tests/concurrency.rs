@@ -402,6 +402,41 @@ fn deleted_slot_not_reused_while_delete_uncommitted() {
 }
 
 #[test]
+fn a_slot_emptied_by_a_savepoint_rollback_waits_for_its_transaction() {
+    // Locks outlive a savepoint rollback: the undone insert's row stays
+    // X-locked until its transaction ends, so a concurrent insert must not
+    // land on that slot and queue behind the lock (holding the table's
+    // apply mutex all the while).
+    for (mvcc, commit) in [(true, true), (true, false), (false, true)] {
+        let db = tuned_mvcc(false, mvcc);
+        let mut a = Session::new(&db);
+        a.begin().unwrap();
+        let sp = a.savepoint().unwrap();
+        a.exec("INSERT INTO t (id, a, b) VALUES (1, 'x', 0)").unwrap();
+        a.rollback_to(sp).unwrap();
+
+        let db2 = db.clone();
+        let h = thread::spawn(move || {
+            Session::new(&db2).exec("INSERT INTO t (id, a, b) VALUES (2, 'y', 0)")
+        });
+        let r = h.join().unwrap();
+        assert!(r.is_ok(), "mvcc {mvcc}: insert queued behind a savepoint's lock: {r:?}");
+        a.exec("INSERT INTO t (id, a, b) VALUES (3, 'z', 0)").unwrap();
+        if commit {
+            a.commit().unwrap();
+        } else {
+            a.rollback();
+        }
+        let mut s = Session::new(&db);
+        s.exec("INSERT INTO t (id, a, b) VALUES (4, 'w', 0)").unwrap();
+        let want = if commit { 3 } else { 2 };
+        assert_eq!(s.query_int("SELECT COUNT(*) FROM t", &[]).unwrap(), want);
+        assert_eq!(s.query_int("SELECT COUNT(*) FROM t WHERE id = 1", &[]).unwrap(), 0);
+        assert_eq!(db.mvcc_version_chains(), 0, "mvcc {mvcc}: a chain outlived its writer");
+    }
+}
+
+#[test]
 fn range_scans_use_the_index_and_lock_only_matching_rows() {
     let db = tuned(false);
     let mut s = Session::new(&db);
