@@ -7,6 +7,7 @@
 #   ./ci.sh schema_check  only the message-schema check (no hand-written codec or op names)
 #   ./ci.sh metrics_check only the counter-schema check (no hand-written snapshot, delta or counter render)
 #   ./ci.sh oracle_check  only the oracle check (no hand-rolled §3.3 audit or drain loop outside datalinks::audit)
+#   ./ci.sh undo_check    only the undo check (no discarded WAL append or savepoint rollback in minidb or hostdb)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -19,6 +20,7 @@ step() { printf '\n==> %s\n' "$*"; }
 # clean.
 smoke() {
   seam_check
+  undo_check
   schema_check
   metrics_check
   oracle_check
@@ -69,6 +71,25 @@ seam_check() {
   fi
 }
 
+# No discarded undo: a log record or a savepoint rollback whose result is
+# thrown away is a write redo replays although it was undone, or a
+# transaction the host keeps although minidb rolled it back. Non-test code
+# of minidb and hostdb may not `let _ =` a WAL append or a `rollback_to`
+# (a statement may span lines; it is read up to its `;`).
+undo_check() {
+  step "undo check: no discarded WAL append or savepoint rollback in minidb or hostdb"
+  local found
+  found="$(find crates/minidb/src crates/hostdb/src -name '*.rs' -print0 \
+    | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 }
+        !t && /let _ =/ { at = FNR; s = $0; while (s !~ /;/ && (getline line) > 0) { sub(/^[ \t]+/, "", line); s = s line }
+          if (s ~ /wal\.(append|compensate)\(|\.rollback_to\(/) print FILENAME ":" at ": " s }')"
+  if [[ -n "$found" ]]; then
+    echo "$found"
+    echo "undo check: the lines above discard a log append or a savepoint rollback"
+    exit 1
+  fi
+}
+
 # One message schema: every DLFM message is declared once, in
 # dlfm/src/api.rs through `dlrpc::wire_schema!`, which writes its encoder,
 # decoder and op name. Only dlfm/src/wire.rs, which holds the batch rule
@@ -92,8 +113,7 @@ schema_check() {
 # owns is declared once, in an `obs::counters!` table that writes the
 # struct, its snapshot, `delta` and rendering. A hand-written `fn delta(`
 # or `…Snapshot {` in non-test code outside obs would be a second copy of
-# a table that must agree with the first (minidb's StorageSnapshot is a
-# storage image, not counters); an `r.counter(`/`r.histogram(` in either
+# a table that must agree with the first; an `r.counter(`/`r.histogram(` in either
 # metrics_text() surface would render by hand what a table renders — only
 # gauges read from live state are rendered there.
 metrics_check() {
@@ -101,7 +121,7 @@ metrics_check() {
   local copies
   copies="$(find crates/*/src -name '*.rs' -not -path 'crates/obs/*' -print0 \
     | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 }
-        !t && /fn delta\(|[A-Za-z]+Snapshot \{/ && !/=> [A-Za-z]+Snapshot \{|StorageSnapshot/ { print FILENAME ":" FNR ": " $0 }')"
+        !t && /fn delta\(|[A-Za-z]+Snapshot \{/ && !/=> [A-Za-z]+Snapshot \{/ { print FILENAME ":" FNR ": " $0 }')"
   if [[ -n "$copies" ]]; then
     echo "$copies"
     echo "metrics check: the lines above copy a counter table by hand (declare it in obs::counters!)"
@@ -284,6 +304,12 @@ if [[ "${1:-}" == "metrics_check" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "undo_check" ]]; then
+  undo_check
+  step "OK"
+  exit 0
+fi
+
 if [[ "${1:-}" == "oracle_check" ]]; then
   oracle_check
   step "OK"
@@ -302,6 +328,7 @@ if [[ "${1:-}" != "fast" ]]; then
 fi
 
 seam_check
+undo_check
 schema_check
 metrics_check
 oracle_check

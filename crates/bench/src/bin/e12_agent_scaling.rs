@@ -231,7 +231,7 @@ fn main() {
     // default; price the stamping itself with the shared guard so the
     // wire cost this experiment reports can't silently absorb a tracing
     // regression.
-    let wire = bench::wire_trace_guard(200);
+    let wire = bench::wire_trace_guard();
     let n = wire.len() as f64;
     let (wire_on, wire_off) =
         wire.iter().fold((0.0, 0.0), |(a, b), (on, off)| (a + on / n, b + off / n));

@@ -253,7 +253,7 @@ fn main() {
          sampler attached (sampler delta {watch_delta_pct:+.1}%); scraping runs on the \
          sampler thread, expected within noise (< 5%)\n"
     );
-    let wire = bench::wire_trace_guard(200);
+    let wire = bench::wire_trace_guard();
     let n = wire.len() as f64;
     let (wire_on, wire_off) =
         wire.iter().fold((0.0, 0.0), |(a, b), (on, off)| (a + on / n, b + off / n));

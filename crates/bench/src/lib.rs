@@ -216,6 +216,15 @@ const TRACE_GUARD_PAIRS: usize = 5;
 /// [`wire_trace_gate`] fails the run. The expectation is noise (< 5%).
 const TRACE_GUARD_TOLERANCE_PCT: f64 = 25.0;
 
+/// Linked inserts per wire-trace guard run. No length from 200 to 6 400
+/// keeps ten single pairs within the tolerance reliably on a shared box:
+/// a run that stalls shows up at every length (EXPERIMENTS.md, "Wire-trace
+/// guard run length"). 3 200 narrows the bulk of the spread most (quiet
+/// IQR −4.8…+11.4 %, against −16.5…+10.2 % at 200), and its five-pair
+/// median tripped the gate in none of 16 groups, where 200 tripped 2 of 6
+/// beside a concurrent build.
+const TRACE_GUARD_OPS: usize = 3_200;
+
 /// Wire-trace propagation overhead guard, shared by E5 and E12: run the
 /// same linked-insert workload through the host engine over a loopback
 /// TCP deployment ([`datalinks::Deployment::new_wire`]) with frame-header
@@ -224,7 +233,8 @@ const TRACE_GUARD_TOLERANCE_PCT: f64 = 25.0;
 /// frame against a socket round trip, so the delta should be measurement
 /// noise (< 5%). Returns links/s with propagation `(on, off)`, a pair an
 /// entry.
-pub fn wire_trace_guard(ops: usize) -> Vec<(f64, f64)> {
+pub fn wire_trace_guard() -> Vec<(f64, f64)> {
+    let ops = TRACE_GUARD_OPS;
     let run = |tracing: bool| -> f64 {
         let was = dlrpc::set_wire_tracing(tracing);
         let dep = datalinks::Deployment::new_wire(

@@ -603,12 +603,27 @@ impl HostSession {
         let sp = self.session.savepoint()?;
         let result = self.intercept(p, params)?;
         if let Err((e, _)) = self.flush(vote) {
-            if !txn_lost(&e) {
-                let _ = self.session.rollback_to(sp);
-            }
-            return Err(e);
+            return Err(self.undo_stmt(sp, e));
         }
         Ok(result)
+    }
+
+    /// Take a failed statement's local writes back to `sp`, unless its
+    /// error cost the transaction already. Should minidb fail to (the log
+    /// refused a compensation record), it has rolled the whole transaction
+    /// back: the host aborts it everywhere, and that error is the one
+    /// reported.
+    fn undo_stmt(&mut self, sp: minidb::Savepoint, e: HostError) -> HostError {
+        if txn_lost(&e) {
+            return e;
+        }
+        match self.session.rollback_to(sp) {
+            Ok(()) => e,
+            Err(undo) => {
+                self.rollback();
+                undo.into()
+            }
+        }
     }
 
     /// The interception half of a statement. One that changes datalink
@@ -641,13 +656,13 @@ impl HostSession {
         let (sp, queued) = (self.session.savepoint()?, self.open_txn()?.queued.len());
         let result =
             queue(self, p, params).and_then(|()| Ok(self.session.exec_prepared(p, params)?));
-        if let (Err(e), Some(txn)) = (&result, self.txn.as_mut()) {
-            txn.queued.truncate(queued);
-            if !txn_lost(e) {
-                let _ = self.session.rollback_to(sp);
+        match (result, self.txn.as_mut()) {
+            (Err(e), Some(txn)) => {
+                txn.queued.truncate(queued);
+                Err(self.undo_stmt(sp, e))
             }
+            (result, _) => result,
         }
-        result
     }
 
     fn queue_insert(&mut self, p: &Prepared, params: &[Value]) -> HostResult<()> {

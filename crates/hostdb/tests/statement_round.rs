@@ -864,6 +864,46 @@ fn a_rollback_to_whose_backout_is_lost_costs_the_transaction() {
     assert!(matches!(committed, Err(HostError::Usage(_))), "nothing left to commit");
 }
 
+/// A failed statement whose local undo the log refuses (the
+/// `minidb.wal.append` fault on its compensation record) costs the
+/// transaction: minidb has rolled it back whole, so the host aborts it
+/// everywhere, its links included.
+#[test]
+fn a_statement_undo_the_log_refuses_costs_the_transaction() {
+    let _s = serial();
+    let rig = Rig::new();
+    let (pa, fa) = rig.file(&rig.dir_a, "a");
+    let (pb, fb) = rig.file(&rig.dir_a, "b");
+    let mut s = rig.host.session();
+    s.exec("CREATE UNIQUE INDEX ix_t_id ON t (id)").unwrap();
+    s.exec_params(INSERT, &[Value::Int(1), fa]).unwrap();
+    s.begin().unwrap();
+    s.exec_params(INSERT, &[Value::Int(2), fb]).unwrap();
+    // Row 1 moves to id 3 (the first append), then row 2 clashes with it;
+    // the compensation record of row 1's update is the second append.
+    let guard = fault::install_guarded(3, &[("minidb.wal.append", Trigger::Nth(2))]);
+    let err = s.exec("UPDATE t SET doc = NULL, id = 3 WHERE id <= 2").unwrap_err();
+    drop(guard);
+    assert!(
+        matches!(&err, HostError::Db(minidb::DbError::Internal(m)) if m.contains("injected")),
+        "got {err:?}"
+    );
+    assert!(s.xid().is_none(), "the host kept a transaction minidb rolled back");
+    assert!(matches!(s.commit(), Err(HostError::Usage(_))), "nothing left to commit");
+    wait_until("the shard to forget the transaction", || {
+        Rig::count(&rig.sa, "SELECT COUNT(*) FROM dfm_xact") == 0
+    });
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM t WHERE id = 1"), 1);
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM t"), 1);
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM sys_datalinks"), 1);
+    assert_eq!((rig.owner(&pa), rig.owner(&pb)), (ADMIN.to_string(), "u".to_string()));
+    assert_eq!(Rig::linked(&rig.sa), 1);
+    // Recovery agrees: nothing of the lost transaction is redone.
+    rig.host.db().crash();
+    rig.host.db().restart().unwrap();
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM t"), 1);
+}
+
 #[test]
 fn rollback_to_backs_out_each_shard_in_one_call() {
     let _s = serial();

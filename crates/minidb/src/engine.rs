@@ -40,7 +40,7 @@ use crate::plan::{plan_access, AccessPath, TablePlan};
 use crate::schema::{ColumnDef, IndexId, IndexSchema, TableId, TableSchema};
 use crate::sql::ast::{AggFn, Expr, Stmt};
 use crate::sql::parser::parse;
-use crate::storage::{Storage, StorageSnapshot, TableData};
+use crate::storage::{IndexData, Storage, TableData};
 use crate::txn::{Savepoint, Txn, TxnId, TxnState, UndoOp};
 use crate::value::{Row, Value};
 use crate::wal::{LogPayload, LogRecord, Wal};
@@ -117,14 +117,15 @@ impl SlowStatement {
 /// Slow statements retained per database (oldest evicted first).
 pub const SLOW_LOG_CAPACITY: usize = 32;
 
-/// A full backup image of a database: the committed catalog and
-/// table/index data, and the LSN redo over it starts at. Produced by
+/// A full backup image of a database: the committed catalog, heaps and
+/// index trees, and the LSN redo over it starts at. Produced by
 /// [`Database::backup_image`] (and by every checkpoint), consumed by
-/// [`Database::restore_image`].
-#[derive(Clone)]
+/// [`Database::restore_image`]; the empty image is what a crash leaves.
+#[derive(Clone, Default)]
 pub struct DbImage {
     catalog: Catalog,
-    storage: StorageSnapshot,
+    tables: Vec<(TableId, TableData)>,
+    indexes: Vec<(IndexId, IndexData)>,
     redo_lsn: Lsn,
 }
 
@@ -243,15 +244,19 @@ impl Database {
         out
     }
 
-    /// Replace the whole catalog (restore, crash, restart). The statistics
-    /// generation keeps rising across the swap, so "the statistics a plan
-    /// was bound under" can never be confused with an older registry that
-    /// happens to carry the same number.
-    fn install_catalog(&self, mut fresh: Catalog) {
+    /// Replace catalog, heaps and trees with an image's (restore, crash,
+    /// restart); the queued history refers to the heaps replaced. The
+    /// statistics generation keeps rising across the swap, so "the
+    /// statistics a plan was bound under" can never be confused with an
+    /// older registry that happens to carry the same number.
+    fn install(&self, image: &DbImage) {
+        let mut fresh = image.catalog.clone();
         self.catalog_mut(true, |catalog| {
             fresh.stats.generation = fresh.stats.generation.max(catalog.stats.generation) + 1;
             *catalog = fresh;
         });
+        self.inner.storage.install(&image.tables, &image.indexes);
+        self.inner.versions.reset(false);
     }
 
     /// A table's definition by id (commit, undo and redo paths, which know
@@ -345,16 +350,16 @@ impl Database {
         Ok(())
     }
 
-    /// Roll back the whole transaction and release all locks.
+    /// Roll back the whole transaction and release all locks. Nothing is
+    /// logged: with no COMMIT record the transaction is a loser, whose
+    /// records redo never reads.
     pub fn rollback(&self, txn: &mut Txn) {
         let (mut stale, mut clean) = (Vec::new(), Vec::new());
         if txn.state == TxnState::Active {
             let ops = txn.drain_all();
-            let had_work = !ops.is_empty();
-            (stale, clean) = self.apply_undo(txn.id, ops);
-            if had_work {
-                // Abort records are always admitted (terminal).
-                let _ = self.inner.wal.append(txn.id, LogPayload::Abort);
+            if !ops.is_empty() {
+                (stale, clean, _) = self.apply_undo(ops, None);
+                self.inner.wal.settled(txn.id);
             }
             txn.state = TxnState::Aborted;
         }
@@ -383,6 +388,7 @@ impl Database {
     /// transaction no longer locks their rows.
     fn release_held(&self, txn: &mut Txn) {
         for (table, rowid) in std::mem::take(&mut txn.held) {
+            // Fails only on a table dropped since: no slot left to free.
             let _ = self.inner.storage.with_table_mut(table, |t| t.release(rowid));
         }
     }
@@ -398,16 +404,20 @@ impl Database {
         self.inner.versions.gc(&self.inner.storage)
     }
 
-    /// Roll back to a savepoint. Locks are retained (DB2 semantics).
+    /// Roll back to a savepoint. Locks are retained (DB2 semantics). The
+    /// undo is logged, since the transaction may still commit; should the
+    /// log refuse a compensation record (only an injected fault can), the
+    /// whole transaction rolls back and the error is returned.
     pub fn rollback_to(&self, txn: &mut Txn, sp: Savepoint) -> DbResult<()> {
         txn.check_active()?;
         let ops = txn.drain_to_savepoint(sp);
         // Rows left with no write are clean again and their chains take
         // the rollback path; the transaction's own snapshot still counts.
         // It keeps their locks, so a slot it emptied waits for its end.
-        let (stale, clean) = self.apply_undo(txn.id, ops);
+        let (stale, clean, logged) = self.apply_undo(ops, Some(txn.id));
         self.end(&clean, None, stale, true);
         txn.held.extend(clean);
+        logged.inspect_err(|_| self.rollback(txn))?;
         if txn.undo.is_empty() {
             self.inner.wal.settled(txn.id); // no COMMIT will be logged
         }
@@ -415,16 +425,22 @@ impl Database {
     }
 
     /// Undo writes (newest first): each pops its row's chain top back into
-    /// the heap, maintains the indexes from the image undone and the one
-    /// restored, and logs a compensation record carrying the restored
-    /// image. Returns the index entries to retire and the rows left clean.
+    /// the heap and maintains the indexes from the image undone and the one
+    /// restored. With `log`, each is logged as a compensation record
+    /// carrying the restored image, until the log refuses one: that error
+    /// is returned beside the index entries to retire and the rows left
+    /// clean.
     ///
     /// Under MVCC, index entries are never removed here: an entry this
     /// transaction is backing out may coincide with one an older snapshot
     /// still needs (a reused slot or a restored key), so they come back as
     /// stale keys for [`Mvcc::end`].
-    fn apply_undo(&self, txn: TxnId, ops: Vec<UndoOp>) -> (Vec<StaleKey>, Vec<(TableId, u64)>) {
-        let (mut stale, mut clean) = (Vec::new(), Vec::new());
+    fn apply_undo(
+        &self,
+        ops: Vec<UndoOp>,
+        log: Option<TxnId>,
+    ) -> (Vec<StaleKey>, Vec<(TableId, u64)>, DbResult<()>) {
+        let (mut stale, mut clean, mut logged) = (Vec::new(), Vec::new(), Ok(()));
         for (table, rowid) in ops {
             // A table dropped since (DDL is not transactional) has nothing
             // left to restore.
@@ -438,6 +454,7 @@ impl Database {
                     }
                 }
                 if let Some(r) = &restored {
+                    // Fails only on a tree dropped with its table.
                     let key = ix.key(r);
                     let _ = self.inner.storage.with_index_mut(ix.id, |t| t.insert(key, rowid));
                 }
@@ -446,22 +463,25 @@ impl Database {
                     if self.inner.versions.on {
                         stale.push(StaleKey { meta: meta.clone(), index_pos, key, rowid });
                     } else {
+                        // Fails only on a tree dropped with its table.
                         let _ = self.inner.storage.with_index_mut(ix.id, |t| t.remove(&key, rowid));
                     }
                 }
             }
-            let table_id = table.0;
-            let clr = match (restored, undone.is_some()) {
-                (None, _) => LogPayload::Delete { table: table_id, rowid },
-                (Some(row), false) => LogPayload::Insert { table: table_id, rowid, row },
-                (Some(new), true) => LogPayload::Update { table: table_id, rowid, new },
-            };
-            let _ = self.inner.wal.append(txn, clr);
+            if let Some(txn) = log.filter(|_| logged.is_ok()) {
+                let table = table.0;
+                let clr = match (restored, undone.is_some()) {
+                    (None, _) => LogPayload::Delete { table, rowid },
+                    (Some(row), false) => LogPayload::Insert { table, rowid, row },
+                    (Some(new), true) => LogPayload::Update { table, rowid, new },
+                };
+                logged = self.inner.wal.compensate(txn, clr).map(drop);
+            }
             if now_clean {
                 clean.push((table, rowid));
             }
         }
-        (stale, clean)
+        (stale, clean, logged)
     }
 
     // ------------------------------------------------------------------
@@ -879,7 +899,7 @@ impl Database {
 
         // Physical apply: atomic unique check + mutation under the table's
         // apply mutex.
-        let guard = self.inner.storage.apply_guard(table);
+        let guard = self.inner.storage.write_guard(table)?;
         let _g = guard.lock();
         for (ix, key) in meta.indexes.iter().zip(&keys) {
             if ix.unique && self.unique_clash(table, ix, key, None)? {
@@ -986,7 +1006,7 @@ impl Database {
                 }
             }
             // Physical apply with unique checks.
-            let guard = self.inner.storage.apply_guard(table);
+            let guard = self.inner.storage.write_guard(table)?;
             let _g = guard.lock();
             for (ix, _, new_key) in &moved {
                 if ix.unique && self.unique_clash(table, ix, new_key, Some(rowid))? {
@@ -1048,7 +1068,7 @@ impl Database {
                     self.lock_key_and_next(txn.id, table, ix.id, key, true)?;
                 }
             }
-            let guard = self.inner.storage.apply_guard(table);
+            let guard = self.inner.storage.write_guard(table)?;
             let _g = guard.lock();
             if !self.inner.storage.with_table(table, |t| t.get(rowid).is_some())? {
                 continue;
@@ -1159,17 +1179,12 @@ impl Database {
         let mut probed: Option<IndexId> = None;
         match &scan.plan.path {
             AccessPath::FullScan => {
-                // A snapshot unions live heap rows with chain-only rowids:
-                // a committed delete empties the slot while older snapshots
+                // A snapshot visits every slot, as an image does: a
+                // committed delete empties the slot while older snapshots
                 // must still see the prior image.
-                let rowids = storage.with_table(table, |t| {
-                    let mut ids: Vec<u64> = t.iter().map(|(id, _)| id).collect();
-                    if snapshot.is_some() {
-                        ids.extend(t.mvcc_rowids());
-                        ids.sort_unstable();
-                        ids.dedup();
-                    }
-                    ids
+                let rowids = storage.with_table(table, |t| match snapshot {
+                    Some(_) => (0..t.rows.len() as u64).collect(),
+                    None => t.iter().map(|(id, _)| id).collect(),
                 })?;
                 groups.push((None, rowids));
             }
@@ -1541,28 +1556,41 @@ impl Database {
     // Crash / restart / checkpoint
     // ------------------------------------------------------------------
 
-    /// Produce a full backup image of the database: its committed rows,
-    /// copied while no commit publishes, so every transaction not yet
-    /// published wrote from the image's redo LSN on. The index trees are
-    /// rebuilt from the copy after commits may publish again.
+    /// Produce a full backup image of the database: its committed state as
+    /// a snapshot reads it. The snapshot, the catalog and the redo LSN are
+    /// taken while no commit publishes, so every transaction the snapshot
+    /// leaves out wrote from that LSN on; the rows are copied after, while
+    /// commits go on, and the history the snapshot holds open is drained
+    /// once it is released. A table dropped mid-copy starts the image again.
     pub fn backup_image(&self) -> DbImage {
-        let publish = self.inner.versions.publish_guard();
-        let catalog = self.inner.catalog.read().clone();
-        let (tables, redo_lsn) = (self.inner.storage.committed(), self.inner.wal.redo_lsn());
-        drop(publish);
-        let indexes = catalog.all_tables().into_iter().flat_map(|t| catalog.indexes_of(t.id));
-        let storage = StorageSnapshot::new(tables, indexes);
-        DbImage { redo_lsn, catalog, storage }
+        loop {
+            let mut reader = Txn::default();
+            let publish = self.inner.versions.publish_guard();
+            let ts = self.inner.versions.snapshot_for(&mut reader);
+            let (catalog, redo_lsn) =
+                (self.inner.catalog.read().clone(), self.inner.wal.redo_lsn());
+            drop(publish);
+            let (mut tables, mut indexes) = (Vec::new(), Vec::new());
+            let copied = catalog.all_tables().into_iter().try_for_each(|t| {
+                let schemas = catalog.indexes_of(t.id);
+                let (heap, trees) = self.inner.storage.image_table(t.id, schemas, ts)?;
+                tables.push((t.id, heap));
+                indexes.extend(schemas.iter().map(|ix| ix.id).zip(trees));
+                DbResult::Ok(())
+            });
+            self.inner.versions.release_snapshot(&mut reader);
+            self.mvcc_gc();
+            if copied.is_ok() {
+                return DbImage { catalog, tables, indexes, redo_lsn };
+            }
+        }
     }
 
     /// Replace the database contents from a backup image (point-in-time
     /// restore). Takes a checkpoint so crash recovery resumes from the
     /// restored state.
     pub fn restore_image(&self, image: &DbImage) {
-        self.install_catalog(image.catalog.clone());
-        self.inner.storage.restore(image.storage.clone());
-        // Deferred index removals refer to pre-restore state.
-        self.inner.versions.reset(false);
+        self.install(image);
         // Nothing logged before the restore applies to the restored state.
         if self.inner.wal.force() {
             let redo_lsn = self.inner.wal.durable_lsn() + 1;
@@ -1584,35 +1612,26 @@ impl Database {
     pub fn crash(&self) -> usize {
         self.inner.online.store(false, AtomicOrdering::Release);
         let lost = self.inner.wal.crash();
-        self.inner.storage.clear();
         self.inner.lm.clear_all();
         // Version history and deferred removals are volatile; snapshots of
         // in-flight readers die with the crash. `commit_ts` is kept so
         // timestamps stay unique across the restart.
         self.inner.versions.reset(true);
-        self.install_catalog(Catalog::default());
+        self.install(&DbImage::default());
         lost
     }
 
     /// Restart after a crash: rebuild from the last checkpoint plus the
     /// durable log (redo of committed transactions only, in LSN order, so
-    /// the heap holds each record's before-image when it is redone —
-    /// aborted work was already compensated in the log).
+    /// the heap holds each record's before-image when it is redone). A
+    /// rolled-back transaction has no COMMIT record and is never redone; a
+    /// savepoint rollback's compensation records follow what they undo.
     pub fn restart(&self) -> DbResult<()> {
         let start_lsn = {
-            let cp = self.inner.checkpoint.lock();
-            match cp.as_ref() {
-                Some(image) => {
-                    self.install_catalog(image.catalog.clone());
-                    self.inner.storage.restore(image.storage.clone());
-                    image.redo_lsn
-                }
-                None => {
-                    self.install_catalog(Catalog::default());
-                    self.inner.storage.clear();
-                    0
-                }
-            }
+            let (cp, empty) = (self.inner.checkpoint.lock(), DbImage::default());
+            let image = cp.as_ref().unwrap_or(&empty);
+            self.install(image);
+            image.redo_lsn
         };
         let records = self.inner.wal.records_from(start_lsn);
         let committed: std::collections::HashSet<u64> = records
@@ -1682,7 +1701,7 @@ impl Database {
             LogPayload::Insert { table, rowid, row } => redo(*table, *rowid, Some(row))?,
             LogPayload::Update { table, rowid, new } => redo(*table, *rowid, Some(new))?,
             LogPayload::Delete { table, rowid } => redo(*table, *rowid, None)?,
-            LogPayload::Begin | LogPayload::Commit | LogPayload::Abort => {}
+            LogPayload::Commit => {}
         }
         Ok(())
     }

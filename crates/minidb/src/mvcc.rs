@@ -99,25 +99,6 @@ impl TableData {
         Some((self.swap(rowid, row), copy, clean))
     }
 
-    /// The committed state as a fresh heap: each row's committed image (for
-    /// a row mid-write, the one its chain keeps), no history, and every
-    /// empty slot free.
-    pub fn committed(&self) -> TableData {
-        let mut image = TableData::default();
-        for (rowid, heap) in self.rows.iter().enumerate() {
-            let row = match self.chains.get(&(rowid as u64)) {
-                Some(c) if c.dirty_by.is_some() => c.older[c.base()].row.clone(),
-                _ => heap.clone(),
-            };
-            image.live += usize::from(row.is_some());
-            if row.is_none() {
-                image.free.push(rowid as u64);
-            }
-            image.rows.push(row);
-        }
-        image
-    }
-
     /// Resolve the image of `rowid` visible to `snapshot`, counting chain
     /// versions examined into `scanned`. The own-writes rule: a row dirtied
     /// by `txn` itself reads from the heap.
@@ -159,13 +140,6 @@ impl TableData {
         c.head_ts = ts;
         c.dirty_by = None;
         true
-    }
-
-    /// Row ids that currently carry a version chain (a snapshot full scan
-    /// unions these with the live heap: a committed delete removes the heap
-    /// slot while old snapshots must still see the prior image).
-    pub fn mvcc_rowids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.chains.keys().copied()
     }
 
     /// Does the heap image of `rowid`, or any version a snapshot at or above
@@ -230,12 +204,6 @@ pub(crate) struct StaleKey {
     pub(crate) index_pos: usize,
     pub(crate) key: Vec<Value>,
     pub(crate) rowid: u64,
-}
-
-impl StaleKey {
-    fn index(&self) -> &IndexSchema {
-        &self.meta.indexes[self.index_pos]
-    }
 }
 
 /// History a transaction end left for the snapshots still open, queued
@@ -452,7 +420,7 @@ impl Mvcc {
     /// version a snapshot at or above `watermark` can reach. `false`: the
     /// row is mid-write, its committed key unknown; try again later.
     fn unindex_stale(&self, storage: &Storage, s: &StaleKey, watermark: u64) -> bool {
-        let ix = s.index();
+        let ix = &s.meta.indexes[s.index_pos];
         let carried = storage.with_table(s.meta.schema.id, |t| {
             t.mvcc_any_image(s.rowid, watermark, |row| ix.has_key(row, &s.key))
         });

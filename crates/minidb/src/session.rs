@@ -78,7 +78,8 @@ impl Session {
     pub fn rollback_to(&mut self, sp: Savepoint) -> DbResult<()> {
         let txn =
             self.txn.as_mut().ok_or_else(|| DbError::TxnState("no transaction open".into()))?;
-        self.db.rollback_to(txn, sp)
+        // A failed one has rolled the whole transaction back.
+        self.db.rollback_to(txn, sp).inspect_err(|_| self.txn = None)
     }
 
     /// Execute a statement with no parameters.

@@ -21,7 +21,7 @@ pub struct TableData {
     pub(crate) free: Vec<u64>,
     pub(crate) live: usize,
     /// Per-row version chains ([`crate::mvcc`]). Volatile: an image
-    /// ([`TableData::committed`]) carries none, so after a crash or a
+    /// ([`Storage::image_table`]) carries none, so after a crash or a
     /// restore every snapshot starts from the recovered heap.
     pub(crate) chains: HashMap<u64, VersionChain>,
 }
@@ -250,42 +250,16 @@ pub struct Storage {
     apply: RwLock<HashMap<TableId, std::sync::Arc<parking_lot::Mutex<()>>>>,
 }
 
-/// Serializable image of the committed state of all storage (checkpoint,
-/// backup).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct StorageSnapshot {
-    /// Heap images by table id.
-    pub tables: Vec<(u32, TableData)>,
-    /// Index images by index id.
-    pub indexes: Vec<(u32, IndexData)>,
-}
-
-impl StorageSnapshot {
-    /// An image of the heaps `tables` with the trees of `indexes` rebuilt
-    /// from them.
-    pub fn new<'a>(
-        tables: Vec<(u32, TableData)>,
-        indexes: impl IntoIterator<Item = &'a IndexSchema>,
-    ) -> StorageSnapshot {
-        let indexes = indexes
-            .into_iter()
-            .filter_map(|ix| {
-                let (_, heap) = tables.iter().find(|(id, _)| *id == ix.table.0)?;
-                Some((ix.id.0, IndexData::build(ix, heap)))
-            })
-            .collect();
-        StorageSnapshot { tables, indexes }
-    }
-}
+/// Slots an image copies per hold of a heap's read latch.
+const IMAGE_CHUNK: usize = 4096;
 
 impl Storage {
     /// Register an empty heap for a new table.
     pub fn create_table(&self, id: TableId) {
         self.tables.write().insert(id, RwLock::new(TableData::default()));
-        self.apply.write().insert(id, std::sync::Arc::new(parking_lot::Mutex::new(())));
     }
 
-    /// The apply mutex for a table (created lazily for recovered tables).
+    /// The apply mutex for a table, created at its first use.
     pub fn apply_guard(&self, id: TableId) -> std::sync::Arc<parking_lot::Mutex<()>> {
         if let Some(g) = self.apply.read().get(&id) {
             return g.clone();
@@ -295,6 +269,17 @@ impl Storage {
             .entry(id)
             .or_insert_with(|| std::sync::Arc::new(parking_lot::Mutex::new(())))
             .clone()
+    }
+
+    /// The apply mutex for a forward row write (insert, update, delete),
+    /// behind the `minidb.storage.write` fault point: it fires before the
+    /// write takes a slot or is logged, leaving nothing to undo or redo.
+    /// Undo, publication and slot release have no fault point.
+    pub fn write_guard(&self, id: TableId) -> DbResult<std::sync::Arc<parking_lot::Mutex<()>>> {
+        if obs::fault::fire("minidb.storage.write") {
+            return Err(DbError::Internal("injected: storage write I/O error".into()));
+        }
+        Ok(self.apply_guard(id))
     }
 
     /// Register the tree of `ix`, built from its table's heap as it is now.
@@ -331,9 +316,6 @@ impl Storage {
         id: TableId,
         f: impl FnOnce(&mut TableData) -> R,
     ) -> DbResult<R> {
-        if obs::fault::fire("minidb.storage.write") {
-            return Err(DbError::Internal("injected: storage write I/O error".into()));
-        }
         let tables = self.tables.read();
         let t = tables
             .get(&id)
@@ -385,33 +367,49 @@ impl Storage {
         self.tables.read().keys().copied().collect()
     }
 
-    /// Copy each heap's committed rows (see [`TableData::committed`]), so
-    /// no uncommitted writer's row gets into an image.
-    pub fn committed(&self) -> Vec<(u32, TableData)> {
-        self.tables.read().iter().map(|(id, t)| (id.0, t.read().committed())).collect()
+    /// Copy table `id` as a snapshot at `ts` reads it, with the trees of
+    /// `indexes` built from the copy: [`IMAGE_CHUNK`] slots per hold of the
+    /// read latch, each chunk's index entries built after the latch is
+    /// released — the gap that lets a waiting writer in. The snapshot keeps
+    /// every image it reads until it is released. Fails if the table is
+    /// dropped meanwhile.
+    pub fn image_table(
+        &self,
+        id: TableId,
+        indexes: &[IndexSchema],
+        ts: u64,
+    ) -> DbResult<(TableData, Vec<IndexData>)> {
+        let (mut heap, mut trees) =
+            (TableData::default(), vec![IndexData::default(); indexes.len()]);
+        let (mut from, mut scanned) = (0, 0);
+        loop {
+            let (rows, to) = self.with_table(id, |t| {
+                let to = t.rows.len().min(from + IMAGE_CHUNK);
+                // No transaction has id 0: the own-writes rule never applies.
+                let image = |r| t.mvcc_visible(r, ts, 0, &mut scanned).map(|row| (r, row.clone()));
+                ((from as u64..to as u64).filter_map(image).collect::<Vec<_>>(), to)
+            })?;
+            for (rowid, row) in rows {
+                for (tree, ix) in trees.iter_mut().zip(indexes) {
+                    tree.insert(ix.key(&row), rowid);
+                }
+                heap.swap(rowid, Some(row));
+            }
+            if to < from + IMAGE_CHUNK {
+                heap.free =
+                    (0..heap.rows.len() as u64).filter(|&r| heap.get(r).is_none()).collect();
+                return Ok((heap, trees));
+            }
+            from = to;
+        }
     }
 
-    /// Replace all contents from an image.
-    pub fn restore(&self, snap: StorageSnapshot) {
-        let mut tables = self.tables.write();
-        let mut indexes = self.indexes.write();
-        let mut apply = self.apply.write();
-        tables.clear();
-        indexes.clear();
-        apply.clear();
-        for (id, data) in snap.tables {
-            tables.insert(TableId(id), RwLock::new(data));
-            apply.insert(TableId(id), std::sync::Arc::new(parking_lot::Mutex::new(())));
-        }
-        for (id, data) in snap.indexes {
-            indexes.insert(IndexId(id), RwLock::new(data));
-        }
-    }
-
-    /// Drop all contents (crash simulation).
-    pub fn clear(&self) {
-        self.tables.write().clear();
-        self.indexes.write().clear();
+    /// Replace all contents with copies of an image's heaps and trees.
+    pub fn install(&self, tables: &[(TableId, TableData)], indexes: &[(IndexId, IndexData)]) {
+        let mut heaps = self.tables.write();
+        let mut trees = self.indexes.write();
+        *heaps = tables.iter().map(|(id, t)| (*id, RwLock::new(t.clone()))).collect();
+        *trees = indexes.iter().map(|(id, t)| (*id, RwLock::new(t.clone()))).collect();
         self.apply.write().clear();
     }
 }
@@ -512,7 +510,6 @@ mod tests {
         assert_eq!(seen(&t, 0, 9, &mut scanned), None, "before the insert");
         assert_eq!(seen(&t, 1, 9, &mut scanned), Some(v(1)), "never the intermediate");
         assert_eq!(seen(&t, 1, 2, &mut scanned), Some(v(3)), "own writes");
-        assert_eq!(t.committed().get(r).unwrap()[0], v(1));
         let (undone, restored, clean) = t.undo(r).unwrap();
         assert_eq!(
             (undone.unwrap()[0].clone(), restored.unwrap()[0].clone(), clean),
@@ -623,20 +620,34 @@ mod tests {
         };
         s.create_index(&ix).unwrap();
         s.with_table_mut(TableId(1), |t| {
-            let r = t.reserve();
-            t.write(r, 1, Some(vec![v(42)]));
-            t.mvcc_publish(r, 1, 1, |_, _| {});
-            // An open write stays out of the image, row and key.
-            let r = t.reserve();
-            t.write(r, 2, Some(vec![v(43)]));
+            // More slots than one chunk; a snapshot at 2 sees rows 0 and 2.
+            for r in 0..IMAGE_CHUNK as u64 + 2 {
+                t.reserve();
+                t.write(r, 1, Some(vec![v(42 + r as i64)]));
+                t.mvcc_publish(r, 1, 1, |_, _| {});
+                if r != 0 && r != 2 {
+                    t.write(r, 2, None);
+                    t.mvcc_publish(r, 2, 2, |_, _| {});
+                }
+            }
+            // An open write, and a commit after the snapshot, stay out of
+            // the image, row and key.
+            t.write(0, 3, Some(vec![v(0)]));
+            t.write(1, 4, Some(vec![v(1)]));
+            t.mvcc_publish(1, 4, 3, |_, _| {});
         })
         .unwrap();
-        let snap = StorageSnapshot::new(s.committed(), [&ix]);
+        let (heap, trees) = s.image_table(TableId(1), std::slice::from_ref(&ix), 2).unwrap();
+        assert_eq!(
+            heap.iter().map(|(r, row)| (r, row[0].clone())).collect::<Vec<_>>(),
+            [(0, v(42)), (2, v(44))]
+        );
+        assert!(heap.chains.is_empty());
+        assert_eq!(heap.free, [1]);
         let s2 = Storage::default();
-        s2.restore(snap);
-        let n = s2.with_table(TableId(1), |t| t.len()).unwrap();
-        assert_eq!(n, 1);
-        let keys = s2.with_index(IndexId(1), |ix| ix.distinct_keys()).unwrap();
-        assert_eq!(keys, 1);
+        s2.install(&[(TableId(1), heap)], &[(IndexId(1), trees[0].clone())]);
+        assert_eq!(s2.with_table(TableId(1), |t| t.len()).unwrap(), 2);
+        assert_eq!(s2.with_index(IndexId(1), |ix| ix.entries()).unwrap(), 2);
+        assert!(s.image_table(TableId(9), &[], 2).is_err(), "a dropped table");
     }
 }

@@ -4,9 +4,12 @@
 //! operations mutate the heap/indexes directly, move the image they
 //! displaced onto the row's version chain ([`crate::mvcc`]) and note the
 //! row in the undo log. Rollback (full or to a savepoint) pops each row's
-//! chain top back into the heap, newest first. Locks are released only at
-//! commit/abort — never at statement rollback — matching DB2 semantics the
-//! paper's savepoint discussion (§3.2) depends on.
+//! chain top back into the heap, newest first. Only a savepoint rollback is
+//! logged, as compensation records, since its transaction may still
+//! commit; a fully rolled-back transaction never gets a COMMIT record, so
+//! redo skips it. Locks are released only at commit/abort — never at
+//! statement rollback — matching DB2 semantics the paper's savepoint
+//! discussion (§3.2) depends on.
 
 use crate::schema::TableId;
 

@@ -19,6 +19,13 @@
 //! simply *not* calling `force_up_to`. A checkpoint images the committed
 //! state, and redo starts at [`Wal::redo_lsn`] as of that image instead of
 //! at the beginning. Records carry after-images only.
+//!
+//! There are no BEGIN or ABORT records. Redo replays only transactions
+//! with a COMMIT record, so a full rollback logs nothing: its transaction
+//! is a loser whose records redo never reads, and it only leaves the
+//! active window ([`Wal::settled`]). A savepoint rollback's undo is logged
+//! as compensation records ([`Wal::compensate`]), because the transaction
+//! may still commit and redo must not replay what it undid.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -38,8 +45,6 @@ use crate::value::Row;
 #[allow(missing_docs)] // payload fields are self-describing
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum LogPayload {
-    /// Transaction start.
-    Begin,
     /// Row inserted: its image.
     Insert { table: u32, rowid: u64, row: Row },
     /// Row deleted. Redo finds the image it removes in the heap.
@@ -55,8 +60,6 @@ pub enum LogPayload {
     DropTable { table: u32 },
     /// Transaction committed (forced).
     Commit,
-    /// Transaction rolled back.
-    Abort,
 }
 
 /// One log record.
@@ -119,37 +122,43 @@ impl Wal {
     }
 
     /// Append a record for `txn`. Fails with `LogFull` when the active
-    /// window would exceed capacity; commit and abort records are always
-    /// admitted, so the window can drain.
+    /// window would exceed capacity; commit records are always admitted,
+    /// so the window can drain.
     pub fn append(&self, txn: TxnId, payload: LogPayload) -> DbResult<Appended> {
+        self.append_as(txn, payload, false)
+    }
+
+    /// Append a compensation record: the image a savepoint rollback put
+    /// back. Admitted past the window, as COMMIT is: refusing it frees
+    /// nothing, and redo without it would replay the write it undid.
+    pub fn compensate(&self, txn: TxnId, payload: LogPayload) -> DbResult<Appended> {
+        self.append_as(txn, payload, true)
+    }
+
+    fn append_as(&self, txn: TxnId, payload: LogPayload, admit: bool) -> DbResult<Appended> {
         if obs::fault::fire("minidb.wal.append") {
             return Err(DbError::Internal("injected: wal append I/O error".into()));
         }
         let capacity = self.capacity;
         self.log.append_with(|lsn, active| {
-            match payload {
-                LogPayload::Commit => {
-                    if let Some(entry) = active.get_mut(&txn.0) {
-                        entry.1 = true;
-                    }
+            if let LogPayload::Commit = payload {
+                if let Some(entry) = active.get_mut(&txn.0) {
+                    entry.1 = true;
                 }
-                LogPayload::Abort => {
-                    active.remove(&txn.0);
+            } else {
+                let pinned = window(active, lsn);
+                if pinned >= capacity && !admit {
+                    return Err(DbError::LogFull { pinned, capacity });
                 }
-                _ => {
-                    let pinned = window(active, lsn);
-                    if pinned >= capacity {
-                        return Err(DbError::LogFull { pinned, capacity });
-                    }
-                    active.entry(txn.0).or_insert((lsn, false));
-                }
+                active.entry(txn.0).or_insert((lsn, false));
             }
             Ok(LogRecord { lsn, txn: txn.0, payload })
         })
     }
 
     /// Redo no longer needs `txn`'s records: its commit is published (an
-    /// image holds its writes), or all its writes are undone.
+    /// image holds its writes), all its writes are undone, or it rolled
+    /// back (no COMMIT record: redo skips it).
     pub fn settled(&self, txn: TxnId) {
         self.log.update(|active| active.remove(&txn.0));
     }
@@ -188,10 +197,15 @@ mod tests {
         Wal::new(cap, Duration::ZERO)
     }
 
+    /// A transaction's first write.
+    fn ins() -> LogPayload {
+        LogPayload::Insert { table: 1, rowid: 0, row: vec![] }
+    }
+
     #[test]
     fn lsns_are_dense_and_monotonic() {
         let w = wal(100);
-        let a = w.append(TxnId(1), LogPayload::Begin).unwrap();
+        let a = w.append(TxnId(1), ins()).unwrap();
         let b = w.append(TxnId(1), LogPayload::Commit).unwrap();
         assert_eq!(b.lsn, a.lsn + 1);
         assert_eq!(w.last_lsn(), b.lsn);
@@ -200,7 +214,7 @@ mod tests {
     #[test]
     fn log_full_when_one_txn_pins_window() {
         let w = wal(5);
-        w.append(TxnId(7), LogPayload::Begin).unwrap();
+        w.append(TxnId(7), ins()).unwrap();
         for i in 0..4 {
             w.append(TxnId(7), LogPayload::Insert { table: 1, rowid: i, row: vec![] }).unwrap();
         }
@@ -208,11 +222,13 @@ mod tests {
             .append(TxnId(7), LogPayload::Insert { table: 1, rowid: 99, row: vec![] })
             .unwrap_err();
         assert!(matches!(err, DbError::LogFull { .. }));
-        // Commit is always allowed so the window can drain.
+        // So is the compensation record of a savepoint rollback ...
+        w.compensate(TxnId(7), LogPayload::Delete { table: 1, rowid: 3 }).unwrap();
+        // ... and commit, so the window can drain.
         w.append(TxnId(7), LogPayload::Commit).unwrap();
         assert_eq!(w.active_window(), 0);
         // And new transactions can write again.
-        w.append(TxnId(8), LogPayload::Begin).unwrap();
+        w.append(TxnId(8), ins()).unwrap();
     }
 
     /// A transaction in flight at a crash is gone with it: its records no
@@ -223,10 +239,10 @@ mod tests {
         for i in 0..5 {
             w.append(TxnId(7), LogPayload::Insert { table: 1, rowid: i, row: vec![] }).unwrap();
         }
-        assert!(matches!(w.append(TxnId(8), LogPayload::Begin), Err(DbError::LogFull { .. })));
+        assert!(matches!(w.append(TxnId(8), ins()), Err(DbError::LogFull { .. })));
         w.crash();
         assert_eq!(w.active_window(), 0);
-        w.append(TxnId(8), LogPayload::Begin).unwrap();
+        w.append(TxnId(8), ins()).unwrap();
     }
 
     #[test]
@@ -235,7 +251,7 @@ mod tests {
         // 100 records in chunks of 5 never trip LogFull.
         for chunk in 0..20u64 {
             let t = TxnId(chunk + 1);
-            w.append(t, LogPayload::Begin).unwrap();
+            w.append(t, ins()).unwrap();
             for i in 0..5 {
                 w.append(t, LogPayload::Insert { table: 1, rowid: chunk * 5 + i, row: vec![] })
                     .unwrap();
@@ -248,10 +264,10 @@ mod tests {
     #[test]
     fn crash_discards_unforced_tail() {
         let w = wal(100);
-        w.append(TxnId(1), LogPayload::Begin).unwrap();
+        w.append(TxnId(1), ins()).unwrap();
         w.append(TxnId(1), LogPayload::Commit).unwrap();
         assert!(w.force());
-        w.append(TxnId(2), LogPayload::Begin).unwrap();
+        w.append(TxnId(2), ins()).unwrap();
         w.append(TxnId(2), LogPayload::Insert { table: 1, rowid: 0, row: vec![] }).unwrap();
         let lost = w.crash();
         assert_eq!(lost, 2);
@@ -264,8 +280,8 @@ mod tests {
     #[test]
     fn multiple_active_txns_pin_oldest() {
         let w = wal(100);
-        w.append(TxnId(1), LogPayload::Begin).unwrap(); // lsn 1
-        w.append(TxnId(2), LogPayload::Begin).unwrap(); // lsn 2
+        w.append(TxnId(1), ins()).unwrap(); // lsn 1
+        w.append(TxnId(2), ins()).unwrap(); // lsn 2
         w.append(TxnId(2), LogPayload::Commit).unwrap(); // lsn 3
                                                          // Window measured from txn1's first record.
         assert_eq!(w.active_window(), 3);
@@ -276,9 +292,9 @@ mod tests {
     #[test]
     fn force_up_to_advances_durability_and_counts() {
         let w = wal(100);
-        w.append(TxnId(1), LogPayload::Begin).unwrap();
+        w.append(TxnId(1), ins()).unwrap();
         let c1 = w.append(TxnId(1), LogPayload::Commit).unwrap();
-        w.append(TxnId(2), LogPayload::Begin).unwrap();
+        w.append(TxnId(2), ins()).unwrap();
         let c2 = w.append(TxnId(2), LogPayload::Commit).unwrap();
         // One force covers both commits (they were both appended already).
         assert!(w.force_up_to(c2));
@@ -299,12 +315,12 @@ mod tests {
         for grouped in [true, false] {
             let w = wal(100);
             w.set_group_commit(grouped);
-            w.append(TxnId(1), LogPayload::Begin).unwrap();
+            w.append(TxnId(1), ins()).unwrap();
             let rec = w.append(TxnId(1), LogPayload::Commit).unwrap();
             w.crash();
-            w.append(TxnId(2), LogPayload::Begin).unwrap();
+            w.append(TxnId(2), ins()).unwrap();
             let other = w.append(TxnId(2), LogPayload::Commit).unwrap();
-            w.append(TxnId(3), LogPayload::Begin).unwrap();
+            w.append(TxnId(3), ins()).unwrap();
             assert!(w.force_up_to(other));
             assert!(w.durable_lsn() >= rec.lsn);
             assert!(!w.force_up_to(rec), "lost record acknowledged as durable");
@@ -318,7 +334,7 @@ mod tests {
         for grouped in [true, false] {
             let w = wal(100);
             w.set_group_commit(grouped);
-            w.append(TxnId(1), LogPayload::Begin).unwrap();
+            w.append(TxnId(1), ins()).unwrap();
             let rec = w.append(TxnId(1), LogPayload::Commit).unwrap();
             assert!(w.force());
             w.crash();

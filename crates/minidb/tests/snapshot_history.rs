@@ -4,7 +4,9 @@
 //! now and then drain the version GC; readers pin snapshots and hold them
 //! across the writers' commits. Every snapshot read — by unique id, by the
 //! moving key, by full scan — must return exactly the committed state as of
-//! the reader's snapshot, which a model rebuilds from the commit order.
+//! the reader's snapshot, which a model rebuilds from the commit order. A
+//! backup taken mid-history, restored into a fresh database, must hold the
+//! committed state as of one commit during the call.
 //!
 //! `MINIDB_MVCC_SEEDS` sets how many seeds run (default 4); even seeds run
 //! with next-key locking on, odd ones with it off.
@@ -28,6 +30,7 @@ const ROWS_PER_WRITER: i64 = 6;
 const KEYS: i64 = 4;
 const TXNS_PER_WRITER: usize = 80;
 const SNAPSHOTS_PER_READER: usize = 12;
+const BACKUPS: usize = 6;
 
 /// Committed state: id → (k, v).
 type State = BTreeMap<i64, (i64, i64)>;
@@ -202,6 +205,31 @@ fn reader(h: &History, seed: u64, r: u64) {
     }
 }
 
+/// Take backups while the writers run: each image, restored into a fresh
+/// database, reads the state current at one commit timestamp between
+/// `mvcc_commit_ts()` before and after the call, through every path.
+fn backup_reader(h: &History, seed: u64) {
+    for n in 0..BACKUPS {
+        let before = h.db.mvcc_commit_ts();
+        let image = h.db.backup_image();
+        let after = h.db.mvcc_commit_ts();
+        let copy = Database::new(DbConfig::for_tests());
+        copy.restore_image(&image);
+        let mut s = Session::new(&copy);
+        let got = state_of(s.query("SELECT id, k, v FROM t", &[]).unwrap());
+        let what = format!("seed {seed} backup {n} @{before}..={after}");
+        // Commits push their state under the log lock, so every commit at
+        // or below `after` is in the log by now.
+        let log = h.log.lock().unwrap();
+        let first = log.iter().rposition(|(ts, _)| *ts <= before).expect("seeded");
+        let during = log[first..].iter().take_while(|(ts, _)| *ts <= after);
+        assert!(during.clone().any(|(_, state)| *state == got), "{what}: no commit left {got:?}");
+        drop(log);
+        check(&mut s, &got, &what);
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn run_seed(seed: u64) {
     let (h, owned) = setup(seed);
     thread::scope(|scope| {
@@ -213,6 +241,7 @@ fn run_seed(seed: u64) {
             let h = &h;
             scope.spawn(move || reader(h, seed, r));
         }
+        scope.spawn(|| backup_reader(&h, seed));
     });
     // Drained and quiescent, a fresh snapshot reads the last commit.
     h.db.mvcc_gc();
