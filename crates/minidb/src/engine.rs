@@ -413,10 +413,12 @@ impl Database {
         let ops = txn.drain_to_savepoint(sp);
         // Rows left with no write are clean again and their chains take
         // the rollback path; the transaction's own snapshot still counts.
-        // It keeps their locks, so a slot it emptied waits for its end.
+        // It keeps their locks, so a slot it emptied waits for its end
+        // (only those: a live row's slot is freed once, by its deleter).
         let (stale, clean, logged) = self.apply_undo(ops, Some(txn.id));
         self.end(&clean, None, stale, true);
-        txn.held.extend(clean);
+        let emptied = |&(t, r): &UndoOp| self.inner.storage.with_table(t, |d| d.get(r).is_none());
+        txn.held.extend(clean.into_iter().filter(|op| emptied(op).unwrap_or(false)));
         logged.inspect_err(|_| self.rollback(txn))?;
         if txn.undo.is_empty() {
             self.inner.wal.settled(txn.id); // no COMMIT will be logged

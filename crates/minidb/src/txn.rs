@@ -55,8 +55,8 @@ pub struct Txn {
     pub state: TxnState,
     /// Undo log, oldest first.
     pub undo: Vec<UndoOp>,
-    /// Rows a savepoint rollback left with no write. The transaction keeps
-    /// their locks, so a slot it emptied is freed only when it ends.
+    /// Slots a savepoint rollback emptied (undone inserts). The transaction
+    /// keeps their rows' locks, so each is freed only when it ends.
     pub held: Vec<UndoOp>,
     /// Number of statements executed (diagnostics only).
     pub statements: u64,

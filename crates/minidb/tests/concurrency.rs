@@ -1,7 +1,7 @@
 //! Concurrency tests: isolation, escalation, next-key locking behaviour,
 //! and lock-list pressure, exercised through the SQL surface.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -483,4 +483,43 @@ fn range_bounds_flip_when_column_is_on_the_right() {
     let rows = s.query("SELECT id FROM t WHERE 5 > b ORDER BY id", &[]).unwrap();
     assert_eq!(rows.len(), 5);
     assert_eq!(rows[4][0].as_int().unwrap(), 4);
+}
+
+/// A row a savepoint rollback left clean, then deleted by the same
+/// transaction, frees its slot once at commit: an insert that takes the
+/// slot meanwhile must not see it handed out a second time.
+#[test]
+fn a_slot_freed_at_commit_is_handed_out_once() {
+    for mvcc in [true, false] {
+        let db = tuned_mvcc(false, mvcc);
+        let stop = AtomicBool::new(false);
+        let inserted = thread::scope(|scope| {
+            let inserter = scope.spawn(|| {
+                let mut s = Session::new(&db);
+                let mut n = 0i64;
+                while !stop.load(Ordering::Relaxed) {
+                    s.exec_params("INSERT INTO t (id, a, b) VALUES (?, 'i', 0)", &[Value::Int(n)])
+                        .unwrap();
+                    n += 1;
+                }
+                n
+            });
+            let mut s = Session::new(&db);
+            for r in 0..2_000i64 {
+                let id = [Value::Int(-1 - r)];
+                s.exec_params("INSERT INTO t (id, a, b) VALUES (?, 'r', 0)", &id).unwrap();
+                s.begin().unwrap();
+                let sp = s.savepoint().unwrap();
+                s.exec_params("UPDATE t SET b = 1 WHERE id = ?", &id).unwrap();
+                s.rollback_to(sp).unwrap();
+                s.exec_params("DELETE FROM t WHERE id = ?", &id).unwrap();
+                s.commit().unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+            inserter.join().unwrap()
+        });
+        let mut s = Session::new(&db);
+        let rows = s.query_int("SELECT COUNT(*) FROM t", &[]).unwrap();
+        assert_eq!(rows, inserted, "mvcc {mvcc}: an insert overwrote a live row");
+    }
 }
