@@ -543,8 +543,17 @@ impl HostSession {
             self.txn.as_mut().ok_or_else(|| HostError::Usage("no transaction open".into()))?;
         let (xid, to_undo) = (txn.xid, txn.dl_ops.split_off(sp.dl_ops_len));
         self.backout(xid, &to_undo)?;
-        self.session.rollback_to(sp.db_sp)?;
-        Ok(())
+        self.undo_to(sp.db_sp)
+    }
+
+    /// Take the local writes back to `sp`. Should minidb fail to (the log
+    /// refused a compensation record), it has rolled the whole transaction
+    /// back, and its error says so: the host aborts it everywhere.
+    fn undo_to(&mut self, sp: minidb::Savepoint) -> HostResult<()> {
+        self.session.rollback_to(sp).map_err(|e| {
+            self.rollback();
+            e.into()
+        })
     }
 
     // ------------------------------------------------------------------
@@ -608,22 +617,14 @@ impl HostSession {
         Ok(result)
     }
 
-    /// Take a failed statement's local writes back to `sp`, unless its
-    /// error cost the transaction already. Should minidb fail to (the log
-    /// refused a compensation record), it has rolled the whole transaction
-    /// back: the host aborts it everywhere, and that error is the one
-    /// reported.
+    /// Take a failed statement's local writes back to `sp` ([`Self::undo_to`]),
+    /// unless its error cost the transaction already. If the undo costs it,
+    /// the undo's error is the one reported.
     fn undo_stmt(&mut self, sp: minidb::Savepoint, e: HostError) -> HostError {
         if txn_lost(&e) {
             return e;
         }
-        match self.session.rollback_to(sp) {
-            Ok(()) => e,
-            Err(undo) => {
-                self.rollback();
-                undo.into()
-            }
-        }
+        self.undo_to(sp).err().unwrap_or(e)
     }
 
     /// The interception half of a statement. One that changes datalink

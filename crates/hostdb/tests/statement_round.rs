@@ -884,10 +884,7 @@ fn a_statement_undo_the_log_refuses_costs_the_transaction() {
     let guard = fault::install_guarded(3, &[("minidb.wal.append", Trigger::Nth(2))]);
     let err = s.exec("UPDATE t SET doc = NULL, id = 3 WHERE id <= 2").unwrap_err();
     drop(guard);
-    assert!(
-        matches!(&err, HostError::Db(minidb::DbError::Internal(m)) if m.contains("injected")),
-        "got {err:?}"
-    );
+    assert_lost_to_the_log(&err);
     assert!(s.xid().is_none(), "the host kept a transaction minidb rolled back");
     assert!(matches!(s.commit(), Err(HostError::Usage(_))), "nothing left to commit");
     wait_until("the shard to forget the transaction", || {
@@ -902,6 +899,46 @@ fn a_statement_undo_the_log_refuses_costs_the_transaction() {
     rig.host.db().crash();
     rig.host.db().restart().unwrap();
     assert_eq!(rig.host_count("SELECT COUNT(*) FROM t"), 1);
+}
+
+/// The error of an undo the log refused says the transaction is gone, as
+/// a deadlock's does: an application that went on would otherwise run its
+/// next statements as autocommit transactions of their own.
+fn assert_lost_to_the_log(err: &HostError) {
+    assert!(
+        matches!(err, HostError::Db(e @ minidb::DbError::RolledBack(m))
+            if m.contains("injected") && e.is_rollback_forced()),
+        "got {err:?}"
+    );
+}
+
+/// The same for a savepoint rollback: minidb has rolled the whole
+/// transaction back, so the host aborts it everywhere, the link made
+/// before the savepoint included, and a commit finds nothing to commit.
+#[test]
+fn a_rollback_to_the_log_refuses_costs_the_transaction() {
+    let _s = serial();
+    let rig = Rig::new();
+    let (pa, fa) = rig.file(&rig.dir_a, "a");
+    let mut s = rig.host.session();
+    s.begin().unwrap();
+    s.exec_params(INSERT, &[Value::Int(1), fa]).unwrap();
+    let sp = s.savepoint().unwrap();
+    s.exec("UPDATE t SET id = 2 WHERE id = 1").unwrap();
+    // No datalink operation to back out: the first append is the
+    // compensation record of the UPDATE.
+    let guard = fault::install_guarded(3, &[("minidb.wal.append", Trigger::Nth(1))]);
+    let err = s.rollback_to(&sp).unwrap_err();
+    drop(guard);
+    assert_lost_to_the_log(&err);
+    assert!(s.xid().is_none(), "the host kept a transaction minidb rolled back");
+    assert!(matches!(s.commit(), Err(HostError::Usage(_))), "nothing left to commit");
+    wait_until("the shard to forget the transaction", || {
+        Rig::count(&rig.sa, "SELECT COUNT(*) FROM dfm_xact") == 0
+    });
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM t"), 0);
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM sys_datalinks"), 0);
+    assert_eq!((Rig::linked(&rig.sa), rig.owner(&pa)), (0, "u".to_string()));
 }
 
 #[test]

@@ -245,18 +245,19 @@ impl Database {
     }
 
     /// Replace catalog, heaps and trees with an image's (restore, crash,
-    /// restart); the queued history refers to the heaps replaced. The
+    /// restart); the queued history refers to the heaps replaced, and after
+    /// a crash the snapshots of the readers it killed go too. The
     /// statistics generation keeps rising across the swap, so "the
     /// statistics a plan was bound under" can never be confused with an
     /// older registry that happens to carry the same number.
-    fn install(&self, image: &DbImage) {
+    fn install(&self, image: &DbImage, crashed: bool) {
         let mut fresh = image.catalog.clone();
         self.catalog_mut(true, |catalog| {
             fresh.stats.generation = fresh.stats.generation.max(catalog.stats.generation) + 1;
             *catalog = fresh;
         });
         self.inner.storage.install(&image.tables, &image.indexes);
-        self.inner.versions.reset(false);
+        self.inner.versions.reset(crashed);
     }
 
     /// A table's definition by id (commit, undo and redo paths, which know
@@ -413,13 +414,12 @@ impl Database {
         let ops = txn.drain_to_savepoint(sp);
         // Rows left with no write are clean again and their chains take
         // the rollback path; the transaction's own snapshot still counts.
-        // It keeps their locks, so a slot it emptied waits for its end
-        // (only those: a live row's slot is freed once, by its deleter).
-        let (stale, clean, logged) = self.apply_undo(ops, Some(txn.id));
+        let (stale, clean, logged) = self.apply_undo(ops, Some(&mut *txn));
         self.end(&clean, None, stale, true);
-        let emptied = |&(t, r): &UndoOp| self.inner.storage.with_table(t, |d| d.get(r).is_none());
-        txn.held.extend(clean.into_iter().filter(|op| emptied(op).unwrap_or(false)));
-        logged.inspect_err(|_| self.rollback(txn))?;
+        logged.map_err(|e| {
+            self.rollback(txn);
+            DbError::RolledBack(e.to_string())
+        })?;
         if txn.undo.is_empty() {
             self.inner.wal.settled(txn.id); // no COMMIT will be logged
         }
@@ -428,10 +428,12 @@ impl Database {
 
     /// Undo writes (newest first): each pops its row's chain top back into
     /// the heap and maintains the indexes from the image undone and the one
-    /// restored. With `log`, each is logged as a compensation record
-    /// carrying the restored image, until the log refuses one: that error
-    /// is returned beside the index entries to retire and the rows left
-    /// clean.
+    /// restored. In a savepoint rollback (`sp`), each is logged as a
+    /// compensation record carrying the restored image, until the log
+    /// refuses one: that error is returned beside the index entries to
+    /// retire and the rows left clean. The transaction keeps its locks, so
+    /// a slot the undo emptied is held until it ends (only those: a live
+    /// row's slot is freed once, by its deleter).
     ///
     /// Under MVCC, index entries are never removed here: an entry this
     /// transaction is backing out may coincide with one an older snapshot
@@ -440,8 +442,8 @@ impl Database {
     fn apply_undo(
         &self,
         ops: Vec<UndoOp>,
-        log: Option<TxnId>,
-    ) -> (Vec<StaleKey>, Vec<(TableId, u64)>, DbResult<()>) {
+        mut sp: Option<&mut Txn>,
+    ) -> (Vec<StaleKey>, Vec<UndoOp>, DbResult<()>) {
         let (mut stale, mut clean, mut logged) = (Vec::new(), Vec::new(), Ok(()));
         for (table, rowid) in ops {
             // A table dropped since (DDL is not transactional) has nothing
@@ -470,17 +472,21 @@ impl Database {
                     }
                 }
             }
-            if let Some(txn) = log.filter(|_| logged.is_ok()) {
+            if now_clean {
+                clean.push((table, rowid));
+            }
+            let Some(txn) = sp.as_deref_mut() else { continue };
+            if now_clean && restored.is_none() {
+                txn.held.push((table, rowid));
+            }
+            if logged.is_ok() {
                 let table = table.0;
                 let clr = match (restored, undone.is_some()) {
                     (None, _) => LogPayload::Delete { table, rowid },
                     (Some(row), false) => LogPayload::Insert { table, rowid, row },
                     (Some(new), true) => LogPayload::Update { table, rowid, new },
                 };
-                logged = self.inner.wal.compensate(txn, clr).map(drop);
-            }
-            if now_clean {
-                clean.push((table, rowid));
+                logged = self.inner.wal.compensate(txn.id, clr).map(drop);
             }
         }
         (stale, clean, logged)
@@ -1331,12 +1337,7 @@ impl Database {
 
     /// Rows currently carrying a version chain, across all tables.
     pub fn mvcc_version_chains(&self) -> usize {
-        self.inner
-            .storage
-            .table_ids()
-            .into_iter()
-            .filter_map(|t| self.inner.storage.with_table(t, |t| t.chains.len()).ok())
-            .sum()
+        self.inner.storage.version_chains()
     }
 
     /// Index entries queued for watermark-gated removal.
@@ -1592,7 +1593,7 @@ impl Database {
     /// restore). Takes a checkpoint so crash recovery resumes from the
     /// restored state.
     pub fn restore_image(&self, image: &DbImage) {
-        self.install(image);
+        self.install(image, false);
         // Nothing logged before the restore applies to the restored state.
         if self.inner.wal.force() {
             let redo_lsn = self.inner.wal.durable_lsn() + 1;
@@ -1618,8 +1619,7 @@ impl Database {
         // Version history and deferred removals are volatile; snapshots of
         // in-flight readers die with the crash. `commit_ts` is kept so
         // timestamps stay unique across the restart.
-        self.inner.versions.reset(true);
-        self.install(&DbImage::default());
+        self.install(&DbImage::default(), true);
         lost
     }
 
@@ -1632,7 +1632,7 @@ impl Database {
         let start_lsn = {
             let (cp, empty) = (self.inner.checkpoint.lock(), DbImage::default());
             let image = cp.as_ref().unwrap_or(&empty);
-            self.install(image);
+            self.install(image, false);
             image.redo_lsn
         };
         let records = self.inner.wal.records_from(start_lsn);

@@ -77,16 +77,19 @@ pub enum DbError {
     Offline,
     /// Internal invariant violation; indicates a bug in the engine.
     Internal(String),
+    /// Rolled back whole: the log refused a savepoint rollback's compensation record.
+    RolledBack(String),
 }
 
 impl DbError {
     /// True when the error indicates the transaction has already been
-    /// rolled back by the engine (deadlock victim / lock timeout).
+    /// rolled back by the engine (deadlock victim / lock timeout / a
+    /// savepoint rollback the log refused).
     ///
     /// DLFM's retry loops key off this: phase-2 commit processing retries
     /// on exactly these errors (paper §3.3 / Figure 4).
     pub fn is_rollback_forced(&self) -> bool {
-        matches!(self, DbError::Deadlock { .. } | DbError::LockTimeout { .. })
+        matches!(self, Self::Deadlock { .. } | Self::LockTimeout { .. } | Self::RolledBack(_))
     }
 
     /// True for transient errors that are safe to retry with a fresh
@@ -122,6 +125,7 @@ impl fmt::Display for DbError {
             DbError::MissingParam(i) => write!(f, "parameter marker ?{i} not bound"),
             DbError::Offline => write!(f, "database is offline (crashed)"),
             DbError::Internal(msg) => write!(f, "internal error: {msg}"),
+            DbError::RolledBack(cause) => write!(f, "transaction rolled back: {cause}"),
         }
     }
 }
@@ -140,6 +144,7 @@ mod tests {
         );
         assert!(!DbError::LogFull { pinned: 10, capacity: 10 }.is_rollback_forced());
         assert!(!DbError::Parse("x".into()).is_rollback_forced());
+        assert!(DbError::RolledBack("injected".into()).is_rollback_forced());
     }
 
     #[test]

@@ -465,11 +465,11 @@ impl Mvcc {
                     self.count_retired(retired.unwrap_or_default());
                     true
                 }
-                History::Key(s) => {
-                    let guard = storage.apply_guard(s.meta.schema.id);
+                // A table dropped since took its trees along.
+                History::Key(s) => storage.apply_guard(s.meta.schema.id).map_or(true, |guard| {
                     let _g = guard.lock();
                     self.unindex_stale(storage, s, watermark)
-                }
+                }),
             };
             if !done {
                 requeue.push((ts, h));

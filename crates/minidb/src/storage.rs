@@ -3,8 +3,9 @@
 //! lock manager; latches are never held across a lock wait.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{DbError, DbResult};
@@ -238,16 +239,17 @@ impl IndexData {
 /// One side of an index range scan: `(bound, inclusive)`, or open.
 pub type ScanBound<'a> = Option<(&'a Value, bool)>;
 
+/// A heap beside its apply mutex, which serialises the short *physical*
+/// apply phase of a modification (unique checks + heap/index mutation) so
+/// it is atomic without juggling multiple latches. Never held across
+/// lock-manager waits.
+type Heap = (RwLock<TableData>, Arc<Mutex<()>>);
+
 /// All heaps and index trees of a database.
 #[derive(Default)]
 pub struct Storage {
-    tables: RwLock<HashMap<TableId, RwLock<TableData>>>,
+    tables: RwLock<HashMap<TableId, Heap>>,
     indexes: RwLock<HashMap<IndexId, RwLock<IndexData>>>,
-    /// Per-table apply mutex: serialises the short *physical* apply phase of
-    /// a modification (unique checks + heap/index mutation) so it is atomic
-    /// without juggling multiple latches. Never held across lock-manager
-    /// waits.
-    apply: RwLock<HashMap<TableId, std::sync::Arc<parking_lot::Mutex<()>>>>,
 }
 
 /// Slots an image copies per hold of a heap's read latch.
@@ -256,30 +258,23 @@ const IMAGE_CHUNK: usize = 4096;
 impl Storage {
     /// Register an empty heap for a new table.
     pub fn create_table(&self, id: TableId) {
-        self.tables.write().insert(id, RwLock::new(TableData::default()));
+        self.tables.write().insert(id, Default::default());
     }
 
-    /// The apply mutex for a table, created at its first use.
-    pub fn apply_guard(&self, id: TableId) -> std::sync::Arc<parking_lot::Mutex<()>> {
-        if let Some(g) = self.apply.read().get(&id) {
-            return g.clone();
-        }
-        self.apply
-            .write()
-            .entry(id)
-            .or_insert_with(|| std::sync::Arc::new(parking_lot::Mutex::new(())))
-            .clone()
+    /// The apply mutex of a table.
+    pub fn apply_guard(&self, id: TableId) -> DbResult<Arc<Mutex<()>>> {
+        self.table(id, |(_, apply)| apply.clone())
     }
 
     /// The apply mutex for a forward row write (insert, update, delete),
     /// behind the `minidb.storage.write` fault point: it fires before the
     /// write takes a slot or is logged, leaving nothing to undo or redo.
     /// Undo, publication and slot release have no fault point.
-    pub fn write_guard(&self, id: TableId) -> DbResult<std::sync::Arc<parking_lot::Mutex<()>>> {
+    pub fn write_guard(&self, id: TableId) -> DbResult<Arc<Mutex<()>>> {
         if obs::fault::fire("minidb.storage.write") {
             return Err(DbError::Internal("injected: storage write I/O error".into()));
         }
-        Ok(self.apply_guard(id))
+        self.apply_guard(id)
     }
 
     /// Register the tree of `ix`, built from its table's heap as it is now.
@@ -292,7 +287,6 @@ impl Storage {
     /// Drop a table heap.
     pub fn drop_table(&self, id: TableId) {
         self.tables.write().remove(&id);
-        self.apply.write().remove(&id);
     }
 
     /// Drop an index tree.
@@ -300,14 +294,18 @@ impl Storage {
         self.indexes.write().remove(&id);
     }
 
-    /// Run `f` with a read latch on the table heap.
-    pub fn with_table<R>(&self, id: TableId, f: impl FnOnce(&TableData) -> R) -> DbResult<R> {
+    /// Run `f` on table `id`'s heap and apply mutex, unlatched.
+    fn table<R>(&self, id: TableId, f: impl FnOnce(&Heap) -> R) -> DbResult<R> {
         let tables = self.tables.read();
         let t = tables
             .get(&id)
             .ok_or_else(|| DbError::Internal(format!("no heap for table#{}", id.0)))?;
-        let guard = t.read();
-        Ok(f(&guard))
+        Ok(f(t))
+    }
+
+    /// Run `f` with a read latch on the table heap.
+    pub fn with_table<R>(&self, id: TableId, f: impl FnOnce(&TableData) -> R) -> DbResult<R> {
+        self.table(id, |(heap, _)| f(&heap.read()))
     }
 
     /// Run `f` with a write latch on the table heap.
@@ -316,12 +314,7 @@ impl Storage {
         id: TableId,
         f: impl FnOnce(&mut TableData) -> R,
     ) -> DbResult<R> {
-        let tables = self.tables.read();
-        let t = tables
-            .get(&id)
-            .ok_or_else(|| DbError::Internal(format!("no heap for table#{}", id.0)))?;
-        let mut guard = t.write();
-        Ok(f(&mut guard))
+        self.table(id, |(heap, _)| f(&mut heap.write()))
     }
 
     /// Run `f` with a read latch on an index tree.
@@ -362,9 +355,9 @@ impl Storage {
         Ok(())
     }
 
-    /// Ids of all registered tables.
-    pub fn table_ids(&self) -> Vec<TableId> {
-        self.tables.read().keys().copied().collect()
+    /// Rows carrying a version chain, across all heaps.
+    pub fn version_chains(&self) -> usize {
+        self.tables.read().values().map(|(heap, _)| heap.read().chains.len()).sum()
     }
 
     /// Copy table `id` as a snapshot at `ts` reads it, with the trees of
@@ -408,9 +401,9 @@ impl Storage {
     pub fn install(&self, tables: &[(TableId, TableData)], indexes: &[(IndexId, IndexData)]) {
         let mut heaps = self.tables.write();
         let mut trees = self.indexes.write();
-        *heaps = tables.iter().map(|(id, t)| (*id, RwLock::new(t.clone()))).collect();
+        *heaps =
+            tables.iter().map(|(id, t)| (*id, (RwLock::new(t.clone()), Arc::default()))).collect();
         *trees = indexes.iter().map(|(id, t)| (*id, RwLock::new(t.clone()))).collect();
-        self.apply.write().clear();
     }
 }
 

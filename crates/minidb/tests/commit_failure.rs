@@ -105,8 +105,10 @@ fn a_refused_compensation_record_rolls_the_transaction_back_whole() {
     s.exec("INSERT INTO t (id, v) VALUES (2, 1)").unwrap();
     // The next append is the compensation record of the insert.
     let guard = fault::install_guarded(1, &[("minidb.wal.append", Trigger::Nth(1))]);
-    assert_injected(s.rollback_to(sp));
+    let err = s.rollback_to(sp).unwrap_err();
     drop(guard);
+    assert!(matches!(&err, DbError::RolledBack(m) if m.contains("injected")), "got {err:?}");
+    assert!(err.is_rollback_forced(), "the error hides that the transaction is gone");
     assert!(!s.in_txn(), "the session kept a transaction minidb rolled back");
     assert_rolled_back_and_unlocked(&db);
 }
