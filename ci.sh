@@ -50,6 +50,14 @@ smoke() {
   step "read-path smoke: e13_read_heavy (tiny sweep, MVCC vs 2PL)"
   RUN_SECS=0.2 CLIENTS=4 BENCH_METRICS=0 BENCH_JSON_DIR=target \
     cargo run -q --offline --release -p bench --bin e13_read_heavy
+  step "key-lock smoke: e2_next_key + e4_escalation (tiny runs)"
+  # dlfm-bench runs with next-key locking off and never escalates: E2
+  # takes key and next-key locks, E4 escalates row locks to a table lock.
+  # (E2's deadlock victims each log a warning by design.)
+  RUN_SECS=0.2 CLIENTS=4 BENCH_METRICS=0 BENCH_JSON_DIR=target DLFM_LOG=error \
+    cargo run -q --offline --release -p bench --bin e2_next_key
+  RUN_SECS=0.2 CLIENTS=4 BENCH_METRICS=0 BENCH_JSON_DIR=target \
+    cargo run -q --offline --release -p bench --bin e4_escalation
   step "shard smoke: e14_shard_scaling (tiny sweep + live migration)"
   RUN_SECS=0.3 CLIENTS=16 SHARDS=2 MIGRATE_CLIENTS=8 FORCE_MS=1 \
     BENCH_METRICS=0 BENCH_JSON_DIR=target \

@@ -148,6 +148,28 @@ fn local_only_transactions_skip_two_phase_commit() {
     assert_eq!(r.host.coord_log().last_lsn(), 0);
 }
 
+/// A statement on a table with no DATALINK column runs straight in minidb;
+/// one that fails half-way still leaves none of its rows changed, and the
+/// host transaction goes on.
+#[test]
+fn a_failed_statement_on_a_plain_table_leaves_no_rows_changed() {
+    let r = rig();
+    let mut s = r.host.session();
+    s.exec("CREATE TABLE plain (id BIGINT NOT NULL, n INTEGER)").unwrap();
+    s.exec("CREATE UNIQUE INDEX ix_plain ON plain (id)").unwrap();
+    s.exec("INSERT INTO plain (id, n) VALUES (1, 10)").unwrap();
+    s.exec("INSERT INTO plain (id, n) VALUES (2, 20)").unwrap();
+    let ids =
+        |s: &mut hostdb::HostSession| s.query("SELECT id FROM plain ORDER BY n", &[]).unwrap();
+    s.begin().unwrap();
+    let err = s.exec("UPDATE plain SET id = 3 WHERE id <= 2").unwrap_err();
+    assert!(matches!(err, HostError::Db(minidb::DbError::UniqueViolation { .. })), "{err:?}");
+    assert!(s.xid().is_some(), "the transaction stays open");
+    assert_eq!(ids(&mut s), [[Value::Int(1)], [Value::Int(2)]]);
+    s.commit().unwrap();
+    assert_eq!(ids(&mut s), [[Value::Int(1)], [Value::Int(2)]]);
+}
+
 #[test]
 fn read_only_dlfm_participation_skips_phase_two() {
     // A transaction that touched the DLFM connection but did no datalink

@@ -33,6 +33,7 @@ use crate::catalog::{Catalog, TableMeta};
 use crate::config::DbConfig;
 use crate::error::{DbError, DbResult};
 use crate::eval::{eval, eval_pred, BoundExpr};
+use crate::key::Key;
 use crate::lock::{LockManager, LockMetrics, LockMode, Res};
 use crate::log::Lsn;
 use crate::mvcc::{Mvcc, StaleKey};
@@ -812,8 +813,7 @@ impl Database {
             self.catalog_mut(true, |catalog| catalog.create_index(name, table, columns, unique))?;
         // Backfill from existing rows.
         self.inner.storage.create_index(&schema)?;
-        let dup =
-            self.inner.storage.with_index(schema.id, |t| t.first_duplicate().map(<[_]>::to_vec))?;
+        let dup = self.inner.storage.with_index(schema.id, |t| t.first_duplicate().cloned())?;
         if let Some(dup) = dup.filter(|_| unique) {
             // Roll the DDL back.
             self.catalog_mut(true, |catalog| catalog.drop_index(&schema.name))?;
@@ -878,11 +878,11 @@ impl Database {
         txn: TxnId,
         table: TableId,
         index: IndexId,
-        key: &[Value],
+        key: &Key,
         eof: bool,
     ) -> DbResult<()> {
         let lm = &self.inner.lm;
-        lm.lock(txn, Res::Key(table, index, key.to_vec()), LockMode::X)?;
+        lm.lock(txn, Res::Key(table, index, key.clone()), LockMode::X)?;
         match self.inner.storage.with_index(index, |t| t.next_key(key))? {
             Some(next) => lm.lock(txn, Res::Key(table, index, next), LockMode::X),
             None if eof => lm.lock(txn, Res::KeyEof(table, index), LockMode::X),
@@ -896,7 +896,7 @@ impl Database {
     fn insert_row(&self, txn: &mut Txn, meta: &TableMeta, row: Row) -> DbResult<u64> {
         let table = meta.schema.id;
         self.inner.lm.lock(txn.id, Res::Table(table), LockMode::IX)?;
-        let keys: Vec<Vec<Value>> = meta.indexes.iter().map(|ix| ix.key(&row)).collect();
+        let keys: Vec<Key> = meta.indexes.iter().map(|ix| ix.key(&row)).collect();
 
         // Key locks, in index-creation order (the order DB2 updates them).
         if self.inner.next_key_locking.load(AtomicOrdering::Relaxed) {
@@ -1002,7 +1002,7 @@ impl Database {
             }
             validate_row(&meta.schema, &new)?;
             // The indexes whose entry moves, with the old and new key.
-            let moved: Vec<(&IndexSchema, Vec<Value>, Vec<Value>)> = old_keys
+            let moved: Vec<(&IndexSchema, Key, Key)> = old_keys
                 .into_iter()
                 .map(|(ix, old_key)| (ix, old_key, ix.key(&new)))
                 .filter(|(_, old_key, new_key)| old_key != new_key)
@@ -1065,7 +1065,7 @@ impl Database {
             // The row's keys, read under its X lock, when next-key locking
             // or plain 2PL (which takes the entries out at once) needs them.
             let key_of_row = |row: &Row| meta.indexes.iter().map(|i| i.key(row)).collect();
-            let keys: Vec<Vec<Value>> = match nkl || !mvcc_on {
+            let keys: Vec<Key> = match nkl || !mvcc_on {
                 true => self.inner.storage.with_table(table, |t| t.get(rowid).map(key_of_row))?,
                 false => None,
             }
@@ -1108,7 +1108,7 @@ impl Database {
         &self,
         table: TableId,
         ix: &IndexSchema,
-        key: &[Value],
+        key: &Key,
         exclude: Option<u64>,
     ) -> DbResult<bool> {
         let others = |t: &crate::storage::IndexData| -> Vec<u64> {
@@ -1119,7 +1119,7 @@ impl Database {
             return Ok(!rowids.is_empty());
         }
         self.inner.storage.with_table(table, |t| {
-            rowids.iter().any(|&r| t.get(r).is_some_and(|row| ix.has_key(row, key)))
+            rowids.iter().any(|&r| t.get(r).is_some_and(|row| ix.key(row) == *key))
         })
     }
 
@@ -1182,7 +1182,7 @@ impl Database {
         };
         // Candidate rows, grouped under the index key to lock first (when
         // key locks are wanted).
-        let mut groups: Vec<(Option<Vec<Value>>, Vec<u64>)> = Vec::new();
+        let mut groups: Vec<(Option<Key>, Vec<u64>)> = Vec::new();
         // The index scanned, whose keys are locked.
         let mut probed: Option<IndexId> = None;
         match &scan.plan.path {
@@ -1198,10 +1198,9 @@ impl Database {
             }
             AccessPath::IndexEq { index, probes, .. }
             | AccessPath::IndexRange { index, probes, .. } => {
-                let prefix: Vec<Value> = probes
-                    .iter()
-                    .map(|e| probe_value(e, params).cloned())
-                    .collect::<DbResult<_>>()?;
+                // Checked first, so the key is encoded with no list of values.
+                probes.iter().try_for_each(|e| probe_value(e, params).map(drop))?;
+                let prefix = Key::new(probes.iter().filter_map(|e| probe_value(e, params).ok()));
                 let range = match &scan.plan.path {
                     AccessPath::IndexRange { lo, hi, .. } => {
                         Some((bound_value(lo, params)?, bound_value(hi, params)?))
@@ -1210,10 +1209,10 @@ impl Database {
                 };
                 storage.with_index(*index, |t| {
                     if nkl {
-                        groups
-                            .extend(t.scan(&prefix, range).map(|(key, rowids)| {
-                                (Some(key.to_vec()), rowids.iter().collect())
-                            }));
+                        groups.extend(
+                            t.scan(&prefix, range)
+                                .map(|(key, rowids)| (Some(key.clone()), rowids.iter().collect())),
+                        );
                     } else {
                         let rowids = t.scan(&prefix, range).flat_map(|(_, rowids)| rowids.iter());
                         groups.push((None, rowids.collect()));
@@ -1460,6 +1459,12 @@ impl Database {
             "WAL force (simulated fsync) latency.",
             &[],
             self.wal_force_hist(),
+        );
+        r.histogram(
+            "minidb_wal_force_oversleep_micros",
+            "How far each simulated fsync's sleep ran past the configured force latency.",
+            &[],
+            self.inner.wal.oversleep_hist(),
         );
         r.counter(
             "minidb_wal_forces_total",
@@ -1714,8 +1719,8 @@ impl Database {
     }
 }
 
-fn render_key(key: &[Value]) -> String {
-    let parts: Vec<String> = key.iter().map(|v| v.to_string()).collect();
+fn render_key(key: &Key) -> String {
+    let parts: Vec<String> = key.values().iter().map(|v| v.to_string()).collect();
     format!("({})", parts.join(", "))
 }
 

@@ -45,6 +45,7 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod eval;
+pub mod key;
 pub mod lock;
 pub mod log;
 pub mod mvcc;

@@ -44,9 +44,9 @@ use parking_lot::{Condvar, Mutex};
 use obs::journal::{self, JournalKind};
 
 use crate::error::{DbError, DbResult};
+use crate::key::Key;
 use crate::schema::{IndexId, TableId};
 use crate::txn::TxnId;
-use crate::value::Value;
 
 thread_local! {
     /// Lock-wait time accumulated by the current thread since the last
@@ -132,7 +132,7 @@ pub enum Res {
     Row(TableId, u64),
     /// One index key (used for key-value and next-key locks). The owning
     /// table id is carried so escalation can attribute key locks to a table.
-    Key(TableId, IndexId, Vec<Value>),
+    Key(TableId, IndexId, Key),
     /// The logical "end of index" key, locked as the next key of the
     /// largest real key.
     KeyEof(TableId, IndexId),
@@ -1304,7 +1304,7 @@ mod tests {
     #[test]
     fn key_locks_are_per_index() {
         let lm = lm(100);
-        let k = vec![Value::str("f1")];
+        let k = Key::new(&[crate::value::Value::str("f1")]);
         lm.lock(TxnId(1), Res::Key(T, IndexId(1), k.clone()), LockMode::X).unwrap();
         // Same key value on a different index is a different resource.
         lm.lock(TxnId(2), Res::Key(T, IndexId(2), k.clone()), LockMode::X).unwrap();

@@ -97,6 +97,9 @@ pub struct Log<R, S = ()> {
     commits: AtomicU64,
     /// Duration of each force (simulated fsync), in microseconds.
     force_hist: obs::Histogram,
+    /// How far each simulated fsync's sleep ran past the configured
+    /// latency, in microseconds: the machine's share of a force.
+    oversleep_hist: obs::Histogram,
     /// Commit records made durable per force (group-commit batch size).
     batch_hist: obs::Histogram,
     /// The simulated fsync device: one force in flight at a time.
@@ -129,6 +132,7 @@ impl<R: Record, S: Default> Log<R, S> {
             forces: AtomicU64::new(0),
             commits: AtomicU64::new(0),
             force_hist: obs::Histogram::new(),
+            oversleep_hist: obs::Histogram::new(),
             batch_hist: obs::Histogram::new(),
             device: Mutex::new(()),
             group: Mutex::new(Group::default()),
@@ -273,7 +277,9 @@ impl<R: Record, S: Default> Log<R, S> {
         let target = self.inner.lock().records.len();
         let latency = self.force_latency_nanos.load(Ordering::Relaxed);
         if latency > 0 {
-            thread::sleep(Duration::from_nanos(latency));
+            let (latency, slept) = (Duration::from_nanos(latency), Instant::now());
+            thread::sleep(latency);
+            self.oversleep_hist.record_micros(slept.elapsed().saturating_sub(latency));
         }
         let mut inner = self.inner.lock();
         if self.epoch.load(Ordering::Acquire) != epoch {
@@ -353,6 +359,12 @@ impl<R: Record, S: Default> Log<R, S> {
     /// Histogram of force (simulated fsync) durations (microseconds).
     pub fn force_hist(&self) -> &obs::Histogram {
         &self.force_hist
+    }
+
+    /// Histogram of how far each simulated fsync overslept its configured
+    /// latency (microseconds); one sample per force with a latency.
+    pub fn oversleep_hist(&self) -> &obs::Histogram {
+        &self.oversleep_hist
     }
 
     /// Histogram of commit records made durable per force (batch size).
@@ -471,6 +483,22 @@ mod tests {
         assert_eq!(log.batch_hist().sum(), 20);
         assert!(log.force_up_to(Appended { lsn: 1, epoch: 0 }));
         assert_eq!(log.forces_total(), forces);
+    }
+
+    /// Every force that sleeps a latency records its oversleep once; a
+    /// device with no latency records none.
+    #[test]
+    fn each_force_records_its_oversleep() {
+        let log = log(Duration::from_millis(1));
+        for _ in 0..3 {
+            let rec = log.append(Rec(true));
+            assert!(log.force_up_to(rec));
+        }
+        assert_eq!((log.forces_total(), log.oversleep_hist().count()), (3, 3));
+        assert!(log.oversleep_hist().max() < log.force_hist().max());
+        let instant = self::log(Duration::ZERO);
+        assert!(instant.force());
+        assert_eq!(instant.oversleep_hist().count(), 0);
     }
 
     #[test]

@@ -17,10 +17,11 @@ use parking_lot::Mutex;
 use parking_lot::MutexGuard;
 
 use crate::catalog::TableMeta;
+use crate::key::Key;
 use crate::schema::{IndexSchema, TableId};
 use crate::storage::{Storage, TableData};
 use crate::txn::{Txn, TxnId, UndoOp};
-use crate::value::{Row, Value};
+use crate::value::Row;
 
 /// Stamp of an image a transaction displaced from its own uncommitted
 /// write: no snapshot ever resolves to it.
@@ -202,7 +203,7 @@ pub(crate) struct StaleKey {
     /// at removal time.
     pub(crate) meta: Arc<TableMeta>,
     pub(crate) index_pos: usize,
-    pub(crate) key: Vec<Value>,
+    pub(crate) key: Key,
     pub(crate) rowid: u64,
 }
 
@@ -388,10 +389,10 @@ impl Mvcc {
                             if heap.is_some_and(|row| ix.same_key(old, row)) {
                                 continue;
                             }
+                            let key = ix.key(old);
                             if now {
-                                self.remove_entry(storage, ix, &ix.key_ref(old), rowid);
+                                self.remove_entry(storage, ix, &key, rowid);
                             } else {
-                                let key = ix.key(old);
                                 stale.push(StaleKey { meta: meta.clone(), index_pos, key, rowid });
                             }
                         }
@@ -422,7 +423,7 @@ impl Mvcc {
     fn unindex_stale(&self, storage: &Storage, s: &StaleKey, watermark: u64) -> bool {
         let ix = &s.meta.indexes[s.index_pos];
         let carried = storage.with_table(s.meta.schema.id, |t| {
-            t.mvcc_any_image(s.rowid, watermark, |row| ix.has_key(row, &s.key))
+            t.mvcc_any_image(s.rowid, watermark, |row| ix.key(row) == s.key)
         });
         match carried {
             Ok(None) => return false,
@@ -433,7 +434,7 @@ impl Mvcc {
         true
     }
 
-    fn remove_entry(&self, storage: &Storage, ix: &IndexSchema, key: &[Value], rowid: u64) {
+    fn remove_entry(&self, storage: &Storage, ix: &IndexSchema, key: &Key, rowid: u64) {
         let removed = storage.with_index_mut(ix.id, |t| t.remove(key, rowid));
         if matches!(removed, Ok(true)) {
             self.counters.gc_unindexed.fetch_add(1, AtomicOrdering::Relaxed);

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{DbError, DbResult};
+use crate::key::Key;
 use crate::value::{DataType, Value};
 
 /// Identifies a table within a database. Stable for the database lifetime.
@@ -83,28 +84,14 @@ pub struct IndexSchema {
 }
 
 impl IndexSchema {
-    /// `row`'s key in this index.
-    pub fn key(&self, row: &[Value]) -> Vec<Value> {
-        self.key_columns.iter().map(|&i| row[i].clone()).collect()
-    }
-
-    /// `row`'s key, borrowed when the index has one column.
-    pub fn key_ref<'r>(&self, row: &'r [Value]) -> std::borrow::Cow<'r, [Value]> {
-        match self.key_columns[..] {
-            [c] => std::borrow::Cow::Borrowed(std::slice::from_ref(&row[c])),
-            _ => std::borrow::Cow::Owned(self.key(row)),
-        }
+    /// `row`'s key in this index, encoded from the row in place.
+    pub fn key(&self, row: &[Value]) -> Key {
+        Key::new(self.key_columns.iter().map(|&i| &row[i]))
     }
 
     /// Do two images of a row carry the same key?
     pub fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
         self.key_columns.iter().all(|&c| a[c] == b[c])
-    }
-
-    /// Does `row` carry exactly `key`?
-    pub fn has_key(&self, row: &[Value], key: &[Value]) -> bool {
-        self.key_columns.len() == key.len()
-            && self.key_columns.iter().zip(key).all(|(&c, k)| row.get(c) == Some(k))
     }
 }
 

@@ -4,7 +4,9 @@
 //! open transaction auto-commit. A deadlock or lock timeout rolls back the
 //! *whole* transaction (the engine has already victimised it), mirroring
 //! DB2's `-911` behaviour that forces the host database to roll back the
-//! full global transaction (paper §3.2).
+//! full global transaction (paper §3.2). Any other failed statement in an
+//! explicit transaction is undone alone, back to a savepoint taken before
+//! it, and the transaction stays open.
 
 use crate::bind::Prepared;
 use crate::engine::{Database, ExecResult};
@@ -136,6 +138,9 @@ impl Session {
             self.txn = Some(self.db.begin());
         }
         let txn = self.txn.as_mut().expect("transaction just ensured");
+        // Statement atomicity: a statement that fails in an explicit
+        // transaction leaves nothing it changed behind.
+        let sp = txn.savepoint();
         let result = f(&self.db, txn);
         match result {
             Ok(r) => {
@@ -151,6 +156,10 @@ impl Session {
                     // Deadlock/timeout victims have lost the transaction.
                     let mut txn = self.txn.take().expect("txn present");
                     self.db.rollback(&mut txn);
+                } else {
+                    // An undo the log refuses costs the transaction, and
+                    // its error says so.
+                    self.rollback_to(sp)?;
                 }
                 Err(e)
             }
@@ -178,6 +187,25 @@ mod tests {
         s.exec("CREATE UNIQUE INDEX ix_id ON t (id)").unwrap();
         s.exec("CREATE INDEX ix_name ON t (name)").unwrap();
         db
+    }
+
+    /// A statement that fails half-way through its rows takes back the
+    /// rows it already changed; the transaction goes on.
+    #[test]
+    fn a_failed_statement_in_a_transaction_leaves_no_rows_changed() {
+        let db = db();
+        let mut s = Session::new(&db);
+        s.exec("INSERT INTO t (id, name, n) VALUES (1, 'a', 10)").unwrap();
+        s.exec("INSERT INTO t (id, name, n) VALUES (2, 'b', 20)").unwrap();
+        let ids =
+            |s: &mut Session| -> Vec<Row> { s.query("SELECT id FROM t ORDER BY n", &[]).unwrap() };
+        s.begin().unwrap();
+        let err = s.exec("UPDATE t SET id = 3 WHERE id <= 2").unwrap_err();
+        assert!(matches!(err, DbError::UniqueViolation { .. }), "{err}");
+        assert!(s.in_txn());
+        assert_eq!(ids(&mut s), [[Value::Int(1)], [Value::Int(2)]]);
+        s.commit().unwrap();
+        assert_eq!(ids(&mut s), [[Value::Int(1)], [Value::Int(2)]]);
     }
 
     #[test]

@@ -1,6 +1,17 @@
 //! Physical storage: row heaps and B-tree indexes, guarded by short-lived
 //! latches (`parking_lot::RwLock`). Logical concurrency control lives in the
 //! lock manager; latches are never held across a lock wait.
+//!
+//! An index maps encoded keys ([`Key`]) to row ids. Per column a key holds a
+//! type tag in [`Value`]'s type order, then an `i64` as big-endian bytes with
+//! the sign bit flipped, or a string's bytes with `0x00` escaped as
+//! `0x00 0xFF` and closed by `0x00 0x00`. No column's encoding is a prefix
+//! of another's, so the bytes sort as the values do, column by column, and
+//! the keys whose leading columns equal a probe's are exactly those that
+//! start with its bytes: every probe and scan here is a byte range, every
+//! comparison one `memcmp`. A key of up to [`crate::key::INLINE`] (31) bytes
+//! lives inside the tree node; a longer one is boxed. Keys are decoded only
+//! to be rendered.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -9,6 +20,7 @@ use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{DbError, DbResult};
+use crate::key::Key;
 use crate::mvcc::VersionChain;
 use crate::schema::{IndexId, IndexSchema, TableId};
 use crate::value::{Row, Value};
@@ -128,10 +140,10 @@ impl RowIds {
     }
 }
 
-/// One B-tree index: ordered map from key to its row ids.
+/// One B-tree index: ordered map from encoded key to its row ids.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct IndexData {
-    tree: BTreeMap<Vec<Value>, RowIds>,
+    tree: BTreeMap<Key, RowIds>,
 }
 
 impl IndexData {
@@ -146,17 +158,12 @@ impl IndexData {
     }
 
     /// Row ids for an exact key, ascending.
-    pub fn get(&self, key: &[Value]) -> impl Iterator<Item = u64> + '_ {
+    pub fn get(&self, key: &Key) -> impl Iterator<Item = u64> + '_ {
         self.tree.get(key).into_iter().flat_map(|ids| ids.iter())
     }
 
-    /// True if the key has at least one entry.
-    pub fn contains_key(&self, key: &[Value]) -> bool {
-        self.tree.contains_key(key)
-    }
-
     /// Insert an entry. Returns `false` if (key,rowid) already existed.
-    pub fn insert(&mut self, key: Vec<Value>, rowid: u64) -> bool {
+    pub fn insert(&mut self, key: Key, rowid: u64) -> bool {
         use std::collections::btree_map::Entry;
         match self.tree.entry(key) {
             Entry::Occupied(ids) => ids.into_mut().insert(rowid),
@@ -168,7 +175,7 @@ impl IndexData {
     }
 
     /// Remove an entry; prunes empty key nodes.
-    pub fn remove(&mut self, key: &[Value], rowid: u64) -> bool {
+    pub fn remove(&mut self, key: &Key, rowid: u64) -> bool {
         let Some(ids) = self.tree.get_mut(key) else { return false };
         ids.remove(rowid).unwrap_or_else(|| {
             self.tree.remove(key);
@@ -186,53 +193,45 @@ impl IndexData {
     }
 
     /// The smallest key carried by more than one row, if any.
-    pub fn first_duplicate(&self) -> Option<&[Value]> {
-        self.tree.iter().find(|(_, ids)| ids.len() > 1).map(|(key, _)| key.as_slice())
+    pub fn first_duplicate(&self) -> Option<&Key> {
+        self.tree.iter().find(|(_, ids)| ids.len() > 1).map(|(key, _)| key)
     }
 
     /// The smallest key strictly greater than `key`, i.e. the *next key*
     /// ARIES/KVL-style next-key locking protects.
-    pub fn next_key(&self, key: &[Value]) -> Option<Vec<Value>> {
+    pub fn next_key(&self, key: &Key) -> Option<Key> {
         use std::ops::Bound;
-        self.tree
-            .range::<[Value], _>((Bound::Excluded(key), Bound::Unbounded))
-            .next()
-            .map(|(k, _)| k.clone())
+        self.tree.range((Bound::Excluded(key), Bound::Unbounded)).next().map(|(k, _)| k.clone())
     }
 
     /// Every `(key, rowids)` whose key has `prefix` as its leading columns,
-    /// in key order, borrowed from the tree — the caller copies out what it
-    /// needs (row ids always, keys only when it will lock them). With
-    /// `range`, the key column right after the prefix must also lie within
-    /// the `(lower, upper)` bounds, each `(value, inclusive)`; a key with no
-    /// such column never matches a range.
+    /// in key order, borrowed from the tree. With `range`, the key column
+    /// right after the prefix must also lie within the `(lower, upper)`
+    /// bounds, each `(value, inclusive)`; a key with no such column never
+    /// matches a range. Both bounds are byte comparisons of the prefix
+    /// extended by the bound's column: a key extends that when its column
+    /// equals the bound.
     pub fn scan<'a>(
         &'a self,
-        prefix: &'a [Value],
-        range: Option<(ScanBound<'a>, ScanBound<'a>)>,
-    ) -> impl Iterator<Item = (&'a [Value], &'a RowIds)> + 'a {
-        use std::cmp::Ordering::{Equal, Greater, Less};
+        prefix: &'a Key,
+        range: Option<(ScanBound<'_>, ScanBound<'_>)>,
+    ) -> impl Iterator<Item = (&'a Key, &'a RowIds)> + 'a {
         use std::ops::Bound;
-        let in_range = move |key: &[Value]| {
-            let Some((lo, hi)) = range else { return true };
-            let Some(v) = key.get(prefix.len()) else { return false };
-            let above = lo.is_none_or(|(bound, inclusive)| match v.cmp(bound) {
-                Less => false,
-                Equal => inclusive,
-                Greater => true,
-            });
-            let below = hi.is_none_or(|(bound, inclusive)| match v.cmp(bound) {
-                Greater => false,
-                Equal => inclusive,
-                Less => true,
-            });
-            above && below
-        };
+        let bound = |b: ScanBound<'_>| b.map(|(v, inclusive)| (prefix.with(v), inclusive));
+        let ranged = range.is_some();
+        let (lo, hi) = range.map_or((None, None), |(lo, hi)| (bound(lo), bound(hi)));
+        let start = lo.as_ref().map_or(prefix, |(lo, _)| lo).clone();
+        let lo_excluded = lo.filter(|(_, inclusive)| !inclusive).map(|(lo, _)| lo);
         self.tree
-            .range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .filter(move |(k, _)| in_range(k))
-            .map(|(k, set)| (k.as_slice(), set))
+            .range((Bound::Included(start), Bound::Unbounded))
+            .skip_while(move |(k, _)| lo_excluded.as_ref().is_some_and(|lo| k.starts_with(lo)))
+            .take_while(move |(k, _)| {
+                k.starts_with(prefix)
+                    && hi
+                        .as_ref()
+                        .is_none_or(|(hi, inclusive)| *k < hi || (*inclusive && k.starts_with(hi)))
+            })
+            .filter(move |(k, _)| !ranged || k.bytes().len() > prefix.bytes().len())
     }
 }
 
@@ -539,27 +538,32 @@ mod tests {
         assert_eq!(t.reserve(), r);
     }
 
+    fn k(vals: &[Value]) -> Key {
+        Key::new(vals)
+    }
+
     #[test]
     fn index_insert_remove_next_key() {
         let mut ix = IndexData::default();
-        ix.insert(vec![Value::str("b")], 1);
-        ix.insert(vec![Value::str("d")], 2);
-        ix.insert(vec![Value::str("d")], 3);
+        let (b, d) = (k(&[Value::str("b")]), k(&[Value::str("d")]));
+        ix.insert(b.clone(), 1);
+        ix.insert(d.clone(), 2);
+        ix.insert(d.clone(), 3);
         assert_eq!(ix.distinct_keys(), 2);
         assert_eq!(ix.entries(), 3);
-        assert_eq!(ix.next_key(&[Value::str("a")]), Some(vec![Value::str("b")]));
-        assert_eq!(ix.next_key(&[Value::str("b")]), Some(vec![Value::str("d")]));
-        assert_eq!(ix.next_key(&[Value::str("d")]), None);
-        ix.remove(&[Value::str("d")], 2);
-        assert_eq!(ix.get(&[Value::str("d")]).collect::<Vec<_>>(), vec![3]);
-        ix.remove(&[Value::str("d")], 3);
-        assert!(!ix.contains_key(&[Value::str("d")]));
+        assert_eq!(ix.next_key(&k(&[Value::str("a")])), Some(b.clone()));
+        assert_eq!(ix.next_key(&b), Some(d.clone()));
+        assert_eq!(ix.next_key(&d), None);
+        ix.remove(&d, 2);
+        assert_eq!(ix.get(&d).collect::<Vec<_>>(), vec![3]);
+        ix.remove(&d, 3);
+        assert_eq!(ix.get(&d).count(), 0);
     }
 
     #[test]
     fn row_ids_stay_ascending_with_the_smallest_inline() {
         let mut ix = IndexData::default();
-        let k = vec![v(1)];
+        let k = k(&[v(1)]);
         assert!(ix.insert(k.clone(), 5));
         assert!(ix.insert(k.clone(), 3));
         assert!(ix.insert(k.clone(), 9));
@@ -571,23 +575,23 @@ mod tests {
         assert_eq!(ix.get(&k).collect::<Vec<_>>(), vec![5, 9]);
         assert!(ix.remove(&k, 9));
         assert!(ix.remove(&k, 5));
-        assert!(!ix.contains_key(&k), "the last row id takes the key with it");
+        assert_eq!(ix.distinct_keys(), 0, "the last row id takes the key with it");
         assert!(!ix.remove(&k, 5));
     }
 
     #[test]
     fn index_scan_by_prefix_and_range() {
         let mut ix = IndexData::default();
-        ix.insert(vec![v(1), Value::str("a")], 1);
-        ix.insert(vec![v(1), Value::str("b")], 2);
-        ix.insert(vec![v(1), Value::str("c")], 4);
-        ix.insert(vec![v(2), Value::str("a")], 3);
+        ix.insert(k(&[v(1), Value::str("a")]), 1);
+        ix.insert(k(&[v(1), Value::str("b")]), 2);
+        ix.insert(k(&[v(1), Value::str("c")]), 4);
+        ix.insert(k(&[v(2), Value::str("a")]), 3);
         let rowids = |prefix: &[Value], range| -> Vec<u64> {
-            ix.scan(prefix, range).flat_map(|(_, ids)| ids.iter()).collect()
+            ix.scan(&k(prefix), range).flat_map(|(_, ids)| ids.iter()).collect()
         };
         assert_eq!(rowids(&[v(1)], None), vec![1, 2, 4]);
         assert_eq!(rowids(&[v(3)], None), Vec::<u64>::new());
-        let (a, c, two, one) = (Value::str("a"), Value::str("c"), v(2), [v(1)]);
+        let (a, c, two) = (Value::str("a"), Value::str("c"), v(2));
         assert_eq!(rowids(&[v(1)], Some((Some((&a, false)), Some((&c, true))))), vec![2, 4]);
         assert_eq!(rowids(&[v(1)], Some((Some((&a, true)), Some((&c, false))))), vec![1, 2]);
         assert_eq!(rowids(&[v(1)], Some((None, Some((&a, true))))), vec![1]);
@@ -595,9 +599,10 @@ mod tests {
         assert_eq!(rowids(&[], Some((Some((&two, true)), None))), vec![3]);
         // A full-key probe has no next column to range over.
         assert_eq!(rowids(&[v(1), a.clone()], Some((None, None))), Vec::<u64>::new());
-        let keys: Vec<&[Value]> = ix.scan(&one, None).map(|(k, _)| k).collect();
+        let one = k(&[v(1)]);
+        let keys: Vec<&Key> = ix.scan(&one, None).map(|(k, _)| k).collect();
         assert_eq!(keys.len(), 3);
-        assert_eq!(keys[0], [v(1), Value::str("a")]);
+        assert_eq!(keys[0].values(), [v(1), Value::str("a")]);
     }
 
     #[test]

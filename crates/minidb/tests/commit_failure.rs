@@ -113,6 +113,27 @@ fn a_refused_compensation_record_rolls_the_transaction_back_whole() {
     assert_rolled_back_and_unlocked(&db);
 }
 
+/// A statement that fails part-way in an explicit transaction is undone
+/// back to its own savepoint; should the log refuse that undo, the whole
+/// transaction goes, and the error says so.
+#[test]
+fn a_failed_statement_whose_undo_the_log_refuses_costs_the_transaction() {
+    let _serial = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let db = fresh();
+    let mut s = Session::new(&db);
+    s.begin().unwrap();
+    s.exec("UPDATE t SET v = 1 WHERE id = 1").unwrap();
+    s.exec("INSERT INTO t (id, v) VALUES (2, 1)").unwrap();
+    // Row 1 moves to id 3 (one Update record) before row 2 clashes with
+    // it; the statement's undo appends a compensation record next.
+    let guard = fault::install_guarded(1, &[("minidb.wal.append", Trigger::Nth(2))]);
+    let err = s.exec("UPDATE t SET id = 3 WHERE id <= 2").unwrap_err();
+    drop(guard);
+    assert!(matches!(&err, DbError::RolledBack(m) if m.contains("injected")), "got {err:?}");
+    assert!(!s.in_txn(), "the session kept a transaction minidb rolled back");
+    assert_rolled_back_and_unlocked(&db);
+}
+
 /// `v` of row 1 through a locking read and a snapshot read, and the
 /// version chains left.
 fn v_locked_snapshot_chains(db: &Database) -> (i64, i64, usize) {
