@@ -8,6 +8,7 @@
 #   ./ci.sh metrics_check only the counter-schema check (no hand-written snapshot, delta or counter render)
 #   ./ci.sh oracle_check  only the oracle check (no hand-rolled §3.3 audit or drain loop outside datalinks::audit)
 #   ./ci.sh undo_check    only the undo check (no discarded WAL append or savepoint rollback in minidb or hostdb)
+#   ./ci.sh obs_check     only the observability check (one event ring, JSON module, span emitter, bundle writer)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -24,6 +25,7 @@ smoke() {
   schema_check
   metrics_check
   oracle_check
+  obs_check
   step "fault-matrix smoke: seed slice of the fault-injection sweep"
   FAULT_MATRIX_SEEDS=2 cargo test -q --offline -p datalinks --test fault_matrix
   step "snapshot-history slice: seeded concurrent MVCC histories against the model"
@@ -155,6 +157,37 @@ oracle_check() {
   fi
   if grep -rn 'FROM dfm_xact' crates/bench/src/bin; then
     echo "oracle check: the lines above count in-doubt work by hand (use datalinks::Audit)"
+    exit 1
+  fi
+}
+
+# Non-test lines of the Rust sources under the given directories, as
+# `file:line: text` (up to each file's first #[cfg(test)], as loc counts).
+nontest_src() {
+  find "$@" -name '*.rs' -print0 \
+    | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" FNR ": " $0 }'
+}
+
+# One observability pipeline: one bounded slot ring (obs/src/ring.rs) under
+# the span ring and the journal, one JSON escaper and number rule
+# (obs/src/json.rs), one Chrome-trace "X" event emitter, and one bundle
+# writer (obs::export::write_bundle) for incident bundles and autopsies. A
+# second copy of any of them would drift from the first. (The RPC socket
+# directory is not a bundle.)
+obs_check() {
+  step "obs check: one event ring, one JSON module, one span emitter, one bundle writer"
+  local src found emitters
+  src="$(nontest_src crates/*/src)"
+  found="$(grep -F 'Box<[Mutex<Option<' <<<"$src" | grep -v '^crates/obs/src/ring.rs:'
+    grep -E 'fn json_(escape|num)\b' <<<"$src" | grep -v '^crates/obs/src/json.rs:'
+    grep -F 'create_dir_all' <<<"$src" | grep -Ev '^crates/(obs/src/export|rpc/src/socket).rs:'
+    true)"
+  emitters="$(grep -F '\"ph\":\"X\"' <<<"$src" | grep '^crates/obs/src/' || true)"
+  if [[ "$(grep -c . <<<"$emitters" || true)" -gt 1 ]]; then
+    found+=$'\n'"$emitters"
+  fi
+  if grep . <<<"$found"; then
+    echo "obs check: the lines above copy a ring, a JSON rule, a span emitter or a bundle writer"
     exit 1
   fi
 }
@@ -324,6 +357,12 @@ if [[ "${1:-}" == "oracle_check" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "obs_check" ]]; then
+  obs_check
+  step "OK"
+  exit 0
+fi
+
 if [[ "${1:-}" == "smoke" ]]; then
   smoke
   step "OK"
@@ -340,6 +379,7 @@ undo_check
 schema_check
 metrics_check
 oracle_check
+obs_check
 
 step "tests"
 cargo test -q --offline --workspace

@@ -152,25 +152,11 @@ impl JsonArm {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    obs::json_escape(s, &mut out);
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Write a machine-readable summary to `BENCH_<ID>.json` in the current
 /// directory (override the directory with `BENCH_JSON_DIR`; disable with
 /// `BENCH_JSON=0`). The workspace has no JSON dependency, so this emits
-/// the format by hand — flat enough that string escaping and `%.3f`
-/// numbers cover it.
+/// the format by hand — flat enough that `obs::json`'s string escaping and
+/// number rule cover it.
 pub fn write_json_summary(id: &str, title: &str, arms: &[JsonArm]) {
     if std::env::var("BENCH_JSON").as_deref() == Ok("0") {
         return;
@@ -185,23 +171,29 @@ pub fn write_json_summary(id: &str, title: &str, arms: &[JsonArm]) {
 
 /// The JSON document [`write_json_summary`] writes (separate for tests).
 pub fn json_summary_string(id: &str, title: &str, arms: &[JsonArm]) -> String {
+    use obs::json_num;
+    let esc = |s: &str| {
+        let mut out = String::new();
+        obs::json_escape(s, &mut out);
+        out
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "{{\n  \"experiment\": \"{}\",\n  \"title\": \"{}\",\n  \"arms\": [\n",
-        json_escape(id),
-        json_escape(title)
+        esc(id),
+        esc(title)
     ));
     for (i, arm) in arms.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"ops_per_sec\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}",
-            json_escape(&arm.label),
+            esc(&arm.label),
             json_num(arm.ops_per_sec),
             arm.p50_us,
             arm.p95_us,
             arm.p99_us
         ));
         for (k, v) in &arm.extra {
-            out.push_str(&format!(", \"{}\": {}", json_escape(k), json_num(*v)));
+            out.push_str(&format!(", \"{}\": {}", esc(k), json_num(*v)));
         }
         out.push_str(if i + 1 < arms.len() { "},\n" } else { "}\n" });
     }
@@ -372,11 +364,12 @@ mod tests {
         let text = json_summary_string("e11", "group commit", &arms);
         assert!(text.contains("\"experiment\": \"e11\""));
         assert!(text.contains("\"label\": \"grouped/8thr\""));
-        assert!(text.contains("\"ops_per_sec\": 1234.568"));
-        assert!(text.contains("\"wal_forces\": 42.000"));
+        assert!(text.contains("\"ops_per_sec\": 1234.5678"));
+        assert!(text.contains("\"wal_forces\": 42"));
         assert!(text.contains("\\\"quoted\\\""));
         assert!(text.contains("\"p95_us\": 288")); // bucket lower bound of 300
                                                    // Every quote is escaped: the document parses as flat JSON lines.
         assert_eq!(text.matches("\"arms\"").count(), 1);
+        assert!(obs::json_is_well_formed(&text), "{text}");
     }
 }

@@ -75,13 +75,6 @@ fn main() {
     if let Some((workers, queue_depth)) = pooled {
         config.agent_model = dlfm::AgentModel::pooled(workers, queue_depth);
     }
-    if watch {
-        config.watch = Some(obs::WatchConfig {
-            interval: std::time::Duration::from_millis(200),
-            rules: default_watch_rules(),
-            ..obs::WatchConfig::default()
-        });
-    }
 
     let fs = Arc::new(filesys::FileSystem::new());
     for i in 0..seed_files {
@@ -90,6 +83,17 @@ fn main() {
     }
     let archive = Arc::new(archive::ArchiveServer::new());
     let server = DlfmServer::start(config, fs, archive);
+    let watchdog = watch.then(|| {
+        let config = obs::WatchConfig {
+            interval: std::time::Duration::from_millis(200),
+            rules: default_watch_rules(),
+            ..obs::WatchConfig::default()
+        };
+        obs::Watchdog::new(config)
+            .provider("dlfm", server.metrics_provider())
+            .section("dlfm_status", server.status_provider())
+            .spawn()
+    });
 
     let bound = server.listen_addr().expect("dlfmd always binds a socket listener");
     // The parent parses this line; keep it first and exact. Stdout is
@@ -105,7 +109,8 @@ fn main() {
     let mut sink = Vec::new();
     let _ = std::io::stdin().read_to_end(&mut sink);
 
-    let alerts = server.watchdog().map(|w| w.alerts()).unwrap_or(0);
+    // Dropping the handle stops the sampler before the server goes down.
+    let alerts = watchdog.map_or(0, |w| w.alerts());
     drop(server);
     if alerts > 0 {
         eprintln!("dlfmd: {alerts} watchdog alerts fired during the run");

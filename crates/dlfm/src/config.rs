@@ -72,12 +72,6 @@ pub struct DlfmConfig {
     /// session-multiplexed worker pool. Either way every connection's state
     /// lives in the session table.
     pub agent_model: AgentModel,
-    /// Continuous-telemetry watchdog: when set, the server spawns an
-    /// `obs::watch` sampler over its own metrics at startup and stops it
-    /// at shutdown. `None` (default) runs without one — deployments that
-    /// watch several layers at once (see `datalinks::Deployment`) spawn
-    /// their own combined watchdog instead.
-    pub watch: Option<obs::WatchConfig>,
     /// Listen transport: `Inproc` (default) serves only the in-process
     /// fabric; `Tcp`/`Unix` additionally bind a socket listener and bridge
     /// remote sessions into the same agent model.
@@ -98,7 +92,6 @@ impl Default for DlfmConfig {
             group_life_span_micros: 60_000_000,
             hand_craft_stats: true,
             agent_model: AgentModel::Dedicated,
-            watch: None,
             listen: Transport::Inproc,
         }
     }

@@ -63,31 +63,21 @@ pub struct DlfmShared {
     pub shutdown: AtomicBool,
     /// Retrieve-daemon work queue.
     pub retrieve_tx: Sender<daemons::RetrieveJob>,
-    /// Late-bound telemetry renderers serving `FetchTelemetry` requests.
-    /// Empty until [`DlfmServer::start`] installs them — the renderers
-    /// need the connector, which is built after this struct.
-    pub telemetry: std::sync::OnceLock<TelemetryProviders>,
+    /// This server's in-process fabric endpoint (the pool and session
+    /// gauges of the metrics and status pages read it).
+    pub connector: Connector<DlfmRequest, DlfmResponse>,
+    /// Socket-listener instrumentation, when the server listens on one.
+    pub wire_stats: Option<Arc<dlrpc::WireStats>>,
 }
 
-/// The renderers behind the `FetchTelemetry` RPC: the same closures the
-/// local watchdog scrapes, boxed so agents can call them through
-/// [`DlfmShared`] without borrowing the server.
-pub struct TelemetryProviders {
-    /// Prometheus text (as [`DlfmServer::metrics_text`]).
-    pub metrics: Box<dyn Fn() -> String + Send + Sync>,
-    /// Status page (as [`DlfmServer::status_text`]).
-    pub status: Box<dyn Fn() -> String + Send + Sync>,
-}
-
-/// Render one telemetry artifact for a `FetchTelemetry` request. Journal,
-/// spans, and clock come straight from `obs`; metrics and status go
-/// through the providers installed at server start (empty strings if the
-/// shared state was built without a server — unit-test harnesses).
+/// Render one telemetry artifact for a `FetchTelemetry` request: metrics
+/// and status from the shared state, journal, spans and clock straight
+/// from `obs`.
 pub fn render_telemetry(shared: &DlfmShared, kind: crate::api::TelemetryKind) -> String {
     use crate::api::TelemetryKind;
     match kind {
-        TelemetryKind::Metrics => shared.telemetry.get().map(|t| (t.metrics)()).unwrap_or_default(),
-        TelemetryKind::Status => shared.telemetry.get().map(|t| (t.status)()).unwrap_or_default(),
+        TelemetryKind::Metrics => shared.metrics_text(),
+        TelemetryKind::Status => shared.status_text(),
         TelemetryKind::Journal => obs::journal::dump_string(),
         TelemetryKind::Spans => obs::export_span_dump(),
         TelemetryKind::Clock => obs::journal::now_micros().to_string(),
@@ -116,16 +106,148 @@ impl DlfmShared {
     pub fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
+
+    /// Render every DLFM-side metric in Prometheus text format: operation
+    /// counters, per-op latency histograms, local-database lock and WAL
+    /// statistics, RPC-fabric gauges, daemon queue depths, and process
+    /// self-metrics.
+    pub fn metrics_text(&self) -> String {
+        let mut r = obs::Registry::new();
+        let connector = &self.connector;
+
+        self.metrics.render(&mut r);
+        self.metrics.op_hists.render(&mut r);
+        r.gauge(
+            "dlfm_dlff_tokens",
+            "Read tokens registered with the file-system filter (one per linked full-control file that was asked for).",
+            &[],
+            self.dlff.token_count() as i64,
+        );
+        self.db.render_metrics(&mut r);
+        connector.render_metrics(&mut r);
+        if let Some(w) = &self.wire_stats {
+            w.render(&mut r);
+        }
+
+        if let Some(pool) = connector.pool_stats() {
+            pool.render(&mut r);
+            r.gauge(
+                "dlfm_pool_queue_depth",
+                "Work no agent has picked up: queued requests (pooled) or connections awaiting their agent (dedicated).",
+                &[],
+                connector.accept_backlog() as i64,
+            );
+        }
+        r.gauge(
+            "dlfm_sessions_active",
+            "Connections with live session state in the session table.",
+            &[],
+            self.sessions.active() as i64,
+        );
+
+        r.gauge(
+            "dlfm_daemon_queue_depth",
+            "Work items queued for a service daemon.",
+            &[("daemon", "delete_group")],
+            self.groupd_tx.len() as i64,
+        );
+        r.gauge(
+            "dlfm_daemon_queue_depth",
+            "Work items queued for a service daemon.",
+            &[("daemon", "retrieve")],
+            self.retrieve_tx.len() as i64,
+        );
+
+        obs::render_metrics(&mut r);
+
+        r.render()
+    }
+
+    /// Human-readable live status: the session table, pool and daemon
+    /// backlogs, in-doubt transactions, and the local lock table — what an
+    /// operator tails while a workload runs (rendered by the `dlfmtop`
+    /// example).
+    pub fn status_text(&self) -> String {
+        let connector = &self.connector;
+        let mut out = String::new();
+        out.push_str("=== dlfm status ===\n");
+
+        // Agent model + occupancy.
+        if let Some(pool) = connector.pool_stats() {
+            out.push_str(&format!(
+                "agent model: {}: {}/{} agents busy, {} waiting, {} admission rejects\n",
+                self.config.agent_model,
+                pool.busy(),
+                pool.workers(),
+                connector.accept_backlog(),
+                pool.rejects(),
+            ));
+        }
+
+        // Session table.
+        let sessions = self.sessions.status_lines();
+        out.push_str(&format!("sessions: {}\n", sessions.len()));
+        for (id, line) in sessions {
+            out.push_str(&format!("  session#{id}: {line}\n"));
+        }
+
+        // In-doubt (prepared) sub-transactions awaiting the resolver.
+        let mut s = Session::new(&self.db);
+        match s.query(
+            "SELECT dbid, xid FROM dfm_xact WHERE state = ?",
+            &[Value::Int(meta::XS_PREPARED)],
+        ) {
+            Ok(rows) if rows.is_empty() => out.push_str("in-doubt: none\n"),
+            Ok(rows) => {
+                out.push_str(&format!("in-doubt: {}\n", rows.len()));
+                for row in rows {
+                    if let (Ok(dbid), Ok(xid)) = (row[0].as_int(), row[1].as_int()) {
+                        out.push_str(&format!("  db#{dbid} xid#{xid} PREPARED\n"));
+                    }
+                }
+            }
+            Err(e) => out.push_str(&format!("in-doubt: unavailable ({e})\n")),
+        }
+
+        // Daemon backlogs.
+        out.push_str(&format!(
+            "daemon backlogs: delete_group={} retrieve={}\n",
+            self.groupd_tx.len(),
+            self.retrieve_tx.len()
+        ));
+
+        // Local-database lock table, recent deadlocks, slow statements.
+        out.push_str(&self.db.lock_table_summary());
+        let deadlocks = self.db.recent_deadlocks();
+        out.push_str(&format!("recent deadlocks: {}\n", deadlocks.len()));
+        for report in deadlocks.iter().rev().take(3) {
+            for line in report.render().lines() {
+                out.push_str(&format!("  {line}\n"));
+            }
+        }
+        let slow = self.db.recent_slow_statements();
+        out.push_str(&format!("recent slow statements: {}\n", slow.len()));
+        for stmt in slow.iter().rev().take(3) {
+            out.push_str(&format!("  {}\n", stmt.render()));
+        }
+
+        // Flight recorder health.
+        out.push_str(&format!(
+            "flight recorder: {} events recorded, {} dropped; span ring {} dropped\n",
+            obs::journal::recorded(),
+            obs::journal::dropped(),
+            obs::trace::global_ring().dropped(),
+        ));
+        out
+    }
 }
 
 /// A running DLFM instance.
 pub struct DlfmServer {
     shared: Arc<DlfmShared>,
-    connector: Connector<DlfmRequest, DlfmResponse>,
     rpc: Option<ServerHandle>,
     wire: Option<dlrpc::WireServer>,
     daemons: Vec<JoinHandle<()>>,
-    watchdog: Option<obs::WatchdogHandle>,
 }
 
 impl DlfmServer {
@@ -151,6 +273,18 @@ impl DlfmServer {
         let (groupd_tx, groupd_rx) = unbounded::<(i64, i64)>();
         let (retrieve_tx, retrieve_rx) = unbounded();
 
+        // The main daemon's fabric, laid out as the agent model says (paper
+        // §3.5's child agent per connection, or a pool), and the socket
+        // listener bridging remote sessions into it, so agents never see
+        // the transport. Both exist before the shared state that holds
+        // their endpoint; the agents start serving below.
+        let (listener, connector) = fabric(config.agent_model);
+        let wire = config.listen.wire_addr().map(|addr| {
+            let listener = dlrpc::SocketListener::bind(&addr)
+                .unwrap_or_else(|e| panic!("dlfmd cannot bind {addr}: {e}"));
+            dlrpc::serve_wire(listener, &connector)
+        });
+
         let shared = Arc::new(DlfmShared {
             db,
             fs,
@@ -164,7 +298,8 @@ impl DlfmServer {
             groupd_tx,
             shutdown: AtomicBool::new(false),
             retrieve_tx,
-            telemetry: std::sync::OnceLock::new(),
+            connector,
+            wire_stats: wire.as_ref().map(|w| w.wire_stats().clone()),
         });
 
         // Install the Upcall daemon as the DLFF's handler.
@@ -178,65 +313,14 @@ impl DlfmServer {
             daemons::spawn_retrieve_daemon(shared.clone(), retrieve_rx),
         ];
 
-        // The main daemon and its agents, laid out as the agent model says
-        // (paper §3.5's child agent per connection, or a pool); either way
-        // per-connection state lives in the session table.
-        let (listener, connector) = fabric(shared.config.agent_model);
+        // Per-connection state lives in the session table under either
+        // agent model.
         let agent_shared = shared.clone();
         let rpc = serve(listener, move || {
             let shared = agent_shared.clone();
             move |event, slot| agent::handle_event(&shared, event, slot)
         });
-
-        // Socket listener: bridge remote sessions into the same fabric the
-        // in-process connector serves, so agents never see the transport.
-        let wire = shared.config.listen.wire_addr().map(|addr| {
-            let listener = dlrpc::SocketListener::bind(&addr)
-                .unwrap_or_else(|e| panic!("dlfmd cannot bind {addr}: {e}"));
-            dlrpc::serve_wire(listener, &connector)
-        });
-
-        let mut server = DlfmServer {
-            shared,
-            connector,
-            rpc: Some(rpc),
-            wire,
-            daemons: handles,
-            watchdog: None,
-        };
-        // Arm the telemetry RPC. The closures capture Weak, not Arc: a
-        // strong reference here would make DlfmShared self-referential and
-        // immortal.
-        {
-            let weak = Arc::downgrade(&server.shared);
-            let connector = server.connector.clone();
-            let wire = server.wire_stats().cloned();
-            let metrics = Box::new(move || {
-                weak.upgrade()
-                    .map(|s| render_metrics_text(&s, &connector, wire.clone()))
-                    .unwrap_or_default()
-            });
-            let weak = Arc::downgrade(&server.shared);
-            let connector = server.connector.clone();
-            let status = Box::new(move || {
-                weak.upgrade().map(|s| render_status_text(&s, &connector)).unwrap_or_default()
-            });
-            let _ = server.shared.telemetry.set(TelemetryProviders { metrics, status });
-        }
-        if let Some(watch) = server.shared.config.watch.clone() {
-            server.watchdog = Some(
-                obs::Watchdog::new(watch)
-                    .provider("dlfm", server.metrics_provider())
-                    .section("dlfm_status", server.status_provider())
-                    .spawn(),
-            );
-        }
-        server
-    }
-
-    /// The telemetry watchdog, when the config armed one.
-    pub fn watchdog(&self) -> Option<&obs::WatchdogHandle> {
-        self.watchdog.as_ref()
+        DlfmServer { shared, rpc: Some(rpc), wire, daemons: handles }
     }
 
     /// The socket address the wire listener bound, when `config.listen`
@@ -248,12 +332,12 @@ impl DlfmServer {
     /// Server-side wire instrumentation (frames/bytes over the socket
     /// listener), when one is running.
     pub fn wire_stats(&self) -> Option<&Arc<dlrpc::WireStats>> {
-        self.wire.as_ref().map(|w| w.wire_stats())
+        self.shared.wire_stats.as_ref()
     }
 
     /// Endpoint host databases connect to.
     pub fn connector(&self) -> Connector<DlfmRequest, DlfmResponse> {
-        self.connector.clone()
+        self.shared.connector.clone()
     }
 
     /// Shared state (tests and benchmarks).
@@ -287,177 +371,29 @@ impl DlfmServer {
         &self.shared.dlff
     }
 
-    /// Render every DLFM-side metric in Prometheus text format: operation
-    /// counters, per-op latency histograms, local-database lock and WAL
-    /// statistics, RPC-fabric gauges, daemon queue depths, and process
-    /// self-metrics.
+    /// Every DLFM-side metric in Prometheus text format
+    /// ([`DlfmShared::metrics_text`]).
     pub fn metrics_text(&self) -> String {
-        render_metrics_text(&self.shared, &self.connector, self.wire_stats().cloned())
+        self.shared.metrics_text()
+    }
+
+    /// The live status page ([`DlfmShared::status_text`]).
+    pub fn status_text(&self) -> String {
+        self.shared.status_text()
     }
 
     /// A `'static` snapshot provider rendering [`DlfmServer::metrics_text`]
-    /// — what the telemetry watchdog scrapes without borrowing the server.
+    /// — what a telemetry watchdog scrapes without borrowing the server.
     pub fn metrics_provider(&self) -> impl Fn() -> String + Send + Sync + 'static {
         let shared = self.shared.clone();
-        let connector = self.connector.clone();
-        let wire = self.wire_stats().cloned();
-        move || render_metrics_text(&shared, &connector, wire.clone())
+        move || shared.metrics_text()
     }
 
     /// A `'static` status-page provider rendering
     /// [`DlfmServer::status_text`] — the incident-bundle section source.
     pub fn status_provider(&self) -> impl Fn() -> String + Send + Sync + 'static {
         let shared = self.shared.clone();
-        let connector = self.connector.clone();
-        move || render_status_text(&shared, &connector)
-    }
-}
-
-/// [`DlfmServer::metrics_text`] as a free function over the shared state
-/// and a connector clone, so watchdog provider closures can render it
-/// without holding a borrow of the server.
-fn render_metrics_text(
-    shared: &Arc<DlfmShared>,
-    connector: &Connector<DlfmRequest, DlfmResponse>,
-    wire: Option<Arc<dlrpc::WireStats>>,
-) -> String {
-    let mut r = obs::Registry::new();
-
-    shared.metrics.render(&mut r);
-    shared.metrics.op_hists.render(&mut r);
-    r.gauge(
-        "dlfm_dlff_tokens",
-        "Read tokens registered with the file-system filter (one per linked full-control file that was asked for).",
-        &[],
-        shared.dlff.token_count() as i64,
-    );
-    shared.db.render_metrics(&mut r);
-    connector.render_metrics(&mut r);
-    if let Some(w) = &wire {
-        w.render(&mut r);
-    }
-
-    if let Some(pool) = connector.pool_stats() {
-        pool.render(&mut r);
-        r.gauge(
-            "dlfm_pool_queue_depth",
-            "Work no agent has picked up: queued requests (pooled) or connections awaiting their agent (dedicated).",
-            &[],
-            connector.accept_backlog() as i64,
-        );
-    }
-    r.gauge(
-        "dlfm_sessions_active",
-        "Connections with live session state in the session table.",
-        &[],
-        shared.sessions.active() as i64,
-    );
-
-    r.gauge(
-        "dlfm_daemon_queue_depth",
-        "Work items queued for a service daemon.",
-        &[("daemon", "delete_group")],
-        shared.groupd_tx.len() as i64,
-    );
-    r.gauge(
-        "dlfm_daemon_queue_depth",
-        "Work items queued for a service daemon.",
-        &[("daemon", "retrieve")],
-        shared.retrieve_tx.len() as i64,
-    );
-
-    obs::render_metrics(&mut r);
-
-    r.render()
-}
-
-impl DlfmServer {
-    /// Human-readable live status: the session table, pool and daemon
-    /// backlogs, in-doubt transactions, and the local lock table — what an
-    /// operator tails while a workload runs (rendered by the `dlfmtop`
-    /// example).
-    pub fn status_text(&self) -> String {
-        render_status_text(&self.shared, &self.connector)
-    }
-}
-
-/// [`DlfmServer::status_text`] as a free function (see
-/// [`render_metrics_text`] for why).
-fn render_status_text(
-    shared: &Arc<DlfmShared>,
-    connector: &Connector<DlfmRequest, DlfmResponse>,
-) -> String {
-    {
-        let mut out = String::new();
-        out.push_str("=== dlfm status ===\n");
-
-        // Agent model + occupancy.
-        if let Some(pool) = connector.pool_stats() {
-            out.push_str(&format!(
-                "agent model: {}: {}/{} agents busy, {} waiting, {} admission rejects\n",
-                shared.config.agent_model,
-                pool.busy(),
-                pool.workers(),
-                connector.accept_backlog(),
-                pool.rejects(),
-            ));
-        }
-
-        // Session table.
-        let sessions = shared.sessions.status_lines();
-        out.push_str(&format!("sessions: {}\n", sessions.len()));
-        for (id, line) in sessions {
-            out.push_str(&format!("  session#{id}: {line}\n"));
-        }
-
-        // In-doubt (prepared) sub-transactions awaiting the resolver.
-        let mut s = Session::new(&shared.db);
-        match s.query(
-            "SELECT dbid, xid FROM dfm_xact WHERE state = ?",
-            &[Value::Int(meta::XS_PREPARED)],
-        ) {
-            Ok(rows) if rows.is_empty() => out.push_str("in-doubt: none\n"),
-            Ok(rows) => {
-                out.push_str(&format!("in-doubt: {}\n", rows.len()));
-                for row in rows {
-                    if let (Ok(dbid), Ok(xid)) = (row[0].as_int(), row[1].as_int()) {
-                        out.push_str(&format!("  db#{dbid} xid#{xid} PREPARED\n"));
-                    }
-                }
-            }
-            Err(e) => out.push_str(&format!("in-doubt: unavailable ({e})\n")),
-        }
-
-        // Daemon backlogs.
-        out.push_str(&format!(
-            "daemon backlogs: delete_group={} retrieve={}\n",
-            shared.groupd_tx.len(),
-            shared.retrieve_tx.len()
-        ));
-
-        // Local-database lock table, recent deadlocks, slow statements.
-        out.push_str(&shared.db.lock_table_summary());
-        let deadlocks = shared.db.recent_deadlocks();
-        out.push_str(&format!("recent deadlocks: {}\n", deadlocks.len()));
-        for report in deadlocks.iter().rev().take(3) {
-            for line in report.render().lines() {
-                out.push_str(&format!("  {line}\n"));
-            }
-        }
-        let slow = shared.db.recent_slow_statements();
-        out.push_str(&format!("recent slow statements: {}\n", slow.len()));
-        for stmt in slow.iter().rev().take(3) {
-            out.push_str(&format!("  {}\n", stmt.render()));
-        }
-
-        // Flight recorder health.
-        out.push_str(&format!(
-            "flight recorder: {} events recorded, {} dropped; span ring {} dropped\n",
-            obs::journal::recorded(),
-            obs::journal::dropped(),
-            obs::trace::global_ring().dropped(),
-        ));
-        out
+        move || shared.status_text()
     }
 }
 
@@ -517,11 +453,6 @@ impl DlfmServer {
 
 impl Drop for DlfmServer {
     fn drop(&mut self) {
-        // Stop the watchdog first: its providers snapshot the shared state
-        // this drop is about to tear down.
-        if let Some(mut w) = self.watchdog.take() {
-            w.stop();
-        }
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Tear the wire bridge down before the fabric so no remote frame
         // races a closing run queue.

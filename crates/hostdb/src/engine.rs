@@ -654,16 +654,16 @@ impl HostSession {
             }
             _ => return Ok(self.session.exec_prepared(p, params)?),
         };
-        let (sp, queued) = (self.session.savepoint()?, self.open_txn()?.queued.len());
+        // The queueing half writes nothing locally (a probe only locks),
+        // and minidb undoes a failed statement's own writes: a refused
+        // statement takes back only what it queued.
+        let queued = self.open_txn()?.queued.len();
         let result =
             queue(self, p, params).and_then(|()| Ok(self.session.exec_prepared(p, params)?));
-        match (result, self.txn.as_mut()) {
-            (Err(e), Some(txn)) => {
-                txn.queued.truncate(queued);
-                Err(self.undo_stmt(sp, e))
-            }
-            (result, _) => result,
+        if let (Err(_), Some(txn)) = (&result, self.txn.as_mut()) {
+            txn.queued.truncate(queued);
         }
+        result
     }
 
     fn queue_insert(&mut self, p: &Prepared, params: &[Value]) -> HostResult<()> {

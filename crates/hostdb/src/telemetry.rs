@@ -267,10 +267,6 @@ impl HostDb {
         }
         let seq = self.inner.metrics.autopsies.fetch_add(1, Ordering::Relaxed);
         let dir = root.join(format!("autopsy-{seq:04}-xid{xid}"));
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            obs::warn!("hostdb::autopsy", "cannot create {}: {e}", dir.display());
-            return;
-        }
 
         // Local spans of this transaction's traces, and the matching
         // remote spans from every reachable daemon (clock-aligned).
@@ -309,31 +305,21 @@ impl HostDb {
 
         let mut journal_text = String::new();
         for e in &journal {
-            journal_text.push_str(&format!(
-                "{:>12}us trace={:016x} txn={} {:<14} {}\n",
-                e.micros,
-                e.trace_id,
-                e.txn,
-                e.kind.as_str(),
-                e.detail
-            ));
+            obs::journal::render_line(e, &mut journal_text);
         }
 
-        let files = [
-            ("report.txt", report),
-            ("trace.json", obs::merge_chrome_trace(&local, &journal, &remotes)),
-            ("journal.txt", journal_text),
+        let files = vec![
+            ("report.txt".into(), report),
+            ("trace.json".into(), obs::merge_chrome_trace(&local, &journal, &remotes)),
+            ("journal.txt".into(), journal_text),
         ];
-        for (name, content) in files {
-            if let Err(e) = std::fs::write(dir.join(name), content) {
-                obs::warn!("hostdb::autopsy", "cannot write {name}: {e}");
-            }
+        if obs::write_bundle("hostdb::autopsy", &dir, files) {
+            obs::warn!(
+                "hostdb::autopsy",
+                "{outcome} transaction xid {xid} ({elapsed}us): bundle at {}",
+                dir.display()
+            );
         }
-        obs::warn!(
-            "hostdb::autopsy",
-            "{outcome} transaction xid {xid} ({elapsed}us): bundle at {}",
-            dir.display()
-        );
     }
 }
 
@@ -342,8 +328,8 @@ impl HostDb {
 /// span id, so a remote agent span's parent IS the host-side rpc span and
 /// the stitched tree reads top to bottom through the whole deployment.
 fn render_span_tree(local: &[obs::SpanEvent], remotes: &[obs::ProcessTrace]) -> String {
-    // The host's spans in the remote format: one node type for every process.
-    let spans = obs::parse_span_dump(&obs::span_dump(local));
+    // The host's spans as rows: one node type for every process.
+    let spans = local.iter().map(obs::RemoteSpan::from).collect();
     let host = obs::ProcessTrace { name: "host".into(), clock_offset_micros: 0, spans };
     // (process, start on the local clock, span)
     type Node<'a> = (&'a str, i64, &'a obs::RemoteSpan);

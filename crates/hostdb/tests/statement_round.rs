@@ -864,6 +864,32 @@ fn a_rollback_to_whose_backout_is_lost_costs_the_transaction() {
     assert!(matches!(committed, Err(HostError::Usage(_))), "nothing left to commit");
 }
 
+/// A datalink INSERT the host refuses itself (its row clashes on a unique
+/// index) inside an explicit transaction leaves neither its row nor its
+/// queued link, and the rest of the transaction, a later statement's link
+/// included, commits.
+#[test]
+fn a_datalink_insert_the_host_refuses_leaves_no_row_and_no_link() {
+    let _s = serial();
+    let rig = Rig::new();
+    let (pa, fa) = rig.file(&rig.dir_a, "a");
+    let (pb, fb) = rig.file(&rig.dir_a, "b");
+    let (pc, fc) = rig.file(&rig.dir_a, "c");
+    let mut s = rig.host.session();
+    s.exec("CREATE UNIQUE INDEX ix_t_id ON t (id)").unwrap();
+    s.begin().unwrap();
+    s.exec_params(INSERT, &[Value::Int(1), fa]).unwrap();
+    let err = s.exec_params(INSERT, &[Value::Int(1), fb]).unwrap_err();
+    assert!(matches!(err, HostError::Db(minidb::DbError::UniqueViolation { .. })), "{err:?}");
+    s.exec_params(INSERT, &[Value::Int(2), fc]).unwrap();
+    s.commit().unwrap();
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM t"), 2);
+    assert_eq!(rig.host_count("SELECT COUNT(*) FROM sys_datalinks"), 2);
+    assert_eq!(Rig::linked(&rig.sa), 2, "the refused row's link was never sent");
+    assert_eq!(rig.owner(&pb), "u");
+    assert_eq!((rig.owner(&pa), rig.owner(&pc)), (ADMIN.to_string(), ADMIN.to_string()));
+}
+
 /// A failed statement whose local undo the log refuses (the
 /// `minidb.wal.append` fault on its compensation record) costs the
 /// transaction: minidb has rolled it back whole, so the host aborts it

@@ -1,36 +1,22 @@
-//! Chrome-trace / Perfetto JSON export over the span ring and the journal.
+//! Chrome-trace / Perfetto JSON export over the span ring and the journal,
+//! the span row that crosses a process boundary, and the bundle writer.
 //!
-//! [`export_chrome_trace`] renders the buffered spans as `ph:"X"` complete
-//! events and the journal timeline as `ph:"i"` instant events in the
-//! Chrome trace-event JSON format, which <https://ui.perfetto.dev> (and
-//! `chrome://tracing`) load directly. Both rings are *snapshotted*, not
-//! drained — exporting the evidence must not destroy it.
+//! [`merge_chrome_trace`] renders spans as `ph:"X"` complete events and the
+//! journal timeline as `ph:"i"` instant events in the Chrome trace-event
+//! JSON format, which <https://ui.perfetto.dev> (and `chrome://tracing`)
+//! load directly. Every span, local or pulled from another process, is one
+//! [`RemoteSpan`] row written by one emitter; [`chrome_trace`] is the merge
+//! with no remote processes. The rings are *snapshotted*, not drained —
+//! exporting the evidence must not destroy it.
 //!
-//! The JSON is hand-rolled (the workspace has no serde_json);
-//! [`json_is_well_formed`] is the matching minimal syntax checker used by
-//! CI and the fault-matrix tests to validate an export without a parser
-//! dependency.
+//! [`write_bundle`] writes a directory of named files: the watchdog's
+//! incident bundles and the host's transaction autopsies.
+
+use std::path::Path;
 
 use crate::journal::{self, JournalEvent};
+use crate::json::json_escape;
 use crate::trace::{global_ring, Layer, Outcome, SpanEvent};
-
-/// Append `s` to `out` escaped for the inside of a JSON string literal —
-/// the one escaper every hand-rolled JSON writer in the workspace uses.
-pub fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Stable small process id per layer, so Perfetto groups spans by stack
 /// layer (named via `process_name` metadata events).
@@ -46,68 +32,7 @@ fn layer_pid(layer: Layer) -> u32 {
 
 /// Render spans + journal events as a Chrome trace-event JSON document.
 pub fn chrome_trace(spans: &[SpanEvent], events: &[JournalEvent]) -> String {
-    let mut out = String::with_capacity(256 + 160 * (spans.len() + events.len()));
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let push_sep = |out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-    };
-    // Name the per-layer "processes" so the Perfetto track list reads as
-    // the stack: host / rpc / dlfm / minidb / daemon.
-    for layer in [Layer::Host, Layer::Rpc, Layer::Dlfm, Layer::Minidb, Layer::Daemon] {
-        push_sep(&mut out, &mut first);
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            layer_pid(layer),
-            layer.as_str()
-        ));
-    }
-    for s in spans {
-        push_sep(&mut out, &mut first);
-        // One thread track per trace: spans of one statement nest visually.
-        let tid = s.trace_id % 1_000_000;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":\"{:016x}\",\
-             \"span_id\":\"{:016x}\",\"outcome\":\"{}\"}}}}",
-            s.op,
-            s.layer.as_str(),
-            s.start_micros,
-            s.duration.as_micros().max(1),
-            layer_pid(s.layer),
-            tid,
-            s.trace_id,
-            s.span_id,
-            if s.outcome == Outcome::Ok { "ok" } else { "err" },
-        ));
-    }
-    for e in events {
-        push_sep(&mut out, &mut first);
-        let tid = e.trace_id % 1_000_000;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"journal\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\
-             \"pid\":6,\"tid\":{},\"args\":{{\"txn\":{},\"trace_id\":\"{:016x}\",\"detail\":\"",
-            e.kind.as_str(),
-            e.micros,
-            tid,
-            e.txn,
-            e.trace_id,
-        ));
-        json_escape(&e.detail, &mut out);
-        out.push_str("\"}}");
-    }
-    // The journal's own pseudo-process.
-    push_sep(&mut out, &mut first);
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":6,\"tid\":0,\
-         \"args\":{\"name\":\"journal\"}}",
-    );
-    out.push_str("]}");
-    out
+    merge_chrome_trace(spans, events, &[])
 }
 
 /// Export the global span ring and journal as a Chrome trace JSON
@@ -116,13 +41,10 @@ pub fn export_chrome_trace() -> String {
     chrome_trace(&global_ring().snapshot(), &journal::snapshot())
 }
 
-// ---------------------------------------------------------------------
-// Multi-process merge (fleet tracing)
-// ---------------------------------------------------------------------
-
-/// A finished span received from another process (over the telemetry
-/// RPC). Same shape as [`SpanEvent`] but with owned strings: `op` is a
-/// `&'static str` locally and cannot cross a process boundary.
+/// A finished span as an owned row: what the `Spans` telemetry RPC ships
+/// between processes ([`parse_span_dump`]) and what every exporter writes
+/// from. A local [`SpanEvent`] converts with `From` (its `op` is a
+/// `&'static str`, which cannot cross a process boundary).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemoteSpan {
     /// Trace id shared with the originating host statement.
@@ -143,11 +65,25 @@ pub struct RemoteSpan {
     pub dur_micros: u64,
 }
 
+impl From<&SpanEvent> for RemoteSpan {
+    fn from(s: &SpanEvent) -> RemoteSpan {
+        RemoteSpan {
+            trace_id: s.trace_id,
+            span_id: s.span_id,
+            parent_span_id: s.parent_span_id,
+            layer: s.layer.as_str().to_string(),
+            op: s.op.to_string(),
+            ok: s.outcome == Outcome::Ok,
+            start_micros: s.start_micros,
+            dur_micros: s.duration.as_micros() as u64,
+        }
+    }
+}
+
 /// Render spans in the line format `parse_span_dump` reads back:
 /// `<trace_id:x> <span_id:x> <parent:x> <layer> <ok|err> <start> <dur> <op>`
 /// one span per line. This is what the `Spans` telemetry RPC ships — a
-/// text format because `SpanEvent::op` is a `&'static str` and the
-/// workspace has no serde.
+/// text format because the workspace has no serde.
 pub fn span_dump(spans: &[SpanEvent]) -> String {
     let mut out = String::with_capacity(64 * spans.len());
     for s in spans {
@@ -175,38 +111,27 @@ pub fn export_span_dump() -> String {
 /// fatal: a truncated dump from a crashing daemon still yields the spans
 /// that survived.
 pub fn parse_span_dump(text: &str) -> Vec<RemoteSpan> {
-    let mut spans = Vec::new();
-    for line in text.lines() {
-        let mut parts = line.splitn(8, ' ');
-        let parsed = (|| {
-            let trace_id = u64::from_str_radix(parts.next()?, 16).ok()?;
-            let span_id = u64::from_str_radix(parts.next()?, 16).ok()?;
-            let parent_span_id = u64::from_str_radix(parts.next()?, 16).ok()?;
-            let layer = parts.next()?.to_string();
-            let ok = match parts.next()? {
-                "ok" => true,
-                "err" => false,
-                _ => return None,
-            };
-            let start_micros = parts.next()?.parse().ok()?;
-            let dur_micros = parts.next()?.parse().ok()?;
-            let op = parts.next()?.to_string();
-            Some(RemoteSpan {
-                trace_id,
-                span_id,
-                parent_span_id,
-                layer,
-                op,
-                ok,
-                start_micros,
-                dur_micros,
-            })
-        })();
-        if let Some(s) = parsed {
-            spans.push(s);
-        }
-    }
-    spans
+    text.lines().filter_map(parse_span_line).collect()
+}
+
+fn parse_span_line(line: &str) -> Option<RemoteSpan> {
+    let mut parts = line.splitn(8, ' ');
+    let mut hex = || u64::from_str_radix(parts.next()?, 16).ok();
+    let (trace_id, span_id, parent_span_id) = (hex()?, hex()?, hex()?);
+    Some(RemoteSpan {
+        trace_id,
+        span_id,
+        parent_span_id,
+        layer: parts.next()?.to_string(),
+        ok: match parts.next()? {
+            "ok" => true,
+            "err" => false,
+            _ => return None,
+        },
+        start_micros: parts.next()?.parse().ok()?,
+        dur_micros: parts.next()?.parse().ok()?,
+        op: parts.next()?.to_string(),
+    })
 }
 
 /// One remote process's contribution to a merged fleet trace.
@@ -223,220 +148,105 @@ pub struct ProcessTrace {
 }
 
 /// Merge the local spans + journal with remote per-process span dumps
-/// into ONE Chrome trace JSON document. Local spans keep the per-layer
-/// pseudo-processes of [`chrome_trace`]; each remote process gets its own
-/// pid (100, 101, …) named via `process_name` metadata, with timestamps
-/// shifted onto the local clock by its estimated offset.
+/// into ONE Chrome trace JSON document. Local spans sit in per-layer
+/// pseudo-processes (host / rpc / dlfm / minidb / daemon), the journal in
+/// its own; each remote process gets its own pid (100, 101, …) named via
+/// `process_name` metadata, with timestamps shifted onto the local clock
+/// by its estimated offset.
 pub fn merge_chrome_trace(
     spans: &[SpanEvent],
     events: &[JournalEvent],
     remotes: &[ProcessTrace],
 ) -> String {
-    let local = chrome_trace(spans, events);
-    // Splice the remote events into the traceEvents array: drop the
-    // closing "]}" and append.
-    let mut out = local.strip_suffix("]}").expect("chrome_trace shape").to_string();
+    let mut out = String::with_capacity(256 + 160 * (spans.len() + events.len()));
+    out.push_str("{\"traceEvents\":[");
+    for layer in [Layer::Host, Layer::Rpc, Layer::Dlfm, Layer::Minidb, Layer::Daemon] {
+        push_process(&mut out, layer_pid(layer), layer.as_str());
+    }
+    for s in spans {
+        push_span(&mut out, &RemoteSpan::from(s), layer_pid(s.layer), 0);
+    }
+    for e in events {
+        out.push_str(&format!(
+            ",{{\"name\":\"{}\",\"cat\":\"journal\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\
+             \"pid\":6,\"tid\":{},\"args\":{{\"txn\":{},\"trace_id\":\"{:016x}\",\"detail\":\"",
+            e.kind.as_str(),
+            e.micros,
+            e.trace_id % 1_000_000,
+            e.txn,
+            e.trace_id,
+        ));
+        json_escape(&e.detail, &mut out);
+        out.push_str("\"}}");
+    }
+    push_process(&mut out, 6, "journal");
     for (i, proc) in remotes.iter().enumerate() {
         let pid = 100 + i as u32;
-        out.push(',');
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\""
-        ));
-        json_escape(&proc.name, &mut out);
-        out.push_str("\"}}");
+        push_process(&mut out, pid, &proc.name);
         for s in &proc.spans {
-            let ts = (s.start_micros as i64).saturating_add(proc.clock_offset_micros).max(0);
-            let tid = s.trace_id % 1_000_000;
-            out.push_str(",{\"name\":\"");
-            json_escape(&s.op, &mut out);
-            out.push_str("\",\"cat\":\"");
-            json_escape(&s.layer, &mut out);
-            out.push_str(&format!(
-                "\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":\"{:016x}\",\
-                 \"span_id\":\"{:016x}\",\"outcome\":\"{}\"}}}}",
-                ts,
-                s.dur_micros.max(1),
-                pid,
-                tid,
-                s.trace_id,
-                s.span_id,
-                if s.ok { "ok" } else { "err" },
-            ));
+            push_span(&mut out, s, pid, proc.clock_offset_micros);
         }
     }
     out.push_str("]}");
     out
 }
 
-/// Minimal JSON well-formedness check: one value, correctly nested
-/// structures, valid string/number/literal tokens, nothing trailing.
-/// Enough to catch every way hand-rolled emission can go wrong (unescaped
-/// quotes, unbalanced brackets, stray commas producing empty members).
-pub fn json_is_well_formed(s: &str) -> bool {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    let ok = parse_value(bytes, &mut pos);
-    skip_ws(bytes, &mut pos);
-    ok && pos == bytes.len()
+/// Append a `process_name` metadata event naming `pid` (the first event
+/// of the document carries no leading comma).
+fn push_process(out: &mut String, pid: u32, name: &str) {
+    if !out.ends_with('[') {
+        out.push(',');
+    }
+    out.push_str(&format!(
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\""
+    ));
+    json_escape(name, out);
+    out.push_str("\"}}");
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Append one span as a complete (`"X"`) event under `pid`, its start
+/// shifted by `shift_micros` onto the local clock and clamped at 0
+/// (Perfetto rejects a negative timestamp). One thread track per trace,
+/// so the spans of one statement nest visually.
+fn push_span(out: &mut String, s: &RemoteSpan, pid: u32, shift_micros: i64) {
+    let ts = (s.start_micros as i64).saturating_add(shift_micros).max(0);
+    out.push_str(",{\"name\":\"");
+    json_escape(&s.op, out);
+    out.push_str("\",\"cat\":\"");
+    json_escape(&s.layer, out);
+    out.push_str(&format!(
+        "\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\"tid\":{},\
+         \"args\":{{\"trace_id\":\"{:016x}\",\"span_id\":\"{:016x}\",\"outcome\":\"{}\"}}}}",
+        s.dur_micros.max(1),
+        s.trace_id % 1_000_000,
+        s.trace_id,
+        s.span_id,
+        if s.ok { "ok" } else { "err" },
+    ));
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> bool {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_literal(b, pos, b"true"),
-        Some(b'f') => parse_literal(b, pos, b"false"),
-        Some(b'n') => parse_literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        _ => false,
-    }
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
-    if b.len() - *pos >= lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> bool {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
+/// Write one bundle: create `dir` and write each `(file name, contents)`
+/// into it. Failures are logged under `target`, never fatal — a process
+/// must not fall over while reporting that something is wrong. Returns
+/// whether the directory could be created.
+pub fn write_bundle(target: &str, dir: &Path, files: Vec<(String, String)>) -> bool {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        crate::warn!(target, "cannot create bundle directory {}: {e}", dir.display());
         return false;
     }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return false;
+    for (name, content) in files {
+        if let Err(e) = std::fs::write(dir.join(&name), content) {
+            crate::warn!(target, "cannot write bundle file {name}: {e}");
         }
     }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return false;
-        }
-    }
-    *pos > start
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> bool {
-    if b.get(*pos) != Some(&b'"') {
-        return false;
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return true;
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !b.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
-                                return false;
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return false,
-                }
-            }
-            0x00..=0x1f => return false, // control chars must be escaped
-            _ => *pos += 1,
-        }
-    }
-    false // unterminated
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // past '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if !parse_string(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return false;
-        }
-        *pos += 1;
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // past '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::journal::{JournalEvent, JournalKind};
+    use crate::json::json_is_well_formed;
     use std::time::Duration;
 
     fn span(op: &'static str, layer: Layer, start: u64, dur: u64) -> SpanEvent {
@@ -486,32 +296,6 @@ mod tests {
         let json = chrome_trace(&[], &[]);
         assert!(json_is_well_formed(&json), "empty export must be valid JSON: {json}");
         assert!(json.contains("traceEvents"));
-    }
-
-    #[test]
-    fn json_checker_accepts_and_rejects() {
-        for good in [
-            "{}",
-            "[]",
-            "{\"a\":[1,2.5,-3e4,true,false,null,\"s\\n\"]}",
-            "  {\"traceEvents\":[{\"ts\":1}]} ",
-        ] {
-            assert!(json_is_well_formed(good), "should accept: {good}");
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\":1,}",
-            "{'a':1}",
-            "{\"a\":1}x",
-            "{\"a\":\"unterminated}",
-            "{\"a\":01e}",
-            "[\"tab\tliteral\"]",
-        ] {
-            assert!(!json_is_well_formed(bad), "should reject: {bad}");
-        }
     }
 
     #[test]
@@ -573,6 +357,54 @@ mod tests {
         let json = merge_chrome_trace(&[], &[], &[neg]);
         assert!(json_is_well_formed(&json));
         assert!(json.contains("\"ts\":0"));
+    }
+
+    /// The `"X"` events of a trace document, each with its `ts` and `pid`
+    /// taken out (they differ by process and clock shift).
+    fn x_events(doc: &str) -> Vec<(String, u64)> {
+        let field = |ev: &str, key: &str| -> (String, u64) {
+            let at = ev.find(key).expect("field present") + key.len();
+            let len = ev[at..].find(',').unwrap();
+            (
+                format!("{}{}", &ev[..at - key.len()], &ev[at + len + 1..]),
+                ev[at..at + len].parse().unwrap(),
+            )
+        };
+        let body = doc.strip_suffix("]}").expect("a closed document");
+        let events = body.split(",{").filter(|e| e.contains("\"ph\":\"X\""));
+        events
+            .map(|ev| {
+                let (ev, ts) = field(ev, "\"ts\":");
+                (field(&ev, "\"pid\":").0, ts)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_span_exports_alike_locally_and_after_the_wire() {
+        let spans = [span("stmt", Layer::Host, 1000, 500), {
+            let mut s = span("lock_wait", Layer::Minidb, 1200, 0);
+            s.outcome = Outcome::Err;
+            s
+        }];
+        let events = [event(JournalKind::Deadlock, "victim txn2")];
+        let local = chrome_trace(&spans, &events);
+        assert_eq!(local, merge_chrome_trace(&spans, &events, &[]));
+        assert!(json_is_well_formed(&local), "{local}");
+        let wire = ProcessTrace {
+            name: "dlfm[fs1]".into(),
+            clock_offset_micros: 250,
+            spans: parse_span_dump(&span_dump(&spans)),
+        };
+        let merged = merge_chrome_trace(&[], &[], &[wire]);
+        assert!(json_is_well_formed(&merged), "{merged}");
+        let (here, there) = (x_events(&local), x_events(&merged));
+        assert_eq!(here.len(), 2);
+        assert_eq!(here.len(), there.len());
+        for ((l, l_ts), (r, r_ts)) in here.iter().zip(&there) {
+            assert_eq!(l, r, "one row, one emitter: only pid and ts differ");
+            assert_eq!(l_ts + 250, *r_ts, "the remote copy is shifted by its clock offset");
+        }
     }
 
     #[test]

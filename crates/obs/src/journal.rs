@@ -16,10 +16,11 @@
 //! also triggers a dump — the forensic artifact for a failing fault-matrix
 //! seed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Once, OnceLock};
 use std::time::Instant;
 
+use crate::ring::Ring;
 use crate::trace::current_ctx;
 
 /// What kind of thing happened.
@@ -93,83 +94,6 @@ pub struct JournalEvent {
     pub detail: String,
 }
 
-/// Bounded ring of journal events: same slot-claim design as the span
-/// ring (one `fetch_add` plus a short per-slot latch). Overflow overwrites
-/// the oldest events and counts the overwrite, so drops are observable.
-pub struct JournalRing {
-    slots: Box<[Mutex<Option<JournalEvent>>]>,
-    next: AtomicU64,
-    dropped: AtomicU64,
-    drained: AtomicU64,
-}
-
-impl JournalRing {
-    /// A ring holding at most `capacity` events.
-    pub fn new(capacity: usize) -> JournalRing {
-        assert!(capacity > 0, "ring capacity must be positive");
-        let slots: Vec<Mutex<Option<JournalEvent>>> =
-            (0..capacity).map(|_| Mutex::new(None)).collect();
-        JournalRing {
-            slots: slots.into_boxed_slice(),
-            next: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-        }
-    }
-
-    /// Push one event, overwriting (and counting) the oldest on overflow.
-    pub fn push(&self, mut event: JournalEvent) {
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        event.seq = seq;
-        let slot = (seq % self.slots.len() as u64) as usize;
-        let prev = self.slots[slot].lock().unwrap_or_else(|e| e.into_inner()).replace(event);
-        if prev.is_some() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Copy every buffered event, oldest first, leaving the ring intact
-    /// (dumps and exports must not destroy the evidence they report).
-    pub fn snapshot(&self) -> Vec<JournalEvent> {
-        let mut out: Vec<JournalEvent> = Vec::new();
-        for slot in self.slots.iter() {
-            if let Some(ev) = slot.lock().unwrap_or_else(|e| e.into_inner()).clone() {
-                out.push(ev);
-            }
-        }
-        out.sort_by_key(|e| e.seq);
-        out
-    }
-
-    /// Take every buffered event, oldest first, leaving the ring empty.
-    pub fn drain(&self) -> Vec<JournalEvent> {
-        let mut out: Vec<JournalEvent> = Vec::new();
-        for slot in self.slots.iter() {
-            if let Some(ev) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                out.push(ev);
-            }
-        }
-        out.sort_by_key(|e| e.seq);
-        self.drained.fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
-    }
-
-    /// Events recorded over the ring's lifetime (including overwritten).
-    pub fn recorded(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    /// Events lost to overflow before anyone drained them.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Events taken out via [`JournalRing::drain`].
-    pub fn drained(&self) -> u64 {
-        self.drained.load(Ordering::Relaxed)
-    }
-}
-
 /// Capacity of the global journal ring.
 pub const JOURNAL_CAPACITY: usize = 16384;
 
@@ -177,9 +101,9 @@ pub const JOURNAL_CAPACITY: usize = 16384;
 /// path, mirroring the fault registry's fast path.
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-fn ring() -> &'static JournalRing {
-    static RING: OnceLock<JournalRing> = OnceLock::new();
-    RING.get_or_init(|| JournalRing::new(JOURNAL_CAPACITY))
+fn ring() -> &'static Ring<JournalEvent> {
+    static RING: OnceLock<Ring<JournalEvent>> = OnceLock::new();
+    RING.get_or_init(|| Ring::new(JOURNAL_CAPACITY))
 }
 
 fn epoch() -> Instant {
@@ -233,8 +157,8 @@ pub fn record(kind: JournalKind, txn: i64, detail: impl FnOnce() -> String) {
 
 #[cold]
 fn record_slow(kind: JournalKind, txn: i64, detail: String) {
-    ring().push(JournalEvent {
-        seq: 0, // assigned by the ring
+    ring().push(|seq| JournalEvent {
+        seq,
         micros: now_micros(),
         trace_id: current_ctx().map_or(0, |c| c.trace_id),
         txn,
@@ -256,7 +180,7 @@ pub fn drain() -> Vec<JournalEvent> {
 
 /// Events recorded over the process lifetime (including overwritten).
 pub fn recorded() -> u64 {
-    ring().recorded()
+    ring().pushed()
 }
 
 /// Events lost to ring overflow.
@@ -264,8 +188,11 @@ pub fn dropped() -> u64 {
     ring().dropped()
 }
 
-/// Render one event as a dump line.
-fn render_line(e: &JournalEvent, out: &mut String) {
+/// Render one event as a dump line: seconds since process start, kind,
+/// then ` trace=<hex>` and ` txn=<id>` when set, then the detail. Flight
+/// recorder dumps, incident bundles and transaction autopsies all print
+/// their events this way.
+pub fn render_line(e: &JournalEvent, out: &mut String) {
     use std::fmt::Write;
     let _ = write!(out, "{:>12.6}s  {:<15}", e.micros as f64 / 1_000_000.0, e.kind.as_str());
     if e.trace_id != 0 {
@@ -299,7 +226,7 @@ pub fn dump_string() -> String {
 /// Dump the timeline to stderr with a reason header. No-op while the ring
 /// is empty (an unused recorder stays silent on panic).
 pub fn dump_to_stderr(reason: &str) {
-    if ring().recorded() == 0 {
+    if recorded() == 0 {
         return;
     }
     eprintln!("=== flight recorder dump ({reason}) ===");
@@ -329,7 +256,7 @@ mod tests {
     use super::*;
 
     /// Armed-state tests share the global ring; serialize them.
-    static SERIAL: Mutex<()> = Mutex::new(());
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn disarmed_record_evaluates_nothing() {
@@ -363,10 +290,10 @@ mod tests {
 
     #[test]
     fn ring_counts_drops_exactly() {
-        let ring = JournalRing::new(3);
+        let ring: Ring<JournalEvent> = Ring::new(3);
         for i in 0..5 {
-            ring.push(JournalEvent {
-                seq: 0,
+            ring.push(|seq| JournalEvent {
+                seq,
                 micros: i,
                 trace_id: 0,
                 txn: i as i64,
@@ -374,7 +301,7 @@ mod tests {
                 detail: String::new(),
             });
         }
-        assert_eq!(ring.recorded(), 5);
+        assert_eq!(ring.pushed(), 5);
         assert_eq!(ring.dropped(), 2, "two events were overwritten before any drain");
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 3, "snapshot is non-destructive");

@@ -4,8 +4,11 @@
 //!
 //! * [`trace`] — `TraceCtx { trace_id, span_id }` allocated at the host
 //!   statement boundary and carried across the RPC fabric into DLFM child
-//!   agents and down into minidb, plus a bounded ring buffer of span
-//!   events that tests and bench binaries can drain and assert on;
+//!   agents and down into minidb, plus the global ring of finished spans
+//!   that tests and bench binaries can drain and assert on;
+//! * [`ring`] — the one bounded, overwrite-oldest event ring (one
+//!   `fetch_add` and a slot latch a push) under both the span ring and
+//!   the journal;
 //! * [`hist`] — fixed-bucket log-scale latency histograms
 //!   (HdrHistogram-style power-of-two sub-buckets, `Relaxed` atomics,
 //!   mergeable) for per-operation latency, lock waits, and WAL forces;
@@ -23,7 +26,10 @@
 //!   admission rejects, fault fires) that dumps on panic, fault fire, or
 //!   `DLFM_JOURNAL_DUMP`; one relaxed atomic load when disarmed;
 //! * [`export`] — Chrome-trace/Perfetto JSON export over the span ring
-//!   and the journal, plus the minimal JSON checker CI validates it with;
+//!   and the journal, the one exported span row ([`RemoteSpan`]), and the
+//!   one bundle writer ([`write_bundle`]);
+//! * [`json`] — the JSON escaper, number rule and well-formedness checker
+//!   every JSON writer in the workspace uses;
 //! * [`watch`] — continuous telemetry: a background sampler over every
 //!   layer's metrics snapshot, per-interval rates/deltas, declarative
 //!   health rules (threshold / rate / stall / quantile), and
@@ -39,18 +45,21 @@ pub mod export;
 pub mod fault;
 pub mod hist;
 pub mod journal;
+pub mod json;
 pub mod logging;
 pub mod registry;
+pub mod ring;
 pub mod trace;
 pub mod watch;
 
 pub use export::{
-    export_chrome_trace, export_span_dump, json_escape, json_is_well_formed, merge_chrome_trace,
-    parse_span_dump, span_dump, ProcessTrace, RemoteSpan,
+    export_chrome_trace, export_span_dump, merge_chrome_trace, parse_span_dump, span_dump,
+    write_bundle, ProcessTrace, RemoteSpan,
 };
 pub use fault::{FaultGuard, Trigger};
 pub use hist::{Histogram, Report};
 pub use journal::{JournalEvent, JournalKind};
+pub use json::{json_escape, json_is_well_formed, json_num};
 pub use registry::Registry;
 pub use trace::{
     current_ctx, drain_spans, set_current_ctx, span, span_root, Layer, Outcome, SpanEvent,

@@ -6,16 +6,16 @@
 //! child-agent thread, so spans opened in the DLFM agent and in minidb
 //! carry the originating statement's `trace_id`.
 //!
-//! Finished spans are pushed into a global bounded ring buffer that
-//! keeps the newest events; tests and bench binaries drain it with
-//! [`drain_spans`] and assert on what the system actually did.
+//! Finished spans are pushed into a global [`Ring`] that keeps the newest
+//! events; tests and bench binaries drain it with [`drain_spans`] and
+//! assert on what the system actually did.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::entropy;
+use crate::ring::Ring;
 
 /// Identity of one traced unit of work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,92 +116,13 @@ pub struct SpanEvent {
     pub duration: Duration,
 }
 
-/// Bounded ring of finished spans: a lock-free slot claim (one
-/// `fetch_add`) plus a short per-slot latch for the write. Overflow
-/// overwrites the oldest events, keeping the newest — and counts each
-/// overwrite, so drops are observable instead of silent.
-pub struct SpanRing {
-    slots: Box<[Mutex<Option<SpanEvent>>]>,
-    next: AtomicU64,
-    dropped: AtomicU64,
-    drained: AtomicU64,
-}
-
-impl SpanRing {
-    /// A ring holding at most `capacity` finished spans.
-    pub fn new(capacity: usize) -> SpanRing {
-        assert!(capacity > 0, "ring capacity must be positive");
-        let slots: Vec<Mutex<Option<SpanEvent>>> =
-            (0..capacity).map(|_| Mutex::new(None)).collect();
-        SpanRing {
-            slots: slots.into_boxed_slice(),
-            next: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-        }
-    }
-
-    /// Push one finished span, overwriting (and counting) the oldest on
-    /// overflow.
-    pub fn push(&self, mut event: SpanEvent) {
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        event.seq = seq;
-        let slot = (seq % self.slots.len() as u64) as usize;
-        let prev = self.slots[slot].lock().unwrap_or_else(|e| e.into_inner()).replace(event);
-        if prev.is_some() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Copy every buffered span, oldest first, leaving the ring intact
-    /// (exports must not destroy the evidence they report).
-    pub fn snapshot(&self) -> Vec<SpanEvent> {
-        let mut out: Vec<SpanEvent> = Vec::new();
-        for slot in self.slots.iter() {
-            if let Some(ev) = slot.lock().unwrap_or_else(|e| e.into_inner()).clone() {
-                out.push(ev);
-            }
-        }
-        out.sort_by_key(|e| e.seq);
-        out
-    }
-
-    /// Take every buffered span, oldest first, leaving the ring empty.
-    pub fn drain(&self) -> Vec<SpanEvent> {
-        let mut out: Vec<SpanEvent> = Vec::new();
-        for slot in self.slots.iter() {
-            if let Some(ev) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                out.push(ev);
-            }
-        }
-        out.sort_by_key(|e| e.seq);
-        self.drained.fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
-    }
-
-    /// Spans pushed over the ring's lifetime (including overwritten ones).
-    pub fn pushed(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    /// Spans lost to ring overflow before anyone drained them.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Spans taken out via [`SpanRing::drain`].
-    pub fn drained(&self) -> u64 {
-        self.drained.load(Ordering::Relaxed)
-    }
-}
-
 /// Capacity of the global ring ([`global_ring`]).
 pub const GLOBAL_RING_CAPACITY: usize = 8192;
 
 /// The process-wide span ring.
-pub fn global_ring() -> &'static SpanRing {
-    static RING: OnceLock<SpanRing> = OnceLock::new();
-    RING.get_or_init(|| SpanRing::new(GLOBAL_RING_CAPACITY))
+pub fn global_ring() -> &'static Ring<SpanEvent> {
+    static RING: OnceLock<Ring<SpanEvent>> = OnceLock::new();
+    RING.get_or_init(|| Ring::new(GLOBAL_RING_CAPACITY))
 }
 
 /// Drain the global ring (oldest first).
@@ -252,8 +173,8 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         self.detach();
-        global_ring().push(SpanEvent {
-            seq: 0, // assigned by the ring
+        global_ring().push(|seq| SpanEvent {
+            seq,
             trace_id: self.ctx.trace_id,
             span_id: self.ctx.span_id,
             parent_span_id: self.parent_span_id,
@@ -269,35 +190,24 @@ impl Drop for SpanGuard {
 /// Open a span under the current context (child), or as a root when the
 /// thread has none.
 pub fn span(layer: Layer, op: &'static str) -> SpanGuard {
-    let prev = current_ctx();
-    let (ctx, parent) = match prev {
-        Some(p) => (p.child(), p.span_id),
-        None => (TraceCtx::root(), 0),
-    };
-    set_current_ctx(Some(ctx));
-    SpanGuard {
-        ctx,
-        parent_span_id: parent,
-        prev,
-        detached: false,
-        layer,
-        op,
-        start: Instant::now(),
-        start_micros: crate::journal::now_micros(),
-        outcome: Outcome::Ok,
+    match current_ctx() {
+        Some(p) => open(p.child(), p.span_id, layer, op),
+        None => open(TraceCtx::root(), 0, layer, op),
     }
 }
 
 /// Open a root span: always starts a fresh trace, regardless of the
 /// thread's current context. The host statement boundary uses this.
 pub fn span_root(layer: Layer, op: &'static str) -> SpanGuard {
-    let prev = current_ctx();
-    let ctx = TraceCtx::root();
-    set_current_ctx(Some(ctx));
+    open(TraceCtx::root(), 0, layer, op)
+}
+
+/// Install `ctx` as the thread's context and start timing its span.
+fn open(ctx: TraceCtx, parent_span_id: u64, layer: Layer, op: &'static str) -> SpanGuard {
     SpanGuard {
         ctx,
-        parent_span_id: 0,
-        prev,
+        parent_span_id,
+        prev: set_current_ctx(Some(ctx)),
         detached: false,
         layer,
         op,
@@ -321,10 +231,10 @@ mod tests {
 
     #[test]
     fn ring_overflow_keeps_newest() {
-        let ring = SpanRing::new(4);
+        let ring: Ring<SpanEvent> = Ring::new(4);
         for i in 0..10u64 {
-            ring.push(SpanEvent {
-                seq: 0,
+            ring.push(|seq| SpanEvent {
+                seq,
                 trace_id: i,
                 span_id: i,
                 parent_span_id: 0,

@@ -35,6 +35,7 @@ use std::sync::{Arc, Condvar, LazyLock, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::json::{json_escape, json_num};
 use crate::registry::{parse_samples, Registry};
 use crate::warn;
 
@@ -758,19 +759,12 @@ impl Drop for WatchdogHandle {
 }
 
 fn last_two(ring: &VecDeque<TimePoint>) -> Option<(&TimePoint, &TimePoint)> {
-    if ring.len() < 2 {
-        return None;
-    }
-    Some((ring.get(ring.len() - 2)?, ring.back()?))
+    Some((ring.get(ring.len().checked_sub(2)?)?, ring.back()?))
 }
 
 fn interval_secs(prev: &TimePoint, cur: &TimePoint) -> Option<f64> {
     let dt = cur.micros.saturating_sub(prev.micros) as f64 / 1_000_000.0;
-    if dt > 0.0 {
-        Some(dt)
-    } else {
-        None
-    }
+    (dt > 0.0).then_some(dt)
 }
 
 struct Alert {
@@ -822,15 +816,10 @@ fn sample_once(inner: &Inner) {
 /// condition clears, so one continuous episode produces one alert.
 fn evaluate(state: &mut State, config: &WatchConfig) -> Vec<Alert> {
     let mut out = Vec::new();
-    let cur = match state.ring.back() {
-        Some(c) => c.clone(),
-        None => return out,
-    };
-    let prev =
-        if state.ring.len() >= 2 { state.ring.get(state.ring.len() - 2).cloned() } else { None };
-    for (i, rule) in config.rules.iter().enumerate() {
-        let breach = check_rule(rule, prev.as_ref(), &cur);
-        let st = &mut state.rules[i];
+    let Some(cur) = state.ring.back() else { return out };
+    let prev = state.ring.len().checked_sub(2).and_then(|i| state.ring.get(i));
+    for (rule, st) in config.rules.iter().zip(&mut state.rules) {
+        let breach = check_rule(rule, prev, cur);
         match breach {
             Some(detail) => {
                 st.consecutive += 1;
@@ -972,14 +961,6 @@ fn check_rule(rule: &Rule, prev: Option<&TimePoint>, cur: &TimePoint) -> Option<
 // ---------------------------------------------------------------------------
 // Incident bundles.
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Render a time-series window as a self-contained JSON document.
 pub fn timeseries_json(points: &[TimePoint], interval: Duration) -> String {
     let mut out = String::new();
@@ -994,7 +975,7 @@ pub fn timeseries_json(points: &[TimePoint], interval: Duration) -> String {
                 out.push_str(", ");
             }
             out.push('"');
-            crate::export::json_escape(k, &mut out);
+            json_escape(k, &mut out);
             out.push_str(&format!("\": {}", json_num(*v)));
         }
         out.push_str(if i + 1 < points.len() { "}},\n" } else { "}}\n" });
@@ -1014,10 +995,9 @@ fn sanitize(name: &str) -> String {
 const MAX_BUNDLES: u64 = 8;
 const BUNDLE_COOLDOWN: Duration = Duration::from_secs(10);
 
-/// Write a self-contained incident bundle for one alert: the time-series
-/// window, every registered status section, a flight-recorder dump, and a
-/// Perfetto trace. Failures are logged, never fatal — the watchdog must
-/// not take the server down while reporting that something is wrong.
+/// Write a self-contained incident bundle for one alert through
+/// [`crate::export::write_bundle`]: the time-series window, every
+/// registered status section, a flight-recorder dump, and a Perfetto trace.
 fn write_bundle(inner: &Inner, alert: &Alert, window: &[TimePoint]) {
     let Some(root) = &inner.config.bundle_dir else { return };
     {
@@ -1031,10 +1011,6 @@ fn write_bundle(inner: &Inner, alert: &Alert, window: &[TimePoint]) {
     }
     let seq = WATCH.bundles.fetch_add(1, Ordering::Relaxed);
     let dir = root.join(format!("incident-{seq:04}-{}", sanitize(&alert.rule)));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        warn!("obs::watch", "cannot create incident bundle dir {}: {e}", dir.display());
-        return;
-    }
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -1054,10 +1030,8 @@ fn write_bundle(inner: &Inner, alert: &Alert, window: &[TimePoint]) {
     for (name, f) in &inner.sections {
         files.push((format!("{}.txt", sanitize(name)), f()));
     }
-    for (name, content) in files {
-        if let Err(e) = std::fs::write(dir.join(&name), content) {
-            warn!("obs::watch", "cannot write bundle file {name}: {e}");
-        }
+    if !crate::export::write_bundle("obs::watch", &dir, files) {
+        return;
     }
     warn!("obs::watch", "incident bundle written to {}", dir.display());
 }
@@ -1321,7 +1295,7 @@ mod tests {
             assert!(bundle.join(name).exists(), "bundle is missing {name}");
         }
         let ts = std::fs::read_to_string(bundle.join("timeseries.json")).unwrap();
-        assert!(crate::export::json_is_well_formed(&ts), "timeseries must be valid JSON: {ts}");
+        assert!(crate::json::json_is_well_formed(&ts), "timeseries must be valid JSON: {ts}");
         assert!(ts.contains("t:depth"));
         let alert = std::fs::read_to_string(bundle.join("alert.txt")).unwrap();
         assert!(alert.contains("rule: deep"));
