@@ -60,6 +60,21 @@ smoke() {
     cargo run -q --offline --release -p bench --bin e2_next_key
   RUN_SECS=0.2 CLIENTS=4 BENCH_METRICS=0 BENCH_JSON_DIR=target \
     cargo run -q --offline --release -p bench --bin e4_escalation
+  step "experiment smoke: e1, e3, e6, e7, e8, e9, e10 (tiny runs; a panic or nonzero exit fails)"
+  RUN_SECS=0.3 CLIENTS=4 BENCH_METRICS=0 BENCH_JSON_DIR=target \
+    cargo run -q --offline --release -p bench --bin e1_system_test
+  RUN_SECS=0.2 CLIENTS=4 BENCH_METRICS=0 BENCH_JSON_DIR=target \
+    cargo run -q --offline --release -p bench --bin e3_stats
+  RUN_SECS=0.1 BENCH_METRICS=0 BENCH_JSON_DIR=target \
+    cargo run -q --offline --release -p bench --bin e6_timeout
+  RUN_SECS=0.2 BENCH_METRICS=0 BENCH_JSON_DIR=target \
+    cargo run -q --offline --release -p bench --bin e7_commit_retry
+  SCALE=1 BENCH_METRICS=0 BENCH_JSON_DIR=target \
+    cargo run -q --offline --release -p bench --bin e8_chunked
+  RUN_SECS=0.2 CLIENTS=4 BENCH_METRICS=0 BENCH_JSON_DIR=target \
+    cargo run -q --offline --release -p bench --bin e9_archive_table
+  SCALE=1 BENCH_METRICS=0 BENCH_JSON_DIR=target \
+    cargo run -q --offline --release -p bench --bin e10_backup_restore
   step "shard smoke: e14_shard_scaling (tiny sweep + live migration)"
   RUN_SECS=0.3 CLIENTS=16 SHARDS=2 MIGRATE_CLIENTS=8 FORCE_MS=1 \
     BENCH_METRICS=0 BENCH_JSON_DIR=target \

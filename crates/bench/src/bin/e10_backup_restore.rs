@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use bench::{banner, env_num, row};
+use bench::{banner, env_num, Table};
 use datalinks::Deployment;
 use dlfm::AccessControl;
 use hostdb::DatalinkSpec;
@@ -46,9 +46,13 @@ fn main() {
     let mut backups = Vec::new();
     let mut next_id = 0i64;
     let mut live: Vec<i64> = Vec::new();
-    let w = [8, 12, 14, 16, 14];
-    row(&["phase", "backup id", "flush time", "archive objects", "live links"], &w);
-    row(&["-----", "---------", "----------", "---------------", "----------"], &w);
+    let t = Table::new(&[
+        ("phase", 8),
+        ("backup id", 12),
+        ("flush time", 14),
+        ("archive objects", 16),
+        ("live links", 14),
+    ]);
     for phase in 0..phases {
         for _ in 0..churn_per_phase {
             next_id += 1;
@@ -70,23 +74,18 @@ fn main() {
         let backup_id = s.backup().unwrap();
         let flush = t0.elapsed();
         backups.push(backup_id);
-        row(
-            &[
-                &phase.to_string(),
-                &backup_id.to_string(),
-                &format!("{:.1}ms", flush.as_secs_f64() * 1000.0),
-                &dep.archive.len().to_string(),
-                &live.len().to_string(),
-            ],
-            &w,
-        );
+        t.row(&[
+            &phase.to_string(),
+            &backup_id.to_string(),
+            &format!("{:.1}ms", flush.as_secs_f64() * 1000.0),
+            &dep.archive.len().to_string(),
+            &live.len().to_string(),
+        ]);
     }
 
     // Restore to each backup (newest to oldest) and verify consistency.
     println!("\nrestores (each verified host == DLFM == file system):");
-    let w2 = [12, 12, 10];
-    row(&["restore to", "host rows", "verdict"], &w2);
-    row(&["----------", "---------", "-------"], &w2);
+    let t = Table::new(&[("restore to", 12), ("host rows", 12), ("verdict", 10)]);
     let mut all_ok = true;
     for &backup_id in backups.iter().rev() {
         s.restore(backup_id).unwrap();
@@ -96,7 +95,7 @@ fn main() {
         all_ok &= audit.is_clean();
         let rows = s.query_int("SELECT COUNT(*) FROM docs", &[]).unwrap();
         let verdict = if audit.is_clean() { "OK" } else { "MISMATCH" };
-        row(&[&backup_id.to_string(), &rows.to_string(), verdict], &w2);
+        t.row(&[&backup_id.to_string(), &rows.to_string(), verdict]);
         if !audit.is_clean() {
             println!("  {audit}");
         }

@@ -16,34 +16,24 @@
 //! Env: `RUN_SECS` per arm (default 1.0), `CLIENTS` caps the thread sweep
 //! (default 32), `FORCE_MS` force latency in milliseconds.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bench::{banner, env_num, env_secs, row, JsonArm};
+use bench::{banner, env_num, env_secs, in_txn, run, JsonArm, Load, Op, Report, Table};
 use minidb::{Database, DbConfig, Session, Value};
 
 struct ArmResult {
-    commits: u64,
-    elapsed: Duration,
-    latency: obs::Histogram,
+    report: Report,
     forces: u64,
     wal_commits: u64,
     batch_p95: u64,
     metrics: String,
 }
 
-impl ArmResult {
-    fn per_sec(&self) -> f64 {
-        self.commits as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
 fn run_arm(
     group_commit: bool,
     threads: usize,
     force_latency: Duration,
-    run: Duration,
+    run_for: Duration,
 ) -> ArmResult {
     let mut config = DbConfig::dlfm_tuned();
     config.log_force_latency = force_latency;
@@ -55,55 +45,22 @@ fn run_arm(
     let forces0 = db.wal_forces_total();
     let commits0 = db.wal_commits_total();
 
-    let latency = Arc::new(obs::Histogram::new());
-    let stop = Arc::new(AtomicBool::new(false));
-    let start = Arc::new(Barrier::new(threads + 1));
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let db = db.clone();
-        let latency = latency.clone();
-        let stop = stop.clone();
-        let start = start.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut s = Session::new(&db);
-            let mut commits = 0u64;
-            let mut i = 0i64;
-            start.wait();
-            while !stop.load(Ordering::Relaxed) {
-                let began = Instant::now();
-                if s.begin().is_err() {
-                    break;
-                }
-                let id = (t as i64) * 1_000_000 + i;
-                i += 1;
-                if s.exec_params(
+    let report = run(&Load::new(threads, run_for, 0), |t| {
+        let (mut s, mut i) = (Session::new(&db), 0i64);
+        move |_| {
+            let id = (t as i64) * 1_000_000 + i;
+            i += 1;
+            in_txn(&mut s, Op::Insert, |s| {
+                s.exec_params(
                     "INSERT INTO t (id, v) VALUES (?, ?)",
                     &[Value::Int(id), Value::Int(0)],
                 )
-                .is_err()
-                {
-                    s.rollback();
-                    break;
-                }
-                if s.commit().is_err() {
-                    break;
-                }
-                latency.record_micros(began.elapsed());
-                commits += 1;
-            }
-            commits
-        }));
-    }
-    start.wait();
-    let measuring = Instant::now();
-    std::thread::sleep(run);
-    stop.store(true, Ordering::Relaxed);
-    let commits: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    let elapsed = measuring.elapsed();
+                .map(drop)
+            })
+        }
+    });
     ArmResult {
-        commits,
-        elapsed,
-        latency: latency.as_ref().clone(),
+        report,
         forces: db.wal_forces_total() - forces0,
         wal_commits: db.wal_commits_total() - commits0,
         batch_p95: db.wal_force_batch_hist().report().p95,
@@ -117,24 +74,25 @@ fn main() {
         "group commit: one log force covers many committers",
         "synchronous commit processing dominates DLFM cost; per-committer forces pay N fsyncs where one would do",
     );
-    let run = env_secs("RUN_SECS", 1.0);
+    let run_for = env_secs("RUN_SECS", 1.0);
     let max_threads = env_num("CLIENTS", 32);
     let force_ms = env_num("FORCE_MS", 1);
     let force_latency = Duration::from_millis(force_ms as u64);
     println!(
         "force latency {force_ms} ms, {:.2} s per arm, closed-loop single-row insert+commit per thread\n",
-        run.as_secs_f64()
+        run_for.as_secs_f64()
     );
 
-    let w = [8, 8, 12, 10, 10, 10, 10, 10];
-    row(
-        &["mode", "threads", "commits/s", "p50 ms", "p95 ms", "forces", "commits", "batch p95"],
-        &w,
-    );
-    row(
-        &["----", "-------", "---------", "------", "------", "------", "-------", "---------"],
-        &w,
-    );
+    let t = Table::new(&[
+        ("mode", 8),
+        ("threads", 8),
+        ("commits/s", 12),
+        ("p50 ms", 10),
+        ("p95 ms", 10),
+        ("forces", 10),
+        ("commits", 10),
+        ("batch p95", 10),
+    ]);
 
     let sweep: Vec<usize> =
         [1usize, 2, 4, 8, 16, 32].iter().copied().filter(|&t| t <= max_threads).collect();
@@ -145,25 +103,23 @@ fn main() {
     for &threads in &sweep {
         let mut per_mode = [0.0f64; 2];
         for (slot, grouped) in [(0usize, false), (1usize, true)] {
-            let r = run_arm(grouped, threads, force_latency, run);
-            per_mode[slot] = r.per_sec();
-            let rep = r.latency.report();
+            let r = run_arm(grouped, threads, force_latency, run_for);
+            let per_sec = r.report.per_sec();
+            per_mode[slot] = per_sec;
+            let rep = r.report.latency.report();
             let mode = if grouped { "grouped" } else { "serial" };
-            row(
-                &[
-                    mode,
-                    &threads.to_string(),
-                    &format!("{:.0}", r.per_sec()),
-                    &format!("{:.2}", rep.p50 as f64 / 1000.0),
-                    &format!("{:.2}", rep.p95 as f64 / 1000.0),
-                    &r.forces.to_string(),
-                    &r.wal_commits.to_string(),
-                    &r.batch_p95.to_string(),
-                ],
-                &w,
-            );
+            t.row(&[
+                mode,
+                &threads.to_string(),
+                &format!("{per_sec:.0}"),
+                &format!("{:.2}", rep.p50 as f64 / 1000.0),
+                &format!("{:.2}", rep.p95 as f64 / 1000.0),
+                &r.forces.to_string(),
+                &r.wal_commits.to_string(),
+                &r.batch_p95.to_string(),
+            ]);
             arms.push(
-                JsonArm::from_hist(format!("{mode}/{threads}thr"), r.per_sec(), &r.latency)
+                JsonArm::from_hist(format!("{mode}/{threads}thr"), per_sec, &r.report.latency)
                     .with("threads", threads as f64)
                     .with("wal_forces", r.forces as f64)
                     .with("wal_commits", r.wal_commits as f64),

@@ -31,12 +31,11 @@
 //! Env: `RUN_SECS` per arm (default 1.0), `CLIENTS` caps the sweep
 //! (default 512), `POOL_WORKERS` (default 8), `POOL_QUEUE` (default 512).
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use bench::{banner, env_num, env_secs, row, JsonArm, Stand};
+use bench::drivers::{DlfmClients, OpMix};
+use bench::{banner, env_num, env_secs, run, JsonArm, Load, Report, Stand, Table};
 use dlfm::{AccessControl, AgentModel, DlfmConfig, DlfmRequest, DlfmResponse, Transport};
-use workload::{run_dlfm_workload, DlfmWorkloadConfig, IdSource, OpMix};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -78,28 +77,26 @@ fn stand(mode: Mode, workers: usize, queue_depth: usize) -> Stand {
 
 struct ArmResult {
     threads: u64,
-    report: workload::WorkloadReport,
+    report: Report,
     metrics: String,
 }
 
-fn run_arm(mode: Mode, clients: usize, run: Duration, workers: usize, queue: usize) -> ArmResult {
+fn run_arm(
+    mode: Mode,
+    clients: usize,
+    window: Duration,
+    workers: usize,
+    queue: usize,
+) -> ArmResult {
     let stand = stand(mode, workers, queue);
-    let config = DlfmWorkloadConfig {
-        clients,
-        duration: run,
-        mix: OpMix::paper_mix(),
-        seed: 7,
-        grp_id: stand.grp_id,
-        base_dir: "/wl".into(),
-    };
-    let ids = Arc::new(IdSource::new(1_000));
     let connector = match mode {
         Mode::Unix => dlrpc::wire_connector::<DlfmRequest, DlfmResponse>(
             stand.server.listen_addr().expect("unix arm always listens"),
         ),
         _ => stand.server.connector(),
     };
-    let report = run_dlfm_workload(&connector, &stand.fs, &config, &ids);
+    let apps = DlfmClients::new(connector, &stand.fs, stand.grp_id, OpMix::paper_mix());
+    let report = run(&Load::new(clients, window, 7), |c| apps.client(c));
     ArmResult {
         threads: stand.server.agents_spawned(),
         report,
@@ -113,7 +110,7 @@ fn main() {
         "agent scaling: dedicated vs pooled, in-process vs Unix socket",
         "one agent process per connection (section 2, 3.5) vs a fixed worker pool with admission control, and the wire transport's price",
     );
-    let run = env_secs("RUN_SECS", 1.0);
+    let window = env_secs("RUN_SECS", 1.0);
     let max_clients = env_num("CLIENTS", 512);
     let workers = env_num("POOL_WORKERS", 8);
     let queue_depth = env_num("POOL_QUEUE", 512);
@@ -121,12 +118,19 @@ fn main() {
     println!(
         "{:.2} s per arm, pool = {workers} workers / queue {queue_depth}, closed-loop paper mix, \
          dedicated capped at {dedicated_cap} clients\n",
-        run.as_secs_f64()
+        window.as_secs_f64()
     );
 
-    let w = [10, 8, 8, 10, 10, 10, 9, 8];
-    row(&["mode", "clients", "threads", "txn/s", "p50 ms", "p99 ms", "rejects", "errors"], &w);
-    row(&["----", "-------", "-------", "-----", "------", "------", "-------", "------"], &w);
+    let t = Table::new(&[
+        ("mode", 10),
+        ("clients", 8),
+        ("threads", 8),
+        ("txn/s", 10),
+        ("p50 ms", 10),
+        ("p99 ms", 10),
+        ("rejects", 9),
+        ("errors", 8),
+    ]);
 
     let sweep: Vec<usize> = [1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512]
         .iter()
@@ -146,37 +150,27 @@ fn main() {
             if mode == Mode::Dedicated && clients > dedicated_cap {
                 continue;
             }
-            let r = run_arm(mode, clients, run, workers, queue_depth);
-            let per_sec = r.report.committed() as f64 / r.report.elapsed.as_secs_f64().max(1e-9);
+            let r = run_arm(mode, clients, window, workers, queue_depth);
+            let per_sec = r.report.per_sec();
             tput[slot] = per_sec;
             let rep = r.report.latency.report();
             let mode_label = mode.label();
-            row(
-                &[
-                    mode_label,
-                    &clients.to_string(),
-                    &r.threads.to_string(),
-                    &format!("{per_sec:.0}"),
-                    &format!("{:.2}", rep.p50 as f64 / 1000.0),
-                    &format!("{:.2}", rep.p99 as f64 / 1000.0),
-                    &r.report.rejects.to_string(),
-                    &r.report.errors.to_string(),
-                ],
-                &w,
-            );
+            t.row(&[
+                mode_label,
+                &clients.to_string(),
+                &r.threads.to_string(),
+                &format!("{per_sec:.0}"),
+                &format!("{:.2}", rep.p50 as f64 / 1000.0),
+                &format!("{:.2}", rep.p99 as f64 / 1000.0),
+                &r.report.rejects.to_string(),
+                &r.report.errors.to_string(),
+            ]);
             arms.push(
-                JsonArm {
-                    label: format!("{mode_label}/{clients}cl"),
-                    ops_per_sec: per_sec,
-                    p50_us: rep.p50,
-                    p95_us: rep.p95,
-                    p99_us: rep.p99,
-                    extra: Vec::new(),
-                }
-                .with("clients", clients as f64)
-                .with("agent_threads", r.threads as f64)
-                .with("rejects", r.report.rejects as f64)
-                .with("errors", r.report.errors as f64),
+                JsonArm::from_hist(format!("{mode_label}/{clients}cl"), per_sec, &r.report.latency)
+                    .with("clients", clients as f64)
+                    .with("agent_threads", r.threads as f64)
+                    .with("rejects", r.report.rejects as f64)
+                    .with("errors", r.report.errors as f64),
             );
             match mode {
                 Mode::Pooled => {
@@ -231,30 +225,16 @@ fn main() {
     // default; price the stamping itself with the shared guard so the
     // wire cost this experiment reports can't silently absorb a tracing
     // regression.
-    let wire = bench::wire_trace_guard();
-    let n = wire.len() as f64;
-    let (wire_on, wire_off) =
-        wire.iter().fold((0.0, 0.0), |(a, b), (on, off)| (a + on / n, b + off / n));
-    let wire_delta_pct = bench::wire_trace_delta_pct(&wire);
-    println!(
-        "wire-trace guard: {wire_off:.0} links/s propagation off vs {wire_on:.0} links/s \
-         on over loopback TCP (mean of each side; median per-pair delta \
-         {wire_delta_pct:+.1}%, expected < 5%)"
+    let wire = bench::guard::wire_trace();
+    wire.print(
+        "e12",
+        "wire-trace guard",
+        "links/s",
+        ("propagation on", "propagation off"),
+        "stamping is two header fields per frame over loopback TCP",
     );
-    for label in ["wire_trace_on", "wire_trace_off"] {
-        arms.push(
-            JsonArm {
-                label: label.to_string(),
-                ops_per_sec: if label == "wire_trace_on" { wire_on } else { wire_off },
-                p50_us: 0,
-                p95_us: 0,
-                p99_us: 0,
-                extra: Vec::new(),
-            }
-            .with("wire_trace_delta_pct", wire_delta_pct),
-        );
-    }
+    arms.extend(wire.arms("wire_trace_on", "wire_trace_off", "wire_trace_delta_pct"));
     bench::write_json_summary("E12", "dedicated vs pooled vs Unix-socket wire", &arms);
     bench::dump_metrics(&pooled_metrics);
-    bench::wire_trace_gate("e12", &wire);
+    wire.gate("e12");
 }

@@ -9,23 +9,18 @@
 //! MVCC while lock waits stay near zero; the 2PL arm burns time in the lock
 //! manager as soon as writers touch hot rows.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-use bench::{banner, env_num, env_secs, row, JsonArm};
+use bench::{banner, env_num, env_secs, run, JsonArm, Load, Op, Report, Table};
 use minidb::{Database, DbConfig, Session, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 const ROWS: i64 = 2_000;
 const HOT_ROWS: i64 = 100;
 
 struct ArmOutcome {
-    ops_per_sec: f64,
-    reads: u64,
-    writes: u64,
-    hist: obs::Histogram,
+    report: Report,
     lock_waits: u64,
     /// Lock-wait micros attributed to SELECT statements (the paper's
     /// "reads are free" claim) vs DML, via the per-statement wait counter.
@@ -63,87 +58,43 @@ fn run_arm(mvcc: bool, clients: usize, duration: Duration) -> ArmOutcome {
     let lock0 = db.lock_metrics().snapshot();
     let mvcc_reads0 = db.mvcc_reads_total();
 
-    let hist = Arc::new(obs::Histogram::new());
-    let reads = Arc::new(AtomicU64::new(0));
-    let writes = Arc::new(AtomicU64::new(0));
-    let read_wait = Arc::new(AtomicU64::new(0));
-    let write_wait = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let started = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|client| {
-            let db = db.clone();
-            let hist = hist.clone();
-            let reads = reads.clone();
-            let writes = writes.clone();
-            let read_wait = read_wait.clone();
-            let write_wait = write_wait.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut s = Session::new(&db);
-                let mut rng = StdRng::seed_from_u64(13 + client as u64);
-                while !stop.load(Ordering::Relaxed) {
-                    let op = rng.gen_range(0..100u32);
-                    let t0 = Instant::now();
-                    if op < 95 {
-                        // Reads concentrate on a hot slice of the library,
-                        // the rows writers are hitting at the same time.
-                        let id = if op < 60 {
-                            rng.gen_range(0..HOT_ROWS)
-                        } else {
-                            rng.gen_range(0..ROWS)
-                        };
-                        let ok = s
-                            .query(
-                                "SELECT id, title, plays FROM media WHERE id = ?",
-                                &[Value::Int(id)],
-                            )
-                            .is_ok();
-                        read_wait.fetch_add(minidb::lock::take_stmt_lock_wait(), Ordering::Relaxed);
-                        if ok {
-                            reads.fetch_add(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        // Writers hit the same hot slice readers camp on. The
-                        // written value is spread out so ix_media_plays key
-                        // locks stay per-row: the contention under test is
-                        // reader-vs-writer, not incidental key collisions.
-                        let id = rng.gen_range(0..HOT_ROWS);
-                        let plays = rng.gen_range(0..1_000_000_000i64);
-                        let ok = s
-                            .exec_params(
-                                "UPDATE media SET plays = ? WHERE id = ?",
-                                &[Value::Int(plays), Value::Int(id)],
-                            )
-                            .is_ok();
-                        write_wait
-                            .fetch_add(minidb::lock::take_stmt_lock_wait(), Ordering::Relaxed);
-                        if ok {
-                            writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    hist.record_micros(t0.elapsed());
-                }
-            })
-        })
-        .collect();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
-    let elapsed = started.elapsed();
+    let read_wait = AtomicU64::new(0);
+    let write_wait = AtomicU64::new(0);
+    let report = run(&Load::new(clients, duration, 13), |_| {
+        let (mut s, read_wait, write_wait) = (Session::new(&db), &read_wait, &write_wait);
+        move |rng| {
+            let op = rng.gen_range(0..100u32);
+            let (r, waited, done) = if op < 95 {
+                // Reads concentrate on a hot slice of the library, the
+                // rows writers are hitting at the same time.
+                let id = if op < 60 { rng.gen_range(0..HOT_ROWS) } else { rng.gen_range(0..ROWS) };
+                let r =
+                    s.query("SELECT id, title, plays FROM media WHERE id = ?", &[Value::Int(id)]);
+                (r.map(drop), read_wait, Op::Select)
+            } else {
+                // Writers hit the same hot slice readers camp on. The
+                // written value is spread out so ix_media_plays key locks
+                // stay per-row: the contention under test is
+                // reader-vs-writer, not incidental key collisions.
+                let id = rng.gen_range(0..HOT_ROWS);
+                let plays = rng.gen_range(0..1_000_000_000i64);
+                let r = s.exec_params(
+                    "UPDATE media SET plays = ? WHERE id = ?",
+                    &[Value::Int(plays), Value::Int(id)],
+                );
+                (r.map(drop), write_wait, Op::Update)
+            };
+            waited.fetch_add(minidb::lock::take_stmt_lock_wait(), Ordering::Relaxed);
+            r?;
+            Ok(done)
+        }
+    });
     let lock = db.lock_metrics().snapshot().delta(&lock0);
-    let r = reads.load(Ordering::Relaxed);
-    let w = writes.load(Ordering::Relaxed);
     ArmOutcome {
-        ops_per_sec: (r + w) as f64 / elapsed.as_secs_f64(),
-        reads: r,
-        writes: w,
-        hist: Arc::try_unwrap(hist).unwrap_or_default(),
+        report,
         lock_waits: lock.waits,
-        read_wait_micros: read_wait.load(Ordering::Relaxed),
-        write_wait_micros: write_wait.load(Ordering::Relaxed),
+        read_wait_micros: read_wait.into_inner(),
+        write_wait_micros: write_wait.into_inner(),
         mvcc_reads: db.mvcc_reads_total() - mvcc_reads0,
         metrics: db.metrics_text(),
     }
@@ -165,37 +116,18 @@ fn main() {
         "95/5 read/write mix, {ROWS} rows ({HOT_ROWS} hot), clients {sweep:?}, {duration:?}\n"
     );
 
-    let w = [8, 6, 10, 9, 9, 9, 11, 12, 12, 11];
-    row(
-        &[
-            "clients",
-            "mvcc",
-            "ops/sec",
-            "p50 us",
-            "p95 us",
-            "p99 us",
-            "lock waits",
-            "rd wait us",
-            "wr wait us",
-            "mvcc reads",
-        ],
-        &w,
-    );
-    row(
-        &[
-            "-------",
-            "----",
-            "-------",
-            "------",
-            "------",
-            "------",
-            "----------",
-            "----------",
-            "----------",
-            "----------",
-        ],
-        &w,
-    );
+    let t = Table::new(&[
+        ("clients", 8),
+        ("mvcc", 6),
+        ("ops/sec", 10),
+        ("p50 us", 9),
+        ("p95 us", 9),
+        ("p99 us", 9),
+        ("lock waits", 11),
+        ("rd wait us", 12),
+        ("wr wait us", 12),
+        ("mvcc reads", 11),
+    ]);
     let mut arms = Vec::new();
     let mut peak = [0.0f64; 2]; // [2pl, mvcc] best ops/sec across the sweep
     let mut read_wait_at_max = [0u64; 2];
@@ -205,42 +137,40 @@ fn main() {
     for &clients in &sweep {
         for mvcc in [false, true] {
             let o = run_arm(mvcc, clients, duration);
-            let r = o.hist.report();
-            row(
-                &[
-                    &clients.to_string(),
-                    if mvcc { "ON" } else { "OFF" },
-                    &format!("{:.0}", o.ops_per_sec),
-                    &r.p50.to_string(),
-                    &r.p95.to_string(),
-                    &r.p99.to_string(),
-                    &o.lock_waits.to_string(),
-                    &o.read_wait_micros.to_string(),
-                    &o.write_wait_micros.to_string(),
-                    &o.mvcc_reads.to_string(),
-                ],
-                &w,
-            );
+            let ops_per_sec = o.report.per_sec();
+            let r = o.report.latency.report();
+            t.row(&[
+                &clients.to_string(),
+                if mvcc { "ON" } else { "OFF" },
+                &format!("{ops_per_sec:.0}"),
+                &r.p50.to_string(),
+                &r.p95.to_string(),
+                &r.p99.to_string(),
+                &o.lock_waits.to_string(),
+                &o.read_wait_micros.to_string(),
+                &o.write_wait_micros.to_string(),
+                &o.mvcc_reads.to_string(),
+            ]);
             let slot = mvcc as usize;
-            peak[slot] = peak[slot].max(o.ops_per_sec);
+            peak[slot] = peak[slot].max(ops_per_sec);
             if clients == *sweep.last().unwrap() {
                 read_wait_at_max[slot] = o.read_wait_micros;
             }
             if mvcc && clients == 1 {
-                mvcc_single = o.ops_per_sec;
+                mvcc_single = ops_per_sec;
             }
             if mvcc && clients == *sweep.last().unwrap() {
-                mvcc_max = o.ops_per_sec;
+                mvcc_max = ops_per_sec;
                 mvcc_metrics = o.metrics.clone();
             }
             arms.push(
                 JsonArm::from_hist(
                     format!("{}/{}c", if mvcc { "mvcc" } else { "2pl" }, clients),
-                    o.ops_per_sec,
-                    &o.hist,
+                    ops_per_sec,
+                    &o.report.latency,
                 )
-                .with("reads", o.reads as f64)
-                .with("writes", o.writes as f64)
+                .with("reads", o.report.selects as f64)
+                .with("writes", o.report.updates as f64)
                 .with("lock_waits", o.lock_waits as f64)
                 .with("read_wait_micros", o.read_wait_micros as f64)
                 .with("write_wait_micros", o.write_wait_micros as f64)

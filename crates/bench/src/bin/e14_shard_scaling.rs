@@ -40,10 +40,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bench::{banner, env_num, env_secs, row, JsonArm};
+use bench::drivers::{HostClients, OpMix};
+use bench::{banner, env_num, env_secs, run, JsonArm, Load, Report, Table};
 use dlfm::{AccessControl, AgentModel, DlfmConfig, DlfmServer};
 use hostdb::{DatalinkSpec, HostDb};
-use workload::{run_host_workload, HostWorkloadConfig, OpMix};
 
 /// Shard names, in ring order; a stand of `n` shards uses the first `n`.
 const NAMES: [&str; 8] = ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"];
@@ -93,22 +93,18 @@ fn stand(nshards: usize, force: Duration) -> Stand {
     Stand { fs, shards, host }
 }
 
-fn workload_config(clients: usize, run: Duration) -> HostWorkloadConfig {
-    HostWorkloadConfig {
-        clients,
-        duration: run,
-        // Write-heavy slice of the e1 mix: every transaction forces a
-        // shard log, so throughput measures the shards, not the host.
-        mix: OpMix { insert_pct: 50, update_pct: 25, delete_pct: 25, select_pct: 0 },
-        seed: 11,
-        table: "media".into(),
-        server: "s0".into(), // routing ignores the URL server once the ring is on
-        base_dir: "/wl".into(),
-        ..HostWorkloadConfig::default()
-    }
-}
+/// Write-heavy slice of the e1 mix: every transaction forces a shard log,
+/// so throughput measures the shards, not the host.
+const MIX: OpMix = OpMix { insert_pct: 50, update_pct: 25, delete_pct: 25, select_pct: 0 };
 
 impl Stand {
+    /// Run `clients` closed-loop clients for `window`. Routing ignores the
+    /// URLs' server once the ring is on.
+    fn run(&self, clients: usize, window: Duration) -> Report {
+        let apps = HostClients::new(&self.host, &self.fs, "s0", MIX, 0);
+        run(&Load::new(clients, window, 11), |c| apps.client(c))
+    }
+
     /// Drain the stand, run the §3.3 oracle over it, and count (and print)
     /// the violations.
     fn violations(&self, arm: &str) -> usize {
@@ -128,7 +124,7 @@ fn main() {
         "shard scaling: link metadata partitioned across N DLFMs",
         "one resource manager per file server, coordinated by 2PC (section 2, 4) — add boxes, gain throughput",
     );
-    let run = env_secs("RUN_SECS", 2.0);
+    let window = env_secs("RUN_SECS", 2.0);
     let clients = env_num("CLIENTS", 1000);
     let max_shards = env_num("SHARDS", 8);
     let force = Duration::from_millis(env_num("FORCE_MS", 1) as u64);
@@ -136,13 +132,19 @@ fn main() {
     println!(
         "{clients} closed-loop clients, {:.2} s per arm, per-shard serial log force {:?}, \
          group commit off on shards\n",
-        run.as_secs_f64(),
+        window.as_secs_f64(),
         force
     );
 
-    let w = [8, 10, 12, 10, 10, 9, 9];
-    row(&["shards", "clients", "txn/s", "p50 ms", "p99 ms", "errors", "speedup"], &w);
-    row(&["------", "-------", "-----", "------", "------", "------", "-------"], &w);
+    let t = Table::new(&[
+        ("shards", 8),
+        ("clients", 10),
+        ("txn/s", 12),
+        ("p50 ms", 10),
+        ("p99 ms", 10),
+        ("errors", 9),
+        ("speedup", 9),
+    ]);
 
     let sweep: Vec<usize> =
         [1usize, 2, 4, 8].iter().copied().filter(|&s| s <= max_shards).collect();
@@ -153,39 +155,29 @@ fn main() {
     let mut violations = 0usize;
     for &nshards in &sweep {
         let stand = stand(nshards, force);
-        let report = run_host_workload(&stand.host, &stand.fs, &workload_config(clients, run));
+        let report = stand.run(clients, window);
         violations += stand.violations(&format!("shards/{nshards}"));
-        let per_sec = report.committed() as f64 / report.elapsed.as_secs_f64().max(1e-9);
+        let per_sec = report.per_sec();
         if nshards == sweep[0] {
             base_tput = per_sec;
         }
         last_tput = per_sec;
         last_shards = nshards;
         let rep = report.latency.report();
-        row(
-            &[
-                &nshards.to_string(),
-                &clients.to_string(),
-                &format!("{per_sec:.0}"),
-                &format!("{:.2}", rep.p50 as f64 / 1000.0),
-                &format!("{:.2}", rep.p99 as f64 / 1000.0),
-                &report.errors.to_string(),
-                &format!("{:.2}x", per_sec / base_tput.max(1e-9)),
-            ],
-            &w,
-        );
+        t.row(&[
+            &nshards.to_string(),
+            &clients.to_string(),
+            &format!("{per_sec:.0}"),
+            &format!("{:.2}", rep.p50 as f64 / 1000.0),
+            &format!("{:.2}", rep.p99 as f64 / 1000.0),
+            &report.errors.to_string(),
+            &format!("{:.2}x", per_sec / base_tput.max(1e-9)),
+        ]);
         arms.push(
-            JsonArm {
-                label: format!("shards/{nshards}"),
-                ops_per_sec: per_sec,
-                p50_us: rep.p50,
-                p95_us: rep.p95,
-                p99_us: rep.p99,
-                extra: Vec::new(),
-            }
-            .with("shards", nshards as f64)
-            .with("clients", clients as f64)
-            .with("errors", report.errors as f64),
+            JsonArm::from_hist(format!("shards/{nshards}"), per_sec, &report.latency)
+                .with("shards", nshards as f64)
+                .with("clients", clients as f64)
+                .with("errors", report.errors as f64),
         );
     }
 
@@ -203,7 +195,7 @@ fn main() {
 
     let host = stand.host.clone();
     let migrate = std::thread::spawn({
-        let delay = run / 4;
+        let delay = window / 4;
         move || {
             std::thread::sleep(delay);
             let t0 = Instant::now();
@@ -211,12 +203,12 @@ fn main() {
             (moved, t0.elapsed())
         }
     });
-    let report = run_host_workload(&stand.host, &stand.fs, &workload_config(migrate_clients, run));
+    let report = stand.run(migrate_clients, window);
     let (moved, mig_elapsed) = migrate.join().expect("migration thread must not panic");
     let moved = moved.expect("online migration must succeed under live traffic");
     let mig_violations = stand.violations("migrate");
     violations += mig_violations;
-    let mig_per_sec = report.committed() as f64 / report.elapsed.as_secs_f64().max(1e-9);
+    let mig_per_sec = report.per_sec();
     println!(
         "\nmigration: /wl/h0 {home} -> {target} on {mig_shards} shards moved {moved} rows in \
          {:.0} ms while {migrate_clients} clients committed {:.0} txn/s; \
@@ -224,18 +216,10 @@ fn main() {
         mig_elapsed.as_secs_f64() * 1000.0,
         mig_per_sec,
     );
-    let mig_rep = report.latency.report();
     arms.push(
-        JsonArm {
-            label: "migrate/4sh".into(),
-            ops_per_sec: mig_per_sec,
-            p50_us: mig_rep.p50,
-            p95_us: mig_rep.p95,
-            p99_us: mig_rep.p99,
-            extra: Vec::new(),
-        }
-        .with("moved_rows", moved as f64)
-        .with("violations", mig_violations as f64),
+        JsonArm::from_hist("migrate/4sh", mig_per_sec, &report.latency)
+            .with("moved_rows", moved as f64)
+            .with("violations", mig_violations as f64),
     );
 
     // A shard is worth adding when it brings most of its log device's

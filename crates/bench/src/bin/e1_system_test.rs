@@ -15,14 +15,13 @@
 //! 2. insert rate ≈ 2× update rate (updates do twice the datalink work);
 //! 3. rates in the low hundreds per minute with period hardware latencies.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use bench::{banner, env_num, env_secs, row};
+use bench::drivers::{HostClients, OpMix};
+use bench::{banner, env_num, env_secs, run, Load, Table};
 use datalinks::Deployment;
 use dlfm::AccessControl;
 use hostdb::DatalinkSpec;
-use workload::{run_host_workload, HostWorkloadConfig, OpMix};
 
 fn main() {
     banner(
@@ -63,55 +62,36 @@ fn main() {
     dep.host.db().set_index_stats("ix_media", 1_000_000).unwrap();
     drop(s);
 
-    let config = HostWorkloadConfig {
-        clients,
-        duration,
-        mix: OpMix { insert_pct: 40, update_pct: 20, delete_pct: 20, select_pct: 20 },
-        seed: 1,
-        table: "media".into(),
-        server: "fs1".into(),
-        base_dir: "/wl".into(),
-        // Closed-loop interactive applications: the paper's 100 clients were
-        // real apps, not open-loop stress generators. An 8 s think time plus
-        // the modelled I/O latencies lands the offered load in the paper's
-        // regime (~750 txns/min across the fleet).
-        think_time: Duration::from_millis(8_000),
-        warmup_ops: 3,
-    };
+    let apps = HostClients::new(&dep.host, &dep.fs, "fs1", OpMix::paper_mix(), 3);
+    // Closed-loop interactive applications: the paper's 100 clients were
+    // real apps, not open-loop stress generators. An 8 s think time plus
+    // the modelled I/O latencies lands the offered load in the paper's
+    // regime (~750 txns/min across the fleet).
+    let load = Load { think: Duration::from_millis(8_000), ..Load::new(clients, duration, 1) };
     println!("{clients} clients, {:?} measured, think 8s, log force 10ms\n", duration);
-    let report = run_host_workload(&dep.host, &dep.fs, &config);
+    let report = run(&load, |c| apps.client(c));
 
-    let w = [22, 14, 14];
-    row(&["metric", "measured", "paper"], &w);
-    row(&["--------------------", "----------", "----------"], &w);
-    row(&["inserts/min", &format!("{:.0}", report.inserts_per_min()), "300"], &w);
-    row(&["updates/min", &format!("{:.0}", report.updates_per_min()), "150"], &w);
-    row(
-        &[
-            "insert:update ratio",
-            &format!("{:.2}", report.inserts_per_min() / report.updates_per_min().max(1e-9)),
-            "2.00",
-        ],
-        &w,
-    );
-    row(
-        &[
-            "deadlocks /1k txns",
-            &format!("{:.2}", bench::per_1k(report.deadlocks, report.committed())),
-            "~0",
-        ],
-        &w,
-    );
-    row(
-        &[
-            "timeouts /1k txns",
-            &format!("{:.2}", bench::per_1k(report.timeouts, report.committed())),
-            "~0",
-        ],
-        &w,
-    );
-    row(&["errors", &report.errors.to_string(), "-"], &w);
-    println!("\nlatency: {}", report.latency.summary());
+    // The rule runs past the names here: pad them to its length.
+    let t = Table::new(&[("metric              ", 22), ("measured  ", 14), ("paper     ", 14)]);
+    t.row(&["inserts/min", &format!("{:.0}", report.inserts_per_min()), "300"]);
+    t.row(&["updates/min", &format!("{:.0}", report.updates_per_min()), "150"]);
+    t.row(&[
+        "insert:update ratio",
+        &format!("{:.2}", report.inserts_per_min() / report.updates_per_min().max(1e-9)),
+        "2.00",
+    ]);
+    t.row(&[
+        "deadlocks /1k txns",
+        &format!("{:.2}", bench::per_1k(report.deadlocks, report.committed())),
+        "~0",
+    ]);
+    t.row(&[
+        "timeouts /1k txns",
+        &format!("{:.2}", bench::per_1k(report.timeouts, report.committed())),
+        "~0",
+    ]);
+    t.row(&["errors", &report.errors.to_string(), "-"]);
+    println!("\nlatency: {}", bench::hist::summary(&report.latency));
     println!("total committed: {}", report.committed());
 
     let dlfm_metrics = dep.dlfm.metrics().snapshot();
@@ -139,7 +119,7 @@ fn main() {
         "100-client system test",
         &[bench::JsonArm {
             label: format!("{clients}clients"),
-            ops_per_sec: report.committed() as f64 / duration.as_secs_f64().max(1e-9),
+            ops_per_sec: report.per_sec(),
             p50_us: lr.p50,
             p95_us: lr.p95,
             p99_us: lr.p99,
@@ -153,5 +133,4 @@ fn main() {
         }],
     );
     bench::dump_metrics(&dep.dlfm.metrics_text());
-    let _ = Arc::strong_count(&dep.fs);
 }

@@ -11,30 +11,20 @@
 //! deadlocks/timeouts per 1k transactions and lower throughput; OFF is
 //! (nearly) deadlock-free.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use bench::{banner, env_num, env_secs, per_1k, row, Stand};
-use workload::{run_dlfm_workload, DlfmWorkloadConfig, IdSource, OpMix};
+use bench::drivers::{DlfmClients, OpMix};
+use bench::{banner, env_num, env_secs, per_1k, run, Load, Stand, Table};
 
 fn run_arm(next_key: bool, clients: usize, duration: Duration) -> (f64, f64, f64, u64, String) {
     let stand = Stand::tuned(Duration::from_millis(250));
     // Isolate the next-key variable; everything else stays tuned.
     stand.server.db().set_next_key_locking(next_key);
-    // Preload some linked files so updates/deletes contend immediately.
-    let ids = Arc::new(IdSource::new(1_000));
-    let config = DlfmWorkloadConfig {
-        clients,
-        duration,
-        mix: OpMix::churn(),
-        seed: 11,
-        grp_id: stand.grp_id,
-        base_dir: "/wl".into(),
-    };
-    let report = run_dlfm_workload(&stand.server.connector(), &stand.fs, &config, &ids);
+    let apps = DlfmClients::new(stand.server.connector(), &stand.fs, stand.grp_id, OpMix::churn());
+    let report = run(&Load::new(clients, duration, 11), |c| apps.client(c));
     let lock = stand.server.db().lock_metrics().snapshot();
     (
-        report.committed() as f64 / report.elapsed.as_secs_f64(),
+        report.per_sec(),
         per_1k(report.deadlocks + lock.deadlocks, report.committed()),
         per_1k(report.timeouts, report.committed()),
         lock.deadlocks,
@@ -51,9 +41,14 @@ fn main() {
     let duration = env_secs("RUN_SECS", 5.0);
     let clients_list = [4, env_num("CLIENTS", 16)];
 
-    let w = [8, 10, 14, 18, 18, 14];
-    row(&["clients", "next-key", "txns/sec", "deadlocks/1k", "timeouts/1k", "lm deadlocks"], &w);
-    row(&["-------", "--------", "--------", "------------", "-----------", "------------"], &w);
+    let t = Table::new(&[
+        ("clients", 8),
+        ("next-key", 10),
+        ("txns/sec", 14),
+        ("deadlocks/1k", 18),
+        ("timeouts/1k", 18),
+        ("lm deadlocks", 14),
+    ]);
     let mut on_rate = vec![];
     let mut off_rate = vec![];
     let mut last_metrics = String::new();
@@ -62,17 +57,14 @@ fn main() {
             let (tps, dl_per_1k, to_per_1k, lm_deadlocks, metrics) =
                 run_arm(next_key, clients, duration);
             last_metrics = metrics;
-            row(
-                &[
-                    &clients.to_string(),
-                    if next_key { "ON" } else { "OFF" },
-                    &format!("{tps:.0}"),
-                    &format!("{dl_per_1k:.2}"),
-                    &format!("{to_per_1k:.2}"),
-                    &lm_deadlocks.to_string(),
-                ],
-                &w,
-            );
+            t.row(&[
+                &clients.to_string(),
+                if next_key { "ON" } else { "OFF" },
+                &format!("{tps:.0}"),
+                &format!("{dl_per_1k:.2}"),
+                &format!("{to_per_1k:.2}"),
+                &lm_deadlocks.to_string(),
+            ]);
             if next_key {
                 on_rate.push(dl_per_1k + to_per_1k);
             } else {

@@ -14,12 +14,11 @@
 //!      under table-scan plans vs index plans;
 //!  (c) the RUNSTATS hazard: overwrite, detection, re-application, rebind.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use bench::{banner, env_num, env_secs, per_1k, row, Stand};
+use bench::drivers::{DlfmClients, OpMix};
+use bench::{banner, env_num, env_secs, per_1k, run, Load, Stand, Table};
 use minidb::Session;
-use workload::{run_dlfm_workload, DlfmWorkloadConfig, IdSource, OpMix};
 
 fn main() {
     banner(
@@ -48,9 +47,13 @@ fn main() {
 
     // ---- (b) concurrent throughput under each plan -----------------------
     println!("\n--- (b) concurrent link/unlink workload, {clients} clients, {duration:?} ---");
-    let w = [16, 12, 16, 14, 16];
-    row(&["stats", "txns/sec", "rollbacks/1k", "lock waits", "acquisitions"], &w);
-    row(&["-----", "--------", "------------", "----------", "------------"], &w);
+    let t = Table::new(&[
+        ("stats", 16),
+        ("txns/sec", 12),
+        ("rollbacks/1k", 16),
+        ("lock waits", 14),
+        ("acquisitions", 16),
+    ]);
     let mut results = Vec::new();
     for hand_crafted in [false, true] {
         let stand = if hand_crafted {
@@ -60,28 +63,18 @@ fn main() {
             s.server.db().set_next_key_locking(false); // isolate plan effect
             s
         };
-        let ids = Arc::new(IdSource::new(1_000));
-        let config = DlfmWorkloadConfig {
-            clients,
-            duration,
-            mix: OpMix::churn(),
-            seed: 5,
-            grp_id: stand.grp_id,
-            base_dir: "/wl".into(),
-        };
-        let report = run_dlfm_workload(&stand.server.connector(), &stand.fs, &config, &ids);
+        let apps =
+            DlfmClients::new(stand.server.connector(), &stand.fs, stand.grp_id, OpMix::churn());
+        let report = run(&Load::new(clients, duration, 5), |c| apps.client(c));
         let lock = stand.server.db().lock_metrics().snapshot();
-        let tps = report.committed() as f64 / report.elapsed.as_secs_f64();
-        row(
-            &[
-                if hand_crafted { "hand-crafted" } else { "fresh (TBSCAN)" },
-                &format!("{tps:.0}"),
-                &format!("{:.2}", per_1k(report.forced_rollbacks(), report.committed())),
-                &lock.waits.to_string(),
-                &lock.acquisitions.to_string(),
-            ],
-            &w,
-        );
+        let tps = report.per_sec();
+        t.row(&[
+            if hand_crafted { "hand-crafted" } else { "fresh (TBSCAN)" },
+            &format!("{tps:.0}"),
+            &format!("{:.2}", per_1k(report.forced_rollbacks(), report.committed())),
+            &lock.waits.to_string(),
+            &lock.acquisitions.to_string(),
+        ]);
         results.push(tps);
     }
     println!("\nindex plans vs table scans: {:.1}x throughput", results[1] / results[0].max(1e-9));

@@ -19,11 +19,10 @@
 //!  * small batches (frequent commits)      => no escalation, healthy, the
 //!    paper's fix.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-use bench::{banner, env_num, env_secs, per_1k, row};
+use bench::{banner, env_num, env_secs, per_1k, run, Load, Op, Table};
 use minidb::{Database, DbConfig, Session, Value};
 
 const ROWS: i64 = 1600;
@@ -50,37 +49,21 @@ fn make_db(threshold: Option<usize>) -> Database {
 }
 
 /// Daemon: updates `batch` consecutive rows per transaction, 1 ms of
-/// (simulated file-system) work per row.
-fn spawn_daemon(db: Database, batch: usize, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<u64> {
-    std::thread::spawn(move || {
-        let mut s = Session::new(&db);
-        let mut cursor = 0i64;
-        let mut rows_processed = 0u64;
-        while !stop.load(Ordering::SeqCst) {
-            if s.begin().is_err() {
-                break;
-            }
-            let mut ok = true;
+/// (simulated file-system) work per row, until `stop`.
+fn daemon(db: &Database, batch: usize, stop: &AtomicBool) {
+    let mut s = Session::new(db);
+    let mut cursor = 0i64;
+    while !stop.load(Ordering::SeqCst) {
+        let _ = bench::in_txn(&mut s, Op::Update, |s| {
             for k in 0..batch as i64 {
                 let id = (cursor + k) % (ROWS / 2);
-                if s.exec_params("UPDATE meta SET state = 1 WHERE id = ?", &[Value::Int(id)])
-                    .is_err()
-                {
-                    ok = false;
-                    break;
-                }
+                s.exec_params("UPDATE meta SET state = 1 WHERE id = ?", &[Value::Int(id)])?;
                 std::thread::sleep(Duration::from_millis(1));
             }
-            if ok {
-                let _ = s.commit();
-                rows_processed += batch as u64;
-            } else {
-                s.rollback();
-            }
-            cursor = (cursor + batch as i64) % (ROWS / 2);
-        }
-        rows_processed
-    })
+            Ok(())
+        });
+        cursor = (cursor + batch as i64) % (ROWS / 2);
+    }
 }
 
 struct ArmOutcome {
@@ -101,54 +84,28 @@ fn run_arm(
     // Loading the table in one transaction escalates once by itself: count
     // only what the run adds.
     let setup = db.lock_metrics().snapshot().escalations;
-    let stop = Arc::new(AtomicBool::new(false));
-    let daemon = spawn_daemon(db.clone(), batch, stop.clone());
-
-    let committed = Arc::new(AtomicU64::new(0));
-    let timeouts = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let db = db.clone();
-        let stop = stop.clone();
-        let committed = committed.clone();
-        let timeouts = timeouts.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut s = Session::new(&db);
-            // Clients work on the upper half of the table; the daemon only
-            // touches the lower half. With row locks the two never
-            // conflict — only a table-level escalation can stall clients.
-            let mut n = c as i64;
-            while !stop.load(Ordering::SeqCst) {
+    let stop = AtomicBool::new(false);
+    let report = std::thread::scope(|scope| {
+        scope.spawn(|| daemon(&db, batch, &stop));
+        // Clients work on the upper half of the table; the daemon only
+        // touches the lower half. With row locks the two never conflict —
+        // only a table-level escalation can stall clients.
+        let report = run(&Load::new(clients, duration, 0), |c| {
+            let (mut s, mut n) = (Session::new(&db), c as i64);
+            move |_| {
                 n = ROWS / 2 + ((n + 37) % (ROWS / 2));
-                match s.exec_params("UPDATE meta SET state = 2 WHERE id = ?", &[Value::Int(n)]) {
-                    Ok(_) => {
-                        committed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(minidb::DbError::LockTimeout { .. })
-                    | Err(minidb::DbError::Deadlock { .. }) => {
-                        timeouts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {}
-                }
+                s.exec_params("UPDATE meta SET state = 2 WHERE id = ?", &[Value::Int(n)])?;
+                Ok(Op::Update)
             }
-        }));
-    }
-    let t0 = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::SeqCst);
-    for h in handles {
-        h.join().unwrap();
-    }
-    let _ = daemon.join();
-    let elapsed = t0.elapsed().as_secs_f64();
+        });
+        stop.store(true, Ordering::SeqCst);
+        report
+    });
     let lock = db.lock_metrics().snapshot();
-    let committed = committed.load(Ordering::Relaxed);
+    let aborts = report.forced_rollbacks();
     ArmOutcome {
-        client_tps: committed as f64 / elapsed,
-        timeouts_per_1k: per_1k(
-            timeouts.load(Ordering::Relaxed),
-            (committed + timeouts.load(Ordering::Relaxed)).max(1),
-        ),
+        client_tps: report.per_sec(),
+        timeouts_per_1k: per_1k(aborts, (report.committed() + aborts).max(1)),
         escalations: lock.escalations - setup,
         metrics: db.metrics_text(),
     }
@@ -168,9 +125,13 @@ fn main() {
          (disjoint rows!), {duration:?} per arm\n"
     );
 
-    let w = [26, 10, 16, 18, 13];
-    row(&["arm", "batch", "client txns/sec", "client aborts/1k", "escalations"], &w);
-    row(&["---", "-----", "---------------", "----------------", "-----------"], &w);
+    let t = Table::new(&[
+        ("arm", 26),
+        ("batch", 10),
+        ("client txns/sec", 16),
+        ("client aborts/1k", 18),
+        ("escalations", 13),
+    ]);
     let arms: [(&str, Option<usize>, usize); 3] = [
         ("threshold 100, batch 600", Some(100), 600),
         ("escalation off, batch 600", None, 600),
@@ -179,16 +140,13 @@ fn main() {
     let mut results = Vec::new();
     for (label, threshold, batch) in arms {
         let o = run_arm(threshold, batch, clients, duration);
-        row(
-            &[
-                label,
-                &batch.to_string(),
-                &format!("{:.0}", o.client_tps),
-                &format!("{:.1}", o.timeouts_per_1k),
-                &o.escalations.to_string(),
-            ],
-            &w,
-        );
+        t.row(&[
+            label,
+            &batch.to_string(),
+            &format!("{:.0}", o.client_tps),
+            &format!("{:.1}", o.timeouts_per_1k),
+            &o.escalations.to_string(),
+        ]);
         results.push(o);
     }
     let collapse = &results[0];

@@ -20,7 +20,8 @@
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use bench::{banner, row};
+use bench::guard::{self, Paired};
+use bench::{banner, Table};
 use datalinks::Deployment;
 use dlfm::AccessControl;
 use hostdb::DatalinkSpec;
@@ -168,68 +169,31 @@ fn run_arm(synchronous: bool, watchdog: bool) -> Outcome {
     Outcome { livelocked, retries_in_window, total, metrics: dep.dlfm.metrics_text(), watch_alerts }
 }
 
-/// Flight-recorder overhead guard: the journal's disarmed fast path is
-/// claimed to be one relaxed atomic load. Check it instead of asserting
-/// it — run the same local commit loop with the journal disarmed and
-/// armed and report both rates and the delta. Must run before the
-/// scenario arms, which start a `DlfmServer` (that arms the journal).
-fn journal_overhead_guard() -> (f64, f64) {
+/// The commit loop the journal and watch guards time: 2 000 autocommit
+/// inserts into a fresh database (each one commit, i.e. one WAL force —
+/// the journaled event on this path when armed), optionally with a 10 ms
+/// telemetry sampler scraping the engine's full snapshot. Commits/s.
+fn commit_rate(sampled: bool) -> f64 {
     const OPS: i64 = 2_000;
-    let run = || {
-        let db = minidb::Database::new(minidb::DbConfig::dlfm_tuned());
-        let mut s = Session::new(&db);
-        s.exec("CREATE TABLE j (id BIGINT NOT NULL, n INTEGER)").unwrap();
-        s.exec("CREATE UNIQUE INDEX ix_j ON j (id)").unwrap();
-        let started = Instant::now();
-        for i in 0..OPS {
-            // Autocommit: each insert is one commit, i.e. one WAL force —
-            // the journaled event on this path when armed.
-            s.exec_params("INSERT INTO j (id, n) VALUES (?, 0)", &[Value::Int(i)]).unwrap();
-        }
-        OPS as f64 / started.elapsed().as_secs_f64()
-    };
-    obs::journal::disarm();
-    // Warm-up run (allocator, plan cache) so neither arm pays first-run cost.
-    let _ = run();
-    let disarmed = run();
-    obs::journal::arm();
-    let armed = run();
-    obs::journal::disarm();
-    (disarmed, armed)
-}
-
-/// Telemetry-sampler overhead guard, same shape as
-/// [`journal_overhead_guard`]: the watchdog samples on its own thread, so
-/// the workload should only pay for the shared metric counters it already
-/// maintains. Run the commit loop bare and with a 10 ms sampler scraping
-/// the engine's full snapshot, and report both rates and the delta.
-fn watch_overhead_guard() -> (f64, f64) {
-    const OPS: i64 = 2_000;
-    let run = |watch: bool| {
-        let db = minidb::Database::new(minidb::DbConfig::dlfm_tuned());
-        let _watch = watch.then(|| {
-            let scraped = db.clone();
-            obs::Watchdog::new(obs::WatchConfig {
-                interval: Duration::from_millis(10),
-                rules: dlfm::default_watch_rules(),
-                ..Default::default()
-            })
-            .provider("minidb", move || scraped.metrics_text())
-            .spawn()
-        });
-        let mut s = Session::new(&db);
-        s.exec("CREATE TABLE w (id BIGINT NOT NULL, n INTEGER)").unwrap();
-        s.exec("CREATE UNIQUE INDEX ix_w ON w (id)").unwrap();
-        let started = Instant::now();
-        for i in 0..OPS {
-            s.exec_params("INSERT INTO w (id, n) VALUES (?, 0)", &[Value::Int(i)]).unwrap();
-        }
-        OPS as f64 / started.elapsed().as_secs_f64()
-    };
-    let _ = run(false);
-    let bare = run(false);
-    let sampled = run(true);
-    (bare, sampled)
+    let db = minidb::Database::new(minidb::DbConfig::dlfm_tuned());
+    let _watch = sampled.then(|| {
+        let scraped = db.clone();
+        obs::Watchdog::new(obs::WatchConfig {
+            interval: Duration::from_millis(10),
+            rules: dlfm::default_watch_rules(),
+            ..Default::default()
+        })
+        .provider("minidb", move || scraped.metrics_text())
+        .spawn()
+    });
+    let mut s = Session::new(&db);
+    s.exec("CREATE TABLE j (id BIGINT NOT NULL, n INTEGER)").unwrap();
+    s.exec("CREATE UNIQUE INDEX ix_j ON j (id)").unwrap();
+    let started = Instant::now();
+    for i in 0..OPS {
+        s.exec_params("INSERT INTO j (id, n) VALUES (?, 0)", &[Value::Int(i)]).unwrap();
+    }
+    OPS as f64 / started.elapsed().as_secs_f64()
 }
 
 fn main() {
@@ -239,59 +203,67 @@ fn main() {
         "asynchronous commit forms a distributed deadlock invisible to local detectors; \
          synchronous commit prevents it (and the timeout is the only cure)",
     );
-    let (disarmed, armed) = journal_overhead_guard();
-    let delta_pct = (disarmed - armed) / disarmed * 100.0;
-    println!(
-        "journal guard: {disarmed:.0} commits/s disarmed vs {armed:.0} commits/s armed \
-         (armed delta {delta_pct:+.1}%); disarmed fast path is one relaxed load, \
-         expected within noise (< 5%)\n"
+    // Flight-recorder guard: the journal's disarmed fast path is claimed
+    // to be one relaxed atomic load. It runs before the scenario arms and
+    // the wire guard, which start a `DlfmServer` (that arms the journal).
+    let journal = Paired::run(|armed| {
+        if armed {
+            obs::journal::arm();
+        }
+        let rate = commit_rate(false);
+        obs::journal::disarm();
+        rate
+    });
+    journal.print(
+        "e5",
+        "journal guard",
+        "commits/s",
+        ("armed", "disarmed"),
+        "the disarmed fast path is one relaxed load",
     );
-    let (bare, sampled) = watch_overhead_guard();
-    let watch_delta_pct = (bare - sampled) / bare * 100.0;
-    println!(
-        "watch guard: {bare:.0} commits/s bare vs {sampled:.0} commits/s with a 10 ms \
-         sampler attached (sampler delta {watch_delta_pct:+.1}%); scraping runs on the \
-         sampler thread, expected within noise (< 5%)\n"
+    // Telemetry-sampler guard: the watchdog samples on its own thread, so
+    // the workload should only pay for the counters it already maintains.
+    let watch = Paired::run(commit_rate);
+    watch.print(
+        "e5",
+        "watch guard",
+        "commits/s",
+        ("with a 10 ms sampler", "bare"),
+        "scraping runs on the sampler thread",
     );
-    let wire = bench::wire_trace_guard();
-    let n = wire.len() as f64;
-    let (wire_on, wire_off) =
-        wire.iter().fold((0.0, 0.0), |(a, b), (on, off)| (a + on / n, b + off / n));
-    let wire_delta_pct = bench::wire_trace_delta_pct(&wire);
-    println!(
-        "wire-trace guard: {wire_off:.0} links/s propagation off vs {wire_on:.0} links/s \
-         on over loopback TCP (mean of each side; median per-pair delta \
-         {wire_delta_pct:+.1}%); stamping is two header fields per frame, expected within \
-         noise (< 5%)\n"
+    let wire = guard::wire_trace();
+    wire.print(
+        "e5",
+        "wire-trace guard",
+        "links/s",
+        ("propagation on", "propagation off"),
+        "stamping is two header fields per frame over loopback TCP",
     );
-    bench::wire_trace_gate("e5", &wire);
+    wire.gate("e5");
     let watchdog_on = std::env::var("WATCHDOG").as_deref() == Ok("1");
     if watchdog_on {
         println!("WATCHDOG=1: telemetry watchdog armed on the sync arm (must stay silent)\n");
     }
-    let w = [14, 22, 20, 14];
-    row(&["commit mode", "livelock observed", "phase-2 retries", "total time"], &w);
-    row(&["-----------", "-----------------", "---------------", "----------"], &w);
+    let t = Table::new(&[
+        ("commit mode", 14),
+        ("livelock observed", 22),
+        ("phase-2 retries", 20),
+        ("total time", 14),
+    ]);
     let async_outcome = run_arm(false, false);
-    row(
-        &[
-            "ASYNCHRONOUS",
-            if async_outcome.livelocked { "YES (cycle formed)" } else { "no" },
-            &async_outcome.retries_in_window.to_string(),
-            &format!("{:.2}s", async_outcome.total.as_secs_f64()),
-        ],
-        &w,
-    );
+    t.row(&[
+        "ASYNCHRONOUS",
+        if async_outcome.livelocked { "YES (cycle formed)" } else { "no" },
+        &async_outcome.retries_in_window.to_string(),
+        &format!("{:.2}s", async_outcome.total.as_secs_f64()),
+    ]);
     let sync_outcome = run_arm(true, watchdog_on);
-    row(
-        &[
-            "SYNCHRONOUS",
-            if sync_outcome.livelocked { "YES (cycle formed)" } else { "no" },
-            &sync_outcome.retries_in_window.to_string(),
-            &format!("{:.2}s", sync_outcome.total.as_secs_f64()),
-        ],
-        &w,
-    );
+    t.row(&[
+        "SYNCHRONOUS",
+        if sync_outcome.livelocked { "YES (cycle formed)" } else { "no" },
+        &sync_outcome.retries_in_window.to_string(),
+        &format!("{:.2}s", sync_outcome.total.as_secs_f64()),
+    ]);
     println!(
         "\nverdict: {}",
         if async_outcome.livelocked
@@ -318,26 +290,22 @@ fn main() {
             ("watch_alerts".into(), o.watch_alerts as f64),
         ],
     };
-    let guard_arm = |label: &str, rate: f64, key: &str, pct: f64| bench::JsonArm {
-        label: label.to_string(),
-        ops_per_sec: rate,
-        p50_us: 0,
-        p95_us: 0,
-        p99_us: 0,
-        extra: vec![(key.to_string(), pct)],
-    };
+    let [journal_armed, journal_disarmed] =
+        journal.arms("journal_armed", "journal_disarmed", "journal_delta_pct");
+    let [watch_sampled, watch_bare] = watch.arms("watch_sampled", "watch_bare", "watch_delta_pct");
+    let [wire_on, wire_off] = wire.arms("wire_trace_on", "wire_trace_off", "wire_trace_delta_pct");
     bench::write_json_summary(
         "E5",
         "synchronous vs asynchronous commit API",
         &[
             arm("async", &async_outcome),
             arm("sync", &sync_outcome),
-            guard_arm("journal_disarmed", disarmed, "journal_delta_pct", delta_pct),
-            guard_arm("journal_armed", armed, "journal_delta_pct", delta_pct),
-            guard_arm("watch_bare", bare, "watch_delta_pct", watch_delta_pct),
-            guard_arm("watch_sampled", sampled, "watch_delta_pct", watch_delta_pct),
-            guard_arm("wire_trace_on", wire_on, "wire_trace_delta_pct", wire_delta_pct),
-            guard_arm("wire_trace_off", wire_off, "wire_trace_delta_pct", wire_delta_pct),
+            journal_disarmed,
+            journal_armed,
+            watch_bare,
+            watch_sampled,
+            wire_on,
+            wire_off,
         ],
     );
     bench::dump_metrics(&sync_outcome.metrics);

@@ -19,11 +19,10 @@
 //! 100x down: 600 ms), where unnecessary rollbacks have vanished but
 //! deadlock stalls are still bounded.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use bench::{banner, env_secs, row};
+use bench::{banner, env_secs, in_txn, run, Load, Op, Report, Table};
 use minidb::{Database, DbConfig, Session, Value};
 
 fn make_db(timeout: Duration) -> Database {
@@ -46,8 +45,7 @@ fn make_db(timeout: Duration) -> Database {
 }
 
 struct ArmResult {
-    committed: u64,
-    timeouts: u64,
+    report: Report,
     p_max_stall_ms: u64,
     /// Prometheus text captured before the arm's database is torn down.
     metrics: String,
@@ -57,112 +55,43 @@ struct ArmResult {
 /// the clients lock (a, b), the other half (b, a).
 fn deadlock_arm(timeout: Duration, duration: Duration) -> ArmResult {
     let db = make_db(timeout);
-    let stop = Arc::new(AtomicBool::new(false));
-    let committed = Arc::new(AtomicU64::new(0));
-    let timeouts = Arc::new(AtomicU64::new(0));
-    let max_stall = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for c in 0..6 {
-        let db = db.clone();
-        let stop = stop.clone();
-        let committed = committed.clone();
-        let timeouts = timeouts.clone();
-        let max_stall = max_stall.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut s = Session::new(&db);
-            let mut n = 0u64;
-            while !stop.load(Ordering::SeqCst) {
-                n += 1;
-                let pair = (n % 8) as i64;
-                let (first, second) =
-                    if c % 2 == 0 { (pair * 2, pair * 2 + 1) } else { (pair * 2 + 1, pair * 2) };
-                let t0 = Instant::now();
-                if s.begin().is_err() {
-                    continue;
-                }
-                let r = s
-                    .exec_params("UPDATE r SET v = 1 WHERE id = ?", &[Value::Int(first)])
-                    .and_then(|_| {
-                        std::thread::sleep(Duration::from_millis(2));
-                        s.exec_params("UPDATE r SET v = 1 WHERE id = ?", &[Value::Int(second)])
-                    });
-                match r {
-                    Ok(_) => {
-                        let _ = s.commit();
-                        committed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        s.rollback();
-                        if matches!(e, minidb::DbError::LockTimeout { .. }) {
-                            timeouts.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                max_stall.fetch_max(t0.elapsed().as_millis() as u64, Ordering::Relaxed);
-            }
-        }));
-    }
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::SeqCst);
-    for h in handles {
-        h.join().unwrap();
-    }
-    ArmResult {
-        committed: committed.load(Ordering::Relaxed),
-        timeouts: timeouts.load(Ordering::Relaxed),
-        p_max_stall_ms: max_stall.load(Ordering::Relaxed),
-        metrics: db.metrics_text(),
-    }
+    let max_stall = AtomicU64::new(0);
+    let report = run(&Load::new(6, duration, 0), |c| {
+        let (mut s, mut n, max_stall) = (Session::new(&db), 0u64, &max_stall);
+        move |_| {
+            n += 1;
+            let pair = (n % 8) as i64;
+            let (first, second) =
+                if c % 2 == 0 { (pair * 2, pair * 2 + 1) } else { (pair * 2 + 1, pair * 2) };
+            let t0 = Instant::now();
+            let r = in_txn(&mut s, Op::Update, |s| {
+                s.exec_params("UPDATE r SET v = 1 WHERE id = ?", &[Value::Int(first)])?;
+                std::thread::sleep(Duration::from_millis(2));
+                s.exec_params("UPDATE r SET v = 1 WHERE id = ?", &[Value::Int(second)]).map(drop)
+            });
+            max_stall.fetch_max(t0.elapsed().as_millis() as u64, Ordering::Relaxed);
+            r
+        }
+    });
+    ArmResult { report, p_max_stall_ms: max_stall.into_inner(), metrics: db.metrics_text() }
 }
 
 /// Slow-holder workload: transactions hold a row lock ~150 ms; contention
 /// but no deadlock. Any timeout here is an unnecessary rollback.
 fn slow_holder_arm(timeout: Duration, duration: Duration) -> ArmResult {
     let db = make_db(timeout);
-    let stop = Arc::new(AtomicBool::new(false));
-    let committed = Arc::new(AtomicU64::new(0));
-    let timeouts = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for _ in 0..4 {
-        let db = db.clone();
-        let stop = stop.clone();
-        let committed = committed.clone();
-        let timeouts = timeouts.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut s = Session::new(&db);
-            while !stop.load(Ordering::SeqCst) {
-                if s.begin().is_err() {
-                    continue;
-                }
+    let report = run(&Load::new(4, duration, 0), |_| {
+        let mut s = Session::new(&db);
+        move |_| {
+            in_txn(&mut s, Op::Update, |s| {
                 // Everyone wants row 0; the holder keeps it 150 ms.
-                let r = s.exec("UPDATE r SET v = 2 WHERE id = 0");
-                match r {
-                    Ok(_) => {
-                        std::thread::sleep(Duration::from_millis(150));
-                        let _ = s.commit();
-                        committed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        s.rollback();
-                        if matches!(e, minidb::DbError::LockTimeout { .. }) {
-                            timeouts.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }));
-    }
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::SeqCst);
-    for h in handles {
-        h.join().unwrap();
-    }
-    ArmResult {
-        committed: committed.load(Ordering::Relaxed),
-        timeouts: timeouts.load(Ordering::Relaxed),
-        p_max_stall_ms: 0,
-        metrics: db.metrics_text(),
-    }
+                s.exec("UPDATE r SET v = 2 WHERE id = 0")?;
+                std::thread::sleep(Duration::from_millis(150));
+                Ok(())
+            })
+        }
+    });
+    ArmResult { report, p_max_stall_ms: 0, metrics: db.metrics_text() }
 }
 
 fn main() {
@@ -175,29 +104,14 @@ fn main() {
     // 60 s in the paper; our latencies are ~100x smaller, so 600 ms plays
     // the same role in the sweep.
     let timeouts_ms = [75u64, 150, 300, 600, 1200, 2400];
-    let w = [12, 13, 16, 15, 17, 18];
-    row(
-        &[
-            "timeout",
-            "dl txns/sec",
-            "dl max stall",
-            "dl timeouts",
-            "healthy txns/s",
-            "unnecessary rb",
-        ],
-        &w,
-    );
-    row(
-        &[
-            "-------",
-            "-----------",
-            "------------",
-            "-----------",
-            "--------------",
-            "--------------",
-        ],
-        &w,
-    );
+    Table::new(&[
+        ("timeout", 12),
+        ("dl txns/sec", 13),
+        ("dl max stall", 16),
+        ("dl timeouts", 15),
+        ("healthy txns/s", 17),
+        ("unnecessary rb", 18),
+    ]);
     let mut picked_metrics = String::new();
     for &ms in &timeouts_ms {
         let t = Duration::from_millis(ms);
@@ -210,11 +124,11 @@ fn main() {
         println!(
             "{:<12}  {:<13}  {:<16}  {:<15}  {:<17}  {:<18}{}",
             format!("{ms}ms"),
-            format!("{:.0}", dl.committed as f64 / duration.as_secs_f64()),
+            format!("{:.0}", dl.report.per_sec()),
             format!("{}ms", dl.p_max_stall_ms),
-            dl.timeouts,
-            format!("{:.0}", healthy.committed as f64 / duration.as_secs_f64()),
-            healthy.timeouts,
+            dl.report.timeouts,
+            format!("{:.0}", healthy.report.per_sec()),
+            healthy.report.timeouts,
             marker
         );
     }

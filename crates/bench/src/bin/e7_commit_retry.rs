@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bench::{banner, env_secs, row, Stand};
+use bench::{banner, env_secs, Stand, Table};
 use dlfm::{DlfmRequest, DlfmResponse};
 use minidb::Session;
 
@@ -145,16 +145,14 @@ fn main() {
     interloper.join().unwrap();
 
     let m = stand.server.metrics().snapshot();
-    let w = [30, 12];
-    row(&["metric", "value"], &w);
-    row(&["------", "-----"], &w);
-    row(&["phase-2 commits completed", &commits.to_string()], &w);
-    row(&["phase-2 retries needed", &m.phase2_retries.to_string()], &w);
-    row(
-        &["retries per commit", &format!("{:.3}", m.phase2_retries as f64 / commits.max(1) as f64)],
-        &w,
-    );
-    row(&["phase-2 failures", "0 (by construction: assert)"], &w);
+    let t = Table::new(&[("metric", 30), ("value", 12)]);
+    t.row(&["phase-2 commits completed", &commits.to_string()]);
+    t.row(&["phase-2 retries needed", &m.phase2_retries.to_string()]);
+    t.row(&[
+        "retries per commit",
+        &format!("{:.3}", m.phase2_retries as f64 / commits.max(1) as f64),
+    ]);
+    t.row(&["phase-2 failures", "0 (by construction: assert)"]);
     println!(
         "\nverdict: REPRODUCED — SQL commit acquires no locks while DLFM commit does; \
          with conflicts injected, {} commits all succeeded after {} total retries \

@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use bench::{banner, env_num, row, Stand};
+use bench::{banner, env_num, Stand, Table};
 use dlfm::{AccessControl, DbErrorKind, DlfmConfig, DlfmError, DlfmRequest, DlfmResponse};
 
 const LOG_CAPACITY: usize = 800;
@@ -102,31 +102,15 @@ fn main() {
     let files = env_num("SCALE", 1) * 1500;
     println!("bulk load of {files} links, DLFM log capacity {LOG_CAPACITY} records\n");
 
-    let w = [16, 10, 12, 14, 11, 14, 10];
-    row(
-        &[
-            "chunk size N",
-            "result",
-            "links done",
-            "chunk commits",
-            "log forces",
-            "peak log win",
-            "capacity",
-        ],
-        &w,
-    );
-    row(
-        &[
-            "------------",
-            "------",
-            "----------",
-            "-------------",
-            "----------",
-            "------------",
-            "--------",
-        ],
-        &w,
-    );
+    let t = Table::new(&[
+        ("chunk size N", 16),
+        ("result", 10),
+        ("links done", 12),
+        ("chunk commits", 14),
+        ("log forces", 11),
+        ("peak log win", 14),
+        ("capacity", 10),
+    ]);
     let mut no_chunk_failed = false;
     let mut chunked_ok = true;
     let mut last_metrics = String::new();
@@ -155,24 +139,21 @@ fn main() {
                 ("peak_log_window".into(), o.peak_window as f64),
             ],
         });
-        row(
-            &[
-                &label,
-                if o.ok {
-                    "OK"
-                } else if o.log_full {
-                    "LOG FULL"
-                } else {
-                    "failed"
-                },
-                &o.links_done.to_string(),
-                &o.chunk_commits.to_string(),
-                &o.load_forces.to_string(),
-                &o.peak_window.to_string(),
-                &LOG_CAPACITY.to_string(),
-            ],
-            &w,
-        );
+        t.row(&[
+            &label,
+            if o.ok {
+                "OK"
+            } else if o.log_full {
+                "LOG FULL"
+            } else {
+                "failed"
+            },
+            &o.links_done.to_string(),
+            &o.chunk_commits.to_string(),
+            &o.load_forces.to_string(),
+            &o.peak_window.to_string(),
+            &LOG_CAPACITY.to_string(),
+        ]);
         match chunk {
             None => no_chunk_failed = o.log_full,
             Some(n) if n * 2 < LOG_CAPACITY => chunked_ok &= o.ok && o.peak_window <= LOG_CAPACITY,

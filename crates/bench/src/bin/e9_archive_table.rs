@@ -13,12 +13,11 @@
 //! deleting entries as it archives) with next-key locking ON vs OFF and
 //! measure the agent↔daemon conflicts and the archive throughput.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use bench::{banner, env_num, env_secs, per_1k, row, Stand};
+use bench::drivers::{DlfmClients, OpMix};
+use bench::{banner, env_num, env_secs, per_1k, run, Load, Stand, Table};
 use dlfm::{AccessControl, DlfmConfig};
-use workload::{run_dlfm_workload, DlfmWorkloadConfig, IdSource, OpMix};
 
 struct ArmOutcome {
     tps: f64,
@@ -44,23 +43,16 @@ fn run_arm(next_key: bool, mvcc: bool, clients: usize, duration: Duration) -> Ar
     // Recovery on: every committed link queues an archive copy.
     let stand = Stand::new(config, AccessControl::Full, true);
     stand.server.db().set_next_key_locking(next_key);
-    let ids = Arc::new(IdSource::new(1_000));
-    let wl = DlfmWorkloadConfig {
-        clients,
-        duration,
-        // Insert-heavy: maximum archive-queue traffic.
-        mix: OpMix { insert_pct: 70, update_pct: 0, delete_pct: 10, select_pct: 20 },
-        seed: 9,
-        grp_id: stand.grp_id,
-        base_dir: "/wl".into(),
-    };
-    let report = run_dlfm_workload(&stand.server.connector(), &stand.fs, &wl, &ids);
+    // Insert-heavy: maximum archive-queue traffic.
+    let mix = OpMix { insert_pct: 70, update_pct: 0, delete_pct: 10, select_pct: 20 };
+    let apps = DlfmClients::new(stand.server.connector(), &stand.fs, stand.grp_id, mix);
+    let report = run(&Load::new(clients, duration, 9), |c| apps.client(c));
     // Let the Copy daemon drain what's left.
     std::thread::sleep(Duration::from_millis(300));
     let m = stand.server.metrics().snapshot();
     let lock = stand.server.db().lock_metrics().snapshot();
     ArmOutcome {
-        tps: report.committed() as f64 / report.elapsed.as_secs_f64(),
+        tps: report.per_sec(),
         rollbacks_per_1k: per_1k(report.forced_rollbacks(), report.committed().max(1)),
         phase2_retries: m.phase2_retries,
         archived: m.files_archived,
@@ -81,55 +73,34 @@ fn main() {
     let clients = env_num("CLIENTS", 12);
     println!("{clients} clients, insert-heavy, Copy daemon draining continuously, {duration:?}\n");
 
-    let w = [10, 6, 10, 14, 16, 10, 11, 12, 13];
-    row(
-        &[
-            "next-key",
-            "mvcc",
-            "txns/sec",
-            "rollbacks/1k",
-            "phase2 retries",
-            "archived",
-            "deadlocks",
-            "lock waits",
-            "wait micros",
-        ],
-        &w,
-    );
-    row(
-        &[
-            "--------",
-            "----",
-            "--------",
-            "------------",
-            "--------------",
-            "--------",
-            "---------",
-            "----------",
-            "-----------",
-        ],
-        &w,
-    );
+    let t = Table::new(&[
+        ("next-key", 10),
+        ("mvcc", 6),
+        ("txns/sec", 10),
+        ("rollbacks/1k", 14),
+        ("phase2 retries", 16),
+        ("archived", 10),
+        ("deadlocks", 11),
+        ("lock waits", 12),
+        ("wait micros", 13),
+    ]);
     // 2PL-only arms isolate the next-key variable; the MVCC arm is the
     // shipping configuration (snapshot reads + next-key off).
     let on = run_arm(true, false, clients, duration);
     let off = run_arm(false, false, clients, duration);
     let mvcc = run_arm(false, true, clients, duration);
     for (nk, mv, o) in [("ON", "OFF", &on), ("OFF", "OFF", &off), ("OFF", "ON", &mvcc)] {
-        row(
-            &[
-                nk,
-                mv,
-                &format!("{:.0}", o.tps),
-                &format!("{:.2}", o.rollbacks_per_1k),
-                &o.phase2_retries.to_string(),
-                &o.archived.to_string(),
-                &o.lm_deadlocks.to_string(),
-                &o.lock_waits.to_string(),
-                &o.lock_wait_micros.to_string(),
-            ],
-            &w,
-        );
+        t.row(&[
+            nk,
+            mv,
+            &format!("{:.0}", o.tps),
+            &format!("{:.2}", o.rollbacks_per_1k),
+            &o.phase2_retries.to_string(),
+            &o.archived.to_string(),
+            &o.lm_deadlocks.to_string(),
+            &o.lock_waits.to_string(),
+            &o.lock_wait_micros.to_string(),
+        ]);
     }
     // Every insert into the small archive queue takes key + next-key locks
     // on its three indexes under next-key locking; phase-2 commits and the

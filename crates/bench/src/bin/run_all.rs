@@ -43,3 +43,22 @@ fn main() {
         std::process::exit(1);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    #[test]
+    fn the_list_names_every_experiment_binary() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+        let mut bins: Vec<String> = std::fs::read_dir(dir)
+            .expect("read src/bin")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .filter_map(|f| Some(f.strip_suffix(".rs")?.to_string()).filter(|f| f.starts_with('e')))
+            .collect();
+        bins.sort();
+        let mut listed: Vec<String> = EXPERIMENTS.iter().map(|e| e.to_string()).collect();
+        listed.sort();
+        assert_eq!(listed, bins, "run_all's EXPERIMENTS and src/bin/e*.rs differ");
+    }
+}

@@ -1,4 +1,4 @@
-//! Shared scaffolding for the experiment binaries (E1-E10).
+//! Shared scaffolding for the experiment binaries (E1-E14).
 //!
 //! Every binary prints a self-contained report: the paper's claim, the
 //! configuration, and the measured numbers, as aligned text tables that
@@ -8,8 +8,19 @@
 //! * `RUN_SECS` — measured seconds per arm (default experiment-specific);
 //! * `CLIENTS` — concurrent clients where applicable;
 //! * `SCALE` — global workload multiplier for the slow experiments.
+//!
+//! Every client loop is one closed-loop runner ([`run::run`]) over a
+//! per-client op body ([`drivers`] holds the DLFM and host ones), every
+//! overhead guard is one alternating-pairs guard ([`guard`]), and every
+//! table is one [`Table`].
 
 #![warn(missing_docs)]
+
+pub mod drivers;
+pub mod guard;
+pub mod hist;
+pub mod report;
+pub mod run;
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,6 +28,9 @@ use std::time::Duration;
 use archive::ArchiveServer;
 use dlfm::{AccessControl, DlfmConfig, DlfmRequest, DlfmResponse, DlfmServer, GroupSpec};
 use filesys::FileSystem;
+
+pub use report::Report;
+pub use run::{in_txn, run, Fail, Load, Op};
 
 /// Read an env var as seconds, with a default.
 pub fn env_secs(name: &str, default: f64) -> Duration {
@@ -37,13 +51,35 @@ pub fn banner(id: &str, title: &str, paper_claim: &str) {
     println!("==================================================================");
 }
 
-/// Print one aligned table row.
-pub fn row(cols: &[&str], widths: &[usize]) {
-    let mut line = String::new();
-    for (c, w) in cols.iter().zip(widths) {
-        line.push_str(&format!("{c:<w$}  ", w = w));
+/// An aligned text table: each column is left-aligned to its width, two
+/// spaces apart, and the header is underlined by a dash rule as long as
+/// each column's name.
+pub struct Table {
+    widths: Vec<usize>,
+}
+
+impl Table {
+    /// Print the header (`(name, width)` per column) and its rule.
+    pub fn new(columns: &[(&str, usize)]) -> Table {
+        let table = Table { widths: columns.iter().map(|&(_, w)| w).collect() };
+        let rules: Vec<String> = columns.iter().map(|(name, _)| "-".repeat(name.len())).collect();
+        table.row(&columns.iter().map(|&(name, _)| name).collect::<Vec<_>>());
+        table.row(&rules.iter().map(String::as_str).collect::<Vec<_>>());
+        table
     }
-    println!("{}", line.trim_end());
+
+    /// Print one row.
+    pub fn row(&self, cols: &[&str]) {
+        println!("{}", self.line(cols));
+    }
+
+    fn line(&self, cols: &[&str]) -> String {
+        let mut line = String::new();
+        for (c, w) in cols.iter().zip(&self.widths) {
+            line.push_str(&format!("{c:<w$}  "));
+        }
+        line.trim_end().to_string()
+    }
 }
 
 /// A DLFM test stand: file server + archive + server, with one registered
@@ -201,114 +237,6 @@ pub fn json_summary_string(id: &str, title: &str, arms: &[JsonArm]) -> String {
     out
 }
 
-/// Pairs the wire-trace guard runs (odd, so the median is one pair's).
-const TRACE_GUARD_PAIRS: usize = 5;
-
-/// Median per-pair propagation cost, in percent, above which
-/// [`wire_trace_gate`] fails the run. The expectation is noise (< 5%).
-const TRACE_GUARD_TOLERANCE_PCT: f64 = 25.0;
-
-/// Linked inserts per wire-trace guard run. No length from 200 to 6 400
-/// keeps ten single pairs within the tolerance reliably on a shared box:
-/// a run that stalls shows up at every length (EXPERIMENTS.md, "Wire-trace
-/// guard run length"). 3 200 narrows the bulk of the spread most (quiet
-/// IQR −4.8…+11.4 %, against −16.5…+10.2 % at 200), and its five-pair
-/// median tripped the gate in none of 16 groups, where 200 tripped 2 of 6
-/// beside a concurrent build.
-const TRACE_GUARD_OPS: usize = 3_200;
-
-/// Wire-trace propagation overhead guard, shared by E5 and E12: run the
-/// same linked-insert workload through the host engine over a loopback
-/// TCP deployment ([`datalinks::Deployment::new_wire`]) with frame-header
-/// trace stamping on and off, in alternating pairs that flip which side
-/// goes first. Stamping is two u64 header fields and one atomic load per
-/// frame against a socket round trip, so the delta should be measurement
-/// noise (< 5%). Returns links/s with propagation `(on, off)`, a pair an
-/// entry.
-pub fn wire_trace_guard() -> Vec<(f64, f64)> {
-    let ops = TRACE_GUARD_OPS;
-    let run = |tracing: bool| -> f64 {
-        let was = dlrpc::set_wire_tracing(tracing);
-        let dep = datalinks::Deployment::new_wire(
-            "fs1",
-            DlfmConfig::for_tests(),
-            hostdb::HostConfig::for_tests(),
-            dlfm::Transport::Tcp("127.0.0.1:0".into()),
-        );
-        let mut session = dep.host.session();
-        session
-            .create_table(
-                "CREATE TABLE g (id BIGINT NOT NULL, doc DATALINK)",
-                &[hostdb::DatalinkSpec {
-                    column: "doc".into(),
-                    access: AccessControl::Partial,
-                    recovery: false,
-                }],
-            )
-            .expect("create table over the wire");
-        for i in 0..ops {
-            dep.fs.create(&format!("/g/f{i}"), "bench", b"x").expect("seed file");
-        }
-        let started = std::time::Instant::now();
-        for i in 0..ops {
-            session
-                .exec_params(
-                    "INSERT INTO g (id, doc) VALUES (?, ?)",
-                    &[
-                        minidb::Value::Int(i as i64),
-                        minidb::Value::str(format!("dlfs://fs1/g/f{i}")),
-                    ],
-                )
-                .expect("link over the wire");
-        }
-        let rate = ops as f64 / started.elapsed().as_secs_f64().max(1e-9);
-        dlrpc::set_wire_tracing(was);
-        rate
-    };
-    // Warm-up deployment pays the one-time costs (allocator, listener).
-    let _ = run(true);
-    (0..TRACE_GUARD_PAIRS)
-        .map(|p| {
-            if p % 2 == 0 {
-                let on = run(true);
-                (on, run(false))
-            } else {
-                let off = run(false);
-                (run(true), off)
-            }
-        })
-        .collect()
-}
-
-/// Median per-pair propagation cost of the wire-trace guard's pairs, in
-/// percent of the off rate.
-pub fn wire_trace_delta_pct(pairs: &[(f64, f64)]) -> f64 {
-    let mut pcts: Vec<f64> =
-        pairs.iter().map(|&(on, off)| (off - on) / off.max(1e-9) * 100.0).collect();
-    pcts.sort_by(f64::total_cmp);
-    pcts[pcts.len() / 2]
-}
-
-/// Gate on the wire-trace guard: print every pair, then exit nonzero when
-/// the median per-pair delta exceeds the tolerance (25%, against an
-/// expected noise below 5%). One noisy pair cannot trip it; a steady cost
-/// does.
-pub fn wire_trace_gate(bin: &str, pairs: &[(f64, f64)]) {
-    for (i, &(on, off)) in pairs.iter().enumerate() {
-        let pct = wire_trace_delta_pct(&[(on, off)]);
-        println!("{bin}: wire-trace pair {i}: {off:.0} links/s off vs {on:.0} on ({pct:+.1}%)");
-    }
-    let delta = wire_trace_delta_pct(pairs);
-    if delta > TRACE_GUARD_TOLERANCE_PCT {
-        eprintln!(
-            "{bin}: wire-trace propagation overhead {delta:+.1}% (median of {} pairs) exceeds \
-             gate tolerance {TRACE_GUARD_TOLERANCE_PCT:.0}% (expected noise)",
-            pairs.len()
-        );
-        std::process::exit(1);
-    }
-}
-
 /// Normalise a rate to "per 1000 committed transactions".
 pub fn per_1k(count: u64, committed: u64) -> f64 {
     if committed == 0 {
@@ -330,11 +258,14 @@ mod tests {
 
     #[test]
     fn wire_trace_gate_reads_the_median_pair() {
+        use guard::{Paired, TRACE_GUARD_TOLERANCE_PCT};
         let steady = |pct: f64| (100.0 - pct, 100.0);
-        let outlier = [steady(2.0), steady(-3.0), steady(60.0), steady(1.0), steady(0.0)];
-        let delta = wire_trace_delta_pct(&outlier);
+        let outlier = Paired {
+            pairs: vec![steady(2.0), steady(-3.0), steady(60.0), steady(1.0), steady(0.0)],
+        };
+        let delta = outlier.delta_pct();
         assert!((delta - 1.0).abs() < 1e-9, "one noisy pair moved the median: {delta}");
-        let costly = wire_trace_delta_pct(&[steady(30.0); 5]);
+        let costly = Paired { pairs: vec![steady(30.0); 5] }.delta_pct();
         assert!(costly > TRACE_GUARD_TOLERANCE_PCT, "a steady +30% passed the gate");
     }
 

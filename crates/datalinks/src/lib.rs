@@ -10,9 +10,7 @@
 //! * [`dlrpc`] — the agent connection fabric;
 //! * [`dlfm`] — the DataLinks File Manager itself (the paper's system);
 //! * [`hostdb`] — the host database with the datalink engine and
-//!   two-phase-commit coordinator;
-//! * [`workload`] — multi-client drivers regenerating the paper's
-//!   evaluation numbers.
+//!   two-phase-commit coordinator.
 //!
 //! See `examples/quickstart.rs` for the 60-second tour and `DESIGN.md` for
 //! the system inventory.
@@ -26,7 +24,6 @@ pub use filesys;
 pub use hostdb;
 pub use minidb;
 pub use obs;
-pub use workload;
 
 pub mod audit;
 
